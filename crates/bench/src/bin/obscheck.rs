@@ -9,6 +9,11 @@
 //!   object with integer `count`/`sum`/`p50`/`p99` and `[bound, count]`
 //!   bucket pairs — never a float, so never a NaN;
 //! - histogram bucket counts sum back to `count`;
+//! - lock-wait invariants: for every `lock.wait_nanos.{TYPE}` histogram
+//!   (observed when a blocked execution stops waiting) the count never
+//!   exceeds the sum of the `lock.waits.{TYPE}.*` counters (bumped when
+//!   it starts), and in the *final* dump — nobody is blocked any more —
+//!   the two are equal;
 //! - at least one dump in the stream carries the core transaction
 //!   counters (`txn.begun`/`txn.committed`/`txn.aborted`);
 //! - read-path invariants: any dump carrying `txn.read_only.begun`
@@ -78,6 +83,27 @@ fn check_histogram(name: &str, h: &serde_json::Map) {
     }
 }
 
+/// Every blocked execution counts one wait when it starts waiting and
+/// observes one duration when it stops: the histogram can lag the
+/// counters, never lead them, and at quiesce (`exact`) they agree.
+fn check_lock_waits(metrics: &serde_json::Map, exact: bool) {
+    for (name, v) in metrics {
+        let (Some(ty), Value::Object(h)) = (name.strip_prefix("lock.wait_nanos."), v) else {
+            continue;
+        };
+        let observed = as_u64(&h["count"], name);
+        let prefix = format!("lock.waits.{ty}.");
+        let counted: u64 =
+            metrics.iter().filter(|(k, _)| k.starts_with(&prefix)).map(|(k, v)| as_u64(v, k)).sum();
+        if observed > counted || (exact && observed != counted) {
+            fail(&format!(
+                "{name}: {observed} wait(s) timed but {prefix}* counted {counted}{}",
+                if exact { " in the final dump" } else { "" }
+            ));
+        }
+    }
+}
+
 fn check_line(line: &str) -> bool {
     let parsed: Value = match serde_json::from_str(line) {
         Ok(v) => v,
@@ -99,6 +125,7 @@ fn check_line(line: &str) -> bool {
             other => fail(&format!("{name}: unexpected value kind {other}")),
         }
     }
+    check_lock_waits(metrics, false);
     if let Some(begun) = metrics.get("txn.read_only.begun") {
         let begun = as_u64(begun, "txn.read_only.begun");
         let completed = match metrics.get("txn.read_only.completed") {
@@ -150,6 +177,7 @@ fn check_line(line: &str) -> bool {
 fn check_final(line: &str) {
     let parsed: Value = serde_json::from_str(line).expect("already validated by check_line");
     let metrics = parsed["hcc_metrics"].as_object().expect("already validated");
+    check_lock_waits(metrics, true);
     let begun = match metrics.get("txn.read_only.begun") {
         Some(b) => as_u64(b, "txn.read_only.begun"),
         None => return, // pre-read-path dump shape: nothing to hold to

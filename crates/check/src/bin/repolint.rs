@@ -33,6 +33,11 @@
 //!    crate's sources, so a future "optimization" cannot quietly turn
 //!    replay into re-execution (which would re-take locks, re-run
 //!    nondeterministic choices, and diverge from the primary).
+//! 6. **No slice polling**: a blocked lock request is woken by events
+//!    — a completion at its object, a doom — and by nothing else. The
+//!    knob the old polling loop re-checked on (its name is the needle)
+//!    appears nowhere under `crates/` or `tests/`, so a timed re-check
+//!    cannot grow back under the same name.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -74,6 +79,7 @@ fn main() {
     // replication no-second-apply-path ratchet (5).
     let lock_needles =
         [[".exec", "ute("].concat(), ["try_", "execute"].concat(), ["atte", "mpt("].concat()];
+    let slice_knob = ["wait", "_slice"].concat();
 
     // The ratchet's standing exceptions: tests that hand-craft WAL
     // records on purpose, and the manual-discipline workload whose whole
@@ -96,6 +102,18 @@ fn main() {
                 if line.contains(&log_op_call) {
                     findings.push(format!(
                         "{rel_s}:{}: direct WAL append `{log_op_call}` outside crates/storage",
+                        i + 1
+                    ));
+                }
+            }
+        }
+
+        if rel_s.starts_with("crates/") || rel_s.starts_with("tests/") {
+            for (i, line) in text.lines().enumerate() {
+                if line.contains(&slice_knob) {
+                    findings.push(format!(
+                        "{rel_s}:{}: `{slice_knob}` — lock waits are event-driven; there is \
+                         no slice to poll on",
                         i + 1
                     ));
                 }

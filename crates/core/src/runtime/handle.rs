@@ -2,9 +2,10 @@
 
 use super::object::TxParticipant;
 use hcc_spec::TxnId;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The lifecycle phase of a transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,14 +18,83 @@ pub enum TxnPhase {
     Aborted,
 }
 
+/// The sticky wake token a blocked execution parks on: a wake-up
+/// delivered before the park makes the park return at once, so nothing
+/// that happens between "the `when` condition was false" and "the thread
+/// sleeps" can be lost.
+///
+/// Every transition happens under `state`'s mutex, so there is no
+/// hand-chosen memory ordering here: a `wake` that precedes a `park` or
+/// `reset` in the mutex's order happens-before it.
+struct WakeToken {
+    state: Mutex<Wake>,
+    cv: Condvar,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// No wake-up pending, nobody parked.
+    Empty,
+    /// The owning transaction's thread is asleep on `cv`.
+    Parked,
+    /// A wake-up is pending; the next park consumes it without sleeping.
+    Set,
+}
+
+impl WakeToken {
+    const fn new() -> WakeToken {
+        WakeToken { state: Mutex::new(Wake::Empty), cv: Condvar::new() }
+    }
+
+    fn wake(&self) {
+        let mut state = self.state.lock();
+        let parked = *state == Wake::Parked;
+        *state = Wake::Set;
+        drop(state);
+        // Only a sleeping thread costs a futex call.
+        if parked {
+            self.cv.notify_one();
+        }
+    }
+
+    fn reset(&self) {
+        *self.state.lock() = Wake::Empty;
+    }
+
+    /// Sleep until woken (`true`) or until `deadline` passes (`false`).
+    /// With no deadline this performs no timed wait at all.
+    fn park(&self, deadline: Option<Instant>) -> bool {
+        let mut state = self.state.lock();
+        loop {
+            if *state == Wake::Set {
+                *state = Wake::Empty;
+                return true;
+            }
+            *state = Wake::Parked;
+            match deadline {
+                None => self.cv.wait(&mut state),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        *state = Wake::Empty;
+                        return false;
+                    }
+                    self.cv.wait_for(&mut state, deadline - now);
+                }
+            }
+        }
+    }
+}
+
 /// Shared per-transaction state: identity, phase, the Avalon `trans-id`
 /// style lower bound on the eventual commit timestamp, the doom flag set by
-/// the deadlock detector, and the set of objects touched (for commit/abort
-/// fan-out).
+/// the deadlock detector, the wake token its blocked execution parks on,
+/// and the set of objects touched (for commit/abort fan-out).
 pub struct TxnHandle {
     id: TxnId,
     phase: Mutex<TxnPhase>,
     doomed: AtomicBool,
+    wake: WakeToken,
     /// Maximum object clock observed by any of this transaction's
     /// operations; the commit timestamp must exceed it (`precedes ⊆ TS`).
     bound: AtomicU64,
@@ -54,6 +124,7 @@ impl TxnHandle {
             id,
             phase: Mutex::new(TxnPhase::Active),
             doomed: AtomicBool::new(false),
+            wake: WakeToken::new(),
             bound: AtomicU64::new(0),
             touched: Mutex::new(Vec::new()),
             replay,
@@ -88,9 +159,40 @@ impl TxnHandle {
         self.doomed.load(Ordering::Acquire)
     }
 
-    /// Mark as deadlock victim.
+    /// Mark as deadlock victim and wake the victim's blocked execution,
+    /// which then returns [`super::ExecError::Doomed`]. The flag is
+    /// stored before the wake-up, so a victim that consumes the wake-up
+    /// (or resets its token after it, see `reset_wake`)
+    /// observes the flag: the token's mutex orders the two.
     pub fn doom(&self) {
         self.doomed.store(true, Ordering::Release);
+        self.wake.wake();
+    }
+
+    /// Deliver a wake-up to this transaction's blocked execution. Sticky:
+    /// if the execution has not parked yet, its next park returns at
+    /// once. Objects call this for every waiter recorded at them when a
+    /// transaction completes there.
+    pub(crate) fn wake(&self) {
+        self.wake.wake();
+    }
+
+    /// Discard a pending wake-up. An object calls this under its latch
+    /// when it records the transaction as a waiter: wake-ups owed to
+    /// that registration can only be sent after the latch is released,
+    /// so what is discarded is at most a leftover from an earlier wait.
+    /// The caller must test [`TxnHandle::is_doomed`] after this and
+    /// before parking — a doom whose wake-up was discarded is then seen
+    /// through the flag.
+    pub(crate) fn reset_wake(&self) {
+        self.wake.reset();
+    }
+
+    /// Sleep until [`TxnHandle::wake`] or [`TxnHandle::doom`] (`true`),
+    /// or until `deadline` passes (`false`). Without a deadline no timer
+    /// is involved.
+    pub(crate) fn park(&self, deadline: Option<Instant>) -> bool {
+        self.wake.park(deadline)
     }
 
     /// Raise the commit-timestamp lower bound to an observed object clock.
@@ -103,17 +205,26 @@ impl TxnHandle {
         self.bound.load(Ordering::Acquire)
     }
 
-    /// Record that the transaction executed at `obj` (idempotent).
-    pub fn register(&self, obj: Arc<dyn TxParticipant>) {
+    /// Record that the transaction executed at `obj` (idempotent). The
+    /// object's reference count is touched only the first time.
+    pub fn register<P: TxParticipant + 'static>(&self, obj: &Arc<P>) {
         let mut t = self.touched.lock();
-        if !t.iter().any(|o| Arc::ptr_eq(o, &obj)) {
-            t.push(obj);
+        let addr = Arc::as_ptr(obj).cast::<()>();
+        if !t.iter().any(|o| Arc::as_ptr(o).cast::<()>() == addr) {
+            t.push(obj.clone());
         }
     }
 
     /// Objects touched so far (commit/abort fan-out set).
     pub fn participants(&self) -> Vec<Arc<dyn TxParticipant>> {
         self.touched.lock().clone()
+    }
+
+    /// Hand the fan-out set to whoever completes the transaction,
+    /// leaving the handle with none: unlike [`TxnHandle::participants`]
+    /// this touches no object's reference count.
+    pub fn take_participants(&self) -> Vec<Arc<dyn TxParticipant>> {
+        std::mem::take(&mut *self.touched.lock())
     }
 }
 
@@ -150,5 +261,32 @@ mod tests {
         assert!(!h.is_doomed());
         h.doom();
         assert!(h.is_doomed());
+        assert!(h.park(None), "a doom leaves a wake-up behind");
+    }
+
+    #[test]
+    fn wake_token_is_sticky_and_consumed_once() {
+        use std::time::Duration;
+        let h = TxnHandle::new(TxnId(3));
+        h.wake();
+        h.wake();
+        assert!(h.park(None), "a wake-up sent before the park is not lost");
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(!h.park(Some(deadline)), "and is consumed by that park");
+        assert!(Instant::now() >= deadline, "a timed-out park lasts until its deadline");
+        h.wake();
+        h.reset_wake();
+        assert!(!h.park(Some(Instant::now())), "reset discards a pending wake-up");
+    }
+
+    #[test]
+    fn wake_reaches_a_parked_thread() {
+        let h = TxnHandle::new(TxnId(4));
+        let parked = h.clone();
+        let j = std::thread::spawn(move || parked.park(None));
+        // Whether this lands before or after the thread parks, the park
+        // returns: that is the token's contract.
+        h.wake();
+        assert!(j.join().unwrap());
     }
 }

@@ -13,9 +13,12 @@
 //!   operations);
 //! * transactions are driven through shared [`TxnHandle`]s, which track the
 //!   commit-timestamp lower bound (`s.bound`), the set of touched objects,
-//!   and a doom flag set by deadlock victims;
-//! * blocking follows [`BlockPolicy`], with optional [`WaitObserver`]
-//!   callbacks feeding a waits-for-graph deadlock detector (`hcc-txn`).
+//!   a doom flag set by deadlock victims, and the wake token a blocked
+//!   execution parks on;
+//! * blocking is event-driven — [`TxObject::execute`] is the atomic `when`,
+//!   woken by completions at the object and by dooms, bounded only by
+//!   [`BlockPolicy`]'s timeout — with [`WaitObserver`] callbacks feeding a
+//!   waits-for-graph deadlock detector (`hcc-txn`).
 
 mod adt;
 mod handle;

@@ -1,37 +1,44 @@
 //! Blocking policy and contention observation hooks.
 
+use super::handle::TxnHandle;
 use hcc_obs::{FlightRecorder, Registry};
 use hcc_spec::TxnId;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How an object blocks when a lock request is refused.
+/// How long an object blocks when a lock request is refused.
 ///
-/// The appendix's `when` statement "releases the lock and the condition is
-/// retried after an arbitrary duration"; we retry on completion
-/// notifications, re-checking in slices so doomed deadlock victims wake
-/// promptly.
+/// Blocking itself is the appendix's atomic `when (condition) { … }` and
+/// has no knob: the condition is tested and the caller recorded as a
+/// waiter under one hold of the object's latch, and only events wake it
+/// — a commit or abort at that object (or [`super::TxObject::unpin_horizon`])
+/// wakes every recorded waiter, and [`TxnHandle::doom`] wakes the victim
+/// itself. Because a lock holder's remaining life is usually far shorter
+/// than putting a thread to sleep and waking it again, a waiter first
+/// spins a small fixed number of times on the object's completion count
+/// and parks only if nothing completed meanwhile.
 #[derive(Clone, Copy, Debug)]
 pub struct BlockPolicy {
-    /// Upper bound on one condvar wait before re-checking the doom flag.
-    pub wait_slice: Duration,
     /// Give up (and let the caller abort/retry the transaction) after this
-    /// long; `None` waits forever. A timeout is one of the paper's two
-    /// deadlock remedies.
+    /// long; `None` waits forever, with no timer anywhere on the wait
+    /// path. A timeout is one of the paper's two deadlock remedies.
     pub timeout: Option<Duration>,
 }
 
 impl Default for BlockPolicy {
     fn default() -> Self {
-        BlockPolicy { wait_slice: Duration::from_millis(1), timeout: Some(Duration::from_secs(2)) }
+        BlockPolicy { timeout: Some(Duration::from_secs(2)) }
     }
 }
 
 /// Callbacks observing lock contention; the waits-for-graph deadlock
 /// detector in `hcc-txn` implements this.
 pub trait WaitObserver: Send + Sync {
-    /// `waiter` is about to block on operations held by `holders`.
-    fn on_block(&self, waiter: TxnId, holders: &[TxnId]);
+    /// `waiter` is recorded as waiting on operations held by `holders`
+    /// and is about to sleep. The observer gets the handle itself: only
+    /// blocked transactions can lie on a waits-for cycle, so this is the
+    /// one place a detector needs to learn whom it may doom.
+    fn on_block(&self, waiter: &Arc<TxnHandle>, holders: &[TxnId]);
     /// `waiter` stopped waiting (granted, timed out, or doomed).
     fn on_unblock(&self, waiter: TxnId);
 }
@@ -40,7 +47,7 @@ pub trait WaitObserver: Send + Sync {
 pub struct NullObserver;
 
 impl WaitObserver for NullObserver {
-    fn on_block(&self, _: TxnId, _: &[TxnId]) {}
+    fn on_block(&self, _: &Arc<TxnHandle>, _: &[TxnId]) {}
     fn on_unblock(&self, _: TxnId) {}
 }
 
@@ -164,10 +171,7 @@ impl RuntimeOptions {
 
     /// Options with a custom timeout.
     pub fn with_timeout(timeout: Option<Duration>) -> RuntimeOptions {
-        RuntimeOptions {
-            block: BlockPolicy { timeout, ..BlockPolicy::default() },
-            ..RuntimeOptions::default()
-        }
+        RuntimeOptions { block: BlockPolicy { timeout }, ..RuntimeOptions::default() }
     }
 
     /// The same options with a different durability requirement.
@@ -209,7 +213,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let p = BlockPolicy::default();
-        assert!(p.wait_slice < Duration::from_millis(50));
         assert!(p.timeout.unwrap() >= Duration::from_millis(100));
     }
 
@@ -218,7 +221,7 @@ mod tests {
         let o = RuntimeOptions::with_timeout(None);
         assert!(o.block.timeout.is_none());
         let o = RuntimeOptions::with_observer(Arc::new(NullObserver));
-        o.observer.on_block(TxnId(1), &[TxnId(2)]);
+        o.observer.on_block(&TxnHandle::new(TxnId(1)), &[TxnId(2)]);
         o.observer.on_unblock(TxnId(1));
     }
 }

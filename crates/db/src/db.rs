@@ -12,10 +12,11 @@ use crate::error::HccError;
 use crate::handle::DbObject;
 use crate::read::ReadInstruments;
 use crate::tx::{RetryPolicy, Tx};
-use hcc_core::runtime::{Durability, RuntimeOptions};
+use hcc_core::runtime::{Durability, ExecError, RuntimeOptions};
 use hcc_obs::{Counter, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{Checkpoint, CompactionPolicy, DurableObject, DurableStore, StorageOptions};
+use hcc_txn::manager::CommitError;
 use hcc_txn::registry::{self, Decisions, RecoveryReport, Registry};
 use hcc_txn::TxnManager;
 use parking_lot::{Mutex, RwLock};
@@ -410,9 +411,11 @@ impl Db {
     /// transparently abort-and-retry (fresh transaction, bounded
     /// backoff) when the failure is transient per
     /// [`HccError::is_transient`] — a deadlock doom, a lock timeout, a
-    /// refused prepare vote. Fatal errors surface immediately; a
-    /// transient failure that outlives the retry budget surfaces as
-    /// [`HccError::RetriesExhausted`].
+    /// refused prepare vote. The first retry after a deadlock doom
+    /// starts at once (the retried transaction is younger and blocks
+    /// behind the survivor); every other retry backs off first. Fatal
+    /// errors surface immediately; a transient failure that outlives the
+    /// retry budget surfaces as [`HccError::RetriesExhausted`].
     ///
     /// Effects apply **exactly once**: they become visible only through
     /// the single successful commit; every failed attempt was aborted at
@@ -431,6 +434,7 @@ impl Db {
         mut f: impl FnMut(&Tx) -> Result<T, HccError>,
     ) -> Result<(T, Timestamp), HccError> {
         let mut attempt: u32 = 0;
+        let mut pauses: u32 = 0;
         loop {
             let err = {
                 let tx = Tx::new(self.mgr.begin());
@@ -463,9 +467,21 @@ impl Db {
                     last: Box::new(err),
                 });
             }
-            let backoff = self.retry.backoff(attempt);
-            self.transact_backoff_nanos.add(backoff.as_nanos() as u64);
-            std::thread::sleep(backoff);
+            // A deadlock victim's first retry needs no pause: it runs under
+            // a younger id and blocks behind the survivor wherever their
+            // operations conflict. Every other transient failure, and a
+            // second doom in a row, backs off — on the exponential
+            // schedule, which starts with the first pause.
+            let doomed = matches!(
+                err,
+                HccError::Exec(ExecError::Doomed) | HccError::Commit(CommitError::Doomed)
+            );
+            if !(doomed && attempt == 0) {
+                let backoff = self.retry.backoff(pauses);
+                pauses += 1;
+                self.transact_backoff_nanos.add(backoff.as_nanos() as u64);
+                std::thread::sleep(backoff);
+            }
             attempt += 1;
         }
     }

@@ -145,8 +145,16 @@ impl Session {
         // the client surviving to read the answer.
     }
 
-    fn finish(&self, shared: &Shared) {
+    /// Answer a request that was admitted (counted in `in_flight` and
+    /// `outstanding`). The session's slot is released *before* the
+    /// answer is written: a pipelining client sends its next request
+    /// the instant it reads this one, and must find the slot free, or a
+    /// session holding exactly its negotiated cap is shed without ever
+    /// exceeding it. The server-wide count falls only *after* the
+    /// write, because the drain tears sessions down once it reads zero.
+    fn answer_admitted(&self, shared: &Shared, seq: u64, resp: &Response) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.respond(shared, seq, resp);
         if shared.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _lock = shared.idle.0.lock();
             shared.idle.1.notify_all();
@@ -513,8 +521,7 @@ fn admit(session: &Arc<Session>, shared: &Arc<Shared>, seq: u64, req: Request) -
             } else {
                 WireFault::Overloaded { in_flight: depth as u32, cap: shared.opts.queue_cap as u32 }
             };
-            session.respond(shared, seq, &Response::Fault(fault));
-            job.session.finish(shared);
+            job.session.answer_admitted(shared, seq, &Response::Fault(fault));
             true
         }
     }
@@ -525,8 +532,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let start = std::time::Instant::now();
         let resp = exec::execute(&shared.db, &job.req);
         shared.metrics.request_nanos.observe(start.elapsed().as_nanos() as u64);
-        job.session.respond(shared, job.seq, &resp);
-        job.session.finish(shared);
+        job.session.answer_admitted(shared, job.seq, &resp);
     }
 }
 

@@ -168,6 +168,49 @@ fn in_flight_cap_sheds_flood_without_queue_growth() {
     assert_eq!(db.committed_count(), 1 + 3);
 }
 
+/// A pipelining client that keeps exactly its negotiated cap outstanding
+/// — next request out the instant an answer is in — never exceeds the
+/// cap and must never be shed: the server releases a request's slot
+/// before it writes the answer, not after.
+#[test]
+fn session_at_exactly_its_cap_is_never_shed() {
+    const DEPTH: u32 = 8;
+    const REQUESTS: u64 = 2_000;
+    let db = Arc::new(Db::in_memory());
+    let opts = ServerOptions { workers: 4, ..ServerOptions::default() };
+    let server = serve_with(db.clone(), "127.0.0.1:0", opts).unwrap();
+    let addr = server.local_addr().to_string();
+    let client = Client::connect_with(
+        &addr,
+        ClientOptions { max_in_flight: DEPTH, ..ClientOptions::default() },
+    )
+    .unwrap();
+    assert_eq!(client.granted_in_flight(), DEPTH, "depth equals the negotiated cap");
+    let (mut tx, mut rx) = client.into_halves();
+
+    let request = Request::Transact { ops: vec![credit("till", 1)] };
+    let mut sent = 0;
+    while sent < u64::from(DEPTH) {
+        sent += 1;
+        tx.send(sent, &request).unwrap();
+    }
+    for _ in 0..REQUESTS {
+        let (seq, resp, _) = rx.recv::<Response>().unwrap().unwrap();
+        assert!(
+            matches!(resp, Response::Committed { .. }),
+            "request {seq} of a session within its cap was refused: {resp:?}"
+        );
+        if sent < REQUESTS {
+            sent += 1;
+            tx.send(sent, &request).unwrap();
+        }
+    }
+    assert_eq!(db.stats().counter("net.requests.shed"), 0);
+    drop((tx, rx));
+    server.drain();
+    assert_eq!(db.committed_count(), REQUESTS);
+}
+
 /// A half-written frame at disconnect is refused wholesale: the session
 /// dies, nothing half-applies, and the server keeps serving.
 #[test]

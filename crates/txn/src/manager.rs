@@ -13,7 +13,7 @@ use crate::clock::LogicalClock;
 use crate::deadlock::DeadlockDetector;
 use crate::registry::{RecoveryError, RecoveryReport, Registry};
 use hcc_core::runtime::{
-    HorizonPins, PinGuard, RedoSink, RedoTicket, RuntimeOptions, TxnHandle, TxnPhase,
+    HorizonPins, PinGuard, RedoSink, RedoTicket, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
@@ -75,8 +75,6 @@ pub struct TxnManager {
     clock: Arc<LogicalClock>,
     detector: Arc<DeadlockDetector>,
     next_id: AtomicU64,
-    committed: AtomicU64,
-    aborted: AtomicU64,
     /// The durable log, when this manager persists completion records.
     store: Option<Arc<DurableStore>>,
     /// Transactions whose Begin record failed to append (transient I/O).
@@ -133,12 +131,24 @@ pub struct TxnManager {
 /// states. Reading at `W` never does.
 #[derive(Default)]
 struct ReadMarks {
-    /// Timestamps allocated but not yet retired, ordered.
-    inflight: std::collections::BTreeSet<u64>,
+    /// Timestamps allocated but not yet retired: at most one per
+    /// committing thread, so a scan, and no node to allocate and free
+    /// under the lock for every commit.
+    inflight: Vec<u64>,
     /// Highest timestamp whose phase-2 fan-out completed (or, at build
     /// time, the store's recovery watermark — everything durable is
     /// "applied" once materialized).
     max_applied: u64,
+}
+
+impl ReadMarks {
+    /// The stable watermark these marks imply.
+    fn stable(&self) -> u64 {
+        match self.inflight.iter().min() {
+            Some(&min) => min.saturating_sub(1),
+            None => self.max_applied,
+        }
+    }
 }
 
 /// The manager's pre-resolved metric handles.
@@ -223,8 +233,6 @@ impl TxnManager {
             clock,
             detector,
             next_id: AtomicU64::new(first_id),
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
             store,
             begin_unlogged: parking_lot::Mutex::new(std::collections::HashSet::new()),
             ops_unlogged: parking_lot::Mutex::new(std::collections::HashMap::new()),
@@ -296,7 +304,9 @@ impl TxnManager {
     /// watermark down.
     fn retire_inflight(&self, ts: u64, applied: bool) {
         let mut marks = self.read_marks.lock();
-        marks.inflight.remove(&ts);
+        if let Some(at) = marks.inflight.iter().position(|&t| t == ts) {
+            marks.inflight.swap_remove(at);
+        }
         if applied {
             marks.max_applied = marks.max_applied.max(ts);
         }
@@ -309,11 +319,7 @@ impl TxnManager {
     /// objects therefore observes a *consistent prefix* of the commit
     /// order — never a later transaction without an earlier one.
     pub fn stable_watermark(&self) -> u64 {
-        let marks = self.read_marks.lock();
-        match marks.inflight.first() {
-            Some(&min) => min.saturating_sub(1),
-            None => marks.max_applied,
-        }
+        self.read_marks.lock().stable()
     }
 
     /// Apply one *replicated* committed transaction at its objects — the
@@ -368,11 +374,7 @@ impl TxnManager {
     /// stale answer.)
     pub fn pin_read_watermark(&self) -> PinGuard {
         let marks = self.read_marks.lock();
-        let w = match marks.inflight.first() {
-            Some(&min) => min.saturating_sub(1),
-            None => marks.max_applied,
-        };
-        self.horizon.pin(w)
+        self.horizon.pin(marks.stable())
     }
 
     /// Pin the fold horizon at a caller-chosen timestamp (time-travel
@@ -392,7 +394,6 @@ impl TxnManager {
     pub fn begin(&self) -> Arc<TxnHandle> {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let h = TxnHandle::new(id);
-        self.detector.register(&h);
         self.instruments.begun.inc();
         if let Some(tr) = &self.trace {
             tr.record(id.0, "", "begin", String::new());
@@ -426,19 +427,20 @@ impl TxnManager {
             self.do_abort(&txn);
             return Err(CommitError::Doomed);
         }
-        let participants = txn.participants();
+        let participants = txn.take_participants();
         // Phase 1: collect votes.
         for p in &participants {
             if !p.prepare(&txn) {
                 let object = p.object_name().to_string();
-                self.do_abort(&txn);
+                self.abort_at(&txn, &participants);
                 return Err(CommitError::PrepareFailed { object });
             }
         }
         // Logging the record and applying it at every object happens under
         // the (shared) commit gate, so checkpoints see log and objects in
-        // agreement.
-        let gate = self.commit_gate.read();
+        // agreement. Without a log there is no checkpoint to agree with,
+        // and the gate would only be a line every committer writes.
+        let gate = self.store.as_ref().map(|_| self.commit_gate.read());
         // Generate the commit timestamp above the transaction's bound (the
         // max object clock it observed), guaranteeing precedes ⊆ TS. The
         // allocation is published into the read-marks table *atomically*
@@ -450,7 +452,7 @@ impl TxnManager {
         let ts = {
             let mut marks = self.read_marks.lock();
             let ts = self.clock.timestamp_after(txn.bound());
-            marks.inflight.insert(ts);
+            marks.inflight.push(ts);
             ts
         };
         if let Some(store) = &self.store {
@@ -465,7 +467,7 @@ impl TxnManager {
                     Err(e) => {
                         drop(gate);
                         self.retire_inflight(ts, false);
-                        self.do_abort(&txn);
+                        self.abort_at(&txn, &participants);
                         self.fatal_commit_trace(txn.id(), &e.to_string());
                         return Err(CommitError::Storage(format!(
                             "begin record could not be logged: {e}"
@@ -489,7 +491,7 @@ impl TxnManager {
                         // cannot happen.
                         drop(gate);
                         self.retire_inflight(ts, false);
-                        self.do_abort(&txn);
+                        self.abort_at(&txn, &participants);
                         self.fatal_commit_trace(txn.id(), &e.to_string());
                         return Err(CommitError::Storage(format!(
                             "operation record could not be logged: {e}"
@@ -512,7 +514,7 @@ impl TxnManager {
                     ),
                 };
                 self.retire_inflight(ts, false);
-                self.do_abort(&txn);
+                self.abort_at(&txn, &participants);
                 self.fatal_commit_trace(txn.id(), &err);
                 return Err(CommitError::Storage(err));
             }
@@ -526,8 +528,6 @@ impl TxnManager {
         // readable (it may raise the stable watermark).
         self.retire_inflight(ts, true);
         drop(gate);
-        self.detector.forget(txn.id());
-        self.committed.fetch_add(1, Ordering::Relaxed);
         self.instruments.committed.inc();
         self.instruments.commit_nanos.observe_duration(started.elapsed());
         if let Some(tr) = &self.trace {
@@ -677,12 +677,17 @@ impl TxnManager {
     }
 
     fn do_abort(&self, txn: &Arc<TxnHandle>) {
-        if txn.phase() != TxnPhase::Active {
-            return;
+        if txn.phase() == TxnPhase::Active {
+            self.abort_at(txn, &txn.take_participants());
         }
+    }
+
+    /// Abort a still-active transaction at `participants`, its fan-out
+    /// set (already taken from the handle by the caller).
+    fn abort_at(&self, txn: &Arc<TxnHandle>, participants: &[Arc<dyn TxParticipant>]) {
         let started = Instant::now();
         txn.set_phase(TxnPhase::Aborted);
-        for p in txn.participants() {
+        for p in participants {
             p.abort_txn(txn.id());
         }
         if let Some(store) = &self.store {
@@ -692,8 +697,6 @@ impl TxnManager {
             self.begin_unlogged.lock().remove(&txn.id().0);
             self.ops_unlogged.lock().remove(&txn.id().0);
         }
-        self.detector.forget(txn.id());
-        self.aborted.fetch_add(1, Ordering::Relaxed);
         self.instruments.aborted.inc();
         self.instruments.abort_nanos.observe_duration(started.elapsed());
         if let Some(tr) = &self.trace {
@@ -703,12 +706,12 @@ impl TxnManager {
 
     /// Number of transactions committed through this manager.
     pub fn committed_count(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
+        self.instruments.committed.get()
     }
 
     /// Number of transactions aborted through this manager.
     pub fn aborted_count(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
+        self.instruments.aborted.get()
     }
 }
 

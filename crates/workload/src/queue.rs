@@ -9,14 +9,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Blocking options tuned for benchmark runs: fast wake-ups, short
-/// timeout, deadlock detection via the manager.
+/// Blocking options for benchmark runs: short timeout, deadlock
+/// detection via the manager.
 pub fn bench_options(mgr: &Arc<TxnManager>) -> RuntimeOptions {
     let mut opts = mgr.object_options();
-    opts.block = BlockPolicy {
-        wait_slice: Duration::from_micros(200),
-        timeout: Some(Duration::from_millis(500)),
-    };
+    opts.block = BlockPolicy { timeout: Some(Duration::from_millis(500)) };
     opts
 }
 

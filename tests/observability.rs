@@ -56,6 +56,12 @@ fn quiesced_txn_counters_balance() {
     assert_eq!(attempts.count, 101);
     // Commit latency was recorded per commit.
     assert_eq!(snap.histogram("txn.commit_nanos").unwrap().count, committed);
+    // Nobody is blocked any more: every wait that was counted when it
+    // began has been timed when it ended (possibly none at all).
+    assert_eq!(
+        snap.histogram("lock.wait_nanos.Account").map_or(0, |h| h.count),
+        snap.sum_prefix("lock.waits.Account."),
+    );
 }
 
 /// Every histogram in a live snapshot keeps its internal contract:
@@ -165,10 +171,7 @@ fn refusal_labels_are_lock_atom_class_pairs() {
 
     let mgr = TxnManager::new();
     let mut opts = mgr.object_options();
-    opts.block = BlockPolicy {
-        wait_slice: Duration::from_micros(200),
-        timeout: Some(Duration::from_millis(400)),
-    };
+    opts.block = BlockPolicy { timeout: Some(Duration::from_millis(400)) };
     let obj = Arc::new(SpecObject::<CounterDef>::with_options("tally", opts));
     // Deterministic conflict: the writer holds an uncommitted Inc across
     // a barrier while the reader's Read arrives — `Read ⊦ Inc` is in the
@@ -202,6 +205,13 @@ fn refusal_labels_are_lock_atom_class_pairs() {
     let snap = mgr.metrics().snapshot();
     let refusals = snap.sum_prefix("lock.refusals.");
     assert!(refusals > 0, "Read vs Inc contention must refuse at least once");
+    // The refused Read waited; its wait was counted once under the pair
+    // that refused it and timed once when it ended.
+    let waits = snap.sum_prefix("lock.waits.Counter.");
+    assert!(waits > 0, "the reader blocked behind the held Inc");
+    let timed = snap.histogram("lock.wait_nanos.Counter").expect("wait histogram");
+    assert_eq!(timed.count, waits);
+    assert_eq!(timed.buckets.iter().sum::<u64>(), timed.count);
     let mut checked = 0;
     for name in snap.values.keys() {
         let Some(rest) = name.strip_prefix("lock.refusals.") else { continue };
