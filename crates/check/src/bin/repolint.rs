@@ -4,10 +4,9 @@
 //! 1. **WAL discipline**: direct `log_op` method calls appear only
 //!    inside `crates/storage` — every other layer logs through the
 //!    runtime's self-logging path, so a stray direct append bypasses
-//!    striping, durability policy, and recovery accounting. Integration
-//!    tests under `tests/` may hand-craft WAL records (torn tails,
-//!    divergent logs), and one workload file is grandfathered: the
-//!    ratchet denies *new* production call sites.
+//!    striping, durability policy, and recovery accounting. Only tests
+//!    (`tests/`, `crates/*/tests/`) may hand-craft WAL records (torn
+//!    tails, divergent logs); no production file is exempt.
 //! 2. **Snapshot discipline**: in `crates/adts`, every `impl Snapshot
 //!    for` block overrides `snapshot_at` — the default would serialize
 //!    the latest state instead of the checkpoint watermark's, silently
@@ -38,12 +37,20 @@
 //!    knob the old polling loop re-checked on (its name is the needle)
 //!    appears nowhere under `crates/` or `tests/`, so a timed re-check
 //!    cannot grow back under the same name.
+//! 7. **Retired first generation**: `benchmark/` is the one harness,
+//!    `hcc-storage` the one log, self-logging the one discipline. No
+//!    `Cargo.toml` outside `benchmark/` names the criterion bench crate
+//!    (as a whole word: the benchmark package's name merely starts with
+//!    it) or its stand-in, and no `.rs` file under `crates/`, `tests/`
+//!    or `examples/` names the line-JSON log's record type, the manual
+//!    logging discipline or the deprecated checkpoint-gate accessor.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
 use std::path::{Path, PathBuf};
 
-fn rust_files(root: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file and every `Cargo.toml` under `root`.
+fn linted_files(root: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(root) else { return };
     for entry in entries.flatten() {
         let path = entry.path();
@@ -53,11 +60,19 @@ fn rust_files(root: &Path, out: &mut Vec<PathBuf>) {
             if name == "target" || name.starts_with('.') {
                 continue;
             }
-            rust_files(&path, out);
-        } else if name.ends_with(".rs") {
+            linted_files(&path, out);
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             out.push(path);
         }
     }
+}
+
+/// Does `line` contain `word` not followed by another name character?
+fn names_whole_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(at, _)| {
+        !line[at + word.len()..]
+            .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+    })
 }
 
 fn main() {
@@ -67,7 +82,7 @@ fn main() {
         std::process::exit(2);
     }
     let mut files = Vec::new();
-    rust_files(&root, &mut files);
+    linted_files(&root, &mut files);
     files.sort();
 
     // Assembled so this linter's own source does not contain its needle.
@@ -80,22 +95,52 @@ fn main() {
     let lock_needles =
         [[".exec", "ute("].concat(), ["try_", "execute"].concat(), ["atte", "mpt("].concat()];
     let slice_knob = ["wait", "_slice"].concat();
+    let retired_crate = ["hcc-", "bench"].concat();
+    let retired_standin = ["crit", "erion"].concat();
+    let retired_items = [
+        ["Log", "Discipline"].concat(),
+        ["Wal", "Record"].concat(),
+        ["last_checkpoint_", "gate_nanos"].concat(),
+    ];
 
-    // The ratchet's standing exceptions: tests that hand-craft WAL
-    // records on purpose, and the manual-discipline workload whose whole
-    // point is demonstrating the caller-driven append (its comment calls
-    // itself "the only caller-driven append left in the workspace").
-    let log_op_allowed = |rel: &str| {
-        rel.starts_with("tests/")
-            || rel.contains("/tests/")
-            || rel == "crates/workload/src/crash.rs"
-    };
+    // The ratchet's standing exception: tests that hand-craft WAL records
+    // on purpose.
+    let log_op_allowed = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
 
     let mut findings = Vec::new();
     for path in &files {
         let Ok(text) = std::fs::read_to_string(path) else { continue };
         let rel = path.strip_prefix(&root).unwrap_or(path);
         let rel_s = rel.to_string_lossy().replace('\\', "/");
+
+        if rel_s.ends_with("Cargo.toml") {
+            if !rel_s.starts_with("benchmark/") {
+                for (i, line) in text.lines().enumerate() {
+                    if names_whole_word(line, &retired_crate) || line.contains(&retired_standin) {
+                        findings.push(format!(
+                            "{rel_s}:{}: names the retired bench crate or its {retired_standin} \
+                             stand-in — benchmark/ is the one harness",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+            continue;
+        }
+
+        if ["crates/", "tests/", "examples/"].iter().any(|dir| rel_s.starts_with(dir)) {
+            for (i, line) in text.lines().enumerate() {
+                for needle in &retired_items {
+                    if line.contains(needle.as_str()) {
+                        findings.push(format!(
+                            "{rel_s}:{}: `{needle}` was retired with the first-generation \
+                             log and logging discipline",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+        }
 
         if !rel_s.starts_with("crates/storage/") && !log_op_allowed(&rel_s) {
             for (i, line) in text.lines().enumerate() {

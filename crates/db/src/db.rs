@@ -129,10 +129,10 @@ impl DbBuilder {
         // registry path uses, including the DecisionBelowCheckpoint
         // refusal — and slice the image by object name once, so each
         // handle materializes from (and frees) exactly its own share.
-        // The owned resolve *moves* every payload into its name's slice;
-        // nothing is copied.
+        // The resolve *moves* every payload into its name's slice; nothing
+        // is copied.
         let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
-        let resolved = registry::resolve_committed_owned(&mut recovered, &self.decisions)?;
+        let resolved = registry::resolve_committed(&mut recovered, &self.decisions)?;
         let replayed = resolved.len();
         let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
         for c in resolved {

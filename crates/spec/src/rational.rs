@@ -14,10 +14,12 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(num, den) = 1`.
 ///
-/// Arithmetic panics on overflow of the `i128` intermediates, which cannot
-/// occur for the bounded workloads in this repository (balances stay far
-/// below 2^64 and interest posting introduces denominators bounded by small
-/// powers of 100).
+/// Arithmetic on the `i128` intermediates is unchecked: an overflow panics
+/// in debug builds and **wraps silently in release builds** — roughly 19
+/// successive `post(3)`s are enough, after which the balance is garbage
+/// (and a wrapped zero denominator panics later). The bounded workloads in
+/// this repository stay clear of it (balances far below 2^64, few interest
+/// postings); making the arithmetic checked is ROADMAP item 7(a).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Rational {
     num: i128,

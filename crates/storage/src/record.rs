@@ -323,6 +323,49 @@ pub fn decode_meta_at(bytes: &[u8], offset: usize) -> Result<(RecordMeta, usize)
     }
 }
 
+/// Walk the whole frames of one segment image front to back: yields each
+/// frame's metadata with its byte range and ends at the first frame that
+/// fails to decode, which [`MetaWalk::error`] then reports.
+pub fn walk_meta(bytes: &[u8]) -> MetaWalk<'_> {
+    MetaWalk { bytes, at: 0, error: None }
+}
+
+/// The iterator behind [`walk_meta`].
+pub struct MetaWalk<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    error: Option<FrameError>,
+}
+
+impl MetaWalk<'_> {
+    /// The decode error that ended the walk; `None` while frames remain
+    /// or when the image ended exactly on a frame boundary.
+    pub fn error(&self) -> Option<&FrameError> {
+        self.error.as_ref()
+    }
+}
+
+impl Iterator for MetaWalk<'_> {
+    type Item = (RecordMeta, std::ops::Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.error.is_some() || self.at >= self.bytes.len() {
+            return None;
+        }
+        match decode_meta_at(self.bytes, self.at) {
+            Ok((meta, next)) => {
+                let range = self.at..next;
+                self.at = next;
+                Some((meta, range))
+            }
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+}
+
 /// Decode every complete frame in `bytes`. Returns `(seq, record)` pairs
 /// plus the error that stopped the scan, if any (`None` means the buffer
 /// ended exactly on a frame boundary).
@@ -400,6 +443,22 @@ mod tests {
                 assert_eq!(recs.len(), whole, "cut {cut} record count");
             }
         }
+    }
+
+    #[test]
+    fn meta_walk_yields_frame_ranges_and_reports_the_first_bad_frame() {
+        let (mut buf, boundaries) = encode_sample();
+        let ranges: Vec<_> = walk_meta(&buf).map(|(meta, range)| (meta.seq, range)).collect();
+        let expected: Vec<_> =
+            boundaries.windows(2).enumerate().map(|(i, w)| (i as u64 + 1, w[0]..w[1])).collect();
+        assert_eq!(ranges, expected);
+
+        // Damage inside the third frame: two whole frames, then the error.
+        buf[boundaries[2] + HEADER_BYTES] ^= 0x01;
+        let mut walk = walk_meta(&buf);
+        assert_eq!(walk.by_ref().last().map(|(_, range)| range.end), Some(boundaries[2]));
+        assert_eq!(walk.error(), Some(&FrameError::BadCrc));
+        assert!(walk.next().is_none(), "the walk stays ended past the bad frame");
     }
 
     #[test]

@@ -196,28 +196,26 @@ impl ReplicaStripe {
         let last = segments.len().saturating_sub(1);
         for (i, (idx, path)) in segments.iter().enumerate() {
             let bytes = fs::read(path)?;
-            let mut valid = 0usize;
-            while valid < bytes.len() {
-                match record::decode_meta_at(&bytes, valid) {
-                    Ok((meta, next)) => {
-                        high = high.max(meta.seq);
-                        valid = next;
-                    }
-                    Err(e) if i == last => {
-                        // Torn tail of the active segment: the crash cut
-                        // mid-append. Truncate to the last whole frame.
-                        let _ = e;
-                        let f = OpenOptions::new().write(true).open(path)?;
-                        f.set_len(valid as u64)?;
-                        f.sync_data()?;
-                        break;
-                    }
-                    Err(e) => {
-                        return Err(StorageError::Corrupt {
-                            segment: *idx,
-                            detail: format!("replica stripe frame at byte {valid}: {e:?}"),
-                        });
-                    }
+            let mut walk = record::walk_meta(&bytes);
+            let mut valid = 0;
+            for (meta, range) in walk.by_ref() {
+                high = high.max(meta.seq);
+                valid = range.end;
+            }
+            match walk.error() {
+                None => {}
+                // Torn tail of the active segment: the crash cut
+                // mid-append. Truncate to the last whole frame.
+                Some(_) if i == last => {
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(valid as u64)?;
+                    f.sync_data()?;
+                }
+                Some(e) => {
+                    return Err(StorageError::Corrupt {
+                        segment: *idx,
+                        detail: format!("replica stripe frame at byte {valid}: {e:?}"),
+                    });
                 }
             }
         }
@@ -246,25 +244,18 @@ impl ReplicaStripe {
     fn truncate_above(&mut self, ticket: u64) -> Result<(), StorageError> {
         let segments = list_segments(&self.dir)?;
         let mut cut: Option<(u64, u64)> = None; // (seg_index, byte offset)
-        'outer: for (idx, path) in &segments {
+        for (idx, path) in &segments {
             let bytes = fs::read(path)?;
-            let mut at = 0usize;
-            while at < bytes.len() {
-                match record::decode_meta_at(&bytes, at) {
-                    Ok((meta, next)) => {
-                        if meta.seq > ticket {
-                            cut = Some((*idx, at as u64));
-                            break 'outer;
-                        }
-                        at = next;
-                    }
-                    Err(e) => {
-                        return Err(StorageError::Corrupt {
-                            segment: *idx,
-                            detail: format!("during truncate_above: {e:?}"),
-                        });
-                    }
-                }
+            let mut walk = record::walk_meta(&bytes);
+            if let Some((_, range)) = walk.by_ref().find(|(meta, _)| meta.seq > ticket) {
+                cut = Some((*idx, range.start as u64));
+                break;
+            }
+            if let Some(e) = walk.error() {
+                return Err(StorageError::Corrupt {
+                    segment: *idx,
+                    detail: format!("during truncate_above: {e:?}"),
+                });
             }
         }
         let Some((cut_seg, cut_off)) = cut else { return Ok(()) };
@@ -289,15 +280,8 @@ impl ReplicaStripe {
         let mut high = 0u64;
         for (_, path) in list_segments(&self.dir)? {
             let bytes = fs::read(&path)?;
-            let mut at = 0usize;
-            while at < bytes.len() {
-                match record::decode_meta_at(&bytes, at) {
-                    Ok((meta, next)) => {
-                        high = high.max(meta.seq);
-                        at = next;
-                    }
-                    Err(_) => break,
-                }
+            for (meta, _) in record::walk_meta(&bytes) {
+                high = high.max(meta.seq);
             }
         }
         Ok(high)

@@ -296,13 +296,7 @@ impl Stripe {
                 // truncate the active segment back to the last valid frame
                 // boundary before appending.
                 let bytes = fs::read(path)?;
-                let mut valid = 0usize;
-                while valid < bytes.len() {
-                    match record::decode_meta_at(&bytes, valid) {
-                        Ok((_, next)) => valid = next,
-                        Err(_) => break,
-                    }
-                }
+                let valid = record::walk_meta(&bytes).last().map_or(0, |(_, range)| range.end);
                 if valid < bytes.len() {
                     let f = OpenOptions::new().write(true).open(path)?;
                     f.set_len(valid as u64)?;
@@ -440,8 +434,7 @@ impl Stripe {
             // Under group commit, op records ride in the process buffer:
             // the sync leader flushes everything before any fsync, so they
             // never need their own write syscall. The classical
-            // (non-group) discipline flushes every record, like the
-            // legacy line-JSON log.
+            // (non-group) discipline flushes every record.
             Durability::Fsync if opts.group_commit => {
                 if inner.buf.len() >= NONE_FLUSH_BYTES {
                     Self::flush_locked(&mut inner)?;
@@ -475,9 +468,8 @@ impl Stripe {
                     self.group_sync(pos)
                 } else {
                     Self::flush_locked(&mut inner)?;
-                    // Classical discipline (the legacy `Wal::append_sync`):
-                    // the stripe lock is held across the fsync, serializing
-                    // one durable commit at a time.
+                    // Classical discipline: the stripe lock is held across
+                    // the fsync, serializing one durable commit at a time.
                     let started = std::time::Instant::now();
                     inner.file.sync_data()?;
                     self.ins.fsync_nanos.observe_duration(started.elapsed());

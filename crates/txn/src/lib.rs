@@ -20,16 +20,16 @@
 //!   remedies (e.g., timeout or detection)"; both are here — a
 //!   waits-for-graph detector with youngest-victim selection, and the
 //!   timeout policy built into `hcc-core`'s blocking.
-//! * **Recovery** ([`wal`]): a write-ahead log of operations and
-//!   completion records; replay reconstructs the committed state after a
-//!   crash, in commit-timestamp order.
+//!
+//! The write-ahead log itself lives in `hcc-storage`; recovery replays
+//! it through [`registry`] (or `hcc-db`'s `Db::open`) in
+//! commit-timestamp order.
 
 pub mod clock;
 pub mod deadlock;
 pub mod manager;
 pub mod registry;
 pub mod sim;
-pub mod wal;
 
 pub use clock::LogicalClock;
 pub use deadlock::DeadlockDetector;

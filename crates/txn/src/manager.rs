@@ -569,7 +569,7 @@ impl TxnManager {
             }
         };
         let report = registry
-            .restore_and_replay(&recovered)
+            .restore_and_replay(recovered)
             .inspect_err(|e| self.recovery_refused_trace(&e.to_string()))?;
         store.mark_state_absorbed();
         Ok(report)
@@ -594,7 +594,8 @@ impl TxnManager {
     /// ([`Snapshot::snapshot_at`]), while concurrent commits (all with
     /// `ts > ts0`) keep flowing; recovery replays them over the fuzzy
     /// image in timestamp order. The gate-hold duration is recorded in
-    /// [`TxnManager::last_checkpoint_gate_nanos`].
+    /// the `ckpt.last_gate_nanos` gauge and the `ckpt.gate_nanos`
+    /// histogram ([`TxnManager::metrics`]).
     pub fn checkpoint(
         &self,
         objects: &[(&str, &dyn Snapshot)],
@@ -624,20 +625,6 @@ impl TxnManager {
         let ckpt = store.checkpoint_finish(&cursor, snaps)?;
         self.instruments.ckpt_duration_nanos.observe_duration(started.elapsed());
         Ok(Some(ckpt))
-    }
-
-    /// How long the most recent [`TxnManager::checkpoint`] held the
-    /// commit gate exclusively (nanoseconds) — the entire stall a fuzzy
-    /// checkpoint imposes on concurrent commits.
-    ///
-    /// Superseded by the checkpoint histogram family: read the
-    /// `ckpt.last_gate_nanos` gauge (this value), the `ckpt.gate_nanos`
-    /// histogram (every checkpoint, not just the last), and
-    /// `ckpt.duration_nanos` from [`TxnManager::metrics`] snapshots.
-    #[doc(hidden)]
-    #[deprecated(since = "0.2.0", note = "read the ckpt.* metrics from TxnManager::metrics()")]
-    pub fn last_checkpoint_gate_nanos(&self) -> u64 {
-        self.instruments.ckpt_last_gate.get() as u64
     }
 
     /// Checkpoint iff the store's compaction policy asks for it.

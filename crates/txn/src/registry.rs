@@ -183,22 +183,17 @@ impl Registry {
     /// [`Registry::restore_and_replay_resolved`].
     pub fn restore_and_replay(
         &self,
-        recovered: &Recovered,
+        recovered: Recovered,
     ) -> Result<RecoveryReport, RecoveryError> {
         self.restore_and_replay_resolved(recovered, &Decisions::new())
     }
 
     /// [`Registry::restore_and_replay`] for a 2PC participant: in-doubt
-    /// transactions (ops logged, no local completion record — the site
-    /// crashed between its yes-vote and the phase-2 message) with a
-    /// coordinator `decision` replay as committed at their decided
-    /// timestamp, merged in timestamp order with the locally decided
-    /// tail; undecided ones stay dropped (no decision record means
-    /// abort). A decision at or below the restored checkpoint watermark
-    /// is refused as [`RecoveryError::DecisionBelowCheckpoint`].
+    /// transactions resolve against the coordinator's `decisions` by the
+    /// [`resolve_committed`] rule before the tail replays.
     pub fn restore_and_replay_resolved(
         &self,
-        recovered: &Recovered,
+        mut recovered: Recovered,
         decisions: &Decisions,
     ) -> Result<RecoveryReport, RecoveryError> {
         let mut report = RecoveryReport { torn_tail: recovered.torn_tail, ..Default::default() };
@@ -206,33 +201,32 @@ impl Registry {
             self.restore_checkpoint(ckpt)?;
             report.checkpoint_ts = ckpt.last_ts;
         }
-        for c in resolve_committed(recovered, decisions)? {
-            self.replay_txn(c.txn, c.ts, c.ops)?;
+        for c in resolve_committed(&mut recovered, decisions)? {
+            self.replay_txn(c.txn, c.ts, &c.ops)?;
             report.replayed += 1;
         }
         Ok(report)
     }
 }
 
-/// One resolved transaction of a recovered image, borrowing its
-/// operations from the [`Recovered`] log image.
-#[derive(Clone, Copy)]
-pub struct ResolvedTxn<'a> {
-    /// Commit timestamp (the *decided* timestamp for a resolved in-doubt
-    /// transaction).
-    pub ts: u64,
-    /// Transaction id.
-    pub txn: u64,
-    /// Logged operations in execution order.
-    pub ops: &'a [(String, Vec<u8>)],
-}
-
-/// The validity half of the 2PC resolution rule, shared by both
-/// `resolve_committed` variants: every *decided* in-doubt transaction
-/// must land strictly above the checkpoint watermark (the snapshot
-/// excludes it, so replaying below the watermark would apply it out of
-/// timestamp order). Returns the watermark.
-fn validate_decisions(recovered: &Recovered, decisions: &Decisions) -> Result<u64, RecoveryError> {
+/// Merge a [`Recovered`] image's committed tail with its *decided*
+/// in-doubt transactions into one replay-ordered list — the single
+/// authority on the 2PC resolution rule, shared by
+/// [`Registry::restore_and_replay_resolved`] and `hcc-db`'s lazy
+/// materialization. In-doubt transactions (ops logged, no local
+/// completion record — the site crashed between its yes-vote and the
+/// phase-2 message) with a coordinator decision replay as committed at
+/// the decided timestamp, merged in `(ts, txn)` order with the locally
+/// decided tail; undecided ones are dropped (no decision record means
+/// abort). A decision at or below the checkpoint watermark is refused as
+/// [`RecoveryError::DecisionBelowCheckpoint`]: the snapshot excludes the
+/// transaction, so replaying it below the watermark would apply it out
+/// of timestamp order. The payloads are *moved* out of `recovered`
+/// (whose checkpoint and flags are left untouched), not copied.
+pub fn resolve_committed(
+    recovered: &mut Recovered,
+    decisions: &Decisions,
+) -> Result<Vec<CommittedTxn>, RecoveryError> {
     let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
     for in_doubt in &recovered.in_doubt {
         if let Some(&ts) = decisions.get(&in_doubt.txn) {
@@ -245,48 +239,6 @@ fn validate_decisions(recovered: &Recovered, decisions: &Decisions) -> Result<u6
             }
         }
     }
-    Ok(checkpoint_ts)
-}
-
-/// Merge a [`Recovered`] image's committed tail with its *decided*
-/// in-doubt transactions into one replay-ordered list — the single
-/// authority on the 2PC resolution rule, shared by
-/// [`Registry::restore_and_replay_resolved`] and `hcc-db`'s lazy
-/// materialization. In-doubt transactions with a coordinator decision
-/// replay as committed at the decided timestamp; undecided ones are
-/// dropped (no decision record means abort); a decision at or below the
-/// checkpoint watermark is refused as
-/// [`RecoveryError::DecisionBelowCheckpoint`]. The entries borrow from
-/// `recovered` — no op payload is copied.
-pub fn resolve_committed<'a>(
-    recovered: &'a Recovered,
-    decisions: &Decisions,
-) -> Result<Vec<ResolvedTxn<'a>>, RecoveryError> {
-    validate_decisions(recovered, decisions)?;
-    let mut committed: Vec<ResolvedTxn<'a>> = recovered
-        .committed
-        .iter()
-        .map(|c| ResolvedTxn { ts: c.ts, txn: c.txn, ops: &c.ops })
-        .collect();
-    for in_doubt in &recovered.in_doubt {
-        if let Some(&ts) = decisions.get(&in_doubt.txn) {
-            committed.push(ResolvedTxn { ts, txn: in_doubt.txn, ops: &in_doubt.ops });
-        }
-    }
-    committed.sort_by_key(|c| (c.ts, c.txn));
-    Ok(committed)
-}
-
-/// [`resolve_committed`] draining the image by value: the committed and
-/// decided-in-doubt payloads are *moved* out of `recovered` (whose
-/// checkpoint and flags are left untouched), not copied — for callers
-/// like `hcc-db`'s open path that own the image and keep the resolved
-/// tail. Same rule, same order, same refusal.
-pub fn resolve_committed_owned(
-    recovered: &mut Recovered,
-    decisions: &Decisions,
-) -> Result<Vec<CommittedTxn>, RecoveryError> {
-    validate_decisions(recovered, decisions)?;
     let mut committed = std::mem::take(&mut recovered.committed);
     for in_doubt in std::mem::take(&mut recovered.in_doubt) {
         if let Some(&ts) = decisions.get(&in_doubt.txn) {

@@ -470,7 +470,7 @@ pub fn recover_site(
     decisions: &Decisions,
 ) -> Result<RecoveryReport, RecoveryError> {
     let recovered = DurableStore::recover(dir).map_err(RecoveryError::Storage)?;
-    registry.restore_and_replay_resolved(&recovered, decisions)
+    registry.restore_and_replay_resolved(recovered, decisions)
 }
 
 #[cfg(test)]

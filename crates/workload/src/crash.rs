@@ -13,9 +13,6 @@
 //! recovery wiring**: it opens a [`Db`], attaches its objects (every
 //! mutating operation then serializes its own redo record — self-
 //! logging), and recovery is `Db::open` plus two typed-handle lookups.
-//! The old caller-driven discipline survives as
-//! [`LogDiscipline::Manual`] purely so the differential test can prove
-//! both produce identical recovery state.
 //!
 //! The "crash" is simulated by closing the store and truncating an
 //! arbitrary number of bytes off the final WAL segment — exactly what a
@@ -56,20 +53,6 @@ pub enum Effect {
 /// timestamp.
 pub type Oracle = BTreeMap<u64, Vec<Effect>>;
 
-/// How executed operations reach the WAL.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LogDiscipline {
-    /// Objects self-log through the manager (the production path; no
-    /// logging calls appear in the workload).
-    #[default]
-    SelfLogging,
-    /// The legacy caller-driven discipline: the workload pairs every
-    /// successful execution with an explicit `log_op` carrying the same
-    /// payload the ADT would have produced. Kept only for the
-    /// differential test.
-    Manual,
-}
-
 /// Options for one crash-recovery run.
 #[derive(Clone, Copy, Debug)]
 pub struct CrashScenarioOptions {
@@ -85,8 +68,6 @@ pub struct CrashScenarioOptions {
     pub durability: Durability,
     /// WAL append stripes (1 = the legacy single-stream log).
     pub stripes: usize,
-    /// Self-logging (default) or the legacy manual discipline.
-    pub discipline: LogDiscipline,
 }
 
 impl Default for CrashScenarioOptions {
@@ -98,7 +79,6 @@ impl Default for CrashScenarioOptions {
             checkpoint_every: None,
             durability: Durability::Buffered,
             stripes: 1,
-            discipline: LogDiscipline::SelfLogging,
         }
     }
 }
@@ -157,8 +137,7 @@ pub struct RecoveredState {
     pub checkpoint_ts: u64,
     /// Timestamps of the replayed tail commits, ascending.
     pub tail_ts: Vec<u64>,
-    /// Snapshot bytes of every recovered object, by name — the
-    /// byte-level recovery state the differential test compares.
+    /// Snapshot bytes of every recovered object, by name.
     pub snapshots: Vec<(String, Vec<u8>)>,
 }
 
@@ -192,16 +171,10 @@ pub fn run_crash_workload(
     let db = Db::builder().storage_options(storage).open(dir)?;
     let mgr = db.manager().clone();
     // Short timeouts: a conflicting interleaving aborts quickly and the
-    // abort path gets logged coverage. Both disciplines build their
-    // objects with the *same* options modulo the redo sink — they must
-    // make identical scheduling decisions for the differential test to
-    // bite — so the objects are attached rather than taken from
-    // `db.object` (whose options would wire the sink unconditionally).
+    // abort path gets logged coverage — so the objects are attached with
+    // their own options rather than taken from `db.object`.
     let timeout = Some(std::time::Duration::from_millis(20));
-    let obj_opts = match opts.discipline {
-        LogDiscipline::SelfLogging => RuntimeOptions::with_timeout(timeout).with_redo(mgr.clone()),
-        LogDiscipline::Manual => RuntimeOptions::with_timeout(timeout),
-    };
+    let obj_opts = RuntimeOptions::with_timeout(timeout).with_redo(mgr.clone());
     let acct = db.attach(Arc::new(AccountObject::with(
         "acct",
         Arc::new(hcc_adts::account::AccountHybrid),
@@ -270,22 +243,7 @@ pub fn run_crash_workload(
             queue.deq(&o.txn).map(|v| Some(Effect::Deq(v)))
         };
         match result {
-            Ok(Some(effect)) => {
-                if opts.discipline == LogDiscipline::Manual {
-                    // The forget-to-log-prone path: the workload must
-                    // remember to pair the execution with this call. The
-                    // payload is synthesized through the ADT's own `redo`
-                    // encoder — the storage-level `log_op` is the only
-                    // caller-driven append left in the workspace.
-                    let (object, bytes) = effect_redo(&effect);
-                    db.storage().expect("manual discipline needs a store").log_op(
-                        o.txn.id().0,
-                        object,
-                        &bytes,
-                    )?;
-                }
-                o.effects.push(effect);
-            }
+            Ok(Some(effect)) => o.effects.push(effect),
             Ok(None) => {}
             Err(_) => o.failed = true, // conflict/timeout: abort on finish
         }
@@ -295,11 +253,11 @@ pub fn run_crash_workload(
     Ok(CrashWorkload { committed: oracle.len(), oracle, aborted, checkpoints })
 }
 
-/// The payload the manual discipline appends for this effect,
-/// synthesized through the ADT's own `redo` encoder — by construction
-/// byte-identical to what self-logging writes, with no hand-maintained
-/// JSON shadow format to drift.
-fn effect_redo(e: &Effect) -> (&'static str, Vec<u8>) {
+/// The `(object, redo payload)` record self-logging must have written
+/// for this effect, synthesized through the ADT's own `redo` encoder (no
+/// hand-maintained JSON shadow format to drift) — what the oracle-vs-log
+/// test holds each recovered commit's records against.
+pub fn effect_redo(e: &Effect) -> (&'static str, Vec<u8>) {
     use hcc_adts::account::{AccountAdt, AccountInv, AccountRes};
     use hcc_adts::fifo_queue::{QueueAdt, QueueInv, QueueRes};
     use hcc_core::runtime::RuntimeAdt;
@@ -633,15 +591,6 @@ mod tests {
             txns: 40,
             ..CrashScenarioOptions::default()
         };
-        let (committed, survived) = crash_point_holds(&dir, opts, 0).unwrap();
-        assert_eq!(survived, committed);
-    }
-
-    #[test]
-    fn manual_discipline_still_holds_for_the_differential_baseline() {
-        let dir = tmp("manual");
-        let opts = CrashScenarioOptions { discipline: LogDiscipline::Manual, ..Default::default() }
-            .env_overrides();
         let (committed, survived) = crash_point_holds(&dir, opts, 0).unwrap();
         assert_eq!(survived, committed);
     }

@@ -1,6 +1,6 @@
 //! End-to-end durable banking throughput: manager, self-logging objects,
-//! and the striped WAL together — the whole write path the `durable_mix`
-//! bench sweeps over Fsync/Buffered × stripe counts × thread counts.
+//! and the striped WAL together — the whole write path, parameterised
+//! over Fsync/Buffered × stripe counts × thread counts.
 //!
 //! Unlike `bank::account_mix` (pure in-memory concurrency-control cost),
 //! every mutating operation here serializes its redo record into the WAL
@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// Which API surface the workers drive — the measured subject of the
-/// facade-overhead comparison in `durable_mix`.
+/// Which API surface the workers drive — the two sides of the
+/// facade-overhead comparison.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MixApi {
     /// Manual `TxnManager::begin`/`commit` calls (the low-level escape
@@ -788,7 +788,7 @@ mod tests {
         for a in &fresh {
             registry.register(a.clone());
         }
-        registry.restore_and_replay(&recovered).expect("fuzzy image + tail replays");
+        registry.restore_and_replay(recovered).expect("fuzzy image + tail replays");
         for (i, a) in fresh.iter().enumerate() {
             assert_eq!(
                 a.committed_balance(),

@@ -1,8 +1,9 @@
 //! # hcc-workload — workload generators and the multithreaded driver
 //!
-//! Every experiment in `EXPERIMENTS.md` runs through this crate: it
-//! constructs objects under a chosen [`Scheme`], drives them with worker
-//! threads through the `hcc-txn` manager (abort-and-retry on timeouts and
+//! The claim experiments (E7–E13, asserted by each module's unit tests)
+//! and the crash-recovery matrix run through this crate: it constructs
+//! objects under a chosen [`Scheme`], drives them with worker threads
+//! through the `hcc-txn` manager (abort-and-retry on timeouts and
 //! deadlock victims), and reports [`Metrics`].
 //!
 //! Scenario families:

@@ -2,28 +2,24 @@
 //! operations in timestamp order rebuilds the committed state — which is
 //! exactly the serialization order hybrid atomicity guarantees.
 //!
-//! Two generations are covered: the original line-JSON `hcc-txn` log
-//! (compatibility shim) and the `hcc-storage` durable store (segmented
-//! CRC-framed WAL + checkpoints + compaction), including the randomized
-//! kill-point property test.
+//! Everything here runs against the `hcc-storage` durable store
+//! (segmented CRC-framed WAL + checkpoints + compaction) and recovers
+//! through `Db::open`, including the randomized kill-point property test.
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{DurableStore, Snapshot, StorageError, StorageOptions};
 use hybrid_cc::txn::manager::TxnManager;
-use hybrid_cc::txn::wal::{committed_ops, Wal, WalRecord};
 use hybrid_cc::workload::crash::{
     crash_point_holds, recover_and_verify, run_crash_workload, CrashScenarioOptions,
 };
-use serde_json::json;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("hcc-recovery-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_file(&p);
     let _ = std::fs::remove_dir_all(&p);
     p
 }
@@ -31,135 +27,6 @@ fn tmp(name: &str) -> PathBuf {
 fn money(n: i64) -> Rational {
     Rational::from_int(n)
 }
-
-/// A logged banking session: operations recorded before commit, commit
-/// record carries the timestamp.
-fn run_logged_session(path: &PathBuf) -> (Rational, usize) {
-    let mgr = TxnManager::new();
-    let wal = Wal::open(path).unwrap();
-    let acct = AccountObject::hybrid("acct");
-    let queue: QueueObject<i64> = QueueObject::hybrid("q");
-
-    let run_txn = |ops: Vec<(&str, i64)>, commit: bool| {
-        let t = mgr.begin();
-        let id = t.id().0;
-        wal.append(&WalRecord::Begin { txn: id }).unwrap();
-        for (kind, v) in &ops {
-            match *kind {
-                "credit" => {
-                    acct.credit(&t, money(*v)).unwrap();
-                    wal.append(&WalRecord::Op {
-                        txn: id,
-                        object: "acct".into(),
-                        op: json!({"credit": v}),
-                    })
-                    .unwrap();
-                }
-                "debit" => {
-                    if acct.debit(&t, money(*v)).unwrap() {
-                        wal.append(&WalRecord::Op {
-                            txn: id,
-                            object: "acct".into(),
-                            op: json!({"debit": v}),
-                        })
-                        .unwrap();
-                    }
-                }
-                "enq" => {
-                    queue.enq(&t, *v).unwrap();
-                    wal.append(&WalRecord::Op {
-                        txn: id,
-                        object: "q".into(),
-                        op: json!({"enq": v}),
-                    })
-                    .unwrap();
-                }
-                other => panic!("unknown op {other}"),
-            }
-        }
-        if commit {
-            let ts = mgr.commit(t).unwrap();
-            wal.append_sync(&WalRecord::Commit { txn: id, ts: ts.0 }).unwrap();
-        } else {
-            mgr.abort(t);
-            wal.append_sync(&WalRecord::Abort { txn: id }).unwrap();
-        }
-    };
-
-    run_txn(vec![("credit", 100), ("enq", 1)], true);
-    run_txn(vec![("credit", 999)], false); // aborted: must not recover
-    run_txn(vec![("debit", 30), ("enq", 2)], true);
-    run_txn(vec![("credit", 5)], true);
-
-    (acct.committed_balance(), queue.committed_len())
-}
-
-/// Rebuild fresh objects from the log.
-fn recover(path: &PathBuf) -> (Rational, usize) {
-    let records = Wal::replay(path).unwrap();
-    let acct = AccountObject::hybrid("acct-recovered");
-    let queue: QueueObject<i64> = QueueObject::hybrid("q-recovered");
-    let mgr = TxnManager::new();
-    for (_ts, _txn, ops) in committed_ops(&records) {
-        // Each recovered transaction replays as one local transaction, in
-        // timestamp order.
-        let t = mgr.begin();
-        for (object, op) in ops {
-            match object.as_str() {
-                "acct" => {
-                    if let Some(v) = op.get("credit") {
-                        acct.credit(&t, money(v.as_i64().unwrap())).unwrap();
-                    } else if let Some(v) = op.get("debit") {
-                        assert!(acct.debit(&t, money(v.as_i64().unwrap())).unwrap());
-                    }
-                }
-                "q" => {
-                    queue.enq(&t, op["enq"].as_i64().unwrap()).unwrap();
-                }
-                other => panic!("unknown object {other}"),
-            }
-        }
-        mgr.commit(t).unwrap();
-    }
-    (acct.committed_balance(), queue.committed_len())
-}
-
-#[test]
-fn recovery_rebuilds_committed_state() {
-    let path = tmp("basic");
-    let (balance, qlen) = run_logged_session(&path);
-    assert_eq!(balance, money(75)); // 100 - 30 + 5
-    assert_eq!(qlen, 2);
-    let (rbalance, rqlen) = recover(&path);
-    assert_eq!(rbalance, balance, "recovered balance differs");
-    assert_eq!(rqlen, qlen, "recovered queue length differs");
-}
-
-#[test]
-fn recovery_survives_torn_tail() {
-    let path = tmp("torn");
-    let (balance, qlen) = run_logged_session(&path);
-    // Crash mid-append of a new record.
-    {
-        use std::io::Write;
-        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"Op\":{\"txn\":77,\"obj").unwrap();
-    }
-    let (rbalance, rqlen) = recover(&path);
-    assert_eq!(rbalance, balance);
-    assert_eq!(rqlen, qlen);
-}
-
-#[test]
-fn recovery_is_idempotent() {
-    let path = tmp("idem");
-    let _ = run_logged_session(&path);
-    let first = recover(&path);
-    let second = recover(&path);
-    assert_eq!(first, second);
-}
-
-// ---- The segmented durable store (hcc-storage) -------------------------
 
 /// Drive a manager-with-storage banking session; returns the live state.
 ///
@@ -237,6 +104,15 @@ fn durable_store_survives_torn_final_record() {
     let state = recover_and_verify(&dir).unwrap();
     assert_eq!(state.balance, balance);
     assert_eq!(state.queue.len(), qlen);
+}
+
+#[test]
+fn recovery_is_idempotent() {
+    let dir = tmp("store-idem");
+    let _ = run_durable_session(&dir, StorageOptions::default());
+    let first = recover_and_verify(&dir).unwrap();
+    let second = recover_and_verify(&dir).unwrap();
+    assert_eq!(first, second, "a second recovery of the same log rebuilds the same state");
 }
 
 #[test]
@@ -423,20 +299,17 @@ fn snapshot_restore_is_what_checkpoint_recovery_uses() {
 
 #[test]
 fn uncommitted_tail_transaction_is_dropped() {
-    let path = tmp("uncommitted");
-    let (balance, _) = run_logged_session(&path);
+    let dir = tmp("store-uncommitted");
+    let (balance, _) = run_durable_session(&dir, StorageOptions::default());
     // A transaction that logged ops but crashed before its commit record.
     {
-        let wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { txn: 500 }).unwrap();
-        wal.append(&WalRecord::Op {
-            txn: 500,
-            object: "acct".into(),
-            op: json!({"credit": 1_000}),
-        })
-        .unwrap();
-        // no Commit record: the crash hit between phases.
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
+        store.log_begin(500).unwrap();
+        store.log_op(500, "acct", br#"{"op":"credit","v":{"den":1,"num":1000}}"#).unwrap();
+        // no completion record: the crash hit between phases.
     }
-    let (rbalance, _) = recover(&path);
-    assert_eq!(rbalance, balance, "uncommitted operations must not be replayed");
+    let recovered = DurableStore::recover(&dir).unwrap();
+    assert!(recovered.in_doubt.iter().any(|t| t.txn == 500), "the tail transaction reached disk");
+    let state = recover_and_verify(&dir).unwrap();
+    assert_eq!(state.balance, balance, "uncommitted operations must not be replayed");
 }
