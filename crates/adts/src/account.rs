@@ -12,9 +12,9 @@
 //! locks.define(DEBIT_LOCK,     DEBIT_LOCK);
 //! ```
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::AccountSpec;
 use hcc_spec::{Operation, Rational, Value};
@@ -80,6 +80,7 @@ impl Affine {
 }
 
 /// The Account runtime type.
+#[derive(Default)]
 pub struct AccountAdt;
 
 impl RuntimeAdt for AccountAdt {
@@ -194,57 +195,43 @@ impl LockSpec<AccountAdt> for AccountHybrid {
     }
 }
 
-/// A bank account: `TxObject<AccountAdt>` with ergonomic methods.
-pub struct AccountObject {
-    obj: Arc<TxObject<AccountAdt>>,
+impl ObjectAdt for AccountAdt {
+    fn canonical_locks() -> Arc<dyn LockSpec<AccountAdt>> {
+        Arc::new(AccountHybrid)
+    }
+
+    fn encode_version(&self, balance: &Rational) -> Vec<u8> {
+        encode_json_state(balance)
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<Rational, RedoDecodeError> {
+        decode_json_state(bytes)
+    }
 }
 
-impl AccountObject {
-    /// An account under the hybrid (Table V) scheme with default options.
-    pub fn hybrid(name: impl Into<String>) -> AccountObject {
-        Self::with(name, Arc::new(AccountHybrid), RuntimeOptions::default())
-    }
+/// A bank account: an [`Object`] over [`AccountAdt`], canonically under
+/// the hybrid (Table V) scheme.
+pub type AccountObject = Object<AccountAdt>;
 
-    /// An account under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<AccountAdt>>,
-        opts: RuntimeOptions,
-    ) -> AccountObject {
-        AccountObject { obj: TxObject::new(name, AccountAdt, locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<AccountAdt>> {
-        &self.obj
-    }
-
+impl Object<AccountAdt> {
     /// Credit the account.
     pub fn credit(&self, txn: &Arc<TxnHandle>, amount: Rational) -> Result<(), ExecError> {
-        self.obj.execute(txn, AccountInv::Credit(amount)).map(|_| ())
+        self.execute(txn, AccountInv::Credit(amount)).map(|_| ())
     }
 
     /// Post interest at `pct` percent.
     pub fn post(&self, txn: &Arc<TxnHandle>, pct: Rational) -> Result<(), ExecError> {
-        self.obj.execute(txn, AccountInv::Post(pct)).map(|_| ())
+        self.execute(txn, AccountInv::Post(pct)).map(|_| ())
     }
 
     /// Debit the account; `Ok(true)` on success, `Ok(false)` on overdraft.
     pub fn debit(&self, txn: &Arc<TxnHandle>, amount: Rational) -> Result<bool, ExecError> {
-        self.obj.execute(txn, AccountInv::Debit(amount)).map(|r| r == AccountRes::Debited)
+        self.execute(txn, AccountInv::Debit(amount)).map(|r| r == AccountRes::Debited)
     }
 
     /// The committed balance (no isolation — diagnostics only).
     pub fn committed_balance(&self) -> Rational {
-        self.obj.committed_snapshot()
-    }
-
-    /// The balance as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor (`TxObject::snapshot_read`): no lock
-    /// acquisition, no conflict with writers. Refused when compaction
-    /// has already folded past `watermark`.
-    pub fn balance_at(&self, watermark: u64) -> Result<Rational, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state()
     }
 }
 
@@ -274,7 +261,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

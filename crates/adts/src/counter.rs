@@ -1,9 +1,9 @@
 //! A Counter — blind `inc`/`dec` updates commute-free under hybrid locking,
 //! while `read` takes a value-sensitive lock (extension type).
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::CounterSpec;
 use hcc_spec::{Operation, Value};
@@ -31,6 +31,7 @@ pub enum CounterRes {
 }
 
 /// The Counter runtime type; an intent is a net delta.
+#[derive(Default)]
 pub struct CounterAdt;
 
 impl RuntimeAdt for CounterAdt {
@@ -106,44 +107,37 @@ impl LockSpec<CounterAdt> for CounterHybrid {
     }
 }
 
-/// A counter object with ergonomic methods.
-pub struct CounterObject {
-    obj: Arc<TxObject<CounterAdt>>,
+impl ObjectAdt for CounterAdt {
+    fn canonical_locks() -> Arc<dyn LockSpec<CounterAdt>> {
+        Arc::new(CounterHybrid)
+    }
+
+    fn encode_version(&self, value: &i64) -> Vec<u8> {
+        encode_json_state(value)
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<i64, RedoDecodeError> {
+        decode_json_state(bytes)
+    }
 }
 
-impl CounterObject {
-    /// A counter under the hybrid scheme.
-    pub fn hybrid(name: impl Into<String>) -> CounterObject {
-        Self::with(name, Arc::new(CounterHybrid), RuntimeOptions::default())
-    }
+/// A counter object: an [`Object`] over [`CounterAdt`].
+pub type CounterObject = Object<CounterAdt>;
 
-    /// A counter under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<CounterAdt>>,
-        opts: RuntimeOptions,
-    ) -> CounterObject {
-        CounterObject { obj: TxObject::new(name, CounterAdt, locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<CounterAdt>> {
-        &self.obj
-    }
-
+impl Object<CounterAdt> {
     /// Add `n`.
     pub fn inc(&self, txn: &Arc<TxnHandle>, n: i64) -> Result<(), ExecError> {
-        self.obj.execute(txn, CounterInv::Inc(n)).map(|_| ())
+        self.execute(txn, CounterInv::Inc(n)).map(|_| ())
     }
 
     /// Subtract `n`.
     pub fn dec(&self, txn: &Arc<TxnHandle>, n: i64) -> Result<(), ExecError> {
-        self.obj.execute(txn, CounterInv::Dec(n)).map(|_| ())
+        self.execute(txn, CounterInv::Dec(n)).map(|_| ())
     }
 
     /// Read the counter.
     pub fn read(&self, txn: &Arc<TxnHandle>) -> Result<i64, ExecError> {
-        match self.obj.execute(txn, CounterInv::Read)? {
+        match self.execute(txn, CounterInv::Read)? {
             CounterRes::Val(v) => Ok(v),
             CounterRes::Ok => unreachable!("read returns a value"),
         }
@@ -151,14 +145,7 @@ impl CounterObject {
 
     /// The committed value (diagnostics).
     pub fn committed_value(&self) -> i64 {
-        self.obj.committed_snapshot()
-    }
-
-    /// The value as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor: no lock acquisition, no conflict with
-    /// writers. Refused when compaction has folded past `watermark`.
-    pub fn value_at(&self, watermark: u64) -> Result<i64, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state()
     }
 }
 
@@ -222,11 +209,11 @@ impl crate::define::AdtDef for CounterDef {
     }
 
     fn encode_state(&self, state: &i64) -> Vec<u8> {
-        serde_json::to_vec(state).expect("i64 serializes")
+        CounterAdt.encode_version(state)
     }
 
     fn decode_state(&self, bytes: &[u8]) -> Result<i64, RedoDecodeError> {
-        serde_json::from_slice(bytes).map_err(|e| RedoDecodeError::new(e.to_string()))
+        CounterAdt.decode_version(bytes)
     }
 }
 
@@ -248,7 +235,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

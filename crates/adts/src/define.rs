@@ -1,8 +1,9 @@
-//! The durable half of the declarative ADT surface: [`SpecObject`] wraps
-//! any [`AdtDef`] as a named transactional object with **generic**
-//! snapshot, recovery-replay, and typed-handle support — plus the
-//! [`define_adt!`](crate::define_adt) macro, which writes the serde
-//! codec half of an [`AdtDef`] for serde-able state/op/response types.
+//! The declarative ADT surface's place in `hcc-adts`: [`SpecObject`] is
+//! [`Object`] over the generic [`SpecAdt`] adapter, so any [`AdtDef`] is a
+//! named transactional object with the same snapshot, recovery-replay and
+//! typed-handle support as the built-ins — plus the
+//! [`define_adt!`](crate::define_adt) macro, which writes the serde codec
+//! half of an [`AdtDef`] for serde-able state/op/response types.
 //!
 //! A user states the type once:
 //!
@@ -68,7 +69,7 @@
 //!     }
 //! }
 //!
-//! let tally = SpecObject::<TallyDef>::new("t");
+//! let tally = SpecObject::<TallyDef>::hybrid("t");
 //! let txn = hcc_core::runtime::TxnHandle::new(hcc_spec::TxnId(1));
 //! assert_eq!(tally.execute(&txn, TallyOp::Bump).unwrap(), TallyRes::Ok);
 //! ```
@@ -76,8 +77,8 @@
 //! and `db.object::<SpecObject<TallyDef>>("t")` then hands out a durable,
 //! recovering, self-logging handle with no further impls.
 
-use hcc_core::runtime::{ExecError, LockSpec, RuntimeOptions, TxObject, TxnHandle};
-use hcc_storage::{DurableObject, Snapshot, SnapshotError};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::LockSpec;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -93,103 +94,23 @@ pub use hcc_relations::tables::AdtConfig;
 pub use hcc_spec::Operation;
 
 /// A named transactional object running a declaratively defined type:
-/// the generic counterpart of the hand-written wrappers
-/// (`AccountObject`, `SetObject`, ...), with [`Snapshot`] (fuzzy
-/// checkpoints included) and [`DurableObject`] (recovery replay)
-/// supplied once for every [`AdtDef`].
-pub struct SpecObject<D: AdtDef> {
-    obj: Arc<TxObject<SpecAdt<D>>>,
-}
+/// the same [`Object`] the built-ins run behind, over the generic
+/// [`SpecAdt`] adapter.
+pub type SpecObject<D> = Object<SpecAdt<D>>;
 
-impl<D: AdtDef> SpecObject<D> {
-    /// An object under the type's canonical conflict source
-    /// ([`AdtDef::conflict_spec`]) and default runtime options.
-    pub fn new(name: impl Into<String>) -> SpecObject<D> {
-        Self::with_options(name, RuntimeOptions::default())
+/// The two things [`Object`] asks of a type, read off the definition:
+/// the relation its [`ConflictSpec`] names and its state codec.
+impl<D: AdtDef> ObjectAdt for SpecAdt<D> {
+    fn canonical_locks() -> Arc<dyn LockSpec<SpecAdt<D>>> {
+        SpecLock::<D>::from_def()
     }
 
-    /// Canonical conflict source, caller-supplied runtime options (what
-    /// `Db::object` constructs handles with).
-    pub fn with_options(name: impl Into<String>, opts: RuntimeOptions) -> SpecObject<D> {
-        Self::with(name, SpecLock::<D>::from_def(), opts)
+    fn encode_version(&self, state: &D::State) -> Vec<u8> {
+        self.def().encode_state(state)
     }
 
-    /// The raw escape hatch: an arbitrary lock relation over the same
-    /// definition — a baseline scheme, a hand-tuned `LockSpec`.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<SpecAdt<D>>>,
-        opts: RuntimeOptions,
-    ) -> SpecObject<D> {
-        SpecObject { obj: TxObject::new(name, SpecAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<SpecAdt<D>>> {
-        &self.obj
-    }
-
-    /// The definition instance (codec + semantics).
-    pub fn def(&self) -> &D {
-        self.obj.adt().def()
-    }
-
-    /// Execute one operation with blocking, under `txn`.
-    pub fn execute(&self, txn: &Arc<TxnHandle>, op: D::Op) -> Result<D::Res, ExecError> {
-        self.obj.execute(txn, op)
-    }
-
-    /// The committed state (diagnostics; no isolation).
-    pub fn committed_state(&self) -> D::State {
-        self.obj.committed_snapshot()
-    }
-
-    /// The state as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor: no lock acquisition, no conflict with
-    /// writers. Refused when compaction has folded past `watermark`.
-    pub fn state_at(&self, watermark: u64) -> Result<D::State, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
-    }
-}
-
-impl<D: AdtDef> Snapshot for SpecObject<D> {
-    fn snapshot(&self) -> Vec<u8> {
-        self.snapshot_at(u64::MAX)
-    }
-
-    fn snapshot_at(&self, watermark: u64) -> Vec<u8> {
-        self.def().encode_state(&self.obj.committed_snapshot_at(watermark))
-    }
-
-    fn pin_horizon(&self, watermark: u64) {
-        self.obj.pin_horizon(watermark)
-    }
-
-    fn unpin_horizon(&self) {
-        self.obj.unpin_horizon()
-    }
-
-    fn restore(&self, bytes: &[u8], ts: u64) -> Result<(), SnapshotError> {
-        let state =
-            self.def().decode_state(bytes).map_err(|e| SnapshotError::new(e.to_string()))?;
-        // A non-fresh instance (a used object handed to `Db::attach`)
-        // refuses as a failed materialization — the name gets poisoned
-        // upstream — instead of crashing.
-        self.obj.install_version(state, ts).map_err(|e| SnapshotError::new(e.to_string()))
-    }
-}
-
-impl<D: AdtDef> DurableObject for SpecObject<D> {
-    fn object_name(&self) -> &str {
-        self.obj.name()
-    }
-
-    fn replay_op(
-        &self,
-        txn: &Arc<TxnHandle>,
-        op: &[u8],
-    ) -> Result<(), hcc_core::runtime::ReplayError> {
-        self.obj.replay_redo(txn, op)
+    fn decode_version(&self, bytes: &[u8]) -> Result<D::State, RedoDecodeError> {
+        self.def().decode_state(bytes)
     }
 }
 

@@ -2,9 +2,9 @@
 //! conflicts (extension type; the paper's introduction motivates
 //! directories as typed objects).
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::DirectorySpec;
 use hcc_spec::{Operation, Value};
@@ -218,39 +218,33 @@ impl<K: Key, V: Val> LockSpec<DirectoryAdt<K, V>> for DirectoryHybrid {
     }
 }
 
-/// A directory object with ergonomic methods.
-pub struct DirectoryObject<K: Key, V: Val> {
-    obj: Arc<TxObject<DirectoryAdt<K, V>>>,
+impl<K: Key, V: Val> ObjectAdt for DirectoryAdt<K, V> {
+    fn canonical_locks() -> Arc<dyn LockSpec<DirectoryAdt<K, V>>> {
+        Arc::new(DirectoryHybrid)
+    }
+
+    /// `[key, value]` pairs in key order.
+    fn encode_version(&self, entries: &BTreeMap<K, V>) -> Vec<u8> {
+        encode_json_state(&entries.iter().collect::<Vec<_>>())
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<BTreeMap<K, V>, RedoDecodeError> {
+        Ok(decode_json_state::<Vec<(K, V)>>(bytes)?.into_iter().collect())
+    }
 }
 
-impl<K: Key, V: Val> DirectoryObject<K, V> {
-    /// A directory under the hybrid scheme.
-    pub fn hybrid(name: impl Into<String>) -> DirectoryObject<K, V> {
-        Self::with(name, Arc::new(DirectoryHybrid), RuntimeOptions::default())
-    }
+/// A directory object: an [`Object`] over [`DirectoryAdt`].
+pub type DirectoryObject<K, V> = Object<DirectoryAdt<K, V>>;
 
-    /// A directory under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<DirectoryAdt<K, V>>>,
-        opts: RuntimeOptions,
-    ) -> DirectoryObject<K, V> {
-        DirectoryObject { obj: TxObject::new(name, DirectoryAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<DirectoryAdt<K, V>>> {
-        &self.obj
-    }
-
+impl<K: Key, V: Val> Object<DirectoryAdt<K, V>> {
     /// Bind `k` to `v`; `Ok(true)` iff newly bound.
     pub fn insert(&self, txn: &Arc<TxnHandle>, k: K, v: V) -> Result<bool, ExecError> {
-        Ok(self.obj.execute(txn, DirInv::Insert(k, v))? == DirRes::Inserted)
+        Ok(self.execute(txn, DirInv::Insert(k, v))? == DirRes::Inserted)
     }
 
     /// Unbind `k`, returning the old value if any.
     pub fn remove(&self, txn: &Arc<TxnHandle>, k: K) -> Result<Option<V>, ExecError> {
-        match self.obj.execute(txn, DirInv::Remove(k))? {
+        match self.execute(txn, DirInv::Remove(k))? {
             DirRes::Val(v) => Ok(Some(v)),
             DirRes::Missing => Ok(None),
             _ => unreachable!("remove returns a value or missing"),
@@ -259,7 +253,7 @@ impl<K: Key, V: Val> DirectoryObject<K, V> {
 
     /// Look up `k`.
     pub fn lookup(&self, txn: &Arc<TxnHandle>, k: K) -> Result<Option<V>, ExecError> {
-        match self.obj.execute(txn, DirInv::Lookup(k))? {
+        match self.execute(txn, DirInv::Lookup(k))? {
             DirRes::Val(v) => Ok(Some(v)),
             DirRes::Missing => Ok(None),
             _ => unreachable!("lookup returns a value or missing"),
@@ -268,17 +262,7 @@ impl<K: Key, V: Val> DirectoryObject<K, V> {
 
     /// Committed binding count (diagnostics).
     pub fn committed_len(&self) -> usize {
-        self.obj.committed_snapshot().len()
-    }
-
-    /// The bindings as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor: no lock acquisition, no conflict with
-    /// writers. Refused when compaction has folded past `watermark`.
-    pub fn entries_at(
-        &self,
-        watermark: u64,
-    ) -> Result<BTreeMap<K, V>, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state().len()
     }
 }
 
@@ -319,7 +303,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

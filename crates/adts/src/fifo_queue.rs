@@ -14,9 +14,9 @@
 //!   conflict (a dequeuer may run concurrently with enqueuers as long as it
 //!   consumes committed items).
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::QueueSpec;
 use hcc_spec::{Operation, Value};
@@ -203,39 +203,33 @@ impl<T: Item> LockSpec<QueueAdt<T>> for QueueTableIII {
     }
 }
 
-/// A FIFO queue object with ergonomic methods.
-pub struct QueueObject<T: Item> {
-    obj: Arc<TxObject<QueueAdt<T>>>,
+impl<T: Item> ObjectAdt for QueueAdt<T> {
+    fn canonical_locks() -> Arc<dyn LockSpec<QueueAdt<T>>> {
+        Arc::new(QueueTableII)
+    }
+
+    fn encode_version(&self, items: &VecDeque<T>) -> Vec<u8> {
+        encode_json_state(&items.iter().collect::<Vec<_>>())
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<VecDeque<T>, RedoDecodeError> {
+        decode_json_state::<Vec<T>>(bytes).map(VecDeque::from)
+    }
 }
 
-impl<T: Item> QueueObject<T> {
-    /// A queue under the Table-II hybrid scheme (concurrent enqueues).
-    pub fn hybrid(name: impl Into<String>) -> QueueObject<T> {
-        Self::with(name, Arc::new(QueueTableII), RuntimeOptions::default())
-    }
+/// A FIFO queue object: an [`Object`] over [`QueueAdt`], canonically under
+/// the Table-II hybrid scheme (concurrent enqueues).
+pub type QueueObject<T> = Object<QueueAdt<T>>;
 
-    /// A queue under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<QueueAdt<T>>>,
-        opts: RuntimeOptions,
-    ) -> QueueObject<T> {
-        QueueObject { obj: TxObject::new(name, QueueAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<QueueAdt<T>>> {
-        &self.obj
-    }
-
+impl<T: Item> Object<QueueAdt<T>> {
     /// Enqueue an item.
     pub fn enq(&self, txn: &Arc<TxnHandle>, item: T) -> Result<(), ExecError> {
-        self.obj.execute(txn, QueueInv::Enq(item)).map(|_| ())
+        self.execute(txn, QueueInv::Enq(item)).map(|_| ())
     }
 
     /// Dequeue the head item (blocks while the queue is empty).
     pub fn deq(&self, txn: &Arc<TxnHandle>) -> Result<T, ExecError> {
-        match self.obj.execute(txn, QueueInv::Deq)? {
+        match self.execute(txn, QueueInv::Deq)? {
             QueueRes::Item(x) => Ok(x),
             QueueRes::Ok => unreachable!("deq returns an item"),
         }
@@ -243,18 +237,7 @@ impl<T: Item> QueueObject<T> {
 
     /// Number of committed items (diagnostics).
     pub fn committed_len(&self) -> usize {
-        self.obj.committed_snapshot().len()
-    }
-
-    /// The queue contents as of commit timestamp `watermark` — the
-    /// wait-free snapshot-read accessor: no lock acquisition, no
-    /// conflict with writers. Refused when compaction has folded past
-    /// `watermark`.
-    pub fn items_at(
-        &self,
-        watermark: u64,
-    ) -> Result<VecDeque<T>, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state().len()
     }
 }
 
@@ -275,7 +258,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

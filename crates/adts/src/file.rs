@@ -5,9 +5,9 @@
 //! commit timestamp. A read conflicts with an uncommitted write only when
 //! the written value differs from the value read.
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::FileSpec;
 use hcc_spec::{Operation, Value};
@@ -132,34 +132,28 @@ impl<T: Content> LockSpec<FileAdt<T>> for FileHybrid {
     }
 }
 
-/// A file object with ergonomic methods.
-pub struct FileObject<T: Content> {
-    obj: Arc<TxObject<FileAdt<T>>>,
+impl<T: Content> ObjectAdt for FileAdt<T> {
+    fn canonical_locks() -> Arc<dyn LockSpec<FileAdt<T>>> {
+        Arc::new(FileHybrid)
+    }
+
+    fn encode_version(&self, value: &T) -> Vec<u8> {
+        encode_json_state(value)
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<T, RedoDecodeError> {
+        decode_json_state(bytes)
+    }
 }
 
-impl<T: Content> FileObject<T> {
-    /// A file under the Table-I hybrid scheme.
-    pub fn hybrid(name: impl Into<String>) -> FileObject<T> {
-        Self::with(name, Arc::new(FileHybrid), RuntimeOptions::default())
-    }
+/// A file object: an [`Object`] over [`FileAdt`], canonically under the
+/// Table-I hybrid scheme.
+pub type FileObject<T> = Object<FileAdt<T>>;
 
-    /// A file under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<FileAdt<T>>>,
-        opts: RuntimeOptions,
-    ) -> FileObject<T> {
-        FileObject { obj: TxObject::new(name, FileAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<FileAdt<T>>> {
-        &self.obj
-    }
-
+impl<T: Content> Object<FileAdt<T>> {
     /// Read the current value.
     pub fn read(&self, txn: &Arc<TxnHandle>) -> Result<T, ExecError> {
-        match self.obj.execute(txn, FileInv::Read)? {
+        match self.execute(txn, FileInv::Read)? {
             FileRes::Val(v) => Ok(v),
             FileRes::Ok => unreachable!("read returns a value"),
         }
@@ -167,19 +161,12 @@ impl<T: Content> FileObject<T> {
 
     /// Overwrite the value.
     pub fn write(&self, txn: &Arc<TxnHandle>, value: T) -> Result<(), ExecError> {
-        self.obj.execute(txn, FileInv::Write(value)).map(|_| ())
+        self.execute(txn, FileInv::Write(value)).map(|_| ())
     }
 
     /// The committed value (diagnostics).
     pub fn committed_value(&self) -> T {
-        self.obj.committed_snapshot()
-    }
-
-    /// The value as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor: no lock acquisition, no conflict with
-    /// writers. Refused when compaction has folded past `watermark`.
-    pub fn value_at(&self, watermark: u64) -> Result<T, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state()
     }
 }
 
@@ -200,7 +187,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

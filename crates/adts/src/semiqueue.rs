@@ -7,9 +7,9 @@
 //! strictly more concurrency than the FIFO queue, which is the paper's
 //! point about nondeterminism.
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::SemiqueueSpec;
 use hcc_spec::{Operation, Value};
@@ -190,40 +190,41 @@ impl<T: Item> LockSpec<SemiqueueAdt<T>> for SemiqueueHybrid {
     }
 }
 
-/// A semiqueue object with ergonomic methods.
-pub struct SemiqueueObject<T: Item> {
-    obj: Arc<TxObject<SemiqueueAdt<T>>>,
+impl<T: Item> ObjectAdt for SemiqueueAdt<T> {
+    fn canonical_locks() -> Arc<dyn LockSpec<SemiqueueAdt<T>>> {
+        Arc::new(SemiqueueHybrid)
+    }
+
+    /// `[item, multiplicity]` pairs in item order.
+    fn encode_version(&self, items: &Multiset<T>) -> Vec<u8> {
+        encode_json_state(&items.iter().collect::<Vec<_>>())
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<Multiset<T>, RedoDecodeError> {
+        let mut items = Multiset::new();
+        for (item, count) in decode_json_state::<Vec<(T, usize)>>(bytes)? {
+            if count > 0 {
+                *items.entry(item).or_insert(0) += count;
+            }
+        }
+        Ok(items)
+    }
 }
 
-impl<T: Item> SemiqueueObject<T> {
-    /// A semiqueue under the Table-IV hybrid scheme.
-    pub fn hybrid(name: impl Into<String>) -> SemiqueueObject<T> {
-        Self::with(name, Arc::new(SemiqueueHybrid), RuntimeOptions::default())
-    }
+/// A semiqueue object: an [`Object`] over [`SemiqueueAdt`], canonically
+/// under the Table-IV hybrid scheme.
+pub type SemiqueueObject<T> = Object<SemiqueueAdt<T>>;
 
-    /// A semiqueue under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<SemiqueueAdt<T>>>,
-        opts: RuntimeOptions,
-    ) -> SemiqueueObject<T> {
-        SemiqueueObject { obj: TxObject::new(name, SemiqueueAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<SemiqueueAdt<T>>> {
-        &self.obj
-    }
-
+impl<T: Item> Object<SemiqueueAdt<T>> {
     /// Insert an item.
     pub fn ins(&self, txn: &Arc<TxnHandle>, item: T) -> Result<(), ExecError> {
-        self.obj.execute(txn, SqInv::Ins(item)).map(|_| ())
+        self.execute(txn, SqInv::Ins(item)).map(|_| ())
     }
 
     /// Remove some item (blocks while every candidate is locked or the
     /// semiqueue is empty).
     pub fn rem(&self, txn: &Arc<TxnHandle>) -> Result<T, ExecError> {
-        match self.obj.execute(txn, SqInv::Rem)? {
+        match self.execute(txn, SqInv::Rem)? {
             SqRes::Item(x) => Ok(x),
             SqRes::Ok => unreachable!("rem returns an item"),
         }
@@ -231,18 +232,7 @@ impl<T: Item> SemiqueueObject<T> {
 
     /// Total committed item count (diagnostics).
     pub fn committed_len(&self) -> usize {
-        self.obj.committed_snapshot().values().sum()
-    }
-
-    /// The item multiset as of commit timestamp `watermark` — the
-    /// wait-free snapshot-read accessor: no lock acquisition, no
-    /// conflict with writers. Refused when compaction has folded past
-    /// `watermark`.
-    pub fn items_at(
-        &self,
-        watermark: u64,
-    ) -> Result<Multiset<T>, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state().values().sum()
     }
 }
 
@@ -263,7 +253,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

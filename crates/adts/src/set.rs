@@ -6,9 +6,9 @@
 //! integration tests): all conflicts are per-element, and "no-op" outcomes
 //! conflict only with the operations that could invalidate them.
 
-use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, TxObject, TxnHandle,
-};
+use crate::define::{decode_json_state, encode_json_state};
+use crate::object::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::SetSpec;
 use hcc_spec::{Operation, Value};
@@ -186,59 +186,42 @@ impl<T: Elem> LockSpec<SetAdt<T>> for SetHybrid {
     }
 }
 
-/// A set object with ergonomic methods.
-pub struct SetObject<T: Elem> {
-    obj: Arc<TxObject<SetAdt<T>>>,
+impl<T: Elem> ObjectAdt for SetAdt<T> {
+    fn canonical_locks() -> Arc<dyn LockSpec<SetAdt<T>>> {
+        Arc::new(SetHybrid)
+    }
+
+    fn encode_version(&self, members: &BTreeSet<T>) -> Vec<u8> {
+        encode_json_state(members)
+    }
+
+    fn decode_version(&self, bytes: &[u8]) -> Result<BTreeSet<T>, RedoDecodeError> {
+        decode_json_state(bytes)
+    }
 }
 
-impl<T: Elem> SetObject<T> {
-    /// A set under the hybrid scheme.
-    pub fn hybrid(name: impl Into<String>) -> SetObject<T> {
-        Self::with(name, Arc::new(SetHybrid), RuntimeOptions::default())
-    }
+/// A set object: an [`Object`] over [`SetAdt`].
+pub type SetObject<T> = Object<SetAdt<T>>;
 
-    /// A set under an arbitrary scheme and options.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<SetAdt<T>>>,
-        opts: RuntimeOptions,
-    ) -> SetObject<T> {
-        SetObject { obj: TxObject::new(name, SetAdt::default(), locks, opts) }
-    }
-
-    /// The underlying runtime object.
-    pub fn inner(&self) -> &Arc<TxObject<SetAdt<T>>> {
-        &self.obj
-    }
-
+impl<T: Elem> Object<SetAdt<T>> {
     /// Insert; `Ok(true)` iff the element was new.
     pub fn add(&self, txn: &Arc<TxnHandle>, x: T) -> Result<bool, ExecError> {
-        self.obj.execute(txn, SetInv::Add(x))
+        self.execute(txn, SetInv::Add(x))
     }
 
     /// Delete; `Ok(true)` iff the element was present.
     pub fn remove(&self, txn: &Arc<TxnHandle>, x: T) -> Result<bool, ExecError> {
-        self.obj.execute(txn, SetInv::Remove(x))
+        self.execute(txn, SetInv::Remove(x))
     }
 
     /// Membership test.
     pub fn contains(&self, txn: &Arc<TxnHandle>, x: T) -> Result<bool, ExecError> {
-        self.obj.execute(txn, SetInv::Contains(x))
+        self.execute(txn, SetInv::Contains(x))
     }
 
     /// Committed cardinality (diagnostics).
     pub fn committed_len(&self) -> usize {
-        self.obj.committed_snapshot().len()
-    }
-
-    /// The members as of commit timestamp `watermark` — the wait-free
-    /// snapshot-read accessor: no lock acquisition, no conflict with
-    /// writers. Refused when compaction has folded past `watermark`.
-    pub fn members_at(
-        &self,
-        watermark: u64,
-    ) -> Result<BTreeSet<T>, hcc_core::runtime::SnapshotStale> {
-        self.obj.snapshot_read(watermark)
+        self.committed_state().len()
     }
 }
 
@@ -319,14 +302,11 @@ impl<T: Elem + Into<Value>> crate::define::AdtDef for SetDef<T> {
     }
 
     fn encode_state(&self, state: &BTreeSet<T>) -> Vec<u8> {
-        let items: Vec<T> = state.iter().cloned().collect();
-        serde_json::to_vec(&items).expect("set elements serialize")
+        SetAdt::<T>::default().encode_version(state)
     }
 
     fn decode_state(&self, bytes: &[u8]) -> Result<BTreeSet<T>, RedoDecodeError> {
-        let items: Vec<T> =
-            serde_json::from_slice(bytes).map_err(|e| RedoDecodeError::new(e.to_string()))?;
-        Ok(items.into_iter().collect())
+        SetAdt::<T>::default().decode_version(bytes)
     }
 }
 
@@ -347,7 +327,7 @@ pub fn spec() -> SharedAdt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::TxParticipant;
+    use hcc_core::runtime::{RuntimeOptions, TxParticipant};
     use hcc_spec::TxnId;
     use std::time::Duration;
 

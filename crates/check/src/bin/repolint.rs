@@ -7,10 +7,15 @@
 //!    striping, durability policy, and recovery accounting. Only tests
 //!    (`tests/`, `crates/*/tests/`) may hand-craft WAL records (torn
 //!    tails, divergent logs); no production file is exempt.
-//! 2. **Snapshot discipline**: in `crates/adts`, every `impl Snapshot
-//!    for` block overrides `snapshot_at` — the default would serialize
-//!    the latest state instead of the checkpoint watermark's, silently
-//!    corrupting checkpoint/recovery consistency.
+//! 2. **One object layer**: the type-independent half of an object is
+//!    written once, for `Object<A>`. Outside `#[cfg(test)]`,
+//!    `crates/adts/src` holds exactly one `impl … Snapshot for` and one
+//!    `impl … DurableObject for`, and `crates/db/src` exactly one
+//!    `impl … DbObject for` and one `impl … ReadObject for` — a per-type
+//!    wrapper cannot grow back. The file holding that one `fn restore`
+//!    contains none of the lock-acquisition needles of ratchets 3 and 5:
+//!    a checkpoint image is *installed*, never re-executed as synthetic
+//!    operations (the second apply path ratchet 5 bans from replication).
 //! 3. **Read-path lock freedom**: the wait-free read path
 //!    (`crates/db/src/read.rs`, `crates/core/src/runtime/horizon.rs`)
 //!    must exist and must never call into the transactional execution
@@ -107,6 +112,12 @@ fn main() {
     // on purpose.
     let log_op_allowed = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
 
+    // Ratchet 2's census: trait → production impl sites, per directory.
+    let mut object_layer = [
+        ("crates/adts/src/", [("Snapshot", Vec::new()), ("DurableObject", Vec::new())]),
+        ("crates/db/src/", [("DbObject", Vec::new()), ("ReadObject", Vec::new())]),
+    ];
+
     let mut findings = Vec::new();
     for path in &files {
         let Ok(text) = std::fs::read_to_string(path) else { continue };
@@ -194,14 +205,51 @@ fn main() {
             }
         }
 
-        if rel_s.starts_with("crates/adts/") {
-            let impls = text.matches("impl Snapshot for").count();
-            let overrides = text.matches("fn snapshot_at").count();
-            if overrides < impls {
+        // Production text: everything before the file's test module.
+        let production = text.split("#[cfg(test)]").next().unwrap_or("");
+        for (dir, layer) in &mut object_layer {
+            if !rel_s.starts_with(*dir) {
+                continue;
+            }
+            for (tr, sites) in layer.iter_mut() {
+                // The trait named bare or by path (`hcc_storage::Snapshot`),
+                // but not as the tail of a longer name.
+                let needle = format!("{tr} for ");
+                let names_trait = |line: &str| {
+                    line.match_indices(&needle).any(|(at, _)| {
+                        !line[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+                    })
+                };
+                for (i, line) in production.lines().enumerate() {
+                    if line.trim_start().starts_with("impl") && names_trait(line) {
+                        sites.push(format!("{rel_s}:{}", i + 1));
+                    }
+                }
+            }
+        }
+        if rel_s.starts_with("crates/adts/src/") && production.contains("fn restore") {
+            for (i, line) in production.lines().enumerate() {
+                for needle in &lock_needles {
+                    if line.contains(needle.as_str()) {
+                        findings.push(format!(
+                            "{rel_s}:{}: lock-acquisition/execution call `{needle}` in the file \
+                             that restores checkpoints — an image is installed, never \
+                             re-executed",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
+    for (dir, layer) in &object_layer {
+        for (tr, sites) in layer {
+            if sites.len() != 1 {
                 findings.push(format!(
-                    "{rel_s}: {impls} `impl Snapshot for` but only {overrides} \
-                     `fn snapshot_at` override(s) — a default snapshot_at serializes \
-                     the latest state, not the watermark's"
+                    "{dir}: {} production `impl … {tr} for` (want exactly one, for Object<A>): {}",
+                    sites.len(),
+                    sites.join(", ")
                 ));
             }
         }

@@ -99,7 +99,7 @@ pub struct TxnHandle {
     /// operations; the commit timestamp must exceed it (`precedes ⊆ TS`).
     bound: AtomicU64,
     touched: Mutex<Vec<Arc<dyn TxParticipant>>>,
-    /// True for replay/bootstrap transactions: their executions re-install
+    /// True for replay transactions: their executions re-install
     /// already-durable history, so self-logging objects must not record
     /// them again.
     replay: bool,
@@ -111,8 +111,8 @@ impl TxnHandle {
         Self::build(id, false)
     }
 
-    /// A handle for *replaying* already-durable history (recovery replay,
-    /// checkpoint bootstrap): identical to [`TxnHandle::new`] except that
+    /// A handle for *replaying* already-durable history (recovery and
+    /// follower replay): identical to [`TxnHandle::new`] except that
     /// self-logging objects skip the redo sink for its executions —
     /// re-logging records that are already in the log would duplicate them.
     pub fn replay(id: TxnId) -> Arc<TxnHandle> {
@@ -131,8 +131,7 @@ impl TxnHandle {
         })
     }
 
-    /// Is this a replay/bootstrap handle (its executions bypass the redo
-    /// sink)?
+    /// Is this a replay handle (its executions bypass the redo sink)?
     pub fn is_replay(&self) -> bool {
         self.replay
     }

@@ -397,10 +397,9 @@ impl<A: RuntimeAdt> TxObject<A> {
     ) -> A::Res {
         txn.observe_clock(st.clock);
         st.executed += 1;
-        // Replay executions (redo replay, checkpoint-restore bootstrap)
-        // re-install history the lock manager already admitted in a
-        // previous incarnation; counting them again would make a
-        // restored store's grant totals drift from the live run's.
+        // Replay executions re-install history the lock manager already
+        // admitted in a previous incarnation; counting them again would
+        // make a restored store's grant totals drift from the live run's.
         if !txn.is_replay() {
             self.count_grant(&mut st, inv, &res);
         }
@@ -831,13 +830,12 @@ impl<A: RuntimeAdt> TxObject<A> {
     }
 
     /// Install a recovered base version into this **fresh** object as
-    /// the committed state at timestamp `ts` — the generic
-    /// checkpoint-restore path: where a hand-written wrapper replays
-    /// synthetic bootstrap operations (a credit of the whole balance, an
-    /// enqueue per item), a declaratively defined type installs its
-    /// decoded state directly. The object's clock advances to `ts`, so
-    /// tail replay (at strictly greater timestamps) observes a
-    /// well-formed history, exactly as after a bootstrap commit.
+    /// the committed state at timestamp `ts` — the one
+    /// checkpoint-restore path, for every type: the decoded image
+    /// becomes the version directly; no operation is re-executed and no
+    /// lock is taken. The object's clock advances to `ts`, so tail
+    /// replay (at strictly greater timestamps) observes a well-formed
+    /// history.
     ///
     /// Refused with [`NotFresh`] when the object already has history or
     /// active transactions — installing over existing state would

@@ -20,11 +20,11 @@
 //!   looking the pair up under its key condition (symmetric closure
 //!   applied at lookup, as the paper constructs conflict relations from
 //!   dependency relations);
-//! * `hcc-adts::define::SpecObject` adds the durable half (snapshots,
-//!   recovery replay), and `hcc-db` hands out typed handles for it, so a
-//!   user-defined type is durable, recoverable, and 2PC-committable with
-//!   **no** `RuntimeAdt`, `LockSpec`, `Snapshot`, or `DbObject` impl
-//!   written by hand.
+//! * `hcc-adts`'s `Object<SpecAdt<D>>` (`SpecObject<D>`) is the same
+//!   generic object the built-ins run behind — snapshots, recovery
+//!   replay, typed `hcc-db` handles — so a user-defined type is durable,
+//!   recoverable, and 2PC-committable with **no** `RuntimeAdt`,
+//!   `LockSpec`, `Snapshot`, or `DbObject` impl written by hand.
 //!
 //! The escape hatch stays open: a type that outgrows the generic
 //! machinery implements [`RuntimeAdt`]/[`LockSpec`] directly (every

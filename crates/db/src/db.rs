@@ -54,12 +54,6 @@ impl DbBuilder {
         self
     }
 
-    /// Leader-based group commit (default on).
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.storage.group_commit = on;
-        self
-    }
-
     /// When to checkpoint and prune dead segments.
     pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
         self.storage.policy = policy;

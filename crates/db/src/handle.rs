@@ -1,22 +1,16 @@
 //! [`DbObject`]: the typed-handle trait behind [`crate::Db::object`].
 //!
-//! Every ADT wrapper in `hcc-adts` implements it, so
+//! It is implemented once, for `hcc-adts`'s [`Object<A>`], so
 //! `db.object::<AccountObject>("checking")` constructs the object under
 //! the database's runtime options (deadlock observer, durability, redo
 //! sink), registers it for checkpointing and recovery, and materializes
 //! any state the log already holds under that name — all in one call.
-//! Forgetting to register is unrepresentable; custom durable types join
-//! by implementing this one method.
+//! Forgetting to register is unrepresentable; a custom type joins by
+//! implementing [`ObjectAdt`] (a codec and a canonical relation), not by
+//! writing handle impls.
 
-use hcc_adts::account::{AccountHybrid, AccountObject};
-use hcc_adts::counter::{CounterHybrid, CounterObject};
-use hcc_adts::define::SpecObject;
-use hcc_adts::directory::{DirectoryHybrid, DirectoryObject, Key, Val};
-use hcc_adts::fifo_queue::{Item, QueueObject, QueueTableII};
-use hcc_adts::file::{Content, FileHybrid, FileObject};
-use hcc_adts::semiqueue::{self, SemiqueueHybrid, SemiqueueObject};
-use hcc_adts::set::{Elem, SetHybrid, SetObject};
-use hcc_core::runtime::{AdtDef, RuntimeOptions};
+use hcc_adts::{Object, ObjectAdt};
+use hcc_core::runtime::RuntimeOptions;
 use hcc_storage::DurableObject;
 use std::sync::Arc;
 
@@ -36,56 +30,13 @@ pub trait DbObject: DurableObject + Sized + 'static {
     fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self>;
 }
 
-/// Every declaratively defined type is a `Db` citizen with no further
-/// impls: `db.object::<SpecObject<MyDef>>(name)` constructs the object
-/// under the definition's canonical conflict source ([`AdtDef::
-/// conflict_spec`] — derived from the serial specification or stated as
-/// a table), registers it, and materializes its durable history, exactly
-/// like the built-in wrappers.
-impl<D: AdtDef> DbObject for SpecObject<D> {
+/// Every object type is a `Db` citizen through this one impl — the
+/// built-ins and every declaratively defined `SpecObject<MyDef>` alike:
+/// constructed under the type's canonical conflict relation
+/// ([`ObjectAdt::canonical_locks`]), registered, and materialized from
+/// its durable history.
+impl<A: ObjectAdt> DbObject for Object<A> {
     fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(SpecObject::with_options(name, opts))
-    }
-}
-
-impl DbObject for AccountObject {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(AccountObject::with(name, Arc::new(AccountHybrid), opts))
-    }
-}
-
-impl DbObject for CounterObject {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(CounterObject::with(name, Arc::new(CounterHybrid), opts))
-    }
-}
-
-impl<T: Item + 'static> DbObject for QueueObject<T> {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(QueueObject::with(name, Arc::new(QueueTableII), opts))
-    }
-}
-
-impl<T: semiqueue::Item + 'static> DbObject for SemiqueueObject<T> {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(SemiqueueObject::with(name, Arc::new(SemiqueueHybrid), opts))
-    }
-}
-
-impl<T: Content + 'static> DbObject for FileObject<T> {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(FileObject::with(name, Arc::new(FileHybrid), opts))
-    }
-}
-
-impl<T: Elem + 'static> DbObject for SetObject<T> {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(SetObject::with(name, Arc::new(SetHybrid), opts))
-    }
-}
-
-impl<K: Key + 'static, V: Val + 'static> DbObject for DirectoryObject<K, V> {
-    fn fresh(name: &str, opts: RuntimeOptions) -> Arc<Self> {
-        Arc::new(DirectoryObject::with(name, Arc::new(DirectoryHybrid), opts))
+        Arc::new(Object::with_options(name, opts))
     }
 }

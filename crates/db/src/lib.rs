@@ -267,22 +267,55 @@ mod tests {
         db.checkpoint().unwrap().expect("absorbed after the successful open");
     }
 
+    /// One object of every built-in type: each comes back as its
+    /// checkpoint image plus the one commit above the watermark.
     #[test]
     fn checkpointed_state_reopens_from_snapshot_plus_tail() {
+        use hcc_adts::{DirectoryObject, FileObject, QueueObject, SemiqueueObject, SetObject};
         let dir = tmp("ckpt");
+        let commit_round = |db: &Db, n: i64| {
+            let acct = db.object::<AccountObject>("acct").unwrap();
+            let counter = db.object::<CounterObject>("counter").unwrap();
+            let queue = db.object::<QueueObject<i64>>("queue").unwrap();
+            let semi = db.object::<SemiqueueObject<i64>>("semi").unwrap();
+            let file = db.object::<FileObject<i64>>("file").unwrap();
+            let set = db.object::<SetObject<i64>>("set").unwrap();
+            let names = db.object::<DirectoryObject<String, i64>>("names").unwrap();
+            db.transact(|tx| {
+                acct.credit(tx, r(n))?;
+                counter.dec(tx, n)?;
+                queue.enq(tx, n)?;
+                semi.ins(tx, 7)?;
+                file.write(tx, n)?;
+                set.add(tx, n)?;
+                names.insert(tx, format!("k{n}"), n)?;
+                Ok(())
+            })
+            .unwrap();
+        };
         {
             let db = Db::open(&dir).unwrap();
-            let acct = db.object::<AccountObject>("acct").unwrap();
-            db.transact(|tx| acct.credit(tx, r(50)).map_err(Into::into)).unwrap();
+            commit_round(&db, 50);
             db.checkpoint().unwrap().expect("checkpoint taken");
-            db.transact(|tx| acct.credit(tx, r(8)).map_err(Into::into)).unwrap();
+            commit_round(&db, 8);
         }
         let db = Db::open(&dir).unwrap();
         let report = db.recovery_report();
         assert!(report.checkpoint_ts > 0, "recovered from a checkpoint");
         assert_eq!(report.replayed, 1, "one commit above the watermark");
-        let acct = db.object::<AccountObject>("acct").unwrap();
-        assert_eq!(acct.committed_balance(), r(58));
+        assert_eq!(db.object::<AccountObject>("acct").unwrap().committed_balance(), r(58));
+        assert_eq!(db.object::<CounterObject>("counter").unwrap().committed_value(), -58);
+        assert_eq!(db.object::<QueueObject<i64>>("queue").unwrap().committed_state(), [50, 8]);
+        let semi = db.object::<SemiqueueObject<i64>>("semi").unwrap().committed_state();
+        assert_eq!(semi.into_iter().collect::<Vec<_>>(), [(7, 2)]);
+        assert_eq!(db.object::<FileObject<i64>>("file").unwrap().committed_value(), 8);
+        let set = db.object::<SetObject<i64>>("set").unwrap().committed_state();
+        assert_eq!(set.into_iter().collect::<Vec<_>>(), [8, 50]);
+        let names = db.object::<DirectoryObject<String, i64>>("names").unwrap().committed_state();
+        assert_eq!(
+            names.into_iter().collect::<Vec<_>>(),
+            [("k50".to_string(), 50), ("k8".to_string(), 8)]
+        );
     }
 
     #[test]

@@ -27,26 +27,17 @@
 use crate::db::Db;
 use crate::error::HccError;
 use crate::handle::DbObject;
-use hcc_adts::account::AccountObject;
-use hcc_adts::counter::CounterObject;
-use hcc_adts::define::SpecObject;
-use hcc_adts::directory::{DirectoryObject, Key, Val};
-use hcc_adts::fifo_queue::{Item, QueueObject};
-use hcc_adts::file::{Content, FileObject};
-use hcc_adts::semiqueue::{self, Multiset, SemiqueueObject};
-use hcc_adts::set::{Elem, SetObject};
-use hcc_core::runtime::{AdtDef, PinGuard, SnapshotStale};
+use hcc_adts::{Object, ObjectAdt};
+use hcc_core::runtime::{PinGuard, SnapshotStale};
 use hcc_obs::{Counter, Histogram};
-use hcc_spec::Rational;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A type readable through a [`ReadTx`]: it can produce a typed view of
 /// its committed state as of a watermark, without any lock acquisition.
 ///
-/// Implemented by every ADT wrapper in `hcc-adts` (and by every
-/// declaratively defined [`SpecObject`]), so
+/// Implemented once, for [`Object<A>`] — the view is the type's committed
+/// version (balance, deque, map, a defined type's state) — so
 /// `rtx.view::<AccountObject>("checking")` is as type-safe as the write
 /// path — asking for a name under the wrong type is refused with
 /// [`HccError::TypeMismatch`], never answered with another type's bytes.
@@ -59,58 +50,9 @@ pub trait ReadObject: DbObject {
     fn view_at(&self, watermark: u64) -> Result<Self::View, SnapshotStale>;
 }
 
-impl ReadObject for AccountObject {
-    type View = Rational;
-    fn view_at(&self, watermark: u64) -> Result<Rational, SnapshotStale> {
-        self.balance_at(watermark)
-    }
-}
-
-impl ReadObject for CounterObject {
-    type View = i64;
-    fn view_at(&self, watermark: u64) -> Result<i64, SnapshotStale> {
-        self.value_at(watermark)
-    }
-}
-
-impl<T: Item + 'static> ReadObject for QueueObject<T> {
-    type View = VecDeque<T>;
-    fn view_at(&self, watermark: u64) -> Result<VecDeque<T>, SnapshotStale> {
-        self.items_at(watermark)
-    }
-}
-
-impl<T: semiqueue::Item + 'static> ReadObject for SemiqueueObject<T> {
-    type View = Multiset<T>;
-    fn view_at(&self, watermark: u64) -> Result<Multiset<T>, SnapshotStale> {
-        self.items_at(watermark)
-    }
-}
-
-impl<T: Content + 'static> ReadObject for FileObject<T> {
-    type View = T;
-    fn view_at(&self, watermark: u64) -> Result<T, SnapshotStale> {
-        self.value_at(watermark)
-    }
-}
-
-impl<T: Elem + 'static> ReadObject for SetObject<T> {
-    type View = BTreeSet<T>;
-    fn view_at(&self, watermark: u64) -> Result<BTreeSet<T>, SnapshotStale> {
-        self.members_at(watermark)
-    }
-}
-
-impl<K: Key + 'static, V: Val + 'static> ReadObject for DirectoryObject<K, V> {
-    type View = BTreeMap<K, V>;
-    fn view_at(&self, watermark: u64) -> Result<BTreeMap<K, V>, SnapshotStale> {
-        self.entries_at(watermark)
-    }
-}
-
-impl<D: AdtDef> ReadObject for SpecObject<D> {
-    type View = D::State;
-    fn view_at(&self, watermark: u64) -> Result<D::State, SnapshotStale> {
+impl<A: ObjectAdt> ReadObject for Object<A> {
+    type View = A::Version;
+    fn view_at(&self, watermark: u64) -> Result<A::Version, SnapshotStale> {
         self.state_at(watermark)
     }
 }

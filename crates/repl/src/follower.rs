@@ -407,6 +407,7 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
             ReplMsg::Welcome { .. } => {}
             ReplMsg::Fault { detail } => return Err(ReplError::Refused(detail)),
             ReplMsg::Batch { watermark, ticket, frames } => {
+                let mut frame_count = 0u64;
                 let durable = {
                     let mut core = inner.core.lock();
                     // Durable first, then applied: an ack never promises
@@ -421,6 +422,7 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
                                 .map_err(ReplError::Apply)?;
                         }
                         at = end;
+                        frame_count += 1;
                     }
                     core.sample = Some((watermark, ticket));
                     if core.applied >= ticket {
@@ -433,7 +435,7 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
                     durable
                 };
                 inner.ins.batches.inc();
-                inner.ins.applied_frames.add(count_frames(&frames));
+                inner.ins.applied_frames.add(frame_count);
                 seq += 1;
                 tx.send(seq, &ReplMsg::Ack { ticket: durable })?;
             }
@@ -442,19 +444,4 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
             }
         }
     }
-}
-
-fn count_frames(frames: &[u8]) -> u64 {
-    let mut n = 0u64;
-    let mut at = 0usize;
-    while at < frames.len() {
-        match hcc_storage::record::decode_meta_at(frames, at) {
-            Ok((_, next)) => {
-                n += 1;
-                at = next;
-            }
-            Err(_) => break,
-        }
-    }
-    n
 }

@@ -140,8 +140,8 @@ fn follower_converges_with_byte_identical_log_prefix() {
     }
     let fc1 = follower.db().object::<CounterObject>("c1").unwrap();
     let fc2 = follower.db().object::<CounterObject>("c2").unwrap();
-    assert_eq!(fc1.value_at(follower.watermark()).unwrap(), 40);
-    assert_eq!(fc2.value_at(follower.watermark()).unwrap(), 28);
+    assert_eq!(fc1.state_at(follower.watermark()).unwrap(), 40);
+    assert_eq!(fc2.state_at(follower.watermark()).unwrap(), 28);
 
     // Shipped/acked accounting: acked never exceeds shipped.
     let stats = db.stats();
@@ -211,7 +211,7 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let fc1 = follower.db().object::<CounterObject>("c1").unwrap();
-    assert_eq!(fc1.value_at(follower.watermark()).unwrap(), 35);
+    assert_eq!(fc1.state_at(follower.watermark()).unwrap(), 35);
 
     drop(follower);
     primary.stop();

@@ -7,14 +7,11 @@ use hcc_core::runtime::{ReplayError, TxnHandle};
 use std::sync::Arc;
 
 /// An object whose committed state can be serialized into a checkpoint and
-/// restored from one. Implemented by every ADT wrapper in `hcc-adts`.
+/// restored from one. `hcc-adts` implements it once, for `Object<A>`.
 ///
-/// `snapshot` must capture exactly the committed frontier — effects of
+/// A snapshot captures exactly the committed frontier — effects of
 /// active (uncommitted) transactions are excluded, which the runtime's
-/// version/intent split makes natural. `restore` installs the snapshot
-/// into a *fresh* object as one committed transaction at timestamp `ts`
-/// (the checkpoint's `last_ts`), so subsequent tail replay at higher
-/// timestamps observes a correctly-ordered history.
+/// version/intent split makes natural.
 ///
 /// The three watermark methods are what makes **fuzzy checkpoints**
 /// possible: the checkpointer establishes a commit-timestamp watermark
@@ -22,50 +19,44 @@ use std::sync::Arc;
 /// `w` (so commits above `w` can never be compacted into the base
 /// version), releases the gate, and then calls `snapshot_at(w)` on each
 /// object under that object's own lock while new commits keep flowing.
-/// The defaults make every `Snapshot` implementation correct for a
-/// *quiesced* caller (no commits during the checkpoint): `snapshot_at`
-/// falls back to `snapshot()` and the pins are no-ops.
-///
-/// **Warning:** an implementation that keeps the defaults is *only*
-/// safe quiesced. Handing it to `hcc-txn`'s `TxnManager::checkpoint`
-/// (which snapshots while commits flow) would capture commits above the
-/// watermark that recovery then replays again. Every ADT wrapper in
-/// `hcc-adts` overrides all three methods; custom durable objects used
-/// with the fuzzy checkpointer must too.
+/// All three are required: an implementation that ignored the watermark
+/// would capture commits above it, which recovery then replays again.
 pub trait Snapshot {
-    /// Serialize the committed frontier.
-    fn snapshot(&self) -> Vec<u8>;
+    /// Serialize the whole committed frontier (every commit so far).
+    fn snapshot(&self) -> Vec<u8> {
+        self.snapshot_at(u64::MAX)
+    }
 
     /// Serialize the committed frontier **as of commit-timestamp
     /// `watermark`**: exactly the commits with `ts ≤ watermark`, no
     /// matter what commits land while the checkpoint is in flight. Only
-    /// meaningful between `pin_horizon(watermark)` and `unpin_horizon`
-    /// (or with commits quiesced, where the default fallback is exact).
-    fn snapshot_at(&self, watermark: u64) -> Vec<u8> {
-        let _ = watermark;
-        self.snapshot()
-    }
+    /// meaningful between `pin_horizon(watermark)` and `unpin_horizon`,
+    /// or with commits quiesced.
+    fn snapshot_at(&self, watermark: u64) -> Vec<u8>;
 
     /// Forbid compacting commits with `ts > watermark` into the base
     /// version until [`Snapshot::unpin_horizon`] — the fuzzy
     /// checkpointer's guarantee that `snapshot_at(watermark)` can still
     /// separate them out.
-    fn pin_horizon(&self, watermark: u64) {
-        let _ = watermark;
-    }
+    fn pin_horizon(&self, watermark: u64);
 
     /// Release the pin installed by [`Snapshot::pin_horizon`].
-    fn unpin_horizon(&self) {}
+    fn unpin_horizon(&self);
 
-    /// Install `bytes` into this (fresh) object as a committed transaction
-    /// at timestamp `ts`.
+    /// Install `bytes` into this **fresh** object as its base version at
+    /// timestamp `ts` (the checkpoint's `last_ts`). This installs state;
+    /// it does not commit a transaction: nothing is executed, no lock is
+    /// taken, and afterwards the object holds no history at or below
+    /// `ts` — tail replay continues at strictly greater timestamps and
+    /// reads below `ts` are refused. An object that already has history
+    /// refuses and is left untouched.
     fn restore(&self, bytes: &[u8], ts: u64) -> Result<(), SnapshotError>;
 }
 
 /// A self-logging object as the recovery registry sees it: named,
 /// checkpointable, and able to replay its own redo payloads.
 ///
-/// Implemented by every ADT wrapper in `hcc-adts`. `hcc-txn`'s `Registry`
+/// Implemented once in `hcc-adts`, for `Object<A>`. `hcc-txn`'s `Registry`
 /// collects these so recovery can restore checkpoints and replay the WAL
 /// tail *by object name*, with each object decoding its own payloads —
 /// the inverse of the self-logging write path, with no caller-side

@@ -61,8 +61,6 @@ pub struct StorageOptions {
     pub segment_max_bytes: u64,
     /// Durability of completion records.
     pub durability: Durability,
-    /// Batch concurrent commit fsyncs.
-    pub group_commit: bool,
     /// Number of WAL append stripes (1 = the legacy single-stream log).
     pub stripes: usize,
     /// When to checkpoint and delete dead segments.
@@ -74,7 +72,6 @@ impl Default for StorageOptions {
         StorageOptions {
             segment_max_bytes: 4 * 1024 * 1024,
             durability: Durability::Fsync,
-            group_commit: true,
             stripes: 1,
             policy: CompactionPolicy::default(),
         }
@@ -263,7 +260,6 @@ impl DurableStore {
             WalOptions {
                 segment_max_bytes: opts.segment_max_bytes,
                 durability: opts.durability,
-                group_commit: opts.group_commit,
                 stripes: opts.stripes,
             },
             &metrics,
@@ -832,10 +828,14 @@ mod tests {
         }
     }
 
+    // Store-level tests checkpoint with commits quiesced, so the
+    // watermark is the whole frontier and there is nothing to pin.
     impl Snapshot for Cell {
-        fn snapshot(&self) -> Vec<u8> {
+        fn snapshot_at(&self, _watermark: u64) -> Vec<u8> {
             self.get().to_le_bytes().to_vec()
         }
+        fn pin_horizon(&self, _watermark: u64) {}
+        fn unpin_horizon(&self) {}
         fn restore(&self, bytes: &[u8], _ts: u64) -> Result<(), SnapshotError> {
             let arr: [u8; 8] =
                 bytes.try_into().map_err(|_| SnapshotError::new("bad cell snapshot"))?;

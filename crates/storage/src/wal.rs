@@ -74,10 +74,6 @@ pub struct WalOptions {
     pub segment_max_bytes: u64,
     /// How durable completion records must be before `commit` returns.
     pub durability: Durability,
-    /// Batch concurrent fsyncs (leader-based group commit). Disabling this
-    /// gives the classical one-fsync-per-commit discipline — kept for
-    /// comparison benchmarks.
-    pub group_commit: bool,
     /// Number of append stripes (clamped to `1..=64`). `1` is
     /// byte-for-byte the pre-striping log modulo the directory layout.
     pub stripes: usize,
@@ -85,12 +81,7 @@ pub struct WalOptions {
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions {
-            segment_max_bytes: 4 * 1024 * 1024,
-            durability: Durability::Fsync,
-            group_commit: true,
-            stripes: 1,
-        }
+        WalOptions { segment_max_bytes: 4 * 1024 * 1024, durability: Durability::Fsync, stripes: 1 }
     }
 }
 
@@ -426,28 +417,22 @@ impl Stripe {
         let mut inner = self.lock_inner();
         self.append_locked(&mut inner, rec, seq, opts.segment_max_bytes)?;
         match opts.durability {
-            Durability::None => {
+            // Under `Fsync`, op records ride in the process buffer like
+            // `None`'s: the sync leader flushes everything before any
+            // fsync, so they never need their own write syscall.
+            Durability::None | Durability::Fsync => {
                 if inner.buf.len() >= NONE_FLUSH_BYTES {
                     Self::flush_locked(&mut inner)?;
                 }
             }
-            // Under group commit, op records ride in the process buffer:
-            // the sync leader flushes everything before any fsync, so they
-            // never need their own write syscall. The classical
-            // (non-group) discipline flushes every record.
-            Durability::Fsync if opts.group_commit => {
-                if inner.buf.len() >= NONE_FLUSH_BYTES {
-                    Self::flush_locked(&mut inner)?;
-                }
-            }
-            Durability::Buffered | Durability::Fsync => Self::flush_locked(&mut inner)?,
+            Durability::Buffered => Self::flush_locked(&mut inner)?,
         }
         Ok(())
     }
 
     /// Append a completion record with the configured durability: under
     /// `Fsync` this blocks until the record is on disk — one fsync per
-    /// concurrent batch per stripe when group commit is enabled.
+    /// concurrent batch per stripe (leader-based group commit).
     fn commit(&self, rec: &LogRecord, seq: u64, opts: &WalOptions) -> Result<(), StorageError> {
         debug_assert!(rec.is_completion());
         let mut inner = self.lock_inner();
@@ -459,23 +444,12 @@ impl Stripe {
                 Ok(())
             }
             Durability::Fsync => {
-                if opts.group_commit {
-                    // No flush here: the sync leader flushes the shared
-                    // buffer under the stripe lock before it snapshots the
-                    // high-water mark, so this record is covered by
-                    // whichever fsync it waits for.
-                    drop(inner);
-                    self.group_sync(pos)
-                } else {
-                    Self::flush_locked(&mut inner)?;
-                    // Classical discipline: the stripe lock is held across
-                    // the fsync, serializing one durable commit at a time.
-                    let started = std::time::Instant::now();
-                    inner.file.sync_data()?;
-                    self.ins.fsync_nanos.observe_duration(started.elapsed());
-                    self.ins.batch.observe(1);
-                    Ok(())
-                }
+                // No flush here: the sync leader flushes the shared
+                // buffer under the stripe lock before it snapshots the
+                // high-water mark, so this record is covered by
+                // whichever fsync it waits for.
+                drop(inner);
+                self.group_sync(pos)
             }
         }
     }
@@ -483,7 +457,7 @@ impl Stripe {
     /// Make everything appended to this stripe so far as durable as
     /// `level` requires — the cross-stripe write-ahead step a commit
     /// takes for each stripe holding its op records.
-    fn settle(&self, level: Durability, group_commit: bool) -> Result<(), StorageError> {
+    fn settle(&self, level: Durability) -> Result<(), StorageError> {
         match level {
             Durability::None => Ok(()),
             Durability::Buffered => {
@@ -491,15 +465,9 @@ impl Stripe {
                 Self::flush_locked(&mut inner)?;
                 Ok(())
             }
-            Durability::Fsync if group_commit => {
+            Durability::Fsync => {
                 let pos = self.lock_inner().next_pos - 1;
                 self.group_sync(pos)
-            }
-            Durability::Fsync => {
-                let mut inner = self.lock_inner();
-                Self::flush_locked(&mut inner)?;
-                inner.file.sync_data()?;
-                Ok(())
             }
         }
     }
@@ -841,7 +809,7 @@ impl SegmentedWal {
         while settle_mask != 0 {
             let s = settle_mask.trailing_zeros() as usize;
             settle_mask &= settle_mask - 1;
-            if let Err(e) = self.stripes[s].settle(self.opts.durability, self.opts.group_commit) {
+            if let Err(e) = self.stripes[s].settle(self.opts.durability) {
                 // No chain ticket was reserved yet; just restore the
                 // tracking entry so the caller's compensating abort can
                 // unpin the op stripes (a lost pin would clamp compaction
@@ -1117,12 +1085,7 @@ mod tests {
     }
 
     fn opts() -> WalOptions {
-        WalOptions {
-            segment_max_bytes: 256,
-            durability: Durability::Fsync,
-            group_commit: true,
-            stripes: 1,
-        }
+        WalOptions { segment_max_bytes: 256, durability: Durability::Fsync, stripes: 1 }
     }
 
     fn striped(n: usize) -> WalOptions {
@@ -1341,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_from_many_threads_loses_nothing() {
+    fn group_sync_from_many_threads_loses_nothing() {
         for stripes in [1usize, 4] {
             let dir = tmp("group");
             let wal = Arc::new(

@@ -161,7 +161,6 @@ pub fn run_crash_workload(
     let storage = StorageOptions {
         segment_max_bytes: 2048, // small segments: rotation + pruning exercised
         durability: opts.durability,
-        group_commit: true,
         stripes: opts.stripes,
         policy: match opts.checkpoint_every {
             Some(n) => CompactionPolicy::every_n(n),
@@ -356,8 +355,8 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
     let mut tail_ts = Vec::new();
 
     // Rebuild the formal history for the verifier (account = object 0,
-    // queue = 1). The checkpoint enters the history the same way
-    // `Snapshot::restore` installs it: as one bootstrap transaction
+    // queue = 1). `Snapshot::restore` installs the checkpoint image as
+    // state; the formal history models it as one bootstrap transaction
     // committed at the checkpoint timestamp — without it, a tail `deq` of
     // an item enqueued before the checkpoint would be illegal from the
     // initial state. The bootstrap state is decoded straight from the

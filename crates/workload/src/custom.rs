@@ -482,7 +482,7 @@ mod tests {
         let _warm = SpecLock::<LeaderboardDef>::from_def();
         let before = hcc_adts::define::derivations_performed();
         for i in 0..4 {
-            let _ = Leaderboard::new(format!("lb-{i}"));
+            let _ = Leaderboard::hybrid(format!("lb-{i}"));
         }
         assert_eq!(
             hcc_adts::define::derivations_performed(),

@@ -17,10 +17,10 @@
 //! while the checkpoint was in flight.
 
 use hcc_adts::account::{AccountHybrid, AccountObject};
-use hcc_adts::counter::{CounterDef, CounterInv, CounterObject};
-use hcc_adts::define::SpecObject;
-use hcc_adts::set::{SetDef, SetInv, SetObject};
-use hcc_core::runtime::Durability;
+use hcc_adts::counter::{CounterAdt, CounterDef, CounterInv};
+use hcc_adts::set::{SetAdt, SetDef, SetInv};
+use hcc_adts::{Object, ObjectAdt};
+use hcc_core::runtime::{Durability, SpecAdt};
 use hcc_db::Db;
 use hcc_spec::Rational;
 use hcc_storage::{CompactionPolicy, StorageOptions};
@@ -59,10 +59,6 @@ pub struct DurableMixOptions {
     pub durability: Durability,
     /// WAL stripes.
     pub stripes: usize,
-    /// Leader-based group commit (disable for the classical
-    /// one-fsync-per-commit discipline, where the stripe lock is held
-    /// across the fsync — the serialization striping decomposes).
-    pub group_commit: bool,
     /// Issue one fuzzy checkpoint when roughly half the commits are in.
     pub checkpoint_mid_run: bool,
     /// Drive workers through the raw manager or the `Db` facade.
@@ -78,7 +74,6 @@ impl Default for DurableMixOptions {
             accounts: 16,
             durability: Durability::Fsync,
             stripes: 1,
-            group_commit: true,
             checkpoint_mid_run: false,
             api: MixApi::default(),
         }
@@ -191,7 +186,6 @@ pub fn durable_account_mix(dir: &Path, opts: DurableMixOptions) -> DurableMixRep
     let storage = StorageOptions {
         durability: opts.durability,
         stripes: opts.stripes,
-        group_commit: opts.group_commit,
         policy: CompactionPolicy::never(), // the mid-run checkpoint is explicit
         ..StorageOptions::default()
     };
@@ -328,74 +322,55 @@ pub struct DefinedMixReport {
 
 /// Drive a Counter + Set workload (thread-affine object pairs, identical
 /// op script) through either ADT flavor against a fresh store at `dir`.
-/// Only `threads`, `txns_per_thread`, `ops_per_txn`, `durability`,
-/// `stripes`, and `group_commit` of `opts` apply.
+/// Only `threads`, `txns_per_thread`, `ops_per_txn`, `durability` and
+/// `stripes` of `opts` apply.
 pub fn defined_adt_mix(dir: &Path, opts: DurableMixOptions, flavor: MixAdts) -> DefinedMixReport {
-    enum Pair {
-        Hand(Arc<CounterObject>, Arc<SetObject<i64>>),
-        Defined(Arc<SpecObject<CounterDef>>, Arc<SpecObject<SetDef<i64>>>),
+    match flavor {
+        MixAdts::HandWritten => counter_set_mix::<CounterAdt, SetAdt<i64>>(dir, opts),
+        MixAdts::Defined => counter_set_mix::<SpecAdt<CounterDef>, SpecAdt<SetDef<i64>>>(dir, opts),
     }
+}
 
-    impl Pair {
-        fn run_ops(
-            &self,
-            tx: &Arc<hcc_core::runtime::TxnHandle>,
-            w: usize,
-            i: usize,
-            ops_per_txn: usize,
-        ) -> Result<(), hcc_core::runtime::ExecError> {
-            for k in 0..ops_per_txn {
-                let v = ((w + i + k) % 40 + 1) as i64;
-                let c_inv = if k % 4 == 3 { CounterInv::Dec(v) } else { CounterInv::Inc(v) };
-                let s_inv = if k % 2 == 0 { SetInv::Add(v % 16) } else { SetInv::Remove(v % 16) };
-                match self {
-                    Pair::Hand(c, s) => {
-                        c.inner().execute(tx, c_inv)?;
-                        s.inner().execute(tx, s_inv)?;
-                    }
-                    Pair::Defined(c, s) => {
-                        c.execute(tx, c_inv)?;
-                        s.execute(tx, s_inv)?;
-                    }
-                }
-            }
-            Ok(())
-        }
-
-        fn counter_total(&self) -> i64 {
-            match self {
-                Pair::Hand(c, _) => c.committed_value(),
-                Pair::Defined(c, _) => c.committed_state(),
-            }
-        }
-    }
-
+/// [`defined_adt_mix`] over whichever Counter and Set implementations `C`
+/// and `S` name: both flavors are `Object<_>`s taking the same
+/// invocations, so one driver serves them.
+fn counter_set_mix<C, S>(dir: &Path, opts: DurableMixOptions) -> DefinedMixReport
+where
+    C: ObjectAdt<Inv = CounterInv, Version = i64>,
+    S: ObjectAdt<Inv = SetInv<i64>>,
+{
     let storage = StorageOptions {
         durability: opts.durability,
         stripes: opts.stripes,
-        group_commit: opts.group_commit,
         policy: CompactionPolicy::never(),
         ..StorageOptions::default()
     };
     let db = Db::builder().storage_options(storage).open(dir).expect("open database");
-    let pairs: Vec<Pair> = (0..opts.threads)
-        .map(|w| match flavor {
-            MixAdts::HandWritten => Pair::Hand(
-                db.object::<CounterObject>(&format!("cnt-{w}")).expect("counter handle"),
-                db.object::<SetObject<i64>>(&format!("set-{w}")).expect("set handle"),
-            ),
-            MixAdts::Defined => Pair::Defined(
-                db.object::<SpecObject<CounterDef>>(&format!("cnt-{w}")).expect("counter handle"),
-                db.object::<SpecObject<SetDef<i64>>>(&format!("set-{w}")).expect("set handle"),
-            ),
+    let pairs: Vec<_> = (0..opts.threads)
+        .map(|w| {
+            (
+                db.object::<Object<C>>(&format!("cnt-{w}")).expect("counter handle"),
+                db.object::<Object<S>>(&format!("set-{w}")).expect("set handle"),
+            )
         })
         .collect();
 
     let (elapsed, _aborted, _gap) = drive_mix(
         &DurableMixOptions { checkpoint_mid_run: false, ..opts },
         |w, i| {
-            db.transact(|tx| pairs[w].run_ops(tx, w, i, opts.ops_per_txn).map_err(Into::into))
-                .is_ok()
+            let (c, s) = &pairs[w];
+            db.transact(|tx| {
+                for k in 0..opts.ops_per_txn {
+                    let v = ((w + i + k) % 40 + 1) as i64;
+                    let c_inv = if k % 4 == 3 { CounterInv::Dec(v) } else { CounterInv::Inc(v) };
+                    let s_inv =
+                        if k % 2 == 0 { SetInv::Add(v % 16) } else { SetInv::Remove(v % 16) };
+                    c.execute(tx, c_inv)?;
+                    s.execute(tx, s_inv)?;
+                }
+                Ok(())
+            })
+            .is_ok()
         },
         || {},
     );
@@ -405,7 +380,7 @@ pub fn defined_adt_mix(dir: &Path, opts: DurableMixOptions, flavor: MixAdts) -> 
         committed,
         elapsed,
         commits_per_sec: committed as f64 / elapsed.as_secs_f64(),
-        counter_totals: pairs.iter().map(Pair::counter_total).collect(),
+        counter_totals: pairs.iter().map(|(c, _)| c.committed_state()).collect(),
     }
 }
 
@@ -431,8 +406,6 @@ pub struct ReadHeavyOptions {
     pub durability: Durability,
     /// WAL stripes.
     pub stripes: usize,
-    /// Leader-based group commit.
-    pub group_commit: bool,
 }
 
 impl Default for ReadHeavyOptions {
@@ -446,7 +419,6 @@ impl Default for ReadHeavyOptions {
             zipf_exponent: 1.0,
             durability: Durability::Fsync,
             stripes: 4,
-            group_commit: true,
         }
     }
 }
@@ -528,7 +500,6 @@ pub fn read_heavy_mix(dir: &Path, opts: ReadHeavyOptions) -> ReadHeavyReport {
     let storage = StorageOptions {
         durability: opts.durability,
         stripes: opts.stripes,
-        group_commit: opts.group_commit,
         policy: CompactionPolicy::never(),
         ..StorageOptions::default()
     };
@@ -718,7 +689,8 @@ mod tests {
 
         let db = Db::open(&dir_d).expect("reopen defined store");
         for (w, expected) in defined.counter_totals.iter().enumerate() {
-            let c = db.object::<SpecObject<CounterDef>>(&format!("cnt-{w}")).expect("handle");
+            let c =
+                db.object::<hcc_adts::SpecObject<CounterDef>>(&format!("cnt-{w}")).expect("handle");
             assert_eq!(c.committed_state(), *expected, "worker {w} counter diverged");
         }
     }

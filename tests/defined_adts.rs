@@ -14,10 +14,12 @@
 //! 3. **interchangeable recovery**: a log written by one flavor recovers
 //!    through the other, because the bytes *are* the same format.
 
-use hybrid_cc::adts::counter::{CounterDef, CounterHybrid, CounterInv, CounterObject, CounterRes};
-use hybrid_cc::adts::set::{SetDef, SetHybrid, SetInv, SetObject};
-use hybrid_cc::adts::SpecObject;
-use hybrid_cc::core::runtime::{LockSpec, SpecLock};
+use hybrid_cc::adts::counter::{
+    CounterAdt, CounterDef, CounterHybrid, CounterInv, CounterObject, CounterRes,
+};
+use hybrid_cc::adts::set::{SetAdt, SetDef, SetHybrid, SetInv, SetObject};
+use hybrid_cc::adts::{Object, ObjectAdt, SpecObject};
+use hybrid_cc::core::runtime::{LockSpec, SpecAdt, SpecLock};
 use hybrid_cc::storage::CompactionPolicy;
 use hybrid_cc::Db;
 use std::collections::BTreeMap;
@@ -65,65 +67,27 @@ fn script() -> Vec<(i64, Vec<CounterInv>, Vec<SetInv<i64>>)> {
         .collect()
 }
 
-/// The two implementation flavors under one interface, so the
-/// differential runs *one* driver — any change to the script or its
-/// bookkeeping applies to both sides by construction.
-enum Flavor {
-    Hand(std::sync::Arc<CounterObject>, std::sync::Arc<SetObject<i64>>),
-    Ported(std::sync::Arc<SpecObject<CounterDef>>, std::sync::Arc<SpecObject<SetDef<i64>>>),
-}
-
-impl Flavor {
-    fn open(db: &Db, ported: bool) -> Flavor {
-        if ported {
-            Flavor::Ported(
-                db.object::<SpecObject<CounterDef>>("c").unwrap(),
-                db.object::<SpecObject<SetDef<i64>>>("s").unwrap(),
-            )
-        } else {
-            Flavor::Hand(
-                db.object::<CounterObject>("c").unwrap(),
-                db.object::<SetObject<i64>>("s").unwrap(),
-            )
-        }
-    }
-
-    fn counter(
-        &self,
-        tx: &std::sync::Arc<hybrid_cc::core::TxnHandle>,
-        op: CounterInv,
-    ) -> Result<CounterRes, hybrid_cc::core::ExecError> {
-        match self {
-            Flavor::Hand(c, _) => c.inner().execute(tx, op),
-            Flavor::Ported(c, _) => c.execute(tx, op),
-        }
-    }
-
-    fn set(
-        &self,
-        tx: &std::sync::Arc<hybrid_cc::core::TxnHandle>,
-        op: SetInv<i64>,
-    ) -> Result<bool, hybrid_cc::core::ExecError> {
-        match self {
-            Flavor::Hand(_, s) => s.inner().execute(tx, op),
-            Flavor::Ported(_, s) => s.execute(tx, op),
-        }
-    }
-}
-
-/// Drive the script through one flavor; return the response transcript.
-fn drive(dir: &Path, ported: bool) -> Vec<String> {
+/// Drive the script through whichever Counter and Set implementations
+/// `C` and `S` name — both flavors are `Object<_>`s taking the same
+/// invocations, so the differential runs *one* driver — and return the
+/// response transcript.
+fn drive<C, S>(dir: &Path) -> Vec<String>
+where
+    C: ObjectAdt<Inv = CounterInv, Res = CounterRes>,
+    S: ObjectAdt<Inv = SetInv<i64>, Res = bool>,
+{
     let db = open_db(dir);
-    let flavor = Flavor::open(&db, ported);
+    let c = db.object::<Object<C>>("c").unwrap();
+    let s = db.object::<Object<S>>("s").unwrap();
     let mut transcript = Vec::new();
     for (i, c_ops, s_ops) in script() {
         db.transact(|tx| {
             for op in &c_ops {
-                let res = flavor.counter(tx, op.clone())?;
+                let res = c.execute(tx, op.clone())?;
                 transcript.push(format!("{op:?}->{res:?}"));
             }
             for op in &s_ops {
-                let res = flavor.set(tx, op.clone())?;
+                let res = s.execute(tx, op.clone())?;
                 transcript.push(format!("{op:?}->{res:?}"));
             }
             Ok(())
@@ -134,6 +98,14 @@ fn drive(dir: &Path, ported: bool) -> Vec<String> {
         }
     }
     transcript
+}
+
+fn drive_hand(dir: &Path) -> Vec<String> {
+    drive::<CounterAdt, SetAdt<i64>>(dir)
+}
+
+fn drive_ported(dir: &Path) -> Vec<String> {
+    drive::<SpecAdt<CounterDef>, SpecAdt<SetDef<i64>>>(dir)
 }
 
 /// Every file under `dir`, relative path → contents.
@@ -157,8 +129,8 @@ fn dir_image(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn ported_counter_and_set_write_byte_identical_wal_traces() {
     let (dir_a, dir_b) = (tmp("hand"), tmp("ported"));
-    let transcript_a = drive(&dir_a, false);
-    let transcript_b = drive(&dir_b, true);
+    let transcript_a = drive_hand(&dir_a);
+    let transcript_b = drive_ported(&dir_b);
     assert_eq!(transcript_a, transcript_b, "same script, same responses");
 
     let (image_a, image_b) = (dir_image(&dir_a), dir_image(&dir_b));
@@ -183,8 +155,8 @@ fn ported_counter_and_set_write_byte_identical_wal_traces() {
 #[test]
 fn ported_logs_recover_interchangeably_and_after_a_crash() {
     let (dir_a, dir_b) = (tmp("hand-x"), tmp("ported-x"));
-    drive(&dir_a, false);
-    drive(&dir_b, true);
+    drive_hand(&dir_a);
+    drive_ported(&dir_b);
 
     // Crash both at the same point.
     for dir in [&dir_a, &dir_b] {
@@ -202,7 +174,7 @@ fn ported_logs_recover_interchangeably_and_after_a_crash() {
 
     assert_eq!(c_ported.committed_state(), c_hand.committed_value(), "counter states agree");
     let ported_set: Vec<i64> = s_ported.committed_state().into_iter().collect();
-    let hand_set: Vec<i64> = s_hand.inner().committed_snapshot().into_iter().collect();
+    let hand_set: Vec<i64> = s_hand.committed_state().into_iter().collect();
     assert_eq!(ported_set, hand_set, "set states agree");
     assert_eq!(
         db.recovery_report().replayed,
@@ -213,7 +185,7 @@ fn ported_logs_recover_interchangeably_and_after_a_crash() {
 
 /// Attaching a *used* `SpecObject` to a database whose log holds state
 /// under that name must fail as a materialization error (and poison the
-/// name, like the hand-written wrappers' failed attaches) — not panic:
+/// name, like any failed attach) — not panic:
 /// installing a recovered version over existing history is refused by
 /// `TxObject::install_version`.
 #[test]
@@ -234,14 +206,14 @@ fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
     }
     let db = open_db(&dir);
     // A standalone instance with its own committed history: not fresh.
-    let dirty = Arc::new(SpecObject::<CounterDef>::new("c"));
+    let dirty = Arc::new(SpecObject::<CounterDef>::hybrid("c"));
     let t = TxnHandle::new(TxnId(1));
     dirty.execute(&t, CounterInv::Inc(1)).unwrap();
     dirty.inner().commit_at(t.id(), 1);
     let err = db.attach(dirty).err().expect("used instance must be refused");
     assert!(matches!(err, HccError::Recovery(_)), "failed materialization, not a panic: {err}");
     // The name is poisoned for further attaches...
-    let fresh = Arc::new(SpecObject::<CounterDef>::new("c"));
+    let fresh = Arc::new(SpecObject::<CounterDef>::hybrid("c"));
     assert!(matches!(db.attach(fresh), Err(HccError::PoisonedRecovery { .. })));
     // ...but `Db::object` (always a fresh instance) still recovers.
     let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
