@@ -46,9 +46,26 @@
 //!    `hcc-storage` the one log, self-logging the one discipline. No
 //!    `Cargo.toml` outside `benchmark/` names the criterion bench crate
 //!    (as a whole word: the benchmark package's name merely starts with
-//!    it) or its stand-in, and no `.rs` file under `crates/`, `tests/`
-//!    or `examples/` names the line-JSON log's record type, the manual
-//!    logging discipline or the deprecated checkpoint-gate accessor.
+//!    it) or its stand-in, and no `.rs` file under `crates/`, `src/`,
+//!    `tests/` or `examples/` names the line-JSON log's record type, the
+//!    manual logging discipline or the deprecated checkpoint-gate
+//!    accessor.
+//! 8. **One segment writer**: `crates/storage/src/wal.rs` is the only
+//!    production code that creates or appends to a `seg-*.wal` file.
+//!    Outside `#[cfg(test)]`, no other file pairs the segment-path
+//!    helper with an append-mode open or defines a segment rotation,
+//!    and the follower's retired private log writer
+//!    (`crates/storage/src/replica.rs`) does not exist — a replica's log
+//!    is the WAL's own writer fed raw frames.
+//! 9. **One replay caller**: `hcc-db` is the only recovery front end.
+//!    Outside tests, the one replay step is called only from
+//!    `crates/db/src/db.rs` and `TxnManager::apply_replicated`
+//!    (`crates/txn/src/manager.rs`), a checkpoint image is restored into
+//!    a live object only from `crates/db/src/db.rs`, and the names of
+//!    the retired eager registry replay, the sim's private site
+//!    recovery, the registry-flavoured checkpoint calls and the raw-API
+//!    workload switch appear nowhere under `crates/`, `src/`, `tests/`
+//!    or `examples/`.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -102,14 +119,35 @@ fn main() {
     let slice_knob = ["wait", "_slice"].concat();
     let retired_crate = ["hcc-", "bench"].concat();
     let retired_standin = ["crit", "erion"].concat();
+    let first_generation = "the first-generation log and logging discipline";
+    let second_front_end = "the second recovery front end — hcc-db recovers, and nothing else";
     let retired_items = [
-        ["Log", "Discipline"].concat(),
-        ["Wal", "Record"].concat(),
-        ["last_checkpoint_", "gate_nanos"].concat(),
+        (["Log", "Discipline"].concat(), first_generation),
+        (["Wal", "Record"].concat(), first_generation),
+        (["last_checkpoint_", "gate_nanos"].concat(), first_generation),
+        (["restore_and", "_replay"].concat(), second_front_end),
+        (["replay", "_txn"].concat(), second_front_end),
+        (["recover", "_site"].concat(), second_front_end),
+        (["checkpoint", "_registry"].concat(), second_front_end),
+        (["Mix", "Api"].concat(), second_front_end),
     ];
 
-    // The ratchet's standing exception: tests that hand-craft WAL records
-    // on purpose.
+    // Ratchet 8: what writing a segment file takes.
+    let segment_path_call = ["segment", "_path("].concat();
+    let append_open = [".app", "end(true)"].concat();
+    let rotate_fn = ["fn rot", "ate"].concat();
+    let segment_writer = "crates/storage/src/wal.rs";
+    let retired_writer = "crates/storage/src/replica.rs";
+    // Ratchet 9: the one replay step, the one restore, and who may call.
+    let replay_call = ["replay_obj", "ect_ops("].concat();
+    let replay_def = ["fn ", &replay_call].concat();
+    let restore_call = [".rest", "ore("].concat();
+    let recovery_front_end = "crates/db/src/db.rs";
+    let replicated_apply = "crates/txn/src/manager.rs";
+
+    // Test-only files: the standing exception for tests that hand-craft
+    // WAL records on purpose (ratchet 1), and outside ratchets 8 and 9's
+    // production rules.
     let log_op_allowed = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
 
     // Ratchet 2's census: trait → production impl sites, per directory.
@@ -139,15 +177,12 @@ fn main() {
             continue;
         }
 
-        if ["crates/", "tests/", "examples/"].iter().any(|dir| rel_s.starts_with(dir)) {
+        if ["crates/", "src/", "tests/", "examples/"].iter().any(|dir| rel_s.starts_with(dir)) {
             for (i, line) in text.lines().enumerate() {
-                for needle in &retired_items {
+                for (needle, with) in &retired_items {
                     if line.contains(needle.as_str()) {
-                        findings.push(format!(
-                            "{rel_s}:{}: `{needle}` was retired with the first-generation \
-                             log and logging discipline",
-                            i + 1
-                        ));
+                        findings
+                            .push(format!("{rel_s}:{}: `{needle}` was retired with {with}", i + 1));
                     }
                 }
             }
@@ -207,6 +242,43 @@ fn main() {
 
         // Production text: everything before the file's test module.
         let production = text.split("#[cfg(test)]").next().unwrap_or("");
+
+        if !log_op_allowed(&rel_s) {
+            if rel_s != segment_writer {
+                if production.contains(&segment_path_call) && production.contains(&append_open) {
+                    findings.push(format!(
+                        "{rel_s}: pairs `{segment_path_call}` with an append-mode open — \
+                         {segment_writer} is the one segment writer"
+                    ));
+                }
+                for (i, line) in production.lines().enumerate() {
+                    if line.contains(&rotate_fn) {
+                        findings.push(format!(
+                            "{rel_s}:{}: a segment rotation outside {segment_writer}, the one \
+                             segment writer",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+            for (i, line) in production.lines().enumerate() {
+                let replays = line.contains(&replay_call) && !line.contains(&replay_def);
+                if replays && rel_s != recovery_front_end && rel_s != replicated_apply {
+                    findings.push(format!(
+                        "{rel_s}:{}: `{replay_call}` is called only by hcc-db's materialization \
+                         and TxnManager::apply_replicated",
+                        i + 1
+                    ));
+                }
+                if line.contains(&restore_call) && rel_s != recovery_front_end {
+                    findings.push(format!(
+                        "{rel_s}:{}: `{restore_call}` — a checkpoint image is restored into a \
+                         live object only from {recovery_front_end}",
+                        i + 1
+                    ));
+                }
+            }
+        }
         for (dir, layer) in &mut object_layer {
             if !rel_s.starts_with(*dir) {
                 continue;
@@ -253,6 +325,13 @@ fn main() {
                 ));
             }
         }
+    }
+
+    if root.join(retired_writer).exists() {
+        findings.push(format!(
+            "{retired_writer}: the follower's private log writer is back — a replica's log is \
+             {segment_writer}'s writer fed raw frames"
+        ));
     }
 
     // The read path's lock-freedom ratchet: the read path clones

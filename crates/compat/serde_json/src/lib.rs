@@ -1,7 +1,7 @@
 //! A minimal, offline, API-compatible subset of `serde_json`.
 //!
-//! Provides [`Value`], the [`json!`] macro, [`to_string`] / [`to_writer`] /
-//! [`to_vec`], [`from_str`] / [`from_slice`], and [`to_value`] /
+//! Provides [`Value`], the [`json!`] macro, [`to_string`] / [`to_vec`],
+//! [`from_str`] / [`from_slice`], and [`to_value`] /
 //! [`from_value`] over the offline serde subset's `Content` data model.
 //! Output is compact JSON with object keys in `BTreeMap` order, matching
 //! real serde_json's default (non-`preserve_order`) behaviour.
@@ -328,12 +328,6 @@ pub fn to_string<T: Serialize + ?Sized>(v: &T) -> Result<String, Error> {
 /// Compact JSON bytes for any `Serialize`.
 pub fn to_vec<T: Serialize + ?Sized>(v: &T) -> Result<Vec<u8>, Error> {
     to_string(v).map(String::into_bytes)
-}
-
-/// Write compact JSON to an `io::Write`.
-pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(mut w: W, v: &T) -> Result<(), Error> {
-    let s = to_string(v)?;
-    w.write_all(s.as_bytes()).map_err(|e| Error::new(e.to_string()))
 }
 
 // ---- Parsing -----------------------------------------------------------

@@ -33,11 +33,13 @@ struct PinTable {
     next_id: u64,
     /// Active pins: id → pinned watermark.
     pins: BTreeMap<u64, u64>,
+    /// The standing floor ([`HorizonPins::hold_floor`]), once one is held.
+    standing: Option<u64>,
 }
 
 impl PinTable {
     fn min_watermark(&self) -> u64 {
-        self.pins.values().min().copied().unwrap_or(NO_FLOOR)
+        self.pins.values().copied().chain(self.standing).min().unwrap_or(NO_FLOOR)
     }
 }
 
@@ -92,9 +94,37 @@ impl HorizonPins {
         PinGuard { pins: self.clone(), id, watermark }
     }
 
-    /// The minimum active pin watermark, or `u64::MAX` when nothing is
-    /// pinned. Folds must not remove commits with timestamps strictly
-    /// above this. Lock-free.
+    /// Hold a **standing** floor at `watermark`: no commit above it folds
+    /// at any object sharing this registry, for the registry's lifetime.
+    /// Monotone — a later call can only raise it. This is how a
+    /// replication follower keeps its own replicated watermark readable
+    /// while commits arrive above it (`TxnManager::
+    /// witness_replicated_watermark`). Not a pin: no guard to drop, and
+    /// not counted in the live-pin gauge.
+    pub fn hold_floor(&self, watermark: u64) {
+        self.raise_standing(watermark, true);
+    }
+
+    /// Raise a standing floor that is already held to at least
+    /// `watermark` — a no-op while none is ([`HorizonPins::hold_floor`]
+    /// decides that). How a replica bounds the backlog its floor holds
+    /// unfolded without creating one before it has a watermark to read
+    /// at.
+    pub fn raise_held_floor(&self, watermark: u64) {
+        self.raise_standing(watermark, false);
+    }
+
+    fn raise_standing(&self, watermark: u64, establish: bool) {
+        let mut t = self.inner.lock().unwrap();
+        if establish || t.standing.is_some() {
+            t.standing = Some(t.standing.map_or(watermark, |s| s.max(watermark)));
+            self.floor.store(t.min_watermark(), Ordering::Release);
+        }
+    }
+
+    /// The minimum of the active pin watermarks and the standing floor,
+    /// or `u64::MAX` when there is neither. Folds must not remove commits
+    /// with timestamps strictly above this. Lock-free.
     pub fn floor(&self) -> u64 {
         self.floor.load(Ordering::Acquire)
     }
@@ -176,6 +206,29 @@ mod tests {
         assert!(r.is_err());
         assert_eq!(pins.floor(), u64::MAX, "unwind dropped the guard");
         assert_eq!(pins.active(), 0);
+    }
+
+    #[test]
+    fn standing_floor_rises_and_bounds_the_pins_without_being_one() {
+        let gauge = Arc::new(Gauge::new());
+        let pins = Arc::new(HorizonPins::observed(gauge.clone()));
+        pins.raise_held_floor(4);
+        assert_eq!(pins.floor(), u64::MAX, "nothing held yet: nothing to raise");
+        pins.hold_floor(5);
+        assert_eq!(pins.floor(), 5);
+        pins.raise_held_floor(4);
+        pins.raise_held_floor(6);
+        assert_eq!(pins.floor(), 6);
+        pins.hold_floor(5);
+        assert_eq!(pins.floor(), 6);
+        pins.hold_floor(3);
+        assert_eq!(pins.floor(), 6, "monotone: never lowered");
+        let below = pins.pin(2);
+        assert_eq!(pins.floor(), 2, "a reader pinned below still wins");
+        pins.hold_floor(9);
+        drop(below);
+        assert_eq!(pins.floor(), 9, "unpinning falls back to the standing floor");
+        assert_eq!((pins.active(), gauge.get()), (0, 0), "held, not pinned");
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! The [`Db`] session facade: one front door to the transaction manager,
-//! the durable store, and the recovery registry.
+//! The [`Db`] session facade: one front door to the transaction manager
+//! and the durable store, and the workspace's only recovery front end —
+//! nothing else restores a checkpoint image or replays a recovered
+//! transaction into a live object.
 //!
 //! `Db::open` constructs the store, scans the log, and readies recovery
 //! in one call; [`Db::object`] hands out typed handles that register
@@ -13,9 +15,12 @@ use crate::handle::DbObject;
 use crate::read::ReadInstruments;
 use crate::tx::{RetryPolicy, Tx};
 use hcc_core::runtime::{Durability, ExecError, RuntimeOptions};
-use hcc_obs::{Counter, Histogram};
+use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
-use hcc_storage::{Checkpoint, CompactionPolicy, DurableObject, DurableStore, StorageOptions};
+use hcc_storage::{
+    Checkpoint, CommittedTxn, CompactionPolicy, DurableObject, DurableStore, Recovered,
+    StorageOptions,
+};
 use hcc_txn::manager::CommitError;
 use hcc_txn::registry::{self, Decisions, RecoveryReport, Registry};
 use hcc_txn::TxnManager;
@@ -109,24 +114,14 @@ impl DbBuilder {
     pub fn open(self, dir: impl AsRef<Path>) -> Result<Db, HccError> {
         let mgr = TxnManager::with_storage(dir, self.storage)?;
         let store = mgr.storage().expect("with_storage attaches a store").clone();
-        // One pass over the log serves both the store's clock/id seeding
-        // and this materialization: the open above already decoded every
-        // surviving record and retained the image; claim it instead of
-        // re-scanning the directory (static re-read only as fallback).
-        let mut recovered = match store.take_recovered()? {
-            Some(recovered) => recovered,
-            None => store.reread_recovered()?,
-        };
+        let (recovered, resolved) = read_log_image(&store, &self.decisions)
+            .inspect_err(|e| dump_refused_recovery(mgr.flight_recorder(), e))?;
 
-        // Merge decided in-doubt transactions (2PC participant recovery)
-        // into the committed tail — the same `resolve_committed` rule the
-        // registry path uses, including the DecisionBelowCheckpoint
-        // refusal — and slice the image by object name once, so each
-        // handle materializes from (and frees) exactly its own share.
-        // The resolve *moves* every payload into its name's slice; nothing
+        // Slice the image by object name once, so each handle
+        // materializes from (and frees) exactly its own share. The
+        // resolve *moved* every payload into its name's slice; nothing
         // is copied.
         let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
-        let resolved = registry::resolve_committed(&mut recovered, &self.decisions)?;
         let replayed = resolved.len();
         let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
         for c in resolved {
@@ -205,6 +200,31 @@ impl DbBuilder {
     }
 }
 
+/// What the log holds, for [`DbBuilder::open`] to slice: the image the
+/// store's open-time pass already decoded (one scan serves clock/id
+/// seeding and this materialization), with decided in-doubt transactions
+/// (2PC participant recovery) merged into the committed tail by the
+/// `resolve_committed` rule, including its DecisionBelowCheckpoint
+/// refusal.
+fn read_log_image(
+    store: &DurableStore,
+    decisions: &Decisions,
+) -> Result<(Recovered, Vec<CommittedTxn>), HccError> {
+    let mut recovered = store.take_recovered()?.expect("a store just opened retains its image");
+    let resolved = registry::resolve_committed(&mut recovered, decisions)?;
+    Ok((recovered, resolved))
+}
+
+/// Recovery refused the log — at open, or as a handle materialized: dump
+/// the flight recorder, if one is running (`HCC_TRACE`), so the refusal
+/// is readable where it actually happened.
+fn dump_refused_recovery(trace: Option<&Arc<FlightRecorder>>, err: &HccError) {
+    if let Some(tr) = trace {
+        tr.record(0, "", "recovery.fail", err.to_string());
+        tr.dump_to_stderr(&format!("recovery refused the log: {err}"));
+    }
+}
+
 /// One object's slice of one recovered transaction: `(txn, ts, op
 /// payloads in execution order)`.
 type TailTxn = (u64, u64, Vec<Vec<u8>>);
@@ -247,6 +267,21 @@ struct PendingRecovery {
     /// double its effects. Further attaches are refused; `Db::object`
     /// (always a fresh instance) and a database reopen stay safe.
     poisoned: HashSet<String>,
+}
+
+impl PendingRecovery {
+    /// Install `obj`'s share of the image into it: checkpoint snapshot
+    /// first, then its slice of the committed tail in replay order.
+    fn install(&self, obj: &dyn DurableObject) -> Result<(), HccError> {
+        let name = obj.object_name();
+        if let Some(data) = self.snapshots.get(name) {
+            obj.restore(data, self.checkpoint_ts)?;
+        }
+        for (txn, ts, ops) in self.tail.get(name).into_iter().flatten() {
+            registry::replay_object_ops(obj, *txn, *ts, ops)?;
+        }
+        Ok(())
+    }
 }
 
 /// The session facade: typed durable handles and scoped, retrying
@@ -375,12 +410,9 @@ impl Db {
         if !pending.unmaterialized.contains(name) {
             return Ok(()); // nothing durable under this name
         }
-        if let Some(data) = pending.snapshots.get(name) {
-            obj.restore(data, pending.checkpoint_ts)?;
-        }
-        for (txn, ts, ops) in pending.tail.get(name).into_iter().flatten() {
-            registry::replay_object_ops(obj, *txn, *ts, ops)?;
-        }
+        pending
+            .install(obj)
+            .inspect_err(|e| dump_refused_recovery(self.mgr.flight_recorder(), e))?;
         pending.snapshots.remove(name);
         pending.tail.remove(name);
         pending.unmaterialized.remove(name);
@@ -486,12 +518,15 @@ impl Db {
     /// unopened — a checkpoint then would claim coverage of state no
     /// live object holds.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
-        self.mgr.checkpoint_registry(&self.registry.read()).map_err(Into::into)
+        self.mgr.checkpoint(&self.registry.read().snapshot_refs()).map_err(Into::into)
     }
 
     /// [`Db::checkpoint`] iff the store's compaction policy asks for it.
     pub fn maybe_checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
-        self.mgr.maybe_checkpoint_registry(&self.registry.read()).map_err(Into::into)
+        match self.mgr.storage() {
+            Some(store) if store.should_checkpoint() => self.checkpoint(),
+            _ => Ok(None),
+        }
     }
 
     /// What opening this database recovered: checkpoint watermark,

@@ -3,8 +3,9 @@
 //!
 //! A [`Follower`] owns three things:
 //!
-//! * a [`ReplicaLog`] — the shipped frames, durable on its own disk
-//!   under its own durability level (what its `ReplAck`s attest);
+//! * its log — an ordinary [`SegmentedWal`] fed the shipped frames raw
+//!   ([`SegmentedWal::append_frames`]), durable on its own disk under
+//!   its own durability level (what its `ReplAck`s attest);
 //! * an in-memory [`Db`] — the *materialized* replica, built by feeding
 //!   every record through the recovery replay path
 //!   ([`TxnManager::apply_replicated`]) as it arrives. Restart rebuilds
@@ -31,8 +32,9 @@ use std::time::Duration;
 
 use hcc_db::{Db, DbBuilder};
 use hcc_obs::{Counter, Gauge};
-use hcc_storage::wal::read_records;
-use hcc_storage::{Durability, DurableObject, LogRecord, ReplicaLog, ReplicaOptions};
+use hcc_storage::{
+    wal, CommitChain, Durability, DurableObject, LogRecord, SegmentedWal, WalOptions,
+};
 use hcc_wire::conn;
 use hcc_wire::repl::{ReplMsg, REPL_PROTOCOL_VERSION};
 
@@ -50,8 +52,6 @@ pub type ObjectResolver =
 pub struct FollowerOptions {
     /// Token presented in `ReplHello`.
     pub token: String,
-    /// Replica log stripe count (fresh directories only).
-    pub stripes: usize,
     /// Replica log segment rotation threshold.
     pub segment_max_bytes: u64,
     /// Replica log flush mode: `Fsync` makes every `ReplAck` a promise
@@ -66,7 +66,6 @@ impl Default for FollowerOptions {
     fn default() -> FollowerOptions {
         FollowerOptions {
             token: String::new(),
-            stripes: 1,
             segment_max_bytes: 4 * 1024 * 1024,
             durability: Durability::default(),
             reconnect_backoff: Duration::from_millis(50),
@@ -105,7 +104,7 @@ impl Instruments {
 /// Replay state: everything the apply path needs under one lock, so the
 /// stream thread and `promote` never see each other's partial work.
 struct Core {
-    log: ReplicaLog,
+    log: SegmentedWal,
     /// In-progress transactions: ops in arrival (= ticket = execution)
     /// order, keyed by transaction id.
     pending: HashMap<u64, Vec<(u64, Vec<u8>)>>,
@@ -113,8 +112,10 @@ struct Core {
     names: HashMap<u64, String>,
     /// Last ticket fed through the apply path.
     applied: u64,
-    /// Ticket of the last applied commit record (chain check).
-    last_commit: u64,
+    /// The commit-chain rule, fed every shipped commit and abort: the
+    /// same one recovery walks, so replica and recovered site agree on
+    /// which commits count.
+    chain: CommitChain,
     /// Latest `(watermark, ticket)` sample from the primary, applied or
     /// not yet.
     sample: Option<(u64, u64)>,
@@ -149,14 +150,16 @@ impl Follower {
         opts: FollowerOptions,
     ) -> Result<Follower, ReplError> {
         let dir = dir.as_ref().to_path_buf();
-        let log = ReplicaLog::open(
+        let log = SegmentedWal::open(
             &dir,
-            ReplicaOptions {
-                stripes: opts.stripes,
+            WalOptions {
                 segment_max_bytes: opts.segment_max_bytes,
                 durability: opts.durability,
+                stripes: 1,
             },
         )?;
+        // Restart catch-up rides the scan the open just made.
+        let (records, _torn) = log.take_open_image().expect("a fresh open retains its scan");
         let db = Arc::new(Db::in_memory());
         let ins = Instruments::resolve(db.metrics());
         let mut core = Core {
@@ -164,20 +167,18 @@ impl Follower {
             pending: HashMap::new(),
             names: HashMap::new(),
             applied: 0,
-            last_commit: 0,
+            chain: CommitChain::new(0),
             sample: None,
         };
-        // Restart catch-up: everything already durable replays through
-        // the same apply path the live stream uses. The watermark stays
-        // 0 until the first applicable sample arrives — locally there is
-        // no way to know which of these commits the primary had fully
-        // applied.
-        let (records, _torn) = read_records(&dir)?;
+        // Everything already durable replays through the same apply path
+        // the live stream uses. The watermark stays 0 until the first
+        // applicable sample arrives — locally there is no way to know
+        // which of these commits the primary had fully applied.
         for (seq, rec) in records {
             apply_record(&db, &resolver, &mut core, seq, rec).map_err(ReplError::Apply)?;
         }
         ins.applied.set(core.applied as i64);
-        ins.durable.set(core.log.last_ticket() as i64);
+        ins.durable.set(durable_ticket(&core.log) as i64);
         let inner = Arc::new(Inner {
             db,
             dir,
@@ -227,7 +228,7 @@ impl Follower {
 
     /// The last ticket durable in the replica log.
     pub fn durable_ticket(&self) -> u64 {
-        self.inner.core.lock().log.last_ticket()
+        durable_ticket(&self.inner.core.lock().log)
     }
 
     /// Did the apply path hit a non-recoverable fault? (The stream has
@@ -244,42 +245,30 @@ impl Follower {
         }
     }
 
-    /// Promote this replica to a primary: stop the stream, truncate the
-    /// replica log after the last chain-linkable commit, and reopen the
-    /// directory with `builder` — ordinary crash recovery, which
-    /// re-anchors tickets, transaction ids, and the logical clock above
-    /// everything that survived. Returns the promoted, writable `Db`.
+    /// Promote this replica to a primary: stop the stream, cut the log
+    /// above the last chain-linked commit, and reopen the directory with
+    /// `builder` — ordinary crash recovery, which re-anchors tickets,
+    /// transaction ids, and the logical clock above everything that
+    /// survived. Returns the promoted, writable `Db`.
     ///
-    /// Every commit that was durable *and* dependency-closed in the
-    /// replica log survives; a commit whose chain predecessor never
-    /// arrived is cut with everything after it (it could depend on state
-    /// this replica never saw).
+    /// Every commit this replica applied survives (each was linked when
+    /// it was applied, after a restart too); a commit whose chain
+    /// predecessor never arrived poisoned the stream instead of being
+    /// applied, and is cut with everything after it (it could depend on
+    /// state this replica never saw).
     pub fn promote_with(mut self, builder: DbBuilder) -> Result<Db, ReplError> {
         self.stop();
-        let mut core = self.inner.core.lock();
-        let (records, _torn) = read_records(&self.inner.dir)?;
-        let mut cut = 0u64;
-        let mut prev_commit = 0u64;
-        for (seq, rec) in &records {
-            if let LogRecord::Commit { prev, .. } = rec {
-                if *prev != prev_commit {
-                    break;
-                }
-                cut = *seq;
-                prev_commit = *seq;
-            }
-        }
-        core.log.truncate_above(cut)?;
+        let cut = self.inner.core.lock().chain.last_linked();
         self.inner.ins.promotions.inc();
-        drop(core);
         let dir = self.inner.dir.clone();
-        drop(self); // close replica log handles before the store reopens
+        drop(self); // close the log's handles before it is cut and reopened
+        wal::truncate_above(&dir, cut)?;
         builder.open(dir).map_err(|e| ReplError::Refused(format!("promotion open failed: {e}")))
     }
 
     /// [`Follower::promote_with`] using default builder settings plus
-    /// `HCC_DURABILITY` / `HCC_WAL_STRIPES` overrides — how the crash
-    /// harness promotes under its matrix.
+    /// the `HCC_DURABILITY` / `HCC_WAL_STRIPES` overrides for the
+    /// promoted `Db` — how the crash harness promotes under its matrix.
     pub fn promote(self) -> Result<Db, ReplError> {
         self.promote_with(Db::builder().env_overrides())
     }
@@ -289,6 +278,11 @@ impl Drop for Follower {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// The last ticket in the follower's log (0 = empty).
+fn durable_ticket(log: &SegmentedWal) -> u64 {
+    log.current_ticket().saturating_sub(1)
 }
 
 /// Apply one shipped record to the in-memory replica. Commits go through
@@ -312,13 +306,14 @@ fn apply_record(
         }
         LogRecord::Abort { txn } => {
             core.pending.remove(&txn);
+            core.chain.abort_at(seq);
         }
         LogRecord::Commit { txn, ts, ops, prev } => {
-            if prev != core.last_commit {
+            let end = core.chain.last_linked();
+            if !core.chain.link(seq, prev) {
                 return Err(format!(
-                    "commit {txn} links to predecessor ticket {prev}, but the last applied \
-                     commit here is {} — the stream skipped a commit",
-                    core.last_commit
+                    "commit {txn} links to predecessor ticket {prev}, but the chain here ends \
+                     at {end} — the stream skipped a commit"
                 ));
             }
             let logged = core.pending.remove(&txn).unwrap_or_default();
@@ -349,7 +344,6 @@ fn apply_record(
             db.manager()
                 .apply_replicated(txn, ts, &resolved)
                 .map_err(|e| format!("replay of txn {txn} failed: {e}"))?;
-            core.last_commit = seq;
         }
     }
     core.applied = core.applied.max(seq);
@@ -388,7 +382,7 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
     let hello = ReplMsg::Hello {
         version: REPL_PROTOCOL_VERSION,
         token: inner.opts.token.clone(),
-        last_ticket: inner.core.lock().log.last_ticket(),
+        last_ticket: durable_ticket(&inner.core.lock().log),
     };
     tx.send(0, &hello)?;
     rx.set_read_timeout(Some(Duration::from_millis(200)))?;
@@ -407,35 +401,30 @@ fn stream_once(inner: &Arc<Inner>, addr: &str) -> Result<(), ReplError> {
             ReplMsg::Welcome { .. } => {}
             ReplMsg::Fault { detail } => return Err(ReplError::Refused(detail)),
             ReplMsg::Batch { watermark, ticket, frames } => {
-                let mut frame_count = 0u64;
-                let durable = {
+                let (durable, fresh) = {
                     let mut core = inner.core.lock();
                     // Durable first, then applied: an ack never promises
-                    // more than the disk holds.
-                    let durable = core.log.append_frames(&frames)?;
-                    let mut at = 0usize;
-                    while at < frames.len() {
-                        let (fseq, rec, end) = hcc_storage::record::decode_at(&frames, at)
-                            .map_err(|e| ReplError::Apply(format!("undecodable frame: {e:?}")))?;
-                        if fseq > core.applied {
-                            apply_record(&inner.db, &inner.resolver, &mut core, fseq, rec)
-                                .map_err(ReplError::Apply)?;
-                        }
-                        at = end;
-                        frame_count += 1;
+                    // more than the disk holds. The log hands back what it
+                    // appended, decoded — re-deliveries are already gone.
+                    let records = core.log.append_frames(&frames)?;
+                    let fresh = records.len() as u64;
+                    for (fseq, rec) in records {
+                        apply_record(&inner.db, &inner.resolver, &mut core, fseq, rec)
+                            .map_err(ReplError::Apply)?;
                     }
                     core.sample = Some((watermark, ticket));
                     if core.applied >= ticket {
                         inner.db.manager().witness_replicated_watermark(watermark);
                         inner.ins.watermark.set(watermark as i64);
                     }
+                    let durable = durable_ticket(&core.log);
                     inner.ins.applied.set(core.applied as i64);
                     inner.ins.durable.set(durable as i64);
                     inner.ins.lag.set(ticket.saturating_sub(core.applied) as i64);
-                    durable
+                    (durable, fresh)
                 };
                 inner.ins.batches.inc();
-                inner.ins.applied_frames.add(frame_count);
+                inner.ins.applied_frames.add(fresh);
                 seq += 1;
                 tx.send(seq, &ReplMsg::Ack { ticket: durable })?;
             }

@@ -4,10 +4,10 @@
 //! primary tails its own striped WAL ([`hcc_storage::WalTailer`]),
 //! merges frames into global **ticket order**, and streams the raw
 //! `len|crc|seq|payload` envelopes over the network protocol
-//! ([`hcc_wire::repl`]). The follower appends the verified frames into
-//! its own striped replica log ([`hcc_storage::ReplicaLog`]) — on disk,
-//! byte-compatible with a primary WAL — and applies committed
-//! transactions through the **recovery replay path**
+//! ([`hcc_wire::repl`]). The follower's log is the WAL's own writer — a
+//! [`hcc_storage::SegmentedWal`] fed the verified frames raw
+//! (`append_frames`), so on disk it *is* a primary WAL — and it applies
+//! committed transactions through the **recovery replay path**
 //! ([`hcc_txn::TxnManager::apply_replicated`], i.e. the same
 //! `replay_object_ops` that crash recovery uses). Pinned-response replay
 //! is what makes applying in ticket order sound: conflicting
@@ -29,17 +29,20 @@
 //! without an earlier one. [`Follower`] feeds applicable samples into
 //! [`hcc_txn::TxnManager::witness_replicated_watermark`]; reads on the
 //! follower's [`hcc_db::Db`] then go through the ordinary wait-free
-//! snapshot read path at that mark.
+//! snapshot read path at that mark — and a witnessed mark is a standing
+//! fold floor on the follower, so a replica that lags still answers at
+//! its own watermark.
 //!
 //! ## Promotion
 //!
 //! [`Follower::promote`] turns the replica directory into a primary:
-//! stop the stream, walk the commit chain (`Commit.prev` links every
-//! commit to the previous commit ticket store-wide), truncate the log
-//! above the last chain-linkable commit, and reopen the directory with
-//! ordinary recovery — which re-anchors the transaction-id space and the
-//! logical clock above everything durable. Every fsync-acked commit the
-//! follower had durably acked survives.
+//! stop the stream, cut the log above the last chain-linked commit
+//! (`Commit.prev` links every commit to the previous commit ticket
+//! store-wide; [`hcc_storage::CommitChain`] is the one rule that reads
+//! it, for recovery and for the follower's streaming apply alike), and
+//! reopen the directory with ordinary recovery — which re-anchors the
+//! transaction-id space and the logical clock above everything durable.
+//! Every fsync-acked commit the follower had durably acked survives.
 //!
 //! Metrics land in the `repl.*` family (primary side in the primary
 //! `Db`'s registry, follower side in the follower's); `obscheck`

@@ -6,12 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcc_adts::counter::CounterObject;
+use hcc_adts::counter::{CounterAdt, CounterInv, CounterObject, CounterRes};
+use hcc_core::runtime::RuntimeAdt;
 use hcc_db::Db;
 use hcc_repl::{Follower, FollowerOptions, ObjectResolver, Primary, PrimaryOptions};
 use hcc_storage::record;
 use hcc_storage::wal::read_records;
-use hcc_storage::DurableObject;
+use hcc_storage::{DurableObject, DurableStore, LogRecord};
 
 fn tmp(name: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -49,9 +50,8 @@ fn fast_primary_opts() -> PrimaryOptions {
     PrimaryOptions { poll_interval: Duration::from_millis(1), ..PrimaryOptions::default() }
 }
 
-fn follower_opts(stripes: usize) -> FollowerOptions {
+fn follower_opts() -> FollowerOptions {
     FollowerOptions {
-        stripes,
         segment_max_bytes: 4096,
         reconnect_backoff: Duration::from_millis(10),
         ..FollowerOptions::default()
@@ -118,7 +118,7 @@ fn follower_converges_with_byte_identical_log_prefix() {
     )
     .unwrap();
     let follower =
-        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts(2))
+        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
             .unwrap();
 
     run_counter_load(&db, 40);
@@ -173,7 +173,7 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
     // Phase 1: converge on some history, then kill the follower
     // (stop + hand-tear its replica log tail, simulating a SIGKILL
     // mid-`ReplBatch` append).
-    let follower = Follower::start(&rdir, &addr, resolver(), follower_opts(2)).unwrap();
+    let follower = Follower::start(&rdir, &addr, resolver(), follower_opts()).unwrap();
     run_counter_load(&db, 20);
     db.storage().unwrap().sync().unwrap();
     await_convergence(&db, &follower);
@@ -201,7 +201,7 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
     // Phase 2: restart on the same directory. Open repairs the torn
     // tail, `Hello{last_ticket}` re-requests from the durable position,
     // and the stream converges byte-identically.
-    let follower = Follower::start(&rdir, &addr, resolver(), follower_opts(2)).unwrap();
+    let follower = Follower::start(&rdir, &addr, resolver(), follower_opts()).unwrap();
     await_convergence(&db, &follower);
     let cut = follower.durable_ticket();
     assert_eq!(log_prefix_bytes(&pdir, cut), log_prefix_bytes(&rdir, cut));
@@ -233,7 +233,7 @@ fn promotion_preserves_replicated_commits_and_accepts_writes() {
     )
     .unwrap();
     let follower =
-        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts(4))
+        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
             .unwrap();
     run_counter_load(&db, 30);
     db.storage().unwrap().sync().unwrap();
@@ -264,6 +264,80 @@ fn promotion_preserves_replicated_commits_and_accepts_writes() {
     let reopened = Db::builder().segment_max_bytes(4096).open(&rdir).unwrap();
     let c1 = reopened.object::<CounterObject>("c1").unwrap();
     assert_eq!(c1.committed_value(), 35);
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// One rule decides which logged commits count — recovery's, the
+/// follower's streaming apply and promotion's cut all ask the same
+/// `CommitChain`. The log here holds the case they used to disagree on:
+/// commit ticket 5 failed, its compensating abort reused the ticket, and
+/// the next commit chains to it (`prev` 5). Recovery always accepted
+/// that; the follower's private copy of the rule poisoned the replica
+/// for good, and promotion's copy cut the acknowledged, replicated
+/// commit at ticket 8 away.
+#[test]
+fn standin_abort_links_the_chain_for_recovery_follower_and_promotion_alike() {
+    let pdir = tmp("chain-primary");
+    let rdir = tmp("chain-replica");
+    let inc = CounterAdt.redo(&CounterInv::Inc(1), &CounterRes::Ok).unwrap();
+    let op = |txn| LogRecord::Op { txn, obj: 1, op: inc.clone() };
+    let log: Vec<u8> = [
+        LogRecord::Register { id: 1, name: "c1".into() },
+        op(1),
+        LogRecord::Commit { txn: 1, ts: 1, ops: 1, prev: 0 },
+        op(2),
+        LogRecord::Abort { txn: 2 }, // at ticket 5, where txn 2's commit failed
+        LogRecord::Begin { txn: 3 },
+        op(3),
+        LogRecord::Commit { txn: 3, ts: 3, ops: 1, prev: 5 },
+    ]
+    .iter()
+    .zip(1u64..)
+    .flat_map(|(rec, seq)| record::encode(rec, seq))
+    .collect();
+    let sdir = pdir.join("stripe-00");
+    std::fs::create_dir_all(&sdir).unwrap();
+    std::fs::write(sdir.join("seg-00000001.wal"), log).unwrap();
+
+    // (i) Recovery keeps both commits.
+    let recovered = DurableStore::recover(&pdir).unwrap();
+    assert_eq!(recovered.committed.iter().map(|c| c.txn).collect::<Vec<_>>(), vec![1, 3]);
+    assert!(recovered.incomplete.is_empty());
+
+    // (ii) A follower streaming that log converges un-poisoned and serves
+    // the second commit.
+    let mut primary = Primary::start(
+        "127.0.0.1:0",
+        &pdir,
+        Arc::new(|| (3, 8)),
+        &hcc_obs::Registry::new(),
+        fast_primary_opts(),
+    )
+    .unwrap();
+    let follower =
+        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
+            .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while follower.watermark() < 3 {
+        assert!(!follower.poisoned(), "the replica refused a commit recovery accepts");
+        assert!(Instant::now() < deadline, "no convergence: at {}", follower.durable_ticket());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(follower.durable_ticket(), 8);
+    let c1 = follower.db().object::<CounterObject>("c1").unwrap();
+    assert_eq!(c1.state_at(3).unwrap(), 2);
+    primary.stop();
+
+    // (iii) Promotion keeps it too.
+    let promoted = follower.promote_with(Db::builder()).unwrap();
+    assert_eq!(promoted.object::<CounterObject>("c1").unwrap().committed_value(), 2);
+    drop(promoted);
+    let (records, _) = read_records(&rdir).unwrap();
+    assert!(
+        records.iter().any(|(seq, rec)| *seq == 8 && matches!(rec, LogRecord::Commit { .. })),
+        "promotion cut an acknowledged commit"
+    );
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }

@@ -23,9 +23,10 @@
 //! * [`store`] — [`DurableStore`], the façade `hcc-txn`'s manager logs
 //!   through, plus [`DurableStore::recover`];
 //! * [`tail`] — [`WalTailer`], an incremental ticket-ordered reader over
-//!   a live striped WAL (the replication shipper's source);
-//! * [`replica`] — [`ReplicaLog`], the follower's striped append log,
-//!   byte-compatible with a primary WAL so promotion is plain recovery.
+//!   a live striped WAL (the replication shipper's source). The
+//!   follower's log is the same [`SegmentedWal`], fed the shipped frames
+//!   raw ([`SegmentedWal::append_frames`]), so promotion is a
+//!   [`wal::truncate_above`] plus plain recovery.
 //!
 //! The durability knob ([`Durability`]: None / Buffered / Fsync) is defined
 //! in `hcc-core`'s `RuntimeOptions` and re-exported here; see
@@ -35,7 +36,6 @@
 pub mod checkpoint;
 pub mod policy;
 pub mod record;
-pub mod replica;
 pub mod snapshot;
 pub mod store;
 pub mod tail;
@@ -45,11 +45,10 @@ pub use checkpoint::Checkpoint;
 pub use hcc_core::runtime::Durability;
 pub use policy::{CompactMode, CompactionPolicy, LogStats};
 pub use record::LogRecord;
-pub use replica::{ReplicaLog, ReplicaOptions};
 pub use snapshot::{DurableObject, Snapshot, SnapshotError};
 pub use store::{
-    durability_env_override, stripes_env_override, CheckpointCursor, CommittedTxn, DurableStore,
-    InDoubtTxn, Recovered, StorageOptions,
+    durability_env_override, stripes_env_override, CheckpointCursor, CommitChain, CommittedTxn,
+    DurableStore, InDoubtTxn, Recovered, StorageOptions,
 };
 pub use tail::{TailOptions, WalTailer};
 pub use wal::{SegmentedWal, WalOptions};

@@ -184,6 +184,57 @@ pub struct CheckpointCursor {
     pub stripe_cuts: Vec<u64>,
 }
 
+/// The commit-chain rule: which logged commit records count.
+///
+/// Every commit record carries `prev`, the ticket of the commit chained
+/// before it store-wide. A commit is *linked* when `prev` resolves — to
+/// the checkpoint's chain watermark (the floor), to the last linked
+/// commit, or to an abort record that reused a failed commit's chain
+/// ticket (a dead but valid link). Anything else is a hole: an earlier
+/// commit record is missing, so this commit — and, transitively,
+/// everything chained past it — was never acknowledged-and-depended-on
+/// consistently and must not replay. Records are offered in ticket
+/// order; recovery walks a whole log image through it, a replication
+/// follower one shipped record at a time, and both get the same answer.
+#[derive(Clone, Debug, Default)]
+pub struct CommitChain {
+    floor: u64,
+    last: u64,
+    /// Tickets of abort records seen since the last linked commit — the
+    /// only ones a later `prev` can still name (the chain is linear).
+    aborts: HashSet<u64>,
+}
+
+impl CommitChain {
+    /// A chain whose links at or below `floor` are taken on trust (the
+    /// checkpoint's recorded chain watermark; `0` for a whole log).
+    pub fn new(floor: u64) -> CommitChain {
+        CommitChain { floor, ..CommitChain::default() }
+    }
+
+    /// The ticket of the last linked commit (0 = none yet) — where a
+    /// promotion cuts the log.
+    pub fn last_linked(&self) -> u64 {
+        self.last
+    }
+
+    /// An abort record sits at ticket `seq`.
+    pub fn abort_at(&mut self, seq: u64) {
+        self.aborts.insert(seq);
+    }
+
+    /// Offer the commit record at ticket `seq` chained after `prev`;
+    /// `true` when it is linked (and becomes the chain's new end).
+    pub fn link(&mut self, seq: u64, prev: u64) -> bool {
+        let linked = prev <= self.floor || prev == self.last || self.aborts.contains(&prev);
+        if linked {
+            self.last = seq;
+            self.aborts.clear();
+        }
+        linked
+    }
+}
+
 /// A WAL + checkpoint store + compaction policy rooted at one directory.
 pub struct DurableStore {
     dir: PathBuf,
@@ -339,8 +390,8 @@ impl DurableStore {
     /// identical to [`DurableStore::recover`] on the same directory, but
     /// served from the image the open already decoded, so the log is
     /// scanned once, not twice. Returns `Some` exactly once; `None`
-    /// after it was claimed or after [`DurableStore::mark_state_absorbed`]
-    /// dropped it (callers then fall back to the static re-read).
+    /// after it was claimed, or after [`DurableStore::mark_state_absorbed`]
+    /// or the first append dropped it.
     pub fn take_recovered(&self) -> Result<Option<Recovered>, StorageError> {
         self.open_image_present.store(false, Ordering::Relaxed);
         let image =
@@ -353,18 +404,6 @@ impl DurableStore {
             }
             None => Ok(None),
         }
-    }
-
-    /// Re-read the durable state from disk through this instance —
-    /// byte-equal to the static [`DurableStore::recover`], but the
-    /// recovery totals (`recovery.*`) land in this store's metric
-    /// registry. The fallback when the open-time image was already
-    /// claimed or released.
-    pub fn reread_recovered(&self) -> Result<Recovered, StorageError> {
-        let checkpoint = Checkpoint::load_latest(&self.dir)?;
-        let (records, torn_tail) = read_records(&self.dir)?;
-        self.metrics.counter("recovery.segments_scanned").add(self.wal.stats().segments);
-        assemble_recovered(checkpoint, records, torn_tail, Some(&self.metrics))
     }
 
     /// Attest that the caller's live objects reflect every commit at or
@@ -672,11 +711,16 @@ fn assemble_recovered(
     let mut aborted: HashSet<u64> = HashSet::new();
     let mut completed: HashSet<u64> = HashSet::new();
     let mut op_counts: HashMap<u64, u32> = HashMap::new();
-    // Commit records in ticket (chain) order, plus the tickets of
-    // abort records (a compensating abort reuses a failed commit's
-    // chain ticket, keeping the chain linkable through it).
-    let mut commit_nodes: Vec<(u64, u64, u64, u64)> = Vec::new(); // (seq, txn, ts, prev)
-    let mut abort_tickets: HashSet<u64> = HashSet::new();
+    // The commit-chain walk ([`CommitChain`]), in ticket order as the
+    // records go by: a hole means a stripe's crash tail took an earlier
+    // commit record than one that survived elsewhere, and the unlinked
+    // commit is dropped with everything chained past it — exactly the
+    // "a tail cut removes a suffix" semantics of a single-stream log,
+    // reconstructed across stripes.
+    let chain_floor = checkpoint.as_ref().map_or(0, |c| c.commit_chain);
+    let mut chain = CommitChain::new(chain_floor);
+    let mut commits: BTreeMap<u64, u64> = BTreeMap::new(); // ts -> txn
+    let mut incomplete = Vec::new();
     for (seq, rec) in records {
         match rec {
             LogRecord::Begin { .. } => {}
@@ -696,51 +740,36 @@ fn assemble_recovered(
                 // below it carries no new obligation.
                 let c = op_counts.entry(txn).or_insert(0);
                 *c = (*c).max(n);
-                commit_nodes.push((seq, txn, ts, prev));
+                if seq <= chain_floor {
+                    // Pinned pre-checkpoint record: absorbed in the
+                    // snapshots, never replayed; not part of the walk.
+                    continue;
+                }
+                if !chain.link(seq, prev) {
+                    incomplete.push(txn);
+                    continue;
+                }
+                if ts > ckpt_ts {
+                    if let Some(first) = commits.insert(ts, txn) {
+                        if first != txn {
+                            // Silently keeping either transaction would
+                            // drop the other's acknowledged effects.
+                            return Err(StorageError::TimestampCollision {
+                                ts,
+                                first,
+                                second: txn,
+                            });
+                        }
+                    }
+                }
             }
             LogRecord::Abort { txn } => {
                 ops.remove(&txn);
                 aborted.insert(txn);
                 completed.insert(txn);
-                abort_tickets.insert(seq);
+                chain.abort_at(seq);
             }
             LogRecord::Register { .. } => {}
-        }
-    }
-
-    // The commit-chain walk: a commit is *durably linked* when its
-    // `prev` pointer resolves — to the checkpoint's chain watermark,
-    // to another linked commit, or to an abort that reused a failed
-    // commit's ticket. A hole means a stripe's crash tail took an
-    // earlier commit record than one that survived elsewhere; the
-    // unlinked commit (and transitively everything chained past the
-    // hole) was never acknowledged-and-depended-on consistently, so
-    // it is dropped — exactly the "a tail cut removes a suffix"
-    // semantics of a single-stream log, reconstructed across stripes.
-    let chain_floor = checkpoint.as_ref().map(|c| c.commit_chain).unwrap_or(0);
-    let mut linked: HashSet<u64> = HashSet::new();
-    let mut commits: BTreeMap<u64, u64> = BTreeMap::new(); // ts -> txn
-    let mut incomplete = Vec::new();
-    for &(seq, txn, ts, prev) in &commit_nodes {
-        if seq <= chain_floor {
-            // Pinned pre-checkpoint record: absorbed in the
-            // snapshots, never replayed; not part of the walk.
-            continue;
-        }
-        let ok = prev <= chain_floor || linked.contains(&prev) || abort_tickets.contains(&prev);
-        if !ok {
-            incomplete.push(txn);
-            continue;
-        }
-        linked.insert(seq);
-        if ts > ckpt_ts {
-            if let Some(first) = commits.insert(ts, txn) {
-                if first != txn {
-                    // Silently keeping either transaction would drop
-                    // the other's acknowledged effects.
-                    return Err(StorageError::TimestampCollision { ts, first, second: txn });
-                }
-            }
         }
     }
 
@@ -1159,6 +1188,37 @@ mod tests {
         assert_eq!(recovered.incomplete, vec![4], "txn 4 is beyond the durable horizon");
         assert_eq!(recovered.in_doubt.len(), 1, "txn 3 reverts to in-doubt (ops, no outcome)");
         assert_eq!(recovered.in_doubt[0].txn, 3);
+    }
+
+    /// The link rule itself, record by record — what recovery's batch walk
+    /// and a follower's streaming apply both ask.
+    #[test]
+    fn commit_chain_links_through_floor_predecessor_and_standin_abort() {
+        let mut chain = CommitChain::new(0);
+        assert!(chain.link(3, 0), "first commit links to the empty floor");
+        assert!(chain.link(4, 3), "predecessor is the last linked commit");
+        assert_eq!(chain.last_linked(), 4);
+        // Commit ticket 6 failed; its compensating abort reused the
+        // ticket, so the successor chained to 6 still links.
+        chain.abort_at(5); // an ordinary abort: names nobody's `prev`
+        chain.abort_at(6);
+        assert!(chain.link(9, 6), "an abort may stand in for a failed commit");
+        assert_eq!(chain.last_linked(), 9);
+        // A hole: 12 chains to 11, which never arrived. It and everything
+        // chained past it stay out, and the chain end does not move.
+        assert!(!chain.link(12, 11));
+        assert!(!chain.link(14, 12), "chained past the hole");
+        assert!(!chain.link(15, 6), "a consumed stand-in cannot link twice");
+        assert_eq!(chain.last_linked(), 9);
+        assert!(chain.link(16, 9), "the chain resumes only from its linked end");
+
+        // Above a checkpoint, links at or below the recorded chain
+        // watermark are taken on trust (their records may be pruned).
+        let mut chain = CommitChain::new(20);
+        assert!(chain.link(23, 20));
+        assert!(chain.link(25, 23));
+        assert!(!chain.link(30, 27));
+        assert_eq!(chain.last_linked(), 25);
     }
 
     /// The single-scan open: a reopened store hands its open-time image

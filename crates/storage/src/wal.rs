@@ -883,6 +883,71 @@ impl SegmentedWal {
         }
     }
 
+    /// Feed the log a batch of concatenated raw frames that already
+    /// carry their tickets — the replication follower's append. The
+    /// whole batch is verified first (every CRC, strictly ascending
+    /// `seq`) and a bad batch is refused with **nothing** appended, so
+    /// the caller's applied position can never part from the log's.
+    /// Frames at or below the last ticket are re-deliveries and are
+    /// skipped; the rest are appended byte for byte, in arrival order,
+    /// to stripe 0 (one ordered feed has nothing to parallelise — and
+    /// it keeps every stripe file ticket-ascending, which is what lets
+    /// [`truncate_above`] cut a clean suffix). One flush per batch, an
+    /// fsync under `Durability::Fsync`, and the ticket counter ends
+    /// above the batch. Returns the freshly appended records, decoded,
+    /// in ticket order.
+    pub fn append_frames(&self, frames: &[u8]) -> Result<Vec<(u64, LogRecord)>, StorageError> {
+        let stripe = &self.stripes[0];
+        let mut inner = stripe.lock_inner();
+        let last = self.current_ticket().saturating_sub(1);
+        let mut fresh = Vec::new();
+        // Fresh frames are a suffix of the batch: where it starts, and
+        // where each of its frames ends.
+        let mut start = frames.len();
+        let mut ends = Vec::new();
+        let mut at = 0usize;
+        let mut prev = 0u64;
+        while at < frames.len() {
+            let (seq, rec, end) = record::decode_at(frames, at).map_err(|e| bad_batch(at, e))?;
+            if seq <= prev {
+                return Err(bad_batch(at, FrameError::Malformed));
+            }
+            prev = seq;
+            if seq > last {
+                start = start.min(at);
+                ends.push(end);
+                fresh.push((seq, rec));
+            }
+            at = end;
+        }
+        // The raw twin of `Stripe::append_locked`: rotation, sizes and
+        // positions are kept; the compaction-policy counters and the
+        // live-transaction pins are not — a fed log is never
+        // checkpointed in place.
+        for end in ends {
+            if inner.seg_bytes >= self.opts.segment_max_bytes {
+                stripe.rotate_locked(&mut inner)?;
+            }
+            stripe.ins.appends.inc();
+            inner.next_pos += 1;
+            inner.buf.extend_from_slice(&frames[start..end]);
+            inner.seg_bytes += (end - start) as u64;
+            inner.total_bytes += (end - start) as u64;
+            start = end;
+        }
+        Stripe::flush_locked(&mut inner)?;
+        drop(inner);
+        if let Some((seq, _)) = fresh.last() {
+            self.witness_ticket(seq + 1);
+        }
+        // Re-deliveries sync too (an earlier batch's fsync may be what
+        // failed); an empty batch — a heartbeat — has nothing to.
+        if self.opts.durability == Durability::Fsync && !frames.is_empty() {
+            self.sync()?;
+        }
+        Ok(fresh)
+    }
+
     /// Flush every stripe's buffer and fsync its active segment.
     pub fn sync(&self) -> Result<(), StorageError> {
         for stripe in &self.stripes {
@@ -1064,6 +1129,70 @@ pub fn read_records(dir: &Path) -> Result<(Vec<(u64, LogRecord)>, bool), Storage
     // history no matter how appends interleaved across stripes.
     out.sort_by_key(|(seq, _)| *seq);
     Ok((out, torn))
+}
+
+/// Physically drop every frame with `seq > ticket` from the closed log
+/// under `dir` — the promotion cut. Per stripe directory: truncate at the
+/// first frame above `ticket`, delete every later segment, fsync the file
+/// and the directory. Sound only where each stripe file is
+/// ticket-ascending (a log built by [`SegmentedWal::append_frames`]); a
+/// frame at or below `ticket` found past a cut point would be silently
+/// destroyed, so it is reported as [`StorageError::Corrupt`] before any
+/// stripe is touched.
+pub fn truncate_above(dir: &Path, ticket: u64) -> Result<(), StorageError> {
+    let mut cuts = Vec::new(); // (stripe dir, its segments, cut segment, cut byte offset)
+    for (_, sdir) in stripe_dirs(dir)? {
+        let segments = list_segments(&sdir)?;
+        let last_index = segments.last().map(|(i, _)| *i);
+        let mut cut: Option<(u64, u64)> = None;
+        for (index, path) in &segments {
+            let bytes = fs::read(path)?;
+            let mut walk = record::walk_meta(&bytes);
+            for (meta, range) in walk.by_ref() {
+                if meta.seq > ticket {
+                    cut.get_or_insert((*index, range.start as u64));
+                } else if cut.is_some() {
+                    return Err(StorageError::Corrupt {
+                        segment: *index,
+                        detail: format!(
+                            "ticket {} follows the cut above {ticket}: stripe is not \
+                             ticket-ascending",
+                            meta.seq
+                        ),
+                    });
+                }
+            }
+            // A torn tail in the final segment is the next open's repair.
+            if let (Some(e), true) = (walk.error(), Some(*index) != last_index) {
+                return Err(StorageError::Corrupt {
+                    segment: *index,
+                    detail: format!("{e:?} in non-final segment"),
+                });
+            }
+        }
+        if let Some((cut_seg, cut_off)) = cut {
+            cuts.push((sdir, segments, cut_seg, cut_off));
+        }
+    }
+    for (sdir, segments, cut_seg, cut_off) in cuts {
+        for (index, path) in &segments {
+            if *index > cut_seg {
+                fs::remove_file(path)?;
+            }
+        }
+        let f = OpenOptions::new().write(true).open(segment_path(&sdir, cut_seg))?;
+        f.set_len(cut_off)?;
+        f.sync_data()?;
+        sync_dir(&sdir)?;
+    }
+    Ok(())
+}
+
+fn bad_batch(offset: usize, err: FrameError) -> StorageError {
+    StorageError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("replication batch rejected at byte {offset}: {err:?}"),
+    ))
 }
 
 #[cfg(test)]
@@ -1430,5 +1559,152 @@ mod tests {
         let odd_ops =
             plain.iter().filter(|r| matches!(r, LogRecord::Op { obj, .. } if obj % 2 == 1)).count();
         assert!(odd_ops < 5, "stripe 1 lost a suffix");
+    }
+
+    // ---- externally ticketed feed (the replication follower's log) ----
+
+    fn frame(seq: u64) -> Vec<u8> {
+        record::encode(&LogRecord::Begin { txn: seq }, seq)
+    }
+
+    fn batch(seqs: &[u64]) -> Vec<u8> {
+        seqs.iter().flat_map(|&s| frame(s)).collect()
+    }
+
+    fn fed_opts() -> WalOptions {
+        WalOptions { segment_max_bytes: 128, durability: Durability::Buffered, stripes: 1 }
+    }
+
+    fn seqs_on_disk(dir: &Path) -> Vec<u64> {
+        read_records(dir).unwrap().0.iter().map(|(s, _)| *s).collect()
+    }
+
+    #[test]
+    fn append_frames_rotate_and_reload() {
+        let dir = tmp("fed-basic");
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        let all: Vec<u64> = (1..=50).collect();
+        let fresh = wal.append_frames(&batch(&all)).unwrap();
+        assert_eq!(fresh.iter().map(|(s, _)| *s).collect::<Vec<_>>(), all, "decoded once");
+        assert!(matches!(fresh[6].1, LogRecord::Begin { txn: 7 }));
+        assert_eq!(wal.current_ticket(), 51);
+        assert!(wal.current_segment(0) > 2, "a batch rotates frame by frame");
+        drop(wal);
+        // The raw bytes landed unchanged: the log *is* the batch.
+        let sdir = stripe_dir(&dir, 0);
+        let on_disk: Vec<u8> =
+            list_segments(&sdir).unwrap().iter().flat_map(|(_, p)| fs::read(p).unwrap()).collect();
+        assert_eq!(on_disk, batch(&all));
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        assert_eq!(wal.current_ticket(), 51);
+        assert_eq!(wal.take_open_image().unwrap().0.len(), 50, "one scan serves the restart");
+    }
+
+    #[test]
+    fn redelivered_frames_are_skipped_idempotently() {
+        let dir = tmp("fed-idem");
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        wal.append_frames(&batch(&[1, 2, 3])).unwrap();
+        // A reconnect replays an overlapping window: only the new part
+        // is appended, and only the new part is handed back.
+        let fresh = wal.append_frames(&batch(&[2, 3, 4, 5])).unwrap();
+        assert_eq!(fresh.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![4, 5]);
+        assert!(wal.append_frames(&batch(&[4, 5])).unwrap().is_empty());
+        assert_eq!(seqs_on_disk(&dir), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn corrupt_frame_refuses_the_whole_batch() {
+        let dir = tmp("fed-poison");
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        wal.append_frames(&batch(&[1])).unwrap();
+        let mut b = batch(&[2, 3]);
+        let flip = frame(2).len() + 12; // inside frame 3's body
+        b[flip] ^= 0xff;
+        assert!(wal.append_frames(&b).is_err());
+        // Nothing of the bad batch landed — not even the sound frame 2
+        // ahead of the damage — so "appended" and "handed back" agree.
+        assert_eq!(wal.current_ticket(), 2);
+        assert_eq!(seqs_on_disk(&dir), vec![1]);
+        // The re-dialled stream redelivers from the durable position.
+        wal.append_frames(&batch(&[2, 3])).unwrap();
+        assert_eq!(seqs_on_disk(&dir), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn out_of_order_batches_are_refused() {
+        let dir = tmp("fed-order");
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        assert!(wal.append_frames(&batch(&[5, 4])).is_err());
+        assert!(wal.append_frames(&batch(&[5, 5])).is_err());
+        assert!(seqs_on_disk(&dir).is_empty());
+    }
+
+    #[test]
+    fn torn_tail_is_repaired_on_open() {
+        let dir = tmp("fed-torn");
+        let wal =
+            SegmentedWal::open(&dir, WalOptions { durability: Durability::Fsync, ..fed_opts() })
+                .unwrap();
+        wal.append_frames(&batch(&(1..=9).collect::<Vec<_>>())).unwrap();
+        drop(wal);
+        let (_, seg) = list_segments(&stripe_dir(&dir, 0)).unwrap().pop().unwrap();
+        let len = fs::metadata(&seg).unwrap().len();
+        OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 5).unwrap();
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        assert_eq!(wal.current_ticket(), 9, "torn frame 9 dropped");
+        // The stream resumes from the durable position.
+        wal.append_frames(&batch(&[9, 10])).unwrap();
+        assert_eq!(seqs_on_disk(&dir), (1..=10).collect::<Vec<_>>());
+    }
+
+    /// Lay frames out the way the retired striped replica log did
+    /// (`stripe = seq % n`, one segment each), so the cut is held against
+    /// directories older followers wrote.
+    fn legacy_replica_dir(dir: &Path, stripes: u64, seqs: std::ops::RangeInclusive<u64>) {
+        for s in 0..stripes {
+            let sdir = stripe_dir(dir, s as usize);
+            fs::create_dir_all(&sdir).unwrap();
+            let bytes: Vec<u8> =
+                seqs.clone().filter(|q| q % stripes == s).flat_map(frame).collect();
+            fs::write(segment_path(&sdir, 1), bytes).unwrap();
+        }
+    }
+
+    #[test]
+    fn truncate_above_cuts_every_stripe_suffix() {
+        let dir = tmp("fed-cut");
+        legacy_replica_dir(&dir, 3, 1..=40);
+        truncate_above(&dir, 17).unwrap();
+        assert_eq!(seqs_on_disk(&dir), (1..=17).collect::<Vec<_>>());
+        truncate_above(&dir, 17).unwrap(); // nothing above: a no-op
+
+        // Whole later segments go too, and the log keeps appending
+        // cleanly after the cut.
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        assert_eq!(wal.current_ticket(), 18);
+        wal.append_frames(&batch(&(18..=40).collect::<Vec<_>>())).unwrap();
+        assert!(wal.current_segment(0) > 2);
+        drop(wal);
+        truncate_above(&dir, 19).unwrap();
+        assert_eq!(seqs_on_disk(&dir), (1..=19).collect::<Vec<_>>());
+        assert_eq!(list_segments(&stripe_dir(&dir, 0)).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn truncate_above_refuses_a_stripe_that_is_not_ticket_ascending() {
+        let dir = tmp("fed-cut-order");
+        legacy_replica_dir(&dir, 2, 1..=8);
+        // A primary's stripe may hold ticket 3 *after* ticket 5 (reserve
+        // under the object lock, append outside it): a suffix cut there
+        // would destroy a record it was asked to keep.
+        let sdir = stripe_dir(&dir, 1);
+        fs::write(segment_path(&sdir, 1), batch(&[1, 5, 3, 7])).unwrap();
+        let before = seqs_on_disk(&dir);
+        match truncate_above(&dir, 4) {
+            Err(StorageError::Corrupt { .. }) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(seqs_on_disk(&dir), before, "a refused cut touches no stripe");
     }
 }

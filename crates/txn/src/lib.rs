@@ -12,18 +12,20 @@
 //!   two-phase protocol over every object the transaction touched, so a
 //!   transaction never commits at some objects and aborts at others. The
 //!   manager is also the **redo sink** its objects self-log through
-//!   (`object_options` binds them), and [`registry`] replays a recovered
-//!   log back into registered objects by name. A message-passing
-//!   simulation of the distributed version — with per-site WALs and a
-//!   coordinator decision log — lives in [`sim`].
+//!   (`object_options` binds them); [`registry`] holds what recovery is
+//!   made of — the name → object directory checkpoints walk, the 2PC
+//!   resolution rule and the one replay step — while the recovery front
+//!   end itself is `hcc-db`'s `Db::open`. A message-passing simulation of
+//!   the distributed version — with per-site WALs and a coordinator
+//!   decision log — lives in [`sim`].
 //! * **Deadlock handling** ([`deadlock`]): the paper names "the usual
 //!   remedies (e.g., timeout or detection)"; both are here — a
 //!   waits-for-graph detector with youngest-victim selection, and the
 //!   timeout policy built into `hcc-core`'s blocking.
 //!
-//! The write-ahead log itself lives in `hcc-storage`; recovery replays
-//! it through [`registry`] (or `hcc-db`'s `Db::open`) in
-//! commit-timestamp order.
+//! The write-ahead log itself lives in `hcc-storage`; `hcc-db`'s
+//! `Db::open` replays it in commit-timestamp order, and nothing else
+//! does.
 
 pub mod clock;
 pub mod deadlock;

@@ -11,7 +11,7 @@
 
 use crate::clock::LogicalClock;
 use crate::deadlock::DeadlockDetector;
-use crate::registry::{RecoveryError, RecoveryReport, Registry};
+use crate::registry::RecoveryError;
 use hcc_core::runtime::{
     HorizonPins, PinGuard, RedoSink, RedoTicket, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
 };
@@ -178,6 +178,17 @@ impl Instruments {
     }
 }
 
+/// How far (in commit timestamps, which the clock issues densely) a
+/// replica's applied history may run ahead of its fold floor. A replica
+/// keeps the commits above its replicated watermark unfolded so the
+/// watermark stays readable — but every replayed operation walks the
+/// unfolded intents at its object, so an unbounded backlog makes a
+/// starved replica's apply quadratic (on four hot accounts it cost the
+/// whole system a quarter of its throughput). Past this span the oldest
+/// fold anyway and reads at the stale watermark bounce, as they did
+/// before the floor existed, until the next sample lands.
+const REPLICA_FOLD_SPAN: u64 = 1024;
+
 /// One object's share of a replicated transaction: the durable handle
 /// to replay at, and its logged op payloads in ticket order. (See
 /// [`TxnManager::apply_replicated`].)
@@ -328,7 +339,9 @@ impl TxnManager {
     /// every payload replays pinned to the response the primary logged,
     /// then the commit event is delivered at the replicated timestamp.
     /// The clock witnesses `ts` so this manager can never hand out a
-    /// timestamp at or below history it has already applied.
+    /// timestamp at or below history it has already applied, and the
+    /// replica's fold floor — once a watermark has been witnessed — is
+    /// kept within `REPLICA_FOLD_SPAN` of it.
     ///
     /// This does **not** advance the stable watermark: replicated commits
     /// arrive in *ticket* order, and commuting operations are the one
@@ -344,6 +357,7 @@ impl TxnManager {
         ts: u64,
         ops: &[ReplicatedOps],
     ) -> Result<(), RecoveryError> {
+        self.horizon.raise_held_floor(ts.saturating_sub(REPLICA_FOLD_SPAN));
         for (obj, payloads) in ops {
             crate::registry::replay_object_ops(obj.as_ref(), txn, ts, payloads)?;
         }
@@ -357,10 +371,26 @@ impl TxnManager {
     /// ticket up to that sample's ticket — so every commit with
     /// timestamp `≤ wm` is applied here and `stable_watermark()` may
     /// serve it. Monotone; never lowers the mark.
+    ///
+    /// A witnessed watermark is also a **standing fold floor**
+    /// ([`HorizonPins::hold_floor`]): replicated commits keep landing
+    /// *above* it, and with nothing holding them back the newest would
+    /// fold the rest into the base version — every read at the replica's
+    /// own watermark would then be refused as stale until the next sample
+    /// arrived. The floor stands at the watermark, or
+    /// `REPLICA_FOLD_SPAN` below the newest applied commit when the
+    /// watermark trails further than that
+    /// ([`TxnManager::apply_replicated`] raises it), so the unfolded
+    /// backlog — and what each replayed operation pays to walk it — stays
+    /// bounded on a starved replica. Before the first witness (a fresh or
+    /// restarted follower replaying its backlog) there is no floor:
+    /// nothing is readable yet, and folding as it goes keeps that
+    /// catch-up linear.
     pub fn witness_replicated_watermark(&self, wm: u64) {
         let mut marks = self.read_marks.lock();
         if wm > marks.max_applied {
             marks.max_applied = wm;
+            self.horizon.hold_floor(wm);
         }
     }
 
@@ -546,43 +576,6 @@ impl TxnManager {
         }
     }
 
-    /// Rebuild the registered objects from this manager's durable log:
-    /// newest checkpoint restored, committed tail replayed in timestamp
-    /// order through each object's own redo decoder, and the store marked
-    /// absorbed (so checkpointing is allowed again). Call once, right
-    /// after constructing the objects and before running transactions.
-    /// Returns an empty report when the manager has no store.
-    pub fn recover(&self, registry: &Registry) -> Result<RecoveryReport, RecoveryError> {
-        let Some(store) = &self.store else { return Ok(RecoveryReport::default()) };
-        // The store's open already decoded the surviving log once; use
-        // that image instead of re-reading every segment. The static
-        // re-read remains as the fallback for a store whose image was
-        // already claimed.
-        let recovered = match store.take_recovered() {
-            Ok(Some(recovered)) => recovered,
-            Ok(None) => store.reread_recovered().inspect_err(|e| {
-                self.recovery_refused_trace(&e.to_string());
-            })?,
-            Err(e) => {
-                self.recovery_refused_trace(&e.to_string());
-                return Err(e.into());
-            }
-        };
-        let report = registry
-            .restore_and_replay(recovered)
-            .inspect_err(|e| self.recovery_refused_trace(&e.to_string()))?;
-        store.mark_state_absorbed();
-        Ok(report)
-    }
-
-    /// Recovery refused the log: dump the flight recorder, if running.
-    fn recovery_refused_trace(&self, detail: &str) {
-        if let Some(tr) = &self.trace {
-            tr.record(0, "", "recovery.fail", detail.to_string());
-            tr.dump_to_stderr(&format!("recovery refused the log: {detail}"));
-        }
-    }
-
     /// Take a **fuzzy checkpoint** of `objects` through the durable
     /// store. Returns `Ok(None)` when the manager has no store.
     ///
@@ -625,37 +618,6 @@ impl TxnManager {
         let ckpt = store.checkpoint_finish(&cursor, snaps)?;
         self.instruments.ckpt_duration_nanos.observe_duration(started.elapsed());
         Ok(Some(ckpt))
-    }
-
-    /// Checkpoint iff the store's compaction policy asks for it.
-    pub fn maybe_checkpoint(
-        &self,
-        objects: &[(&str, &dyn Snapshot)],
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        match &self.store {
-            Some(store) if store.should_checkpoint() => self.checkpoint(objects),
-            _ => Ok(None),
-        }
-    }
-
-    /// [`TxnManager::checkpoint`] over every object in a [`Registry`].
-    pub fn checkpoint_registry(
-        &self,
-        registry: &Registry,
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        self.checkpoint(&registry.snapshot_refs())
-    }
-
-    /// [`TxnManager::maybe_checkpoint`] over every object in a
-    /// [`Registry`].
-    pub fn maybe_checkpoint_registry(
-        &self,
-        registry: &Registry,
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        match &self.store {
-            Some(store) if store.should_checkpoint() => self.checkpoint_registry(registry),
-            _ => Ok(None),
-        }
     }
 
     /// Abort the transaction everywhere.
@@ -930,53 +892,5 @@ mod tests {
         assert_eq!(a.committed_balance(), r(310));
         drop(pin);
         assert_eq!(mgr.horizon().active(), 0, "guard drop released the pin");
-    }
-
-    /// The ISSUE's checkpoint regression: a long-running reader holding a
-    /// horizon pin must not wedge a fuzzy checkpoint — the checkpoint
-    /// snapshots at its own watermark under each object's latch and never
-    /// waits for the reader's pin to clear.
-    #[test]
-    fn long_running_reader_does_not_wedge_checkpointing() {
-        let dir = {
-            static N: AtomicU64 = AtomicU64::new(0);
-            let mut p = std::env::temp_dir();
-            p.push(format!(
-                "hcc-mgr-reader-{}-{}",
-                std::process::id(),
-                N.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&p);
-            p
-        };
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let a = Arc::new(AccountObject::with(
-            "a",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        ));
-        let mut registry = Registry::new();
-        registry.register(a.clone());
-        mgr.recover(&registry).unwrap();
-
-        let t = mgr.begin();
-        a.credit(&t, r(7)).unwrap();
-        mgr.commit(t).unwrap();
-        // A reader pins the horizon far in the past and just... stays.
-        let pin = mgr.pin_read_watermark();
-        for _ in 0..2 {
-            let t = mgr.begin();
-            a.credit(&t, r(1)).unwrap();
-            mgr.commit(t).unwrap();
-        }
-        let ckpt = mgr
-            .checkpoint_registry(&registry)
-            .expect("checkpoint must complete while a reader pin is live")
-            .expect("store attached");
-        assert!(ckpt.last_ts > 0);
-        // The reader's snapshot is still exact after the checkpoint.
-        assert_eq!(a.inner().snapshot_read(pin.watermark()).unwrap(), r(7));
-        drop(pin);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,13 @@
-//! The recovery registry: named self-logging objects, and the replay loop
-//! that rebuilds them from a recovered log.
+//! The recovery vocabulary `hcc-db` materializes with: the name → object
+//! directory a checkpoint walks ([`Registry`]), the 2PC resolution rule
+//! ([`resolve_committed`]), the one replay step ([`replay_object_ops`]),
+//! and the error/report types.
 //!
-//! Self-logging closes the write half of the forget-to-log hole; the
-//! registry closes the read half. Callers register each durable object
-//! once (by the name it logs under) and recovery dispatches checkpoint
-//! snapshots and WAL-tail redo payloads to the right object
-//! automatically — there is no hand-written `match object.as_str()`
-//! replay loop left to get wrong.
+//! Nothing here restores a checkpoint image or drives a replay loop:
+//! `hcc_db::Db` is the only recovery front end (it recovers each object
+//! as its handle is opened), and a replication follower applies shipped
+//! commits through the same [`replay_object_ops`] via
+//! `TxnManager::apply_replicated`.
 
 use hcc_core::runtime::{ReplayError, TxnHandle, TxnPhase};
 use hcc_spec::TxnId;
@@ -17,9 +18,9 @@ use std::sync::Arc;
 /// Commit decisions recovered from a coordinator's log: `txn → ts`.
 pub type Decisions = BTreeMap<u64, u64>;
 
-/// Why recovery-into-a-registry failed. All variants are fatal: the log
-/// and the registered objects disagree, and guessing would fabricate or
-/// drop acknowledged effects.
+/// Why recovery failed. All variants are fatal: the log and the live
+/// objects disagree, and guessing would fabricate or drop acknowledged
+/// effects.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// Reading the durable state failed.
@@ -90,7 +91,7 @@ impl From<SnapshotError> for RecoveryError {
     }
 }
 
-/// What a registry replay accomplished.
+/// What a recovery accomplished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The restored checkpoint's watermark (0 = no checkpoint).
@@ -101,8 +102,7 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-/// A set of named durable objects — everything the transaction manager
-/// checkpoints and recovery replays into.
+/// A set of named durable objects — everything a checkpoint snapshots.
 #[derive(Default)]
 pub struct Registry {
     objects: BTreeMap<String, Arc<dyn DurableObject>>,
@@ -126,94 +126,15 @@ impl Registry {
         self
     }
 
-    /// The object registered under `name`.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn DurableObject>> {
-        self.objects.get(name)
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.objects.keys().map(String::as_str)
-    }
-
     /// The registered objects as checkpointable `(name, snapshot)` pairs.
     pub fn snapshot_refs(&self) -> Vec<(&str, &dyn hcc_storage::Snapshot)> {
         self.objects.iter().map(|(n, o)| (n.as_str(), o.as_ref() as _)).collect()
-    }
-
-    fn object(&self, name: &str) -> Result<&Arc<dyn DurableObject>, RecoveryError> {
-        self.get(name).ok_or_else(|| RecoveryError::UnknownObject { object: name.to_string() })
-    }
-
-    /// Install a recovered checkpoint's snapshots into the registered
-    /// objects.
-    pub fn restore_checkpoint(&self, ckpt: &hcc_storage::Checkpoint) -> Result<(), RecoveryError> {
-        for (name, data) in &ckpt.objects {
-            self.object(name)?.restore(data, ckpt.last_ts)?;
-        }
-        Ok(())
-    }
-
-    /// Replay one recovered transaction: each redo payload at its object
-    /// (reproducing the logged response or failing), then the commit event
-    /// at the recovered timestamp at every object it touched.
-    pub fn replay_txn(
-        &self,
-        txn: u64,
-        ts: u64,
-        ops: &[(String, Vec<u8>)],
-    ) -> Result<(), RecoveryError> {
-        let t = TxnHandle::replay(TxnId(txn));
-        for (object, bytes) in ops {
-            self.object(object)?
-                .replay_op(&t, bytes)
-                .map_err(|error| RecoveryError::Replay { object: object.clone(), error })?;
-        }
-        t.set_phase(TxnPhase::Committed(ts));
-        for p in t.participants() {
-            p.commit_at(t.id(), ts);
-        }
-        Ok(())
-    }
-
-    /// Rebuild the registered objects from a [`Recovered`] log image:
-    /// checkpoint snapshots first, then the committed tail in timestamp
-    /// order. In-doubt transactions are ignored (single-site semantics);
-    /// distributed sites resolve them with
-    /// [`Registry::restore_and_replay_resolved`].
-    pub fn restore_and_replay(
-        &self,
-        recovered: Recovered,
-    ) -> Result<RecoveryReport, RecoveryError> {
-        self.restore_and_replay_resolved(recovered, &Decisions::new())
-    }
-
-    /// [`Registry::restore_and_replay`] for a 2PC participant: in-doubt
-    /// transactions resolve against the coordinator's `decisions` by the
-    /// [`resolve_committed`] rule before the tail replays.
-    pub fn restore_and_replay_resolved(
-        &self,
-        mut recovered: Recovered,
-        decisions: &Decisions,
-    ) -> Result<RecoveryReport, RecoveryError> {
-        let mut report = RecoveryReport { torn_tail: recovered.torn_tail, ..Default::default() };
-        if let Some(ckpt) = &recovered.checkpoint {
-            self.restore_checkpoint(ckpt)?;
-            report.checkpoint_ts = ckpt.last_ts;
-        }
-        for c in resolve_committed(&mut recovered, decisions)? {
-            self.replay_txn(c.txn, c.ts, &c.ops)?;
-            report.replayed += 1;
-        }
-        Ok(report)
     }
 }
 
 /// Merge a [`Recovered`] image's committed tail with its *decided*
 /// in-doubt transactions into one replay-ordered list — the single
-/// authority on the 2PC resolution rule, shared by
-/// [`Registry::restore_and_replay_resolved`] and `hcc-db`'s lazy
-/// materialization. In-doubt transactions (ops logged, no local
+/// authority on the 2PC resolution rule. In-doubt transactions (ops logged, no local
 /// completion record — the site crashed between its yes-vote and the
 /// phase-2 message) with a coordinator decision replay as committed at
 /// the decided timestamp, merged in `(ts, txn)` order with the locally
@@ -250,12 +171,12 @@ pub fn resolve_committed(
 }
 
 /// Replay one recovered transaction's operations **at a single object**
-/// — the per-object half of [`Registry::replay_txn`], used by `hcc-db`'s
-/// name-by-name materialization (which recovers each object as its
-/// typed handle is first opened, so a multi-object transaction replays
-/// at each of its objects separately, under the same protocol): every
-/// payload replays pinned to its logged response, then the commit event
-/// is delivered at the recovered timestamp.
+/// — the one replay step, used by `hcc-db`'s name-by-name
+/// materialization (which recovers each object as its typed handle is
+/// first opened, so a multi-object transaction replays at each of its
+/// objects separately, under the same protocol) and by a follower's
+/// apply: every payload replays pinned to its logged response, then the
+/// commit event is delivered at the recovered timestamp.
 pub fn replay_object_ops(
     obj: &dyn DurableObject,
     txn: u64,

@@ -22,10 +22,13 @@
 //!   ([`Coordinator::with_decision_log`]): the commit decision is made
 //!   durable before any phase-2 message is sent — the classic 2PC
 //!   write-ahead rule;
-//! * [`recover_site`] rebuilds a site from its WAL through the recovery
-//!   [`Registry`], resolving *in-doubt* transactions (ops logged, no
-//!   local decision — the site crashed between its yes-vote and the
-//!   phase-2 message) against the coordinator's recovered decisions.
+//! * a site restarts as an ordinary database: `hcc_db`'s
+//!   `Db::builder().decisions(..).open(dir)` recovers its WAL, resolving
+//!   *in-doubt* transactions (ops logged, no local decision — the site
+//!   crashed between its yes-vote and the phase-2 message) against the
+//!   coordinator's recovered decisions ([`coordinator_decisions`]); the
+//!   site's objects, built over a [`SiteWal`] on that database's store,
+//!   join it with `Db::attach`.
 //!
 //! A site crashed between Prepare and Commit no longer vanishes silently:
 //! phase 2 collects acknowledgements, and the coordinator reports
@@ -34,12 +37,11 @@
 //! known-incomplete until those sites recover.
 
 use crate::clock::LogicalClock;
-use crate::registry::{Decisions, RecoveryError, RecoveryReport, Registry};
+use crate::registry::Decisions;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use hcc_core::runtime::{RedoSink, RedoTicket, TxParticipant, TxnHandle, TxnPhase};
 use hcc_spec::TxnId;
 use hcc_storage::{DurableStore, StorageError};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -264,8 +266,8 @@ pub enum CommitOutcome {
     Committed(u64),
     /// The commit was *decided* (every site voted yes) but one or more
     /// sites never acknowledged the phase-2 message — crashed in the
-    /// prepare→commit window. Their durable effects are recovered by
-    /// [`recover_site`] against the coordinator's decision log; reporting
+    /// prepare→commit window. Their durable effects are recovered when
+    /// the site reopens against the coordinator's decision log; reporting
     /// this as a plain `Committed` would silently hide that live replicas
     /// disagree until then.
     CommittedPartial {
@@ -426,7 +428,7 @@ impl Coordinator {
     /// phase 2, up to `max_rounds` times — the recovery half of
     /// [`CommitOutcome::CommittedPartial`]. The caller passes the live
     /// `Site` handles to retry against (typically freshly recovered
-    /// replacements of the crashed ones — see [`recover_site`]); delivery
+    /// replacements of the crashed ones); delivery
     /// is idempotent at the sites, so redelivering to a site that already
     /// applied the commit (live or via recovery) is harmless. Returns
     /// `Committed` once every site acknowledged, or `CommittedPartial`
@@ -453,50 +455,21 @@ impl Coordinator {
     }
 }
 
-/// The commit decisions a coordinator's log survived with: `txn → ts`.
-pub fn coordinator_decisions(dir: impl AsRef<Path>) -> Result<BTreeMap<u64, u64>, StorageError> {
+/// The commit decisions a coordinator's log survived with: `txn → ts` —
+/// what a restarting site hands to `Db::builder().decisions(..)`.
+pub fn coordinator_decisions(dir: impl AsRef<Path>) -> Result<Decisions, StorageError> {
     let recovered = DurableStore::recover(dir)?;
     Ok(recovered.committed.into_iter().map(|c| (c.txn, c.ts)).collect())
-}
-
-/// Rebuild one site's objects from its WAL: checkpoint restored, locally
-/// decided commits replayed, and *in-doubt* transactions (ops logged but
-/// no local completion record — the crash hit between the yes-vote and
-/// the phase-2 message) resolved against the coordinator's `decisions`.
-/// Thin wrapper over [`Registry::restore_and_replay_resolved`].
-pub fn recover_site(
-    dir: impl AsRef<Path>,
-    registry: &Registry,
-    decisions: &Decisions,
-) -> Result<RecoveryReport, RecoveryError> {
-    let recovered = DurableStore::recover(dir).map_err(RecoveryError::Storage)?;
-    registry.restore_and_replay_resolved(recovered, decisions)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hcc_adts::account::AccountObject;
-    use hcc_core::runtime::RuntimeOptions;
     use hcc_spec::{Rational, TxnId};
-    use hcc_storage::StorageOptions;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn r(n: i64) -> Rational {
         Rational::from_int(n)
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "hcc-sim-{}-{}-{}",
-            std::process::id(),
-            name,
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        p
     }
 
     fn wait_for_balance(a: &AccountObject, expect: Rational) {
@@ -590,179 +563,5 @@ mod tests {
         // The commit *was* decided; the surviving site applied it.
         wait_for_balance(&a, r(5));
         assert_eq!(b.committed_balance(), r(0), "crashed site never applied");
-    }
-
-    /// The full 2PC durability story: self-logging per-site WALs, a
-    /// durable coordinator decision, a site crashed in the prepare→commit
-    /// window, and recovery that heals it from its own WAL plus the
-    /// coordinator's decision log.
-    #[test]
-    fn crashed_site_recovers_in_doubt_commit_from_decision_logs() {
-        let dir_site = tmp("site");
-        let dir_coord = tmp("coord");
-        let decided_ts;
-        {
-            let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-            let wal = SiteWal::new(store);
-            let b = Arc::new(AccountObject::with(
-                "b",
-                Arc::new(hcc_adts::account::AccountHybrid),
-                RuntimeOptions::default().with_redo(wal.clone()),
-            ));
-            let site = Site::spawn_durable("s-b", vec![b.inner().clone()], wal);
-            let coord_store = DurableStore::open(&dir_coord, StorageOptions::default()).unwrap();
-            let clock = Arc::new(LogicalClock::new());
-            let coord = Coordinator::new(clock)
-                .with_vote_timeout(Duration::from_millis(100))
-                .with_decision_log(coord_store);
-
-            // Ops self-log into the site WAL; then the site crashes after
-            // voting yes, so its WAL holds ops but no commit record.
-            let t = TxnHandle::new(TxnId(1));
-            b.credit(&t, r(42)).unwrap();
-            site.crash_after_prepare();
-            match coord.commit(&t, &[site]) {
-                CommitOutcome::CommittedPartial { ts, missed } => {
-                    assert_eq!(missed, vec!["s-b".to_string()]);
-                    decided_ts = ts;
-                }
-                other => panic!("expected partial commit, got {other:?}"),
-            }
-            assert_eq!(b.committed_balance(), r(0), "site died before applying");
-        }
-        // The site restarts: fresh object, recovery from its WAL resolves
-        // the in-doubt transaction against the coordinator's decision.
-        let decisions = coordinator_decisions(&dir_coord).unwrap();
-        assert_eq!(decisions.get(&1), Some(&decided_ts));
-        let b = Arc::new(AccountObject::hybrid("b"));
-        let mut registry = Registry::new();
-        registry.register(b.clone());
-        let report = recover_site(&dir_site, &registry, &decisions).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(b.committed_balance(), r(42), "the decided commit is healed");
-
-        // Without the decision, the same WAL recovers to nothing: an
-        // undecided in-doubt transaction is an abort.
-        let b2 = Arc::new(AccountObject::hybrid("b"));
-        let mut registry2 = Registry::new();
-        registry2.register(b2.clone());
-        let report2 = recover_site(&dir_site, &registry2, &BTreeMap::new()).unwrap();
-        assert_eq!(report2.replayed, 0);
-        assert_eq!(b2.committed_balance(), r(0));
-    }
-
-    /// The transient-failure healing loop: a `CommittedPartial` (site
-    /// crashed between Prepare and Commit) becomes a full `Committed`
-    /// once the site is recovered from its WAL and the coordinator
-    /// redelivers phase 2 — and the redelivery is idempotent over the
-    /// state recovery already replayed.
-    #[test]
-    fn phase2_retry_turns_partial_commit_into_full_commit() {
-        let dir_site = tmp("retry-site");
-        let dir_coord = tmp("retry-coord");
-        let clock = Arc::new(LogicalClock::new());
-        let coord_store = DurableStore::open(&dir_coord, StorageOptions::default()).unwrap();
-        let coord = Coordinator::new(clock)
-            .with_vote_timeout(Duration::from_millis(100))
-            .with_decision_log(coord_store);
-
-        let (ts, txn_id) = {
-            let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-            let wal = SiteWal::new(store);
-            let b = Arc::new(AccountObject::with(
-                "b",
-                Arc::new(hcc_adts::account::AccountHybrid),
-                RuntimeOptions::default().with_redo(wal.clone()),
-            ));
-            let site = Site::spawn_durable("s-b", vec![b.inner().clone()], wal);
-            let t = TxnHandle::new(TxnId(1));
-            b.credit(&t, r(31)).unwrap();
-            site.crash_after_prepare();
-            match coord.commit(&t, &[site]) {
-                CommitOutcome::CommittedPartial { ts, missed } => {
-                    assert_eq!(missed, vec!["s-b".to_string()]);
-                    (ts, t.id())
-                }
-                other => panic!("expected partial commit, got {other:?}"),
-            }
-            // Site (and its WAL handle) drop here: the "machine" is down.
-        };
-
-        // Restart the site: recover its objects from its WAL + the
-        // coordinator's decisions, then serve again.
-        let decisions = coordinator_decisions(&dir_coord).unwrap();
-        let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-        let wal = SiteWal::new(store);
-        let b = Arc::new(AccountObject::with(
-            "b",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            RuntimeOptions::default().with_redo(wal.clone()),
-        ));
-        let mut registry = Registry::new();
-        registry.register(b.clone());
-        let report = recover_site(&dir_site, &registry, &decisions).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(b.committed_balance(), r(31));
-        let site = Site::spawn_durable("s-b", vec![b.inner().clone()], wal);
-
-        // The coordinator redelivers the unacknowledged phase 2: full
-        // commit, idempotent at the recovered site.
-        match coord.retry_phase2(txn_id, ts, &[&site], 3) {
-            CommitOutcome::Committed(got) => assert_eq!(got, ts),
-            other => panic!("expected full commit after retry, got {other:?}"),
-        }
-        assert_eq!(b.committed_balance(), r(31), "redelivery did not double-apply");
-
-        // A still-dead site stays reported as missed after bounded rounds.
-        site.crash();
-        match coord.retry_phase2(txn_id, ts, &[&site], 2) {
-            CommitOutcome::CommittedPartial { missed, .. } => {
-                assert_eq!(missed, vec!["s-b".to_string()]);
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
-    }
-
-    /// A coordinator killed after its decision fsync leaves every site in
-    /// doubt — and every site heals from the decision log at restart.
-    #[test]
-    fn coordinator_crash_after_decision_heals_at_site_recovery() {
-        let dir_site = tmp("ckill-site");
-        let dir_coord = tmp("ckill-coord");
-        let clock = Arc::new(LogicalClock::new());
-        let coord_store = DurableStore::open(&dir_coord, StorageOptions::default()).unwrap();
-        let coord = Coordinator::new(clock)
-            .with_vote_timeout(Duration::from_millis(100))
-            .with_decision_log(coord_store);
-
-        let decided_ts = {
-            let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-            let wal = SiteWal::new(store);
-            let b = Arc::new(AccountObject::with(
-                "b",
-                Arc::new(hcc_adts::account::AccountHybrid),
-                RuntimeOptions::default().with_redo(wal.clone()),
-            ));
-            let site = Site::spawn_durable("s-b", vec![b.inner().clone()], wal);
-            let t = TxnHandle::new(TxnId(1));
-            b.credit(&t, r(8)).unwrap();
-            match coord.commit_with_kill(&t, &[&site], CoordinatorKill::AfterDecision) {
-                CommitOutcome::CommittedPartial { ts, missed } => {
-                    assert_eq!(missed, vec!["s-b".to_string()]);
-                    assert_eq!(b.committed_balance(), r(0), "no phase-2 message was sent");
-                    ts
-                }
-                other => panic!("expected partial commit, got {other:?}"),
-            }
-        };
-
-        let decisions = coordinator_decisions(&dir_coord).unwrap();
-        assert_eq!(decisions.get(&1), Some(&decided_ts));
-        let b = Arc::new(AccountObject::hybrid("b"));
-        let mut registry = Registry::new();
-        registry.register(b.clone());
-        let report = recover_site(&dir_site, &registry, &decisions).unwrap();
-        assert_eq!(report.replayed, 1);
-        assert_eq!(b.committed_balance(), r(8));
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end durable banking throughput: manager, self-logging objects,
+//! End-to-end durable banking throughput: `Db`, self-logging objects,
 //! and the striped WAL together — the whole write path, parameterised
 //! over Fsync/Buffered × stripe counts × thread counts.
 //!
@@ -16,7 +16,7 @@
 //! longest gap any worker saw between consecutive commit completions
 //! while the checkpoint was in flight.
 
-use hcc_adts::account::{AccountHybrid, AccountObject};
+use hcc_adts::account::AccountObject;
 use hcc_adts::counter::{CounterAdt, CounterDef, CounterInv};
 use hcc_adts::set::{SetAdt, SetDef, SetInv};
 use hcc_adts::{Object, ObjectAdt};
@@ -24,24 +24,10 @@ use hcc_core::runtime::{Durability, SpecAdt};
 use hcc_db::Db;
 use hcc_spec::Rational;
 use hcc_storage::{CompactionPolicy, StorageOptions};
-use hcc_txn::registry::Registry;
-use hcc_txn::TxnManager;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Which API surface the workers drive — the two sides of the
-/// facade-overhead comparison.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MixApi {
-    /// Manual `TxnManager::begin`/`commit` calls (the low-level escape
-    /// hatch).
-    #[default]
-    Raw,
-    /// Closure-scoped [`Db::transact`] through the facade.
-    Facade,
-}
 
 /// Options for one [`durable_account_mix`] run.
 #[derive(Clone, Copy, Debug)]
@@ -61,8 +47,6 @@ pub struct DurableMixOptions {
     pub stripes: usize,
     /// Issue one fuzzy checkpoint when roughly half the commits are in.
     pub checkpoint_mid_run: bool,
-    /// Drive workers through the raw manager or the `Db` facade.
-    pub api: MixApi,
 }
 
 impl Default for DurableMixOptions {
@@ -75,7 +59,6 @@ impl Default for DurableMixOptions {
             durability: Durability::Fsync,
             stripes: 1,
             checkpoint_mid_run: false,
-            api: MixApi::default(),
         }
     }
 }
@@ -102,8 +85,7 @@ pub struct DurableMixReport {
     pub final_balances: Vec<Rational>,
 }
 
-/// One transaction's operations, shared by both API paths so the
-/// facade-overhead comparison measures the API, not the workload.
+/// One transaction's operations.
 fn txn_ops(
     acct: &AccountObject,
     t: &Arc<hcc_core::runtime::TxnHandle>,
@@ -122,7 +104,7 @@ fn txn_ops(
     Ok(())
 }
 
-/// The measurement harness both API paths run under: barrier start,
+/// The measurement harness every mix runs under: barrier start,
 /// per-worker commit-gap tracking, optional mid-run checkpoint thread.
 /// `run_txn(worker, i)` commits one transaction and reports success;
 /// `checkpoint()` takes the mid-run checkpoint.
@@ -179,8 +161,8 @@ fn drive_mix(
     (start.elapsed(), aborted.load(Ordering::Relaxed), max_gap_in_ckpt.load(Ordering::Relaxed))
 }
 
-/// Drive the workload against a fresh store at `dir` and report, through
-/// the API surface `opts.api` selects.
+/// Drive the workload against a fresh store at `dir` and report:
+/// `Db::open`, typed handles, `Db::transact` scopes.
 pub fn durable_account_mix(dir: &Path, opts: DurableMixOptions) -> DurableMixReport {
     let accounts = opts.accounts.max(opts.threads);
     let storage = StorageOptions {
@@ -189,83 +171,13 @@ pub fn durable_account_mix(dir: &Path, opts: DurableMixOptions) -> DurableMixRep
         policy: CompactionPolicy::never(), // the mid-run checkpoint is explicit
         ..StorageOptions::default()
     };
-    match opts.api {
-        MixApi::Raw => mix_raw(dir, &opts, accounts, storage),
-        MixApi::Facade => mix_facade(dir, &opts, accounts, storage),
-    }
-}
-
-/// The low-level path: manual manager wiring, explicit begin/commit —
-/// the documented escape hatch, kept as the facade-overhead baseline.
-fn mix_raw(
-    dir: &Path,
-    opts: &DurableMixOptions,
-    accounts: usize,
-    storage: StorageOptions,
-) -> DurableMixReport {
-    let mgr = TxnManager::with_storage(dir, storage).expect("open durable store");
-    let accts: Vec<Arc<AccountObject>> = (0..accounts)
-        .map(|i| {
-            Arc::new(AccountObject::with(
-                format!("acct-{i}"),
-                Arc::new(AccountHybrid),
-                mgr.object_options(),
-            ))
-        })
-        .collect();
-    let mut registry = Registry::new();
-    for a in &accts {
-        registry.register(a.clone());
-    }
-
-    let (elapsed, aborted, max_gap) = drive_mix(
-        opts,
-        |w, i| {
-            let acct = &accts[w % accounts];
-            let t = mgr.begin();
-            if txn_ops(acct, &t, w, i, opts.ops_per_txn).is_ok() && mgr.commit(t.clone()).is_ok() {
-                true
-            } else {
-                mgr.abort(t);
-                false
-            }
-        },
-        || {
-            mgr.checkpoint_registry(&registry).expect("mid-run checkpoint").expect("store");
-        },
-    );
-
-    let committed = mgr.committed_count();
-    DurableMixReport {
-        committed,
-        aborted,
-        elapsed,
-        commits_per_sec: committed as f64 / elapsed.as_secs_f64(),
-        checkpoint_gate_nanos: if opts.checkpoint_mid_run {
-            mgr.metrics().snapshot().gauge("ckpt.last_gate_nanos") as u64
-        } else {
-            0
-        },
-        checkpoint_max_commit_gap_nanos: max_gap,
-        final_balances: accts.iter().map(|a| a.committed_balance()).collect(),
-    }
-}
-
-/// The facade path: `Db::open`, typed handles, `Db::transact` scopes —
-/// zero manual registration or begin/commit calls.
-fn mix_facade(
-    dir: &Path,
-    opts: &DurableMixOptions,
-    accounts: usize,
-    storage: StorageOptions,
-) -> DurableMixReport {
     let db = Db::builder().storage_options(storage).open(dir).expect("open database");
     let accts: Vec<Arc<AccountObject>> = (0..accounts)
         .map(|i| db.object::<AccountObject>(&format!("acct-{i}")).expect("typed handle"))
         .collect();
 
     let (elapsed, aborted, max_gap) = drive_mix(
-        opts,
+        &opts,
         |w, i| {
             let acct = &accts[w % accounts];
             db.transact(|tx| txn_ops(acct, tx, w, i, opts.ops_per_txn).map_err(Into::into)).is_ok()
@@ -643,9 +555,8 @@ mod tests {
         );
     }
 
-    /// The facade path commits everything the raw path does, and a bare
-    /// `Db::open` + typed handles recovers its exact final state — no
-    /// Registry, no replay loop.
+    /// A bare `Db::open` + typed handles recovers the mix's exact final
+    /// state — no registry wiring, no replay loop.
     #[test]
     fn facade_mix_commits_and_recovers_through_db_open_alone() {
         let dir = tmp("facade");
@@ -654,7 +565,6 @@ mod tests {
             txns_per_thread: 30,
             durability: Durability::Buffered,
             stripes: 4,
-            api: MixApi::Facade,
             ..Default::default()
         };
         let report = durable_account_mix(&dir, opts);
@@ -753,14 +663,11 @@ mod tests {
         assert!(ckpt.last_ts > 0);
         assert!(recovered.incomplete.is_empty(), "clean close loses nothing");
 
-        let accounts = report.final_balances.len();
-        let fresh: Vec<Arc<AccountObject>> =
-            (0..accounts).map(|i| Arc::new(AccountObject::hybrid(format!("acct-{i}")))).collect();
-        let mut registry = Registry::new();
-        for a in &fresh {
-            registry.register(a.clone());
-        }
-        registry.restore_and_replay(recovered).expect("fuzzy image + tail replays");
+        let db = Db::open(&dir).expect("fuzzy image + tail reopens");
+        assert_eq!(db.recovery_report().checkpoint_ts, ckpt.last_ts);
+        let fresh: Vec<Arc<AccountObject>> = (0..report.final_balances.len())
+            .map(|i| db.object(&format!("acct-{i}")).expect("fuzzy image + tail replays"))
+            .collect();
         for (i, a) in fresh.iter().enumerate() {
             assert_eq!(
                 a.committed_balance(),

@@ -6,7 +6,8 @@
 //! plus bounded coordinator phase-2 retries.
 //!
 //! The property under test is **convergence**: after every round's
-//! failures are healed — `recover_site` resolves in-doubt transactions
+//! failures are healed — a revived site reopens its directory through
+//! `Db::builder().decisions(..)`, which resolves in-doubt transactions
 //! against the coordinator's recovered decisions, and
 //! `Coordinator::retry_phase2` redelivers unacknowledged commits — every
 //! site's balance equals the fold of the *decided* transactions' effects
@@ -15,23 +16,21 @@
 //! commits; nothing is double-applied (redelivery is idempotent) and
 //! nothing undecided survives.
 //!
-//! This driver deliberately runs on the low-level API (the documented
-//! escape hatch, `docs/API.md`): sites log through their own [`SiteWal`]
-//! and commit through the message-passing [`Coordinator`], not a local
-//! `TxnManager` — and the final from-scratch check must recover a WAL
-//! whose appender the live site still owns, which the read-only
-//! `recover_site` scan permits and an appender-opening `Db::open` would
-//! not. Applications recovering a participant site go through
-//! `Db::builder().decisions(...)` instead (see
-//! `examples/distributed_commit.rs`).
+//! A site is an ordinary [`Db`] whose one object was built over a
+//! [`SiteWal`] on that database's store and joined it with `Db::attach`:
+//! it logs through its own WAL and commits through the message-passing
+//! [`Coordinator`] instead of the local `TxnManager`, and it recovers
+//! exactly as `examples/distributed_commit.rs` does — there is no second
+//! recovery path for the simulation to exercise.
 
 use hcc_adts::account::{AccountHybrid, AccountObject};
 use hcc_core::runtime::{Durability, RuntimeOptions, TxnHandle};
+use hcc_db::{Db, HccError};
 use hcc_spec::{Rational, TxnId};
 use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
-use hcc_txn::registry::{RecoveryError, Registry};
+use hcc_txn::registry::Decisions;
 use hcc_txn::sim::{
-    coordinator_decisions, recover_site, CommitOutcome, Coordinator, CoordinatorKill, Site, SiteWal,
+    coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site, SiteWal,
 };
 use hcc_txn::LogicalClock;
 use rand::rngs::StdRng;
@@ -83,42 +82,57 @@ pub struct MultisiteReport {
     pub healed_partials: usize,
 }
 
-/// One site's live incarnation.
+/// One site's live incarnation: the serving thread, its account, and the
+/// database that recovered it (together they hold the WAL's appender).
+struct Incarnation {
+    site: Site,
+    acct: Arc<AccountObject>,
+    _db: Db,
+}
+
+/// One site across its incarnations (`live` is `None` only while a dead
+/// incarnation has been dropped and its successor is not yet up).
 struct LiveSite {
     name: String,
     dir: PathBuf,
-    site: Site,
-    acct: Arc<AccountObject>,
+    live: Option<Incarnation>,
     crashed: bool,
+}
+
+impl LiveSite {
+    fn up(&self) -> &Incarnation {
+        self.live.as_ref().expect("site is up")
+    }
 }
 
 fn site_storage(durability: Durability) -> StorageOptions {
     StorageOptions { durability, policy: CompactionPolicy::never(), ..StorageOptions::default() }
 }
 
-/// Spawn (or revive) one site: open its WAL, build a fresh account
-/// object wired to it, replay the WAL + `decisions` into the object, and
-/// serve. The durable-site discipline (force-WAL-before-yes, log-before-
-/// apply) comes from `Site::spawn_durable`.
+/// Spawn (or revive) one site: open its directory as a `Db` (log scanned,
+/// in-doubt transactions resolved against `decisions`), build a fresh
+/// account wired to the site's WAL, attach it — which installs its
+/// recovered state — and serve. The durable-site discipline
+/// (force-WAL-before-yes, log-before-apply) comes from
+/// `Site::spawn_durable`.
 fn spawn_site(
     dir: &Path,
     name: &str,
     durability: Durability,
-    decisions: &hcc_txn::registry::Decisions,
-) -> Result<(Site, Arc<AccountObject>), RecoveryError> {
-    let store =
-        DurableStore::open(dir, site_storage(durability)).map_err(RecoveryError::Storage)?;
-    let wal = SiteWal::new(store);
-    let acct = Arc::new(AccountObject::with(
+    decisions: &Decisions,
+) -> Result<Incarnation, HccError> {
+    let db = Db::builder()
+        .storage_options(site_storage(durability))
+        .decisions(decisions.clone())
+        .open(dir)?;
+    let wal = SiteWal::new(db.storage().expect("a durable db has a store").clone());
+    let acct = db.attach(Arc::new(AccountObject::with(
         name,
         Arc::new(AccountHybrid),
         RuntimeOptions::default().with_redo(wal.clone()),
-    ));
-    let mut registry = Registry::new();
-    registry.register(acct.clone());
-    recover_site(dir, &registry, decisions)?;
+    )))?;
     let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], wal);
-    Ok((site, acct))
+    Ok(Incarnation { site, acct, _db: db })
 }
 
 /// Run the workload under `base_dir` (one subdirectory per site plus the
@@ -138,9 +152,9 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
         .map(|i| {
             let name = format!("acct-{i}");
             let dir = base_dir.join(format!("site-{i}"));
-            let (site, acct) =
+            let live =
                 spawn_site(&dir, &name, opts.durability, &Default::default()).expect("fresh site");
-            LiveSite { name, dir, site, acct, crashed: false }
+            LiveSite { name, dir, live: Some(live), crashed: false }
         })
         .collect();
 
@@ -166,7 +180,7 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
         let mut deltas: Vec<(usize, Rational)> = Vec::new();
         let mut exec_failed = false;
         for (j, &s) in chosen.iter().enumerate() {
-            let acct = &sites[s].acct;
+            let acct = &sites[s].up().acct;
             if j == 0 || rng.gen_range(0..100u32) < 60 {
                 let v = Rational::from_int(rng.gen_range(1..50i64));
                 if acct.credit(&txn, v).is_err() {
@@ -196,7 +210,7 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
                 // Kill 2 participants in the prepare→commit window.
                 killed_sites = chosen.iter().copied().take(2).collect();
                 for &s in &killed_sites {
-                    sites[s].site.crash_after_prepare();
+                    sites[s].up().site.crash_after_prepare();
                 }
                 report.site_kill_rounds += 1;
             } else if dice < 45 {
@@ -214,7 +228,7 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
             }
             CommitOutcome::Aborted { site: "driver".into() }
         } else {
-            let refs: Vec<&Site> = chosen.iter().map(|&s| &sites[s].site).collect();
+            let refs: Vec<&Site> = chosen.iter().map(|&s| &sites[s].up().site).collect();
             coord.commit_with_kill(&txn, &refs, coord_kill)
         };
 
@@ -248,25 +262,20 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
                 if !sites[s].crashed {
                     continue;
                 }
-                // Drop the dead incarnation first: its thread holds the
-                // WAL handle, and two appenders on one log directory
-                // would be a correctness bug, not a simulation.
-                let dir = sites[s].dir.clone();
-                let name = sites[s].name.clone();
-                {
-                    let dead = &mut sites[s];
-                    dead.site = Site::spawn("draining", Vec::new());
-                    dead.acct = Arc::new(AccountObject::hybrid("draining"));
-                }
-                let (site, acct) = spawn_site(&dir, &name, opts.durability, &decisions)
-                    .expect("site revives from its WAL");
-                sites[s].site = site;
-                sites[s].acct = acct;
-                sites[s].crashed = false;
+                // Drop the dead incarnation first: it holds the WAL's
+                // appender, and two appenders on one log directory would
+                // be a correctness bug, not a simulation.
+                let site = &mut sites[s];
+                site.live = None;
+                site.live = Some(
+                    spawn_site(&site.dir, &site.name, opts.durability, &decisions)
+                        .expect("site revives from its WAL"),
+                );
+                site.crashed = false;
             }
             if let Some(ts) = decided_ts {
                 if !missed.is_empty() {
-                    let targets: Vec<&Site> = chosen.iter().map(|&s| &sites[s].site).collect();
+                    let targets: Vec<&Site> = chosen.iter().map(|&s| &sites[s].up().site).collect();
                     match coord.retry_phase2(txn.id(), ts, &targets, opts.retries) {
                         CommitOutcome::Committed(_) => report.healed_partials += 1,
                         other => panic!("healing retry failed in round {round}: {other:?}"),
@@ -279,25 +288,23 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
         // reflects exactly the decided history.
         for &s in &chosen {
             assert_eq!(
-                sites[s].acct.committed_balance(),
+                sites[s].up().acct.committed_balance(),
                 expected[s],
                 "round {round}: site {s} diverged (outcome decided={decided_ts:?})",
             );
         }
     }
 
-    // Final convergence: every site, live and from-scratch recovery.
+    // Final convergence: every site, live and — once the live incarnation
+    // has let go of its directory — restarted from scratch.
     let decisions = coordinator_decisions(&coord_dir).expect("decision log readable");
-    for (s, live) in sites.iter().enumerate() {
-        assert_eq!(live.acct.committed_balance(), expected[s], "live site {s} diverged at end");
-        let fresh = Arc::new(AccountObject::hybrid(&live.name));
-        let mut registry = Registry::new();
-        registry.register(fresh.clone());
-        // The live incarnation still owns the WAL appender; recovery is a
-        // read-only scan, and every decided commit is durable (`Fsync`).
-        recover_site(&live.dir, &registry, &decisions).expect("site WAL recovers");
+    for (s, mut site) in sites.into_iter().enumerate() {
+        assert_eq!(site.up().acct.committed_balance(), expected[s], "live site {s} diverged");
+        site.live = None;
+        let fresh = spawn_site(&site.dir, &site.name, opts.durability, &decisions)
+            .expect("site WAL recovers");
         assert_eq!(
-            fresh.committed_balance(),
+            fresh.acct.committed_balance(),
             expected[s],
             "from-scratch recovery of site {s} diverged"
         );

@@ -220,7 +220,6 @@ mod tests {
             &server.repl_addr().expect("repl listener").to_string(),
             bank_queue_resolver(),
             FollowerOptions {
-                stripes: 2,
                 segment_max_bytes: 4096,
                 reconnect_backoff: Duration::from_millis(10),
                 ..FollowerOptions::default()

@@ -241,3 +241,32 @@ fn refusal_labels_are_lock_atom_class_pairs() {
         );
     }
 }
+
+/// A production recovery refusal is readable where it happens: with the
+/// flight recorder on (`HCC_TRACE`), a `Db` opened over a log whose
+/// replay diverges records `recovery.fail` and dumps the ring as the
+/// handle fails to materialize.
+#[test]
+fn refused_recovery_dumps_the_flight_recorder() {
+    use hybrid_cc::storage::{DurableStore, StorageOptions};
+
+    let dir = std::env::temp_dir().join(format!("hcc-obs-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        // A debit that "succeeded" against an account nobody ever funded.
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
+        store.log_op(1, "acct", br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#).unwrap();
+        store.log_commit(1, 1).unwrap();
+    }
+    // The recorder is read from the environment as the manager is built;
+    // tests sharing this process may pick it up too, which only makes
+    // them trace.
+    std::env::set_var("HCC_TRACE", "64");
+    let db = Db::open(&dir).unwrap();
+    std::env::remove_var("HCC_TRACE");
+    assert!(db.object::<AccountObject>("acct").is_err(), "divergent replay must be refused");
+    let events = db.manager().flight_recorder().expect("HCC_TRACE was set").events();
+    let fail = events.iter().find(|e| e.kind == "recovery.fail").expect("refusal was recorded");
+    assert!(fail.detail.contains("acct"), "names the object: {}", fail.detail);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -287,3 +287,58 @@ fn dropped_and_panicked_readers_release_their_pins() {
     let completed = db.stats().counter("txn.read_only.completed");
     assert_eq!(begun, completed, "every begun read completed, panics included");
 }
+
+/// A lagging replica answers reads at its *own* watermark. Replicated
+/// commits keep landing above the watermark the primary has proven safe;
+/// unless that watermark is a standing fold floor, the newest of them
+/// folds the others into the base version and every read at the
+/// watermark is refused as stale until the next sample arrives — the
+/// cause of the `replica_reads` "a client lost its read replica" flake,
+/// reproduced here without a network.
+#[test]
+fn lagging_replica_reads_at_its_own_watermark() {
+    use hybrid_cc::adts::account::{AccountAdt, AccountInv, AccountRes};
+    use hybrid_cc::core::runtime::RuntimeAdt;
+    use hybrid_cc::storage::DurableObject;
+
+    let db = Db::in_memory();
+    let acct = db.object::<AccountObject>("acct").unwrap();
+    let credit = AccountAdt.redo(&AccountInv::Credit(money(1)), &AccountRes::Ok).unwrap();
+    let apply = |txn, ts| {
+        let ops = [(acct.clone() as Arc<dyn DurableObject>, vec![credit.clone()])];
+        db.manager().apply_replicated(txn, ts, &ops).unwrap();
+    };
+    // One sample lands, then the stream runs ahead of the next one.
+    apply(1, 5);
+    db.manager().witness_replicated_watermark(5);
+    apply(2, 9);
+    apply(3, 12);
+    for (watermark, balance) in [(5, 1), (9, 2), (12, 3)] {
+        db.manager().witness_replicated_watermark(watermark);
+        for _ in 0..3 {
+            let read = db.begin_read();
+            assert_eq!(read.watermark(), watermark);
+            assert_eq!(read.view_of(acct.as_ref()).unwrap(), money(balance), "at {watermark}");
+        }
+    }
+    // The floor rose with the watermark: history below it folds again.
+    apply(4, 15);
+    assert_eq!(acct.inner().retained_committed(), 2, "only ts 12 and 15 stay unfolded");
+    // The floor trails the applied history by a bounded span, so a
+    // backlog never makes replay walk more than that: far ahead of the
+    // watermark the oldest fold anyway (and a read there bounces, as it
+    // did before the floor existed, until the next sample lands).
+    for i in 0..2000 {
+        apply(5 + i, 16 + i);
+    }
+    assert!(acct.inner().retained_committed() <= 1025, "unfolded backlog is bounded");
+    assert!(matches!(
+        db.begin_read().view_of(acct.as_ref()),
+        Err(HccError::SnapshotContended { requested: 12 })
+    ));
+    db.manager().witness_replicated_watermark(2015);
+    assert_eq!(db.begin_read().view_of(acct.as_ref()).unwrap(), money(2004));
+    // And it is a floor, not a pin: a final metrics dump shows none held.
+    assert_eq!(db.manager().horizon().active(), 0);
+    assert_eq!(db.stats().gauge("horizon.pins"), 0);
+}

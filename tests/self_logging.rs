@@ -5,9 +5,9 @@
 //!   dropped, duplicated or reordered record fails);
 //! * forget-to-log is **unrepresentable**: a session that never mentions
 //!   logging still recovers every acknowledged commit;
-//! * the recover-then-continue lifecycle through `TxnManager::recover`
-//!   and the recovery `Registry` (including the checkpoint-absorption
-//!   guard clearing).
+//! * the recover-then-continue lifecycle through `Db::open` with
+//!   caller-built objects on the manual `TxnManager` escape hatch
+//!   (including the checkpoint-absorption guard clearing).
 //!
 //! `HCC_DURABILITY` (none / buffered / fsync) overrides the durability
 //! level — CI runs this suite as a matrix over all three.
@@ -16,12 +16,11 @@ use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
 use hybrid_cc::adts::fifo_queue::{QueueObject, QueueTableII};
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{CommittedTxn, DurableStore, Recovered, StorageOptions};
-use hybrid_cc::txn::manager::TxnManager;
-use hybrid_cc::txn::registry::Registry;
 use hybrid_cc::workload::crash::{
     crash_point_holds, effect_redo, run_crash_workload, truncate_tail, CrashScenarioOptions,
     Effect, Oracle,
 };
+use hybrid_cc::{Db, HccError};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -127,20 +126,33 @@ fn mutations_with_no_explicit_logging_survive_a_random_kill_point() {
     }
 }
 
-/// The recover-then-continue lifecycle: a crashed session's successor
-/// opens the manager, registers fresh objects, calls
-/// `TxnManager::recover`, and keeps going — new commits serialize above
-/// the recovered history and checkpointing works again (the absorption
-/// guard was cleared by recovery).
+/// The recover-then-continue lifecycle on the low-level path: a crashed
+/// session's successor opens the database, attaches fresh caller-built
+/// objects (which arrive recovered), and keeps going through the manual
+/// manager — new commits serialize above the recovered history and
+/// checkpointing works again (the absorption guard was cleared once
+/// every logged name had a live object).
 #[test]
 fn manager_recovers_registry_and_resumes() {
     let dir = tmp("resume");
+    let open = || {
+        let db = Db::open(&dir).unwrap();
+        let acct = db
+            .attach(Arc::new(AccountObject::with(
+                "acct",
+                Arc::new(AccountHybrid),
+                db.object_options(),
+            )))
+            .unwrap();
+        let queue: Arc<QueueObject<i64>> = db
+            .attach(Arc::new(QueueObject::with("q", Arc::new(QueueTableII), db.object_options())))
+            .unwrap();
+        (db, acct, queue)
+    };
     let pre_crash_balance;
     {
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct = AccountObject::with("acct", Arc::new(AccountHybrid), mgr.object_options());
-        let queue: QueueObject<i64> =
-            QueueObject::with("q", Arc::new(QueueTableII), mgr.object_options());
+        let (db, acct, queue) = open();
+        let mgr = db.manager();
         for i in 1..=5 {
             let t = mgr.begin();
             acct.credit(&t, money(i * 10)).unwrap();
@@ -154,39 +166,26 @@ fn manager_recovers_registry_and_resumes() {
         // Process "dies" here: no checkpoint, no clean handoff.
     }
     {
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct =
-            Arc::new(AccountObject::with("acct", Arc::new(AccountHybrid), mgr.object_options()));
-        let queue: Arc<QueueObject<i64>> =
-            Arc::new(QueueObject::with("q", Arc::new(QueueTableII), mgr.object_options()));
-        let mut registry = Registry::new();
-        registry.register(acct.clone());
-        registry.register(queue.clone());
-        let report = mgr.recover(&registry).unwrap();
-        assert_eq!(report.replayed, 5);
+        let (db, acct, queue) = open();
+        assert_eq!(db.recovery_report().replayed, 5);
         assert_eq!(acct.committed_balance(), pre_crash_balance);
         assert_eq!(queue.committed_len(), 5);
 
         // Continue: new commits stack on top and checkpointing is allowed
         // again (recovery attested absorption).
-        let t = mgr.begin();
+        let t = db.manager().begin();
         acct.credit(&t, money(7)).unwrap();
         let deq = queue.deq(&t).unwrap();
         assert_eq!(deq, 1, "FIFO head survived recovery");
-        mgr.commit(t).unwrap();
-        let ckpt = mgr.checkpoint_registry(&registry).unwrap().expect("store attached");
+        db.manager().commit(t).unwrap();
+        let ckpt = db.checkpoint().unwrap().expect("store attached");
         assert!(ckpt.last_ts > 0);
         assert_eq!(acct.committed_balance(), pre_crash_balance + money(7));
     }
     // Third generation recovers from the checkpoint alone.
     {
-        let acct = Arc::new(AccountObject::hybrid("acct"));
-        let queue: Arc<QueueObject<i64>> = Arc::new(QueueObject::hybrid("q"));
-        let mut registry = Registry::new();
-        registry.register(acct.clone());
-        registry.register(queue.clone());
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let report = mgr.recover(&registry).unwrap();
+        let (db, acct, queue) = open();
+        let report = db.recovery_report();
         assert!(report.checkpoint_ts > 0, "checkpoint restored");
         assert_eq!(report.replayed, 0, "nothing above the checkpoint");
         assert_eq!(acct.committed_balance(), pre_crash_balance + money(7));
@@ -209,13 +208,10 @@ fn divergent_replay_is_refused() {
         store.log_op(1, "acct", br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#).unwrap();
         store.log_commit(1, 1).unwrap();
     }
-    let recovered = DurableStore::recover(&dir).unwrap();
-    let acct = Arc::new(AccountObject::hybrid("acct"));
-    let mut registry = Registry::new();
-    registry.register(acct.clone());
-    let err = registry.restore_and_replay(recovered).unwrap_err();
-    assert!(
-        matches!(err, hybrid_cc::txn::registry::RecoveryError::Replay { .. }),
-        "expected replay divergence, got {err:?}"
-    );
+    let db = Db::open(&dir).unwrap();
+    match db.object::<AccountObject>("acct") {
+        Err(HccError::Recovery(hybrid_cc::txn::registry::RecoveryError::Replay { .. })) => {}
+        Err(other) => panic!("expected replay divergence, got {other:?}"),
+        Ok(_) => panic!("a divergent log must not materialize"),
+    }
 }
