@@ -4,7 +4,7 @@
 //! 1. **WAL discipline**: direct `log_op` method calls appear only
 //!    inside `crates/storage` — every other layer logs through the
 //!    runtime's self-logging path, so a stray direct append bypasses
-//!    striping, durability policy, and recovery accounting. Only tests
+//!    ticketing, durability policy, and recovery accounting. Only tests
 //!    (`tests/`, `crates/*/tests/`) may hand-craft WAL records (torn
 //!    tails, divergent logs); no production file is exempt.
 //! 2. **One object layer**: the type-independent half of an object is
@@ -66,6 +66,13 @@
 //!    recovery, the registry-flavoured checkpoint calls and the raw-API
 //!    workload switch appear nowhere under `crates/`, `src/`, `tests/`
 //!    or `examples/`.
+//! 10. **One log stream**: the WAL is a single append stream. The
+//!     retired stream-count knob — its option/builder identifier, its
+//!     environment variable and its routing helpers' prefix — appears
+//!     nowhere under `crates/`, `src/`, `tests/` or `examples/`; what
+//!     remains of the word is the `stripe-00` directory constant and
+//!     `StorageError`'s refusal of a multi-stream directory, neither of
+//!     which spells a needle.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -121,6 +128,7 @@ fn main() {
     let retired_standin = ["crit", "erion"].concat();
     let first_generation = "the first-generation log and logging discipline";
     let second_front_end = "the second recovery front end — hcc-db recovers, and nothing else";
+    let one_stream = "WAL striping — the log is one append stream";
     let retired_items = [
         (["Log", "Discipline"].concat(), first_generation),
         (["Wal", "Record"].concat(), first_generation),
@@ -130,6 +138,9 @@ fn main() {
         (["recover", "_site"].concat(), second_front_end),
         (["checkpoint", "_registry"].concat(), second_front_end),
         (["Mix", "Api"].concat(), second_front_end),
+        (["strip", "es"].concat(), one_stream),
+        (["HCC_WAL_", "STRIPES"].concat(), one_stream),
+        (["stripe_", "for_"].concat(), one_stream),
     ];
 
     // Ratchet 8: what writing a segment file takes.

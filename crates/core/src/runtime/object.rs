@@ -409,7 +409,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         // still held — so the ticket order of this object's ops can
         // never diverge from their execution order, and recovery
         // replays in ticket order — but the append itself is
-        // *published* after the lock drops, so a log stripe's
+        // *published* after the lock drops, so the log's
         // rotation fsync can no longer stall every transaction
         // queued on a hot object. Replay handles re-install history
         // that is already durable, so they skip the sink entirely.

@@ -66,8 +66,8 @@ pub struct RedoTicket(pub u64);
 /// execution *while still holding its own lock* — reserving the
 /// operation's slot in the global log order, a cheap non-blocking counter
 /// bump — and then calls [`RedoSink::publish`] with the serialized
-/// payload *after releasing the lock*. The split is what keeps a log
-/// stripe's rotation fsync from ever stalling a hot object: the ordering
+/// payload *after releasing the lock*. The split is what keeps the
+/// log's rotation fsync from ever stalling a hot object: the ordering
 /// obligation (per-object log order equals execution order) is
 /// discharged by the ticket, not by appending under the lock, and
 /// recovery replays in ticket order.

@@ -47,12 +47,6 @@ impl DbBuilder {
         self
     }
 
-    /// WAL append stripes (default 1 — the single-stream log).
-    pub fn stripes(mut self, stripes: usize) -> Self {
-        self.storage.stripes = stripes;
-        self
-    }
-
     /// Segment rotation threshold in bytes.
     pub fn segment_max_bytes(mut self, bytes: u64) -> Self {
         self.storage.segment_max_bytes = bytes;
@@ -101,8 +95,8 @@ impl DbBuilder {
         self
     }
 
-    /// Apply the CI environment overrides (`HCC_DURABILITY`,
-    /// `HCC_WAL_STRIPES`) on top of the configured options.
+    /// Apply the CI environment override (`HCC_DURABILITY`) on top of
+    /// the configured options.
     pub fn env_overrides(mut self) -> Self {
         self.storage = self.storage.env_overrides();
         self
@@ -325,8 +319,8 @@ impl Db {
         DbBuilder::default()
     }
 
-    /// [`DbBuilder::open`] with default options: fsync durability, one
-    /// stripe, default compaction, default retry policy.
+    /// [`DbBuilder::open`] with default options: fsync durability,
+    /// default compaction, default retry policy.
     pub fn open(dir: impl AsRef<Path>) -> Result<Db, HccError> {
         Db::builder().open(dir)
     }

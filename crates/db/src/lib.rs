@@ -3,7 +3,7 @@
 //! One front door to the hybrid concurrency control stack. Underneath,
 //! a transactional system is four cooperating pieces — `TxnManager`
 //! (timestamps, two-phase commitment, deadlock doom), `DurableStore`
-//! (striped WAL + checkpoints), the recovery `Registry`, and per-object
+//! (WAL + checkpoints), the recovery `Registry`, and per-object
 //! `RuntimeOptions` — and wiring them by hand leaves holes: objects
 //! nobody registered silently recover blank, and no correct retry loop
 //! can be written against four unrelated error types. This crate closes

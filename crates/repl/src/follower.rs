@@ -152,11 +152,7 @@ impl Follower {
         let dir = dir.as_ref().to_path_buf();
         let log = SegmentedWal::open(
             &dir,
-            WalOptions {
-                segment_max_bytes: opts.segment_max_bytes,
-                durability: opts.durability,
-                stripes: 1,
-            },
+            WalOptions { segment_max_bytes: opts.segment_max_bytes, durability: opts.durability },
         )?;
         // Restart catch-up rides the scan the open just made.
         let (records, _torn) = log.take_open_image().expect("a fresh open retains its scan");
@@ -267,8 +263,8 @@ impl Follower {
     }
 
     /// [`Follower::promote_with`] using default builder settings plus
-    /// the `HCC_DURABILITY` / `HCC_WAL_STRIPES` overrides for the
-    /// promoted `Db` — how the crash harness promotes under its matrix.
+    /// the `HCC_DURABILITY` override for the promoted `Db` — how the
+    /// crash harness promotes under its matrix.
     pub fn promote(self) -> Result<Db, ReplError> {
         self.promote_with(Db::builder().env_overrides())
     }

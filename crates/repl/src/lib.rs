@@ -1,8 +1,8 @@
 //! # hcc-repl — log-shipping replication
 //!
 //! Replication here is *log shipping with no second apply path*: the
-//! primary tails its own striped WAL ([`hcc_storage::WalTailer`]),
-//! merges frames into global **ticket order**, and streams the raw
+//! primary tails its own WAL ([`hcc_storage::WalTailer`]),
+//! sorts frames into global **ticket order**, and streams the raw
 //! `len|crc|seq|payload` envelopes over the network protocol
 //! ([`hcc_wire::repl`]). The follower's log is the WAL's own writer — a
 //! [`hcc_storage::SegmentedWal`] fed the verified frames raw

@@ -77,7 +77,8 @@ fn await_convergence(db: &Db, follower: &Follower) {
 }
 
 /// The ticket-sorted records of `dir` up to `ticket`, re-framed — the
-/// canonical byte form of the log prefix, independent of stripe layout.
+/// canonical byte form of the log prefix, independent of the order the
+/// frames sit in the file.
 fn log_prefix_bytes(dir: &std::path::Path, ticket: u64) -> Vec<u8> {
     let (records, _) = read_records(dir).unwrap();
     let mut out = Vec::new();
@@ -179,13 +180,7 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
     await_convergence(&db, &follower);
     drop(follower);
 
-    let sdir = hcc_storage::wal::stripe_dirs(&rdir)
-        .unwrap()
-        .into_iter()
-        .map(|(_, d)| d)
-        .find(|d| hcc_storage::wal::list_segments(d).map(|s| !s.is_empty()).unwrap_or(false))
-        .expect("a non-empty stripe");
-    let (_, seg) = hcc_storage::wal::list_segments(&sdir).unwrap().pop().unwrap();
+    let (_, seg) = hcc_storage::wal::segments(&rdir).unwrap().pop().unwrap();
     let len = std::fs::metadata(&seg).unwrap().len();
     use std::io::Write as _;
     let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
@@ -296,7 +291,7 @@ fn standin_abort_links_the_chain_for_recovery_follower_and_promotion_alike() {
     .zip(1u64..)
     .flat_map(|(rec, seq)| record::encode(rec, seq))
     .collect();
-    let sdir = pdir.join("stripe-00");
+    let sdir = pdir.join(hcc_storage::wal::STREAM_DIR);
     std::fs::create_dir_all(&sdir).unwrap();
     std::fs::write(sdir.join("seg-00000001.wal"), log).unwrap();
 

@@ -1,5 +1,5 @@
-//! Checkpoint files: a serialized committed frontier plus the per-stripe
-//! log positions recovery may prune below.
+//! Checkpoint files: a serialized committed frontier plus the log
+//! position compaction pruned below.
 //!
 //! ```text
 //! file := magic "HCCKPT03", len: u32, crc: u32, payload
@@ -17,13 +17,14 @@
 //! its ticket counter above it, since compaction may have deleted the
 //! segments that held the highest tickets.
 //!
-//! The `s` entries are the **per-stripe low-water marks**: for stripe
-//! `i`, every segment with index `< low[i]` was deleted by the
-//! checkpoint's compaction (segments pinned by transactions live at
-//! checkpoint time keep `low[i]` clamped down until they complete).
-//! Recovery scans every surviving segment regardless — the vector is a
-//! diagnostic record of what compaction was entitled to delete, not a
-//! scan bound.
+//! `s` is always 1 and its entry is the log's **low-water mark**: every
+//! segment with index `< low` was deleted by the checkpoint's compaction
+//! (segments pinned by transactions live at checkpoint time keep `low`
+//! clamped down until they complete). The counted-vector framing is the
+//! format's — `HCCKPT03` is unchanged — and a reader keeps the first
+//! entry. Recovery scans every surviving segment regardless: the mark
+//! is a diagnostic record of what compaction was entitled to delete,
+//! not a scan bound.
 //!
 //! The trailing `r` entries are the object **registry bindings** (the
 //! WAL's `Register` records) at checkpoint time. They ride in the
@@ -58,9 +59,9 @@ pub struct Checkpoint {
     /// here — every accepted post-checkpoint commit must link back to it
     /// through surviving records.
     pub commit_chain: u64,
-    /// Per-stripe low-water marks: segment indexes compaction pruned
-    /// below (diagnostic — recovery scans every surviving segment).
-    pub stripe_lows: Vec<u64>,
+    /// The low-water mark: the segment index compaction pruned below
+    /// (diagnostic — recovery scans every surviving segment).
+    pub segment_low: u64,
     /// `(object name, snapshot bytes)` for every registered object, taken
     /// at the `last_ts` watermark.
     pub objects: Vec<(String, Vec<u8>)>,
@@ -79,10 +80,8 @@ impl Checkpoint {
         payload.extend_from_slice(&self.last_ts.to_le_bytes());
         payload.extend_from_slice(&self.last_ticket.to_le_bytes());
         payload.extend_from_slice(&self.commit_chain.to_le_bytes());
-        payload.extend_from_slice(&(self.stripe_lows.len() as u32).to_le_bytes());
-        for low in &self.stripe_lows {
-            payload.extend_from_slice(&low.to_le_bytes());
-        }
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&self.segment_low.to_le_bytes());
         payload.extend_from_slice(&(self.objects.len() as u32).to_le_bytes());
         for (name, data) in &self.objects {
             payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -124,10 +123,8 @@ impl Checkpoint {
         let last_ticket = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let commit_chain = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
         let s = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-        let mut stripe_lows = Vec::with_capacity(s as usize);
-        for _ in 0..s {
-            stripe_lows.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
-        }
+        let segment_low = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+        take(&mut pos, (s as usize).checked_sub(1)? * 8)?; // `s` is 1
         let n = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let mut objects = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -145,7 +142,7 @@ impl Checkpoint {
             let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).ok()?;
             registry.push((id, name));
         }
-        Some(Checkpoint { last_ts, last_ticket, commit_chain, stripe_lows, objects, registry })
+        Some(Checkpoint { last_ts, last_ticket, commit_chain, segment_low, objects, registry })
     }
 
     /// Durably write this checkpoint into `dir` (temp file + fsync + rename
@@ -234,7 +231,7 @@ mod tests {
             last_ts: ts,
             last_ticket: 321,
             commit_chain: 300,
-            stripe_lows: vec![3, 1, 7, 2],
+            segment_low: 3,
             objects: vec![
                 ("acct".into(), br#"{"balance":75}"#.to_vec()),
                 ("q".into(), b"[1,2]".to_vec()),
@@ -298,9 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_stripe_vector_roundtrips() {
-        let dir = tmp("no-stripes");
-        let ckpt = Checkpoint { stripe_lows: vec![], objects: vec![], ..sample(7) };
+    fn empty_object_list_roundtrips() {
+        let dir = tmp("no-objects");
+        let ckpt = Checkpoint { objects: vec![], ..sample(7) };
         ckpt.save(&dir).unwrap();
         assert_eq!(Checkpoint::load_latest(&dir).unwrap(), Some(ckpt));
     }

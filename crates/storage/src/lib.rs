@@ -9,8 +9,9 @@
 //! * [`record`] — length-prefixed, CRC32-protected binary log records with
 //!   torn-tail detection; op records carry compact object **registry
 //!   ids**, bound to names by durable `Register` records;
-//! * [`wal`] — a segmented write-ahead log with rotation and leader-based
-//!   **group commit**: concurrent committers share one fsync per batch;
+//! * [`wal`] — a segmented write-ahead log, one append stream of
+//!   ticketed records with rotation and leader-based **group commit**:
+//!   concurrent committers share one fsync per batch;
 //! * [`checkpoint`] — durable snapshots of the committed frontier, so
 //!   recovery starts from the newest checkpoint and replays only the tail
 //!   instead of the whole history;
@@ -23,7 +24,7 @@
 //! * [`store`] — [`DurableStore`], the façade `hcc-txn`'s manager logs
 //!   through, plus [`DurableStore::recover`];
 //! * [`tail`] — [`WalTailer`], an incremental ticket-ordered reader over
-//!   a live striped WAL (the replication shipper's source). The
+//!   a live WAL (the replication shipper's source). The
 //!   follower's log is the same [`SegmentedWal`], fed the shipped frames
 //!   raw ([`SegmentedWal::append_frames`]), so promotion is a
 //!   [`wal::truncate_above`] plus plain recovery.
@@ -47,8 +48,8 @@ pub use policy::{CompactMode, CompactionPolicy, LogStats};
 pub use record::LogRecord;
 pub use snapshot::{DurableObject, Snapshot, SnapshotError};
 pub use store::{
-    durability_env_override, stripes_env_override, CheckpointCursor, CommitChain, CommittedTxn,
-    DurableStore, InDoubtTxn, Recovered, StorageOptions,
+    durability_env_override, CheckpointCursor, CommitChain, CommittedTxn, DurableStore, InDoubtTxn,
+    Recovered, StorageOptions,
 };
 pub use tail::{TailOptions, WalTailer};
 pub use wal::{SegmentedWal, WalOptions};
@@ -92,6 +93,14 @@ pub enum StorageError {
         /// The transaction whose op used it.
         txn: u64,
     },
+    /// The log directory holds segments under a `stripe-NN` directory
+    /// other than the one stream's: it was written as a striped
+    /// (multi-stream) log, which this build cannot read. Nothing was
+    /// opened, repaired or modified.
+    StripedLayout {
+        /// The offending stream directory.
+        dir: std::path::PathBuf,
+    },
     /// A snapshot payload could not be installed.
     Snapshot(snapshot::SnapshotError),
 }
@@ -116,6 +125,16 @@ impl std::fmt::Display for StorageError {
             }
             StorageError::UnknownObjectId { id, txn } => {
                 write!(f, "op record of txn {txn} references unregistered object id {id}")
+            }
+            StorageError::StripedLayout { dir } => {
+                write!(
+                    f,
+                    "{} holds log segments: this directory was written as a striped \
+                     (multi-stream) log, and the log is now one stream under `{}`. Commit \
+                     601d196 is the last build able to read it; nothing was modified",
+                    dir.display(),
+                    wal::STREAM_DIR
+                )
             }
             StorageError::Snapshot(e) => write!(f, "{e}"),
         }

@@ -13,43 +13,42 @@
 //!   5 Register { id: u64, name: len-prefixed utf8 }
 //! ```
 //!
-//! The `seq` ticket is allocated from one process-wide monotone counter no
-//! matter which **append stripe** the record lands on, so recovery can
-//! merge the stripes back into a single deterministic order by sorting on
-//! it. Tickets are reserved *under the owning object's lock* for op
-//! records (see `hcc-core`'s `RedoSink::reserve`), which is what keeps
-//! each object's ticket order identical to its execution order even
-//! though the physical append happens outside the lock and may interleave
-//! arbitrarily within a stripe.
+//! The `seq` ticket is allocated from one process-wide monotone counter.
+//! Tickets are reserved *under the owning object's lock* for op records
+//! (see `hcc-core`'s `RedoSink::reserve`), which is what keeps each
+//! object's ticket order identical to its execution order even though
+//! the physical append happens outside the lock: the log is one file
+//! stream, but its frames may sit out of ticket order, and every reader
+//! sorts on `seq`.
 //!
 //! Commit records carry the number of op records their transaction logged
-//! (`ops`). With the log spread over stripes, a crash can lose one
-//! stripe's tail while another stripe keeps the commit record; the count
-//! lets recovery detect the txn as *incompletely durable* and drop it
-//! (it was never acknowledged — see `store::recover`) instead of
-//! replaying half a transaction.
+//! (`ops`). A commit that outlives one of its ops — a lost segment, a
+//! replica feed that skipped a frame — is detected by the count, and
+//! recovery drops the txn as *incompletely durable* (see
+//! `store::recover`) instead of replaying half a transaction.
 //!
 //! Commit records also carry `prev` — the ticket of the commit record
-//! appended just before them, store-wide: the **commit chain**. Striping
-//! spreads commit records over stripes, so losing one stripe's tail
-//! could otherwise silently drop an *earlier acknowledged* commit while
-//! keeping a later one that observed its effects. Recovery walks the
-//! chain from the checkpoint's watermark and accepts only commits whose
-//! every predecessor survives (an abort record that reused a failed
-//! commit's ticket also links) — restoring exactly the global
-//! durable-prefix property a single-stream log has.
+//! chained just before them, store-wide: the **commit chain**. Chain
+//! order is fixed when the ticket is reserved; the append happens later,
+//! so a later-chained commit can reach the file first and survive a
+//! crash tail that takes its predecessor — silently dropping an *earlier
+//! acknowledged* commit while keeping a later one that observed its
+//! effects. Recovery walks the chain from the checkpoint's watermark and
+//! accepts only commits whose every predecessor survives (an abort
+//! record that reused a failed commit's ticket also links) — which is
+//! exactly the durable-prefix property of the history, not merely of the
+//! file.
 //!
 //! Op records reference objects by **registry id** — a compact u64 the
 //! store assigns the first time a name is logged against — instead of
 //! repeating the name string per operation. The id→name binding is itself
-//! a durable `Register` record routed to the *same stripe* as the ops
-//! using the id (so a torn tail that keeps an op always keeps its
-//! binding); checkpoints additionally carry the full binding table in
-//! their own file.
+//! a durable `Register` record appended before any op using the id (so a
+//! torn tail that keeps an op always keeps its binding); checkpoints
+//! additionally carry the full binding table in their own file.
 //!
 //! The CRC covers the seq plus the payload; a frame whose length field,
 //! CRC, or tag is implausible is treated as a torn tail when it is the
-//! last thing in a stripe's last segment, and as corruption anywhere else.
+//! last thing in the log's last segment, and as corruption anywhere else.
 //!
 //! The frame envelope itself (CRC32, header layout, torn-tail detection)
 //! lives in `hcc-wire::frame`, shared with the network protocol; this
@@ -89,9 +88,9 @@ pub enum LogRecord {
         /// Number of op records the transaction logged. Recovery refuses
         /// to replay the transaction with fewer surviving ops.
         ops: u32,
-        /// Ticket of the commit record appended just before this one
-        /// (store-wide, any stripe); 0 = the first commit ever. The
-        /// commit chain recovery walks to reject holes.
+        /// Ticket of the commit record chained just before this one
+        /// (store-wide); 0 = the first commit ever. The commit chain
+        /// recovery walks to reject holes.
         prev: u64,
     },
     /// The transaction aborted.

@@ -1,5 +1,5 @@
-//! The durable store: ties the striped WAL, the checkpoint manager, and
-//! the compaction policy into one object the transaction layer can own.
+//! The durable store: ties the WAL, the checkpoint manager, and the
+//! compaction policy into one object the transaction layer can own.
 //!
 //! ## Fuzzy checkpoint protocol
 //!
@@ -8,8 +8,8 @@
 //! I/O) and a lazy *finish* (commits flow concurrently):
 //!
 //! 1. **Begin** (`checkpoint_begin`, gate held): record the watermark
-//!    `ts0 = last_commit_ts`, the global ticket watermark, and each
-//!    stripe's cut — its active segment index clamped below any segment
+//!    `ts0 = last_commit_ts`, the global ticket watermark, and the
+//!    log's cut — its active segment index clamped below any segment
 //!    pinned by a live transaction. The caller pins every object's fold
 //!    horizon at `ts0` before releasing the gate.
 //! 2. **Snapshot** (gate released): each object serializes its committed
@@ -17,29 +17,35 @@
 //!    commits with `ts > ts0` proceed concurrently and are simply not in
 //!    the image.
 //! 3. **Finish** (`checkpoint_finish`): the `HCCKPT03` file
-//!    `{ts0, ticket, stripe_lows, snapshots, registry}` is written
-//!    durably (temp + fsync + rename), segments below each stripe's cut
-//!    are deleted, and older checkpoints pruned. Every record of a commit
-//!    above `ts0` is either at/above its stripe's cut (logged after
-//!    begin) or in a segment pinned by its then-live transaction — so
-//!    pruning can never eat a record the fuzzy image is missing.
+//!    `{ts0, ticket, chain, segment_low, snapshots, registry}` is
+//!    written durably (temp + fsync + rename), segments below the cut are
+//!    deleted, and older checkpoints pruned. Every record of a commit
+//!    above `ts0` is either at/above the cut (logged after begin) or in
+//!    a segment pinned by its then-live transaction — so pruning can
+//!    never eat a record the fuzzy image is missing.
 //!
 //! ## Recovery
 //!
-//! `recover()` loads the newest valid checkpoint, merges every stripe's
-//! surviving records into ticket order (tolerating a torn tail per
-//! stripe), and returns the committed transactions with timestamp above
-//! the watermark, in timestamp order, each with its logged operations.
+//! `recover()` loads the newest valid checkpoint, sorts the log's
+//! surviving records into ticket order (tolerating a torn tail), and
+//! returns the committed transactions with timestamp above the
+//! watermark, in timestamp order, each with its logged operations.
 //! Commit records are **self-certifying**: they carry their op count and
-//! chain link, so recovery needs no Begin record to trust them (Begin
-//! records are buffered on the transaction's home stripe and may not
-//! survive a crash that the fsynced commit did). A commit whose op count
-//! exceeds the surviving ops lost part of a stripe tail in the crash; it
-//! was never acknowledged at `Fsync` durability, so it is *dropped* as
-//! incompletely durable (`Recovered::incomplete`) rather than
-//! half-replayed — and because ops of one object always share a stripe,
-//! dropping it can never orphan a surviving transaction that depended on
-//! it. The same reporting covers a wrongly pruned middle segment.
+//! chain link, so recovery needs no Begin record to trust them. The log
+//! is one file stream, but records are appended outside the locks that
+//! reserved their tickets, so a crash tail is a suffix of the *file*,
+//! not of the history — two checks turn it back into one:
+//!
+//! * the **commit chain** ([`CommitChain`]): a commit whose chained
+//!   predecessor did not survive (it was appended later, past the cut)
+//!   is dropped with everything chained after it; acknowledgement order
+//!   equals chain order, so nothing dropped this way was acknowledged
+//!   while its predecessor was not;
+//! * the **op count**: a commit with fewer surviving op records than it
+//!   stamped lost part of itself — a vanished or wrongly pruned segment,
+//!   a replica whose feed skipped a frame — and is *dropped* as
+//!   incompletely durable (`Recovered::incomplete`) rather than
+//!   half-replayed.
 
 use crate::checkpoint::Checkpoint;
 use crate::policy::{CompactionPolicy, LogStats};
@@ -61,8 +67,6 @@ pub struct StorageOptions {
     pub segment_max_bytes: u64,
     /// Durability of completion records.
     pub durability: Durability,
-    /// Number of WAL append stripes (1 = the legacy single-stream log).
-    pub stripes: usize,
     /// When to checkpoint and delete dead segments.
     pub policy: CompactionPolicy,
 }
@@ -72,17 +76,9 @@ impl Default for StorageOptions {
         StorageOptions {
             segment_max_bytes: 4 * 1024 * 1024,
             durability: Durability::Fsync,
-            stripes: 1,
             policy: CompactionPolicy::default(),
         }
     }
-}
-
-/// The `HCC_WAL_STRIPES` environment override (the CI striping axis),
-/// shared by every options type that carries a stripe count: `Some(n)`
-/// for a parsable value ≥ 1, `None` otherwise.
-pub fn stripes_env_override() -> Option<usize> {
-    std::env::var("HCC_WAL_STRIPES").ok()?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// The `HCC_DURABILITY` environment override (`none` / `buffered` /
@@ -99,29 +95,14 @@ pub fn durability_env_override() -> Option<Durability> {
 }
 
 impl StorageOptions {
-    /// Override the stripe count from `HCC_WAL_STRIPES` — how CI runs
-    /// the recovery suite as a striping matrix. Unset or unparsable
-    /// values keep the current count.
-    pub fn stripes_from_env(mut self) -> Self {
-        if let Some(n) = stripes_env_override() {
-            self.stripes = n;
-        }
-        self
-    }
-
-    /// Override the durability level from `HCC_DURABILITY`. Unset or
-    /// unrecognized values keep the current level.
-    pub fn durability_from_env(mut self) -> Self {
+    /// Override the durability level from `HCC_DURABILITY` — how CI runs
+    /// the recovery suite as a durability matrix. Unset or unrecognized
+    /// values keep the current level.
+    pub fn env_overrides(mut self) -> Self {
         if let Some(d) = durability_env_override() {
             self.durability = d;
         }
         self
-    }
-
-    /// Apply every environment override (`HCC_DURABILITY`,
-    /// `HCC_WAL_STRIPES`).
-    pub fn env_overrides(self) -> Self {
-        self.durability_from_env().stripes_from_env()
     }
 }
 
@@ -160,11 +141,11 @@ pub struct Recovered {
     pub committed: Vec<CommittedTxn>,
     /// Transactions with operations but no completion record, by id.
     pub in_doubt: Vec<InDoubtTxn>,
-    /// Transactions whose commit record survived but some op records did
-    /// not (a stripe's crash tail took them): never acknowledged durable,
-    /// dropped from replay.
+    /// Transactions whose commit record survived but whose chain
+    /// predecessor or some op records did not: beyond the durable
+    /// horizon, dropped from replay.
     pub incomplete: Vec<u64>,
-    /// Did any stripe drop a torn tail from its final segment?
+    /// Did the scan drop a torn tail from the final segment?
     pub torn_tail: bool,
 }
 
@@ -180,8 +161,8 @@ pub struct CheckpointCursor {
     /// The commit-chain watermark at begin time (no commit is mid-chain:
     /// the caller holds its commit gate exclusively).
     pub commit_chain: u64,
-    /// Per-stripe prune bounds (active segment clamped by live pins).
-    pub stripe_cuts: Vec<u64>,
+    /// The prune bound (active segment clamped by live pins).
+    pub segment_cut: u64,
 }
 
 /// The commit-chain rule: which logged commit records count.
@@ -270,13 +251,12 @@ pub struct DurableStore {
     /// The object registry: name → compact id used by `Op` records. Seeded
     /// from the surviving `Register` records on open; grows as new names
     /// are logged against. Reads (the per-op fast path) take the lock
-    /// shared so the registry cannot become a serial point across stripes.
+    /// shared so the registry is not a serial point ahead of the log.
     registry: std::sync::RwLock<ObjectRegistry>,
     /// The system-wide metric registry. Created here (the store is the
     /// bottom of the stack) and adopted upward by the transaction manager
     /// and the `Db` facade, so every layer's instruments land in one
-    /// snapshot. The WAL's stripe instruments are resolved from it at
-    /// open.
+    /// snapshot. The WAL's instruments are resolved from it at open.
     metrics: Arc<Registry>,
 }
 
@@ -308,11 +288,7 @@ impl DurableStore {
         let metrics = Arc::new(Registry::new());
         let wal = SegmentedWal::open_with_metrics(
             &dir,
-            WalOptions {
-                segment_max_bytes: opts.segment_max_bytes,
-                durability: opts.durability,
-                stripes: opts.stripes,
-            },
+            WalOptions { segment_max_bytes: opts.segment_max_bytes, durability: opts.durability },
             &metrics,
         )?;
         let ckpt = Checkpoint::load_latest(&dir)?;
@@ -442,11 +418,6 @@ impl DurableStore {
         self.opts.durability
     }
 
-    /// The number of WAL append stripes.
-    pub fn stripes(&self) -> usize {
-        self.wal.stripe_count()
-    }
-
     /// Reserve the next global order ticket. The two-phase redo path
     /// calls this *under the executing object's lock* — that is the whole
     /// trick: the ticket order of one object's ops equals their execution
@@ -473,8 +444,7 @@ impl DurableStore {
 
     /// Append one executed operation under a pre-reserved ticket. The
     /// object name is translated to its compact registry id; a first-seen
-    /// name durably appends its `Register` binding (on the same stripe)
-    /// before the op record.
+    /// name appends its `Register` binding before the op record.
     pub fn publish_op(
         &self,
         ticket: u64,
@@ -525,10 +495,9 @@ impl DurableStore {
         Ok(id)
     }
 
-    /// Durably log that `txn` committed at `ts` (group-committed per
-    /// stripe under `Durability::Fsync`; the transaction's other op
-    /// stripes are settled first). Returns only once the record is as
-    /// durable as the configured level requires.
+    /// Durably log that `txn` committed at `ts` (group-committed under
+    /// `Durability::Fsync`). Returns only once the record is as durable
+    /// as the configured level requires.
     pub fn log_commit(&self, txn: u64, ts: u64) -> Result<(), StorageError> {
         self.release_image_on_append();
         self.wal.commit_txn(txn, ts)?;
@@ -552,8 +521,8 @@ impl DurableStore {
         self.wal.commit_abort(txn)
     }
 
-    /// Force everything appended so far onto disk (flush + fsync on every
-    /// stripe), regardless of the configured durability level. A 2PC
+    /// Force everything appended so far onto disk (flush + fsync),
+    /// regardless of the configured durability level. A 2PC
     /// participant calls this before voting yes: its op records must
     /// survive a crash once the coordinator may decide commit.
     pub fn sync(&self) -> Result<(), StorageError> {
@@ -589,7 +558,7 @@ impl DurableStore {
             last_ts: self.last_commit_ts.load(Ordering::Relaxed),
             last_ticket: self.wal.current_ticket(),
             commit_chain: self.wal.commit_chain(),
-            stripe_cuts: self.wal.checkpoint_cuts(),
+            segment_cut: self.wal.checkpoint_cut(),
         })
     }
 
@@ -617,13 +586,13 @@ impl DurableStore {
             last_ts: cursor.last_ts,
             last_ticket: cursor.last_ticket,
             commit_chain: cursor.commit_chain,
-            stripe_lows: cursor.stripe_cuts.clone(),
+            segment_low: cursor.segment_cut,
             objects,
             registry,
         };
         ckpt.save(&self.dir)?;
         self.wal.mark_checkpoint();
-        let pruned = self.wal.prune_segments(&cursor.stripe_cuts)?;
+        let pruned = self.wal.prune_segments(cursor.segment_cut)?;
         Checkpoint::prune_older(&self.dir, ckpt.last_ts)?;
         self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         self.metrics.counter("ckpt.count").inc();
@@ -671,8 +640,6 @@ impl DurableStore {
     pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, StorageError> {
         let dir = dir.as_ref();
         let checkpoint = Checkpoint::load_latest(dir)?;
-        // Records arrive merged into global ticket order — the
-        // deterministic stripe merge.
         let (records, torn_tail) = read_records(dir)?;
         assemble_recovered(checkpoint, records, torn_tail, None)
     }
@@ -712,11 +679,11 @@ fn assemble_recovered(
     let mut completed: HashSet<u64> = HashSet::new();
     let mut op_counts: HashMap<u64, u32> = HashMap::new();
     // The commit-chain walk ([`CommitChain`]), in ticket order as the
-    // records go by: a hole means a stripe's crash tail took an earlier
-    // commit record than one that survived elsewhere, and the unlinked
-    // commit is dropped with everything chained past it — exactly the
-    // "a tail cut removes a suffix" semantics of a single-stream log,
-    // reconstructed across stripes.
+    // records go by: a hole means the crash tail took a commit record
+    // that was chained earlier but appended later than one that
+    // survived, and the unlinked commit is dropped with everything
+    // chained past it — "a tail cut removes a suffix", restored from the
+    // file's order to the history's.
     let chain_floor = checkpoint.as_ref().map_or(0, |c| c.commit_chain);
     let mut chain = CommitChain::new(chain_floor);
     let mut commits: BTreeMap<u64, u64> = BTreeMap::new(); // ts -> txn
@@ -787,15 +754,10 @@ fn assemble_recovered(
         let survivors = ops.remove(&txn).unwrap_or_default();
         let want = op_counts.get(&txn).copied().unwrap_or(0) as usize;
         if survivors.len() < want {
-            // Part of the transaction's ops went down with a stripe's
-            // crash tail while its commit record (on another stripe)
-            // survived. The commit was never acknowledged at `Fsync`
-            // durability — the op stripes settle before the commit
-            // record syncs — so dropping it is exactly the
-            // crashed-before-acknowledge outcome. Per-object stripe
-            // affinity guarantees no *surviving* transaction observed
-            // its effects: any later op on the same object sat behind
-            // the lost one in the same stripe and is lost too.
+            // The commit record survived but part of the transaction
+            // did not: ops precede their commit in the file, so this is
+            // not a tail cut but a lost segment or a feed that skipped a
+            // frame. Replaying the rest would apply half a transaction.
             incomplete.push(txn);
             continue;
         }
@@ -881,8 +843,33 @@ mod tests {
         }
     }
 
-    fn striped_opts(n: usize) -> StorageOptions {
-        StorageOptions { stripes: n, ..small_opts() }
+    /// Write `frames` — `(ticket, record)` in the *physical* order given
+    /// — as segment 1 of a fresh log under `dir`; returns the file and
+    /// the byte offset at which each frame starts.
+    fn hand_written_log(dir: &Path, frames: &[(u64, LogRecord)]) -> (PathBuf, Vec<usize>) {
+        let stream = dir.join(crate::wal::STREAM_DIR);
+        std::fs::create_dir_all(&stream).unwrap();
+        let mut bytes = Vec::new();
+        let mut starts = Vec::new();
+        for (seq, rec) in frames {
+            starts.push(bytes.len());
+            crate::record::encode_into(rec, *seq, &mut bytes);
+        }
+        let path = crate::wal::segment_path(&stream, 1);
+        std::fs::write(&path, bytes).unwrap();
+        (path, starts)
+    }
+
+    fn op(txn: u64, obj: u64, v: i64) -> LogRecord {
+        LogRecord::Op { txn, obj, op: v.to_le_bytes().to_vec() }
+    }
+
+    fn register(id: u64, name: &str) -> LogRecord {
+        LogRecord::Register { id, name: name.into() }
+    }
+
+    fn segment_count(dir: &Path) -> usize {
+        crate::wal::segments(dir).unwrap().len()
     }
 
     fn run_txn(store: &DurableStore, cell: &Cell, txn: u64, ts: u64, v: i64) {
@@ -961,35 +948,11 @@ mod tests {
         for i in 1..=50 {
             run_txn(&store, &cell, i, i, 1);
         }
-        let stripe = &crate::wal::stripe_dirs(&dir).unwrap()[0].1;
-        let before = crate::wal::list_segments(stripe).unwrap().len();
-        assert!(before > 2);
+        assert!(segment_count(&dir) > 2);
         store.checkpoint(&[("cell", &cell)]).unwrap();
-        let after = crate::wal::list_segments(stripe).unwrap().len();
+        let after = segment_count(&dir);
         assert!(after <= 2, "dead segments survived: {after}");
         assert_eq!(store.checkpoints_taken(), 1);
-    }
-
-    #[test]
-    fn striped_store_recovers_identically_to_single_stripe() {
-        let dir1 = tmp("stripes-1");
-        let dir8 = tmp("stripes-8");
-        let drive = |dir: &PathBuf, stripes: usize| {
-            let store = DurableStore::open(dir, striped_opts(stripes)).unwrap();
-            // Several objects so striping actually spreads the records.
-            for i in 1..=40u64 {
-                let name = format!("cell-{}", i % 5);
-                store.log_begin(i).unwrap();
-                store.log_op(i, &name, &(i as i64).to_le_bytes()).unwrap();
-                store.log_commit(i, i).unwrap();
-            }
-        };
-        drive(&dir1, 1);
-        drive(&dir8, 8);
-        let r1 = DurableStore::recover(&dir1).unwrap();
-        let r8 = DurableStore::recover(&dir8).unwrap();
-        assert_eq!(r1.committed, r8.committed, "merged replay is routing-invariant");
-        assert!(crate::wal::stripe_dirs(&dir8).unwrap().len() > 1);
     }
 
     #[test]
@@ -1090,10 +1053,8 @@ mod tests {
     }
 
     /// Commit records are self-certifying: a zero-op commit replays as an
-    /// empty transaction even with no Begin record anywhere (a crash can
-    /// fsync the commit while the buffered Begin on another stripe is
-    /// lost), and a commit whose stamped op count exceeds the surviving
-    /// ops is reported as incomplete rather than refusing the log.
+    /// empty transaction even with no Begin record anywhere (recovery
+    /// never needs one to trust a commit).
     #[test]
     fn commits_are_self_certifying_without_begin_records() {
         let dir = tmp("self-certify");
@@ -1108,38 +1069,27 @@ mod tests {
         assert!(recovered.incomplete.is_empty());
     }
 
-    /// The striped crash shape: a stripe's tail takes a transaction's op
-    /// records while its commit record (op count stamped in) survives on
-    /// another stripe. The transaction was never acknowledged; recovery
-    /// drops it as incomplete instead of refusing the whole log or
-    /// replaying half of it.
+    /// A commit record outlives one of its op records: the frame is
+    /// excised from the middle of the file (what a lost segment or a
+    /// replica feed that skipped a frame leaves behind). The stamped op
+    /// count catches it; recovery drops the transaction as incomplete
+    /// instead of refusing the whole log or replaying half of it.
     #[test]
     fn commit_with_partially_lost_ops_is_dropped_as_incomplete() {
         let dir = tmp("incomplete");
-        {
-            let store = DurableStore::open(
-                &dir,
-                StorageOptions { segment_max_bytes: 1 << 20, ..striped_opts(2) },
-            )
-            .unwrap();
-            // cell-a gets registry id 1 (stripe 1), cell-b id 2 (stripe
-            // 0). txn 3's home stripe is 1, so its multi-stripe commit
-            // lands on stripe 1 while its cell-b op sits alone at stripe
-            // 0's tail.
-            store.log_begin(3).unwrap();
-            store.log_op(3, "cell-a", &1i64.to_le_bytes()).unwrap();
-            store.log_op(3, "cell-b", &2i64.to_le_bytes()).unwrap();
-            store.log_commit(3, 1).unwrap();
-            store.log_begin(5).unwrap();
-            store.log_op(5, "cell-a", &3i64.to_le_bytes()).unwrap();
-            store.log_commit(5, 2).unwrap();
-        }
-        // Chop cell-b's op off stripe 0's tail; stripe 1 (commit record,
-        // op count 2) is untouched.
-        let sdir = &crate::wal::stripe_dirs(&dir).unwrap()[0].1;
-        let last = crate::wal::list_segments(sdir).unwrap().pop().unwrap().1;
-        let len = std::fs::metadata(&last).unwrap().len();
-        std::fs::OpenOptions::new().write(true).open(&last).unwrap().set_len(len - 10).unwrap();
+        let frames = [
+            (1, register(1, "cell-a")),
+            (2, register(2, "cell-b")),
+            (3, op(3, 1, 1)),
+            (4, op(3, 2, 2)), // excised below
+            (5, LogRecord::Commit { txn: 3, ts: 1, ops: 2, prev: 0 }),
+            (6, op(5, 1, 3)),
+            (7, LogRecord::Commit { txn: 5, ts: 2, ops: 1, prev: 5 }),
+        ];
+        let (path, starts) = hand_written_log(&dir, &frames);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.drain(starts[3]..starts[4]);
+        std::fs::write(&path, bytes).unwrap();
 
         let recovered = DurableStore::recover(&dir).unwrap();
         assert_eq!(recovered.incomplete, vec![3], "txn 3 lost an op record");
@@ -1147,39 +1097,29 @@ mod tests {
         assert_eq!(recovered.committed[0].txn, 5);
     }
 
-    /// The commit-chain rule: a stripe's crash tail takes an *earlier*
-    /// commit record while a later, possibly dependent commit survives on
-    /// another stripe. Without the chain, replay would keep the later
-    /// transaction over state missing its predecessor; with it, the hole
-    /// unlinks the later commit and everything chained past it.
+    /// The commit-chain rule on one stream: txn 3 chained first (ticket
+    /// 5) but txn 4, chained after it (ticket 6, `prev` 5), reached the
+    /// file first, and the crash tail took txn 3's commit record. Without
+    /// the chain, replay would keep a commit whose predecessor — possibly
+    /// one it depended on — is gone; with it, the hole unlinks the later
+    /// commit and everything chained past it.
     #[test]
     fn chain_hole_drops_commits_past_a_lost_predecessor() {
         let dir = tmp("chain");
-        {
-            let store = DurableStore::open(
-                &dir,
-                StorageOptions { segment_max_bytes: 1 << 20, ..striped_opts(2) },
-            )
-            .unwrap();
-            // txn 3 (home stripe 1) touches both objects → commit on its
-            // home stripe 1. txn 4 touches only cell-b (stripe 0) → its
-            // commit lands on stripe 0 with its op.
-            store.log_begin(3).unwrap();
-            store.log_op(3, "cell-a", &1i64.to_le_bytes()).unwrap(); // id 1 → stripe 1
-            store.log_op(3, "cell-b", &2i64.to_le_bytes()).unwrap(); // id 2 → stripe 0
-            store.log_commit(3, 1).unwrap();
-            store.log_begin(4).unwrap();
-            store.log_op(4, "cell-b", &3i64.to_le_bytes()).unwrap();
-            store.log_commit(4, 2).unwrap();
-        }
-        // Cut stripe 1's tail: txn 3 loses its commit record (and its
-        // cell-a op); stripe 0 keeps txn 4's op + commit intact.
-        let sdir = &crate::wal::stripe_dirs(&dir).unwrap()[1].1;
-        let last = crate::wal::list_segments(sdir).unwrap().pop().unwrap().1;
-        let len = std::fs::metadata(&last).unwrap().len();
-        std::fs::OpenOptions::new().write(true).open(&last).unwrap().set_len(len - 40).unwrap();
+        let frames = [
+            (1, register(1, "cell-a")),
+            (2, register(2, "cell-b")),
+            (3, op(3, 1, 1)),
+            (4, op(4, 2, 3)),
+            (6, LogRecord::Commit { txn: 4, ts: 2, ops: 1, prev: 5 }),
+            (5, LogRecord::Commit { txn: 3, ts: 1, ops: 1, prev: 0 }), // torn below
+        ];
+        let (path, starts) = hand_written_log(&dir, &frames);
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(starts[5] as u64 + 10).unwrap();
 
         let recovered = DurableStore::recover(&dir).unwrap();
+        assert!(recovered.torn_tail);
         assert!(
             recovered.committed.is_empty(),
             "txn 4's chain predecessor (txn 3's commit) is gone — it must not replay: {:?}",

@@ -1,17 +1,18 @@
-//! Tailing a live striped WAL: incremental, ticket-ordered frame export.
+//! Tailing a live WAL: incremental, ticket-ordered frame export.
 //!
-//! The replication shipper needs the log as **one stream in global
-//! ticket order**, but the stripes append concurrently and a ticket is
-//! reserved *before* its frame is written — so at any instant each
-//! stripe's tail may be missing tickets that a neighbouring stripe has
-//! already made visible. [`WalTailer`] owns a byte cursor per stripe,
-//! decodes newly appended frames on every [`WalTailer::poll`], buffers
-//! them by ticket, and releases only the **contiguous prefix**: a frame
-//! is emitted exactly once, after every lower ticket has been emitted.
+//! The replication shipper needs the log **in global ticket order**, but
+//! a ticket is reserved (under the lock that orders it) *before* its
+//! frame is appended (outside that lock) — so the file is not
+//! ticket-sorted, and at any instant its tail may be missing a ticket
+//! while higher ones are already visible. [`WalTailer`] owns a byte
+//! cursor into the log, decodes newly appended frames on every
+//! [`WalTailer::poll`], buffers them by ticket, and releases only the
+//! **contiguous prefix**: a frame is emitted exactly once, after every
+//! lower ticket has been emitted.
 //!
 //! Frames are captured as raw envelope bytes (`len|crc|seq|payload`),
 //! not re-encoded — the follower appends what the primary wrote, and the
-//! converged log prefix is byte-identical after a ticket-ordered merge.
+//! converged log prefix is byte-identical once sorted by ticket.
 //!
 //! ## Gaps
 //!
@@ -25,7 +26,7 @@
 //!   [`TailOptions::gap_patience`] consecutive polls without progress
 //!   the tailer skips to the next ticket it actually holds and counts
 //!   the jump in [`WalTailer::gaps_skipped`].
-//! * **pruned mid-tail** — compaction deleted a segment below a cursor.
+//! * **pruned mid-tail** — compaction deleted a segment below the cursor.
 //!   Replication sources should run with pruning off (or a follower
 //!   bootstraps from a checkpoint first — a ROADMAP follow-up); the
 //!   tailer surfaces the vanished file as an error instead of guessing.
@@ -41,7 +42,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::record;
-use crate::wal::{list_segments, stripe_dirs};
+use crate::wal::{list_segments, segment_path, stream_dir};
 use crate::StorageError;
 use hcc_wire::frame::FrameError;
 
@@ -59,22 +60,18 @@ impl Default for TailOptions {
     }
 }
 
-/// Byte cursor into one stripe: the segment being read and the offset of
-/// the first byte not yet consumed (always a frame boundary).
-struct StripeCursor {
-    dir: PathBuf,
-    seg_index: u64,
-    offset: u64,
-}
-
 /// One exported frame: its ticket and its raw envelope bytes.
 pub type TailedFrame = (u64, Vec<u8>);
 
-/// An incremental, ticket-ordered reader over a (possibly live) striped
-/// WAL directory. See the module docs for the contract.
+/// An incremental, ticket-ordered reader over a (possibly live) WAL
+/// directory. See the module docs for the contract.
 pub struct WalTailer {
-    dir: PathBuf,
-    stripes: Vec<StripeCursor>,
+    /// The directory of segment files.
+    stream: PathBuf,
+    /// The byte cursor: the segment being read and the offset of the
+    /// first byte not yet consumed (always a frame boundary).
+    seg_index: u64,
+    offset: u64,
     /// Decoded-but-not-yet-contiguous frames, keyed by ticket.
     pending: BTreeMap<u64, Vec<u8>>,
     /// The next ticket to emit.
@@ -99,18 +96,20 @@ impl WalTailer {
         after: u64,
         opts: TailOptions,
     ) -> Result<WalTailer, StorageError> {
-        let mut tailer = WalTailer {
-            dir: dir.as_ref().to_path_buf(),
-            stripes: Vec::new(),
+        let stream = stream_dir(dir.as_ref())?;
+        // A log not yet opened by its writer starts at segment 1.
+        let seg_index = list_segments(&stream)?.first().map_or(1, |(i, _)| *i);
+        Ok(WalTailer {
+            stream,
+            seg_index,
+            offset: 0,
             pending: BTreeMap::new(),
             next: after + 1,
             frontier: after,
             stalled: 0,
             gaps_skipped: 0,
             opts,
-        };
-        tailer.discover_stripes()?;
-        Ok(tailer)
+        })
     }
 
     /// Highest ticket observed on disk (shipped or not).
@@ -129,27 +128,11 @@ impl WalTailer {
         self.gaps_skipped
     }
 
-    /// Stripe directories can appear after the tailer (an empty primary
-    /// creates them on first open); re-discover until some exist.
-    fn discover_stripes(&mut self) -> Result<(), StorageError> {
-        if !self.stripes.is_empty() {
-            return Ok(());
-        }
-        for (_, sdir) in stripe_dirs(&self.dir)? {
-            let first_seg = list_segments(&sdir)?.first().map_or(1, |(i, _)| *i);
-            self.stripes.push(StripeCursor { dir: sdir, seg_index: first_seg, offset: 0 });
-        }
-        Ok(())
-    }
-
-    /// Read newly appended complete frames off every stripe and return
-    /// the released contiguous run of tickets, oldest first. An empty
-    /// result means nothing new is both visible and contiguous yet.
+    /// Read newly appended complete frames off the log and return the
+    /// released contiguous run of tickets, oldest first. An empty result
+    /// means nothing new is both visible and contiguous yet.
     pub fn poll(&mut self) -> Result<Vec<TailedFrame>, StorageError> {
-        self.discover_stripes()?;
-        for i in 0..self.stripes.len() {
-            self.poll_stripe(i)?;
-        }
+        self.read_appended()?;
         let mut out = Vec::new();
         while let Some(bytes) = self.pending.remove(&self.next) {
             out.push((self.next, bytes));
@@ -175,18 +158,16 @@ impl WalTailer {
         Ok(out)
     }
 
-    fn poll_stripe(&mut self, i: usize) -> Result<(), StorageError> {
+    fn read_appended(&mut self) -> Result<(), StorageError> {
         loop {
-            let (path, offset, seg_index) = {
-                let c = &self.stripes[i];
-                (crate::wal::segment_path(&c.dir, c.seg_index), c.offset, c.seg_index)
-            };
+            let (offset, seg_index) = (self.offset, self.seg_index);
+            let path = segment_path(&self.stream, seg_index);
             let bytes = match fs::read(&path) {
                 Ok(b) => b,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Either the stripe hasn't written its first segment
+                    // Either the log hasn't written its first segment
                     // yet, or compaction pruned under our cursor.
-                    let segments = list_segments(&self.stripes[i].dir)?;
+                    let segments = list_segments(&self.stream)?;
                     match segments.first() {
                         None => return Ok(()),
                         Some((first, _)) if *first > seg_index && offset == 0 => {
@@ -199,7 +180,7 @@ impl WalTailer {
                                 format!(
                                     "segment {seg_index} of {} was pruned under the replication \
                                      tailer; run the replicated store with compaction off",
-                                    self.stripes[i].dir.display()
+                                    self.stream.display()
                                 ),
                             )));
                         }
@@ -229,15 +210,20 @@ impl WalTailer {
                     | Err(FrameError::BadLength(_)) => break,
                 }
             }
-            self.stripes[i].offset = at as u64;
+            self.offset = at as u64;
             if at == bytes.len() {
                 // Clean end of this segment: advance to the next one if
                 // rotation already created it, else wait here.
-                let segments = list_segments(&self.stripes[i].dir)?;
+                let segments = list_segments(&self.stream)?;
                 match segments.iter().find(|(idx, _)| *idx > seg_index) {
+                    // Rotation finishes a segment before it creates the
+                    // next, so this one is final now — but it may have
+                    // grown between our read and the rotation; leave it
+                    // only once all of it is consumed.
+                    Some(_) if fs::metadata(&path)?.len() > bytes.len() as u64 => {}
                     Some((next_idx, _)) => {
-                        self.stripes[i].seg_index = *next_idx;
-                        self.stripes[i].offset = 0;
+                        self.seg_index = *next_idx;
+                        self.offset = 0;
                     }
                     None => return Ok(()),
                 }
@@ -269,8 +255,8 @@ mod tests {
         p
     }
 
-    fn opts(stripes: usize) -> WalOptions {
-        WalOptions { segment_max_bytes: 256, stripes, ..WalOptions::default() }
+    fn opts() -> WalOptions {
+        WalOptions { segment_max_bytes: 256, ..WalOptions::default() }
     }
 
     fn append_txn(wal: &SegmentedWal, txn: u64, obj: u64, ts: u64) {
@@ -280,20 +266,45 @@ mod tests {
         wal.commit_txn(txn, ts).unwrap();
     }
 
+    /// Several threads reserve tickets and append outside any common
+    /// lock, so the file holds them out of ticket order (and rotates
+    /// underneath the tailer); what the tailer releases is the
+    /// contiguous ticket sequence all the same.
     #[test]
-    fn tails_appends_in_ticket_order_across_stripes_and_rotations() {
+    fn tails_out_of_ticket_order_appends_in_ticket_order_across_rotations() {
         let dir = tmp("order");
-        let wal = SegmentedWal::open(&dir, opts(4)).unwrap();
-        let mut tailer = WalTailer::new(&dir, 0, TailOptions::default()).unwrap();
+        let wal = std::sync::Arc::new(SegmentedWal::open(&dir, opts()).unwrap());
+        // Every gap here is an append in flight; a tight poll loop must
+        // not outrun an fsync and give up on one.
+        let patient = TailOptions { gap_patience: u32::MAX };
+        let mut tailer = WalTailer::new(&dir, 0, patient).unwrap();
         let mut got: Vec<u64> = Vec::new();
-        for txn in 1..=40u64 {
-            append_txn(&wal, txn, txn % 5, txn);
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let wal = wal.clone();
+                std::thread::spawn(move || {
+                    for i in 0..10u64 {
+                        let txn = t * 10 + i + 1;
+                        // Hold the reserved ticket back across the begin
+                        // record, so a higher ticket lands first.
+                        let seq = wal.reserve();
+                        wal.append_begin(txn).unwrap();
+                        wal.append_op(seq, txn, t, format!("op-{txn}").as_bytes()).unwrap();
+                        wal.commit_txn(txn, txn).unwrap();
+                    }
+                })
+            })
+            .collect();
+        while writers.iter().any(|w| !w.is_finished()) {
             for (seq, bytes) in tailer.poll().unwrap() {
                 // Every emitted frame re-decodes to its ticket.
                 let (dseq, _rec, used) = record::decode_at(&bytes, 0).unwrap();
                 assert_eq!((dseq, used), (seq, bytes.len()));
                 got.push(seq);
             }
+        }
+        for w in writers {
+            w.join().unwrap();
         }
         wal.sync().unwrap();
         loop {
@@ -305,13 +316,22 @@ mod tests {
         }
         let expect: Vec<u64> = (1..wal.current_ticket()).collect();
         assert_eq!(got, expect, "contiguous ticket order, nothing lost or duplicated");
+        assert_eq!(tailer.gaps_skipped(), 0);
+        let segments = crate::wal::segments(&dir).unwrap();
+        assert!(segments.len() > 2, "the log rotated under the tailer");
+        let physical: Vec<u64> = segments
+            .iter()
+            .flat_map(|(_, p)| record::decode_all(&fs::read(p).unwrap()).0)
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_ne!(physical, expect, "the file itself is not ticket-ordered");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn catch_up_starts_strictly_after_the_resume_ticket() {
         let dir = tmp("resume");
-        let wal = SegmentedWal::open(&dir, opts(2)).unwrap();
+        let wal = SegmentedWal::open(&dir, opts()).unwrap();
         for txn in 1..=10u64 {
             append_txn(&wal, txn, txn, txn);
         }
@@ -335,7 +355,7 @@ mod tests {
     #[test]
     fn permanent_gap_is_skipped_after_patience_runs_out() {
         let dir = tmp("gap");
-        let wal = SegmentedWal::open(&dir, opts(1)).unwrap();
+        let wal = SegmentedWal::open(&dir, opts()).unwrap();
         append_txn(&wal, 1, 1, 1);
         // Burn a ticket that will never be appended (a failed op append
         // whose transaction aborted).
@@ -356,7 +376,7 @@ mod tests {
     #[test]
     fn torn_tail_bytes_are_held_back_until_completed() {
         let dir = tmp("torn");
-        let wal = SegmentedWal::open(&dir, opts(1)).unwrap();
+        let wal = SegmentedWal::open(&dir, opts()).unwrap();
         append_txn(&wal, 1, 1, 1);
         wal.sync().unwrap();
         let mut tailer = WalTailer::new(&dir, 0, TailOptions::default()).unwrap();
@@ -365,8 +385,7 @@ mod tests {
         // Hand-tear a half frame onto the active segment, at the next
         // contiguous ticket so release is not waiting on a gap.
         let next = wal.current_ticket();
-        let sdir = stripe_dirs(&dir).unwrap().remove(0).1;
-        let (_, seg) = list_segments(&sdir).unwrap().pop().unwrap();
+        let (_, seg) = crate::wal::segments(&dir).unwrap().pop().unwrap();
         let full = record::encode(&LogRecord::Begin { txn: 99 }, next);
         let mut f = fs::OpenOptions::new().append(true).open(&seg).unwrap();
         use std::io::Write as _;

@@ -1,47 +1,66 @@
-//! The striped, segmented write-ahead log: ticketed appends over N
-//! object-affine stripes, per-stripe leader-based group commit, segment
-//! rotation, and torn-tail-tolerant scanning.
+//! The segmented write-ahead log: one append stream of ticketed records,
+//! leader-based group commit, segment rotation, and torn-tail-tolerant
+//! scanning.
 //!
-//! ## Stripes and tickets
+//! ## One stream, global tickets
 //!
-//! The log is split into `stripes` independent append streams, each its
-//! own directory of segment files with its own mutex, buffer, and group
-//! -commit leader — the classic lock-decomposition answer to the single
-//! append mutex becoming the bottleneck ahead of the fsync. Routing is
-//! **object-affine**: an op (and the `Register` record binding its id)
-//! always lands on the stripe `object_id % stripes`, so one object's
-//! records never spread over stripes and their within-stripe order is a
-//! superset of nothing — every per-object ordering obligation lives in
-//! one file. Begin/abort records route by transaction id; a commit record
-//! routes to the transaction's **single op stripe** when it touched only
-//! one (the common case — its ops are physically earlier in the same
-//! file, so one fsync covers both), falling back to the transaction's
-//! stripe otherwise.
+//! The log is **one append stream**: one directory of segment files
+//! behind one mutex, one process buffer and one group-commit leader. The
+//! paper's recovery story is a single history ordered by commit
+//! timestamps, and nothing in it asks for more than one physical log.
+//! The segments live at `<dir>/stripe-00/seg-NNNNNNNN.wal`; that
+//! directory name ([`STREAM_DIR`]) is a format constant, like the
+//! checkpoint magic — every directory in existence uses it. A directory
+//! holding segments under any other `stripe-NN` is a multi-stream log
+//! this build cannot read and is refused ([`stream_dir`]).
 //!
 //! Every record is stamped with a ticket from one global monotone counter
-//! ([`SegmentedWal::reserve`]); recovery merges the stripes back into a
-//! deterministic total order by sorting on it. Callers that must
-//! preserve an execution order reserve the ticket while holding the lock
-//! that defines that order (the object lock, for redo records) and
-//! append outside it — the physical append order within a stripe may
-//! then disagree with ticket order, and that is fine: the merge sorts.
+//! ([`SegmentedWal::reserve`]). Callers that must preserve an execution
+//! order reserve the ticket while holding the lock that defines that
+//! order (the object latch, for redo records) and append *outside* it, so
+//! a rotation fsync never stalls a hot object. The price is that the
+//! physical order inside the file may disagree with ticket order — two
+//! threads that reserved 7 and 8 can append 8 first — and that is fine:
+//! every reader ([`read_records`], the tailer) sorts on the ticket.
+//!
+//! ## What a single stream still has to detect
+//!
+//! Because physical order and ticket order differ, "a crash removes a
+//! suffix of the file" is *not* "a crash removes a suffix of the history":
+//!
+//! * **The commit chain.** A commit reserves its ticket and links to its
+//!   predecessor (`prev`) in one step, then appends in a second one; a
+//!   later-chained commit can land physically ahead of its predecessor,
+//!   and a tail cut between them keeps the later and loses the earlier.
+//!   Recovery walks the chain ([`crate::CommitChain`]) and drops
+//!   everything past a hole.
+//! * **The ack barrier** (`settle_chain`). A commit is
+//!   acknowledged only once every chained predecessor is settled —
+//!   otherwise the group sync that covered the later commit's position
+//!   could return while the predecessor was still unappended, and the
+//!   chain walk would discard an *acknowledged* commit after a crash.
+//! * **Chain repair** (`failed_commits`). A commit append that fails
+//!   after its ticket was chained leaves a slot every later commit links
+//!   through; a durable abort record reusing the ticket fills it.
+//! * **The op count.** Commit records carry the number of op records
+//!   their transaction logged. A transaction's ops precede its commit in
+//!   the file, so a tail cut cannot separate them — but a lost or wrongly
+//!   pruned segment can, and so can a replication feed that gave up on a
+//!   frame (the tailer's gap patience); recovery drops a commit with
+//!   fewer surviving ops as incompletely durable instead of
+//!   half-replaying it.
 //!
 //! ## Group commit
 //!
-//! Per stripe, concurrent committers do not each pay an fsync. A
-//! committer appends its completion record, then joins the stripe's sync
-//! protocol: if a sync is already running it waits; otherwise it becomes
-//! the *leader*, snapshots the stripe's highest flushed position, fsyncs
+//! Concurrent committers do not each pay an fsync. A committer appends
+//! its completion record, then joins the sync protocol: if a sync is
+//! already running it waits; otherwise it becomes the *leader*, flushes
+//! the shared buffer, snapshots the highest appended position, fsyncs
 //! once, publishes the new durable position, and wakes everyone. Commits
 //! that arrive while a sync is in flight batch up behind it — one fsync
-//! per batch per stripe, and stripes sync in parallel.
-//!
-//! Before its commit record may become durable, a transaction's op
-//! records must be durable on every stripe they landed on; the commit
-//! path pre-syncs the other dirty stripes first. Losing cross-stripe
-//! write-ahead ordering under `Durability::None` is tolerated by
-//! recovery: commit records carry their op count, and a commit with
-//! missing ops is dropped as incompletely durable.
+//! per batch — and the leader stays hot, running round after round while
+//! anyone is still waiting, so no wake-up handoff is paid between
+//! batches.
 //!
 //! ## Rotation
 //!
@@ -59,13 +78,15 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Flush threshold for `Durability::None` (bounds process-buffer growth).
 const NONE_FLUSH_BYTES: usize = 64 * 1024;
 
-/// Upper bound on the stripe count (dirty-stripe sets are u64 bitmasks).
-pub const MAX_STRIPES: usize = 64;
+/// The directory under the log root that holds the segment files. An
+/// on-disk format constant: it is where every existing log keeps its
+/// one stream.
+pub const STREAM_DIR: &str = "stripe-00";
 
 /// Construction options for [`SegmentedWal`].
 #[derive(Clone, Copy, Debug)]
@@ -74,26 +95,23 @@ pub struct WalOptions {
     pub segment_max_bytes: u64,
     /// How durable completion records must be before `commit` returns.
     pub durability: Durability,
-    /// Number of append stripes (clamped to `1..=64`). `1` is
-    /// byte-for-byte the pre-striping log modulo the directory layout.
-    pub stripes: usize,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
-        WalOptions { segment_max_bytes: 4 * 1024 * 1024, durability: Durability::Fsync, stripes: 1 }
+        WalOptions { segment_max_bytes: 4 * 1024 * 1024, durability: Durability::Fsync }
     }
 }
 
 struct Inner {
-    file: std::sync::Arc<File>,
+    file: Arc<File>,
     seg_index: u64,
     seg_bytes: u64,
     /// Process-local buffer of encoded-but-unwritten records.
     buf: Vec<u8>,
-    /// Physical append position (records appended to this stripe so far).
-    /// Distinct from the global ticket: this is what the stripe's sync
-    /// protocol tracks, and it is strictly monotone in *append* order.
+    /// Physical append position (records appended so far). Distinct from
+    /// the global ticket: this is what the sync protocol tracks, and it
+    /// is strictly monotone in *append* order.
     next_pos: u64,
     /// Lowest segment holding records of each incomplete transaction.
     live_low: HashMap<u64, u64>,
@@ -117,76 +135,47 @@ struct SyncState {
     max_requested: u64,
 }
 
-/// The metric handles one stripe bumps on its hot paths, resolved once at
-/// open so appends never touch the registry's name map. The per-stripe
-/// append counter is distinct per stripe (`wal.appends.stripeNN`); the
-/// rotation counter and the fsync/batch histograms are shared across
-/// stripes (stripes sync in parallel, the histograms are sharded).
-struct StripeInstruments {
-    appends: std::sync::Arc<Counter>,
-    rotations: std::sync::Arc<Counter>,
-    fsync_nanos: std::sync::Arc<Histogram>,
-    batch: std::sync::Arc<Histogram>,
-}
-
-impl StripeInstruments {
-    fn resolve(metrics: &Registry, stripe: usize) -> StripeInstruments {
-        StripeInstruments {
-            appends: metrics.counter(&format!("wal.appends.stripe{stripe:02}")),
-            rotations: metrics.counter("wal.rotations"),
-            fsync_nanos: metrics.histogram("wal.fsync_nanos"),
-            batch: metrics.histogram("wal.group_commit.batch"),
-        }
-    }
-}
-
-/// One append stripe: its own segment directory, buffer, and group-commit
-/// protocol.
-struct Stripe {
-    dir: PathBuf,
-    inner: Mutex<Inner>,
-    sync_state: Mutex<SyncState>,
-    sync_cv: Condvar,
-    ins: StripeInstruments,
-}
-
-/// Per-live-transaction bookkeeping at the striped level.
-#[derive(Clone, Copy, Default)]
-struct TxnTrack {
-    /// Bitmask of stripes holding this transaction's op records.
-    op_stripes: u64,
-    /// Op records appended for this transaction (stamped into its commit
-    /// record so recovery can detect a partially lost transaction).
-    ops: u32,
+/// The metric handles the log bumps on its hot paths, resolved once at
+/// open so appends never touch the registry's name map.
+struct Instruments {
+    appends: Arc<Counter>,
+    rotations: Arc<Counter>,
+    fsync_nanos: Arc<Histogram>,
+    batch: Arc<Histogram>,
 }
 
 /// The decoded record image of an open-time scan: the surviving records
-/// in merged ticket order, and whether any stripe dropped a torn tail.
+/// in ticket order, and whether the scan dropped a torn tail.
 pub type OpenRecords = (Vec<(u64, LogRecord)>, bool);
 
-/// A striped, segmented, CRC-framed, group-committing write-ahead log.
+/// A segmented, CRC-framed, group-committing write-ahead log.
 pub struct SegmentedWal {
-    dir: PathBuf,
+    /// `<dir>/stripe-00`: the directory of segment files.
+    stream: PathBuf,
     opts: WalOptions,
-    stripes: Vec<Stripe>,
+    inner: Mutex<Inner>,
+    sync_state: Mutex<SyncState>,
+    sync_cv: Condvar,
+    ins: Instruments,
     /// The global ticket counter: the *next* ticket to hand out.
     ticket: AtomicU64,
-    /// Live transactions' dirty-stripe masks and op counts.
-    txns: Mutex<HashMap<u64, TxnTrack>>,
+    /// Op records appended so far by each live transaction (stamped into
+    /// its commit record so recovery can detect a partially lost
+    /// transaction).
+    txn_ops: Mutex<HashMap<u64, u32>>,
     /// What the open-time scan learned (watermarks + registry bindings)
     /// — the store reads this instead of re-scanning the segments it
     /// just opened.
     open_scan: OpenScan,
-    /// The fully decoded records of that same open-time scan, in merged
-    /// ticket order, plus the torn-tail flag — retained so the *one*
-    /// pass over the surviving segments serves both clock/id seeding and
-    /// recovery materialization. Taken (once) by the store's recovery
-    /// path; dropped when the caller attests absorption.
+    /// The fully decoded records of that same open-time scan, in ticket
+    /// order, plus the torn-tail flag — retained so the *one* pass over
+    /// the surviving segments serves both clock/id seeding and recovery
+    /// materialization. Taken (once) by the store's recovery path;
+    /// dropped when the caller attests absorption.
     open_image: Mutex<Option<OpenRecords>>,
     /// The commit chain: ticket of the most recently reserved commit
-    /// record (any stripe). Each commit record carries its predecessor's
-    /// ticket so recovery can reject chain holes — the cross-stripe
-    /// analogue of "a tail cut only removes a suffix".
+    /// record. Each commit record carries its predecessor's ticket so
+    /// recovery can reject chain holes (see the module docs).
     chain: Mutex<u64>,
     /// Commit records whose append failed after their chain ticket was
     /// reserved: the compensating durable abort reuses the ticket, so the
@@ -203,14 +192,13 @@ pub struct SegmentedWal {
     chain_settled_cv: Condvar,
 }
 
-/// `stripe-03`
-pub(crate) fn stripe_dir(dir: &Path, stripe: usize) -> PathBuf {
-    dir.join(format!("stripe-{stripe:02}"))
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `seg-00000042.wal`
-pub(crate) fn segment_path(dir: &Path, index: u64) -> PathBuf {
-    dir.join(format!("seg-{index:08}.wal"))
+pub(crate) fn segment_path(stream: &Path, index: u64) -> PathBuf {
+    stream.join(format!("seg-{index:08}.wal"))
 }
 
 /// Fsync a directory, making freshly created (or renamed) files durable
@@ -223,11 +211,13 @@ pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// All stripe directories under `dir` (`stripe-NN`), sorted by index.
-/// Reads whatever is on disk, regardless of the stripe count the log is
-/// currently opened with — recovery is stripe-count-agnostic because the
-/// merge order comes from tickets, not from routing.
-pub fn stripe_dirs(dir: &Path) -> std::io::Result<Vec<(usize, PathBuf)>> {
+/// Entries of `dir` named `<prefix><number><suffix>`, sorted by number
+/// (none when `dir` does not exist).
+fn numbered_entries(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> std::io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -238,29 +228,7 @@ pub fn stripe_dirs(dir: &Path) -> std::io::Result<Vec<(usize, PathBuf)>> {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if let Some(idx) = name.strip_prefix("stripe-") {
-            if let Ok(index) = idx.parse::<usize>() {
-                out.push((index, entry.path()));
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// All segment files under one stripe directory, sorted by index.
-pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
-    let mut out = Vec::new();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(idx) = name.strip_prefix("seg-").and_then(|s| s.strip_suffix(".wal")) {
+        if let Some(idx) = name.strip_prefix(prefix).and_then(|s| s.strip_suffix(suffix)) {
             if let Ok(index) = idx.parse::<u64>() {
                 out.push((index, entry.path()));
             }
@@ -270,13 +238,57 @@ pub fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-impl Stripe {
-    /// Open one stripe (created if missing), truncating a torn tail off
-    /// its active segment. The ticket/chain anchor scan over the repaired
-    /// segments happens afterwards in [`SegmentedWal::open`].
-    fn open(dir: PathBuf, ins: StripeInstruments) -> Result<Stripe, StorageError> {
-        fs::create_dir_all(&dir)?;
-        let segments = list_segments(&dir)?;
+/// The stream directory of the log rooted at `dir` — the one place the
+/// on-disk layout is resolved; [`SegmentedWal::open`], [`read_records`],
+/// [`truncate_above`] and the tailer all come through here. A root that
+/// holds segments under any `stripe-NN` with NN ≥ 1 was written as a
+/// multi-stream log and is refused with [`StorageError::StripedLayout`]
+/// before anything is read or repaired: silently opening stream 0 alone
+/// would drop every commit routed elsewhere. Leftover *empty* directories
+/// are ignored.
+pub fn stream_dir(dir: &Path) -> Result<PathBuf, StorageError> {
+    for (index, path) in numbered_entries(dir, "stripe-", "")? {
+        if index >= 1 && !list_segments(&path)?.is_empty() {
+            return Err(StorageError::StripedLayout { dir: path });
+        }
+    }
+    Ok(dir.join(STREAM_DIR))
+}
+
+/// All segment files under a stream directory, sorted by index.
+pub(crate) fn list_segments(stream: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
+    numbered_entries(stream, "seg-", ".wal")
+}
+
+/// The segment files of the log rooted at `dir`, oldest first.
+pub fn segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
+    Ok(list_segments(&stream_dir(dir)?)?)
+}
+
+impl SegmentedWal {
+    /// Open the log in `dir` (created if missing), truncating a torn tail
+    /// off its active segment. Appends go to the highest existing segment
+    /// or start segment 1; the ticket counter is re-anchored above every
+    /// ticket surviving on disk (and the caller should raise it further
+    /// with [`SegmentedWal::witness_ticket`] when a checkpoint recorded a
+    /// higher watermark — pruning may have deleted the segments that held
+    /// the highest tickets).
+    pub fn open(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SegmentedWal, StorageError> {
+        Self::open_with_metrics(dir, opts, &Registry::new())
+    }
+
+    /// [`SegmentedWal::open`] with the owning system's metric registry:
+    /// the append and rotation counters and the group-commit batch/fsync
+    /// histograms are resolved from it once, at open (the plain `open`
+    /// uses a private throwaway registry).
+    pub fn open_with_metrics(
+        dir: impl AsRef<Path>,
+        opts: WalOptions,
+        metrics: &Registry,
+    ) -> Result<SegmentedWal, StorageError> {
+        let stream = stream_dir(dir.as_ref())?;
+        fs::create_dir_all(&stream)?;
+        let segments = list_segments(&stream)?;
         let mut total_bytes: u64 =
             segments.iter().map(|(_, p)| fs::metadata(p).map(|m| m.len()).unwrap_or(0)).sum();
         let (seg_index, seg_bytes) = match segments.last() {
@@ -298,17 +310,28 @@ impl Stripe {
             }
             None => (1, 0),
         };
-        let seg_file = segment_path(&dir, seg_index);
+        let seg_file = segment_path(&stream, seg_index);
         let created = !seg_file.exists();
         let file = OpenOptions::new().create(true).append(true).open(&seg_file)?;
         if created {
-            sync_dir(&dir)?;
+            sync_dir(&stream)?;
         }
-        let n_segments = segments.len().max(1) as u64;
-        Ok(Stripe {
-            dir,
+        // One full pass over every surviving (tail-repaired) segment:
+        // re-anchors the ticket counter (reusing a ticket would make the
+        // recovery order ambiguous, exactly like reusing a transaction
+        // id) and the commit chain (the next commit links to the highest
+        // surviving commit ticket), collects the watermarks + registry
+        // bindings the store needs, **and retains the decoded records**
+        // so the recovery path materializes from this same pass instead
+        // of re-reading every segment — opening a store reads each
+        // segment exactly once, recovery included.
+        let (records, torn) = read_segments(&segments)?;
+        let scan = OpenScan::from_records(&records);
+        Ok(SegmentedWal {
+            stream,
+            opts,
             inner: Mutex::new(Inner {
-                file: std::sync::Arc::new(file),
+                file: Arc::new(file),
                 seg_index,
                 seg_bytes,
                 buf: Vec::new(),
@@ -319,7 +342,7 @@ impl Stripe {
                 bytes_since_ckpt: 0,
                 bytes_at_last_ckpt: total_bytes,
                 total_bytes: total_bytes.max(seg_bytes),
-                segments: n_segments,
+                segments: segments.len().max(1) as u64,
             }),
             sync_state: Mutex::new(SyncState {
                 synced_pos: 0,
@@ -327,16 +350,75 @@ impl Stripe {
                 max_requested: 0,
             }),
             sync_cv: Condvar::new(),
-            ins,
+            ins: Instruments {
+                appends: metrics.counter("wal.appends"),
+                rotations: metrics.counter("wal.rotations"),
+                fsync_nanos: metrics.histogram("wal.fsync_nanos"),
+                batch: metrics.histogram("wal.group_commit.batch"),
+            },
+            ticket: AtomicU64::new(scan.max_seq + 1),
+            txn_ops: Mutex::new(HashMap::new()),
+            chain: Mutex::new(scan.max_commit_seq),
+            failed_commits: Mutex::new(HashMap::new()),
+            chain_settled: Mutex::new(scan.max_commit_seq),
+            chain_settled_cv: Condvar::new(),
+            open_scan: scan,
+            open_image: Mutex::new(Some((records, torn))),
         })
     }
 
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// What the open-time metadata pass learned: recovery watermarks and
+    /// registry bindings of the surviving log.
+    pub fn open_scan(&self) -> &OpenScan {
+        &self.open_scan
     }
 
-    fn lock_sync(&self) -> std::sync::MutexGuard<'_, SyncState> {
-        self.sync_state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Take the decoded record image of the open-time scan (ticket
+    /// order, plus the torn-tail flag). `Some` exactly once: the store
+    /// claims it right after opening so one disk pass serves both open
+    /// seeding and recovery materialization; later calls get `None` and
+    /// must re-read.
+    pub fn take_open_image(&self) -> Option<OpenRecords> {
+        lock(&self.open_image).take()
+    }
+
+    /// Raise the ticket counter so the next reserved ticket is at least
+    /// `floor` — called by the store with the checkpoint's recorded
+    /// watermark, since compaction may have deleted the segments that
+    /// held the highest tickets.
+    pub fn witness_ticket(&self, floor: u64) {
+        self.ticket.fetch_max(floor, Ordering::Relaxed);
+    }
+
+    /// Raise the commit-chain anchor to at least `floor` (the
+    /// checkpoint's recorded chain watermark — the chain link below it
+    /// may have been pruned).
+    pub fn witness_chain(&self, floor: u64) {
+        let mut chain = lock(&self.chain);
+        *chain = (*chain).max(floor);
+        drop(chain);
+        let mut settled = lock(&self.chain_settled);
+        *settled = (*settled).max(floor);
+    }
+
+    /// The ticket of the most recently chained commit record — the
+    /// commit-chain watermark a fuzzy checkpoint records. Taken under
+    /// the caller's exclusive commit gate, so no commit is mid-chain.
+    pub fn commit_chain(&self) -> u64 {
+        *lock(&self.chain)
+    }
+
+    /// Reserve the next global ticket. Callers that need a ticket order
+    /// to match an execution order must call this while holding the lock
+    /// that defines that order; the append itself can happen later,
+    /// outside the lock.
+    pub fn reserve(&self) -> u64 {
+        self.ticket.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The next ticket that would be handed out (checkpoint watermark).
+    pub fn current_ticket(&self) -> u64 {
+        self.ticket.load(Ordering::Relaxed)
     }
 
     /// Write the process buffer to the OS.
@@ -358,16 +440,16 @@ impl Stripe {
         inner.seg_index += 1;
         inner.segments += 1;
         inner.seg_bytes = 0;
-        inner.file = std::sync::Arc::new(
+        inner.file = Arc::new(
             OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(segment_path(&self.dir, inner.seg_index))?,
+                .open(segment_path(&self.stream, inner.seg_index))?,
         );
         // The new segment file must survive a crash as a directory entry,
         // or recovery finds records referencing a segment that vanished.
-        sync_dir(&self.dir)?;
-        let mut s = self.lock_sync();
+        sync_dir(&self.stream)?;
+        let mut s = lock(&self.sync_state);
         s.synced_pos = s.synced_pos.max(durable_pos);
         drop(s);
         self.sync_cv.notify_all();
@@ -375,14 +457,8 @@ impl Stripe {
     }
 
     /// Encode and append one ticketed record; returns its append position.
-    fn append_locked(
-        &self,
-        inner: &mut Inner,
-        rec: &LogRecord,
-        seq: u64,
-        segment_max_bytes: u64,
-    ) -> std::io::Result<u64> {
-        if inner.seg_bytes >= segment_max_bytes {
+    fn append_locked(&self, inner: &mut Inner, rec: &LogRecord, seq: u64) -> std::io::Result<u64> {
+        if inner.seg_bytes >= self.opts.segment_max_bytes {
             self.rotate_locked(inner)?;
         }
         self.ins.appends.inc();
@@ -413,10 +489,10 @@ impl Stripe {
     }
 
     /// Append a non-completion record, buffered per the durability level.
-    fn append(&self, rec: &LogRecord, seq: u64, opts: &WalOptions) -> Result<(), StorageError> {
-        let mut inner = self.lock_inner();
-        self.append_locked(&mut inner, rec, seq, opts.segment_max_bytes)?;
-        match opts.durability {
+    fn append(&self, rec: &LogRecord, seq: u64) -> Result<(), StorageError> {
+        let mut inner = lock(&self.inner);
+        self.append_locked(&mut inner, rec, seq)?;
+        match self.opts.durability {
             // Under `Fsync`, op records ride in the process buffer like
             // `None`'s: the sync leader flushes everything before any
             // fsync, so they never need their own write syscall.
@@ -432,12 +508,12 @@ impl Stripe {
 
     /// Append a completion record with the configured durability: under
     /// `Fsync` this blocks until the record is on disk — one fsync per
-    /// concurrent batch per stripe (leader-based group commit).
-    fn commit(&self, rec: &LogRecord, seq: u64, opts: &WalOptions) -> Result<(), StorageError> {
+    /// concurrent batch (leader-based group commit).
+    fn commit(&self, rec: &LogRecord, seq: u64) -> Result<(), StorageError> {
         debug_assert!(rec.is_completion());
-        let mut inner = self.lock_inner();
-        let pos = self.append_locked(&mut inner, rec, seq, opts.segment_max_bytes)?;
-        match opts.durability {
+        let mut inner = lock(&self.inner);
+        let pos = self.append_locked(&mut inner, rec, seq)?;
+        match self.opts.durability {
             Durability::None => Ok(()),
             Durability::Buffered => {
                 Self::flush_locked(&mut inner)?;
@@ -445,28 +521,10 @@ impl Stripe {
             }
             Durability::Fsync => {
                 // No flush here: the sync leader flushes the shared
-                // buffer under the stripe lock before it snapshots the
+                // buffer under the append lock before it snapshots the
                 // high-water mark, so this record is covered by
                 // whichever fsync it waits for.
                 drop(inner);
-                self.group_sync(pos)
-            }
-        }
-    }
-
-    /// Make everything appended to this stripe so far as durable as
-    /// `level` requires — the cross-stripe write-ahead step a commit
-    /// takes for each stripe holding its op records.
-    fn settle(&self, level: Durability) -> Result<(), StorageError> {
-        match level {
-            Durability::None => Ok(()),
-            Durability::Buffered => {
-                let mut inner = self.lock_inner();
-                Self::flush_locked(&mut inner)?;
-                Ok(())
-            }
-            Durability::Fsync => {
-                let pos = self.lock_inner().next_pos - 1;
                 self.group_sync(pos)
             }
         }
@@ -478,14 +536,14 @@ impl Stripe {
     /// fsync round itself, rather than paying a wake-up handoff between
     /// every batch.
     fn group_sync(&self, my_pos: u64) -> Result<(), StorageError> {
-        let mut s = self.lock_sync();
+        let mut s = lock(&self.sync_state);
         s.max_requested = s.max_requested.max(my_pos);
         loop {
             if s.synced_pos >= my_pos {
                 return Ok(());
             }
             if s.sync_running {
-                s = self.sync_cv.wait(s).unwrap_or_else(std::sync::PoisonError::into_inner);
+                s = self.sync_cv.wait(s).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             // Become the leader.
@@ -498,7 +556,7 @@ impl Stripe {
                 std::thread::yield_now();
                 let outcome: std::io::Result<u64> = (|| {
                     let (high, file) = {
-                        let mut inner = self.lock_inner();
+                        let mut inner = lock(&self.inner);
                         Self::flush_locked(&mut inner)?;
                         (inner.next_pos - 1, inner.file.clone())
                     };
@@ -507,7 +565,7 @@ impl Stripe {
                     self.ins.fsync_nanos.observe_duration(started.elapsed());
                     Ok(high)
                 })();
-                s = self.lock_sync();
+                s = lock(&self.sync_state);
                 match outcome {
                     Ok(high) => {
                         // Batch size: append positions this one fsync made
@@ -531,181 +589,30 @@ impl Stripe {
             return Ok(());
         }
     }
-}
 
-impl SegmentedWal {
-    /// Open the log in `dir` (created if missing). Each stripe appends to
-    /// its highest existing segment or starts segment 1; the global
-    /// ticket counter is re-anchored above every ticket surviving on disk
-    /// (and the caller should raise it further with
-    /// [`SegmentedWal::witness_ticket`] when a checkpoint recorded a
-    /// higher watermark — pruning may have deleted the segments that held
-    /// the highest tickets).
-    pub fn open(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SegmentedWal, StorageError> {
-        Self::open_with_metrics(dir, opts, &Registry::new())
-    }
-
-    /// [`SegmentedWal::open`] with the owning system's metric registry:
-    /// per-stripe append counters, rotation counts, and the group-commit
-    /// batch/fsync histograms are resolved from it once, at open (the
-    /// plain `open` uses a private throwaway registry).
-    pub fn open_with_metrics(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-        metrics: &Registry,
-    ) -> Result<SegmentedWal, StorageError> {
-        let dir = dir.as_ref().to_path_buf();
-        let mut opts = opts;
-        opts.stripes = opts.stripes.clamp(1, MAX_STRIPES);
-        fs::create_dir_all(&dir)?;
-        // Open every stripe present on disk plus every stripe the options
-        // ask for: reopening with a different stripe count only changes
-        // where *new* records route; old stripes keep being read, pruned,
-        // and (for low indexes) appended to.
-        let on_disk = stripe_dirs(&dir)?;
-        let count = opts.stripes.max(on_disk.iter().map(|(i, _)| i + 1).max().unwrap_or(0));
-        let count = count.clamp(1, MAX_STRIPES);
-        let mut stripes = Vec::with_capacity(count);
-        for i in 0..count {
-            stripes
-                .push(Stripe::open(stripe_dir(&dir, i), StripeInstruments::resolve(metrics, i))?);
-        }
-        // One full pass over every surviving (tail-repaired) segment:
-        // re-anchors the ticket counter (reusing a ticket would make the
-        // recovery merge ambiguous, exactly like reusing a transaction
-        // id) and the commit chain (the next commit links to the highest
-        // surviving commit ticket), collects the watermarks + registry
-        // bindings the store needs, **and retains the decoded records**
-        // so the recovery path materializes from this same pass instead
-        // of re-reading every segment — opening a store reads each
-        // segment exactly once, recovery included.
-        let (records, torn) = read_records(&dir)?;
-        let scan = OpenScan::from_records(&records);
-        let wal = SegmentedWal {
-            dir,
-            opts,
-            stripes,
-            ticket: AtomicU64::new(scan.max_seq + 1),
-            txns: Mutex::new(HashMap::new()),
-            chain: Mutex::new(scan.max_commit_seq),
-            failed_commits: Mutex::new(HashMap::new()),
-            chain_settled: Mutex::new(scan.max_commit_seq),
-            chain_settled_cv: Condvar::new(),
-            open_scan: scan,
-            open_image: Mutex::new(Some((records, torn))),
-        };
-        Ok(wal)
-    }
-
-    /// What the open-time metadata pass learned: recovery watermarks and
-    /// registry bindings of the surviving log.
-    pub fn open_scan(&self) -> &OpenScan {
-        &self.open_scan
-    }
-
-    /// Take the decoded record image of the open-time scan (merged
-    /// ticket order, plus the torn-tail flag). `Some` exactly once: the
-    /// store claims it right after opening so one disk pass serves both
-    /// open seeding and recovery materialization; later calls get `None`
-    /// and must re-read.
-    pub fn take_open_image(&self) -> Option<OpenRecords> {
-        self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
-    }
-
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The number of stripes this log routes over.
-    pub fn stripe_count(&self) -> usize {
-        // Routing uses the configured count; extra on-disk stripes are
-        // read/pruned but receive no new records.
-        self.opts.stripes
-    }
-
-    /// Raise the ticket counter so the next reserved ticket is at least
-    /// `floor` — called by the store with the checkpoint's recorded
-    /// watermark, since compaction may have deleted the segments that
-    /// held the highest tickets.
-    pub fn witness_ticket(&self, floor: u64) {
-        self.ticket.fetch_max(floor, Ordering::Relaxed);
-    }
-
-    /// Raise the commit-chain anchor to at least `floor` (the
-    /// checkpoint's recorded chain watermark — the chain link below it
-    /// may have been pruned).
-    pub fn witness_chain(&self, floor: u64) {
-        let mut chain = self.chain.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *chain = (*chain).max(floor);
-        drop(chain);
-        let mut settled =
-            self.chain_settled.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *settled = (*settled).max(floor);
-    }
-
-    /// The ticket of the most recently chained commit record — the
-    /// commit-chain watermark a fuzzy checkpoint records. Taken under
-    /// the caller's exclusive commit gate, so no commit is mid-chain.
-    pub fn commit_chain(&self) -> u64 {
-        *self.chain.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Reserve the next global ticket. Callers that need a ticket order
-    /// to match an execution order must call this while holding the lock
-    /// that defines that order; the append itself can happen later,
-    /// outside the lock.
-    pub fn reserve(&self) -> u64 {
-        self.ticket.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The next ticket that would be handed out (checkpoint watermark).
-    pub fn current_ticket(&self) -> u64 {
-        self.ticket.load(Ordering::Relaxed)
-    }
-
-    fn stripe_for_object(&self, obj: u64) -> usize {
-        (obj % self.opts.stripes as u64) as usize
-    }
-
-    fn stripe_for_txn(&self, txn: u64) -> usize {
-        (txn % self.opts.stripes as u64) as usize
-    }
-
-    fn lock_txns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TxnTrack>> {
-        self.txns.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Append a Begin record (buffered; routed by transaction id).
+    /// Append a Begin record (buffered).
     pub fn append_begin(&self, txn: u64) -> Result<(), StorageError> {
         let seq = self.reserve();
-        let s = self.stripe_for_txn(txn);
-        self.stripes[s].append(&LogRecord::Begin { txn }, seq, &self.opts)
+        self.append(&LogRecord::Begin { txn }, seq)
     }
 
-    /// Append a Register record (buffered; routed by registry id, the
-    /// same stripe the id's op records will land on — a torn tail that
-    /// keeps an op always keeps its binding).
+    /// Append a Register record (buffered). The binding is appended
+    /// before any op that uses the id, so a torn tail that keeps an op
+    /// always keeps its binding.
     pub fn append_register(&self, id: u64, name: &str) -> Result<(), StorageError> {
         let seq = self.reserve();
-        let s = self.stripe_for_object(id);
-        self.stripes[s].append(&LogRecord::Register { id, name: name.to_string() }, seq, &self.opts)
+        self.append(&LogRecord::Register { id, name: name.to_string() }, seq)
     }
 
-    /// Append one op record under a pre-reserved ticket (buffered; routed
-    /// by object id). The write-ahead discipline only requires op records
-    /// to reach disk before the *commit* record does, which the commit
-    /// path's cross-stripe settle guarantees.
+    /// Append one op record under a pre-reserved ticket (buffered). The
+    /// write-ahead discipline only requires op records to reach disk
+    /// before the *commit* record does, and they precede it in the file.
     pub fn append_op(&self, seq: u64, txn: u64, obj: u64, op: &[u8]) -> Result<(), StorageError> {
-        let s = self.stripe_for_object(obj);
-        self.stripes[s].append(&LogRecord::Op { txn, obj, op: op.to_vec() }, seq, &self.opts)?;
+        self.append(&LogRecord::Op { txn, obj, op: op.to_vec() }, seq)?;
         // Count only after a successful append: the commit record's op
         // count must equal what is actually in the log (a failed append
         // retried by the caller increments exactly once, on the retry).
-        let mut txns = self.lock_txns();
-        let track = txns.entry(txn).or_default();
-        track.op_stripes |= 1 << s;
-        track.ops += 1;
+        *lock(&self.txn_ops).entry(txn).or_default() += 1;
         Ok(())
     }
 
@@ -715,55 +622,28 @@ impl SegmentedWal {
     /// be at least as durable as the commits chained past it, which only
     /// the durable [`SegmentedWal::commit_abort`] path guarantees.
     pub fn append_abort(&self, txn: u64) -> Result<(), StorageError> {
-        let (home, mask) = self.finish_txn(txn);
+        lock(&self.txn_ops).remove(&txn);
         let seq = self.reserve();
-        self.stripes[home].append(&LogRecord::Abort { txn }, seq, &self.opts)?;
-        self.unpin_live(txn, mask | (1 << home));
-        Ok(())
+        self.append(&LogRecord::Abort { txn }, seq)
     }
 
     /// Durably append an Abort record (the compensating record written
     /// when a commit fsync failed: recovery's abort-wins rule needs it to
-    /// survive).
+    /// survive). When a commit append for `txn` failed after chaining,
+    /// the abort reuses that ticket, filling the chain hole the failed
+    /// commit left (recovery treats an abort at a `prev` link as a valid,
+    /// dead link). The `failed_commits` entry is consumed only once the
+    /// abort record actually appended: a failed compensating abort leaves
+    /// it for the next attempt, instead of leaving a permanent hole.
     pub fn commit_abort(&self, txn: u64) -> Result<(), StorageError> {
-        let (home, mask) = self.finish_txn(txn);
-        let (seq, reused) = self.abort_ticket(txn);
-        self.stripes[home].commit(&LogRecord::Abort { txn }, seq, &self.opts)?;
-        self.consume_failed_commit(txn, reused);
-        self.unpin_live(txn, mask | (1 << home));
+        lock(&self.txn_ops).remove(&txn);
+        let reused = lock(&self.failed_commits).get(&txn).copied();
+        let seq = reused.unwrap_or_else(|| self.reserve());
+        self.commit(&LogRecord::Abort { txn }, seq)?;
+        if reused.is_some() {
+            lock(&self.failed_commits).remove(&txn);
+        }
         Ok(())
-    }
-
-    /// The ticket for an abort record of `txn`: a fresh one, unless a
-    /// commit append for `txn` failed after chaining — then the abort
-    /// reuses that ticket, filling the chain hole the failed commit left
-    /// (recovery treats an abort at a `prev` link as a valid, dead link).
-    /// The `failed_commits` entry is only consumed once the abort record
-    /// actually appended ([`SegmentedWal::consume_failed_commit`]): a
-    /// failed compensating abort leaves the entry for the next attempt,
-    /// instead of leaving a permanent chain hole.
-    fn abort_ticket(&self, txn: u64) -> (u64, bool) {
-        let reused = self
-            .failed_commits
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&txn)
-            .copied();
-        match reused {
-            Some(seq) => (seq, true),
-            None => (self.reserve(), false),
-        }
-    }
-
-    /// Clear a reused failed-commit ticket after its repair record hit
-    /// the log.
-    fn consume_failed_commit(&self, txn: u64, reused: bool) {
-        if reused {
-            self.failed_commits
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&txn);
-        }
     }
 
     /// The ack barrier: block until every chain predecessor of the commit
@@ -771,67 +651,42 @@ impl SegmentedWal {
     /// Called after the commit record reached its configured durability
     /// (or after its append failed — a dead ticket settles too, so
     /// successors never hang). This is what aligns *acknowledgement*
-    /// order with chain order: without it, a commit on a fast stripe
-    /// could be acknowledged while its chain predecessor on a slow
-    /// stripe was still buffered, and a crash in that window would make
-    /// recovery's chain walk discard an acknowledged commit.
+    /// order with chain order: the group sync that covered this record's
+    /// position may have run before a chained predecessor was even
+    /// appended, and a crash after an early return would make recovery's
+    /// chain walk discard an acknowledged commit.
     fn settle_chain(&self, prev: u64, seq: u64) {
-        let mut settled =
-            self.chain_settled.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut settled = lock(&self.chain_settled);
         while *settled < prev {
-            settled = self
-                .chain_settled_cv
-                .wait(settled)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            settled = self.chain_settled_cv.wait(settled).unwrap_or_else(PoisonError::into_inner);
         }
         *settled = (*settled).max(seq);
         drop(settled);
         self.chain_settled_cv.notify_all();
     }
 
-    /// Durably log that `txn` committed at `ts`: the transaction's op
-    /// stripes are settled first (write-ahead across stripes), then the
-    /// commit record — carrying the op count — is appended and synced per
-    /// the configured durability, group-committed per stripe under
-    /// `Fsync`. Returns only once the record is as durable as the level
-    /// requires.
+    /// Durably log that `txn` committed at `ts`: the commit record —
+    /// carrying the op count and the chain link — is appended after the
+    /// transaction's op records and synced per the configured durability
+    /// (group-committed under `Fsync`). Returns only once the record is
+    /// as durable as the level requires and every chained predecessor is
+    /// settled.
     pub fn commit_txn(&self, txn: u64, ts: u64) -> Result<(), StorageError> {
-        let track = self.lock_txns().remove(&txn).unwrap_or_default();
-        // A single-op-stripe transaction commits *on its op stripe*: the
-        // ops are physically earlier in the same file, so the one group
-        // sync covers both and no cross-stripe settle is needed.
-        let home = if track.op_stripes.count_ones() == 1 {
-            track.op_stripes.trailing_zeros() as usize
-        } else {
-            self.stripe_for_txn(txn)
-        };
-        let mut settle_mask = track.op_stripes & !(1 << home);
-        while settle_mask != 0 {
-            let s = settle_mask.trailing_zeros() as usize;
-            settle_mask &= settle_mask - 1;
-            if let Err(e) = self.stripes[s].settle(self.opts.durability) {
-                // No chain ticket was reserved yet; just restore the
-                // tracking entry so the caller's compensating abort can
-                // unpin the op stripes (a lost pin would clamp compaction
-                // on those stripes forever).
-                self.lock_txns().insert(txn, track);
-                return Err(e);
-            }
-        }
+        let ops = lock(&self.txn_ops).remove(&txn).unwrap_or(0);
         // Reserve the ticket and link the chain in one atomic step: the
         // chain order is the ack-dependency order (a commit acknowledged
         // before another executed is chained before it), which is what
         // lets recovery treat a chain hole as "discard this and every
         // later commit".
         let (seq, prev) = {
-            let mut chain = self.chain.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut chain = lock(&self.chain);
             let seq = self.reserve();
             let prev = *chain;
             *chain = seq;
             (seq, prev)
         };
-        let rec = LogRecord::Commit { txn, ts, ops: track.ops, prev };
-        if let Err(e) = self.stripes[home].commit(&rec, seq, &self.opts) {
+        let outcome = self.commit(&LogRecord::Commit { txn, ts, ops, prev }, seq);
+        if outcome.is_err() {
             // The chain now names a ticket that may never reach disk.
             // Before settling it (successors ack once their predecessors
             // are settled), repair the slot *durably*: a dead link must be
@@ -839,48 +694,17 @@ impl SegmentedWal {
             // or a crash could open a hole under acknowledged successors.
             // If even the repair fails, remember the ticket for the
             // caller's compensating durable abort and settle anyway —
-            // blocking every later commit on a sick stripe helps nobody,
+            // blocking every later commit on a sick log helps nobody,
             // and the caller reports the outcome as indeterminate.
-            let repair = LogRecord::Abort { txn };
-            if self.stripes[home].commit(&repair, seq, &self.opts).is_err() {
-                self.failed_commits
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .insert(txn, seq);
+            if self.commit(&LogRecord::Abort { txn }, seq).is_err() {
+                lock(&self.failed_commits).insert(txn, seq);
             }
-            self.lock_txns().insert(txn, track);
-            self.settle_chain(prev, seq);
-            return Err(e);
+            // A commit delivered again must stamp the true op count.
+            lock(&self.txn_ops).insert(txn, ops);
         }
-        // Acknowledge only in chain order: our record is durable, but the
-        // ack must additionally wait for every chained predecessor (its
-        // fsync runs concurrently on its own stripe), or a crash after
-        // this return could lose a predecessor recovery needs to accept
-        // this commit.
+        // Acknowledge only in chain order (see `settle_chain`).
         self.settle_chain(prev, seq);
-        let home_bit = 1u64 << home;
-        let begin_bit = 1u64 << self.stripe_for_txn(txn);
-        self.unpin_live(txn, (track.op_stripes | home_bit | begin_bit) & !home_bit);
-        Ok(())
-    }
-
-    /// Pop a transaction's tracking entry, returning its home stripe and
-    /// dirty mask (for completion records that are not commits).
-    fn finish_txn(&self, txn: u64) -> (usize, u64) {
-        let track = self.lock_txns().remove(&txn).unwrap_or_default();
-        (self.stripe_for_txn(txn), track.op_stripes)
-    }
-
-    /// Remove `txn`'s live-low pins on every stripe in `mask` (the stripe
-    /// that appended the completion record already removed its own).
-    fn unpin_live(&self, txn: u64, mut mask: u64) {
-        while mask != 0 {
-            let s = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            if let Some(stripe) = self.stripes.get(s) {
-                stripe.lock_inner().live_low.remove(&txn);
-            }
-        }
+        outcome
     }
 
     /// Feed the log a batch of concatenated raw frames that already
@@ -889,16 +713,14 @@ impl SegmentedWal {
     /// `seq`) and a bad batch is refused with **nothing** appended, so
     /// the caller's applied position can never part from the log's.
     /// Frames at or below the last ticket are re-deliveries and are
-    /// skipped; the rest are appended byte for byte, in arrival order,
-    /// to stripe 0 (one ordered feed has nothing to parallelise — and
-    /// it keeps every stripe file ticket-ascending, which is what lets
-    /// [`truncate_above`] cut a clean suffix). One flush per batch, an
-    /// fsync under `Durability::Fsync`, and the ticket counter ends
+    /// skipped; the rest are appended byte for byte, in arrival order —
+    /// which keeps a fed log's file ticket-ascending, and that is what
+    /// lets [`truncate_above`] cut a clean suffix. One flush per batch,
+    /// an fsync under `Durability::Fsync`, and the ticket counter ends
     /// above the batch. Returns the freshly appended records, decoded,
     /// in ticket order.
     pub fn append_frames(&self, frames: &[u8]) -> Result<Vec<(u64, LogRecord)>, StorageError> {
-        let stripe = &self.stripes[0];
-        let mut inner = stripe.lock_inner();
+        let mut inner = lock(&self.inner);
         let last = self.current_ticket().saturating_sub(1);
         let mut fresh = Vec::new();
         // Fresh frames are a suffix of the batch: where it starts, and
@@ -920,22 +742,22 @@ impl SegmentedWal {
             }
             at = end;
         }
-        // The raw twin of `Stripe::append_locked`: rotation, sizes and
-        // positions are kept; the compaction-policy counters and the
-        // live-transaction pins are not — a fed log is never
-        // checkpointed in place.
+        // The raw twin of `append_locked`: rotation, sizes and positions
+        // are kept; the compaction-policy counters and the
+        // live-transaction pins are not — a fed log is never checkpointed
+        // in place.
         for end in ends {
             if inner.seg_bytes >= self.opts.segment_max_bytes {
-                stripe.rotate_locked(&mut inner)?;
+                self.rotate_locked(&mut inner)?;
             }
-            stripe.ins.appends.inc();
+            self.ins.appends.inc();
             inner.next_pos += 1;
             inner.buf.extend_from_slice(&frames[start..end]);
             inner.seg_bytes += (end - start) as u64;
             inner.total_bytes += (end - start) as u64;
             start = end;
         }
-        Stripe::flush_locked(&mut inner)?;
+        Self::flush_locked(&mut inner)?;
         drop(inner);
         if let Some((seq, _)) = fresh.last() {
             self.witness_ticket(seq + 1);
@@ -948,102 +770,85 @@ impl SegmentedWal {
         Ok(fresh)
     }
 
-    /// Flush every stripe's buffer and fsync its active segment.
+    /// Flush the buffer and fsync the active segment.
     pub fn sync(&self) -> Result<(), StorageError> {
-        for stripe in &self.stripes {
-            let file = {
-                let mut inner = stripe.lock_inner();
-                Stripe::flush_locked(&mut inner)?;
-                inner.file.clone()
-            };
-            file.sync_data()?;
-        }
+        let file = {
+            let mut inner = lock(&self.inner);
+            Self::flush_locked(&mut inner)?;
+            inner.file.clone()
+        };
+        file.sync_data()?;
         Ok(())
     }
 
-    /// The active segment index of one stripe.
-    pub fn current_segment(&self, stripe: usize) -> u64 {
-        self.stripes[stripe].lock_inner().seg_index
+    /// The active segment index.
+    pub fn current_segment(&self) -> u64 {
+        lock(&self.inner).seg_index
     }
 
-    /// The fuzzy-checkpoint cut vector: for each stripe, the highest
-    /// segment index that may be pruned up to (exclusive) once the
-    /// checkpoint's snapshots are durable — the active segment, clamped
-    /// below any segment still holding records of an incomplete
-    /// transaction. Must be taken while commits are quiesced (the
-    /// manager's brief exclusive gate): every commit at or below the
-    /// checkpoint watermark is then fully appended, and every record of a
-    /// *later* commit is either pinned here (its transaction is still
-    /// live) or will be appended at or above the cut.
-    pub fn checkpoint_cuts(&self) -> Vec<u64> {
-        self.stripes
-            .iter()
-            .map(|s| {
-                let inner = s.lock_inner();
-                let pin = inner.live_low.values().min().copied().unwrap_or(u64::MAX);
-                inner.seg_index.min(pin)
-            })
-            .collect()
+    /// The fuzzy-checkpoint cut: the highest segment index that may be
+    /// pruned up to (exclusive) once the checkpoint's snapshots are
+    /// durable — the active segment, clamped below any segment still
+    /// holding records of an incomplete transaction. Must be taken while
+    /// commits are quiesced (the manager's brief exclusive gate): every
+    /// commit at or below the checkpoint watermark is then fully
+    /// appended, and every record of a *later* commit is either pinned
+    /// here (its transaction is still live) or will be appended at or
+    /// above the cut.
+    pub fn checkpoint_cut(&self) -> u64 {
+        let inner = lock(&self.inner);
+        let pin = inner.live_low.values().min().copied().unwrap_or(u64::MAX);
+        inner.seg_index.min(pin)
     }
 
-    /// Current aggregate statistics for the compaction policy.
+    /// Current statistics for the compaction policy.
     pub fn stats(&self) -> crate::policy::LogStats {
-        let mut out = crate::policy::LogStats::default();
-        for stripe in &self.stripes {
-            let inner = stripe.lock_inner();
-            out.commits_since_checkpoint += inner.commits_since_ckpt;
-            out.records_since_checkpoint += inner.records_since_ckpt;
-            out.bytes_since_checkpoint += inner.bytes_since_ckpt;
-            out.bytes_at_last_checkpoint += inner.bytes_at_last_ckpt;
-            out.total_bytes += inner.total_bytes;
-            out.segments += inner.segments;
+        let inner = lock(&self.inner);
+        crate::policy::LogStats {
+            commits_since_checkpoint: inner.commits_since_ckpt,
+            records_since_checkpoint: inner.records_since_ckpt,
+            bytes_since_checkpoint: inner.bytes_since_ckpt,
+            bytes_at_last_checkpoint: inner.bytes_at_last_ckpt,
+            total_bytes: inner.total_bytes,
+            segments: inner.segments,
         }
-        out
     }
 
     /// Reset the policy counters after a checkpoint.
     pub fn mark_checkpoint(&self) {
-        for stripe in &self.stripes {
-            let mut inner = stripe.lock_inner();
-            inner.commits_since_ckpt = 0;
-            inner.records_since_ckpt = 0;
-            inner.bytes_since_ckpt = 0;
-            inner.bytes_at_last_ckpt = inner.total_bytes;
-        }
+        let mut inner = lock(&self.inner);
+        inner.commits_since_ckpt = 0;
+        inner.records_since_ckpt = 0;
+        inner.bytes_since_ckpt = 0;
+        inner.bytes_at_last_ckpt = inner.total_bytes;
     }
 
-    /// Delete, per stripe, every segment with index `< cuts[stripe]`,
-    /// clamped so segments still referenced by incomplete transactions
-    /// survive. Returns the number of segments deleted.
-    pub fn prune_segments(&self, cuts: &[u64]) -> Result<u64, StorageError> {
+    /// Delete every segment with index `< upto`, clamped so segments
+    /// still referenced by incomplete transactions survive. Returns the
+    /// number of segments deleted.
+    pub fn prune_segments(&self, upto: u64) -> Result<u64, StorageError> {
         let mut deleted = 0;
-        for (i, stripe) in self.stripes.iter().enumerate() {
-            let upto = cuts.get(i).copied().unwrap_or(0);
-            let mut inner = stripe.lock_inner();
-            let bound = inner.live_low.values().min().copied().unwrap_or(u64::MAX).min(upto);
-            for (idx, path) in list_segments(&stripe.dir)? {
-                if idx >= bound || idx == inner.seg_index {
-                    continue;
-                }
-                let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                fs::remove_file(&path)?;
-                inner.total_bytes = inner.total_bytes.saturating_sub(len);
-                inner.segments = inner.segments.saturating_sub(1);
-                deleted += 1;
+        let mut inner = lock(&self.inner);
+        let bound = inner.live_low.values().min().copied().unwrap_or(u64::MAX).min(upto);
+        for (idx, path) in list_segments(&self.stream)? {
+            if idx >= bound || idx == inner.seg_index {
+                continue;
             }
+            let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            fs::remove_file(&path)?;
+            inner.total_bytes = inner.total_bytes.saturating_sub(len);
+            inner.segments = inner.segments.saturating_sub(1);
+            deleted += 1;
         }
         Ok(deleted)
     }
 }
 
 impl Drop for SegmentedWal {
-    /// Orderly close: push every stripe's buffer to the OS so only a real
-    /// crash — not a clean shutdown — can lose `Durability::None` records.
+    /// Orderly close: push the buffer to the OS so only a real crash —
+    /// not a clean shutdown — can lose `Durability::None` records.
     fn drop(&mut self) {
-        for stripe in &self.stripes {
-            let mut inner = stripe.lock_inner();
-            let _ = Stripe::flush_locked(&mut inner);
-        }
+        let _ = Self::flush_locked(&mut lock(&self.inner));
     }
 }
 
@@ -1092,99 +897,91 @@ impl OpenScan {
     }
 }
 
-/// Read every record from every stripe under `dir`, merged into the
-/// global ticket order. A torn or corrupt frame in a stripe's **final**
-/// segment truncates that stripe's scan there (crash tail); the same
-/// anywhere else is reported as corruption. Returns `(seq, record)`
-/// pairs, ticket-sorted, and whether any stripe dropped a torn tail.
-pub fn read_records(dir: &Path) -> Result<(Vec<(u64, LogRecord)>, bool), StorageError> {
-    let mut out = Vec::new();
-    let mut torn = false;
-    for (_, sdir) in stripe_dirs(dir)? {
-        let segments = list_segments(&sdir)?;
-        let last_index = segments.last().map(|(i, _)| *i);
-        for (index, path) in &segments {
-            let bytes = fs::read(path)?;
-            let (records, err) = record::decode_all(&bytes);
-            out.extend(records);
-            match err {
-                None => {}
-                Some(FrameError::Truncated) if bytes.is_empty() => {}
-                Some(e) => {
-                    if Some(*index) == last_index {
-                        torn = true;
-                    } else {
-                        return Err(StorageError::Corrupt {
-                            segment: *index,
-                            detail: format!("{e:?} in non-final segment"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    // The deterministic merge: tickets are globally unique and allocated
-    // in execution order wherever an order matters (per object, per
-    // transaction), so sorting on them reconstructs one replayable
-    // history no matter how appends interleaved across stripes.
-    out.sort_by_key(|(seq, _)| *seq);
-    Ok((out, torn))
+/// Read every record of the log under `dir`, in ticket order. A torn or
+/// corrupt frame in the **final** segment truncates the scan there (crash
+/// tail); the same anywhere else is reported as corruption. Returns
+/// `(seq, record)` pairs, ticket-sorted, and whether a torn tail was
+/// dropped.
+pub fn read_records(dir: &Path) -> Result<OpenRecords, StorageError> {
+    read_segments(&segments(dir)?)
 }
 
-/// Physically drop every frame with `seq > ticket` from the closed log
-/// under `dir` — the promotion cut. Per stripe directory: truncate at the
-/// first frame above `ticket`, delete every later segment, fsync the file
-/// and the directory. Sound only where each stripe file is
-/// ticket-ascending (a log built by [`SegmentedWal::append_frames`]); a
-/// frame at or below `ticket` found past a cut point would be silently
-/// destroyed, so it is reported as [`StorageError::Corrupt`] before any
-/// stripe is touched.
-pub fn truncate_above(dir: &Path, ticket: u64) -> Result<(), StorageError> {
-    let mut cuts = Vec::new(); // (stripe dir, its segments, cut segment, cut byte offset)
-    for (_, sdir) in stripe_dirs(dir)? {
-        let segments = list_segments(&sdir)?;
-        let last_index = segments.last().map(|(i, _)| *i);
-        let mut cut: Option<(u64, u64)> = None;
-        for (index, path) in &segments {
-            let bytes = fs::read(path)?;
-            let mut walk = record::walk_meta(&bytes);
-            for (meta, range) in walk.by_ref() {
-                if meta.seq > ticket {
-                    cut.get_or_insert((*index, range.start as u64));
-                } else if cut.is_some() {
-                    return Err(StorageError::Corrupt {
-                        segment: *index,
-                        detail: format!(
-                            "ticket {} follows the cut above {ticket}: stripe is not \
-                             ticket-ascending",
-                            meta.seq
-                        ),
-                    });
-                }
-            }
-            // A torn tail in the final segment is the next open's repair.
-            if let (Some(e), true) = (walk.error(), Some(*index) != last_index) {
+fn read_segments(segments: &[(u64, PathBuf)]) -> Result<OpenRecords, StorageError> {
+    let mut out = Vec::new();
+    let mut torn = false;
+    let last_index = segments.last().map(|(i, _)| *i);
+    for (index, path) in segments {
+        let bytes = fs::read(path)?;
+        let (records, err) = record::decode_all(&bytes);
+        out.extend(records);
+        match err {
+            None => {}
+            Some(FrameError::Truncated) if bytes.is_empty() => {}
+            Some(_) if Some(*index) == last_index => torn = true,
+            Some(e) => {
                 return Err(StorageError::Corrupt {
                     segment: *index,
                     detail: format!("{e:?} in non-final segment"),
                 });
             }
         }
-        if let Some((cut_seg, cut_off)) = cut {
-            cuts.push((sdir, segments, cut_seg, cut_off));
-        }
     }
-    for (sdir, segments, cut_seg, cut_off) in cuts {
-        for (index, path) in &segments {
-            if *index > cut_seg {
-                fs::remove_file(path)?;
+    // Tickets are reserved under the lock that defines an order and
+    // appended outside it, so the file is not ticket-sorted; tickets are
+    // globally unique and allocated in execution order wherever an order
+    // matters (per object, per transaction), so sorting on them
+    // reconstructs the one replayable history.
+    out.sort_by_key(|(seq, _)| *seq);
+    Ok((out, torn))
+}
+
+/// Physically drop every frame with `seq > ticket` from the closed log
+/// under `dir` — the promotion cut: truncate at the first frame above
+/// `ticket`, delete every later segment, fsync the file and the
+/// directory. Sound only where the file is ticket-ascending (a log built
+/// by [`SegmentedWal::append_frames`]); a frame at or below `ticket`
+/// found past the cut point would be silently destroyed, so it is
+/// reported as [`StorageError::Corrupt`] before anything is touched.
+pub fn truncate_above(dir: &Path, ticket: u64) -> Result<(), StorageError> {
+    let stream = stream_dir(dir)?;
+    let segments = list_segments(&stream)?;
+    let last_index = segments.last().map(|(i, _)| *i);
+    let mut cut: Option<(u64, u64)> = None; // (segment, byte offset)
+    for (index, path) in &segments {
+        let bytes = fs::read(path)?;
+        let mut walk = record::walk_meta(&bytes);
+        for (meta, range) in walk.by_ref() {
+            if meta.seq > ticket {
+                cut.get_or_insert((*index, range.start as u64));
+            } else if cut.is_some() {
+                return Err(StorageError::Corrupt {
+                    segment: *index,
+                    detail: format!(
+                        "ticket {} follows the cut above {ticket}: the log is not \
+                         ticket-ascending",
+                        meta.seq
+                    ),
+                });
             }
         }
-        let f = OpenOptions::new().write(true).open(segment_path(&sdir, cut_seg))?;
-        f.set_len(cut_off)?;
-        f.sync_data()?;
-        sync_dir(&sdir)?;
+        // A torn tail in the final segment is the next open's repair.
+        if let (Some(e), true) = (walk.error(), Some(*index) != last_index) {
+            return Err(StorageError::Corrupt {
+                segment: *index,
+                detail: format!("{e:?} in non-final segment"),
+            });
+        }
     }
+    let Some((cut_seg, cut_off)) = cut else { return Ok(()) };
+    for (index, path) in &segments {
+        if *index > cut_seg {
+            fs::remove_file(path)?;
+        }
+    }
+    let f = OpenOptions::new().write(true).open(segment_path(&stream, cut_seg))?;
+    f.set_len(cut_off)?;
+    f.sync_data()?;
+    sync_dir(&stream)?;
     Ok(())
 }
 
@@ -1198,7 +995,7 @@ fn bad_batch(offset: usize, err: FrameError) -> StorageError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::tail::{TailOptions, WalTailer};
 
     fn tmp(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1214,15 +1011,11 @@ mod tests {
     }
 
     fn opts() -> WalOptions {
-        WalOptions { segment_max_bytes: 256, durability: Durability::Fsync, stripes: 1 }
+        WalOptions { segment_max_bytes: 256, durability: Durability::Fsync }
     }
 
-    fn striped(n: usize) -> WalOptions {
-        WalOptions { stripes: n, ..opts() }
-    }
-
-    fn plain_records(dir: &Path) -> Vec<LogRecord> {
-        read_records(dir).unwrap().0.into_iter().map(|(_, r)| r).collect()
+    fn segments(dir: &Path) -> Vec<(u64, PathBuf)> {
+        super::segments(dir).unwrap()
     }
 
     #[test]
@@ -1247,54 +1040,10 @@ mod tests {
             wal.append_op(wal.reserve(), i, 1, &[0u8; 32]).unwrap();
             wal.commit_txn(i, i + 1).unwrap();
         }
-        let segments = list_segments(&stripe_dirs(&dir).unwrap()[0].1).unwrap();
-        assert!(segments.len() > 2, "expected rotation, got {} segments", segments.len());
+        let n = segments(&dir).len();
+        assert!(n > 2, "expected rotation, got {n} segments");
         let (recs, _) = read_records(&dir).unwrap();
         assert_eq!(recs.len(), 200, "no records lost across rotations");
-    }
-
-    #[test]
-    fn striped_appends_route_by_object_and_merge_by_ticket() {
-        let dir = tmp("striped");
-        let wal = SegmentedWal::open(&dir, striped(4)).unwrap();
-        // Ops on four objects, interleaved; each object sticks to one
-        // stripe, and the merged read reconstructs global ticket order.
-        for i in 0..40u64 {
-            let obj = i % 4 + 1;
-            wal.append_op(wal.reserve(), i + 1, obj, &[i as u8; 8]).unwrap();
-            wal.commit_txn(i + 1, i + 1).unwrap();
-        }
-        drop(wal);
-        let dirs = stripe_dirs(&dir).unwrap();
-        assert_eq!(dirs.len(), 4);
-        for (_, sdir) in &dirs {
-            assert!(!list_segments(sdir).unwrap().is_empty(), "every stripe got records");
-        }
-        let (recs, torn) = read_records(&dir).unwrap();
-        assert!(!torn);
-        let seqs: Vec<u64> = recs.iter().map(|(s, _)| *s).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort();
-        assert_eq!(seqs, sorted, "merge is ticket-ordered");
-        assert_eq!(recs.len(), 80);
-    }
-
-    #[test]
-    fn single_op_stripe_commit_lands_with_its_ops() {
-        let dir = tmp("affine-commit");
-        let wal = SegmentedWal::open(&dir, striped(4)).unwrap();
-        // txn 1 (home stripe 1) touches only object 3 (stripe 3): the
-        // commit record must land on stripe 3 so one fsync covers both.
-        wal.append_op(wal.reserve(), 1, 3, &[7; 4]).unwrap();
-        wal.commit_txn(1, 5).unwrap();
-        drop(wal);
-        let sdir = stripe_dir(&dir, 3);
-        let bytes = fs::read(&list_segments(&sdir).unwrap()[0].1).unwrap();
-        let (recs, err) = record::decode_all(&bytes);
-        assert_eq!(err, None);
-        let kinds: Vec<&LogRecord> = recs.iter().map(|(_, r)| r).collect();
-        assert!(matches!(kinds[0], LogRecord::Op { txn: 1, obj: 3, .. }));
-        assert!(matches!(kinds[1], LogRecord::Commit { txn: 1, ts: 5, ops: 1, .. }));
     }
 
     #[test]
@@ -1302,10 +1051,9 @@ mod tests {
         let dir = tmp("torn");
         let wal = SegmentedWal::open(&dir, opts()).unwrap();
         wal.commit_txn(1, 1).unwrap();
-        let seg = wal.current_segment(0);
         drop(wal);
-        let sdir = stripe_dir(&dir, 0);
-        let mut f = OpenOptions::new().append(true).open(segment_path(&sdir, seg)).unwrap();
+        let last = segments(&dir).pop().unwrap().1;
+        let mut f = OpenOptions::new().append(true).open(last).unwrap();
         f.write_all(&[0x55; 7]).unwrap(); // half a header
         drop(f);
         let (recs, torn) = read_records(&dir).unwrap();
@@ -1317,33 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn each_stripe_truncates_its_own_torn_tail() {
-        let dir = tmp("torn-striped");
-        let wal = SegmentedWal::open(&dir, striped(3)).unwrap();
-        for obj in 1..=3u64 {
-            wal.append_op(wal.reserve(), obj, obj, &[obj as u8; 8]).unwrap();
-            wal.commit_txn(obj, obj).unwrap();
-        }
-        drop(wal);
-        // Garbage on the tail of every stripe.
-        for (_, sdir) in stripe_dirs(&dir).unwrap() {
-            let last = list_segments(&sdir).unwrap().pop().unwrap().1;
-            let mut f = OpenOptions::new().append(true).open(&last).unwrap();
-            f.write_all(&[0xAA; 9]).unwrap();
-        }
-        let (recs, torn) = read_records(&dir).unwrap();
-        assert!(torn);
-        assert_eq!(recs.len(), 6, "all real records survive, all garbage dropped");
-        // Reopening repairs every stripe so new commits are not orphaned.
-        let wal = SegmentedWal::open(&dir, striped(3)).unwrap();
-        wal.commit_txn(9, 9).unwrap();
-        drop(wal);
-        let (recs, torn) = read_records(&dir).unwrap();
-        assert!(!torn, "open() must have repaired every stripe");
-        assert_eq!(recs.len(), 7);
-    }
-
-    #[test]
     fn corruption_in_middle_segment_is_an_error() {
         let dir = tmp("corrupt-mid");
         let wal = SegmentedWal::open(&dir, opts()).unwrap();
@@ -1352,8 +1073,7 @@ mod tests {
             wal.commit_txn(i, i + 1).unwrap();
         }
         drop(wal);
-        let sdir = stripe_dir(&dir, 0);
-        let segments = list_segments(&sdir).unwrap();
+        let segments = segments(&dir);
         assert!(segments.len() >= 3);
         // Damage a byte in the middle of the first segment.
         let victim = &segments[0].1;
@@ -1375,8 +1095,7 @@ mod tests {
             wal.commit_txn(1, 1).unwrap();
         }
         // Crash tail: half a frame after the acknowledged commit.
-        let sdir = stripe_dir(&dir, 0);
-        let last = list_segments(&sdir).unwrap().pop().unwrap().1;
+        let last = segments(&dir).pop().unwrap().1;
         {
             let mut f = OpenOptions::new().append(true).open(&last).unwrap();
             f.write_all(&[0x55; 5]).unwrap();
@@ -1406,13 +1125,13 @@ mod tests {
     fn reopen_reanchors_tickets_above_survivors() {
         let dir = tmp("reopen-ticket");
         {
-            let wal = SegmentedWal::open(&dir, striped(2)).unwrap();
+            let wal = SegmentedWal::open(&dir, opts()).unwrap();
             for i in 1..=10u64 {
                 wal.append_op(wal.reserve(), i, i % 2, &[1; 4]).unwrap();
                 wal.commit_txn(i, i).unwrap();
             }
         }
-        let wal = SegmentedWal::open(&dir, striped(2)).unwrap();
+        let wal = SegmentedWal::open(&dir, opts()).unwrap();
         let next = wal.reserve();
         assert!(next > 20, "tickets resume above every surviving record, got {next}");
     }
@@ -1434,39 +1153,32 @@ mod tests {
 
     #[test]
     fn group_sync_from_many_threads_loses_nothing() {
-        for stripes in [1usize, 4] {
-            let dir = tmp("group");
-            let wal = Arc::new(
-                SegmentedWal::open(
-                    &dir,
-                    WalOptions { segment_max_bytes: 1 << 20, ..striped(stripes) },
-                )
-                .unwrap(),
-            );
-            let threads = 8;
-            let per = 50;
-            let mut joins = Vec::new();
-            for t in 0..threads {
-                let wal = wal.clone();
-                joins.push(std::thread::spawn(move || {
-                    for i in 0..per {
-                        let txn = t * per + i + 1;
-                        wal.append_begin(txn).unwrap();
-                        wal.append_op(wal.reserve(), txn, txn % 7, &[3; 16]).unwrap();
-                        wal.commit_txn(txn, txn).unwrap();
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            drop(wal);
-            let (recs, torn) = read_records(&dir).unwrap();
-            assert!(!torn);
-            let commits =
-                recs.iter().filter(|(_, r)| matches!(r, LogRecord::Commit { .. })).count();
-            assert_eq!(commits as u64, threads * per, "stripes={stripes}");
+        let dir = tmp("group");
+        let wal = Arc::new(
+            SegmentedWal::open(&dir, WalOptions { segment_max_bytes: 1 << 20, ..opts() }).unwrap(),
+        );
+        let threads = 8;
+        let per = 50;
+        let mut joins = Vec::new();
+        for t in 0..threads {
+            let wal = wal.clone();
+            joins.push(std::thread::spawn(move || {
+                for i in 0..per {
+                    let txn = t * per + i + 1;
+                    wal.append_begin(txn).unwrap();
+                    wal.append_op(wal.reserve(), txn, txn % 7, &[3; 16]).unwrap();
+                    wal.commit_txn(txn, txn).unwrap();
+                }
+            }));
         }
+        for j in joins {
+            j.join().unwrap();
+        }
+        drop(wal);
+        let (recs, torn) = read_records(&dir).unwrap();
+        assert!(!torn);
+        let commits = recs.iter().filter(|(_, r)| matches!(r, LogRecord::Commit { .. })).count();
+        assert_eq!(commits as u64, threads * per);
     }
 
     #[test]
@@ -1480,35 +1192,18 @@ mod tests {
             wal.append_op(wal.reserve(), i, 1, &[0u8; 32]).unwrap();
             wal.commit_txn(i, i + 1).unwrap();
         }
-        let current = wal.current_segment(0);
+        let current = wal.current_segment();
         assert!(current > 2);
-        let sdir = stripe_dir(&dir, 0);
+        assert_eq!(wal.checkpoint_cut(), 1, "the live txn pins the checkpoint cut too");
         // Pruning everything below the current segment must keep segment 1
         // (txn 999's records live there).
-        wal.prune_segments(&[current]).unwrap();
-        let remaining = list_segments(&sdir).unwrap();
-        assert_eq!(remaining.first().unwrap().0, 1, "live txn pinned segment 1");
+        wal.prune_segments(current).unwrap();
+        assert_eq!(segments(&dir).first().unwrap().0, 1, "live txn pinned segment 1");
         // Completing the transaction unpins it.
         wal.append_abort(999).unwrap();
-        wal.prune_segments(&[current]).unwrap();
-        let remaining = list_segments(&sdir).unwrap();
-        assert!(remaining.first().unwrap().0 >= current.min(wal.current_segment(0)));
-    }
-
-    #[test]
-    fn checkpoint_cuts_pin_live_transactions_per_stripe() {
-        let dir = tmp("cuts");
-        let wal = SegmentedWal::open(&dir, striped(2)).unwrap();
-        // A live txn on stripe 0 (object 0); churn on stripe 1 (object 1).
-        wal.append_op(wal.reserve(), 77, 0, &[0; 32]).unwrap();
-        for i in 0..40 {
-            wal.append_op(wal.reserve(), i + 100, 1, &[0u8; 32]).unwrap();
-            wal.commit_txn(i + 100, i + 1).unwrap();
-        }
-        let cuts = wal.checkpoint_cuts();
-        assert_eq!(cuts.len(), 2);
-        assert_eq!(cuts[0], 1, "live txn pins stripe 0's cut to its first segment");
-        assert!(cuts[1] > 1, "stripe 1's cut advanced with its churn");
+        assert_eq!(wal.checkpoint_cut(), wal.current_segment());
+        wal.prune_segments(current).unwrap();
+        assert!(segments(&dir).first().unwrap().0 >= current.min(wal.current_segment()));
     }
 
     #[test]
@@ -1527,40 +1222,6 @@ mod tests {
         assert_eq!(s.bytes_at_last_checkpoint, s.total_bytes);
     }
 
-    /// Cutting one stripe's unflushed tail loses a *suffix* of that
-    /// stripe only; the merged read keeps every record of the other
-    /// stripes — the per-object prefix property striped recovery relies
-    /// on.
-    #[test]
-    fn tail_cut_on_one_stripe_is_a_per_stripe_suffix_loss() {
-        let dir = tmp("suffix");
-        let wal = SegmentedWal::open(&dir, WalOptions { segment_max_bytes: 1 << 20, ..striped(2) })
-            .unwrap();
-        for i in 1..=10u64 {
-            wal.append_op(wal.reserve(), i, i % 2, &[9; 8]).unwrap();
-            wal.commit_txn(i, i).unwrap();
-        }
-        drop(wal);
-        // Chop bytes off stripe 1's tail only.
-        let sdir = stripe_dir(&dir, 1);
-        let last = list_segments(&sdir).unwrap().pop().unwrap().1;
-        let len = fs::metadata(&last).unwrap().len();
-        // Deep enough to take whole frames off stripe 1, not just tear
-        // the final one.
-        OpenOptions::new().write(true).open(&last).unwrap().set_len(len - 100).unwrap();
-        let (recs, _) = read_records(&dir).unwrap();
-        let stripe0: Vec<&LogRecord> = recs
-            .iter()
-            .filter(|(_, r)| matches!(r, LogRecord::Op { obj, .. } if obj % 2 == 0))
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(stripe0.len(), 5, "stripe 0 lost nothing");
-        let plain = plain_records(&dir);
-        let odd_ops =
-            plain.iter().filter(|r| matches!(r, LogRecord::Op { obj, .. } if obj % 2 == 1)).count();
-        assert!(odd_ops < 5, "stripe 1 lost a suffix");
-    }
-
     // ---- externally ticketed feed (the replication follower's log) ----
 
     fn frame(seq: u64) -> Vec<u8> {
@@ -1572,7 +1233,7 @@ mod tests {
     }
 
     fn fed_opts() -> WalOptions {
-        WalOptions { segment_max_bytes: 128, durability: Durability::Buffered, stripes: 1 }
+        WalOptions { segment_max_bytes: 128, durability: Durability::Buffered }
     }
 
     fn seqs_on_disk(dir: &Path) -> Vec<u64> {
@@ -1588,12 +1249,11 @@ mod tests {
         assert_eq!(fresh.iter().map(|(s, _)| *s).collect::<Vec<_>>(), all, "decoded once");
         assert!(matches!(fresh[6].1, LogRecord::Begin { txn: 7 }));
         assert_eq!(wal.current_ticket(), 51);
-        assert!(wal.current_segment(0) > 2, "a batch rotates frame by frame");
+        assert!(wal.current_segment() > 2, "a batch rotates frame by frame");
         drop(wal);
         // The raw bytes landed unchanged: the log *is* the batch.
-        let sdir = stripe_dir(&dir, 0);
         let on_disk: Vec<u8> =
-            list_segments(&sdir).unwrap().iter().flat_map(|(_, p)| fs::read(p).unwrap()).collect();
+            segments(&dir).iter().flat_map(|(_, p)| fs::read(p).unwrap()).collect();
         assert_eq!(on_disk, batch(&all));
         let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
         assert_eq!(wal.current_ticket(), 51);
@@ -1648,7 +1308,7 @@ mod tests {
                 .unwrap();
         wal.append_frames(&batch(&(1..=9).collect::<Vec<_>>())).unwrap();
         drop(wal);
-        let (_, seg) = list_segments(&stripe_dir(&dir, 0)).unwrap().pop().unwrap();
+        let (_, seg) = segments(&dir).pop().unwrap();
         let len = fs::metadata(&seg).unwrap().len();
         OpenOptions::new().write(true).open(&seg).unwrap().set_len(len - 5).unwrap();
         let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
@@ -1658,53 +1318,86 @@ mod tests {
         assert_eq!(seqs_on_disk(&dir), (1..=10).collect::<Vec<_>>());
     }
 
-    /// Lay frames out the way the retired striped replica log did
-    /// (`stripe = seq % n`, one segment each), so the cut is held against
-    /// directories older followers wrote.
-    fn legacy_replica_dir(dir: &Path, stripes: u64, seqs: std::ops::RangeInclusive<u64>) {
-        for s in 0..stripes {
-            let sdir = stripe_dir(dir, s as usize);
-            fs::create_dir_all(&sdir).unwrap();
-            let bytes: Vec<u8> =
-                seqs.clone().filter(|q| q % stripes == s).flat_map(frame).collect();
-            fs::write(segment_path(&sdir, 1), bytes).unwrap();
-        }
-    }
-
     #[test]
-    fn truncate_above_cuts_every_stripe_suffix() {
+    fn truncate_above_cuts_the_suffix_and_later_segments() {
         let dir = tmp("fed-cut");
-        legacy_replica_dir(&dir, 3, 1..=40);
+        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        wal.append_frames(&batch(&(1..=40).collect::<Vec<_>>())).unwrap();
+        let fed_segments = wal.current_segment();
+        assert!(fed_segments > 4);
+        drop(wal);
         truncate_above(&dir, 17).unwrap();
         assert_eq!(seqs_on_disk(&dir), (1..=17).collect::<Vec<_>>());
+        assert!((segments(&dir).len() as u64) < fed_segments, "whole later segments go too");
         truncate_above(&dir, 17).unwrap(); // nothing above: a no-op
 
-        // Whole later segments go too, and the log keeps appending
-        // cleanly after the cut.
+        // The log keeps appending cleanly after the cut.
         let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
         assert_eq!(wal.current_ticket(), 18);
         wal.append_frames(&batch(&(18..=40).collect::<Vec<_>>())).unwrap();
-        assert!(wal.current_segment(0) > 2);
         drop(wal);
-        truncate_above(&dir, 19).unwrap();
-        assert_eq!(seqs_on_disk(&dir), (1..=19).collect::<Vec<_>>());
-        assert_eq!(list_segments(&stripe_dir(&dir, 0)).unwrap().len(), 2);
+        assert_eq!(seqs_on_disk(&dir), (1..=40).collect::<Vec<_>>());
     }
 
     #[test]
-    fn truncate_above_refuses_a_stripe_that_is_not_ticket_ascending() {
+    fn truncate_above_refuses_a_log_that_is_not_ticket_ascending() {
         let dir = tmp("fed-cut-order");
-        legacy_replica_dir(&dir, 2, 1..=8);
-        // A primary's stripe may hold ticket 3 *after* ticket 5 (reserve
+        // A primary's log may hold ticket 3 *after* ticket 5 (reserve
         // under the object lock, append outside it): a suffix cut there
         // would destroy a record it was asked to keep.
-        let sdir = stripe_dir(&dir, 1);
-        fs::write(segment_path(&sdir, 1), batch(&[1, 5, 3, 7])).unwrap();
-        let before = seqs_on_disk(&dir);
+        let stream = dir.join(STREAM_DIR);
+        fs::create_dir_all(&stream).unwrap();
+        fs::write(segment_path(&stream, 1), batch(&[1, 5, 3, 7])).unwrap();
         match truncate_above(&dir, 4) {
             Err(StorageError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        assert_eq!(seqs_on_disk(&dir), before, "a refused cut touches no stripe");
+        // (Reads sort on the ticket whatever order the file holds.)
+        assert_eq!(seqs_on_disk(&dir), vec![1, 3, 5, 7], "a refused cut touches nothing");
+    }
+
+    /// A log written over two stream directories (frames dealt by
+    /// `seq % 2`, a torn tail on the first) is refused by all four entry
+    /// points with the typed error, and not a byte of it is touched —
+    /// not even the tail repair an open would otherwise perform.
+    #[test]
+    fn a_two_directory_log_is_refused_at_every_entry_point_untouched() {
+        let dir = tmp("two-dirs");
+        let second = dir.join("stripe-01");
+        for (s, sdir) in [dir.join(STREAM_DIR), second.clone()].iter().enumerate() {
+            fs::create_dir_all(sdir).unwrap();
+            let mut bytes: Vec<u8> =
+                (1..=8).filter(|q| q % 2 == s as u64).flat_map(frame).collect();
+            if s == 0 {
+                bytes.extend_from_slice(&[0x55; 5]);
+            }
+            fs::write(segment_path(sdir, 1), bytes).unwrap();
+        }
+        let on_disk = || -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files = Vec::new();
+            for sdir in fs::read_dir(&dir).unwrap() {
+                for f in fs::read_dir(sdir.unwrap().path()).unwrap() {
+                    let path = f.unwrap().path();
+                    files.push((path.clone(), fs::read(path).unwrap()));
+                }
+            }
+            files.sort();
+            files
+        };
+        let before = on_disk();
+        assert_eq!(before.len(), 2);
+        let refused = |r: Result<(), StorageError>| match r {
+            Err(StorageError::StripedLayout { dir }) => assert_eq!(dir, second),
+            other => panic!("expected StripedLayout, got {other:?}"),
+        };
+        refused(SegmentedWal::open(&dir, opts()).map(drop));
+        refused(read_records(&dir).map(drop));
+        refused(truncate_above(&dir, 3));
+        refused(WalTailer::new(&dir, 0, TailOptions::default()).map(drop));
+        assert_eq!(on_disk(), before, "a refused log is left exactly as found");
+
+        // An empty leftover directory is not a second stream.
+        fs::remove_file(segment_path(&second, 1)).unwrap();
+        assert_eq!(seqs_on_disk(&dir), vec![2, 4, 6, 8]);
     }
 }

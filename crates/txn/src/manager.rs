@@ -580,7 +580,7 @@ impl TxnManager {
     /// store. Returns `Ok(None)` when the manager has no store.
     ///
     /// The commit gate is held exclusively only for the *begin* instant —
-    /// recording the watermark `ts0`, the per-stripe cuts, and pinning
+    /// recording the watermark `ts0`, the log's prune cut, and pinning
     /// every object's fold horizon at `ts0`; no I/O, microseconds — and
     /// is then released. Snapshots are taken incrementally, each under
     /// its own object's lock, *at* the watermark
@@ -669,7 +669,7 @@ impl TxnManager {
 /// [`TxnManager::object_options`] lands here. The object reserves the
 /// operation's global order ticket under its own lock
 /// ([`RedoSink::reserve`] — one atomic bump against the store's ticket
-/// counter) and publishes the payload after releasing it, so a stripe's
+/// counter) and publishes the payload after releasing it, so the log's
 /// rotation fsync can never stall the object. An append failure is
 /// stashed with its ticket (in execution order) and retried by the
 /// commit path under the *same* ticket — and once one payload of a

@@ -10,8 +10,8 @@
 //! One implementation, two consumers:
 //!
 //! * the **WAL** (`hcc-storage::record`) frames log records with it —
-//!   `seq` is the global append ticket, and a failed decode at a
-//!   stripe's tail is a torn-tail crash artifact;
+//!   `seq` is the global append ticket, and a failed decode at the
+//!   log's tail is a torn-tail crash artifact;
 //! * the **network protocol** (`crate::conn`) frames requests and
 //!   responses with it — `seq` is the request id responses echo, and a
 //!   failed decode means the peer (or the path to it) is lying: the

@@ -9,9 +9,8 @@
 //! 3. primary → [`ReplMsg::Batch`]* — **raw WAL frames in global ticket
 //!    order**, each still wearing the golden-pinned `len|crc|seq|payload`
 //!    envelope ([`crate::frame`]) exactly as it sits in the primary's
-//!    stripes, so the follower appends bytes it can re-verify and the
-//!    converged log prefix is byte-identical after a ticket-ordered
-//!    merge;
+//!    log, so the follower appends bytes it can re-verify and the
+//!    converged log prefix is byte-identical once sorted by ticket;
 //! 4. follower → [`ReplMsg::Ack`] per batch — the highest ticket now
 //!    durable in its replica log (under its own durability level).
 //!

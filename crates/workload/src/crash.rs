@@ -66,8 +66,6 @@ pub struct CrashScenarioOptions {
     pub checkpoint_every: Option<u64>,
     /// Durability of the run.
     pub durability: Durability,
-    /// WAL append stripes (1 = the legacy single-stream log).
-    pub stripes: usize,
 }
 
 impl Default for CrashScenarioOptions {
@@ -78,7 +76,6 @@ impl Default for CrashScenarioOptions {
             interleave: 3,
             checkpoint_every: None,
             durability: Durability::Buffered,
-            stripes: 1,
         }
     }
 }
@@ -88,27 +85,11 @@ impl CrashScenarioOptions {
     /// variable (`none` / `buffered` / `fsync`, case-insensitive) — how
     /// CI runs the recovery suite as a durability matrix. Unset or
     /// unrecognized values keep the current level.
-    pub fn durability_from_env(mut self) -> Self {
+    pub fn env_overrides(mut self) -> Self {
         if let Some(d) = hcc_storage::durability_env_override() {
             self.durability = d;
         }
         self
-    }
-
-    /// Override the WAL stripe count from the `HCC_WAL_STRIPES`
-    /// environment variable — CI's striping axis. Unset or unparsable
-    /// values keep the current count.
-    pub fn stripes_from_env(mut self) -> Self {
-        if let Some(n) = hcc_storage::stripes_env_override() {
-            self.stripes = n;
-        }
-        self
-    }
-
-    /// Apply every environment override (`HCC_DURABILITY`,
-    /// `HCC_WAL_STRIPES`).
-    pub fn env_overrides(self) -> Self {
-        self.durability_from_env().stripes_from_env()
     }
 }
 
@@ -161,7 +142,6 @@ pub fn run_crash_workload(
     let storage = StorageOptions {
         segment_max_bytes: 2048, // small segments: rotation + pruning exercised
         durability: opts.durability,
-        stripes: opts.stripes,
         policy: match opts.checkpoint_every {
             Some(n) => CompactionPolicy::every_n(n),
             None => CompactionPolicy::never(),
@@ -313,24 +293,18 @@ pub(crate) fn effect_from_json(v: &serde_json::Value) -> Effect {
     }
 }
 
-/// Chop `bytes` off the end of **every stripe's** final WAL segment — the
-/// injected crash point. Per-stripe loss is always a suffix (exactly what
-/// a power failure does to each stripe's unflushed tail), which is the
-/// shape striped recovery's per-object-prefix guarantee covers. Returns
-/// how many bytes were removed in total.
-pub fn truncate_tail(dir: &Path, bytes: u64) -> std::io::Result<u64> {
-    let mut total = 0;
-    for (_, stripe) in hcc_storage::wal::stripe_dirs(dir)? {
-        let segments = hcc_storage::wal::list_segments(&stripe)?;
-        let Some((_, last)) = segments.last() else { continue };
-        let len = std::fs::metadata(last)?.len();
-        let cut = bytes.min(len);
-        let file = std::fs::OpenOptions::new().write(true).open(last)?;
-        file.set_len(len - cut)?;
-        file.sync_data()?;
-        total += cut;
-    }
-    Ok(total)
+/// Chop `bytes` off the end of the final WAL segment — the injected
+/// crash point (exactly what a power failure does to the log's unflushed
+/// tail). Returns how many bytes were removed.
+pub fn truncate_tail(dir: &Path, bytes: u64) -> Result<u64, HccError> {
+    let segments = hcc_storage::wal::segments(dir)?;
+    let Some((_, last)) = segments.last() else { return Ok(0) };
+    let len = std::fs::metadata(last)?.len();
+    let cut = bytes.min(len);
+    let file = std::fs::OpenOptions::new().write(true).open(last)?;
+    file.set_len(len - cut)?;
+    file.sync_data()?;
+    Ok(cut)
 }
 
 /// Recover the store at `dir` through the [`Db`] facade alone — open
@@ -347,8 +321,7 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
     let recovered = DurableStore::recover(dir)?;
     // The whole recovery path under test is these three calls: no
     // Registry, no replay loop, no checkpoint dispatch.
-    let db =
-        Db::builder().storage_options(StorageOptions::default().stripes_from_env()).open(dir)?;
+    let db = Db::open(dir)?;
     let acct = db.object::<AccountObject>("acct")?;
     let queue = db.object::<QueueObject<i64>>("q")?;
     let ckpt_ts = db.recovery_report().checkpoint_ts;
@@ -513,23 +486,14 @@ pub fn crash_point_holds(
         .collect();
     covered.sort();
     covered.dedup();
-    if opts.stripes == 1 {
-        // Single stripe: the log is one stream, so truncating its tail
-        // can only drop a timestamp-suffix — survivors form a global
-        // timestamp prefix (the driver commits in timestamp order).
-        let expected_prefix: Vec<u64> = match covered.last() {
-            Some(&max) => all_ts.iter().copied().filter(|t| *t <= max).collect(),
-            None => Vec::new(),
-        };
-        assert_eq!(covered, expected_prefix, "survivors must form a timestamp prefix");
-    }
-    // Striped logs guarantee a *per-object* prefix, not a global one: a
-    // cut on one stripe drops a suffix of each object routed there, and
-    // commit-record op counts drop any transaction that lost part of
-    // itself. The oracle fold below still must reproduce the recovered
-    // state exactly (it asserts internal consistency, e.g. every replayed
-    // deq matches the fold's queue head), and `recover_and_verify`
-    // already checked the surviving history hybrid-atomic.
+    // The log is one stream and the driver commits in timestamp order,
+    // so truncating its tail can only drop a timestamp-suffix: survivors
+    // form a global timestamp prefix.
+    let expected_prefix: Vec<u64> = match covered.last() {
+        Some(&max) => all_ts.iter().copied().filter(|t| *t <= max).collect(),
+        None => Vec::new(),
+    };
+    assert_eq!(covered, expected_prefix, "survivors must form a timestamp prefix");
 
     let (balance, queue) = fold_oracle(&workload.oracle, &covered);
     assert_eq!(state.balance, balance, "recovered balance diverges from the oracle");

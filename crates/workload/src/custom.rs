@@ -227,24 +227,11 @@ pub struct CustomScenarioOptions {
     pub txns: usize,
     /// Checkpoint on the EveryN policy (`None` = never).
     pub checkpoint_every: Option<u64>,
-    /// WAL stripes.
-    pub stripes: usize,
 }
 
 impl Default for CustomScenarioOptions {
     fn default() -> Self {
-        CustomScenarioOptions { seed: 0x1EAD, txns: 90, checkpoint_every: None, stripes: 1 }
-    }
-}
-
-impl CustomScenarioOptions {
-    /// Apply the CI matrix overrides (`HCC_WAL_STRIPES`; durability is
-    /// taken straight from `HCC_DURABILITY` by the storage options).
-    pub fn env_overrides(mut self) -> Self {
-        if let Some(n) = hcc_storage::stripes_env_override() {
-            self.stripes = n;
-        }
-        self
+        CustomScenarioOptions { seed: 0x1EAD, txns: 90, checkpoint_every: None }
     }
 }
 
@@ -254,14 +241,13 @@ impl CustomScenarioOptions {
 pub fn run_custom_workload(dir: &Path, opts: CustomScenarioOptions) -> Result<Oracle, HccError> {
     let storage = StorageOptions {
         segment_max_bytes: 2048,
-        stripes: opts.stripes,
         policy: match opts.checkpoint_every {
             Some(n) => CompactionPolicy::every_n(n),
             None => CompactionPolicy::never(),
         },
         ..StorageOptions::default()
     }
-    .durability_from_env();
+    .env_overrides();
     let db = Db::builder().storage_options(storage).open(dir)?;
     let boards: Vec<Arc<Leaderboard>> =
         BOARDS.iter().map(|name| db.object::<Leaderboard>(name)).collect::<Result<_, _>>()?;
@@ -403,7 +389,7 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredBoards, HccError> {
     Ok(RecoveredBoards { boards: states, checkpoint_ts: ckpt_ts, tail_ts })
 }
 
-/// End-to-end property: run, cut `cut_bytes` off every stripe's tail,
+/// End-to-end property: run, cut `cut_bytes` off the log's tail,
 /// recover, verify hybrid atomicity, and check the recovered boards
 /// equal the oracle folded over the surviving coverage. Returns
 /// `(committed, survived)` transaction counts.
@@ -495,8 +481,7 @@ mod tests {
     fn clean_shutdown_recovers_everything() {
         let dir = tmp("clean");
         let (committed, survived) =
-            custom_crash_point_holds(&dir, CustomScenarioOptions::default().env_overrides(), 0)
-                .unwrap();
+            custom_crash_point_holds(&dir, CustomScenarioOptions::default(), 0).unwrap();
         assert!(committed > 40, "workload committed too little: {committed}");
         assert_eq!(survived, committed);
     }
@@ -505,8 +490,7 @@ mod tests {
     fn mid_log_crash_recovers_a_verified_prefix() {
         let dir = tmp("cut");
         let (committed, survived) =
-            custom_crash_point_holds(&dir, CustomScenarioOptions::default().env_overrides(), 600)
-                .unwrap();
+            custom_crash_point_holds(&dir, CustomScenarioOptions::default(), 600).unwrap();
         assert!(survived <= committed);
     }
 
@@ -516,8 +500,7 @@ mod tests {
         let opts = CustomScenarioOptions {
             checkpoint_every: Some(12),
             ..CustomScenarioOptions::default()
-        }
-        .env_overrides();
+        };
         let (committed, survived) = custom_crash_point_holds(&dir, opts, 0).unwrap();
         assert_eq!(survived, committed);
     }
@@ -534,9 +517,7 @@ mod tests {
                 seed: rng.gen_range(0..u64::MAX),
                 txns: 60,
                 checkpoint_every: if round % 2 == 0 { Some(15) } else { None },
-                ..CustomScenarioOptions::default()
-            }
-            .env_overrides();
+            };
             let cut = rng.gen_range(0..1500u64);
             let (committed, survived) = custom_crash_point_holds(&dir, opts, cut).unwrap();
             assert!(survived <= committed, "round {round}");

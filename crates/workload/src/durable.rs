@@ -1,14 +1,13 @@
 //! End-to-end durable banking throughput: `Db`, self-logging objects,
-//! and the striped WAL together — the whole write path, parameterised
-//! over Fsync/Buffered × stripe counts × thread counts.
+//! and the WAL together — the whole write path, parameterised over
+//! Fsync/Buffered × thread counts.
 //!
 //! Unlike `bank::account_mix` (pure in-memory concurrency-control cost),
 //! every mutating operation here serializes its redo record into the WAL
 //! and every commit pays the configured durability. Each worker thread
 //! drives its own account (thread-affine, `accounts ≥ threads`), so the
-//! measured contention is the *log's* — append routing, group-commit
-//! batching, fsync scheduling — not lock conflicts at one hot object;
-//! that is exactly the axis the stripe sweep varies.
+//! measured contention is the *log's* — the append mutex, group-commit
+//! batching, fsync scheduling — not lock conflicts at one hot object.
 //!
 //! The optional mid-run fuzzy checkpoint measures the checkpoint stall:
 //! how long the commit gate was held exclusively (the
@@ -43,8 +42,6 @@ pub struct DurableMixOptions {
     pub accounts: usize,
     /// Commit durability.
     pub durability: Durability,
-    /// WAL stripes.
-    pub stripes: usize,
     /// Issue one fuzzy checkpoint when roughly half the commits are in.
     pub checkpoint_mid_run: bool,
 }
@@ -57,7 +54,6 @@ impl Default for DurableMixOptions {
             ops_per_txn: 4,
             accounts: 16,
             durability: Durability::Fsync,
-            stripes: 1,
             checkpoint_mid_run: false,
         }
     }
@@ -167,7 +163,6 @@ pub fn durable_account_mix(dir: &Path, opts: DurableMixOptions) -> DurableMixRep
     let accounts = opts.accounts.max(opts.threads);
     let storage = StorageOptions {
         durability: opts.durability,
-        stripes: opts.stripes,
         policy: CompactionPolicy::never(), // the mid-run checkpoint is explicit
         ..StorageOptions::default()
     };
@@ -234,8 +229,8 @@ pub struct DefinedMixReport {
 
 /// Drive a Counter + Set workload (thread-affine object pairs, identical
 /// op script) through either ADT flavor against a fresh store at `dir`.
-/// Only `threads`, `txns_per_thread`, `ops_per_txn`, `durability` and
-/// `stripes` of `opts` apply.
+/// Only `threads`, `txns_per_thread`, `ops_per_txn` and `durability` of
+/// `opts` apply.
 pub fn defined_adt_mix(dir: &Path, opts: DurableMixOptions, flavor: MixAdts) -> DefinedMixReport {
     match flavor {
         MixAdts::HandWritten => counter_set_mix::<CounterAdt, SetAdt<i64>>(dir, opts),
@@ -253,7 +248,6 @@ where
 {
     let storage = StorageOptions {
         durability: opts.durability,
-        stripes: opts.stripes,
         policy: CompactionPolicy::never(),
         ..StorageOptions::default()
     };
@@ -316,8 +310,6 @@ pub struct ReadHeavyOptions {
     pub zipf_exponent: f64,
     /// Commit durability for the write slice.
     pub durability: Durability,
-    /// WAL stripes.
-    pub stripes: usize,
 }
 
 impl Default for ReadHeavyOptions {
@@ -330,7 +322,6 @@ impl Default for ReadHeavyOptions {
             read_fraction: 0.95,
             zipf_exponent: 1.0,
             durability: Durability::Fsync,
-            stripes: 4,
         }
     }
 }
@@ -411,7 +402,6 @@ fn zipf_pick(cdf: &[f64], u: f64) -> usize {
 pub fn read_heavy_mix(dir: &Path, opts: ReadHeavyOptions) -> ReadHeavyReport {
     let storage = StorageOptions {
         durability: opts.durability,
-        stripes: opts.stripes,
         policy: CompactionPolicy::never(),
         ..StorageOptions::default()
     };
@@ -512,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_mix_commits_everything_striped() {
+    fn durable_mix_commits_everything() {
         let dir = tmp("mix");
         let report = durable_account_mix(
             &dir,
@@ -520,7 +510,6 @@ mod tests {
                 threads: 4,
                 txns_per_thread: 30,
                 durability: Durability::Buffered,
-                stripes: 4,
                 checkpoint_mid_run: false,
                 ..Default::default()
             },
@@ -538,7 +527,6 @@ mod tests {
                 threads: 4,
                 txns_per_thread: 60,
                 durability: Durability::Fsync,
-                stripes: 4,
                 checkpoint_mid_run: true,
                 ..Default::default()
             },
@@ -564,7 +552,6 @@ mod tests {
             threads: 4,
             txns_per_thread: 30,
             durability: Durability::Buffered,
-            stripes: 4,
             ..Default::default()
         };
         let report = durable_account_mix(&dir, opts);
@@ -621,7 +608,6 @@ mod tests {
                 pure_reads_per_thread: 60,
                 accounts: 16,
                 durability: Durability::Buffered,
-                stripes: 2,
                 ..Default::default()
             },
         );
@@ -639,12 +625,12 @@ mod tests {
         );
     }
 
-    /// Every commit acknowledged during a striped, fuzz-checkpointed,
+    /// Every commit acknowledged during a fuzz-checkpointed,
     /// multi-threaded run is recoverable: fresh objects rebuilt from the
-    /// checkpoint + ticket-merged tail match the live final balances
+    /// checkpoint + ticket-sorted tail match the live final balances
     /// (replay pins every logged response, so divergence would panic).
     #[test]
-    fn striped_checkpointed_run_recovers_every_commit() {
+    fn checkpointed_run_recovers_every_commit() {
         let dir = tmp("recover");
         let report = durable_account_mix(
             &dir,
@@ -652,7 +638,6 @@ mod tests {
                 threads: 4,
                 txns_per_thread: 40,
                 durability: Durability::Buffered,
-                stripes: 8,
                 checkpoint_mid_run: true,
                 ..Default::default()
             },

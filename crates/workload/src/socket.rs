@@ -394,18 +394,15 @@ pub fn verify_socket_recovery(
             }
         }
     }
-    // A single-stream log can only lose a suffix: under one stripe,
-    // every acked commit at or below the highest survivor must itself
-    // have survived.
-    if hcc_storage::stripes_env_override().unwrap_or(1) == 1 {
-        if let Some(&max_ts) = oracle.keys().next_back() {
-            for report in reports {
-                for (ts, _) in report {
-                    assert!(
-                        *ts > max_ts || oracle.contains_key(ts),
-                        "acked commit {ts} below the surviving horizon {max_ts} was lost"
-                    );
-                }
+    // The log is one stream and can only lose a suffix: every acked
+    // commit at or below the highest survivor must itself have survived.
+    if let Some(&max_ts) = oracle.keys().next_back() {
+        for report in reports {
+            for (ts, _) in report {
+                assert!(
+                    *ts > max_ts || oracle.contains_key(ts),
+                    "acked commit {ts} below the surviving horizon {max_ts} was lost"
+                );
             }
         }
     }

@@ -30,7 +30,7 @@ use hybrid_cc::storage::CompactionPolicy;
 use hybrid_cc::Db;
 
 fn run(dir: &str, txns: u64, abort_after: Option<u64>) {
-    // HCC_WAL_STRIPES / HCC_DURABILITY pick the CI matrix axes.
+    // HCC_DURABILITY picks the CI matrix level.
     let db = Db::builder()
         .segment_max_bytes(2048)
         .compaction(CompactionPolicy::every_n(25))

@@ -48,8 +48,7 @@ use hybrid_cc::Db;
 
 fn open_db(dir: &str) -> Arc<Db> {
     // Compaction stays off so the log remains the complete history the
-    // verifier folds; HCC_DURABILITY / HCC_WAL_STRIPES still pick the
-    // CI matrix axes.
+    // verifier folds; HCC_DURABILITY still picks the CI matrix level.
     Arc::new(
         Db::builder()
             .segment_max_bytes(4096)

@@ -43,7 +43,7 @@
 //!   control and graceful drain, and the reconnecting synchronous
 //!   client with the local error taxonomy (see `docs/NETWORK.md`).
 //! * [`repl`] — log-shipping replication: the primary-side shipper
-//!   tailing the striped WAL in global ticket order, followers serving
+//!   tailing the WAL in global ticket order, followers serving
 //!   watermark-bounded consistent-prefix snapshot reads while lagging,
 //!   and promote-on-failure via ordinary recovery (see
 //!   `docs/REPLICATION.md`).

@@ -4,8 +4,8 @@
 //! `Db::open` alone — no Registry, no replay wiring — fully recovers a
 //! killed session's durable state.
 //!
-//! `HCC_DURABILITY` / `HCC_WAL_STRIPES` override the storage axes — CI
-//! runs this suite under the full durability × stripes matrix.
+//! `HCC_DURABILITY` overrides the durability level — CI
+//! runs this suite once per level.
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::counter::CounterObject;

@@ -6,8 +6,8 @@
 //! typed below-checkpoint refusal, and reads across a mid-run fuzzy
 //! checkpoint are covered here too.
 //!
-//! `HCC_DURABILITY` / `HCC_WAL_STRIPES` override the storage axes — CI
-//! runs this suite under the full durability × stripes matrix.
+//! `HCC_DURABILITY` overrides the durability level — CI
+//! runs this suite once per level.
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::counter::CounterObject;

@@ -92,9 +92,8 @@ fn durable_store_survives_torn_final_record() {
     let dir = tmp("store-torn");
     let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
     // Crash mid-append: write half a frame at the tail of the last
-    // segment of the (single) stripe.
-    let stripe = &hybrid_cc::storage::wal::stripe_dirs(&dir).unwrap()[0].1;
-    let segments = hybrid_cc::storage::wal::list_segments(stripe).unwrap();
+    // segment.
+    let segments = hybrid_cc::storage::wal::segments(&dir).unwrap();
     let last = &segments.last().unwrap().1;
     {
         use std::io::Write;
@@ -147,10 +146,8 @@ fn durable_store_reports_commit_with_missing_ops_as_incomplete() {
     // (simulating a pruning bug or lost file): the commit record's
     // stamped op count (1) exceeds the surviving ops (0), so recovery
     // must drop txn 2 and *report* it — never replay half of it and
-    // never refuse the rest of the log (the same shape arises from an
-    // honest per-stripe crash tail, which must stay recoverable).
-    let stripe = &hybrid_cc::storage::wal::stripe_dirs(&dir).unwrap()[0].1;
-    let segments = hybrid_cc::storage::wal::list_segments(stripe).unwrap();
+    // never refuse the rest of the log.
+    let segments = hybrid_cc::storage::wal::segments(&dir).unwrap();
     assert!(segments.len() > 1, "scenario needs several segments");
     std::fs::remove_file(&segments[0].1).unwrap();
     let recovered = DurableStore::recover(&dir).unwrap();
@@ -182,8 +179,7 @@ fn durable_store_refuses_ops_whose_registry_binding_is_lost() {
     // Losing the first segment loses the binding (no checkpoint carried
     // it): recovery must refuse rather than guess which object the
     // surviving ops belong to.
-    let stripe = &hybrid_cc::storage::wal::stripe_dirs(&dir).unwrap()[0].1;
-    let segments = hybrid_cc::storage::wal::list_segments(stripe).unwrap();
+    let segments = hybrid_cc::storage::wal::segments(&dir).unwrap();
     assert!(segments.len() > 1, "scenario needs several segments");
     std::fs::remove_file(&segments[0].1).unwrap();
     match DurableStore::recover(&dir) {
@@ -274,6 +270,41 @@ fn randomized_crash_points_recover_exactly_the_committed_state() {
                     assert_eq!(survived, committed, "no cut, no loss (seed {seed})");
                 }
             }
+        }
+    }
+}
+
+/// Real byte loss at the log's tail: `crash_point_holds` verifies that
+/// whatever survives is a timestamp prefix, consistent with the oracle
+/// fold, response-pinned on replay and hybrid atomic.
+#[test]
+fn tail_suffix_loss_recovers_consistently() {
+    for (i, cut) in [60u64, 300, 1500].into_iter().enumerate() {
+        let dir = tmp(&format!("cut-{i}"));
+        let opts = CrashScenarioOptions { seed: 0x5EED + i as u64, txns: 70, ..Default::default() };
+        let (committed, survived) = crash_point_holds(&dir, opts, cut).unwrap();
+        assert!(survived <= committed);
+    }
+}
+
+/// Fuzzy checkpoints under randomized crash points: checkpointing every
+/// few commits, then cutting the tail, still recovers exactly a
+/// committed prefix.
+#[test]
+fn fuzzy_checkpoints_survive_random_crash_points() {
+    for (i, cut) in [0u64, 40, 512].into_iter().enumerate() {
+        let dir = tmp(&format!("ckpt-cut-{i}"));
+        let opts = CrashScenarioOptions {
+            seed: 0xF0F0 + i as u64,
+            txns: 80,
+            checkpoint_every: Some(12),
+            ..Default::default()
+        }
+        .env_overrides();
+        let (committed, survived) = crash_point_holds(&dir, opts, cut).unwrap();
+        assert!(survived <= committed);
+        if cut == 0 && opts.durability != hybrid_cc::core::runtime::Durability::None {
+            assert_eq!(survived, committed, "no cut, no loss");
         }
     }
 }
