@@ -73,6 +73,15 @@
 //!     remains of the word is the `stripe-00` directory constant and
 //!     `StorageError`'s refusal of a multi-stream directory, neither of
 //!     which spells a needle.
+//! 11. **Workload diet**: `benchmark/` measures, and `hcc-workload`
+//!     keeps only what a test, CI job or example runs. The retired
+//!     durable/read-heavy/defined-flavour throughput drivers, the
+//!     hand-written JSON redo decoder and the experiment table renderer
+//!     appear nowhere under `crates/`, `src/`, `tests/` or `examples/`;
+//!     and the inventory ADT is defined once — its serial specification
+//!     struct and its `define_adt!` definition struct each appear exactly
+//!     once under `crates/`, `examples/` and `tests/`, so the type
+//!     `adtcheck` audits is the type the example runs.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -129,6 +138,7 @@ fn main() {
     let first_generation = "the first-generation log and logging discipline";
     let second_front_end = "the second recovery front end — hcc-db recovers, and nothing else";
     let one_stream = "WAL striping — the log is one append stream";
+    let workload_diet = "the workload diet — benchmark/ is the instrument";
     let retired_items = [
         (["Log", "Discipline"].concat(), first_generation),
         (["Wal", "Record"].concat(), first_generation),
@@ -141,7 +151,16 @@ fn main() {
         (["strip", "es"].concat(), one_stream),
         (["HCC_WAL_", "STRIPES"].concat(), one_stream),
         (["stripe_", "for_"].concat(), one_stream),
+        (["durable_", "account_mix"].concat(), workload_diet),
+        (["read_heavy", "_mix"].concat(), workload_diet),
+        (["defined_", "adt_mix"].concat(), workload_diet),
+        (["effect_from", "_json"].concat(), workload_diet),
+        (["Metrics", "::row"].concat(), workload_diet),
     ];
+    // Ratchet 11's census: one inventory specification, one definition.
+    let mut inventory_sites =
+        [["struct Inventory", "Spec"].concat(), ["struct Inventory", "Def"].concat()]
+            .map(|needle| (needle, Vec::new()));
 
     // Ratchet 8: what writing a segment file takes.
     let segment_path_call = ["segment", "_path("].concat();
@@ -194,6 +213,16 @@ fn main() {
                     if line.contains(needle.as_str()) {
                         findings
                             .push(format!("{rel_s}:{}: `{needle}` was retired with {with}", i + 1));
+                    }
+                }
+            }
+        }
+
+        if ["crates/", "examples/", "tests/"].iter().any(|dir| rel_s.starts_with(dir)) {
+            for (needle, sites) in &mut inventory_sites {
+                for (i, line) in text.lines().enumerate() {
+                    if names_whole_word(line, needle) {
+                        sites.push(format!("{rel_s}:{}", i + 1));
                     }
                 }
             }
@@ -335,6 +364,16 @@ fn main() {
                     sites.join(", ")
                 ));
             }
+        }
+    }
+
+    for (needle, sites) in &inventory_sites {
+        if sites.len() != 1 {
+            findings.push(format!(
+                "`{needle}` appears {} times (want exactly one, in crates/workload/src/inventory.rs): {}",
+                sites.len(),
+                sites.join(", ")
+            ));
         }
     }
 

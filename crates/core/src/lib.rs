@@ -1,34 +1,19 @@
-//! # hcc-core — the LOCK algorithm and the hybrid-atomic object runtime
+//! # hcc-core — the hybrid-atomic object runtime
 //!
-//! Two implementations of the paper's algorithm with one semantics:
+//! [`runtime::TxObject`] is the appendix-style production object: a
+//! compact version, per-transaction intent summaries, a lock table keyed
+//! by executed operations, `when`-style blocking on conflicts, and
+//! horizon-based forgetting of committed transactions. Typed data types
+//! plug in through [`runtime::RuntimeAdt`]; concurrency-control schemes
+//! (hybrid, commutativity, read/write) plug in through
+//! [`runtime::LockSpec`].
 //!
-//! * [`machine::LockMachine`] is the literal Section-5.1 state machine:
-//!   per-transaction intentions lists, views assembled by concatenating
-//!   committed intentions in timestamp order, response events gated on
-//!   view-legality and conflict-freedom, plus the Section-6 bookkeeping
-//!   (`clock`, `bound`, `horizon`) and common-prefix compaction. It is the
-//!   *oracle*: slow, obviously-correct, fully instrumented (it records its
-//!   own history for the `hcc-verify` checkers).
-//!
-//! * [`runtime::TxObject`] is the appendix-style production object: a
-//!   compact version, per-transaction intent summaries, a lock table keyed
-//!   by executed operations, `when`-style blocking on conflicts, and
-//!   horizon-based forgetting of committed transactions. Typed data types
-//!   plug in through [`runtime::RuntimeAdt`]; concurrency-control schemes
-//!   (hybrid, commutativity, read/write) plug in through
-//!   [`runtime::LockSpec`].
-//!
-//! Conflict relations for the formal machine are values implementing
-//! [`conflict::ConflictRelation`]; [`conflict::DerivedConflict`] lifts a
-//! relation derived by `hcc-relations` (a set of class-level atoms) into a
-//! conflict test that generalizes beyond the derivation domain.
+//! The literal Section-5.1 LOCK state machine it is tested against —
+//! slow, obviously correct, recording its own history — is a test oracle
+//! and lives beside the atomicity checkers in `hcc-verify`.
 
-pub mod conflict;
-pub mod machine;
 pub mod runtime;
 
-pub use conflict::{ConflictRelation, DerivedConflict, FnConflict};
-pub use machine::{LockMachine, MachineError, RespondOutcome};
 pub use runtime::{
     AdtDef, BlockPolicy, ConflictSpec, ExecError, LockSpec, RuntimeAdt, RuntimeOptions, SpecAdt,
     SpecLock, TxObject, TxParticipant, TxnHandle, TxnPhase, WaitObserver,

@@ -9,8 +9,9 @@
 //! relation to class-level [`Atom`]s (class pairs under a key condition),
 //! which generalize beyond the derivation domain: the runtime lock test
 //! is "classify both executed operations, bucket their key condition,
-//! look the atom up" — `hcc-core`'s `DerivedConflict`/`SpecLock` apply
-//! the symmetric closure at lookup time, exactly as the paper constructs
+//! look the atom up" — `hcc-core`'s `SpecLock` (and the reference
+//! automaton's `DerivedConflict` in `hcc-verify`) apply the symmetric
+//! closure at lookup time, exactly as the paper constructs
 //! conflict relations from dependency relations.
 //!
 //! Derivation is *bounded model checking* and costs milliseconds, not

@@ -15,6 +15,24 @@
 //! * [`dynamic_atomic`] — serializable in *every* total order consistent
 //!   with `precedes(H)` (Section 7), the property commutativity-based
 //!   schemes guarantee.
+//!
+//! Histories to check come from the production runtime's logs or from
+//! the reference automaton kept here: [`machine::LockMachine`] is the
+//! literal Section-5.1 state machine — per-transaction intentions lists,
+//! views assembled by concatenating committed intentions in timestamp
+//! order, response events gated on view-legality and conflict-freedom,
+//! plus the Section-6 bookkeeping (`clock`, `bound`, `horizon`) and
+//! common-prefix compaction. It is slow, obviously correct and records
+//! its own history. Its conflict relations are values implementing
+//! [`conflict::ConflictRelation`]; [`conflict::DerivedConflict`] lifts a
+//! relation derived by `hcc-relations` (a set of class-level atoms) into
+//! a conflict test that generalizes beyond the derivation domain.
+
+pub mod conflict;
+pub mod machine;
+
+pub use conflict::{ConflictRelation, DerivedConflict, FnConflict};
+pub use machine::{LockMachine, MachineError, RespondOutcome};
 
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::{legal, History, ObjectId, TxnId};

@@ -18,13 +18,14 @@
 //! arbitrary number of bytes off the final WAL segment — exactly what a
 //! power failure does to a log whose tail had not finished reaching disk.
 
-use hcc_adts::account::AccountObject;
-use hcc_adts::fifo_queue::QueueObject;
-use hcc_core::runtime::{Durability, RuntimeOptions};
+use hcc_adts::account::{self, AccountAdt, AccountInv, AccountObject, AccountRes};
+use hcc_adts::fifo_queue::{self, QueueAdt, QueueInv, QueueObject, QueueRes};
+use hcc_adts::ObjectAdt;
+use hcc_core::runtime::{Durability, RuntimeAdt, RuntimeOptions};
 use hcc_db::{Db, HccError};
 use hcc_spec::history::HistoryBuilder;
 use hcc_spec::specs::{AccountSpec, QueueSpec};
-use hcc_spec::{ObjectId, Rational, Value};
+use hcc_spec::{ObjectId, Operation, Rational, Value};
 use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
 use hcc_verify::{hybrid_atomic, SystemSpecs};
 use rand::rngs::StdRng;
@@ -237,10 +238,6 @@ pub fn run_crash_workload(
 /// hand-maintained JSON shadow format to drift) — what the oracle-vs-log
 /// test holds each recovered commit's records against.
 pub fn effect_redo(e: &Effect) -> (&'static str, Vec<u8>) {
-    use hcc_adts::account::{AccountAdt, AccountInv, AccountRes};
-    use hcc_adts::fifo_queue::{QueueAdt, QueueInv, QueueRes};
-    use hcc_core::runtime::RuntimeAdt;
-
     let queue: QueueAdt<i64> = QueueAdt::default();
     match e {
         Effect::Credit(v) => (
@@ -270,27 +267,49 @@ pub fn effect_redo(e: &Effect) -> (&'static str, Vec<u8>) {
     }
 }
 
-fn rational_int(v: &serde_json::Value) -> i64 {
-    let r: Rational = serde_json::from_value(v).expect("op payload holds a rational");
-    assert!(r.is_integer(), "workload amounts are integers");
-    i64::try_from(r.numerator()).expect("workload amounts fit i64")
+/// Decode one logged `(object, redo payload)` through its type's own
+/// codec: the object's index in the formal history (account 0, queue 1),
+/// the formal operation the verifier checks, and the oracle's effect.
+fn decode_logged(object: &str, bytes: &[u8]) -> (u64, Operation, Effect) {
+    let int = |r: Rational| {
+        assert!(r.is_integer(), "workload amounts are integers");
+        i64::try_from(r.numerator()).expect("workload amounts fit i64")
+    };
+    match object {
+        "acct" => {
+            let (inv, res) = AccountAdt.decode_redo(bytes).expect("account redo decodes");
+            let effect = match (&inv, &res) {
+                (AccountInv::Credit(v), _) => Effect::Credit(int(*v)),
+                (AccountInv::Debit(v), AccountRes::Debited) => Effect::DebitOk(int(*v)),
+                (AccountInv::Debit(v), _) => Effect::DebitOver(int(*v)),
+                (AccountInv::Post(_), _) => panic!("the bank + queue workloads never post"),
+            };
+            (0, account::to_spec_op(&inv, &res), effect)
+        }
+        "q" => {
+            let (inv, res) =
+                QueueAdt::<i64>::default().decode_redo(bytes).expect("queue redo decodes");
+            let effect = match (&inv, &res) {
+                (QueueInv::Enq(v), _) => Effect::Enq(*v),
+                (QueueInv::Deq, QueueRes::Item(v)) => Effect::Deq(*v),
+                (QueueInv::Deq, QueueRes::Ok) => unreachable!("deq returns an item"),
+            };
+            (1, fifo_queue::to_spec_op(&inv, &res), effect)
+        }
+        other => panic!("the bank + queue workloads only log acct/q, the log names {other}"),
+    }
 }
 
-pub(crate) fn effect_from_json(v: &serde_json::Value) -> Effect {
-    match v["op"].as_str().expect("op payload has op") {
-        "credit" => Effect::Credit(rational_int(&v["v"])),
-        "debit" => {
-            let n = rational_int(&v["v"]);
-            if v["ok"].as_bool().unwrap_or(false) {
-                Effect::DebitOk(n)
-            } else {
-                Effect::DebitOver(n)
-            }
-        }
-        "enq" => Effect::Enq(v["v"].as_i64().expect("enq payload has v")),
-        "deq" => Effect::Deq(v["v"].as_i64().expect("deq payload has v")),
-        other => panic!("unknown logged op {other}"),
-    }
+/// Rebuild the commit oracle (timestamp → effects) from the log at
+/// `dir` — the store's own record of what it holds, independent of any
+/// in-memory state.
+pub fn oracle_from_log(dir: &Path) -> Result<Oracle, HccError> {
+    let recovered = DurableStore::recover(dir)?;
+    Ok(recovered
+        .committed
+        .iter()
+        .map(|c| (c.ts, c.ops.iter().map(|(o, bytes)| decode_logged(o, bytes).2).collect()))
+        .collect())
 }
 
 /// Chop `bytes` off the end of the final WAL segment — the injected
@@ -342,13 +361,13 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
         for (name, bytes) in &ckpt.objects {
             match name.as_str() {
                 "acct" => {
-                    let balance: Rational =
-                        serde_json::from_slice(bytes).expect("account snapshot is a rational");
+                    let balance = AccountAdt.decode_version(bytes).expect("account image decodes");
                     hb = hb.op(0, boot, AccountSpec::credit(balance), Value::Unit);
                 }
                 "q" => {
-                    let items: Vec<i64> =
-                        serde_json::from_slice(bytes).expect("queue snapshot is a list");
+                    let items = QueueAdt::<i64>::default()
+                        .decode_version(bytes)
+                        .expect("queue image decodes");
                     for item in items {
                         hb = hb.op(1, boot, QueueSpec::enq(item), Value::Unit);
                         touched_queue = true;
@@ -364,53 +383,25 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
     }
     for committed in &recovered.committed {
         assert!(committed.ts > ckpt_ts, "tail commits lie above the checkpoint");
-        for (object, op_bytes) in &committed.ops {
-            let op: serde_json::Value =
-                serde_json::from_slice(op_bytes).map_err(std::io::Error::from)?;
-            let effect = effect_from_json(&op);
-            match (&effect, object.as_str()) {
-                (Effect::Credit(v), "acct") => {
-                    hb = hb.op(0, committed.txn, AccountSpec::credit(money(*v)), Value::Unit);
-                }
-                (Effect::DebitOk(v), "acct") => {
-                    hb = hb.op(0, committed.txn, AccountSpec::debit(money(*v)), AccountSpec::OK);
-                }
-                (Effect::DebitOver(v), "acct") => {
-                    hb = hb.op(
-                        0,
-                        committed.txn,
-                        AccountSpec::debit(money(*v)),
-                        AccountSpec::OVERDRAFT,
-                    );
-                }
-                (Effect::Enq(v), "q") => {
-                    hb = hb.op(1, committed.txn, QueueSpec::enq(*v), Value::Unit);
-                }
-                (Effect::Deq(v), "q") => {
-                    hb = hb.op(1, committed.txn, QueueSpec::deq(), *v);
-                }
-                (e, obj) => panic!("effect {e:?} logged against object {obj}"),
-            }
-        }
         // The recovered timestamp enters the history verbatim: commit
         // events only at the objects the transaction touched. (The live
         // replay already happened inside `db.object`, response-pinned.)
-        let touched_acct = committed.ops.iter().any(|(o, _)| o == "acct");
-        let touched_queue = committed.ops.iter().any(|(o, _)| o == "q");
-        if touched_acct {
-            hb = hb.commit(0, committed.txn, committed.ts);
+        let mut touched = [false; 2];
+        for (object, bytes) in &committed.ops {
+            let (x, op, _) = decode_logged(object, bytes);
+            hb = hb.op(x, committed.txn, op.inv, op.res);
+            touched[x as usize] = true;
         }
-        if touched_queue {
-            hb = hb.commit(1, committed.txn, committed.ts);
+        for (x, _) in touched.iter().enumerate().filter(|(_, t)| **t) {
+            hb = hb.commit(x as u64, committed.txn, committed.ts);
         }
         tail_ts.push(committed.ts);
     }
 
     let history = hb.build();
     history.well_formed().expect("recovered history is well formed");
-    let specs = SystemSpecs::new()
-        .with(ObjectId(0), hcc_adts::account::spec())
-        .with(ObjectId(1), hcc_adts::fifo_queue::spec());
+    let specs =
+        SystemSpecs::new().with(ObjectId(0), account::spec()).with(ObjectId(1), fifo_queue::spec());
     assert!(
         hybrid_atomic(&history, &specs),
         "recovered history must be hybrid atomic:\n{history:?}"

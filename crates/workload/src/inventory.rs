@@ -1,9 +1,10 @@
-//! The inventory: the second bundled `define_adt!` type, promoted from
-//! `examples/custom_adt.rs` into the library so `adtcheck` audits it
-//! alongside the leaderboard and the built-ins. The example keeps its
-//! own self-contained copy (it is the "define your own ADT from
-//! scratch" walkthrough); this module is the *library* definition the
-//! static checks and workloads share.
+//! The inventory: the second bundled `define_adt!` type, and the one
+//! definition of it — `examples/custom_adt.rs` runs it durably and
+//! `adtcheck` audits it alongside the leaderboard and the built-ins, so
+//! the type the audit certifies is the type the example runs. Everything
+//! a user writes to define an ADT is in this file: the serial
+//! specification, the typed operations, the executable semantics and
+//! the derivation inputs.
 //!
 //! `restock(item, n)` adds stock, `take(item, n)` claims it (responding
 //! whether the stock sufficed), `check(item)` reads the level. The

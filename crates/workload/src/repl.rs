@@ -23,7 +23,6 @@
 //!
 //! [`socket::verify_socket_recovery`]: crate::socket::verify_socket_recovery
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,9 +30,9 @@ use hcc_adts::{AccountObject, QueueObject};
 use hcc_db::{Db, HccError};
 use hcc_repl::{Follower, ObjectResolver};
 use hcc_spec::Rational;
-use hcc_storage::{DurableObject, DurableStore};
+use hcc_storage::DurableObject;
 
-use crate::crash::{self, fold_oracle, Oracle};
+use crate::crash::{fold_oracle, Oracle};
 use crate::socket::{ACCOUNT, QUEUE};
 
 /// The resolver a follower of the socket workload needs: the two object
@@ -82,31 +81,6 @@ pub fn sample_follower_prefix(follower: &Follower) -> Option<PrefixSample> {
     let balance = rtx.view::<AccountObject>(ACCOUNT).ok()?;
     let queue: Vec<i64> = rtx.view::<QueueObject<i64>>(QUEUE).ok()?.into_iter().collect();
     Some(PrefixSample { watermark, balance, queue })
-}
-
-/// Rebuild the commit oracle (timestamp → effects) from a log directory
-/// — the replica's own record of what it holds, independent of any
-/// in-memory state.
-pub fn oracle_from_log(dir: &Path) -> Result<Oracle, HccError> {
-    let recovered = DurableStore::recover(dir)?;
-    let mut oracle = Oracle::new();
-    for committed in &recovered.committed {
-        let effects = committed
-            .ops
-            .iter()
-            .map(|(object, bytes)| {
-                let op: serde_json::Value =
-                    serde_json::from_slice(bytes).map_err(std::io::Error::from)?;
-                assert!(
-                    object == ACCOUNT || object == QUEUE,
-                    "socket workload only drives {ACCOUNT}/{QUEUE}, log names {object}"
-                );
-                Ok(crash::effect_from_json(&op))
-            })
-            .collect::<Result<Vec<_>, HccError>>()?;
-        oracle.insert(committed.ts, effects);
-    }
-    Ok(oracle)
 }
 
 /// Hold every sampled follower read against the final log: the views at
@@ -163,6 +137,7 @@ pub fn await_replication(db: &Db, follower: &Follower, deadline: Duration) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::oracle_from_log;
     use crate::socket::{
         publish_addr, run_socket_client, verify_socket_recovery, SocketClientOptions,
     };

@@ -1,4 +1,6 @@
-//! Concurrency-control scheme selection and object construction.
+//! Concurrency-control scheme selection, object construction, and the
+//! one multithreaded driver the scheme comparisons (E7–E13,
+//! `tests/end_to_end.rs`) run their transaction bodies through.
 
 use hcc_adts::account::{AccountHybrid, AccountObject};
 use hcc_adts::fifo_queue::{QueueObject, QueueTableII};
@@ -8,8 +10,13 @@ use hcc_baselines::{
     rw_account, rw_file, rw_queue, rw_semiqueue, AccountCommutativity, FileCommutativity,
     QueueCommutativity, SemiqueueCommutativity,
 };
-use hcc_core::runtime::RuntimeOptions;
-use std::sync::Arc;
+use hcc_core::runtime::{BlockPolicy, ExecError, RuntimeOptions, TxnHandle};
+use hcc_txn::TxnManager;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// The three concurrency-control schemes under comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +84,78 @@ pub fn make_file(scheme: Scheme, name: &str, opts: RuntimeOptions) -> FileObject
         Scheme::Hybrid => FileObject::with(name, Arc::new(FileHybrid), opts),
         Scheme::Commutativity => FileObject::with(name, Arc::new(FileCommutativity), opts),
         Scheme::Rw2pl => FileObject::with(name, Arc::new(rw_file()), opts),
+    }
+}
+
+/// Object options for driven runs: the manager's options (deadlock
+/// detection included) with a short lock timeout, so a transaction stuck
+/// behind a conflict — or a dequeue on an empty queue — aborts and is
+/// retried.
+pub fn bench_options(mgr: &Arc<TxnManager>) -> RuntimeOptions {
+    let mut opts = mgr.object_options();
+    opts.block = BlockPolicy { timeout: Some(Duration::from_millis(500)) };
+    opts
+}
+
+/// What one [`run`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Run {
+    /// Transactions the manager committed during the run.
+    pub committed: u64,
+    /// Attempts aborted (timeouts, deadlock victims, refused commits);
+    /// each was retried.
+    pub aborted: u64,
+    /// Lock requests refused, from the manager's `lock.refusals.*`
+    /// counters.
+    pub refusals: u64,
+    /// Lock waits, from the manager's `lock.waits.*` counters.
+    pub waits: u64,
+}
+
+/// Run `threads` workers that start together at a barrier and each
+/// commit `txns_per_thread` transactions of `body(txn, worker, rng)`:
+/// begin → body → commit, and after an abort (a body error or a refused
+/// commit) begin again. Each worker's `rng` is seeded with its index, so
+/// the operations drawn are reproducible; the interleaving is not.
+pub fn run(
+    mgr: &Arc<TxnManager>,
+    threads: usize,
+    txns_per_thread: usize,
+    body: impl Fn(&Arc<TxnHandle>, usize, &mut StdRng) -> Result<(), ExecError> + Sync,
+) -> Run {
+    let committed_before = mgr.committed_count();
+    let metrics_before = mgr.metrics().snapshot();
+    let aborted = AtomicU64::new(0);
+    let barrier = Barrier::new(threads);
+    std::thread::scope(|s| {
+        for w in 0..threads {
+            let (body, aborted, barrier) = (&body, &aborted, &barrier);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(w as u64);
+                barrier.wait();
+                for _ in 0..txns_per_thread {
+                    loop {
+                        let t = mgr.begin();
+                        let ok = body(&t, w, &mut rng).is_ok();
+                        // Hold the transaction open across a yield so
+                        // workers overlap even on one core.
+                        std::thread::yield_now();
+                        if ok && mgr.commit(t.clone()).is_ok() {
+                            break;
+                        }
+                        mgr.abort(t);
+                        aborted.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    let delta = mgr.metrics().snapshot().delta(&metrics_before);
+    Run {
+        committed: mgr.committed_count() - committed_before,
+        aborted: aborted.into_inner(),
+        refusals: delta.sum_prefix("lock.refusals."),
+        waits: delta.sum_prefix("lock.waits."),
     }
 }
 

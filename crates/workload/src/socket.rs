@@ -34,12 +34,11 @@ use std::time::{Duration, Instant};
 
 use hcc_client::{Client, ClientOptions};
 use hcc_db::HccError;
-use hcc_storage::DurableStore;
 use hcc_wire::msg::{OpResult, TypeTag, View, WireOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::crash::{self, fold_oracle, Effect, Oracle};
+use crate::crash::{self, fold_oracle, Effect};
 
 /// Object names the socket workload drives — the same pair the
 /// single-process crash workload uses, so the recovered history feeds
@@ -340,24 +339,7 @@ pub fn verify_socket_recovery(
     require_all_acked: bool,
 ) -> Result<SocketVerdict, HccError> {
     // Independent scan first: the log-derived oracle.
-    let recovered = DurableStore::recover(dir)?;
-    let mut oracle = Oracle::new();
-    for committed in &recovered.committed {
-        let effects = committed
-            .ops
-            .iter()
-            .map(|(object, bytes)| {
-                let op: serde_json::Value =
-                    serde_json::from_slice(bytes).map_err(std::io::Error::from)?;
-                assert!(
-                    object == ACCOUNT || object == QUEUE,
-                    "socket workload only drives {ACCOUNT}/{QUEUE}, log names {object}"
-                );
-                Ok(crash::effect_from_json(&op))
-            })
-            .collect::<Result<Vec<_>, HccError>>()?;
-        oracle.insert(committed.ts, effects);
-    }
+    let oracle = crash::oracle_from_log(dir)?;
 
     // Replay + hybrid-atomicity check through the existing oracle.
     let state = crash::recover_and_verify(dir)?;

@@ -1,7 +1,7 @@
-//! Scheme comparison on banking workloads: hybrid vs commutativity vs
-//! read/write 2PL, on a shared account and on multi-account transfers —
-//! plus the same deadlock-prone transfer pattern written against the
-//! `Db` facade, where `transact` absorbs the deadlock victims.
+//! Scheme comparison on a shared bank account: hybrid vs commutativity
+//! vs read/write 2PL — plus a deadlock-prone transfer pattern written
+//! against the `Db` facade, where `transact` absorbs the deadlock
+//! victims.
 //!
 //! ```text
 //! cargo run --release --example banking
@@ -9,45 +9,61 @@
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::spec::Rational;
-use hybrid_cc::workload::bank::{account_mix, transfers, Mix};
-use hybrid_cc::workload::{Metrics, Scheme};
+use hybrid_cc::txn::TxnManager;
+use hybrid_cc::workload::scheme::{bench_options, make_account, run, Scheme};
 use hybrid_cc::Db;
+use rand::Rng;
 use std::sync::Arc;
+use std::time::Instant;
+
+fn money(n: i64) -> Rational {
+    Rational::from_int(n)
+}
 
 fn main() {
     println!("single shared account, 4 workers x 200 txns x 4 ops, 5% overdraft attempts\n");
-    println!("{}", Metrics::header());
     for scheme in Scheme::ALL {
-        let m = account_mix(scheme, 4, 200, 4, Mix::standard());
-        println!("{}", m.row());
+        let mgr = TxnManager::new();
+        let acct = make_account(scheme, "acct", bench_options(&mgr));
+        let t = mgr.begin();
+        acct.credit(&t, money(1_000_000)).unwrap();
+        mgr.commit(t).unwrap();
+        let start = Instant::now();
+        let r = run(&mgr, 4, 200, |t, _, rng| {
+            for _ in 0..4 {
+                match rng.gen_range(0..100u32) {
+                    0..=44 => acct.credit(t, money(rng.gen_range(1..50)))?,
+                    // 0% interest: Post's lock behaviour is value-independent.
+                    45..=54 => acct.post(t, Rational::ZERO)?,
+                    // One debit in twenty is far above any reachable balance.
+                    _ if rng.gen_range(0..20u32) == 0 => {
+                        acct.debit(t, money(1_000_000_000_000))?;
+                    }
+                    _ => {
+                        acct.debit(t, money(rng.gen_range(1..50)))?;
+                    }
+                }
+            }
+            Ok(())
+        });
+        let rate = r.committed as f64 / start.elapsed().as_secs_f64();
+        println!("  {:<14} {r:?}  {rate:.0} txn/s", scheme.name());
     }
 
-    println!("\n8 accounts, 4 workers x 100 transfer txns (deadlock-prone access pattern)\n");
-    println!("{}", Metrics::header());
-    for scheme in Scheme::ALL {
-        let r = transfers(scheme, 8, 4, 100);
-        println!("{}", r.metrics.row());
-        assert_eq!(r.total_balance, r.expected_balance, "transfers must conserve money");
-        println!(
-            "    money conserved ({} total), deadlock victims: {}",
-            r.total_balance, r.deadlock_victims
-        );
-    }
+    println!("\nTable V in action: the hybrid scheme admits Credit∥Post and Post∥Debit-Ok,");
+    println!("which commutativity (Table VI) refuses; read/write 2PL refuses every pair");
+    println!("that includes an update.");
 
-    println!("\nTable V in action: the hybrid scheme admits Credit∥Post, Credit∥Debit-Ok and");
-    println!("Post∥Debit-Ok, which commutativity (Table VI) refuses — hence fewer conflicts");
-    println!("and higher committed throughput above.");
-
-    // The same deadlock-prone transfer pattern through `Db::transact`:
-    // every worker's closure just moves the money; doomed victims and
-    // timeouts are classified transient and retried by the scope, so no
-    // worker writes a retry loop and every transfer lands exactly once.
+    // The deadlock-prone transfer pattern through `Db::transact`: every
+    // worker's closure just moves the money; doomed victims and timeouts
+    // are classified transient and retried by the scope, so no worker
+    // writes a retry loop and every transfer lands exactly once.
     let db = Arc::new(Db::in_memory());
     let accounts: Vec<_> =
         (0..4).map(|i| db.object::<AccountObject>(&format!("acct-{i}")).unwrap()).collect();
     db.transact(|tx| {
         for a in &accounts {
-            a.credit(tx, Rational::from_int(100))?;
+            a.credit(tx, money(100))?;
         }
         Ok(())
     })
@@ -65,8 +81,8 @@ fn main() {
                         (&accounts[(w + i + 1) % 4], &accounts[(w + i) % 4])
                     };
                     db.transact(|tx| {
-                        if from.debit(tx, Rational::from_int(1))? {
-                            to.credit(tx, Rational::from_int(1))?;
+                        if from.debit(tx, money(1))? {
+                            to.credit(tx, money(1))?;
                         }
                         Ok(())
                     })
@@ -80,5 +96,5 @@ fn main() {
     let victims = db.manager().detector().victims();
     println!("\nDb::transact transfers: money conserved ({total} total across 4 accounts),");
     println!("deadlock victims retried transparently: {victims}");
-    assert_eq!(total, Rational::from_int(400));
+    assert_eq!(total, money(400));
 }

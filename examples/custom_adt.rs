@@ -3,6 +3,11 @@
 //! durably under crash recovery with zero hand-written runtime code: no
 //! `RuntimeAdt`, no `LockSpec`, no `Snapshot`, no `DbObject`.
 //!
+//! The definition — serial specification, typed operations, executable
+//! semantics, derivation alphabet — is `crates/workload/src/inventory.rs`
+//! (`hybrid_cc::workload::inventory`), the same type `adtcheck` audits;
+//! this file is the application that runs it.
+//!
 //! ```text
 //! cargo run --release --example custom_adt -- tables
 //!     derive and print the inventory's conflict relation from its
@@ -23,187 +28,10 @@
 //! with same-item stock changes. Nobody wrote that table — the bounded
 //! invalidated-by search found it in the specification.
 
-use hybrid_cc::adts::define::{Bounds, ConflictSpec, DeriveSpec, OpClass, SpecLock, SpecObject};
-use hybrid_cc::adts::define_adt;
-use hybrid_cc::spec::adt::{Adt, SpecState};
-use hybrid_cc::spec::{Inv, Operation, Value};
+use hybrid_cc::adts::define::SpecLock;
 use hybrid_cc::storage::CompactionPolicy;
+use hybrid_cc::workload::inventory::{InvOp, InvRes, Inventory, InventoryDef};
 use hybrid_cc::Db;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-// ---- 1. the serial specification (the only "semantics" you write) -----
-
-/// Inventory as a dynamic state machine over `item → stock` tables.
-struct InventorySpec;
-
-fn entries(state: &SpecState) -> Vec<(String, i64)> {
-    match &state.0 {
-        Value::List(es) => es
-            .iter()
-            .map(|e| match e {
-                Value::Pair(k, v) => (k.as_str().to_string(), v.as_int()),
-                other => unreachable!("inventory entries are pairs, got {other:?}"),
-            })
-            .collect(),
-        other => unreachable!("inventory state is a list, got {other:?}"),
-    }
-}
-
-fn state_of(mut es: Vec<(String, i64)>) -> SpecState {
-    es.retain(|(_, n)| *n > 0);
-    es.sort();
-    SpecState(Value::List(
-        es.into_iter()
-            .map(|(k, n)| Value::Pair(Box::new(Value::Str(k)), Box::new(Value::Int(n))))
-            .collect(),
-    ))
-}
-
-impl Adt for InventorySpec {
-    fn initial(&self) -> SpecState {
-        SpecState(Value::List(Vec::new()))
-    }
-
-    fn step(&self, state: &SpecState, inv: &Inv) -> Vec<(Value, SpecState)> {
-        let mut es = entries(state);
-        let item = inv.args[0].as_str().to_string();
-        let stock = es.iter().find(|(k, _)| *k == item).map(|(_, n)| *n).unwrap_or(0);
-        match inv.op {
-            "restock" => {
-                let n = inv.args[1].as_int();
-                es.retain(|(k, _)| *k != item);
-                es.push((item, stock + n));
-                vec![(Value::Unit, state_of(es))]
-            }
-            "take" => {
-                let n = inv.args[1].as_int();
-                if stock >= n {
-                    es.retain(|(k, _)| *k != item);
-                    es.push((item, stock - n));
-                    vec![(Value::Bool(true), state_of(es))]
-                } else {
-                    vec![(Value::Bool(false), state.clone())]
-                }
-            }
-            "check" => vec![(Value::Int(stock), state.clone())],
-            _ => vec![],
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        "Inventory"
-    }
-}
-
-// ---- 2. the typed definition ------------------------------------------
-
-/// Inventory invocations.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum InvOp {
-    /// Add `n` units of `item`.
-    Restock(String, i64),
-    /// Take `n` units; responds whether the stock sufficed.
-    Take(String, i64),
-    /// Read an item's stock level.
-    Check(String),
-}
-
-/// Inventory responses.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum InvRes {
-    /// Restock acknowledgement.
-    Ok,
-    /// Did the take succeed?
-    Taken(bool),
-    /// The stock level read.
-    Level(i64),
-}
-
-fn classify(op: &Operation) -> OpClass {
-    OpClass::new(match (op.inv.op, &op.res) {
-        ("restock", _) => "Restock",
-        ("take", Value::Bool(true)) => "Take-Ok",
-        ("take", _) => "Take-Out",
-        _ => "Check",
-    })
-}
-
-fn alphabet() -> Vec<Operation> {
-    let mut ops = Vec::new();
-    for item in ["a", "b"] {
-        for n in [1i64, 2] {
-            ops.push(Operation::new(Inv::binary("restock", item, n), Value::Unit));
-            ops.push(Operation::new(Inv::binary("take", item, n), true));
-            ops.push(Operation::new(Inv::binary("take", item, n), false));
-        }
-        for level in [0i64, 1, 2] {
-            ops.push(Operation::new(Inv::unary("check", item), level));
-        }
-    }
-    ops
-}
-
-define_adt! {
-    /// The whole runtime definition: state + ops + executable semantics
-    /// + the spec to derive locking from. Codec and `Default` are
-    /// macro-generated from the serde derives above.
-    pub struct InventoryDef {
-        name: "Inventory",
-        state: BTreeMap<String, i64>,
-        op: InvOp,
-        res: InvRes,
-        initial: BTreeMap::new,
-        respond: |state: &BTreeMap<String, i64>, op: &InvOp| {
-            let stock = |item: &String| state.get(item).copied().unwrap_or(0);
-            match op {
-                InvOp::Restock(..) => vec![InvRes::Ok],
-                InvOp::Take(item, n) => vec![InvRes::Taken(stock(item) >= *n)],
-                InvOp::Check(item) => vec![InvRes::Level(stock(item))],
-            }
-        },
-        apply: |state: &mut BTreeMap<String, i64>, op: &InvOp, res: &InvRes| match (op, res) {
-            (InvOp::Restock(item, n), _) => {
-                *state.entry(item.clone()).or_insert(0) += n;
-            }
-            (InvOp::Take(item, n), InvRes::Taken(true)) => {
-                let left = state.get(item).copied().unwrap_or(0) - n;
-                if left > 0 {
-                    state.insert(item.clone(), left);
-                } else {
-                    state.remove(item);
-                }
-            }
-            _ => {}
-        },
-        read: |op: &InvOp, _res: &InvRes| matches!(op, InvOp::Check(_)),
-        spec_op: |op: &InvOp, res: &InvRes| match (op, res) {
-            (InvOp::Restock(item, n), _) => {
-                Operation::new(Inv::binary("restock", item.as_str(), *n), Value::Unit)
-            }
-            (InvOp::Take(item, n), InvRes::Taken(ok)) => {
-                Operation::new(Inv::binary("take", item.as_str(), *n), *ok)
-            }
-            (InvOp::Check(item), InvRes::Level(v)) => {
-                Operation::new(Inv::unary("check", item.as_str()), *v)
-            }
-            other => unreachable!("ill-typed inventory op {other:?}"),
-        },
-        conflicts: || ConflictSpec::Derived(DeriveSpec {
-            adt: Arc::new(InventorySpec),
-            alphabet: alphabet(),
-            classify,
-            bounds: Bounds { max_h1: 2, max_h2: 2 },
-        }),
-    }
-}
-
-/// The typed handle: everything below this line is plain application
-/// code against the `Db` facade.
-type Inventory = SpecObject<InventoryDef>;
-
-// ---- 3. the durable application ---------------------------------------
 
 const ITEMS: [&str; 4] = ["anvil", "bolt", "cog", "dynamo"];
 

@@ -13,8 +13,8 @@
 //! * [`relations`] — dependency relations, invalidated-by and
 //!   failure-to-commute derivation, minimal-relation enumeration, and the
 //!   paper's Tables I–VI (Sections 4 and 7).
-//! * [`core`] — the LOCK state machine and the Avalon-style threaded object
-//!   runtime with horizon compaction (Sections 5–6, appendix).
+//! * [`core`] — the Avalon-style threaded object runtime with horizon
+//!   compaction (Sections 5–6, appendix).
 //! * [`adts`] — production object implementations (Account, FIFO queue,
 //!   Semiqueue, File, Counter, Set, Directory), plus the **declarative
 //!   ADT surface** (`adts::define`, `define_adt!`): state a type's
@@ -31,12 +31,14 @@
 //!   sharded counters/gauges, log-scale histograms, snapshots and deltas,
 //!   the `HCC_METRICS` dump hook and the `HCC_TRACE` flight recorder
 //!   (see `docs/OBSERVABILITY.md`).
-//! * [`verify`] — serializability / hybrid-atomicity / online checkers.
+//! * [`verify`] — serializability / hybrid-atomicity / online checkers and
+//!   the Section-5.1 LOCK state machine they are run against.
 //! * [`check`] — the static auditor: bounded soundness verification of
 //!   conflict tables against the hybrid-atomicity oracle, conservatism
 //!   reporting, deadlock-potential analysis, and the `adtcheck` /
 //!   `repolint` CI binaries (see `docs/CHECKING.md`).
-//! * [`workload`] — workload generation and the multithreaded driver.
+//! * [`workload`] — the scheme-comparison driver and the crash workloads
+//!   the tests, CI and examples run.
 //! * [`wire`] / [`server`] / [`client`] — the network front door: the
 //!   length-prefixed CRC-framed TCP protocol (sharing the WAL's frame
 //!   envelope), the session/worker-pool server with bounded admission

@@ -14,12 +14,11 @@
 //! never vacuous.
 
 use hybrid_cc::adts::{account, counter, directory, fifo_queue, file, semiqueue, set};
-use hybrid_cc::core::conflict::ConflictRelation;
 use hybrid_cc::core::runtime::LockSpec;
-use hybrid_cc::core::DerivedConflict;
 use hybrid_cc::relations::derive::conflict_atoms;
 use hybrid_cc::relations::tables::AdtConfig;
 use hybrid_cc::spec::{Operation, Rational};
+use hybrid_cc::verify::{ConflictRelation, DerivedConflict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -5,10 +5,9 @@
 
 use hybrid_cc::adts::account::{self, AccountAdt, AccountHybrid, AccountInv};
 use hybrid_cc::adts::fifo_queue::{self, QueueAdt, QueueInv, QueueTableII};
-use hybrid_cc::core::machine::{LockMachine, RespondOutcome};
 use hybrid_cc::core::runtime::{TryExecOutcome, TxObject, TxParticipant, TxnHandle};
-use hybrid_cc::core::FnConflict;
 use hybrid_cc::spec::{legal, ObjectId, Operation, Rational, Timestamp, TxnId, Value};
+use hybrid_cc::verify::{FnConflict, LockMachine, RespondOutcome};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,62 +1,188 @@
-//! End-to-end system tests: multithreaded workloads through the full
-//! stack (manager + deadlock detector + objects), mixed-scheme systems
-//! (Section 7's upward compatibility), and the upward-compatibility claim
-//! verified on recorded histories.
+//! End-to-end system tests: the claim experiments E7–E13 as transaction
+//! bodies for the one multithreaded driver (`workload::scheme::run`:
+//! manager + deadlock detector + objects, abort-and-retry), mixed-scheme
+//! systems (Section 7's upward compatibility), and the upward-
+//! compatibility claim verified on recorded histories.
+//!
+//! A claim that a baseline *refuses* what hybrid locking grants is made
+//! with two transaction handles on one thread and a non-blocking lock
+//! test ([`assert_grants`]), so it reads the conflict table, not the
+//! scheduler. Threads are used only where the claim is a count that
+//! scheduling cannot move: everything commits, money is conserved, or
+//! hybrid locking refuses nothing at all.
 
-use hybrid_cc::adts::account::AccountObject;
-use hybrid_cc::adts::fifo_queue::QueueObject;
+use hybrid_cc::adts::account::{AccountInv, AccountObject};
+use hybrid_cc::adts::fifo_queue::{QueueInv, QueueObject};
+use hybrid_cc::adts::file::FileInv;
+use hybrid_cc::adts::{Object, ObjectAdt};
 use hybrid_cc::baselines::AccountCommutativity;
-use hybrid_cc::core::machine::{LockMachine, RespondOutcome};
-use hybrid_cc::core::FnConflict;
+use hybrid_cc::core::runtime::{RuntimeOptions, TryExecOutcome};
 use hybrid_cc::spec::specs::{AccountSpec, QueueSpec};
 use hybrid_cc::spec::{ObjectId, Operation, Rational, Timestamp, TxnId, Value};
-use hybrid_cc::verify::{hybrid_atomic, SystemSpecs};
-use hybrid_cc::workload::bank::{transfers, Mix};
-use hybrid_cc::workload::queue::{enqueue_only, producer_consumer};
-use hybrid_cc::workload::Scheme;
+use hybrid_cc::txn::TxnManager;
+use hybrid_cc::verify::{hybrid_atomic, FnConflict, LockMachine, RespondOutcome, SystemSpecs};
+use hybrid_cc::workload::scheme::{
+    bench_options, make_account, make_file, make_queue, make_semiqueue, run, Run, Scheme,
+};
 use hybrid_cc::Db;
+use rand::Rng;
 use std::sync::Arc;
 
 fn money(n: i64) -> Rational {
     Rational::from_int(n)
 }
 
-#[test]
-fn concurrent_transfers_conserve_money_under_every_scheme() {
-    for scheme in Scheme::ALL {
-        let r = transfers(scheme, 6, 4, 25);
-        assert_eq!(r.total_balance, r.expected_balance, "{scheme}: transfers must conserve money");
-        assert_eq!(r.metrics.committed, 100, "{scheme}");
+/// For each `(first, second, want)`: on a fresh object built by `make`
+/// under hybrid, commutativity and r/w 2PL (in [`Scheme::ALL`] order),
+/// one transaction executes `first`, and a non-blocking lock test of
+/// `second` by another transaction must be granted exactly when `want`
+/// says so.
+fn assert_grants<A: ObjectAdt>(
+    make: fn(Scheme, &str, RuntimeOptions) -> Object<A>,
+    pairs: Vec<(A::Inv, A::Inv, [bool; 3])>,
+) where
+    A::Inv: std::fmt::Debug,
+{
+    for (first, second, want) in pairs {
+        for (scheme, want) in Scheme::ALL.into_iter().zip(want) {
+            let mgr = TxnManager::new();
+            let obj = make(scheme, "x", mgr.object_options());
+            let (t1, t2) = (mgr.begin(), mgr.begin());
+            obj.execute(&t1, first.clone()).unwrap();
+            let outcome = obj.inner().try_execute(&t2, &second).unwrap();
+            mgr.abort(t1);
+            mgr.abort(t2);
+            let granted = matches!(outcome, TryExecOutcome::Executed(_));
+            assert_eq!(granted, want, "{scheme}: {second:?} while {first:?} is held");
+        }
     }
 }
 
+/// E7: concurrent producers never conflict under Table II; distinct
+/// enqueues conflict under commutativity (Table III) and r/w 2PL.
+#[test]
+fn hybrid_admits_more_concurrency_than_baselines_on_enqueues() {
+    let mgr = TxnManager::new();
+    let q = make_queue(Scheme::Hybrid, "q", bench_options(&mgr));
+    let r = run(&mgr, 4, 50, |t, w, _| (0..6).try_for_each(|k| q.enq(t, (w * 10 + k) as i64)));
+    assert_eq!(r, Run { committed: 200, aborted: 0, refusals: 0, waits: 0 }, "hybrid enqueues");
+    assert_grants(make_queue, vec![(QueueInv::Enq(1), QueueInv::Enq(2), [true, false, false])]);
+}
+
+/// E8: with no debits, Table V refuses nothing on a shared account; on
+/// the pairs themselves, hybrid grants Credit∥Post (which commutativity
+/// refuses) and Credit∥Credit (which r/w 2PL refuses).
+#[test]
+fn account_mix_has_no_overdraft_no_conflict_dominance() {
+    let mgr = TxnManager::new();
+    let acct = make_account(Scheme::Hybrid, "acct", bench_options(&mgr));
+    let r = run(&mgr, 4, 50, |t, _, rng| {
+        for _ in 0..4 {
+            if rng.gen_range(0..10u32) == 0 {
+                // 0% interest: Post's lock behaviour is value-independent.
+                acct.post(t, Rational::ZERO)?;
+            } else {
+                acct.credit(t, money(rng.gen_range(1..50)))?;
+            }
+        }
+        Ok(())
+    });
+    assert_eq!((r.committed, r.refusals), (200, 0), "credits and posts never conflict");
+    let (credit, post) = (AccountInv::Credit(money(5)), AccountInv::Post(money(5)));
+    assert_grants(
+        make_account,
+        vec![
+            (credit.clone(), credit.clone(), [true, true, false]),
+            (credit, post, [true, false, false]),
+        ],
+    );
+}
+
+/// E9, the generalized Thomas Write Rule: blind writes never conflict
+/// under hybrid locking and conflict under both baselines; a read/write
+/// mix completes under every scheme.
+#[test]
+fn register_writes_never_conflict_under_hybrid() {
+    let mgr = TxnManager::new();
+    let reg = make_file(Scheme::Hybrid, "reg", bench_options(&mgr));
+    let r = run(&mgr, 4, 150, |t, _, rng| reg.write(t, rng.gen_range(0..1_000_000)));
+    assert_eq!((r.committed, r.refusals), (600, 0), "Thomas Write Rule");
+    assert_grants(make_file, vec![(FileInv::Write(1), FileInv::Write(2), [true, false, false])]);
+    for scheme in Scheme::ALL {
+        let mgr = TxnManager::new();
+        let reg = make_file(scheme, "reg", bench_options(&mgr));
+        let r = run(&mgr, 2, 10, |t, _, rng| match rng.gen_range(0..2u32) {
+            0 => reg.write(t, rng.gen_range(0..100)),
+            _ => reg.read(t).map(drop),
+        });
+        assert_eq!(r.committed, 20, "{scheme}");
+    }
+}
+
+/// E10: producer/consumer pipelines over a FIFO queue and a Semiqueue —
+/// even workers produce, odd workers consume, one item per transaction —
+/// deliver every item under every scheme.
 #[test]
 fn pipelines_deliver_every_item_under_every_scheme() {
     for scheme in Scheme::ALL {
-        let m = producer_consumer(scheme, 2, 2, 15);
-        assert_eq!(m.committed, 60, "{scheme}: 30 enq txns + 30 deq txns");
+        let mgr = TxnManager::new();
+        let q = make_queue(scheme, "q", bench_options(&mgr));
+        let r = run(&mgr, 4, 15, |t, w, rng| match w % 2 {
+            0 => q.enq(t, rng.gen_range(0..1_000_000)),
+            _ => q.deq(t).map(drop),
+        });
+        assert_eq!(r.committed, 60, "{scheme}: 30 enq txns + 30 deq txns");
+        assert_eq!(q.committed_len(), 0, "{scheme}");
+
+        let sq = make_semiqueue(scheme, "sq", bench_options(&mgr));
+        let r = run(&mgr, 4, 15, |t, w, rng| match w % 2 {
+            0 => sq.ins(t, rng.gen_range(0..1_000_000)),
+            _ => sq.rem(t).map(drop),
+        });
+        assert_eq!(r.committed, 60, "{scheme}: semiqueue pipeline");
+    }
+}
+
+/// E13: `threads` workers move money between random pairs of `n`
+/// accounts funded with 1000 each. Opposite-order transfers can
+/// deadlock; the detector picks victims and the driver retries them.
+/// Money is conserved whatever the interleaving.
+fn transfers(scheme: Scheme, n: usize, threads: usize, txns_per_thread: usize) -> Run {
+    let mgr = TxnManager::new();
+    let accounts: Vec<_> =
+        (0..n).map(|i| make_account(scheme, &format!("acct-{i}"), bench_options(&mgr))).collect();
+    let t = mgr.begin();
+    for a in &accounts {
+        a.credit(&t, money(1000)).unwrap();
+    }
+    mgr.commit(t).unwrap();
+    let r = run(&mgr, threads, txns_per_thread, |t, _, rng| {
+        let from = rng.gen_range(0..n);
+        let to = (from + rng.gen_range(1..n)) % n;
+        let amt = money(rng.gen_range(1..20));
+        // An overdraft commits as a refusal.
+        if accounts[from].debit(t, amt)? {
+            accounts[to].credit(t, amt)?;
+        }
+        Ok(())
+    });
+    let total = accounts.iter().fold(Rational::ZERO, |sum, a| sum + a.committed_balance());
+    assert_eq!(total, money(1000 * n as i64), "{scheme}: transfers must conserve money");
+    r
+}
+
+#[test]
+fn concurrent_transfers_conserve_money_under_every_scheme() {
+    for scheme in Scheme::ALL {
+        assert_eq!(transfers(scheme, 6, 4, 25).committed, 100, "{scheme}");
     }
 }
 
 #[test]
-fn hybrid_admits_more_concurrency_than_baselines_on_enqueues() {
-    let hybrid = enqueue_only(Scheme::Hybrid, 4, 50, 6);
-    let comm = enqueue_only(Scheme::Commutativity, 4, 50, 6);
-    assert_eq!(hybrid.conflicts, 0, "hybrid enqueues never conflict");
-    assert!(comm.conflicts > 0, "commutativity enqueues conflict");
-}
-
-#[test]
-fn account_mix_has_no_overdraft_no_conflict_dominance() {
-    // With 0% overdrafts, hybrid conflicts come only from Debit∥Debit.
-    let hybrid = hybrid_cc::workload::bank::account_mix(
-        Scheme::Hybrid,
-        4,
-        50,
-        4,
-        Mix { credit_pct: 90, debit_pct: 0, post_pct: 10, overdraft_pct: 0 },
-    );
-    assert_eq!(hybrid.conflicts, 0, "credits and posts never conflict under Table V");
+fn deadlock_prone_transfers_make_progress() {
+    // Many workers, few accounts: plenty of lock cycles; everything must
+    // still complete and conserve money.
+    assert_eq!(transfers(Scheme::Hybrid, 2, 6, 20).committed, 120);
 }
 
 /// Section 7: dynamic atomic (commutativity-based) and hybrid atomic
@@ -194,13 +320,4 @@ fn mixed_scheme_runtime_transactions() {
         Ok(())
     })
     .unwrap();
-}
-
-#[test]
-fn deadlock_prone_transfers_make_progress() {
-    // Many workers, few accounts: plenty of lock cycles; everything must
-    // still complete and conserve money.
-    let r = transfers(Scheme::Hybrid, 2, 6, 20);
-    assert_eq!(r.total_balance, r.expected_balance);
-    assert_eq!(r.metrics.committed, 120);
 }
