@@ -18,7 +18,7 @@ use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHan
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::AccountSpec;
 use hcc_spec::{Operation, Rational, Value};
-use serde_json::json;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Account invocations.
@@ -123,23 +123,36 @@ impl RuntimeAdt for AccountAdt {
         *version = intent.apply(*version);
     }
 
+    /// The compact JSON `serde_json` renders for
+    /// `{"op": …, "v": amount, "ok": …}` — keys sorted, the amount as its
+    /// `{"den","num"}` object — written directly, byte for byte, without
+    /// building a value tree (`redo_bytes_match_the_serde_json_rendering`
+    /// pins the equality).
     fn redo(&self, inv: &AccountInv, res: &AccountRes) -> Option<Vec<u8>> {
-        let v = match (inv, res) {
-            (AccountInv::Credit(a), _) => json!({"op": "credit", "v": (*a)}),
-            (AccountInv::Post(p), _) => json!({"op": "post", "v": (*p)}),
+        let (op, amount, ok) = match (inv, res) {
+            (AccountInv::Credit(a), _) => ("credit", a, None),
+            (AccountInv::Post(p), _) => ("post", p, None),
             // Overdrafts change no state, but the refusal is part of the
             // history the verifier checks — they replay as refusals.
-            (AccountInv::Debit(a), AccountRes::Debited) => {
-                json!({"op": "debit", "v": (*a), "ok": true})
-            }
-            (AccountInv::Debit(a), AccountRes::Overdraft) => {
-                json!({"op": "debit", "v": (*a), "ok": false})
-            }
+            (AccountInv::Debit(a), AccountRes::Debited) => ("debit", a, Some(true)),
+            (AccountInv::Debit(a), AccountRes::Overdraft) => ("debit", a, Some(false)),
             (AccountInv::Debit(_), AccountRes::Ok) => {
                 unreachable!("debits respond Debited or Overdraft")
             }
         };
-        Some(serde_json::to_vec(&v).expect("JSON values serialize"))
+        let mut out = String::with_capacity(64);
+        out.push('{');
+        if let Some(ok) = ok {
+            out.push_str(if ok { "\"ok\":true," } else { "\"ok\":false," });
+        }
+        write!(
+            out,
+            "\"op\":\"{op}\",\"v\":{{\"den\":{},\"num\":{}}}}}",
+            amount.denominator(),
+            amount.numerator()
+        )
+        .expect("writing to a String cannot fail");
+        Some(out.into_bytes())
     }
 
     fn decode_redo(&self, bytes: &[u8]) -> Result<(AccountInv, AccountRes), RedoDecodeError> {
@@ -383,6 +396,50 @@ mod tests {
         a.inner().commit_at(t1.id(), 1);
         // ((0 + 100) * 1.05 - 30) + 10 = 85.
         assert_eq!(a.committed_balance(), r(85));
+    }
+
+    /// The direct writer against the `serde_json` rendering it replaced,
+    /// for every conflict class and amounts negative, fractional and near
+    /// the `i128` limits — and back through `decode_redo`.
+    #[test]
+    fn redo_bytes_match_the_serde_json_rendering() {
+        use serde_json::json;
+        let amounts = [
+            r(0),
+            r(7),
+            r(-5),
+            Rational::new(5, 2),
+            Rational::new(-7, 3),
+            Rational::new(1, i128::MAX),
+            Rational::new(i128::MAX, 1),
+            Rational::new(i128::MIN + 1, 1),
+            Rational::new(i128::MAX, i128::MAX - 1),
+            Rational::new(-(i128::MAX - 2), i128::MAX),
+        ];
+        for a in amounts {
+            let cases = [
+                (AccountInv::Credit(a), AccountRes::Ok, json!({"op": "credit", "v": a})),
+                (AccountInv::Post(a), AccountRes::Ok, json!({"op": "post", "v": a})),
+                (
+                    AccountInv::Debit(a),
+                    AccountRes::Debited,
+                    json!({"op": "debit", "v": a, "ok": true}),
+                ),
+                (
+                    AccountInv::Debit(a),
+                    AccountRes::Overdraft,
+                    json!({"op": "debit", "v": a, "ok": false}),
+                ),
+            ];
+            for (inv, res, value) in cases {
+                let bytes = AccountAdt.redo(&inv, &res).unwrap();
+                assert_eq!(bytes, serde_json::to_vec(&value).unwrap(), "{inv:?} {res:?}");
+                assert_eq!(AccountAdt.decode_redo(&bytes).unwrap(), (inv, res));
+            }
+        }
+        let overdraft =
+            AccountAdt.redo(&AccountInv::Debit(Rational::new(-7, 3)), &AccountRes::Overdraft);
+        assert_eq!(overdraft.unwrap(), br#"{"ok":false,"op":"debit","v":{"den":3,"num":-7}}"#);
     }
 
     #[test]

@@ -82,6 +82,13 @@
 //!     struct and its `define_adt!` definition struct each appear exactly
 //!     once under `crates/`, `examples/` and `tests/`, so the type
 //!     `adtcheck` audits is the type the example runs.
+//! 12. **One buffered receive**: a frame is parsed out of the receive
+//!     buffer `RecvHalf` owns — one `read` per frame or burst, and a
+//!     partial frame survives a read timeout. Outside `#[cfg(test)]`,
+//!     `crates/wire/src` calls no exact-length read and defines no
+//!     fill-this-slice helper (the retired one's name is the needle):
+//!     either would read a frame in pieces again, and lose the pieces
+//!     already read when a timeout cuts it short.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -174,6 +181,8 @@ fn main() {
     let restore_call = [".rest", "ore("].concat();
     let recovery_front_end = "crates/db/src/db.rs";
     let replicated_apply = "crates/txn/src/manager.rs";
+    // Ratchet 12: the receive paths a buffered frame reader replaced.
+    let piecewise_reads = [["read_", "exact"].concat(), ["read_", "full"].concat()];
 
     // Test-only files: the standing exception for tests that hand-craft
     // WAL records on purpose (ratchet 1), and outside ratchets 8 and 9's
@@ -282,6 +291,20 @@ fn main() {
 
         // Production text: everything before the file's test module.
         let production = text.split("#[cfg(test)]").next().unwrap_or("");
+
+        if rel_s.starts_with("crates/wire/src/") {
+            for (i, line) in production.lines().enumerate() {
+                for needle in &piecewise_reads {
+                    if line.contains(needle.as_str()) {
+                        findings.push(format!(
+                            "{rel_s}:{}: `{needle}` — frames are parsed out of RecvHalf's \
+                             receive buffer (one read per frame or burst), never read in pieces",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+        }
 
         if !log_op_allowed(&rel_s) {
             if rel_s != segment_writer {

@@ -108,8 +108,9 @@ pub enum Durability {
     /// flush (rotation, checkpoint, close). Fastest; a process crash loses
     /// the unflushed tail.
     None,
-    /// Every commit pushes the log to the OS page cache (`write`), but no
-    /// fsync: survives a process crash, not a power failure.
+    /// Every commit pushes the log to the OS page cache — one `write`
+    /// carrying the records buffered ahead of it — but no fsync: survives
+    /// a process crash, not a power failure.
     Buffered,
     /// Every commit is fsynced (`sync_data`) before it is acknowledged —
     /// batched across concurrent committers by group commit.

@@ -57,7 +57,7 @@
 
 pub use hcc_wire::frame::{crc32, frame_crc, FrameError, HEADER_BYTES, MAX_PAYLOAD};
 
-use hcc_wire::frame::{encode_frame_into, frame_at};
+use hcc_wire::frame::{encode_frame_with, frame_at};
 
 /// One durable log record. The `op` payload is opaque to the storage layer;
 /// callers serialize operations however they like (the workspace uses
@@ -144,36 +144,34 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Append the framed encoding of `rec`, stamped with ticket `seq`, to
 /// `out`.
 pub fn encode_into(rec: &LogRecord, seq: u64, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(32);
-    match rec {
+    encode_frame_with(seq, out, |payload| match rec {
         LogRecord::Begin { txn } => {
             payload.push(1);
-            put_u64(&mut payload, *txn);
+            put_u64(payload, *txn);
         }
         LogRecord::Op { txn, obj, op } => {
             payload.push(2);
-            put_u64(&mut payload, *txn);
-            put_u64(&mut payload, *obj);
-            put_bytes(&mut payload, op);
+            put_u64(payload, *txn);
+            put_u64(payload, *obj);
+            put_bytes(payload, op);
         }
         LogRecord::Commit { txn, ts, ops, prev } => {
             payload.push(3);
-            put_u64(&mut payload, *txn);
-            put_u64(&mut payload, *ts);
-            put_u32(&mut payload, *ops);
-            put_u64(&mut payload, *prev);
+            put_u64(payload, *txn);
+            put_u64(payload, *ts);
+            put_u32(payload, *ops);
+            put_u64(payload, *prev);
         }
         LogRecord::Abort { txn } => {
             payload.push(4);
-            put_u64(&mut payload, *txn);
+            put_u64(payload, *txn);
         }
         LogRecord::Register { id, name } => {
             payload.push(5);
-            put_u64(&mut payload, *id);
-            put_bytes(&mut payload, name.as_bytes());
+            put_u64(payload, *id);
+            put_bytes(payload, name.as_bytes());
         }
-    }
-    encode_frame_into(seq, &payload, out);
+    });
 }
 
 /// The framed encoding of `rec` with ticket `seq`.

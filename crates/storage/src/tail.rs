@@ -31,11 +31,14 @@
 //!   bootstraps from a checkpoint first — a ROADMAP follow-up); the
 //!   tailer surfaces the vanished file as an error instead of guessing.
 //!
-//! Visibility follows the writer's flush discipline: `Buffered` and
-//! classical `Fsync` flush every record to the OS, group-commit `Fsync`
-//! parks op records in a process buffer until the next group flush, and
-//! `Durability::None` may hold several KiB back indefinitely — which is
-//! why replication is specified for the buffered/fsync modes.
+//! Visibility follows the writer's flush discipline: begin, op, register
+//! and abort records ride a process buffer at every level and reach the
+//! file with the next completion record's write under `Buffered` (or the
+//! next group flush under `Fsync`), while `Durability::None` may hold
+//! several KiB back indefinitely — which is why replication is specified
+//! for the buffered/fsync modes. A record whose ticket is overtaken — a
+//! higher one already on file — is written at once, so a gap the tailer
+//! sees is an append in flight, not a record parked in the buffer.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -240,6 +243,7 @@ mod tests {
     use super::*;
     use crate::wal::{SegmentedWal, WalOptions};
     use crate::LogRecord;
+    use hcc_core::runtime::Durability;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -370,6 +374,31 @@ mod tests {
         }
         assert!(got.contains(&after), "the frame past the dead ticket ships: {got:?}");
         assert_eq!(tailer.gaps_skipped(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An op published after its latch was released can find a higher
+    /// ticket already on file. Under `Buffered` it must reach the file at
+    /// once, not wait for a commit that an idle interactive transaction
+    /// may never bring, or the tailer gives up on it as dead.
+    #[test]
+    fn overtaken_op_of_an_idle_transaction_is_not_skipped() {
+        let dir = tmp("overtaken");
+        let opts = WalOptions { durability: Durability::Buffered, ..opts() };
+        let wal = SegmentedWal::open(&dir, opts).unwrap();
+        wal.append_begin(1).unwrap();
+        let op = wal.reserve();
+        append_txn(&wal, 2, 2, 1);
+        wal.append_op(op, 1, 1, b"late").unwrap();
+        // Transaction 1 now sits idle: nothing else reaches the log.
+        let mut tailer = WalTailer::new(&dir, 0, TailOptions { gap_patience: 3 }).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..10 {
+            got.extend(tailer.poll().unwrap().iter().map(|(s, _)| *s));
+        }
+        let expect: Vec<u64> = (1..wal.current_ticket()).collect();
+        assert_eq!(got, expect, "every ticket ships, the overtaken op included");
+        assert_eq!(tailer.gaps_skipped(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -80,8 +80,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Flush threshold for `Durability::None` (bounds process-buffer growth).
-const NONE_FLUSH_BYTES: usize = 64 * 1024;
+/// Flush threshold for records that ride the process buffer (bounds its
+/// growth when no completion record comes along to carry them).
+const FLUSH_BYTES: usize = 64 * 1024;
 
 /// The directory under the log root that holds the segment files. An
 /// on-disk format constant: it is where every existing log keeps its
@@ -109,6 +110,10 @@ struct Inner {
     seg_bytes: u64,
     /// Process-local buffer of encoded-but-unwritten records.
     buf: Vec<u8>,
+    /// Highest ticket ever appended to `buf`, and its value at the last
+    /// flush that wrote anything: no higher ticket has reached the file.
+    appended_high: u64,
+    written_high: u64,
     /// Physical append position (records appended so far). Distinct from
     /// the global ticket: this is what the sync protocol tracks, and it
     /// is strictly monotone in *append* order.
@@ -139,6 +144,7 @@ struct SyncState {
 /// open so appends never touch the registry's name map.
 struct Instruments {
     appends: Arc<Counter>,
+    writes: Arc<Counter>,
     rotations: Arc<Counter>,
     fsync_nanos: Arc<Histogram>,
     batch: Arc<Histogram>,
@@ -335,6 +341,8 @@ impl SegmentedWal {
                 seg_index,
                 seg_bytes,
                 buf: Vec::new(),
+                appended_high: 0,
+                written_high: 0,
                 next_pos: 1,
                 live_low: HashMap::new(),
                 commits_since_ckpt: 0,
@@ -352,6 +360,7 @@ impl SegmentedWal {
             sync_cv: Condvar::new(),
             ins: Instruments {
                 appends: metrics.counter("wal.appends"),
+                writes: metrics.counter("wal.writes"),
                 rotations: metrics.counter("wal.rotations"),
                 fsync_nanos: metrics.histogram("wal.fsync_nanos"),
                 batch: metrics.histogram("wal.group_commit.batch"),
@@ -421,19 +430,35 @@ impl SegmentedWal {
         self.ticket.load(Ordering::Relaxed)
     }
 
-    /// Write the process buffer to the OS.
-    fn flush_locked(inner: &mut Inner) -> std::io::Result<()> {
-        if !inner.buf.is_empty() {
-            (&*inner.file).write_all(&inner.buf)?;
-            inner.buf.clear();
+    /// Write the process buffer to the OS, counting every `write(2)`
+    /// (`wal.writes`). Whatever was written leaves the buffer even when a
+    /// later write of the same flush fails, so a retry never writes a
+    /// byte twice.
+    fn flush_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
+        let mut done = 0;
+        let outcome = loop {
+            if done == inner.buf.len() {
+                break Ok(());
+            }
+            self.ins.writes.inc();
+            match (&*inner.file).write(&inner.buf[done..]) {
+                Ok(0) => break Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        if done > 0 {
+            inner.written_high = inner.appended_high;
         }
-        Ok(())
+        inner.buf.drain(..done);
+        outcome
     }
 
     /// Finish the active segment (flush + fsync) and open the next one.
     /// Everything written so far becomes durable, so `synced_pos` advances.
     fn rotate_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
-        Self::flush_locked(inner)?;
+        self.flush_locked(inner)?;
         inner.file.sync_data()?;
         self.ins.rotations.inc();
         let durable_pos = inner.next_pos - 1;
@@ -466,6 +491,7 @@ impl SegmentedWal {
         inner.next_pos += 1;
         let before = inner.buf.len();
         record::encode_into(rec, seq, &mut inner.buf);
+        inner.appended_high = inner.appended_high.max(seq);
         let encoded = (inner.buf.len() - before) as u64;
         inner.seg_bytes += encoded;
         inner.total_bytes += encoded;
@@ -488,20 +514,24 @@ impl SegmentedWal {
         Ok(pos)
     }
 
-    /// Append a non-completion record, buffered per the durability level.
+    /// Append a non-completion record. At every durability level it rides
+    /// the process buffer until the next completion record's write (or
+    /// the buffer reaches [`FLUSH_BYTES`]): the write-ahead rule only asks
+    /// that a transaction's records reach the OS no later than its
+    /// commit, and they precede it in the buffer, so one `write(2)` per
+    /// commit carries them all.
+    ///
+    /// The exception is a record whose ticket was *overtaken*: reserved
+    /// before a ticket that has already reached the file (an op published
+    /// after its latch was released, behind another commit's flush). It is
+    /// written at once. A tailer that sees the higher ticket waits only so
+    /// long for the lower one before declaring it dead, and an idle
+    /// interactive transaction may bring no commit to carry it.
     fn append(&self, rec: &LogRecord, seq: u64) -> Result<(), StorageError> {
         let mut inner = lock(&self.inner);
         self.append_locked(&mut inner, rec, seq)?;
-        match self.opts.durability {
-            // Under `Fsync`, op records ride in the process buffer like
-            // `None`'s: the sync leader flushes everything before any
-            // fsync, so they never need their own write syscall.
-            Durability::None | Durability::Fsync => {
-                if inner.buf.len() >= NONE_FLUSH_BYTES {
-                    Self::flush_locked(&mut inner)?;
-                }
-            }
-            Durability::Buffered => Self::flush_locked(&mut inner)?,
+        if inner.buf.len() >= FLUSH_BYTES || seq < inner.written_high {
+            self.flush_locked(&mut inner)?;
         }
         Ok(())
     }
@@ -516,7 +546,7 @@ impl SegmentedWal {
         match self.opts.durability {
             Durability::None => Ok(()),
             Durability::Buffered => {
-                Self::flush_locked(&mut inner)?;
+                self.flush_locked(&mut inner)?;
                 Ok(())
             }
             Durability::Fsync => {
@@ -557,7 +587,7 @@ impl SegmentedWal {
                 let outcome: std::io::Result<u64> = (|| {
                     let (high, file) = {
                         let mut inner = lock(&self.inner);
-                        Self::flush_locked(&mut inner)?;
+                        self.flush_locked(&mut inner)?;
                         (inner.next_pos - 1, inner.file.clone())
                     };
                     let started = std::time::Instant::now();
@@ -757,7 +787,10 @@ impl SegmentedWal {
             inner.total_bytes += (end - start) as u64;
             start = end;
         }
-        Self::flush_locked(&mut inner)?;
+        if let Some((seq, _)) = fresh.last() {
+            inner.appended_high = inner.appended_high.max(*seq);
+        }
+        self.flush_locked(&mut inner)?;
         drop(inner);
         if let Some((seq, _)) = fresh.last() {
             self.witness_ticket(seq + 1);
@@ -774,7 +807,7 @@ impl SegmentedWal {
     pub fn sync(&self) -> Result<(), StorageError> {
         let file = {
             let mut inner = lock(&self.inner);
-            Self::flush_locked(&mut inner)?;
+            self.flush_locked(&mut inner)?;
             inner.file.clone()
         };
         file.sync_data()?;
@@ -848,7 +881,7 @@ impl Drop for SegmentedWal {
     /// Orderly close: push the buffer to the OS so only a real crash —
     /// not a clean shutdown — can lose `Durability::None` records.
     fn drop(&mut self) {
-        let _ = Self::flush_locked(&mut lock(&self.inner));
+        let _ = self.flush_locked(&mut lock(&self.inner));
     }
 }
 
@@ -1220,6 +1253,45 @@ mod tests {
         let s = wal.stats();
         assert_eq!(s.records_since_checkpoint, 0);
         assert_eq!(s.bytes_at_last_checkpoint, s.total_bytes);
+    }
+
+    /// `wal.writes` counts every `write(2)` the log issues. A two-op
+    /// transaction's begin and op records ride the buffer at every level;
+    /// `Buffered` and `Fsync` then pay one write per commit, `None` none
+    /// until a rotation or close.
+    #[test]
+    fn a_two_op_transaction_costs_one_write() {
+        for (durability, per_commit) in
+            [(Durability::Buffered, 1), (Durability::Fsync, 1), (Durability::None, 0)]
+        {
+            let dir = tmp("writes");
+            let metrics = Registry::new();
+            let opts = WalOptions { segment_max_bytes: 1 << 20, durability };
+            let wal = SegmentedWal::open_with_metrics(&dir, opts, &metrics).unwrap();
+            let writes = metrics.counter("wal.writes");
+            for txn in 1..=3 {
+                wal.append_begin(txn).unwrap();
+                wal.append_op(wal.reserve(), txn, 1, b"debit").unwrap();
+                wal.append_op(wal.reserve(), txn, 2, b"credit").unwrap();
+                assert_eq!(writes.get(), (txn - 1) * per_commit, "{durability:?}: before commit");
+                wal.commit_txn(txn, txn).unwrap();
+                assert_eq!(writes.get(), txn * per_commit, "{durability:?}: after commit");
+            }
+            drop(wal);
+            // Closing writes out whatever `None` still buffers, at once.
+            let after_close = if per_commit == 0 { 1 } else { 3 * per_commit };
+            assert_eq!(writes.get(), after_close, "{durability:?}: after close");
+            assert_eq!(read_records(&dir).unwrap().0.len(), 12, "{durability:?}: all on disk");
+        }
+
+        // Under `None` a rotation flushes what the buffer holds.
+        let metrics = Registry::new();
+        let opts = WalOptions { segment_max_bytes: 1, durability: Durability::None };
+        let wal = SegmentedWal::open_with_metrics(tmp("writes-rotate"), opts, &metrics).unwrap();
+        wal.append_begin(1).unwrap();
+        assert_eq!(metrics.counter("wal.writes").get(), 0);
+        wal.append_op(wal.reserve(), 1, 1, b"op").unwrap();
+        assert_eq!(metrics.counter("wal.writes").get(), 1, "the rotation wrote the begin record");
     }
 
     // ---- externally ticketed feed (the replication follower's log) ----

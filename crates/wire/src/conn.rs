@@ -15,6 +15,17 @@
 //! corrupt frame is not resynchronized by guesswork: the error is
 //! surfaced and the session closes.
 //!
+//! ## One read per frame
+//!
+//! A [`RecvHalf`] owns a receive buffer and parses frames out of it: one
+//! `read` fetches whatever the socket holds — a whole small frame, or a
+//! pipelined burst of them, which later `recv`s then serve without
+//! touching the kernel. Bytes stay in the buffer until a whole frame has
+//! been parsed, so a read timeout in the middle of a frame loses nothing:
+//! the next `recv` resumes where the last one stopped.
+//! [`SendHalf::send`] encodes the payload straight into its frame buffer
+//! and hands it to one `write`.
+//!
 //! [`SendHalf::send_raw`] exists for fault-injection tests (half-written
 //! frames, flipped CRC bits) and deliberately bypasses the encoder.
 
@@ -113,7 +124,7 @@ impl Conn {
         let write = self.stream.try_clone()?;
         Ok((
             SendHalf { stream: write, buf: Vec::with_capacity(256) },
-            RecvHalf { stream: self.stream },
+            RecvHalf { stream: self.stream, frames: FrameReader::new() },
         ))
     }
 
@@ -134,9 +145,7 @@ impl SendHalf {
     /// bytes put on the wire.
     pub fn send<M: WireMsg>(&mut self, seq: u64, msg: &M) -> std::io::Result<u64> {
         self.buf.clear();
-        let mut payload = Vec::with_capacity(64);
-        msg.encode_payload(&mut payload);
-        frame::encode_frame_into(seq, &payload, &mut self.buf);
+        frame::encode_frame_with(seq, &mut self.buf, |out| msg.encode_payload(out));
         self.stream.write_all(&self.buf)?;
         Ok(self.buf.len() as u64)
     }
@@ -163,27 +172,95 @@ impl SendHalf {
 /// The reading half of a [`Conn`].
 pub struct RecvHalf {
     stream: TcpStream,
+    frames: FrameReader,
 }
 
-enum Filled {
-    Full,
-    CleanEof,
-    TornEof,
+/// What one `read` asks for when the buffer is empty: enough for a
+/// pipelined burst of small frames, so one kernel crossing serves them
+/// all. The buffer grows past this only for a frame that needs it, and
+/// returns to it once that frame is consumed.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// The receive buffer behind [`RecvHalf`], generic over where its bytes
+/// come from so tests can script every way a stream can be chunked.
+struct FrameReader {
+    /// Zero-initialised to its full length so `read` can fill
+    /// `buf[tail..]`; `buf[head..tail]` is received but not yet parsed.
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<Filled> {
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Ok(if got == 0 { Filled::CleanEof } else { Filled::TornEof });
+impl FrameReader {
+    fn new() -> FrameReader {
+        FrameReader { buf: vec![0; READ_CHUNK], head: 0, tail: 0 }
+    }
+
+    fn recv<M: WireMsg>(
+        &mut self,
+        src: &mut impl Read,
+    ) -> Result<Option<(u64, M, u64)>, WireError> {
+        loop {
+            let have = &self.buf[self.head..self.tail];
+            // Bytes the frame at `head` needs in all: a header first,
+            // then — once its length field is in and within bounds —
+            // header plus payload.
+            let want = if have.len() < HEADER_BYTES {
+                HEADER_BYTES
+            } else {
+                let len = u32::from_le_bytes(have[..4].try_into().expect("a four-byte slice"));
+                if len > MAX_WIRE_PAYLOAD {
+                    return Err(FrameError::BadLength(len).into());
+                }
+                HEADER_BYTES + len as usize
+            };
+            if have.len() >= want {
+                let (seq, payload, _) =
+                    frame::frame_at_bounded(&have[..want], 0, MAX_WIRE_PAYLOAD)?;
+                let msg = M::decode_payload(payload).ok_or(FrameError::Malformed)?;
+                self.head += want;
+                if self.head == self.tail && self.buf.len() > READ_CHUNK {
+                    (self.head, self.tail) = (0, 0);
+                    self.buf.truncate(READ_CHUNK);
+                    self.buf.shrink_to_fit();
+                }
+                return Ok(Some((seq, msg, want as u64)));
             }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            if self.fill(src, want)? == 0 {
+                return if self.head == self.tail {
+                    Ok(None)
+                } else {
+                    Err(FrameError::Truncated.into())
+                };
+            }
         }
     }
-    Ok(Filled::Full)
+
+    /// One `read` into the free end of the buffer, after making room for
+    /// a `want`-byte frame starting at `head`. Returns the bytes read (0
+    /// = EOF). On an error — a read timeout included — every byte
+    /// already buffered stays put for the next attempt.
+    fn fill(&mut self, src: &mut impl Read, want: usize) -> std::io::Result<usize> {
+        if self.head == self.tail {
+            (self.head, self.tail) = (0, 0);
+        } else if self.head + want > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+        }
+        if want > self.buf.len() {
+            self.buf.resize(want, 0);
+        }
+        loop {
+            match src.read(&mut self.buf[self.tail..]) {
+                Ok(n) => {
+                    self.tail += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 impl RecvHalf {
@@ -191,28 +268,10 @@ impl RecvHalf {
     /// boundary; EOF anywhere inside a frame is
     /// `Err(Frame(Truncated))` — a torn disconnect, refused rather than
     /// partially believed. Returns `(request id, message, wire bytes)`.
+    /// A read timeout keeps whatever part of a frame has arrived; the
+    /// next call completes it.
     pub fn recv<M: WireMsg>(&mut self) -> Result<Option<(u64, M, u64)>, WireError> {
-        let mut hdr = [0u8; HEADER_BYTES];
-        match read_full(&mut self.stream, &mut hdr)? {
-            Filled::CleanEof => return Ok(None),
-            Filled::TornEof => return Err(FrameError::Truncated.into()),
-            Filled::Full => {}
-        }
-        let len = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-        if len > MAX_WIRE_PAYLOAD {
-            return Err(FrameError::BadLength(len).into());
-        }
-        let mut whole = vec![0u8; HEADER_BYTES + len as usize];
-        whole[..HEADER_BYTES].copy_from_slice(&hdr);
-        match read_full(&mut self.stream, &mut whole[HEADER_BYTES..])? {
-            Filled::Full => {}
-            Filled::CleanEof | Filled::TornEof => return Err(FrameError::Truncated.into()),
-        }
-        let (seq, payload, _) = frame::frame_at_bounded(&whole, 0, MAX_WIRE_PAYLOAD)?;
-        match M::decode_payload(payload) {
-            Some(msg) => Ok(Some((seq, msg, whole.len() as u64))),
-            None => Err(FrameError::Malformed.into()),
-        }
+        self.frames.recv(&mut self.stream)
     }
 
     /// Bound how long one `recv` may block (`None` = forever). Timeouts
@@ -246,6 +305,9 @@ mod tests {
     use super::*;
     use crate::frame::frame_crc;
     use crate::msg::{Request, Response, WireFault, WireOp};
+    use crate::repl::ReplMsg;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn pair() -> (Conn, Conn) {
         let listener = Listener::bind("127.0.0.1:0").unwrap();
@@ -343,6 +405,210 @@ mod tests {
         match srx.recv::<Request>() {
             Err(WireError::Frame(FrameError::BadLength(len))) => assert_eq!(len, u32::MAX),
             other => panic!("expected length refusal, got {other:?}"),
+        }
+        assert_eq!(srx.frames.buf.len(), READ_CHUNK, "the buffer never grew");
+    }
+
+    #[test]
+    fn length_one_past_the_bound_is_refused_before_the_buffer_grows() {
+        let mut hostile = (MAX_WIRE_PAYLOAD + 1).to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0u8; 12]);
+        let mut frames = FrameReader::new();
+        match frames.recv::<ReplMsg>(&mut script(vec![Step::Bytes(hostile)])) {
+            Err(WireError::Frame(FrameError::BadLength(len))) => {
+                assert_eq!(len, MAX_WIRE_PAYLOAD + 1)
+            }
+            other => panic!("expected length refusal, got {other:?}"),
+        }
+        assert_eq!(frames.buf.len(), READ_CHUNK, "the buffer never grew");
+    }
+
+    #[test]
+    fn partial_frame_survives_a_read_timeout() {
+        let (client, server) = pair();
+        let (mut ctx, _crx) = client.split().unwrap();
+        let (_stx, mut srx) = server.split().unwrap();
+        srx.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let msg =
+            Request::Transact { ops: vec![WireOp::Credit { name: "acct".into(), amount: 5 }] };
+        let mut framed = Vec::new();
+        frame::encode_frame_with(7, &mut framed, |out| msg.encode_payload(out));
+        let half = HEADER_BYTES + (framed.len() - HEADER_BYTES) / 2;
+        ctx.send_raw(&framed[..half]).unwrap();
+        let err = srx.recv::<Request>().unwrap_err();
+        assert!(err.is_timeout(), "{err:?}");
+        ctx.send_raw(&framed[half..]).unwrap();
+        let got = srx.recv::<Request>().unwrap().unwrap();
+        assert_eq!(got, (7, msg, framed.len() as u64), "the whole frame, header included");
+    }
+
+    #[test]
+    fn pipelined_burst_is_drained_with_one_read() {
+        let (client, server) = pair();
+        let (mut ctx, _crx) = client.split().unwrap();
+        let (_stx, mut srx) = server.split().unwrap();
+        let mut burst = Vec::new();
+        for seq in 1..=32u64 {
+            frame::encode_frame_with(seq, &mut burst, |out| Request::Goodbye.encode_payload(out));
+        }
+        ctx.send_raw(&burst).unwrap();
+        // Wait until the whole burst sits in the socket, so the count
+        // below does not depend on how the kernel paced its arrival.
+        let mut probe = vec![0u8; burst.len()];
+        while srx.stream.peek(&mut probe).unwrap() < burst.len() {
+            std::thread::yield_now();
+        }
+        let mut socket = Counted(&srx.stream, 0);
+        for seq in 1..=32u64 {
+            assert_eq!(srx.frames.recv::<Request>(&mut socket).unwrap().unwrap().0, seq);
+        }
+        assert_eq!(socket.1, 1, "32 frames, one read");
+    }
+
+    /// A `Read` that counts the calls it serves.
+    struct Counted<R>(R, u64);
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 += 1;
+            self.0.read(buf)
+        }
+    }
+
+    // ---- the decoder against scripted chunkings ----------------------
+
+    /// One `read` of a scripted byte source.
+    enum Step {
+        /// Hand out these bytes (as many as fit; the rest next time).
+        Bytes(Vec<u8>),
+        /// Fail the way a socket read timeout does.
+        Timeout,
+    }
+
+    /// A source that plays its steps one per `read`, then reports EOF.
+    struct Script(VecDeque<Step>);
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Step::Timeout) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Step::Bytes(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Step::Bytes(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn script(steps: Vec<Step>) -> Script {
+        Script(steps.into())
+    }
+
+    /// A frame stream with small frames on both sides of one larger than
+    /// the initial buffer: the messages, their encoding, and where each
+    /// frame ends.
+    fn wire_stream() -> (Vec<(u64, ReplMsg)>, Vec<u8>, Vec<usize>) {
+        let big: Vec<u8> = (0..READ_CHUNK + 1500).map(|i| (i * 7 % 251) as u8).collect();
+        let msgs = vec![
+            (1, ReplMsg::Hello { version: 1, token: "t".into(), last_ticket: 9 }),
+            (2, ReplMsg::Batch { watermark: 0, ticket: 0, frames: Vec::new() }),
+            (3, ReplMsg::Batch { watermark: 4, ticket: 12, frames: big }),
+            (4, ReplMsg::Ack { ticket: 12 }),
+            (5, ReplMsg::Batch { watermark: 5, ticket: 13, frames: vec![1, 2, 3] }),
+            (6, ReplMsg::Fault { detail: "bye".into() }),
+        ];
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for (seq, msg) in &msgs {
+            frame::encode_frame_with(*seq, &mut bytes, |out| msg.encode_payload(out));
+            ends.push(bytes.len());
+        }
+        (msgs, bytes, ends)
+    }
+
+    /// Decode `src` to its end the way the replication loops do —
+    /// retrying on a timeout — returning the frames and how it ended.
+    fn decode_all(mut src: Script) -> (Vec<(u64, ReplMsg)>, Result<(), FrameError>) {
+        let mut frames = FrameReader::new();
+        let mut got = Vec::new();
+        loop {
+            match frames.recv::<ReplMsg>(&mut src) {
+                Ok(Some((seq, msg, _))) => got.push((seq, msg)),
+                Ok(None) => return (got, Ok(())),
+                Err(e) if e.is_timeout() => continue,
+                Err(WireError::Frame(e)) => return (got, Err(e)),
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        }
+    }
+
+    /// `bytes` cut at `cuts`, with a timeout after each chunk listed in
+    /// `stalls`.
+    fn chunked(bytes: &[u8], mut cuts: Vec<usize>, stalls: &[usize]) -> Script {
+        cuts.retain(|&c| c > 0 && c < bytes.len());
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut steps = Vec::new();
+        let mut from = 0;
+        for (i, to) in cuts.into_iter().chain([bytes.len()]).enumerate() {
+            steps.push(Step::Bytes(bytes[from..to].to_vec()));
+            if stalls.contains(&i) {
+                steps.push(Step::Timeout);
+            }
+            from = to;
+        }
+        script(steps)
+    }
+
+    #[test]
+    fn buffer_shrinks_back_once_a_large_frame_is_consumed() {
+        let (msgs, bytes, _) = wire_stream();
+        let mut frames = FrameReader::new();
+        let mut src = script(vec![Step::Bytes(bytes)]);
+        for (seq, msg) in msgs {
+            let got = frames.recv::<ReplMsg>(&mut src).unwrap().map(|(s, m, _)| (s, m));
+            assert_eq!(got, Some((seq, msg)));
+        }
+        assert_eq!(frames.buf.len(), READ_CHUNK);
+        assert!(frames.buf.capacity() < 2 * READ_CHUNK, "{}", frames.buf.capacity());
+    }
+
+    #[test]
+    fn one_byte_at_a_time_and_all_at_once_decode_alike() {
+        let (msgs, bytes, _) = wire_stream();
+        let whole = decode_all(script(vec![Step::Bytes(bytes.clone())]));
+        assert_eq!(whole, (msgs.clone(), Ok(())));
+        let bytewise = decode_all(chunked(&bytes, (1..bytes.len()).collect(), &[]));
+        assert_eq!(bytewise, (msgs, Ok(())));
+    }
+
+    #[test]
+    fn eof_inside_a_frame_is_truncated_and_only_a_boundary_is_clean() {
+        let (msgs, bytes, ends) = wire_stream();
+        for cut in 0..=bytes.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let expect_end =
+                if cut == 0 || ends.contains(&cut) { Ok(()) } else { Err(FrameError::Truncated) };
+            let got = decode_all(script(vec![Step::Bytes(bytes[..cut].to_vec())]));
+            assert_eq!(got, (msgs[..whole].to_vec(), expect_end), "EOF at byte {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn any_chunking_with_timeouts_decodes_the_same_stream(
+            cuts in prop::collection::vec(0usize..wire_stream().1.len(), 0..24),
+            stalls in prop::collection::vec(0usize..24, 0..6),
+        ) {
+            let (msgs, bytes, _) = wire_stream();
+            prop_assert_eq!(decode_all(chunked(&bytes, cuts, &stalls)), (msgs, Ok(())));
         }
     }
 

@@ -100,10 +100,22 @@ impl std::error::Error for FrameError {}
 
 /// Append the frame envelope around `payload`, stamped `seq`, to `out`.
 pub fn encode_frame_into(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_crc(seq, payload).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_with(seq, out, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame stamped `seq` to `out`, its payload being whatever
+/// `payload` appends — encoded in place behind a header that is filled
+/// in afterwards, so no payload buffer is allocated on the way.
+pub fn encode_frame_with(seq: u64, out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_BYTES]);
+    payload(out);
+    let body = start + HEADER_BYTES;
+    let len = (out.len() - body) as u32;
+    let crc = frame_crc(seq, &out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    out[start + 8..body].copy_from_slice(&seq.to_le_bytes());
 }
 
 /// Extract one frame's CRC-verified `(seq, payload)` at `bytes[offset..]`,
