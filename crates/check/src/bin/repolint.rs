@@ -89,6 +89,15 @@
 //!     fill-this-slice helper (the retired one's name is the needle):
 //!     either would read a frame in pieces again, and lose the pieces
 //!     already read when a timeout cuts it short.
+//! 13. **No tailer guessing**: the replication tailer moves past a
+//!     ticket only on what the live log states — on file, void, or
+//!     settled — never on patience. The retired guesswork's names (the
+//!     patience knob, its options type, its skip counter, the shipper's
+//!     polling interval, the caller-supplied position sampler) appear
+//!     nowhere under `crates/`, `src/`, `tests/` or `examples/`, and
+//!     outside `#[cfg(test)]` `crates/storage/src/tail.rs` neither
+//!     re-reads a whole file nor lists the segment directory: it reads
+//!     from its cursor and asks the log for the rest.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -146,6 +155,7 @@ fn main() {
     let second_front_end = "the second recovery front end — hcc-db recovers, and nothing else";
     let one_stream = "WAL striping — the log is one append stream";
     let workload_diet = "the workload diet — benchmark/ is the instrument";
+    let no_guessing = "tailer guessing — the shipper asks the log";
     let retired_items = [
         (["Log", "Discipline"].concat(), first_generation),
         (["Wal", "Record"].concat(), first_generation),
@@ -163,6 +173,11 @@ fn main() {
         (["defined_", "adt_mix"].concat(), workload_diet),
         (["effect_from", "_json"].concat(), workload_diet),
         (["Metrics", "::row"].concat(), workload_diet),
+        (["gap_", "patience"].concat(), no_guessing),
+        (["Tail", "Options"].concat(), no_guessing),
+        (["gaps_", "skipped"].concat(), no_guessing),
+        (["poll_", "interval"].concat(), no_guessing),
+        (["Position", "Sampler"].concat(), no_guessing),
     ];
     // Ratchet 11's census: one inventory specification, one definition.
     let mut inventory_sites =
@@ -183,6 +198,9 @@ fn main() {
     let replicated_apply = "crates/txn/src/manager.rs";
     // Ratchet 12: the receive paths a buffered frame reader replaced.
     let piecewise_reads = [["read_", "exact"].concat(), ["read_", "full"].concat()];
+    // Ratchet 13: how the tailer used to find out what the log held.
+    let tailer = "crates/storage/src/tail.rs";
+    let tailer_rescans = [["fs::", "read("].concat(), ["list_", "segments"].concat()];
 
     // Test-only files: the standing exception for tests that hand-craft
     // WAL records on purpose (ratchet 1), and outside ratchets 8 and 9's
@@ -299,6 +317,20 @@ fn main() {
                         findings.push(format!(
                             "{rel_s}:{}: `{needle}` — frames are parsed out of RecvHalf's \
                              receive buffer (one read per frame or burst), never read in pieces",
+                            i + 1
+                        ));
+                    }
+                }
+            }
+        }
+
+        if rel_s == tailer {
+            for (i, line) in production.lines().enumerate() {
+                for needle in &tailer_rescans {
+                    if line.contains(needle.as_str()) {
+                        findings.push(format!(
+                            "{rel_s}:{}: `{needle}` — the tailer reads from its cursor and asks \
+                             the live log for the rest",
                             i + 1
                         ));
                     }

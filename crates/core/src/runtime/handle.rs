@@ -18,15 +18,17 @@ pub enum TxnPhase {
     Aborted,
 }
 
-/// The sticky wake token a blocked execution parks on: a wake-up
-/// delivered before the park makes the park return at once, so nothing
-/// that happens between "the `when` condition was false" and "the thread
-/// sleeps" can be lost.
+/// The sticky wake token a blocked thread parks on: a wake-up delivered
+/// before the park makes the park return at once, so nothing that
+/// happens between "the condition was false" and "the thread sleeps" can
+/// be lost. A blocked execution parks on its transaction's token; the
+/// replication shipper parks on one its WAL tailer registers with the
+/// log.
 ///
 /// Every transition happens under `state`'s mutex, so there is no
 /// hand-chosen memory ordering here: a `wake` that precedes a `park` or
 /// `reset` in the mutex's order happens-before it.
-struct WakeToken {
+pub struct WakeToken {
     state: Mutex<Wake>,
     cv: Condvar,
 }
@@ -41,12 +43,21 @@ enum Wake {
     Set,
 }
 
+impl Default for WakeToken {
+    fn default() -> WakeToken {
+        WakeToken::new()
+    }
+}
+
 impl WakeToken {
-    const fn new() -> WakeToken {
+    /// A token with no wake-up pending.
+    pub const fn new() -> WakeToken {
         WakeToken { state: Mutex::new(Wake::Empty), cv: Condvar::new() }
     }
 
-    fn wake(&self) {
+    /// Deliver a wake-up: the parked thread returns, or the next park
+    /// returns at once.
+    pub fn wake(&self) {
         let mut state = self.state.lock();
         let parked = *state == Wake::Parked;
         *state = Wake::Set;
@@ -63,7 +74,7 @@ impl WakeToken {
 
     /// Sleep until woken (`true`) or until `deadline` passes (`false`).
     /// With no deadline this performs no timed wait at all.
-    fn park(&self, deadline: Option<Instant>) -> bool {
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
         let mut state = self.state.lock();
         loop {
             if *state == Wake::Set {

@@ -28,7 +28,7 @@ mod options;
 mod spec_adt;
 
 pub use adt::{ClassifiedOp, LockSpec, RedoDecodeError, RuntimeAdt};
-pub use handle::{TxnHandle, TxnPhase};
+pub use handle::{TxnHandle, TxnPhase, WakeToken};
 pub use horizon::{HorizonPins, PinGuard};
 pub use object::{
     ExecError, NotFresh, ObjectStats, ReplayError, SnapshotStale, TryExecOutcome, TxObject,

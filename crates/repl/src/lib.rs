@@ -1,8 +1,9 @@
 //! # hcc-repl — log-shipping replication
 //!
 //! Replication here is *log shipping with no second apply path*: the
-//! primary tails its own WAL ([`hcc_storage::WalTailer`]),
-//! sorts frames into global **ticket order**, and streams the raw
+//! primary tails its own live WAL ([`hcc_storage::WalTailer`]), which
+//! releases frames in global **ticket order** on what the log states
+//! exactly — never on a guess — and streams the raw
 //! `len|crc|seq|payload` envelopes over the network protocol
 //! ([`hcc_wire::repl`]). The follower's log is the WAL's own writer — a
 //! [`hcc_storage::SegmentedWal`] fed the verified frames raw
@@ -20,8 +21,9 @@
 //! ## The watermark pair
 //!
 //! A lagging follower serves **consistent-prefix** snapshot reads with
-//! zero locks. The primary samples `(stable_watermark, last_issued
-//! ticket)` *in that order* and ships the pair in every batch: a commit
+//! zero locks. The primary ([`Primary`]) samples `(stable_watermark,
+//! last_issued ticket)` *in that order* and ships the pair in every
+//! batch: a commit
 //! with timestamp ≤ the watermark has already retired, so its commit
 //! record was ticketed at or below the later-read ticket. Once the
 //! follower has applied every ticket up to the sample's ticket, exposing
@@ -57,7 +59,7 @@ mod follower;
 mod primary;
 
 pub use follower::{Follower, FollowerOptions, ObjectResolver};
-pub use primary::{PositionSampler, Primary, PrimaryOptions};
+pub use primary::Primary;
 
 /// Anything that can go wrong starting or running a replication role.
 #[derive(Debug)]

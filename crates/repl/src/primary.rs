@@ -1,10 +1,10 @@
 //! The primary's side of log shipping: a replication listener and one
 //! shipper thread per connected follower.
 //!
-//! Each shipper owns its own [`WalTailer`] over the primary's live WAL
-//! directory, resumed at the ticket the follower's `Hello` reported
-//! durable — so a reconnecting follower re-receives exactly the suffix
-//! it lost, and two followers at different positions stream
+//! Each shipper owns its own [`hcc_storage::WalTailer`] over the primary's live log
+//! ([`DurableStore::tail`]), resumed at the ticket the follower's `Hello`
+//! reported durable — so a reconnecting follower re-receives exactly the
+//! suffix it lost, and two followers at different positions stream
 //! independently. Frames ship raw (still in their WAL envelope) in
 //! global ticket order, chunked under the wire payload bound; every
 //! batch carries a freshly sampled `(watermark, ticket)` pair, and an
@@ -12,57 +12,35 @@
 //! flowing (that is what lets an idle follower's watermark converge —
 //! and its lag reach 0 — without new commits).
 //!
-//! The shipper never reads transaction state: its only inputs are the
-//! WAL bytes and the position sampler. Losing the primary process
+//! A shipper with nothing to send parks until the log writes, settles or
+//! voids something, or [`HEARTBEAT`] passes: the watermark moves without
+//! touching the log.
+//!
+//! The shipper never reads transaction state: its only inputs are what
+//! the log states and the position pair. Losing the primary process
 //! therefore loses nothing the log didn't already hold — the exact
 //! guarantee promotion is specified against.
 
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use hcc_db::Db;
 use hcc_obs::{Counter, Gauge, Registry};
-use hcc_storage::{TailOptions, WalTailer};
+use hcc_storage::DurableStore;
 use hcc_wire::conn::{self, Listener, RecvHalf, SendHalf};
 use hcc_wire::repl::{ReplMsg, REPL_PROTOCOL_VERSION};
 use hcc_wire::MAX_WIRE_PAYLOAD;
 
-/// Samples the primary's `(stable_watermark, last_issued_ticket)` — in
-/// that order, which is what makes the pair safe for follower reads (see
-/// the crate docs). Typically built from a `TxnManager` + `DurableStore`
-/// pair; the server front door wires it up for you.
-pub type PositionSampler = Arc<dyn Fn() -> (u64, u64) + Send + Sync>;
+/// Soft cap on one `ReplBatch`'s frame bytes, well under the wire's
+/// 1 MiB payload bound.
+const BATCH_MAX_BYTES: usize = 512 << 10;
 
-/// Tunables for a [`Primary`].
-#[derive(Clone, Debug)]
-pub struct PrimaryOptions {
-    /// When set, follower `Hello`s must present exactly this token.
-    pub token: Option<String>,
-    /// Soft cap on one `ReplBatch`'s frame bytes (kept well under the
-    /// wire's 1 MiB payload bound).
-    pub batch_max_bytes: usize,
-    /// How long a shipper sleeps when the tail is dry and positions are
-    /// unchanged.
-    pub poll_interval: Duration,
-    /// Tailer patience before a never-appended ticket (an aborted
-    /// reservation) is skipped. Generous: a skip of a ticket that was
-    /// merely slow would ship a log with a real hole.
-    pub gap_patience: u32,
-}
-
-impl Default for PrimaryOptions {
-    fn default() -> PrimaryOptions {
-        PrimaryOptions {
-            token: None,
-            batch_max_bytes: 512 << 10,
-            poll_interval: Duration::from_millis(2),
-            gap_patience: 500,
-        }
-    }
-}
+/// The longest a shipper with nothing to send waits before sampling the
+/// positions again.
+const HEARTBEAT: Duration = Duration::from_millis(2);
 
 struct Instruments {
     batches: Arc<Counter>,
@@ -91,11 +69,23 @@ impl Instruments {
 }
 
 struct PrimaryShared {
-    wal_dir: PathBuf,
-    sample: PositionSampler,
+    db: Arc<Db>,
+    store: Arc<DurableStore>,
+    token: Option<String>,
     ins: Instruments,
-    opts: PrimaryOptions,
     stop: AtomicBool,
+}
+
+impl PrimaryShared {
+    /// The position pair: the stable watermark **before** the last
+    /// issued ticket. Every commit at or below the watermark has retired
+    /// by then, so its commit record is ticketed at or below the ticket —
+    /// the order the follower's consistent-prefix argument rests on (see
+    /// the crate docs).
+    fn positions(&self) -> (u64, u64) {
+        let watermark = self.db.manager().stable_watermark();
+        (watermark, self.store.last_issued_ticket())
+    }
 }
 
 /// The replication listener: accepts followers and ships them the log.
@@ -105,50 +95,30 @@ pub struct Primary {
     addr: SocketAddr,
     shared: Arc<PrimaryShared>,
     accept: Option<JoinHandle<()>>,
-    shippers: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Primary {
-    /// Bind `addr` (port 0 for an OS-assigned port) and start accepting
-    /// followers, shipping the WAL under `wal_dir`. `sample` must read
-    /// the stable watermark **before** the last issued ticket; `metrics`
-    /// receives the `repl.*` primary-side family.
-    pub fn start(
-        addr: &str,
-        wal_dir: impl AsRef<Path>,
-        sample: PositionSampler,
-        metrics: &Registry,
-        opts: PrimaryOptions,
-    ) -> std::io::Result<Primary> {
+    /// Bind `addr` (port 0 for an OS-assigned port) and ship `db`'s log
+    /// to every follower that connects. `db` must be durable. When
+    /// `token` is set, a follower's `Hello` must present exactly it. The
+    /// `repl.*` primary-side metrics land in `db`'s registry.
+    pub fn start(addr: &str, db: Arc<Db>, token: Option<String>) -> std::io::Result<Primary> {
+        let Some(store) = db.storage().cloned() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "replication requires a durable Db (it ships the WAL)",
+            ));
+        };
         let listener = Listener::bind(addr)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(PrimaryShared {
-            wal_dir: wal_dir.as_ref().to_path_buf(),
-            sample,
-            ins: Instruments::resolve(metrics),
-            opts,
-            stop: AtomicBool::new(false),
-        });
-        let shippers = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let ins = Instruments::resolve(db.metrics());
+        let shared =
+            Arc::new(PrimaryShared { db, store, token, ins, stop: AtomicBool::new(false) });
         let accept = {
             let shared = shared.clone();
-            let shippers = shippers.clone();
-            std::thread::spawn(move || {
-                while let Ok((conn, _peer)) = listener.accept() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let shared = shared.clone();
-                    let handle = std::thread::spawn(move || {
-                        if let Ok((tx, rx)) = conn.split() {
-                            ship(&shared, tx, rx);
-                        }
-                    });
-                    shippers.lock().push(handle);
-                }
-            })
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-        Ok(Primary { addr: local, shared, accept: Some(accept), shippers })
+        Ok(Primary { addr: local, shared, accept: Some(accept) })
     }
 
     /// The listener's bound address (for followers to dial).
@@ -167,9 +137,6 @@ impl Primary {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for h in self.shippers.lock().drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -179,28 +146,39 @@ impl Drop for Primary {
     }
 }
 
-/// Receive the follower's `Hello` (bounded wait), check version and
-/// token, answer `Welcome` with the tailer already positioned at its
-/// resume ticket. `None` = refuse/close.
-fn handshake(
-    shared: &PrimaryShared,
-    tx: &mut SendHalf,
-    rx: &mut RecvHalf,
-) -> Option<(WalTailer, u64)> {
-    rx.set_read_timeout(Some(Duration::from_millis(200))).ok()?;
-    let hello = loop {
-        match rx.recv::<ReplMsg>() {
-            Ok(Some((_, msg, _))) => break msg,
-            Ok(None) => return None,
-            Err(e) if e.is_timeout() => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return None;
-                }
-            }
-            Err(_) => return None,
+/// Accept followers until stopped, one shipper thread each. Shippers
+/// that have finished are joined as the next follower arrives, so
+/// reconnects do not pile up threads; the rest are joined on the way out.
+fn accept_loop(listener: &Listener, shared: &Arc<PrimaryShared>) {
+    let mut shippers: Vec<JoinHandle<()>> = Vec::new();
+    while let Ok((conn, _peer)) = listener.accept() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
-    };
-    let ReplMsg::Hello { version, token, last_ticket } = hello else {
+        for h in std::mem::take(&mut shippers) {
+            if h.is_finished() {
+                let _ = h.join();
+            } else {
+                shippers.push(h);
+            }
+        }
+        let shared = shared.clone();
+        shippers.push(std::thread::spawn(move || {
+            if let Ok((tx, rx)) = conn.split() {
+                ship(&shared, tx, rx);
+            }
+        }));
+    }
+    for h in shippers {
+        let _ = h.join();
+    }
+}
+
+/// Receive the follower's `Hello`, check version and token, answer
+/// `Welcome`. Returns the ticket to resume after; `None` = refuse/close.
+fn handshake(shared: &PrimaryShared, tx: &mut SendHalf, rx: &mut RecvHalf) -> Option<u64> {
+    rx.set_read_timeout(Some(Duration::from_millis(200))).ok()?;
+    let ReplMsg::Hello { version, token, last_ticket } = recv(shared, rx)? else {
         refuse(shared, tx, "expected ReplHello");
         return None;
     };
@@ -208,26 +186,13 @@ fn handshake(
         refuse(shared, tx, &format!("unsupported replication protocol version {version}"));
         return None;
     }
-    if let Some(expected) = &shared.opts.token {
-        if &token != expected {
-            refuse(shared, tx, "bad token");
-            return None;
-        }
+    if shared.token.as_ref().is_some_and(|expected| &token != expected) {
+        refuse(shared, tx, "bad token");
+        return None;
     }
-    let tailer = match WalTailer::new(
-        &shared.wal_dir,
-        last_ticket,
-        TailOptions { gap_patience: shared.opts.gap_patience },
-    ) {
-        Ok(t) => t,
-        Err(e) => {
-            refuse(shared, tx, &format!("cannot tail log: {e}"));
-            return None;
-        }
-    };
-    let welcome = ReplMsg::Welcome { version: REPL_PROTOCOL_VERSION, frontier: tailer.frontier() };
+    let welcome = ReplMsg::Welcome { version: REPL_PROTOCOL_VERSION, frontier: last_ticket };
     tx.send(0, &welcome).ok()?;
-    Some((tailer, last_ticket))
+    Some(last_ticket)
 }
 
 fn refuse(shared: &PrimaryShared, tx: &mut SendHalf, detail: &str) {
@@ -235,21 +200,21 @@ fn refuse(shared: &PrimaryShared, tx: &mut SendHalf, detail: &str) {
     let _ = tx.send(0, &ReplMsg::Fault { detail: detail.to_string() });
 }
 
-/// One follower's stream, to disconnection or shutdown.
+/// One follower's stream, to disconnection or shutdown: every batch is
+/// the frames the tailer released (up to the byte cap) plus fresh
+/// positions, and a batch with no frames is a heartbeat, sent only when
+/// the positions moved.
 fn ship(shared: &PrimaryShared, mut tx: SendHalf, mut rx: RecvHalf) {
-    let Some((mut tailer, resume)) = handshake(shared, &mut tx, &mut rx) else {
+    let Some(resume) = handshake(shared, &mut tx, &mut rx) else {
         return;
     };
+    let mut tailer = shared.store.tail(resume);
     shared.ins.followers.adjust(1);
     let mut seq = 0u64;
-    let mut shipped = resume;
-    let mut last_positions = (u64::MAX, u64::MAX);
-    // Frames held over from the previous poll that didn't fit the batch.
+    let mut last_positions = None;
+    // Frames released by the tailer that have not shipped yet.
     let mut backlog: std::collections::VecDeque<(u64, Vec<u8>)> = Default::default();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
+    while !shared.stop.load(Ordering::SeqCst) {
         if backlog.is_empty() {
             match tailer.poll() {
                 Ok(frames) => backlog.extend(frames),
@@ -259,48 +224,30 @@ fn ship(shared: &PrimaryShared, mut tx: SendHalf, mut rx: RecvHalf) {
                 }
             }
         }
-        let positions = (shared.sample)();
-        if backlog.is_empty() {
-            if positions != last_positions {
-                // Heartbeat: new positions, no frames.
-                let beat =
-                    ReplMsg::Batch { watermark: positions.0, ticket: positions.1, frames: vec![] };
-                seq += 1;
-                if tx.send(seq, &beat).is_err() || !await_ack(shared, &mut rx) {
-                    break;
-                }
-                shared.ins.heartbeats.inc();
-                last_positions = positions;
-            } else {
-                std::thread::park_timeout(shared.opts.poll_interval);
-            }
+        let positions = shared.positions();
+        if backlog.is_empty() && last_positions == Some(positions) {
+            tailer.wait(HEARTBEAT);
             continue;
         }
-        // Assemble one batch from the backlog, respecting the byte cap.
-        let mut frames = Vec::new();
-        let mut count = 0u64;
-        while let Some((ticket, bytes)) = backlog.front() {
+        // Only a batch's first frame can exceed the cap, so that is the
+        // one to check against the wire bound.
+        if let Some((ticket, bytes)) = backlog.front() {
             if bytes.len() > MAX_WIRE_PAYLOAD as usize - 64 {
-                // A single WAL frame beyond the wire bound cannot ship
-                // (known limitation — see docs/REPLICATION.md).
-                refuse(
-                    shared,
-                    &mut tx,
-                    &format!(
-                        "frame {ticket} is {} bytes, beyond the wire payload bound",
-                        bytes.len()
-                    ),
-                );
-                shared.ins.followers.adjust(-1);
-                return;
-            }
-            if !frames.is_empty() && frames.len() + bytes.len() > shared.opts.batch_max_bytes {
+                // Known limitation — see docs/REPLICATION.md.
+                let detail =
+                    format!("frame {ticket} is {} bytes, beyond the wire bound", bytes.len());
+                refuse(shared, &mut tx, &detail);
                 break;
             }
-            let (ticket, bytes) = backlog.pop_front().expect("front checked");
-            shipped = ticket;
+        }
+        let (mut frames, mut count, mut shipped) = (Vec::new(), 0u64, None);
+        while let Some((ticket, bytes)) = backlog.pop_front() {
+            if !frames.is_empty() && frames.len() + bytes.len() > BATCH_MAX_BYTES {
+                backlog.push_front((ticket, bytes));
+                break;
+            }
             frames.extend_from_slice(&bytes);
-            count += 1;
+            (count, shipped) = (count + 1, Some(ticket));
         }
         let batch_bytes = frames.len() as u64;
         let batch = ReplMsg::Batch { watermark: positions.0, ticket: positions.1, frames };
@@ -308,31 +255,35 @@ fn ship(shared: &PrimaryShared, mut tx: SendHalf, mut rx: RecvHalf) {
         if tx.send(seq, &batch).is_err() || !await_ack(shared, &mut rx) {
             break;
         }
-        last_positions = positions;
-        shared.ins.batches.inc();
-        shared.ins.frames.add(count);
-        shared.ins.bytes.add(batch_bytes);
-        shared.ins.shipped.set(shipped as i64);
+        last_positions = Some(positions);
+        match shipped {
+            None => shared.ins.heartbeats.inc(),
+            Some(ticket) => {
+                shared.ins.batches.inc();
+                shared.ins.frames.add(count);
+                shared.ins.bytes.add(batch_bytes);
+                shared.ins.shipped.set(ticket as i64);
+            }
+        }
     }
     shared.ins.followers.adjust(-1);
 }
 
-/// Block (with stop checks) for the follower's `Ack`; false = stream over.
+/// Block for the follower's `Ack`; false = stream over.
 fn await_ack(shared: &PrimaryShared, rx: &mut RecvHalf) -> bool {
+    let Some(ReplMsg::Ack { ticket }) = recv(shared, rx) else { return false };
+    shared.ins.acked.set(ticket as i64);
+    true
+}
+
+/// The next message, waiting out read timeouts until the primary stops;
+/// `None` = stream over.
+fn recv(shared: &PrimaryShared, rx: &mut RecvHalf) -> Option<ReplMsg> {
     loop {
         match rx.recv::<ReplMsg>() {
-            Ok(Some((_, ReplMsg::Ack { ticket }, _))) => {
-                shared.ins.acked.set(ticket as i64);
-                return true;
-            }
-            Ok(Some(_)) => return false,
-            Ok(None) => return false,
-            Err(e) if e.is_timeout() => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(_) => return false,
+            Ok(msg) => return msg.map(|(_, msg, _)| msg),
+            Err(e) if e.is_timeout() && !shared.stop.load(Ordering::SeqCst) => {}
+            Err(_) => return None,
         }
     }
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use hcc_adts::counter::{CounterAdt, CounterInv, CounterObject, CounterRes};
 use hcc_core::runtime::RuntimeAdt;
 use hcc_db::Db;
-use hcc_repl::{Follower, FollowerOptions, ObjectResolver, Primary, PrimaryOptions};
+use hcc_repl::{Follower, FollowerOptions, ObjectResolver, Primary};
 use hcc_storage::record;
 use hcc_storage::wal::read_records;
 use hcc_storage::{DurableObject, DurableStore, LogRecord};
@@ -32,22 +32,6 @@ fn resolver() -> ObjectResolver {
         let obj = db.object::<CounterObject>(name).map_err(|e| e.to_string())?;
         Ok(obj as Arc<dyn DurableObject>)
     })
-}
-
-fn sampler(db: &Db) -> hcc_repl::PositionSampler {
-    let mgr = db.manager().clone();
-    let store = db.storage().expect("durable db").clone();
-    Arc::new(move || {
-        // Watermark FIRST, ticket second — the order the soundness
-        // argument in hcc_wire::repl depends on.
-        let wm = mgr.stable_watermark();
-        let tk = store.last_issued_ticket();
-        (wm, tk)
-    })
-}
-
-fn fast_primary_opts() -> PrimaryOptions {
-    PrimaryOptions { poll_interval: Duration::from_millis(1), ..PrimaryOptions::default() }
 }
 
 fn follower_opts() -> FollowerOptions {
@@ -109,15 +93,8 @@ fn run_counter_load(db: &Db, txns: u64) {
 fn follower_converges_with_byte_identical_log_prefix() {
     let pdir = tmp("conv-primary");
     let rdir = tmp("conv-replica");
-    let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let db = Arc::new(Db::builder().segment_max_bytes(4096).open(&pdir).unwrap());
+    let mut primary = Primary::start("127.0.0.1:0", db.clone(), None).unwrap();
     let follower =
         Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
             .unwrap();
@@ -152,6 +129,11 @@ fn follower_converges_with_byte_identical_log_prefix() {
 
     drop(follower);
     primary.stop();
+    // The tailer read each byte of the log once, and every byte it read shipped.
+    assert_eq!(
+        db.stats().counter("repl.tail.bytes_read"),
+        db.stats().counter("repl.bytes.shipped")
+    );
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }
@@ -160,15 +142,8 @@ fn follower_converges_with_byte_identical_log_prefix() {
 fn torn_tail_and_disconnect_resume_byte_identically() {
     let pdir = tmp("torn-primary");
     let rdir = tmp("torn-replica");
-    let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let db = Arc::new(Db::builder().segment_max_bytes(4096).open(&pdir).unwrap());
+    let mut primary = Primary::start("127.0.0.1:0", db.clone(), None).unwrap();
     let addr = primary.local_addr().to_string();
 
     // Phase 1: converge on some history, then kill the follower
@@ -218,15 +193,8 @@ fn torn_tail_and_disconnect_resume_byte_identically() {
 fn promotion_preserves_replicated_commits_and_accepts_writes() {
     let pdir = tmp("promote-primary");
     let rdir = tmp("promote-replica");
-    let db = Db::builder().segment_max_bytes(4096).open(&pdir).unwrap();
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        db.storage().unwrap().dir(),
-        sampler(&db),
-        db.metrics(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let db = Arc::new(Db::builder().segment_max_bytes(4096).open(&pdir).unwrap());
+    let mut primary = Primary::start("127.0.0.1:0", db.clone(), None).unwrap();
     let follower =
         Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
             .unwrap();
@@ -302,14 +270,8 @@ fn standin_abort_links_the_chain_for_recovery_follower_and_promotion_alike() {
 
     // (ii) A follower streaming that log converges un-poisoned and serves
     // the second commit.
-    let mut primary = Primary::start(
-        "127.0.0.1:0",
-        &pdir,
-        Arc::new(|| (3, 8)),
-        &hcc_obs::Registry::new(),
-        fast_primary_opts(),
-    )
-    .unwrap();
+    let mut primary =
+        Primary::start("127.0.0.1:0", Arc::new(Db::open(&pdir).unwrap()), None).unwrap();
     let follower =
         Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
             .unwrap();

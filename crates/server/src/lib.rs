@@ -66,8 +66,10 @@ pub struct ServerOptions {
     /// is abandoned.
     pub handshake_timeout: Duration,
     /// When set, also bind a replication listener on this address and
-    /// ship the WAL to followers ([`hcc_repl::Primary`]). Requires a
-    /// durable `Db`; followers authenticate with the same `token`.
+    /// ship the live WAL to followers
+    /// (`hcc_repl::Primary::start(addr, db, token)`). Requires a durable
+    /// `Db`; followers authenticate with the same `token`. Nothing else
+    /// about the stream is settable.
     pub repl_listen: Option<String>,
 }
 
@@ -205,34 +207,7 @@ pub fn serve_with(db: Arc<Db>, addr: &str, opts: ServerOptions) -> std::io::Resu
     // shipper tails the same WAL the executors append to, and followers
     // present the same auth token clients do.
     let repl = match &opts.repl_listen {
-        Some(listen) => {
-            let Some(store) = db.storage() else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "repl_listen requires a durable Db (replication ships the WAL)",
-                ));
-            };
-            let mgr = db.manager().clone();
-            let store = store.clone();
-            // Watermark FIRST, ticket second — the sampling order the
-            // follower's consistent-prefix argument depends on.
-            let sample: hcc_repl::PositionSampler = Arc::new(move || {
-                let wm = mgr.stable_watermark();
-                let tk = store.last_issued_ticket();
-                (wm, tk)
-            });
-            let popts = hcc_repl::PrimaryOptions {
-                token: opts.token.clone(),
-                ..hcc_repl::PrimaryOptions::default()
-            };
-            Some(hcc_repl::Primary::start(
-                listen,
-                db.storage().unwrap().dir(),
-                sample,
-                db.metrics(),
-                popts,
-            )?)
-        }
+        Some(addr) => Some(hcc_repl::Primary::start(addr, db.clone(), opts.token.clone())?),
         None => None,
     };
 

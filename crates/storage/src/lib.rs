@@ -24,7 +24,8 @@
 //! * [`store`] — [`DurableStore`], the façade `hcc-txn`'s manager logs
 //!   through, plus [`DurableStore::recover`];
 //! * [`tail`] — [`WalTailer`], an incremental ticket-ordered reader over
-//!   a live WAL (the replication shipper's source). The
+//!   the live WAL ([`DurableStore::tail`], the replication shipper's
+//!   source), released only on what the log states exactly. The
 //!   follower's log is the same [`SegmentedWal`], fed the shipped frames
 //!   raw ([`SegmentedWal::append_frames`]), so promotion is a
 //!   [`wal::truncate_above`] plus plain recovery.
@@ -51,7 +52,7 @@ pub use store::{
     durability_env_override, CheckpointCursor, CommitChain, CommittedTxn, DurableStore, InDoubtTxn,
     Recovered, StorageOptions,
 };
-pub use tail::{TailOptions, WalTailer};
+pub use tail::WalTailer;
 pub use wal::{SegmentedWal, WalOptions};
 
 /// Anything that can go wrong in the storage layer.
@@ -59,7 +60,8 @@ pub use wal::{SegmentedWal, WalOptions};
 pub enum StorageError {
     /// An I/O failure.
     Io(std::io::Error),
-    /// A non-final segment contains an undecodable frame.
+    /// A segment holds an undecodable frame where none may be: in a
+    /// non-final segment, or anywhere a live log's tailer reads.
     Corrupt {
         /// The damaged segment's index.
         segment: u64,

@@ -51,6 +51,7 @@ use crate::checkpoint::Checkpoint;
 use crate::policy::{CompactionPolicy, LogStats};
 use crate::record::LogRecord;
 use crate::snapshot::Snapshot;
+use crate::tail::WalTailer;
 use crate::wal::{read_records, SegmentedWal, WalOptions};
 use crate::StorageError;
 use hcc_core::runtime::Durability;
@@ -219,7 +220,7 @@ impl CommitChain {
 /// A WAL + checkpoint store + compaction policy rooted at one directory.
 pub struct DurableStore {
     dir: PathBuf,
-    wal: SegmentedWal,
+    wal: Arc<SegmentedWal>,
     opts: StorageOptions,
     /// Highest commit timestamp logged through this store (seeded from the
     /// checkpoint *and* the WAL tail on open, so a resumed session's clock
@@ -286,11 +287,11 @@ impl DurableStore {
     ) -> Result<Arc<DurableStore>, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         let metrics = Arc::new(Registry::new());
-        let wal = SegmentedWal::open_with_metrics(
+        let wal = Arc::new(SegmentedWal::open_with_metrics(
             &dir,
             WalOptions { segment_max_bytes: opts.segment_max_bytes, durability: opts.durability },
             &metrics,
-        )?;
+        )?);
         let ckpt = Checkpoint::load_latest(&dir)?;
         let ckpt_ts = ckpt.as_ref().map(|c| c.last_ts).unwrap_or(0);
         // The WAL made one full pass over the surviving segments when it
@@ -427,11 +428,8 @@ impl DurableStore {
         self.wal.reserve()
     }
 
-    /// The last global order ticket issued so far (0 = none). Replication
-    /// samples this *after* reading the stable watermark: every commit at
-    /// or below that watermark has already retired, so its commit record
-    /// is ticketed at or below the value read here — the pair bounds what
-    /// a follower must apply before exposing the watermark to readers.
+    /// The last global order ticket issued so far (0 = none) — the second
+    /// half of the replication shipper's position pair.
     pub fn last_issued_ticket(&self) -> u64 {
         self.wal.current_ticket().saturating_sub(1)
     }
@@ -462,7 +460,20 @@ impl DurableStore {
     /// use [`DurableStore::reserve_ticket`] + [`DurableStore::publish_op`]
     /// instead so the ticket order matches the execution order).
     pub fn log_op(&self, txn: u64, object: &str, op: &[u8]) -> Result<(), StorageError> {
-        self.publish_op(self.wal.reserve(), txn, object, op)
+        let ticket = self.wal.reserve();
+        self.publish_op(ticket, txn, object, op).inspect_err(|_| self.wal.void(ticket))
+    }
+
+    /// Give up a ticket from [`DurableStore::reserve_ticket`] whose op
+    /// will never be published ([`SegmentedWal::void`]).
+    pub fn void(&self, ticket: u64) {
+        self.wal.void(ticket);
+    }
+
+    /// A [`WalTailer`] over the live log, emitting every frame above
+    /// ticket `after`; it counts what it reads in `repl.tail.bytes_read`.
+    pub fn tail(&self, after: u64) -> WalTailer {
+        WalTailer::new(self.wal.clone(), after, self.metrics.counter("repl.tail.bytes_read"))
     }
 
     /// The registry id for `object`, assigning (and durably registering)
@@ -513,9 +524,8 @@ impl DurableStore {
         self.wal.append_abort(txn)
     }
 
-    /// Durably log that `txn` aborted. Used when a commit record may
-    /// already be on disk but was never acknowledged (its fsync failed):
-    /// recovery's abort-wins rule needs this record to survive.
+    /// Durably log that `txn` aborted after its commit failed, filling
+    /// the chain slot it left held ([`SegmentedWal::commit_abort`]).
     pub fn log_abort_durable(&self, txn: u64) -> Result<(), StorageError> {
         self.release_image_on_append();
         self.wal.commit_abort(txn)

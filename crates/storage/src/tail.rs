@@ -1,249 +1,192 @@
-//! Tailing a live WAL: incremental, ticket-ordered frame export.
+//! Tailing the live WAL: incremental, ticket-ordered frame export.
 //!
 //! The replication shipper needs the log **in global ticket order**, but
 //! a ticket is reserved (under the lock that orders it) *before* its
-//! frame is appended (outside that lock) — so the file is not
-//! ticket-sorted, and at any instant its tail may be missing a ticket
-//! while higher ones are already visible. [`WalTailer`] owns a byte
-//! cursor into the log, decodes newly appended frames on every
-//! [`WalTailer::poll`], buffers them by ticket, and releases only the
-//! **contiguous prefix**: a frame is emitted exactly once, after every
-//! lower ticket has been emitted.
+//! frame is appended (outside that lock), so the file is not
+//! ticket-sorted: its tail may lack a ticket while higher ones are
+//! visible. A [`WalTailer`] is built from the open log
+//! ([`crate::DurableStore::tail`]). It keeps its segment open, reads only
+//! what was appended since its last [`WalTailer::poll`], buffers frames
+//! by ticket, and releases the **contiguous prefix**, each ticket once.
+//! Frames stay raw envelope bytes (`len|crc|seq|payload`), so the
+//! follower's log prefix is byte-identical to the primary's.
 //!
-//! Frames are captured as raw envelope bytes (`len|crc|seq|payload`),
-//! not re-encoded — the follower appends what the primary wrote, and the
-//! converged log prefix is byte-identical once sorted by ticket.
+//! ## The three facts
 //!
-//! ## Gaps
+//! The tailer never guesses. It moves past ticket `t` only on what the
+//! log states, sampled before each read:
 //!
-//! Three ways a ticket can be missing at the contiguity frontier:
+//! * **`t` is on file.** A commit frame ships once the chain has settled
+//!   at or past `t`: the abort that repairs a failed commit is written
+//!   before the commit settles, and an abort at the same ticket wins over
+//!   the commit — recovery's abort-wins rule. Other frames ship at once.
+//! * **`t` is void** ([`crate::SegmentedWal::void`]): reserved and
+//!   provably never written. It is passed.
+//! * **`t` is held**: a failed commit in `failed_commits`, waiting for
+//!   the abort that fills its slot. Nothing at or past it ships until
+//!   then — a sick log stalls the stream visibly.
 //!
-//! * **in flight** — reserved, not yet flushed. Microseconds; the next
-//!   poll finds it. This is the common case and why the tailer waits.
-//! * **never coming** — a transaction reserved the ticket and then hit
-//!   an append failure and aborted, or the ticket is below the log's
-//!   pruned floor. Waiting forever would wedge the stream, so after
-//!   [`TailOptions::gap_patience`] consecutive polls without progress
-//!   the tailer skips to the next ticket it actually holds and counts
-//!   the jump in [`WalTailer::gaps_skipped`].
-//! * **pruned mid-tail** — compaction deleted a segment below the cursor.
-//!   Replication sources should run with pruning off (or a follower
-//!   bootstraps from a checkpoint first — a ROADMAP follow-up); the
-//!   tailer surfaces the vanished file as an error instead of guessing.
-//!
-//! Visibility follows the writer's flush discipline: begin, op, register
-//! and abort records ride a process buffer at every level and reach the
-//! file with the next completion record's write under `Buffered` (or the
-//! next group flush under `Fsync`), while `Durability::None` may hold
-//! several KiB back indefinitely — which is why replication is specified
-//! for the buffered/fsync modes. A record whose ticket is overtaken — a
-//! higher one already on file — is written at once, so a gap the tailer
-//! sees is an append in flight, not a record parked in the buffer.
+//! Any other missing ticket is in flight; [`WalTailer::wait`] parks until
+//! the log's next write, settle or void. Records ride the log's buffer to
+//! the next completion record's write, except one whose ticket a higher
+//! one on file overtook, which is written at once — so an idle
+//! transaction never holds the stream. `Durability::None` may hold
+//! records back indefinitely, which is why replication is specified for
+//! the buffered/fsync modes. A segment compaction deletes under the
+//! tailer is an error: replication sources run with compaction off.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::Read;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crate::record;
-use crate::wal::{list_segments, segment_path, stream_dir};
+use crate::record::{self, LogRecord};
+use crate::wal::SegmentedWal;
 use crate::StorageError;
+use hcc_core::runtime::WakeToken;
+use hcc_obs::Counter;
 use hcc_wire::frame::FrameError;
 
-/// Tunables for a [`WalTailer`].
-#[derive(Clone, Copy, Debug)]
-pub struct TailOptions {
-    /// Consecutive no-progress polls at a ticket gap before the tailer
-    /// declares the missing ticket dead and skips it.
-    pub gap_patience: u32,
-}
-
-impl Default for TailOptions {
-    fn default() -> TailOptions {
-        TailOptions { gap_patience: 50 }
-    }
-}
-
-/// One exported frame: its ticket and its raw envelope bytes.
-pub type TailedFrame = (u64, Vec<u8>);
-
-/// An incremental, ticket-ordered reader over a (possibly live) WAL
-/// directory. See the module docs for the contract.
+/// An incremental, ticket-ordered reader over a live WAL. See the module
+/// docs for the contract.
 pub struct WalTailer {
-    /// The directory of segment files.
-    stream: PathBuf,
-    /// The byte cursor: the segment being read and the offset of the
-    /// first byte not yet consumed (always a frame boundary).
+    wal: Arc<SegmentedWal>,
+    /// Woken by every write, settle and void of `wal`.
+    wake: Arc<WakeToken>,
+    /// The segment being read and its handle, positioned at the first
+    /// byte not yet read (opened on first use).
     seg_index: u64,
-    offset: u64,
-    /// Decoded-but-not-yet-contiguous frames, keyed by ticket.
-    pending: BTreeMap<u64, Vec<u8>>,
+    file: Option<File>,
+    /// Bytes read past the last whole frame: a frame still being written.
+    partial: Vec<u8>,
+    /// Frames read but not yet released, by ticket, each marked when it
+    /// is a commit record.
+    pending: BTreeMap<u64, (bool, Vec<u8>)>,
     /// The next ticket to emit.
     next: u64,
-    /// Highest ticket seen on disk so far.
-    frontier: u64,
-    /// Consecutive polls that made no emission progress while pending
-    /// frames sat above a gap.
-    stalled: u32,
-    /// Tickets skipped as permanently missing.
-    gaps_skipped: u64,
-    opts: TailOptions,
+    /// `repl.tail.bytes_read`: every byte this tailer read off the file.
+    bytes_read: Arc<Counter>,
 }
 
 impl WalTailer {
-    /// Open a tailer over `dir` that will emit every frame with ticket
-    /// strictly greater than `after`, in ticket order. Existing segments
-    /// are scanned immediately (the catch-up); frames at or below
-    /// `after` are counted into the frontier but not buffered.
-    pub fn new(
-        dir: impl AsRef<Path>,
-        after: u64,
-        opts: TailOptions,
-    ) -> Result<WalTailer, StorageError> {
-        let stream = stream_dir(dir.as_ref())?;
-        // A log not yet opened by its writer starts at segment 1.
-        let seg_index = list_segments(&stream)?.first().map_or(1, |(i, _)| *i);
-        Ok(WalTailer {
-            stream,
-            seg_index,
-            offset: 0,
+    /// A tailer over `wal` that emits every frame with ticket strictly
+    /// greater than `after`, in ticket order, starting from the lowest
+    /// segment on disk.
+    pub(crate) fn new(wal: Arc<SegmentedWal>, after: u64, bytes_read: Arc<Counter>) -> WalTailer {
+        let wake = Arc::new(WakeToken::new());
+        wal.attach_tailer(&wake);
+        WalTailer {
+            seg_index: wal.first_segment(),
+            wal,
+            wake,
+            file: None,
+            partial: Vec::new(),
             pending: BTreeMap::new(),
             next: after + 1,
-            frontier: after,
-            stalled: 0,
-            gaps_skipped: 0,
-            opts,
-        })
-    }
-
-    /// Highest ticket observed on disk (shipped or not).
-    pub fn frontier(&self) -> u64 {
-        self.frontier
-    }
-
-    /// The next ticket [`WalTailer::poll`] would emit.
-    pub fn next_ticket(&self) -> u64 {
-        self.next
-    }
-
-    /// Tickets abandoned as permanently missing (reserved but never
-    /// appended — an aborted transaction's failed op append).
-    pub fn gaps_skipped(&self) -> u64 {
-        self.gaps_skipped
-    }
-
-    /// Read newly appended complete frames off the log and return the
-    /// released contiguous run of tickets, oldest first. An empty result
-    /// means nothing new is both visible and contiguous yet.
-    pub fn poll(&mut self) -> Result<Vec<TailedFrame>, StorageError> {
-        self.read_appended()?;
-        let mut out = Vec::new();
-        while let Some(bytes) = self.pending.remove(&self.next) {
-            out.push((self.next, bytes));
-            self.next += 1;
+            bytes_read,
         }
-        if out.is_empty() && !self.pending.is_empty() {
-            // Frames are waiting above a gap. Give the in-flight writer
-            // time, then declare the hole permanent and jump it.
-            self.stalled += 1;
-            if self.stalled > self.opts.gap_patience {
-                let (&first, _) = self.pending.iter().next().expect("pending is non-empty");
-                self.gaps_skipped += first - self.next;
-                self.next = first;
-                while let Some(bytes) = self.pending.remove(&self.next) {
+    }
+
+    /// Read what was appended and return the released run of frames as
+    /// `(ticket, envelope bytes)`, oldest first; empty when nothing new
+    /// is releasable.
+    pub fn poll(&mut self) -> Result<Vec<(u64, Vec<u8>)>, StorageError> {
+        let facts = self.wal.tail_facts();
+        self.read_appended(facts.segment)?;
+        let mut out = Vec::new();
+        while !facts.held.contains(&self.next) {
+            match self.pending.get(&self.next) {
+                Some(&(commit, _)) if commit && self.next > facts.settled => break,
+                Some(_) => {
+                    let (_, bytes) = self.pending.remove(&self.next).expect("just seen");
                     out.push((self.next, bytes));
                     self.next += 1;
                 }
-                self.stalled = 0;
+                None => match self.wal.void_end(self.next) {
+                    Some(end) => self.next = end,
+                    None => break,
+                },
             }
-        } else {
-            self.stalled = 0;
         }
         Ok(out)
     }
 
-    fn read_appended(&mut self) -> Result<(), StorageError> {
+    /// Park until the log's next write, settle or void (or one since the
+    /// last wait), or until `timeout` passes.
+    pub fn wait(&self, timeout: Duration) {
+        self.wake.park(Some(Instant::now() + timeout));
+    }
+
+    /// Read to the end of the file, segment by segment up to `active`
+    /// (sampled before this read, so every segment below it is finished:
+    /// rotation writes all of a segment before the index moves on).
+    fn read_appended(&mut self, active: u64) -> Result<(), StorageError> {
         loop {
-            let (offset, seg_index) = (self.offset, self.seg_index);
-            let path = segment_path(&self.stream, seg_index);
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // Either the log hasn't written its first segment
-                    // yet, or compaction pruned under our cursor.
-                    let segments = list_segments(&self.stream)?;
-                    match segments.first() {
-                        None => return Ok(()),
-                        Some((first, _)) if *first > seg_index && offset == 0 => {
-                            // We never read a byte of the pruned range …
-                            // but pruning only deletes segments whose
-                            // records are checkpointed, i.e. tickets we
-                            // were expected to ship. Surface it.
-                            return Err(StorageError::Io(std::io::Error::new(
-                                std::io::ErrorKind::NotFound,
-                                format!(
-                                    "segment {seg_index} of {} was pruned under the replication \
-                                     tailer; run the replicated store with compaction off",
-                                    self.stream.display()
-                                ),
-                            )));
-                        }
-                        Some(_) => return Ok(()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let mut at = offset as usize;
-            while at < bytes.len() {
-                match record::decode_at(&bytes, at) {
-                    Ok((seq, _rec, end)) => {
-                        self.frontier = self.frontier.max(seq);
-                        if seq >= self.next && !self.pending.contains_key(&seq) {
-                            self.pending.insert(seq, bytes[at..end].to_vec());
-                        }
-                        at = end;
-                    }
-                    // Truncated: a torn tail mid-append (wait for the
-                    // rest). BadCrc/Malformed at the very tail can also
-                    // be a read racing a buffered writer mid-flush —
-                    // re-read next poll; if it is real corruption the
-                    // stream stalls visibly instead of shipping garbage.
-                    Err(FrameError::Truncated)
-                    | Err(FrameError::BadCrc)
-                    | Err(FrameError::Malformed)
-                    | Err(FrameError::BadLength(_)) => break,
-                }
+            if self.file.is_none() {
+                let path = self.wal.segment_file(self.seg_index);
+                let file = File::open(&path).map_err(|e| {
+                    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+                })?;
+                self.file = Some(file);
             }
-            self.offset = at as u64;
-            if at == bytes.len() {
-                // Clean end of this segment: advance to the next one if
-                // rotation already created it, else wait here.
-                let segments = list_segments(&self.stream)?;
-                match segments.iter().find(|(idx, _)| *idx > seg_index) {
-                    // Rotation finishes a segment before it creates the
-                    // next, so this one is final now — but it may have
-                    // grown between our read and the rotation; leave it
-                    // only once all of it is consumed.
-                    Some(_) if fs::metadata(&path)?.len() > bytes.len() as u64 => {}
-                    Some((next_idx, _)) => {
-                        self.seg_index = *next_idx;
-                        self.offset = 0;
-                    }
-                    None => return Ok(()),
-                }
-            } else {
-                // Mid-frame tail: wait for the writer.
+            let file = self.file.as_mut().expect("opened above");
+            let before = self.partial.len();
+            file.read_to_end(&mut self.partial)?;
+            self.bytes_read.add((self.partial.len() - before) as u64);
+            let used = self.take_frames()?;
+            self.partial.drain(..used);
+            if self.seg_index >= active {
                 return Ok(());
             }
+            if !self.partial.is_empty() {
+                return Err(self.corrupt("a finished segment ends mid-frame".into()));
+            }
+            self.seg_index += 1;
+            self.file = None;
         }
+    }
+
+    /// Buffer the whole frames at the front of `partial`; returns the
+    /// bytes they span. The file holds a prefix of what was written, so
+    /// a short frame is still being written, and any other decode
+    /// failure is corruption.
+    fn take_frames(&mut self) -> Result<usize, StorageError> {
+        let mut at = 0;
+        while at < self.partial.len() {
+            let (seq, rec, end) = match record::decode_at(&self.partial, at) {
+                Ok(frame) => frame,
+                Err(FrameError::Truncated) => break,
+                Err(e) => return Err(self.corrupt(format!("{e:?} in the live log"))),
+            };
+            if seq >= self.next {
+                let frame =
+                    (matches!(rec, LogRecord::Commit { .. }), self.partial[at..end].to_vec());
+                if matches!(rec, LogRecord::Abort { .. }) {
+                    // Abort wins over a commit at the same ticket.
+                    self.pending.insert(seq, frame);
+                } else {
+                    self.pending.entry(seq).or_insert(frame);
+                }
+            }
+            at = end;
+        }
+        Ok(at)
+    }
+
+    fn corrupt(&self, detail: String) -> StorageError {
+        StorageError::Corrupt { segment: self.seg_index, detail }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{SegmentedWal, WalOptions};
-    use crate::LogRecord;
+    use crate::wal::WalOptions;
     use hcc_core::runtime::Durability;
+    use hcc_obs::Registry;
+    use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -263,11 +206,48 @@ mod tests {
         WalOptions { segment_max_bytes: 256, ..WalOptions::default() }
     }
 
+    fn open(dir: &PathBuf, opts: WalOptions) -> Arc<SegmentedWal> {
+        Arc::new(SegmentedWal::open(dir, opts).unwrap())
+    }
+
+    fn tail(wal: &Arc<SegmentedWal>, after: u64) -> WalTailer {
+        WalTailer::new(wal.clone(), after, Registry::new().counter("repl.tail.bytes_read"))
+    }
+
     fn append_txn(wal: &SegmentedWal, txn: u64, obj: u64, ts: u64) {
         wal.append_begin(txn).unwrap();
         let seq = wal.reserve();
         wal.append_op(seq, txn, obj, format!("op-{txn}").as_bytes()).unwrap();
         wal.commit_txn(txn, ts).unwrap();
+    }
+
+    /// Poll until a poll releases nothing; the tickets released.
+    fn drain(tailer: &mut WalTailer) -> Vec<u64> {
+        let mut got = Vec::new();
+        loop {
+            let more = tailer.poll().unwrap();
+            if more.is_empty() {
+                return got;
+            }
+            got.extend(more.iter().map(|(s, _)| *s));
+        }
+    }
+
+    /// Poll until nothing more is released; the frames released, as
+    /// `(ticket, record)`.
+    fn drain_records(tailer: &mut WalTailer) -> Vec<(u64, LogRecord)> {
+        let mut got = Vec::new();
+        loop {
+            let more = tailer.poll().unwrap();
+            if more.is_empty() {
+                return got;
+            }
+            for (seq, bytes) in more {
+                let (dseq, rec, used) = record::decode_at(&bytes, 0).unwrap();
+                assert_eq!((dseq, used), (seq, bytes.len()));
+                got.push((seq, rec));
+            }
+        }
     }
 
     /// Several threads reserve tickets and append outside any common
@@ -277,11 +257,8 @@ mod tests {
     #[test]
     fn tails_out_of_ticket_order_appends_in_ticket_order_across_rotations() {
         let dir = tmp("order");
-        let wal = std::sync::Arc::new(SegmentedWal::open(&dir, opts()).unwrap());
-        // Every gap here is an append in flight; a tight poll loop must
-        // not outrun an fsync and give up on one.
-        let patient = TailOptions { gap_patience: u32::MAX };
-        let mut tailer = WalTailer::new(&dir, 0, patient).unwrap();
+        let wal = open(&dir, opts());
+        let mut tailer = tail(&wal, 0);
         let mut got: Vec<u64> = Vec::new();
         let writers: Vec<_> = (0..4u64)
             .map(|t| {
@@ -311,16 +288,9 @@ mod tests {
             w.join().unwrap();
         }
         wal.sync().unwrap();
-        loop {
-            let more = tailer.poll().unwrap();
-            if more.is_empty() {
-                break;
-            }
-            got.extend(more.iter().map(|(s, _)| *s));
-        }
+        got.extend(drain(&mut tailer));
         let expect: Vec<u64> = (1..wal.current_ticket()).collect();
         assert_eq!(got, expect, "contiguous ticket order, nothing lost or duplicated");
-        assert_eq!(tailer.gaps_skipped(), 0);
         let segments = crate::wal::segments(&dir).unwrap();
         assert!(segments.len() > 2, "the log rotated under the tailer");
         let physical: Vec<u64> = segments
@@ -335,80 +305,87 @@ mod tests {
     #[test]
     fn catch_up_starts_strictly_after_the_resume_ticket() {
         let dir = tmp("resume");
-        let wal = SegmentedWal::open(&dir, opts()).unwrap();
+        let wal = open(&dir, opts());
         for txn in 1..=10u64 {
             append_txn(&wal, txn, txn, txn);
         }
         wal.sync().unwrap();
         let cut = 7;
-        let mut tailer = WalTailer::new(&dir, cut, TailOptions::default()).unwrap();
-        let mut got = Vec::new();
-        loop {
-            let more = tailer.poll().unwrap();
-            if more.is_empty() {
-                break;
-            }
-            got.extend(more.iter().map(|(s, _)| *s));
-        }
+        let mut tailer = tail(&wal, cut);
         let expect: Vec<u64> = (cut + 1..wal.current_ticket()).collect();
-        assert_eq!(got, expect);
-        assert_eq!(tailer.frontier(), wal.current_ticket() - 1);
+        assert_eq!(drain(&mut tailer), expect);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn permanent_gap_is_skipped_after_patience_runs_out() {
-        let dir = tmp("gap");
-        let wal = SegmentedWal::open(&dir, opts()).unwrap();
+    fn a_void_ticket_is_passed_on_the_first_poll_after_it_is_voided() {
+        let dir = tmp("void");
+        let wal = open(&dir, opts());
         append_txn(&wal, 1, 1, 1);
-        // Burn a ticket that will never be appended (a failed op append
-        // whose transaction aborted).
-        let _dead = wal.reserve();
+        // A ticket whose append will fail, and a frame behind it.
+        let dead = wal.reserve();
         let after = wal.reserve();
         wal.append_op(after, 9, 1, b"late").unwrap();
         wal.sync().unwrap();
-        let mut tailer = WalTailer::new(&dir, 0, TailOptions { gap_patience: 3 }).unwrap();
+        let mut tailer = tail(&wal, 0);
+        assert_eq!(drain(&mut tailer), (1..dead).collect::<Vec<_>>());
+        assert!(tailer.poll().unwrap().is_empty(), "a reserved ticket is in flight until voided");
+        wal.void(dead);
+        let got: Vec<u64> = tailer.poll().unwrap().iter().map(|(s, _)| *s).collect();
+        assert_eq!(got, vec![after]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_in_flight_reserved_ticket_is_held_through_1000_polls_then_ships_with_everything_behind_it(
+    ) {
+        let dir = tmp("in-flight");
+        let wal = open(&dir, opts());
+        append_txn(&wal, 1, 1, 1);
+        let slow = wal.reserve();
+        for txn in 2..=6 {
+            append_txn(&wal, txn, txn, txn);
+        }
+        wal.sync().unwrap();
+        let mut tailer = tail(&wal, 0);
         let mut got = Vec::new();
-        for _ in 0..10 {
+        for _ in 0..1000 {
             got.extend(tailer.poll().unwrap().iter().map(|(s, _)| *s));
         }
-        assert!(got.contains(&after), "the frame past the dead ticket ships: {got:?}");
-        assert_eq!(tailer.gaps_skipped(), 1);
+        assert_eq!(got, (1..slow).collect::<Vec<_>>(), "nothing past the reserved ticket");
+        wal.append_op(slow, 1, 1, b"slow").unwrap();
+        wal.sync().unwrap();
+        got.extend(drain(&mut tailer));
+        assert_eq!(got, (1..wal.current_ticket()).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An op published after its latch was released can find a higher
     /// ticket already on file. Under `Buffered` it must reach the file at
     /// once, not wait for a commit that an idle interactive transaction
-    /// may never bring, or the tailer gives up on it as dead.
+    /// may never bring — the tailer waits on it, and would wait forever.
     #[test]
     fn overtaken_op_of_an_idle_transaction_is_not_skipped() {
         let dir = tmp("overtaken");
-        let opts = WalOptions { durability: Durability::Buffered, ..opts() };
-        let wal = SegmentedWal::open(&dir, opts).unwrap();
+        let wal = open(&dir, WalOptions { durability: Durability::Buffered, ..opts() });
         wal.append_begin(1).unwrap();
         let op = wal.reserve();
         append_txn(&wal, 2, 2, 1);
         wal.append_op(op, 1, 1, b"late").unwrap();
         // Transaction 1 now sits idle: nothing else reaches the log.
-        let mut tailer = WalTailer::new(&dir, 0, TailOptions { gap_patience: 3 }).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..10 {
-            got.extend(tailer.poll().unwrap().iter().map(|(s, _)| *s));
-        }
+        let mut tailer = tail(&wal, 0);
         let expect: Vec<u64> = (1..wal.current_ticket()).collect();
-        assert_eq!(got, expect, "every ticket ships, the overtaken op included");
-        assert_eq!(tailer.gaps_skipped(), 0);
+        assert_eq!(drain(&mut tailer), expect, "every ticket ships, the overtaken op included");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_bytes_are_held_back_until_completed() {
         let dir = tmp("torn");
-        let wal = SegmentedWal::open(&dir, opts()).unwrap();
+        let wal = open(&dir, opts());
         append_txn(&wal, 1, 1, 1);
         wal.sync().unwrap();
-        let mut tailer = WalTailer::new(&dir, 0, TailOptions::default()).unwrap();
+        let mut tailer = tail(&wal, 0);
         let n_first = tailer.poll().unwrap().len();
         assert!(n_first >= 3, "begin+op+commit visible");
         // Hand-tear a half frame onto the active segment, at the next
@@ -427,6 +404,72 @@ mod tests {
         drop(f);
         let got = tailer.poll().unwrap();
         assert_eq!(got.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![next]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A commit whose fsync failed is on file, and so is the abort that
+    /// repaired its chain slot at the same ticket. The stream carries the
+    /// abort and never the commit — recovery's abort-wins rule.
+    #[test]
+    fn a_commit_whose_fsync_failed_ships_as_its_abort() {
+        let dir = tmp("hole");
+        let wal = open(&dir, WalOptions { durability: Durability::Fsync, ..opts() });
+        append_txn(&wal, 1, 1, 1);
+        wal.append_begin(2).unwrap();
+        wal.append_op(wal.reserve(), 2, 1, b"doomed").unwrap();
+        wal.sync_faults.store(1, Ordering::SeqCst);
+        assert!(wal.commit_txn(2, 2).is_err());
+        let t = wal.current_ticket() - 1;
+        append_txn(&wal, 3, 1, 3);
+        let mut tailer = tail(&wal, 0);
+        let got = drain_records(&mut tailer);
+        assert_eq!(
+            got.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+            (1..wal.current_ticket()).collect::<Vec<_>>()
+        );
+        let at_t: Vec<&LogRecord> = got.iter().filter(|(s, _)| *s == t).map(|(_, r)| r).collect();
+        assert_eq!(at_t, vec![&LogRecord::Abort { txn: 2 }], "Abort@{t}, never Commit@{t}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With the repair abort's fsync failed too, the ticket waits in
+    /// `failed_commits`: nothing at or past it ships — later commits
+    /// included — until the compensating durable abort lands.
+    #[test]
+    fn a_failed_commit_whose_repair_failed_holds_the_stream_until_its_abort_lands() {
+        let dir = tmp("held");
+        let wal = open(&dir, WalOptions { durability: Durability::Fsync, ..opts() });
+        append_txn(&wal, 1, 1, 1);
+        wal.append_begin(2).unwrap();
+        wal.append_op(wal.reserve(), 2, 1, b"doomed").unwrap();
+        wal.sync_faults.store(2, Ordering::SeqCst);
+        assert!(wal.commit_txn(2, 2).is_err());
+        let t = wal.current_ticket() - 1;
+        append_txn(&wal, 3, 1, 3);
+        let mut tailer = tail(&wal, 0);
+        assert_eq!(drain(&mut tailer), (1..t).collect::<Vec<_>>(), "nothing at or past {t}");
+        wal.commit_abort(2).unwrap();
+        let got = drain_records(&mut tailer);
+        assert_eq!(got.first(), Some(&(t, LogRecord::Abort { txn: 2 })));
+        assert_eq!(got.last().map(|(s, _)| *s), Some(wal.current_ticket() - 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_parked_tailer_wakes_on_the_next_commit() {
+        let dir = tmp("wake");
+        let wal = open(&dir, WalOptions { durability: Durability::Buffered, ..opts() });
+        let mut tailer = tail(&wal, 0);
+        assert!(tailer.poll().unwrap().is_empty());
+        let waiter = std::thread::spawn(move || {
+            let started = Instant::now();
+            tailer.wait(Duration::from_secs(60));
+            (started.elapsed(), tailer)
+        });
+        append_txn(&wal, 1, 1, 1);
+        let (waited, mut tailer) = waiter.join().unwrap();
+        assert!(waited < Duration::from_secs(60), "woken, not timed out");
+        assert_eq!(drain(&mut tailer), (1..wal.current_ticket()).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -45,10 +45,16 @@
 //! * **The op count.** Commit records carry the number of op records
 //!   their transaction logged. A transaction's ops precede its commit in
 //!   the file, so a tail cut cannot separate them — but a lost or wrongly
-//!   pruned segment can, and so can a replication feed that gave up on a
-//!   frame (the tailer's gap patience); recovery drops a commit with
-//!   fewer surviving ops as incompletely durable instead of
-//!   half-replaying it.
+//!   pruned segment can, and so can a feed that skipped a frame; recovery
+//!   drops a commit with fewer surviving ops as incompletely durable
+//!   instead of half-replaying it.
+//!
+//! ## What a tailer is told
+//!
+//! The file cannot say whether a missing ticket is in flight or never
+//! coming, so the log says it ([`SegmentedWal::void`]), publishes the
+//! settled chain and the held `failed_commits` tickets, and wakes every
+//! attached tailer (`crate::tail`) on each write, settle and void.
 //!
 //! ## Group commit
 //!
@@ -71,14 +77,14 @@
 
 use crate::record::{self, FrameError, LogRecord};
 use crate::StorageError;
-use hcc_core::runtime::Durability;
+use hcc_core::runtime::{Durability, WakeToken};
 use hcc_obs::{Counter, Histogram, Registry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 
 /// Flush threshold for records that ride the process buffer (bounds its
 /// growth when no completion record comes along to carry them).
@@ -108,6 +114,8 @@ struct Inner {
     file: Arc<File>,
     seg_index: u64,
     seg_bytes: u64,
+    /// The lowest segment still on disk (where a tailer starts).
+    first_seg: u64,
     /// Process-local buffer of encoded-but-unwritten records.
     buf: Vec<u8>,
     /// Highest ticket ever appended to `buf`, and its value at the last
@@ -196,6 +204,28 @@ pub struct SegmentedWal {
     /// chained after it was never acknowledged".
     chain_settled: Mutex<u64>,
     chain_settled_cv: Condvar,
+    /// Void tickets ([`SegmentedWal::void`]) as `start → end` ranges.
+    voids: Mutex<BTreeMap<u64, u64>>,
+    /// The tailers' wake tokens, and whether there are any: a log nobody
+    /// tails signals with one atomic load. The flag's Release stores pair
+    /// with the Acquire load in `wake_tailers`; a signal that still reads
+    /// `false` precedes the new tailer's first sample, which sees it.
+    tailers: Mutex<Vec<Weak<WakeToken>>>,
+    tailed: AtomicBool,
+    /// Test hook: how many upcoming group-commit fsyncs fail.
+    #[cfg(test)]
+    pub(crate) sync_faults: std::sync::atomic::AtomicI64,
+}
+
+/// What a tailer may rely on, sampled before it reads the file.
+pub(crate) struct TailFacts {
+    /// `chain_settled`: a commit at or below it is final, and the abort
+    /// that repairs it, if any, is already written.
+    pub settled: u64,
+    /// The tickets held in `failed_commits`.
+    pub held: Vec<u64>,
+    /// The active segment: every one below it is finished.
+    pub segment: u64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -245,8 +275,8 @@ fn numbered_entries(
 }
 
 /// The stream directory of the log rooted at `dir` — the one place the
-/// on-disk layout is resolved; [`SegmentedWal::open`], [`read_records`],
-/// [`truncate_above`] and the tailer all come through here. A root that
+/// on-disk layout is resolved; [`SegmentedWal::open`], [`read_records`]
+/// and [`truncate_above`] all come through here. A root that
 /// holds segments under any `stripe-NN` with NN ≥ 1 was written as a
 /// multi-stream log and is refused with [`StorageError::StripedLayout`]
 /// before anything is read or repaired: silently opening stream 0 alone
@@ -333,6 +363,16 @@ impl SegmentedWal {
         // segment exactly once, recovery included.
         let (records, torn) = read_segments(&segments)?;
         let scan = OpenScan::from_records(&records);
+        // A ticket below the highest survivor that did not survive is
+        // void: its writer, or its pruned segment, is gone.
+        let mut voids = BTreeMap::new();
+        let mut expect = 1;
+        for (seq, _) in &records {
+            if *seq > expect {
+                voids.insert(expect, *seq);
+            }
+            expect = expect.max(seq + 1);
+        }
         Ok(SegmentedWal {
             stream,
             opts,
@@ -340,6 +380,7 @@ impl SegmentedWal {
                 file: Arc::new(file),
                 seg_index,
                 seg_bytes,
+                first_seg: segments.first().map_or(seg_index, |(index, _)| *index),
                 buf: Vec::new(),
                 appended_high: 0,
                 written_high: 0,
@@ -371,6 +412,11 @@ impl SegmentedWal {
             failed_commits: Mutex::new(HashMap::new()),
             chain_settled: Mutex::new(scan.max_commit_seq),
             chain_settled_cv: Condvar::new(),
+            voids: Mutex::new(voids),
+            tailers: Mutex::new(Vec::new()),
+            tailed: AtomicBool::new(false),
+            #[cfg(test)]
+            sync_faults: Default::default(),
             open_scan: scan,
             open_image: Mutex::new(Some((records, torn))),
         })
@@ -394,9 +440,12 @@ impl SegmentedWal {
     /// Raise the ticket counter so the next reserved ticket is at least
     /// `floor` — called by the store with the checkpoint's recorded
     /// watermark, since compaction may have deleted the segments that
-    /// held the highest tickets.
+    /// held the highest tickets. The tickets skipped are void.
     pub fn witness_ticket(&self, floor: u64) {
-        self.ticket.fetch_max(floor, Ordering::Relaxed);
+        let below = self.ticket.fetch_max(floor, Ordering::Relaxed);
+        if floor > below {
+            lock(&self.voids).insert(below, floor);
+        }
     }
 
     /// Raise the commit-chain anchor to at least `floor` (the
@@ -430,6 +479,53 @@ impl SegmentedWal {
         self.ticket.load(Ordering::Relaxed)
     }
 
+    /// Declare `ticket` void: reserved, and provably never written, so a
+    /// tailer passes it instead of waiting. The log voids the tickets it
+    /// draws itself; a caller that gives up on one it reserved says so
+    /// here.
+    pub fn void(&self, ticket: u64) {
+        lock(&self.voids).insert(ticket, ticket + 1);
+        self.wake_tailers();
+    }
+
+    /// The end (exclusive) of the void range holding `ticket`, if any.
+    pub(crate) fn void_end(&self, ticket: u64) -> Option<u64> {
+        let voids = lock(&self.voids);
+        voids.range(..=ticket).next_back().map(|(_, &end)| end).filter(|&end| ticket < end)
+    }
+
+    /// Sample what a tailer may rely on. `chain_settled` comes first, so
+    /// the repair abort of a commit settled by then is already on file,
+    /// or its ticket is listed as held.
+    pub(crate) fn tail_facts(&self) -> TailFacts {
+        let settled = *lock(&self.chain_settled);
+        let held = lock(&self.failed_commits).values().copied().collect();
+        let segment = lock(&self.inner).seg_index;
+        TailFacts { settled, held, segment }
+    }
+
+    pub(crate) fn first_segment(&self) -> u64 {
+        lock(&self.inner).first_seg
+    }
+
+    pub(crate) fn segment_file(&self, index: u64) -> PathBuf {
+        segment_path(&self.stream, index)
+    }
+
+    /// Wake `token` on every write, settle and void while it lives.
+    pub(crate) fn attach_tailer(&self, token: &Arc<WakeToken>) {
+        lock(&self.tailers).push(Arc::downgrade(token));
+        self.tailed.store(true, Ordering::Release);
+    }
+
+    fn wake_tailers(&self) {
+        if self.tailed.load(Ordering::Acquire) {
+            let mut tailers = lock(&self.tailers);
+            tailers.retain(|t| t.upgrade().inspect(|t| t.wake()).is_some());
+            self.tailed.store(!tailers.is_empty(), Ordering::Release);
+        }
+    }
+
     /// Write the process buffer to the OS, counting every `write(2)`
     /// (`wal.writes`). Whatever was written leaves the buffer even when a
     /// later write of the same flush fails, so a retry never writes a
@@ -450,6 +546,7 @@ impl SegmentedWal {
         };
         if done > 0 {
             inner.written_high = inner.appended_high;
+            self.wake_tailers();
         }
         inner.buf.drain(..done);
         outcome
@@ -462,15 +559,15 @@ impl SegmentedWal {
         inner.file.sync_data()?;
         self.ins.rotations.inc();
         let durable_pos = inner.next_pos - 1;
-        inner.seg_index += 1;
+        // The index moves only once its file is open: a tailer leaves a
+        // segment when the index has passed it.
+        let next = inner.seg_index + 1;
+        inner.file = Arc::new(
+            OpenOptions::new().create(true).append(true).open(segment_path(&self.stream, next))?,
+        );
+        inner.seg_index = next;
         inner.segments += 1;
         inner.seg_bytes = 0;
-        inner.file = Arc::new(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.stream, inner.seg_index))?,
-        );
         // The new segment file must survive a crash as a directory entry,
         // or recovery finds records referencing a segment that vanished.
         sync_dir(&self.stream)?;
@@ -524,16 +621,26 @@ impl SegmentedWal {
     /// The exception is a record whose ticket was *overtaken*: reserved
     /// before a ticket that has already reached the file (an op published
     /// after its latch was released, behind another commit's flush). It is
-    /// written at once. A tailer that sees the higher ticket waits only so
-    /// long for the lower one before declaring it dead, and an idle
+    /// written at once: a tailer waits for the lower ticket, and an idle
     /// interactive transaction may bring no commit to carry it.
+    ///
+    /// An error means the record never reached the buffer. Once it has,
+    /// an early write that fails leaves it there for the next completion
+    /// record's flush, which writes it or reports the failure.
     fn append(&self, rec: &LogRecord, seq: u64) -> Result<(), StorageError> {
         let mut inner = lock(&self.inner);
         self.append_locked(&mut inner, rec, seq)?;
         if inner.buf.len() >= FLUSH_BYTES || seq < inner.written_high {
-            self.flush_locked(&mut inner)?;
+            let _ = self.flush_locked(&mut inner);
         }
         Ok(())
+    }
+
+    /// [`SegmentedWal::append`] under a ticket drawn here, which goes
+    /// void if the append fails.
+    fn append_fresh(&self, rec: &LogRecord) -> Result<(), StorageError> {
+        let seq = self.reserve();
+        self.append(rec, seq).inspect_err(|_| self.void(seq))
     }
 
     /// Append a completion record with the configured durability: under
@@ -591,6 +698,10 @@ impl SegmentedWal {
                         (inner.next_pos - 1, inner.file.clone())
                     };
                     let started = std::time::Instant::now();
+                    #[cfg(test)]
+                    if self.sync_faults.fetch_sub(1, Ordering::SeqCst) > 0 {
+                        return Err(std::io::Error::other("injected fsync failure"));
+                    }
                     file.sync_data()?;
                     self.ins.fsync_nanos.observe_duration(started.elapsed());
                     Ok(high)
@@ -622,21 +733,21 @@ impl SegmentedWal {
 
     /// Append a Begin record (buffered).
     pub fn append_begin(&self, txn: u64) -> Result<(), StorageError> {
-        let seq = self.reserve();
-        self.append(&LogRecord::Begin { txn }, seq)
+        self.append_fresh(&LogRecord::Begin { txn })
     }
 
     /// Append a Register record (buffered). The binding is appended
     /// before any op that uses the id, so a torn tail that keeps an op
     /// always keeps its binding.
     pub fn append_register(&self, id: u64, name: &str) -> Result<(), StorageError> {
-        let seq = self.reserve();
-        self.append(&LogRecord::Register { id, name: name.to_string() }, seq)
+        self.append_fresh(&LogRecord::Register { id, name: name.to_string() })
     }
 
     /// Append one op record under a pre-reserved ticket (buffered). The
     /// write-ahead discipline only requires op records to reach disk
     /// before the *commit* record does, and they precede it in the file.
+    /// On an error the record is not in the log: retry it under the same
+    /// ticket, or give the ticket up ([`SegmentedWal::void`]).
     pub fn append_op(&self, seq: u64, txn: u64, obj: u64, op: &[u8]) -> Result<(), StorageError> {
         self.append(&LogRecord::Op { txn, obj, op: op.to_vec() }, seq)?;
         // Count only after a successful append: the commit record's op
@@ -653,26 +764,22 @@ impl SegmentedWal {
     /// the durable [`SegmentedWal::commit_abort`] path guarantees.
     pub fn append_abort(&self, txn: u64) -> Result<(), StorageError> {
         lock(&self.txn_ops).remove(&txn);
-        let seq = self.reserve();
-        self.append(&LogRecord::Abort { txn }, seq)
+        self.append_fresh(&LogRecord::Abort { txn })
     }
 
-    /// Durably append an Abort record (the compensating record written
-    /// when a commit fsync failed: recovery's abort-wins rule needs it to
-    /// survive). When a commit append for `txn` failed after chaining,
-    /// the abort reuses that ticket, filling the chain hole the failed
-    /// commit left (recovery treats an abort at a `prev` link as a valid,
-    /// dead link). The `failed_commits` entry is consumed only once the
-    /// abort record actually appended: a failed compensating abort leaves
-    /// it for the next attempt, instead of leaving a permanent hole.
+    /// Fill the chain slot a failed commit of `txn` left held: a durable
+    /// Abort record at the commit's ticket, which recovery's chain walk
+    /// reads as a valid, dead link and its abort-wins rule sets above the
+    /// commit. The slot stays held until the abort is appended, so a
+    /// failed attempt can be retried. With no slot held there is nothing
+    /// to do: [`SegmentedWal::commit_txn`]'s own repair already wrote the
+    /// abort, or no commit was ever chained.
     pub fn commit_abort(&self, txn: u64) -> Result<(), StorageError> {
         lock(&self.txn_ops).remove(&txn);
-        let reused = lock(&self.failed_commits).get(&txn).copied();
-        let seq = reused.unwrap_or_else(|| self.reserve());
+        let Some(seq) = lock(&self.failed_commits).get(&txn).copied() else { return Ok(()) };
         self.commit(&LogRecord::Abort { txn }, seq)?;
-        if reused.is_some() {
-            lock(&self.failed_commits).remove(&txn);
-        }
+        lock(&self.failed_commits).remove(&txn);
+        self.wake_tailers();
         Ok(())
     }
 
@@ -693,6 +800,7 @@ impl SegmentedWal {
         *settled = (*settled).max(seq);
         drop(settled);
         self.chain_settled_cv.notify_all();
+        self.wake_tailers();
     }
 
     /// Durably log that `txn` committed at `ts`: the commit record —
@@ -793,7 +901,7 @@ impl SegmentedWal {
         self.flush_locked(&mut inner)?;
         drop(inner);
         if let Some((seq, _)) = fresh.last() {
-            self.witness_ticket(seq + 1);
+            self.ticket.fetch_max(seq + 1, Ordering::Relaxed);
         }
         // Re-deliveries sync too (an earlier batch's fsync may be what
         // failed); an empty batch — a heartbeat — has nothing to.
@@ -863,8 +971,10 @@ impl SegmentedWal {
         let mut deleted = 0;
         let mut inner = lock(&self.inner);
         let bound = inner.live_low.values().min().copied().unwrap_or(u64::MAX).min(upto);
+        let mut first = None;
         for (idx, path) in list_segments(&self.stream)? {
             if idx >= bound || idx == inner.seg_index {
+                first.get_or_insert(idx);
                 continue;
             }
             let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
@@ -873,6 +983,7 @@ impl SegmentedWal {
             inner.segments = inner.segments.saturating_sub(1);
             deleted += 1;
         }
+        inner.first_seg = first.unwrap_or(inner.seg_index);
         Ok(deleted)
     }
 }
@@ -1028,7 +1139,6 @@ fn bad_batch(offset: usize, err: FrameError) -> StorageError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tail::{TailOptions, WalTailer};
 
     fn tmp(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -1429,7 +1539,7 @@ mod tests {
     }
 
     /// A log written over two stream directories (frames dealt by
-    /// `seq % 2`, a torn tail on the first) is refused by all four entry
+    /// `seq % 2`, a torn tail on the first) is refused by all three entry
     /// points with the typed error, and not a byte of it is touched —
     /// not even the tail repair an open would otherwise perform.
     #[test]
@@ -1465,7 +1575,6 @@ mod tests {
         refused(SegmentedWal::open(&dir, opts()).map(drop));
         refused(read_records(&dir).map(drop));
         refused(truncate_above(&dir, 3));
-        refused(WalTailer::new(&dir, 0, TailOptions::default()).map(drop));
         assert_eq!(on_disk(), before, "a refused log is left exactly as found");
 
         // An empty leftover directory is not a second stream.

@@ -89,7 +89,7 @@ pub struct TxnManager {
     /// transaction has one stashed payload, *all* its later payloads are
     /// stashed too — appending them out of order would corrupt replay. The
     /// commit path drains the stash before the commit record, or refuses
-    /// the commit.
+    /// the commit; whatever an abort drops, it declares void to the log.
     ops_unlogged: parking_lot::Mutex<std::collections::HashMap<u64, PendingOps>>,
     /// Commits hold this shared around log-write + phase-2 apply.
     /// Checkpoints hold it exclusively only for the *begin* instant of
@@ -512,13 +512,15 @@ impl TxnManager {
             // would lose these effects at recovery.
             let stashed = self.ops_unlogged.lock().remove(&txn.id().0);
             if let Some(stashed) = stashed {
-                for (ticket, object, bytes) in &stashed {
+                for (at, (ticket, object, bytes)) in stashed.iter().enumerate() {
                     // Retried under the originally reserved ticket, so the
                     // merged replay order is unchanged by the hiccup.
                     if let Err(e) = store.publish_op(ticket.0, txn.id().0, object, bytes) {
-                        // The transaction is aborted below; do_abort drops
-                        // any stash, so nothing is kept for a retry that
-                        // cannot happen.
+                        // The transaction is aborted below: this op and
+                        // the ones behind it will never be logged.
+                        for (ticket, ..) in &stashed[at..] {
+                            store.void(ticket.0);
+                        }
                         drop(gate);
                         self.retire_inflight(ts, false);
                         self.abort_at(&txn, &participants);
@@ -644,7 +646,11 @@ impl TxnManager {
             // pruning; recovery never replays uncommitted transactions.
             let _ = store.log_abort(txn.id().0);
             self.begin_unlogged.lock().remove(&txn.id().0);
-            self.ops_unlogged.lock().remove(&txn.id().0);
+            // Stashed ops will never be logged now: their tickets are void.
+            let stashed = self.ops_unlogged.lock().remove(&txn.id().0);
+            for (ticket, ..) in stashed.unwrap_or_default() {
+                store.void(ticket.0);
+            }
         }
         self.instruments.aborted.inc();
         self.instruments.abort_nanos.observe_duration(started.elapsed());

@@ -86,6 +86,7 @@ impl RedoSink for SiteWal {
         // append poisons the sink instead, and the site votes no on every
         // later Prepare (see `Site::spawn_durable`).
         if self.store.publish_op(ticket.0, txn.0, object, op).is_err() {
+            self.store.void(ticket.0);
             self.poisoned.store(true, std::sync::atomic::Ordering::Release);
         }
     }
