@@ -98,6 +98,14 @@
 //!     outside `#[cfg(test)]` `crates/storage/src/tail.rs` neither
 //!     re-reads a whole file nor lists the segment directory: it reads
 //!     from its cursor and asks the log for the rest.
+//! 14. **One redo sink**: the durable store is the only place an
+//!     object's redo record goes, and a record the log loses dooms its
+//!     transaction. Outside `#[cfg(test)]` and test-only files there is
+//!     exactly one `impl RedoSink for`, under `crates/storage/`; the
+//!     retired second sink, its poison flag's owner, the manager's two
+//!     retry stashes, their payload type, the one-shot sink helper and
+//!     the stash's flight event appear nowhere under `crates/`, `src/`,
+//!     `tests/` or `examples/`.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -156,6 +164,7 @@ fn main() {
     let one_stream = "WAL striping — the log is one append stream";
     let workload_diet = "the workload diet — benchmark/ is the instrument";
     let no_guessing = "tailer guessing — the shipper asks the log";
+    let one_sink = "the retry stashes — the store is the one redo sink";
     let retired_items = [
         (["Log", "Discipline"].concat(), first_generation),
         (["Wal", "Record"].concat(), first_generation),
@@ -178,6 +187,12 @@ fn main() {
         (["gaps_", "skipped"].concat(), no_guessing),
         (["poll_", "interval"].concat(), no_guessing),
         (["Position", "Sampler"].concat(), no_guessing),
+        (["Site", "Wal"].concat(), one_sink),
+        (["ops_", "unlogged"].concat(), one_sink),
+        (["begin_", "unlogged"].concat(), one_sink),
+        (["Pending", "Ops"].concat(), one_sink),
+        (["record", "_op"].concat(), one_sink),
+        (["log", ".stash"].concat(), one_sink),
     ];
     // Ratchet 11's census: one inventory specification, one definition.
     let mut inventory_sites =
@@ -206,6 +221,11 @@ fn main() {
     // WAL records on purpose (ratchet 1), and outside ratchets 8 and 9's
     // production rules.
     let log_op_allowed = |rel: &str| rel.starts_with("tests/") || rel.contains("/tests/");
+
+    // Ratchet 14's census: every production `impl … RedoSink for`.
+    let sink_impl = ["RedoSink", " for"].concat();
+    let sink_home = "crates/storage/";
+    let mut sink_impls = Vec::new();
 
     // Ratchet 2's census: trait → production impl sites, per directory.
     let mut object_layer = [
@@ -374,6 +394,13 @@ fn main() {
                 }
             }
         }
+        if !log_op_allowed(&rel_s) {
+            for (i, line) in production.lines().enumerate() {
+                if line.trim_start().starts_with("impl") && line.contains(&sink_impl) {
+                    sink_impls.push(format!("{rel_s}:{}", i + 1));
+                }
+            }
+        }
         for (dir, layer) in &mut object_layer {
             if !rel_s.starts_with(*dir) {
                 continue;
@@ -420,6 +447,15 @@ fn main() {
                 ));
             }
         }
+    }
+
+    if sink_impls.len() != 1 || !sink_impls[0].starts_with(sink_home) {
+        findings.push(format!(
+            "{} production `impl … {sink_impl}` (want exactly one, under {sink_home}: the store \
+             is the one redo sink): {}",
+            sink_impls.len(),
+            sink_impls.join(", ")
+        ));
     }
 
     for (needle, sites) in &inventory_sites {

@@ -162,18 +162,21 @@ impl TxnHandle {
         *self.phase.lock() = p;
     }
 
-    /// True once the deadlock detector selected this transaction as a
-    /// victim; its next blocking operation returns
-    /// [`super::ExecError::Doomed`] and the manager must abort it.
+    /// True once the transaction was doomed ([`TxnHandle::doom`]); its
+    /// next operation returns [`super::ExecError::Doomed`] and the
+    /// manager must abort it.
     pub fn is_doomed(&self) -> bool {
         self.doomed.load(Ordering::Acquire)
     }
 
-    /// Mark as deadlock victim and wake the victim's blocked execution,
-    /// which then returns [`super::ExecError::Doomed`]. The flag is
-    /// stored before the wake-up, so a victim that consumes the wake-up
-    /// (or resets its token after it, see `reset_wake`)
-    /// observes the flag: the token's mutex orders the two.
+    /// Doom the transaction: it can no longer commit. Two things doom
+    /// one — the deadlock detector choosing it as a victim, and a redo
+    /// record of one of its operations that the log could not take
+    /// ([`super::RedoSink::publish`] returned `false`). A blocked
+    /// execution is woken and returns [`super::ExecError::Doomed`]. The
+    /// flag is stored before the wake-up, so a victim that consumes the
+    /// wake-up (or resets its token after it, see `reset_wake`) observes
+    /// the flag: the token's mutex orders the two.
     pub fn doom(&self) {
         self.doomed.store(true, Ordering::Release);
         self.wake.wake();

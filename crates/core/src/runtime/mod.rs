@@ -29,6 +29,9 @@ mod spec_adt;
 
 pub use adt::{ClassifiedOp, LockSpec, RedoDecodeError, RuntimeAdt};
 pub use handle::{TxnHandle, TxnPhase, WakeToken};
+/// Re-exported so a [`RedoSink`] implementor (the durable store) can name
+/// it without depending on `hcc-spec`.
+pub use hcc_spec::TxnId;
 pub use horizon::{HorizonPins, PinGuard};
 pub use object::{
     ExecError, NotFresh, ObjectStats, ReplayError, SnapshotStale, TryExecOutcome, TxObject,

@@ -28,8 +28,8 @@ const SPIN_BOUND: u32 = 64;
 /// Why a blocking execution gave up.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// The transaction was selected as a deadlock victim; the caller must
-    /// abort it.
+    /// The transaction was doomed — chosen as a deadlock victim, or one
+    /// of its log records was lost; the caller must abort it.
     Doomed,
     /// The block policy's timeout elapsed.
     Timeout,
@@ -40,9 +40,11 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Doomed => {
-                write!(f, "execution refused: transaction was doomed as a deadlock victim")
-            }
+            ExecError::Doomed => write!(
+                f,
+                "execution refused: transaction was doomed (a deadlock victim, or one of its \
+                 log records was lost)"
+            ),
             ExecError::Timeout => {
                 write!(f, "execution refused: lock-wait timeout elapsed while blocked")
             }
@@ -417,14 +419,26 @@ impl<A: RuntimeAdt> TxObject<A> {
         if !txn.is_replay() {
             if let Some(sink) = &self.opts.redo {
                 if let Some(bytes) = self.adt.redo(inv, &res) {
-                    pending = Some((sink.reserve(txn.id(), &self.name), bytes));
+                    pending = Some((sink, sink.reserve(txn.id(), &self.name), bytes));
                 }
             }
         }
         drop(st);
-        if let Some((ticket, bytes)) = pending {
-            let sink = self.opts.redo.as_ref().expect("reserved from this sink");
-            sink.publish(ticket, txn.id(), &self.name, &bytes);
+        if let Some((sink, ticket, bytes)) = pending {
+            let logged = sink.publish(ticket, txn.id(), &self.name, &bytes);
+            // A record the log could not take dooms its transaction: it
+            // may run on, but it can never commit.
+            if !logged {
+                txn.doom();
+            }
+            if let Some(tr) = &self.opts.trace {
+                let (event, detail) = if logged {
+                    ("log.op", format!("ticket={} bytes={}", ticket.0, bytes.len()))
+                } else {
+                    ("log.lost", format!("ticket={}", ticket.0))
+                };
+                tr.record(txn.id().0, &self.name, event, detail);
+            }
         }
         txn.register(self);
         if let (Some(tr), false) = (&self.opts.trace, txn.is_replay()) {
@@ -1364,27 +1378,34 @@ mod tests {
     }
 
     /// Tickets are reserved under the object lock in execution order even
-    /// though publishing happens outside it.
+    /// though publishing happens outside it; a ticket the sink cannot
+    /// publish dooms exactly its own transaction.
     #[test]
     fn redo_tickets_are_reserved_in_execution_order() {
         use super::super::options::{RedoSink, RedoTicket};
         use std::sync::Mutex as StdMutex;
 
+        /// Publishes every ticket except `lost`.
         #[derive(Default)]
         struct ProbeSink {
             next: AtomicU64,
+            lost: u64,
             published: StdMutex<Vec<(u64, TxnId)>>,
         }
         impl RedoSink for ProbeSink {
             fn reserve(&self, _txn: TxnId, _object: &str) -> RedoTicket {
                 RedoTicket(self.next.fetch_add(1, Ordering::Relaxed) + 1)
             }
-            fn publish(&self, ticket: RedoTicket, txn: TxnId, _object: &str, _op: &[u8]) {
+            fn publish(&self, ticket: RedoTicket, txn: TxnId, _object: &str, _op: &[u8]) -> bool {
+                if ticket.0 == self.lost {
+                    return false;
+                }
                 self.published.lock().unwrap().push((ticket.0, txn));
+                true
             }
         }
 
-        let sink = Arc::new(ProbeSink::default());
+        let sink = Arc::new(ProbeSink { lost: 6, ..ProbeSink::default() });
         let o = TxObject::new(
             "reg",
             Register,
@@ -1404,6 +1425,21 @@ mod tests {
         let replay = TxnHandle::replay(TxnId(99));
         o.execute(&replay, RegInv::Write(7)).unwrap();
         assert_eq!(sink.published.lock().unwrap().len(), 5, "replay did not log");
+        o.commit_at(replay.id(), 6);
+
+        // Ticket 6 is lost: the write it recorded still ran, but its
+        // transaction is doomed — its next operation is refused and it
+        // votes no. The next transaction is untouched.
+        let (lost, next) = (h(6), h(7));
+        o.execute(&lost, RegInv::Write(60)).unwrap();
+        assert!(lost.is_doomed());
+        assert_eq!(o.execute(&lost, RegInv::Write(61)), Err(ExecError::Doomed));
+        assert!(!o.prepare(&lost));
+        o.abort_txn(lost.id());
+        o.execute(&next, RegInv::Write(70)).unwrap();
+        assert!(!next.is_doomed() && o.prepare(&next));
+        let tickets: Vec<u64> = sink.published.lock().unwrap().iter().map(|(t, _)| *t).collect();
+        assert_eq!(tickets, vec![1, 2, 3, 4, 5, 7]);
     }
 
     /// The shared-registry pin is the read path's fuzzy-checkpoint

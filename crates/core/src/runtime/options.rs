@@ -58,8 +58,8 @@ impl WaitObserver for NullObserver {
 pub struct RedoTicket(pub u64);
 
 /// Receives serialized redo payloads as an *intrinsic effect* of executing
-/// mutating operations — the transaction manager implements this over its
-/// durable store.
+/// mutating operations — `hcc-storage`'s durable store is the one
+/// implementation.
 ///
 /// The API is **two-phase**. An object whose [`RuntimeOptions`] carry a
 /// sink calls [`RedoSink::reserve`] from inside every successful mutating
@@ -74,27 +74,21 @@ pub struct RedoTicket(pub u64);
 ///
 /// Replay transactions are excepted, and there is no caller-side logging
 /// step to forget — the forget-to-log failure mode stays
-/// unrepresentable. Implementations must not panic on I/O problems; they
-/// buffer the failure (keyed by ticket, preserving order) and surface it
-/// at commit time, where refusing the commit is still possible.
+/// unrepresentable. Implementations must not panic on I/O problems: a
+/// record that cannot be appended is given up (its ticket declared void
+/// to the log) and `publish` returns `false`, upon which the object dooms
+/// the transaction — a transaction missing one of its records must never
+/// commit, and doomed transactions already cannot.
 pub trait RedoSink: Send + Sync {
     /// Reserve the global order slot for one about-to-be-recorded
     /// operation of `txn` at the named object. Called under the object's
     /// lock: must be cheap and must never block on I/O.
     fn reserve(&self, txn: TxnId, object: &str) -> RedoTicket;
 
-    /// Record the operation reserved as `ticket`. Called outside the
-    /// object's lock; may block (group commit, rotation) and must absorb
-    /// I/O failures for commit-time handling.
-    fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]);
-
-    /// One-shot convenience: reserve and immediately publish. Correct
-    /// whenever the caller's execution order is already serialized some
-    /// other way (single-threaded drivers, site mailboxes).
-    fn record_op(&self, txn: TxnId, object: &str, op: &[u8]) {
-        let ticket = self.reserve(txn, object);
-        self.publish(ticket, txn, object, op);
-    }
+    /// Record the operation reserved as `ticket`: `true` once it is in
+    /// the log, `false` when it never will be. Called outside the
+    /// object's lock; may block (group commit, rotation).
+    fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]) -> bool;
 }
 
 /// How far a completion record must travel before a commit is
@@ -130,8 +124,8 @@ pub struct RuntimeOptions {
     pub durability: Durability,
     /// Where executed operations' redo payloads are recorded. `None` runs
     /// the object purely in memory; `Some` makes every mutating operation
-    /// self-logging (`TxnManager::object_options` wires the manager in
-    /// when it has a durable store).
+    /// self-logging (`TxnManager::object_options` wires its durable store
+    /// in when it has one).
     pub redo: Option<Arc<dyn RedoSink>>,
     /// Where the object's lock-table counters land (grants, refusals,
     /// waits, keyed by ADT type and conflict-class pair). Every object

@@ -123,8 +123,9 @@ impl HccError {
     /// Is this an *expected, transient* outcome of the hybrid scheme —
     /// one a fresh attempt of the same transaction may well survive?
     ///
-    /// Transient: a deadlock victim's doom ([`ExecError::Doomed`],
-    /// [`CommitError::Doomed`]), a lock-wait timeout
+    /// Transient: a doom — a deadlock victim's, or one of a lost log
+    /// record ([`ExecError::Doomed`], [`CommitError::Doomed`]), a
+    /// lock-wait timeout
     /// ([`ExecError::Timeout`]), a refused prepare vote
     /// ([`CommitError::PrepareFailed`]), and a request shed by admission
     /// control ([`HccError::Overloaded`] — refused *before* execution).

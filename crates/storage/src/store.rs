@@ -54,7 +54,7 @@ use crate::snapshot::Snapshot;
 use crate::tail::WalTailer;
 use crate::wal::{read_records, SegmentedWal, WalOptions};
 use crate::StorageError;
-use hcc_core::runtime::Durability;
+use hcc_core::runtime::{Durability, RedoSink, RedoTicket, TxnId};
 use hcc_obs::Registry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -419,31 +419,25 @@ impl DurableStore {
         self.opts.durability
     }
 
-    /// Reserve the next global order ticket. The two-phase redo path
-    /// calls this *under the executing object's lock* — that is the whole
-    /// trick: the ticket order of one object's ops equals their execution
-    /// order, while the append itself (`publish_op`) happens outside the
-    /// lock and can never stall the object behind a rotation fsync.
-    pub fn reserve_ticket(&self) -> u64 {
-        self.wal.reserve()
-    }
-
     /// The last global order ticket issued so far (0 = none) — the second
     /// half of the replication shipper's position pair.
     pub fn last_issued_ticket(&self) -> u64 {
         self.wal.current_ticket().saturating_sub(1)
     }
 
-    /// Log that `txn` began.
+    /// Log that `txn` began. Transactions do not write Begin records —
+    /// commit records are self-certifying — but recovery still reads
+    /// logs that hold them.
     pub fn log_begin(&self, txn: u64) -> Result<(), StorageError> {
         self.release_image_on_append();
         self.wal.append_begin(txn)
     }
 
-    /// Append one executed operation under a pre-reserved ticket. The
-    /// object name is translated to its compact registry id; a first-seen
-    /// name appends its `Register` binding before the op record.
-    pub fn publish_op(
+    /// Append one executed operation under a pre-reserved ticket, or give
+    /// the ticket up ([`SegmentedWal::void`]) if it cannot be. The object
+    /// name is translated to its compact registry id; a first-seen name
+    /// appends its `Register` binding before the op record.
+    fn publish_op(
         &self,
         ticket: u64,
         txn: u64,
@@ -451,23 +445,17 @@ impl DurableStore {
         op: &[u8],
     ) -> Result<(), StorageError> {
         self.release_image_on_append();
-        let obj = self.object_id(object)?;
-        self.wal.append_op(ticket, txn, obj, op)
+        self.object_id(object)
+            .and_then(|obj| self.wal.append_op(ticket, txn, obj, op))
+            .inspect_err(|_| self.wal.void(ticket))
     }
 
     /// Log one executed operation, reserving its ticket at append time
-    /// (single-phase; callers that executed under an object lock should
-    /// use [`DurableStore::reserve_ticket`] + [`DurableStore::publish_op`]
-    /// instead so the ticket order matches the execution order).
+    /// (single-phase; objects executing under their latch go through
+    /// the [`RedoSink`] instead, so the ticket order matches the
+    /// execution order).
     pub fn log_op(&self, txn: u64, object: &str, op: &[u8]) -> Result<(), StorageError> {
-        let ticket = self.wal.reserve();
-        self.publish_op(ticket, txn, object, op).inspect_err(|_| self.wal.void(ticket))
-    }
-
-    /// Give up a ticket from [`DurableStore::reserve_ticket`] whose op
-    /// will never be published ([`SegmentedWal::void`]).
-    pub fn void(&self, ticket: u64) {
-        self.wal.void(ticket);
+        self.publish_op(self.wal.reserve(), txn, object, op)
     }
 
     /// A [`WalTailer`] over the live log, emitting every frame above
@@ -652,6 +640,23 @@ impl DurableStore {
         let checkpoint = Checkpoint::load_latest(dir)?;
         let (records, torn_tail) = read_records(dir)?;
         assemble_recovered(checkpoint, records, torn_tail, None)
+    }
+}
+
+/// The store is the one redo sink: an object built with options carrying
+/// it reserves each operation's global ticket under its own latch — one
+/// atomic bump, so the ticket order of its ops is their execution order —
+/// and publishes the record after releasing it, so the log's rotation
+/// fsync never stalls the object. A record that cannot be appended leaves
+/// its ticket void and reports `false`; the object then dooms the
+/// transaction, which can no longer commit.
+impl RedoSink for DurableStore {
+    fn reserve(&self, _txn: TxnId, _object: &str) -> RedoTicket {
+        RedoTicket(self.wal.reserve())
+    }
+
+    fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]) -> bool {
+        self.publish_op(ticket.0, txn.0, object, op).is_ok()
     }
 }
 
@@ -1262,7 +1267,7 @@ mod tests {
             // allocate above the checkpoint watermark.
             let store = DurableStore::open(&dir, small_opts()).unwrap();
             assert!(
-                store.reserve_ticket() > ticket_at_ckpt,
+                store.last_issued_ticket() >= ticket_at_ckpt,
                 "tickets must not restart below the checkpoint watermark"
             );
         }

@@ -114,6 +114,9 @@ struct Inner {
     file: Arc<File>,
     seg_index: u64,
     seg_bytes: u64,
+    /// A segment was created and the stream directory not fsynced since:
+    /// nothing may be reported durable until it is.
+    dir_dirty: bool,
     /// The lowest segment still on disk (where a tailer starts).
     first_seg: u64,
     /// Process-local buffer of encoded-but-unwritten records.
@@ -215,6 +218,9 @@ pub struct SegmentedWal {
     /// Test hook: how many upcoming group-commit fsyncs fail.
     #[cfg(test)]
     pub(crate) sync_faults: std::sync::atomic::AtomicI64,
+    /// Test hook: how many upcoming stream-directory fsyncs fail.
+    #[cfg(test)]
+    pub(crate) dir_sync_faults: std::sync::atomic::AtomicI64,
 }
 
 /// What a tailer may rely on, sampled before it reads the file.
@@ -380,6 +386,7 @@ impl SegmentedWal {
                 file: Arc::new(file),
                 seg_index,
                 seg_bytes,
+                dir_dirty: false,
                 first_seg: segments.first().map_or(seg_index, |(index, _)| *index),
                 buf: Vec::new(),
                 appended_high: 0,
@@ -417,6 +424,8 @@ impl SegmentedWal {
             tailed: AtomicBool::new(false),
             #[cfg(test)]
             sync_faults: Default::default(),
+            #[cfg(test)]
+            dir_sync_faults: Default::default(),
             open_scan: scan,
             open_image: Mutex::new(Some((records, torn))),
         })
@@ -570,11 +579,28 @@ impl SegmentedWal {
         inner.seg_bytes = 0;
         // The new segment file must survive a crash as a directory entry,
         // or recovery finds records referencing a segment that vanished.
-        sync_dir(&self.stream)?;
+        // Should this fsync fail, the next append does not rotate again:
+        // the flag makes every later sync retry it before succeeding.
+        inner.dir_dirty = true;
+        self.sync_dir_if_dirty(inner)?;
         let mut s = lock(&self.sync_state);
         s.synced_pos = s.synced_pos.max(durable_pos);
         drop(s);
         self.sync_cv.notify_all();
+        Ok(())
+    }
+
+    /// Fsync the stream directory if a segment was created since that
+    /// last succeeded.
+    fn sync_dir_if_dirty(&self, inner: &mut Inner) -> std::io::Result<()> {
+        if inner.dir_dirty {
+            #[cfg(test)]
+            if self.dir_sync_faults.fetch_sub(1, Ordering::SeqCst) > 0 {
+                return Err(std::io::Error::other("injected directory fsync failure"));
+            }
+            sync_dir(&self.stream)?;
+            inner.dir_dirty = false;
+        }
         Ok(())
     }
 
@@ -695,6 +721,7 @@ impl SegmentedWal {
                     let (high, file) = {
                         let mut inner = lock(&self.inner);
                         self.flush_locked(&mut inner)?;
+                        self.sync_dir_if_dirty(&mut inner)?;
                         (inner.next_pos - 1, inner.file.clone())
                     };
                     let started = std::time::Instant::now();
@@ -731,7 +758,8 @@ impl SegmentedWal {
         }
     }
 
-    /// Append a Begin record (buffered).
+    /// Append a Begin record (buffered). Transactions no longer write
+    /// them, and recovery skips them.
     pub fn append_begin(&self, txn: u64) -> Result<(), StorageError> {
         self.append_fresh(&LogRecord::Begin { txn })
     }
@@ -911,11 +939,13 @@ impl SegmentedWal {
         Ok(fresh)
     }
 
-    /// Flush the buffer and fsync the active segment.
+    /// Flush the buffer and fsync the active segment (and the stream
+    /// directory, if a rotation left its fsync undone).
     pub fn sync(&self) -> Result<(), StorageError> {
         let file = {
             let mut inner = lock(&self.inner);
             self.flush_locked(&mut inner)?;
+            self.sync_dir_if_dirty(&mut inner)?;
             inner.file.clone()
         };
         file.sync_data()?;
@@ -1187,6 +1217,31 @@ mod tests {
         assert!(n > 2, "expected rotation, got {n} segments");
         let (recs, _) = read_records(&dir).unwrap();
         assert_eq!(recs.len(), 200, "no records lost across rotations");
+    }
+
+    /// A rotation whose directory fsync failed has already moved to the
+    /// new segment, so the next append does not rotate again. Nothing
+    /// may be reported durable until that fsync is redone: `sync` and
+    /// the group-commit leader retry it first.
+    #[test]
+    fn a_failed_rotation_directory_fsync_is_retried_before_anything_is_durable() {
+        let dir = tmp("dir-sync");
+        let wal = SegmentedWal::open(&dir, opts()).unwrap();
+        wal.append_op(wal.reserve(), 1, 1, &[0u8; 300]).unwrap();
+        let full = wal.current_segment();
+        wal.dir_sync_faults.store(1, Ordering::SeqCst);
+        assert!(wal.append_op(wal.reserve(), 1, 1, b"op").is_err(), "the directory fsync failed");
+        assert_eq!(wal.current_segment(), full + 1, "the new segment is in use all the same");
+        // The directory is still sick: neither a sync nor a commit may
+        // report success.
+        wal.dir_sync_faults.store(1, Ordering::SeqCst);
+        assert!(wal.sync().is_err());
+        wal.dir_sync_faults.store(1, Ordering::SeqCst);
+        assert!(wal.commit_txn(1, 1).is_err());
+        // Healthy again: the retried fsync lets both through.
+        wal.sync().unwrap();
+        wal.commit_txn(2, 2).unwrap();
+        assert_eq!(wal.current_segment(), full + 1, "no rotation was needed to get here");
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! * **Atomic commitment** ([`manager`]): a transaction manager running a
 //!   two-phase protocol over every object the transaction touched, so a
 //!   transaction never commits at some objects and aborts at others. The
-//!   manager is also the **redo sink** its objects self-log through
-//!   (`object_options` binds them); [`registry`] holds what recovery is
-//!   made of — the name → object directory checkpoints walk, the 2PC
-//!   resolution rule and the one replay step — while the recovery front
-//!   end itself is `hcc-db`'s `Db::open`. A message-passing simulation of
-//!   the distributed version — with per-site WALs and a coordinator
-//!   decision log — lives in [`sim`].
+//!   manager binds its objects to its durable store, the one **redo
+//!   sink** they self-log through (`object_options`); [`registry`]
+//!   holds what recovery is made of — the name → object directory
+//!   checkpoints walk, the 2PC resolution rule and the one replay step —
+//!   while the recovery front end itself is `hcc-db`'s `Db::open`. A
+//!   message-passing simulation of the distributed version — with
+//!   per-site WALs and a coordinator decision log — lives in [`sim`].
 //! * **Deadlock handling** ([`deadlock`]): the paper names "the usual
 //!   remedies (e.g., timeout or detection)"; both are here — a
 //!   waits-for-graph detector with youngest-victim selection, and the

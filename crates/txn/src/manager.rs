@@ -13,7 +13,7 @@ use crate::clock::LogicalClock;
 use crate::deadlock::DeadlockDetector;
 use crate::registry::RecoveryError;
 use hcc_core::runtime::{
-    HorizonPins, PinGuard, RedoSink, RedoTicket, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
+    HorizonPins, PinGuard, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
@@ -24,10 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Redo payloads awaiting a retry, in execution order, each keeping its
-/// reserved order ticket: `(ticket, object, bytes)`.
-type PendingOps = Vec<(RedoTicket, String, Vec<u8>)>;
-
 /// Why a commit was refused. In every case the transaction has been
 /// aborted at all objects (all-or-nothing).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,7 +33,8 @@ pub enum CommitError {
         /// The refusing object's name.
         object: String,
     },
-    /// The transaction was doomed by the deadlock detector.
+    /// The transaction was doomed — chosen as a deadlock victim, or one
+    /// of its log records was lost.
     Doomed,
     /// The transaction is not active.
     NotActive,
@@ -52,9 +49,11 @@ impl std::fmt::Display for CommitError {
             CommitError::PrepareFailed { object } => {
                 write!(f, "commit refused: object {object:?} voted no in the prepare phase")
             }
-            CommitError::Doomed => {
-                write!(f, "commit refused: transaction was doomed as a deadlock victim")
-            }
+            CommitError::Doomed => write!(
+                f,
+                "commit refused: transaction was doomed (a deadlock victim, or one of its log \
+                 records was lost)"
+            ),
             CommitError::NotActive => {
                 write!(
                     f,
@@ -77,20 +76,6 @@ pub struct TxnManager {
     next_id: AtomicU64,
     /// The durable log, when this manager persists completion records.
     store: Option<Arc<DurableStore>>,
-    /// Transactions whose Begin record failed to append (transient I/O).
-    /// The commit path retries the Begin before the commit record: Begin
-    /// records pin the transaction's segments for compaction from its
-    /// first record on, and keep the on-disk history complete for
-    /// inspection (recovery itself no longer needs them — commit records
-    /// are self-certifying).
-    begin_unlogged: parking_lot::Mutex<std::collections::HashSet<u64>>,
-    /// Redo payloads that failed to append when their operation executed
-    /// (transient I/O), in execution order per transaction. Once a
-    /// transaction has one stashed payload, *all* its later payloads are
-    /// stashed too — appending them out of order would corrupt replay. The
-    /// commit path drains the stash before the commit record, or refuses
-    /// the commit; whatever an abort drops, it declares void to the log.
-    ops_unlogged: parking_lot::Mutex<std::collections::HashMap<u64, PendingOps>>,
     /// Commits hold this shared around log-write + phase-2 apply.
     /// Checkpoints hold it exclusively only for the *begin* instant of
     /// the fuzzy protocol — establishing the watermark and pinning
@@ -245,8 +230,6 @@ impl TxnManager {
             detector,
             next_id: AtomicU64::new(first_id),
             store,
-            begin_unlogged: parking_lot::Mutex::new(std::collections::HashSet::new()),
-            ops_unlogged: parking_lot::Mutex::new(std::collections::HashMap::new()),
             commit_gate: RwLock::new(()),
             checkpoint_serial: parking_lot::Mutex::new(()),
             metrics,
@@ -292,20 +275,19 @@ impl TxnManager {
     /// Runtime options *binding* objects to this manager: the deadlock
     /// detector as wait observer, the durability level the manager
     /// actually runs at, and — when the manager has a durable store — the
-    /// manager itself as the redo sink, so every mutating operation on an
-    /// object built with these options serializes and logs itself. There
-    /// is no separate logging call for callers to forget.
-    pub fn object_options(self: &Arc<Self>) -> RuntimeOptions {
+    /// store as the redo sink, so every mutating operation on an object
+    /// built with these options serializes and logs itself. There is no
+    /// separate logging call for callers to forget.
+    pub fn object_options(&self) -> RuntimeOptions {
         let durability = self.store.as_ref().map(|s| s.durability()).unwrap_or_default();
         let opts = RuntimeOptions::with_observer(self.detector.clone())
             .with_durability(durability)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone())
             .with_horizon(self.horizon.clone());
-        if self.store.is_some() {
-            opts.with_redo(self.clone())
-        } else {
-            opts
+        match &self.store {
+            Some(store) => opts.with_redo(store.clone()),
+            None => opts,
         }
     }
 
@@ -420,24 +402,16 @@ impl TxnManager {
         &self.horizon
     }
 
-    /// Begin a new transaction.
+    /// Begin a new transaction. Nothing is logged: a transaction's first
+    /// record is its first operation's, and its commit record certifies
+    /// itself.
     pub fn begin(&self) -> Arc<TxnHandle> {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let h = TxnHandle::new(id);
         self.instruments.begun.inc();
         if let Some(tr) = &self.trace {
             tr.record(id.0, "", "begin", String::new());
         }
-        if let Some(store) = &self.store {
-            // An I/O error must not fail `begin` — but it is remembered:
-            // the commit path retries the Begin record before the commit
-            // record, keeping segment pinning and the on-disk history
-            // complete.
-            if store.log_begin(id.0).is_err() {
-                self.begin_unlogged.lock().insert(id.0);
-            }
-        }
-        h
+        TxnHandle::new(id)
     }
 
     /// Commit: two-phase atomic commitment across every touched object,
@@ -447,7 +421,9 @@ impl TxnManager {
     /// With a durable store attached, the commit record is persisted (group
     /// commit under `Durability::Fsync`) *before* the timestamp is
     /// distributed — the write-ahead discipline: a commit is acknowledged
-    /// only once it would survive a crash.
+    /// only once it would survive a crash. Its op records are already in
+    /// the log: one the log lost doomed the transaction, which is refused
+    /// here with [`CommitError::Doomed`].
     pub fn commit(&self, txn: Arc<TxnHandle>) -> Result<Timestamp, CommitError> {
         let started = Instant::now();
         if txn.phase() != TxnPhase::Active {
@@ -486,51 +462,6 @@ impl TxnManager {
             ts
         };
         if let Some(store) = &self.store {
-            // Retry a Begin record that failed at `begin()`. Still
-            // failing means the log is unwell — refuse the commit rather
-            // than continue over a log that is dropping appends.
-            if self.begin_unlogged.lock().contains(&txn.id().0) {
-                match store.log_begin(txn.id().0) {
-                    Ok(()) => {
-                        self.begin_unlogged.lock().remove(&txn.id().0);
-                    }
-                    Err(e) => {
-                        drop(gate);
-                        self.retire_inflight(ts, false);
-                        self.abort_at(&txn, &participants);
-                        self.fatal_commit_trace(txn.id(), &e.to_string());
-                        return Err(CommitError::Storage(format!(
-                            "begin record could not be logged: {e}"
-                        )));
-                    }
-                }
-            }
-            // Drain redo payloads whose original append failed (transient
-            // I/O at execution time). The write-ahead discipline requires
-            // every op record on disk before the commit record; if the log
-            // still refuses, the commit is refused too — acknowledging it
-            // would lose these effects at recovery.
-            let stashed = self.ops_unlogged.lock().remove(&txn.id().0);
-            if let Some(stashed) = stashed {
-                for (at, (ticket, object, bytes)) in stashed.iter().enumerate() {
-                    // Retried under the originally reserved ticket, so the
-                    // merged replay order is unchanged by the hiccup.
-                    if let Err(e) = store.publish_op(ticket.0, txn.id().0, object, bytes) {
-                        // The transaction is aborted below: this op and
-                        // the ones behind it will never be logged.
-                        for (ticket, ..) in &stashed[at..] {
-                            store.void(ticket.0);
-                        }
-                        drop(gate);
-                        self.retire_inflight(ts, false);
-                        self.abort_at(&txn, &participants);
-                        self.fatal_commit_trace(txn.id(), &e.to_string());
-                        return Err(CommitError::Storage(format!(
-                            "operation record could not be logged: {e}"
-                        )));
-                    }
-                }
-            }
             if let Err(e) = store.log_commit(txn.id().0, ts) {
                 drop(gate);
                 // The commit frame may have reached disk even though its
@@ -645,12 +576,6 @@ impl TxnManager {
             // Best effort: a missing abort record only delays segment
             // pruning; recovery never replays uncommitted transactions.
             let _ = store.log_abort(txn.id().0);
-            self.begin_unlogged.lock().remove(&txn.id().0);
-            // Stashed ops will never be logged now: their tickets are void.
-            let stashed = self.ops_unlogged.lock().remove(&txn.id().0);
-            for (ticket, ..) in stashed.unwrap_or_default() {
-                store.void(ticket.0);
-            }
         }
         self.instruments.aborted.inc();
         self.instruments.abort_nanos.observe_duration(started.elapsed());
@@ -667,48 +592,6 @@ impl TxnManager {
     /// Number of transactions aborted through this manager.
     pub fn aborted_count(&self) -> u64 {
         self.instruments.aborted.get()
-    }
-}
-
-/// The manager *is* the redo sink its objects log through: executing a
-/// mutating operation on an object built with
-/// [`TxnManager::object_options`] lands here. The object reserves the
-/// operation's global order ticket under its own lock
-/// ([`RedoSink::reserve`] — one atomic bump against the store's ticket
-/// counter) and publishes the payload after releasing it, so the log's
-/// rotation fsync can never stall the object. An append failure is
-/// stashed with its ticket (in execution order) and retried by the
-/// commit path under the *same* ticket — and once one payload of a
-/// transaction is stashed, all its later payloads are too, so the log
-/// can never hold a transaction's ops out of order.
-impl RedoSink for TxnManager {
-    fn reserve(&self, _txn: TxnId, _object: &str) -> RedoTicket {
-        match &self.store {
-            Some(store) => RedoTicket(store.reserve_ticket()),
-            None => RedoTicket(0),
-        }
-    }
-
-    fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]) {
-        let Some(store) = &self.store else { return };
-        let mut stash = self.ops_unlogged.lock();
-        if let Some(pending) = stash.get_mut(&txn.0) {
-            pending.push((ticket, object.to_string(), op.to_vec()));
-            return;
-        }
-        drop(stash);
-        if store.publish_op(ticket.0, txn.0, object, op).is_err() {
-            self.ops_unlogged.lock().entry(txn.0).or_default().push((
-                ticket,
-                object.to_string(),
-                op.to_vec(),
-            ));
-            if let Some(tr) = &self.trace {
-                tr.record(txn.0, object, "log.stash", format!("ticket={}", ticket.0));
-            }
-        } else if let Some(tr) = &self.trace {
-            tr.record(txn.0, object, "log.op", format!("ticket={} bytes={}", ticket.0, op.len()));
-        }
     }
 }
 
@@ -898,5 +781,72 @@ mod tests {
         assert_eq!(a.committed_balance(), r(310));
         drop(pin);
         assert_eq!(mgr.horizon().active(), 0, "guard drop released the pin");
+    }
+
+    /// A redo record the log cannot take — here the rotation it needs
+    /// finds no directory to create its segment in — dooms exactly its
+    /// own transaction: the commit is refused as `Doomed`, nothing of it
+    /// recovers, a live tailer passes its void ticket, and the next
+    /// transaction commits as usual.
+    #[test]
+    fn a_lost_op_record_dooms_exactly_its_transaction() {
+        use hcc_core::runtime::{Durability, ExecError};
+        use hcc_storage::CompactionPolicy;
+
+        let dir = std::env::temp_dir().join(format!("hcc-txn-lost-op-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StorageOptions {
+            segment_max_bytes: 1, // every append rotates
+            durability: Durability::Buffered,
+            policy: CompactionPolicy::never(),
+        };
+        let mgr = TxnManager::with_storage(&dir, opts).unwrap();
+        let store = mgr.storage().unwrap().clone();
+        let a = AccountObject::with(
+            "a",
+            Arc::new(hcc_adts::account::AccountHybrid),
+            mgr.object_options(),
+        );
+        let t = mgr.begin();
+        a.credit(&t, r(5)).unwrap();
+        mgr.commit(t).unwrap();
+        let mut tailer = store.tail(0);
+
+        let stream = dir.join(hcc_storage::wal::STREAM_DIR);
+        let away = dir.join("moved-away");
+        std::fs::rename(&stream, &away).unwrap();
+        let lost = mgr.begin();
+        let lost_ticket = store.last_issued_ticket() + 1;
+        a.credit(&lost, r(100)).unwrap();
+        std::fs::rename(&away, &stream).unwrap();
+        assert!(lost.is_doomed(), "the credit ran, but its record is not in the log");
+        assert_eq!(a.credit(&lost, r(1)), Err(ExecError::Doomed));
+        let lost_id = lost.id().0;
+        assert_eq!(mgr.commit(lost), Err(CommitError::Doomed));
+
+        let t = mgr.begin();
+        a.credit(&t, r(7)).unwrap();
+        mgr.commit(t).unwrap();
+        assert_eq!(a.committed_balance(), r(12));
+
+        let mut shipped = Vec::new();
+        loop {
+            let batch = tailer.poll().unwrap();
+            if batch.is_empty() {
+                break;
+            }
+            shipped.extend(batch.into_iter().map(|(ticket, _)| ticket));
+        }
+        let everything_else: Vec<u64> =
+            (1..=store.last_issued_ticket()).filter(|&t| t != lost_ticket).collect();
+        assert_eq!(shipped, everything_else, "the void ticket is passed, not waited on");
+
+        drop((a, store, mgr));
+        let recovered = DurableStore::recover(&dir).unwrap();
+        let txns: Vec<u64> = recovered.committed.iter().map(|c| c.txn).collect();
+        assert_eq!(txns.len(), 2);
+        assert!(!txns.contains(&lost_id));
+        assert!(recovered.in_doubt.is_empty() && recovered.incomplete.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

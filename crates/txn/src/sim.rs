@@ -13,9 +13,11 @@
 //! The simulation speaks the same self-logging dialect as the single-site
 //! manager:
 //!
-//! * objects hosted at a site are built with options carrying a
-//!   [`SiteWal`] redo sink, so every mutating operation appends to that
-//!   site's own WAL automatically;
+//! * objects hosted at a site are built with options carrying the
+//!   site's [`DurableStore`] as their redo sink, so every mutating
+//!   operation appends to that site's own WAL automatically — and one
+//!   the WAL could not take dooms its transaction, which the site then
+//!   votes down;
 //! * a durable [`Site`] (see [`Site::spawn_durable`]) logs each phase-2
 //!   commit decision to its WAL *before* applying it;
 //! * the [`Coordinator`] can carry a decision log
@@ -27,8 +29,8 @@
 //!   *in-doubt* transactions (ops logged, no local decision — the site
 //!   crashed between its yes-vote and the phase-2 message) against the
 //!   coordinator's recovered decisions ([`coordinator_decisions`]); the
-//!   site's objects, built over a [`SiteWal`] on that database's store,
-//!   join it with `Db::attach`.
+//!   site's objects, built over that database's store, join it with
+//!   `Db::attach`.
 //!
 //! A site crashed between Prepare and Commit no longer vanishes silently:
 //! phase 2 collects acknowledgements, and the coordinator reports
@@ -39,58 +41,13 @@
 use crate::clock::LogicalClock;
 use crate::registry::Decisions;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use hcc_core::runtime::{RedoSink, RedoTicket, TxParticipant, TxnHandle, TxnPhase};
+use hcc_core::runtime::{TxParticipant, TxnHandle, TxnPhase};
 use hcc_spec::TxnId;
 use hcc_storage::{DurableStore, StorageError};
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A redo sink appending to one site's WAL: objects hosted at a site are
-/// built with `RuntimeOptions::default().with_redo(site_wal)` and then
-/// self-log exactly like objects owned by a single-site manager.
-pub struct SiteWal {
-    store: Arc<DurableStore>,
-    /// Set when an op append failed: the WAL no longer holds every
-    /// executed operation, so the site must vote no until it is healthy
-    /// again — a yes-vote over an incomplete log could let in-doubt
-    /// resolution replay half a transaction.
-    poisoned: std::sync::atomic::AtomicBool,
-}
-
-impl SiteWal {
-    /// A sink over the site's store.
-    pub fn new(store: Arc<DurableStore>) -> Arc<SiteWal> {
-        Arc::new(SiteWal { store, poisoned: std::sync::atomic::AtomicBool::new(false) })
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<DurableStore> {
-        &self.store
-    }
-
-    /// Did any op append fail (making the WAL incomplete)?
-    pub fn poisoned(&self) -> bool {
-        self.poisoned.load(std::sync::atomic::Ordering::Acquire)
-    }
-}
-
-impl RedoSink for SiteWal {
-    fn reserve(&self, _txn: TxnId, _object: &str) -> RedoTicket {
-        RedoTicket(self.store.reserve_ticket())
-    }
-
-    fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]) {
-        // The simulation's sites have no commit-path stash; a failed
-        // append poisons the sink instead, and the site votes no on every
-        // later Prepare (see `Site::spawn_durable`).
-        if self.store.publish_op(ticket.0, txn.0, object, op).is_err() {
-            self.store.void(ticket.0);
-            self.poisoned.store(true, std::sync::atomic::Ordering::Release);
-        }
-    }
-}
 
 /// Messages a site serves.
 enum SiteMsg {
@@ -123,23 +80,22 @@ impl Site {
     }
 
     /// Spawn a site whose WAL discipline is full 2PC-participant grade:
-    /// hosted objects self-log through `wal` (pass the same [`SiteWal`]
-    /// in their options), a yes-vote **forces the WAL to disk first**
-    /// (ops must survive once the coordinator may decide commit) and is
-    /// refused while the sink is poisoned, and phase-2 decisions are
-    /// logged before being applied.
+    /// hosted objects self-log through `store` (pass it as the redo sink
+    /// in their options), a yes-vote **forces the WAL to disk first** (ops
+    /// must survive once the coordinator may decide commit), and phase-2
+    /// decisions are logged before being applied.
     pub fn spawn_durable(
         name: impl Into<String>,
         objects: Vec<Arc<dyn TxParticipant>>,
-        wal: Arc<SiteWal>,
+        store: Arc<DurableStore>,
     ) -> Site {
-        Self::spawn_inner(name.into(), objects, Some(wal))
+        Self::spawn_inner(name.into(), objects, Some(store))
     }
 
     fn spawn_inner(
         name: String,
         objects: Vec<Arc<dyn TxParticipant>>,
-        store: Option<Arc<SiteWal>>,
+        wal: Option<Arc<DurableStore>>,
     ) -> Site {
         let (tx, rx): (Sender<SiteMsg>, Receiver<SiteMsg>) = unbounded();
         let thread_name = name.clone();
@@ -152,16 +108,18 @@ impl Site {
                     match msg {
                         SiteMsg::Prepare { txn, reply } => {
                             if !crashed {
+                                // An object votes no for a transaction
+                                // that lost one of its op records (the
+                                // loss doomed it).
                                 let mut vote = objects.iter().all(|o| o.prepare(&txn));
-                                if let Some(wal) = &store {
+                                if let Some(wal) = &wal {
                                     // Classic 2PC: the participant forces
                                     // its log before voting yes — once the
                                     // coordinator may decide commit, the
-                                    // ops must survive a crash. A poisoned
-                                    // sink (a lost op append) or a failed
+                                    // ops must survive a crash. A failed
                                     // force means the log is incomplete:
                                     // vote no.
-                                    vote = vote && !wal.poisoned() && wal.store().sync().is_ok();
+                                    vote = vote && wal.sync().is_ok();
                                 }
                                 let _ = reply.send(vote);
                                 if crash_after_prepare {
@@ -175,21 +133,15 @@ impl Site {
                             if !crashed {
                                 // Write-ahead at the participant: the local
                                 // decision record must reach the site's WAL
-                                // before the effects are applied (a Begin
-                                // record keeps a zero-op commit
-                                // recoverable). A site that cannot make the
-                                // decision durable behaves like a crashed
-                                // one — no apply, no ack — so the
-                                // coordinator reports partial delivery and
-                                // recovery heals it from the decision logs,
-                                // instead of acknowledging a commit a
-                                // restart would lose.
-                                let logged = match &store {
-                                    Some(wal) => wal
-                                        .store()
-                                        .log_begin(txn.0)
-                                        .and_then(|()| wal.store().log_commit(txn.0, ts))
-                                        .is_ok(),
+                                // before the effects are applied. A site
+                                // that cannot make the decision durable
+                                // behaves like a crashed one — no apply, no
+                                // ack — so the coordinator reports partial
+                                // delivery and recovery heals it from the
+                                // decision logs, instead of acknowledging a
+                                // commit a restart would lose.
+                                let logged = match &wal {
+                                    Some(wal) => wal.log_commit(txn.0, ts).is_ok(),
                                     None => true,
                                 };
                                 if logged {
@@ -205,8 +157,8 @@ impl Site {
                         }
                         SiteMsg::Abort { txn } => {
                             if !crashed {
-                                if let Some(wal) = &store {
-                                    let _ = wal.store().log_abort(txn.0);
+                                if let Some(wal) = &wal {
+                                    let _ = wal.log_abort(txn.0);
                                 }
                                 for o in &objects {
                                     o.abort_txn(txn);
@@ -366,8 +318,7 @@ impl Coordinator {
         // recovering participant must always be able to learn the verdict.
         let ts = self.clock.timestamp_after(txn.bound());
         if let Some(log) = &self.decisions {
-            let durable = log.log_begin(txn.id().0).and_then(|()| log.log_commit(txn.id().0, ts));
-            if durable.is_err() {
+            if log.log_commit(txn.id().0, ts).is_err() {
                 // An undecidable decision log means the verdict could be
                 // lost; aborting is the only outcome recovery can always
                 // reconstruct. The commit frame may still have reached
@@ -564,5 +515,50 @@ mod tests {
         // The commit *was* decided; the surviving site applied it.
         wait_for_balance(&a, r(5));
         assert_eq!(b.committed_balance(), r(0), "crashed site never applied");
+    }
+
+    /// A durable site whose WAL could not take one op record — the
+    /// rotation it needs finds no directory to create its segment in —
+    /// votes no for that transaction and yes for the next one.
+    #[test]
+    fn a_lost_op_record_votes_down_only_its_transaction() {
+        use hcc_adts::account::AccountHybrid;
+        use hcc_core::runtime::{Durability, RuntimeOptions};
+        use hcc_storage::{CompactionPolicy, StorageOptions};
+
+        let dir = std::env::temp_dir().join(format!("hcc-sim-lost-op-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StorageOptions {
+            segment_max_bytes: 1, // every append rotates
+            durability: Durability::Buffered,
+            policy: CompactionPolicy::never(),
+        };
+        let store = DurableStore::open(&dir, opts).unwrap();
+        let a = Arc::new(AccountObject::with(
+            "a",
+            Arc::new(AccountHybrid),
+            RuntimeOptions::default().with_redo(store.clone()),
+        ));
+        let site = Site::spawn_durable("s", vec![a.inner().clone()], store.clone());
+        let coord = Coordinator::new(Arc::new(LogicalClock::new()));
+        let commit =
+            |t: &Arc<TxnHandle>| coord.commit_with_kill(t, &[&site], CoordinatorKill::None);
+
+        let stream = dir.join(hcc_storage::wal::STREAM_DIR);
+        let away = dir.join("moved-away");
+        std::fs::rename(&stream, &away).unwrap();
+        let t1 = TxnHandle::new(TxnId(1));
+        a.credit(&t1, r(5)).unwrap();
+        std::fs::rename(&away, &stream).unwrap();
+        assert_eq!(commit(&t1), CommitOutcome::Aborted { site: "s".into() });
+
+        let t2 = TxnHandle::new(TxnId(2));
+        a.credit(&t2, r(7)).unwrap();
+        assert!(matches!(commit(&t2), CommitOutcome::Committed(_)));
+        wait_for_balance(&a, r(7));
+        drop(site);
+        let recovered = DurableStore::recover(&dir).unwrap();
+        assert_eq!(recovered.committed.iter().map(|c| c.txn).collect::<Vec<_>>(), vec![2]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -154,7 +154,8 @@ pub fn run_crash_workload(
     // abort path gets logged coverage — so the objects are attached with
     // their own options rather than taken from `db.object`.
     let timeout = Some(std::time::Duration::from_millis(20));
-    let obj_opts = RuntimeOptions::with_timeout(timeout).with_redo(mgr.clone());
+    let store = db.storage().expect("a durable db has a store").clone();
+    let obj_opts = RuntimeOptions::with_timeout(timeout).with_redo(store);
     let acct = db.attach(Arc::new(AccountObject::with(
         "acct",
         Arc::new(hcc_adts::account::AccountHybrid),

@@ -16,8 +16,8 @@
 //! commits; nothing is double-applied (redelivery is idempotent) and
 //! nothing undecided survives.
 //!
-//! A site is an ordinary [`Db`] whose one object was built over a
-//! [`SiteWal`] on that database's store and joined it with `Db::attach`:
+//! A site is an ordinary [`Db`] whose one object was built over that
+//! database's store as its redo sink and joined it with `Db::attach`:
 //! it logs through its own WAL and commits through the message-passing
 //! [`Coordinator`] instead of the local `TxnManager`, and it recovers
 //! exactly as `examples/distributed_commit.rs` does — there is no second
@@ -29,9 +29,7 @@ use hcc_db::{Db, HccError};
 use hcc_spec::{Rational, TxnId};
 use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
 use hcc_txn::registry::Decisions;
-use hcc_txn::sim::{
-    coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site, SiteWal,
-};
+use hcc_txn::sim::{coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site};
 use hcc_txn::LogicalClock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,13 +123,13 @@ fn spawn_site(
         .storage_options(site_storage(durability))
         .decisions(decisions.clone())
         .open(dir)?;
-    let wal = SiteWal::new(db.storage().expect("a durable db has a store").clone());
+    let store = db.storage().expect("a durable db has a store").clone();
     let acct = db.attach(Arc::new(AccountObject::with(
         name,
         Arc::new(AccountHybrid),
-        RuntimeOptions::default().with_redo(wal.clone()),
+        RuntimeOptions::default().with_redo(store.clone()),
     )))?;
-    let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], wal);
+    let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], store);
     Ok(Incarnation { site, acct, _db: db })
 }
 

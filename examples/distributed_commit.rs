@@ -18,7 +18,7 @@ use hybrid_cc::core::runtime::{RuntimeOptions, TxnHandle};
 use hybrid_cc::spec::{Rational, TxnId};
 use hybrid_cc::storage::{DurableStore, StorageOptions};
 use hybrid_cc::txn::clock::LogicalClock;
-use hybrid_cc::txn::sim::{coordinator_decisions, CommitOutcome, Coordinator, Site, SiteWal};
+use hybrid_cc::txn::sim::{coordinator_decisions, CommitOutcome, Coordinator, Site};
 use hybrid_cc::Db;
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,13 +81,12 @@ fn main() {
     let decided_ts;
     {
         let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-        let wal = SiteWal::new(store);
         let ledger = Arc::new(AccountObject::with(
             "ledger",
             Arc::new(hybrid_cc::adts::account::AccountHybrid),
-            RuntimeOptions::default().with_redo(wal.clone()),
+            RuntimeOptions::default().with_redo(store.clone()),
         ));
-        let site = Site::spawn_durable("ledger-site", vec![ledger.inner().clone()], wal);
+        let site = Site::spawn_durable("ledger-site", vec![ledger.inner().clone()], store);
         let coordinator = Coordinator::new(clock)
             .with_vote_timeout(Duration::from_millis(100))
             .with_decision_log(DurableStore::open(&dir_coord, StorageOptions::default()).unwrap());

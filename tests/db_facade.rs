@@ -10,7 +10,8 @@
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::counter::CounterObject;
 use hybrid_cc::spec::Rational;
-use hybrid_cc::storage::{CompactionPolicy, StorageError};
+use hybrid_cc::storage::wal::read_records;
+use hybrid_cc::storage::{CompactionPolicy, LogRecord, StorageError};
 use hybrid_cc::workload::crash::truncate_tail;
 use hybrid_cc::{Db, HccError, RetryPolicy};
 use proptest::prelude::*;
@@ -239,4 +240,57 @@ fn manual_escape_hatch_and_transact_share_one_log() {
     let acct = db.object::<AccountObject>("acct").unwrap();
     assert_eq!(acct.committed_balance(), money(23));
     assert_eq!(db.recovery_report().replayed, 4);
+}
+
+/// A transaction logs its operations and its commit, and nothing else: a
+/// two-op transfer is `Op` + `Op` + `Commit` (plus a `Register` for an
+/// account's first use), with no `Begin` record anywhere. Commit records
+/// certify themselves, so a log an older build wrote with a `Begin`
+/// record per transaction recovers all the same.
+#[test]
+fn a_transaction_writes_no_begin_record() {
+    let dir = tmp("no-begin");
+    let kinds = || -> Vec<&'static str> {
+        let (records, _) = read_records(&dir).unwrap();
+        records
+            .iter()
+            .map(|(_, rec)| match rec {
+                LogRecord::Begin { .. } => "Begin",
+                LogRecord::Op { .. } => "Op",
+                LogRecord::Commit { .. } => "Commit",
+                LogRecord::Abort { .. } => "Abort",
+                LogRecord::Register { .. } => "Register",
+            })
+            .collect()
+    };
+    {
+        let db = Db::builder().env_overrides().open(&dir).unwrap();
+        let from = db.object::<AccountObject>("from").unwrap();
+        let to = db.object::<AccountObject>("to").unwrap();
+        db.transact(|tx| from.credit(tx, money(10)).map_err(Into::into)).unwrap();
+        db.transact(|tx| {
+            assert!(from.debit(tx, money(4))?);
+            to.credit(tx, money(4))?;
+            Ok(())
+        })
+        .unwrap();
+    }
+    // In ticket order: an op's ticket is reserved under its object's
+    // latch, before the first use's `Register` draws one.
+    let transfer = ["Op", "Op", "Register", "Commit"];
+    assert_eq!(kinds(), [&["Op", "Register", "Commit"][..], &transfer].concat());
+
+    {
+        let db = Db::builder().env_overrides().open(&dir).unwrap();
+        let to = db.object::<AccountObject>("to").unwrap();
+        let t = db.manager().begin();
+        db.storage().unwrap().log_begin(t.id().0).unwrap();
+        to.credit(&t, money(1)).unwrap();
+        db.manager().commit(t).unwrap();
+    }
+    assert_eq!(kinds().iter().filter(|k| **k == "Begin").count(), 1);
+    let db = Db::builder().env_overrides().open(&dir).unwrap();
+    assert_eq!(db.object::<AccountObject>("from").unwrap().committed_balance(), money(6));
+    assert_eq!(db.object::<AccountObject>("to").unwrap().committed_balance(), money(5));
+    assert_eq!(db.recovery_report().replayed, 3);
 }

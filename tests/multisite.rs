@@ -6,7 +6,7 @@
 //! `Db::builder().decisions(..)` + bounded `retry_phase2` — every seed
 //! must converge, live and from-scratch. Below it, the 2PC durability
 //! story one case at a time: a durable site is a `Db` whose objects log
-//! through a `SiteWal` on its store and join it with `Db::attach`.
+//! through its store and join it with `Db::attach`.
 
 use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
 use hybrid_cc::core::runtime::{RuntimeOptions, TxnHandle};
@@ -15,7 +15,7 @@ use hybrid_cc::storage::{DurableStore, StorageOptions};
 use hybrid_cc::txn::clock::LogicalClock;
 use hybrid_cc::txn::registry::Decisions;
 use hybrid_cc::txn::sim::{
-    coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site, SiteWal,
+    coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site,
 };
 use hybrid_cc::workload::multisite::{multisite_crash_converges, MultisiteOptions};
 use hybrid_cc::Db;
@@ -62,15 +62,15 @@ fn r(n: i64) -> Rational {
 /// — and the account, logging through the site's WAL, arrives healed.
 fn site_b(dir: &Path, decisions: Decisions) -> (Db, Arc<AccountObject>, Site) {
     let db = Db::builder().decisions(decisions).open(dir).unwrap();
-    let wal = SiteWal::new(db.storage().unwrap().clone());
+    let store = db.storage().unwrap().clone();
     let b = db
         .attach(Arc::new(AccountObject::with(
             "b",
             Arc::new(AccountHybrid),
-            RuntimeOptions::default().with_redo(wal.clone()),
+            RuntimeOptions::default().with_redo(store.clone()),
         )))
         .unwrap();
-    let site = Site::spawn_durable("s-b", vec![b.inner().clone()], wal);
+    let site = Site::spawn_durable("s-b", vec![b.inner().clone()], store);
     (db, b, site)
 }
 
