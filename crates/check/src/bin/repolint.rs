@@ -106,6 +106,16 @@
 //!     retry stashes, their payload type, the one-shot sink helper and
 //!     the stash's flight event appear nowhere under `crates/`, `src/`,
 //!     `tests/` or `examples/`.
+//! 15. **Every durability level is durable**: an acknowledged commit
+//!     survives a process crash at every level, so there is no level
+//!     below `Buffered`. The retired level, its environment override
+//!     arm, the runtime options' durability setter, `DbBuilder`'s
+//!     wait-forever lock switch and the compaction modes and policy
+//!     builders nothing selected appear nowhere under `crates/`, `src/`,
+//!     `tests/` or `examples/`; the durability enum is defined exactly
+//!     once, under `crates/storage/` (the one crate that acts on it); and
+//!     the CI recovery matrix lists no `none` cell and gates no step on
+//!     the level.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -165,6 +175,7 @@ fn main() {
     let workload_diet = "the workload diet — benchmark/ is the instrument";
     let no_guessing = "tailer guessing — the shipper asks the log";
     let one_sink = "the retry stashes — the store is the one redo sink";
+    let every_level = "the settings nothing chose — every durability level is durable";
     let retired_items = [
         (["Log", "Discipline"].concat(), first_generation),
         (["Wal", "Record"].concat(), first_generation),
@@ -193,6 +204,13 @@ fn main() {
         (["Pending", "Ops"].concat(), one_sink),
         (["record", "_op"].concat(), one_sink),
         (["log", ".stash"].concat(), one_sink),
+        (["Durability", "::None"].concat(), every_level),
+        (["\"no", "ne\" =>"].concat(), every_level),
+        (["with_", "durability"].concat(), every_level),
+        (["no_lock_", "timeout"].concat(), every_level),
+        (["Growth", "Size"].concat(), every_level),
+        (["growth", "_size"].concat(), every_level),
+        (["with_min", "_records"].concat(), every_level),
     ];
     // Ratchet 11's census: one inventory specification, one definition.
     let mut inventory_sites =
@@ -226,6 +244,12 @@ fn main() {
     let sink_impl = ["RedoSink", " for"].concat();
     let sink_home = "crates/storage/";
     let mut sink_impls = Vec::new();
+
+    // Ratchet 15: where the durability enum lives, and the CI matrix.
+    let durability_enum = ["enum Dura", "bility"].concat();
+    let durability_home = "crates/storage/";
+    let mut durability_enums = Vec::new();
+    let ci = ".github/workflows/ci.yml";
 
     // Ratchet 2's census: trait → production impl sites, per directory.
     let mut object_layer = [
@@ -261,6 +285,9 @@ fn main() {
                         findings
                             .push(format!("{rel_s}:{}: `{needle}` was retired with {with}", i + 1));
                     }
+                }
+                if names_whole_word(line, &durability_enum) {
+                    durability_enums.push(format!("{rel_s}:{}", i + 1));
                 }
             }
         }
@@ -464,6 +491,25 @@ fn main() {
                 "`{needle}` appears {} times (want exactly one, in crates/workload/src/inventory.rs): {}",
                 sites.len(),
                 sites.join(", ")
+            ));
+        }
+    }
+
+    if durability_enums.len() != 1 || !durability_enums[0].starts_with(durability_home) {
+        findings.push(format!(
+            "`{durability_enum}` defined {} times (want exactly one, under {durability_home}): {}",
+            durability_enums.len(),
+            durability_enums.join(", ")
+        ));
+    }
+
+    let ci_text = std::fs::read_to_string(root.join(ci)).unwrap_or_default();
+    for (i, line) in ci_text.lines().map(str::trim_start).enumerate() {
+        let none_cell = line.starts_with("durability: [") && line.contains("none");
+        if none_cell || (line.starts_with("if:") && line.contains("matrix.durability")) {
+            findings.push(format!(
+                "{ci}:{}: `{line}` — the recovery matrix has two cells, and every step runs in both",
+                i + 1
             ));
         }
     }

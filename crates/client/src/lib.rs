@@ -27,6 +27,9 @@ use hcc_txn::manager::CommitError;
 use hcc_wire::conn::{self, RecvHalf, SendHalf, WireError};
 use hcc_wire::msg::{OpResult, Request, Response, TypeTag, View, WireFault, PROTOCOL_VERSION};
 
+/// Read timeout while waiting for the handshake reply.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Handshake and retry tunables for [`Client::connect_with`].
 #[derive(Clone, Debug)]
 pub struct ClientOptions {
@@ -39,8 +42,6 @@ pub struct ClientOptions {
     /// Protocol version to offer — overridable so tests can exercise
     /// the version-mismatch refusal.
     pub version: u32,
-    /// Read timeout while waiting for the handshake reply.
-    pub handshake_timeout: Duration,
 }
 
 impl Default for ClientOptions {
@@ -50,7 +51,6 @@ impl Default for ClientOptions {
             max_in_flight: 8,
             retry: RetryPolicy::default(),
             version: PROTOCOL_VERSION,
-            handshake_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -144,7 +144,7 @@ impl Client {
             max_in_flight: opts.max_in_flight,
         };
         tx.send(0, &hello).map_err(|e| HccError::Protocol(format!("handshake send: {e}")))?;
-        rx.set_read_timeout(Some(opts.handshake_timeout)).ok();
+        rx.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
         let resp = recv_msg(&mut rx, "during handshake")?;
         rx.set_read_timeout(None).ok();
         match resp {

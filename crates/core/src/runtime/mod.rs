@@ -37,7 +37,5 @@ pub use object::{
     ExecError, NotFresh, ObjectStats, ReplayError, SnapshotStale, TryExecOutcome, TxObject,
     TxParticipant,
 };
-pub use options::{
-    BlockPolicy, Durability, NullObserver, RedoSink, RedoTicket, RuntimeOptions, WaitObserver,
-};
+pub use options::{BlockPolicy, NullObserver, RedoSink, RedoTicket, RuntimeOptions, WaitObserver};
 pub use spec_adt::{AdtDef, ConflictSpec, ConflictTable, SpecAdt, SpecLock};

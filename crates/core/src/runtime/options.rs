@@ -91,27 +91,6 @@ pub trait RedoSink: Send + Sync {
     fn publish(&self, ticket: RedoTicket, txn: TxnId, object: &str, op: &[u8]) -> bool;
 }
 
-/// How far a completion record must travel before a commit is
-/// acknowledged. The authoritative setting lives on `hcc-storage`'s
-/// `StorageOptions`; `TxnManager::object_options` mirrors the store's
-/// level into the options it hands out, so code holding only a
-/// `RuntimeOptions` can see what durability its commits actually get.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Durability {
-    /// Records stay in the process's own buffer until an opportunistic
-    /// flush (rotation, checkpoint, close). Fastest; a process crash loses
-    /// the unflushed tail.
-    None,
-    /// Every commit pushes the log to the OS page cache — one `write`
-    /// carrying the records buffered ahead of it — but no fsync: survives
-    /// a process crash, not a power failure.
-    Buffered,
-    /// Every commit is fsynced (`sync_data`) before it is acknowledged —
-    /// batched across concurrent committers by group commit.
-    #[default]
-    Fsync,
-}
-
 /// Construction-time options for a [`super::TxObject`].
 #[derive(Clone)]
 pub struct RuntimeOptions {
@@ -119,9 +98,6 @@ pub struct RuntimeOptions {
     pub block: BlockPolicy,
     /// Contention observer (deadlock detection hook).
     pub observer: Arc<dyn WaitObserver>,
-    /// Durability required of completion records when a durable log is
-    /// attached (ignored when running purely in memory).
-    pub durability: Durability,
     /// Where executed operations' redo payloads are recorded. `None` runs
     /// the object purely in memory; `Some` makes every mutating operation
     /// self-logging (`TxnManager::object_options` wires its durable store
@@ -149,7 +125,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             block: BlockPolicy::default(),
             observer: Arc::new(NullObserver),
-            durability: Durability::default(),
             redo: None,
             metrics: Arc::new(Registry::new()),
             trace: None,
@@ -167,12 +142,6 @@ impl RuntimeOptions {
     /// Options with a custom timeout.
     pub fn with_timeout(timeout: Option<Duration>) -> RuntimeOptions {
         RuntimeOptions { block: BlockPolicy { timeout }, ..RuntimeOptions::default() }
-    }
-
-    /// The same options with a different durability requirement.
-    pub fn with_durability(mut self, durability: Durability) -> RuntimeOptions {
-        self.durability = durability;
-        self
     }
 
     /// The same options with mutating operations self-logging through

@@ -14,11 +14,11 @@ use crate::error::HccError;
 use crate::handle::DbObject;
 use crate::read::ReadInstruments;
 use crate::tx::{RetryPolicy, Tx};
-use hcc_core::runtime::{Durability, ExecError, RuntimeOptions};
+use hcc_core::runtime::{ExecError, RuntimeOptions};
 use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
-    Checkpoint, CommittedTxn, CompactionPolicy, DurableObject, DurableStore, Recovered,
+    Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject, DurableStore, Recovered,
     StorageOptions,
 };
 use hcc_txn::manager::CommitError;
@@ -35,7 +35,7 @@ use std::time::Duration;
 #[derive(Clone, Debug, Default)]
 pub struct DbBuilder {
     storage: StorageOptions,
-    lock_timeout: Option<Option<Duration>>,
+    lock_timeout: Option<Duration>,
     retry: RetryPolicy,
     decisions: Decisions,
 }
@@ -69,14 +69,7 @@ impl DbBuilder {
     /// keeps the runtime's own policy; the deadlock detector dooms
     /// victims regardless).
     pub fn lock_timeout(mut self, timeout: Duration) -> Self {
-        self.lock_timeout = Some(Some(timeout));
-        self
-    }
-
-    /// Wait forever on blocked lock requests (deadlock victims still get
-    /// doomed and retried by `transact`).
-    pub fn no_lock_timeout(mut self) -> Self {
-        self.lock_timeout = Some(None);
+        self.lock_timeout = Some(timeout);
         self
     }
 
@@ -297,7 +290,7 @@ impl PendingRecovery {
 pub struct Db {
     mgr: Arc<TxnManager>,
     retry: RetryPolicy,
-    lock_timeout: Option<Option<Duration>>,
+    lock_timeout: Option<Duration>,
     registry: RwLock<Registry>,
     handles: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
     pending: Mutex<PendingRecovery>,
@@ -539,13 +532,12 @@ impl Db {
     }
 
     /// The runtime options this database builds objects with: deadlock
-    /// observer, the store's durability, the redo sink, and the
-    /// configured lock timeout. For constructing custom objects to
-    /// [`Db::attach`].
+    /// observer, the redo sink, and the configured lock timeout. For
+    /// constructing custom objects to [`Db::attach`].
     pub fn object_options(&self) -> RuntimeOptions {
         let mut opts = self.mgr.object_options();
         if let Some(timeout) = self.lock_timeout {
-            opts.block.timeout = timeout;
+            opts.block.timeout = Some(timeout);
         }
         opts
     }

@@ -2,8 +2,8 @@
 //!
 //! It is implemented once, for `hcc-adts`'s [`Object<A>`], so
 //! `db.object::<AccountObject>("checking")` constructs the object under
-//! the database's runtime options (deadlock observer, durability, redo
-//! sink), registers it for checkpointing and recovery, and materializes
+//! the database's runtime options (deadlock observer, redo sink),
+//! registers it for checkpointing and recovery, and materializes
 //! any state the log already holds under that name — all in one call.
 //! Forgetting to register is unrepresentable; a custom type joins by
 //! implementing [`ObjectAdt`] (a codec and a canonical relation), not by

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -55,7 +55,7 @@ pub struct FollowerOptions {
     /// Replica log segment rotation threshold.
     pub segment_max_bytes: u64,
     /// Replica log flush mode: `Fsync` makes every `ReplAck` a promise
-    /// that survives power loss, anything else a promise that survives a
+    /// that survives power loss, `Buffered` a promise that survives a
     /// process crash.
     pub durability: Durability,
     /// Pause between reconnect attempts.
@@ -129,9 +129,10 @@ struct Inner {
     ins: Instruments,
     opts: FollowerOptions,
     stop: AtomicBool,
-    /// Set when the apply path hit a non-recoverable fault (the stream
-    /// thread has exited; reads still serve the last good watermark).
-    poisoned: AtomicBool,
+    /// The non-recoverable fault the apply path hit, once it hit one (the
+    /// stream thread has exited; reads still serve the last good
+    /// watermark).
+    fault: OnceLock<String>,
 }
 
 /// A live read replica. See the module docs.
@@ -183,7 +184,7 @@ impl Follower {
             ins,
             opts,
             stop: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
+            fault: OnceLock::new(),
         });
         let stream = {
             let inner = inner.clone();
@@ -230,7 +231,12 @@ impl Follower {
     /// Did the apply path hit a non-recoverable fault? (The stream has
     /// stopped; the replica still serves its last good prefix.)
     pub fn poisoned(&self) -> bool {
-        self.inner.poisoned.load(Ordering::SeqCst)
+        self.inner.fault.get().is_some()
+    }
+
+    /// What poisoned the stream, if anything did.
+    pub fn fault(&self) -> Option<String> {
+        self.inner.fault.get().cloned()
     }
 
     /// Stop streaming (idempotent; also called by drop and promote).
@@ -361,8 +367,7 @@ fn stream_loop(inner: &Arc<Inner>, addr: &str) {
                 // Re-dialing cannot help: the fault is in what is already
                 // durable here. Stop and leave the replica readable.
                 inner.ins.apply_faults.inc();
-                inner.poisoned.store(true, Ordering::SeqCst);
-                let _ = detail;
+                let _ = inner.fault.set(detail);
                 return;
             }
             Err(_) => {}

@@ -12,7 +12,9 @@ use hcc_db::Db;
 use hcc_repl::{Follower, FollowerOptions, ObjectResolver, Primary};
 use hcc_storage::record;
 use hcc_storage::wal::read_records;
-use hcc_storage::{DurableObject, DurableStore, LogRecord};
+use hcc_storage::{Durability, DurableObject, DurableStore, LogRecord};
+use hcc_wire::conn::Listener;
+use hcc_wire::repl::{ReplMsg, REPL_PROTOCOL_VERSION};
 
 fn tmp(name: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -48,7 +50,7 @@ fn await_convergence(db: &Db, follower: &Follower) {
     let target = || db.storage().unwrap().last_issued_ticket();
     let deadline = Instant::now() + Duration::from_secs(20);
     while follower.durable_ticket() < target() || follower.lag() != 0 {
-        assert!(!follower.poisoned(), "follower poisoned while converging");
+        assert!(!follower.poisoned(), "follower poisoned while converging: {:?}", follower.fault());
         assert!(
             Instant::now() < deadline,
             "no convergence: durable {} lag {} target {}",
@@ -231,6 +233,75 @@ fn promotion_preserves_replicated_commits_and_accepts_writes() {
     let _ = std::fs::remove_dir_all(&rdir);
 }
 
+/// Every durability level, in order. The match is exhaustive, so a new
+/// level does not compile until it opts in here — and with it into
+/// `replication_converges_and_promotes_at_every_durability_level`.
+fn every_level() -> impl Iterator<Item = Durability> {
+    std::iter::successors(Some(Durability::Buffered), |level| match level {
+        Durability::Buffered => Some(Durability::Fsync),
+        Durability::Fsync => None,
+    })
+}
+
+/// At every level an acknowledged commit reaches the log file the
+/// shipper reads, so a follower converges with no help — no `sync` — and
+/// its promotion keeps every commit acknowledged before the primary died.
+#[test]
+fn replication_converges_and_promotes_at_every_durability_level() {
+    for level in every_level() {
+        let pdir = tmp(&format!("level-{level:?}-primary"));
+        let rdir = tmp(&format!("level-{level:?}-replica"));
+        let builder = || Db::builder().segment_max_bytes(4096).durability(level);
+        let db = Arc::new(builder().open(&pdir).unwrap());
+        let mut primary = Primary::start("127.0.0.1:0", db.clone(), None).unwrap();
+        let opts = FollowerOptions { durability: level, ..follower_opts() };
+        let follower =
+            Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), opts).unwrap();
+        run_counter_load(&db, 30);
+        await_convergence(&db, &follower);
+
+        primary.stop();
+        drop(db);
+        let promoted = follower.promote_with(builder()).unwrap();
+        let c1 = promoted.object::<CounterObject>("c1").unwrap();
+        let c2 = promoted.object::<CounterObject>("c2").unwrap();
+        assert_eq!(c1.committed_value(), 30, "{level:?}: an acknowledged commit was lost");
+        assert_eq!(c2.committed_value(), 20, "{level:?}: an acknowledged commit was lost");
+        drop(promoted);
+        let _ = std::fs::remove_dir_all(&pdir);
+        let _ = std::fs::remove_dir_all(&rdir);
+    }
+}
+
+/// A batch whose commit chains to a ticket the stream never carried
+/// poisons the follower, and the follower says why.
+#[test]
+fn a_commit_chained_past_a_missing_ticket_poisons_the_follower_with_its_reason() {
+    let rdir = tmp("skip-replica");
+    let listener = Listener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let follower = Follower::start(&rdir, &addr, resolver(), follower_opts()).unwrap();
+
+    // Play the primary by hand: welcome the follower, then ship a commit
+    // chained to ticket 5, which the stream never carried.
+    let (conn, _) = listener.accept().unwrap();
+    let (mut tx, mut rx) = conn.split().unwrap();
+    assert!(matches!(rx.recv::<ReplMsg>().unwrap(), Some((_, ReplMsg::Hello { .. }, _))));
+    tx.send(0, &ReplMsg::Welcome { version: REPL_PROTOCOL_VERSION, frontier: 0 }).unwrap();
+    let frames = record::encode(&LogRecord::Commit { txn: 1, ts: 1, ops: 0, prev: 5 }, 7);
+    tx.send(1, &ReplMsg::Batch { watermark: 0, ticket: 7, frames }).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !follower.poisoned() {
+        assert!(Instant::now() < deadline, "the follower applied a commit with no predecessor");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let fault = follower.fault().unwrap();
+    assert!(fault.contains("the stream skipped a commit"), "fault: {fault}");
+    drop(follower);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
 /// One rule decides which logged commits count — recovery's, the
 /// follower's streaming apply and promotion's cut all ask the same
 /// `CommitChain`. The log here holds the case they used to disagree on:
@@ -277,7 +348,11 @@ fn standin_abort_links_the_chain_for_recovery_follower_and_promotion_alike() {
             .unwrap();
     let deadline = Instant::now() + Duration::from_secs(20);
     while follower.watermark() < 3 {
-        assert!(!follower.poisoned(), "the replica refused a commit recovery accepts");
+        assert!(
+            !follower.poisoned(),
+            "the replica refused a commit recovery accepts: {:?}",
+            follower.fault()
+        );
         assert!(Instant::now() < deadline, "no convergence: at {}", follower.durable_ticket());
         std::thread::sleep(Duration::from_millis(5));
     }

@@ -49,6 +49,10 @@ use hcc_wire::msg::{Request, Response, WireFault, PROTOCOL_VERSION};
 use parking_lot::{Condvar, Mutex};
 use queue::BoundedQueue;
 
+/// How long a fresh connection may sit silent before its handshake is
+/// abandoned.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tunables for [`serve_with`]. `Default` is sized for tests and small
 /// deployments; production would raise the caps, not remove them.
 #[derive(Clone, Debug)]
@@ -62,9 +66,6 @@ pub struct ServerOptions {
     pub session_in_flight_cap: u32,
     /// When set, handshakes must present exactly this token.
     pub token: Option<String>,
-    /// How long a fresh connection may sit silent before its handshake
-    /// is abandoned.
-    pub handshake_timeout: Duration,
     /// When set, also bind a replication listener on this address and
     /// ship the live WAL to followers
     /// (`hcc_repl::Primary::start(addr, db, token)`). Requires a durable
@@ -80,7 +81,6 @@ impl Default for ServerOptions {
             queue_cap: 64,
             session_in_flight_cap: 16,
             token: None,
-            handshake_timeout: Duration::from_secs(5),
             repl_listen: None,
         }
     }
@@ -351,7 +351,7 @@ fn handshake(
     shared: &Arc<Shared>,
 ) -> Option<(Arc<Session>, hcc_wire::conn::RecvHalf)> {
     let (mut tx, mut rx) = conn.split().ok()?;
-    rx.set_read_timeout(Some(shared.opts.handshake_timeout)).ok()?;
+    rx.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
     let hello = match rx.recv::<Request>() {
         Ok(Some((_seq, req, n))) => {
             shared.metrics.bytes_in.add(n);

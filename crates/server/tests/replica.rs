@@ -39,7 +39,7 @@ fn await_follower(db: &Db, follower: &Follower) {
         || follower.lag() != 0
         || follower.watermark() < db.manager().stable_watermark()
     {
-        assert!(!follower.poisoned(), "follower poisoned while converging");
+        assert!(!follower.poisoned(), "follower poisoned while converging: {:?}", follower.fault());
         assert!(Instant::now() < deadline, "follower never converged");
         std::thread::sleep(Duration::from_millis(5));
     }

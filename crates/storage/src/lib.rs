@@ -15,9 +15,10 @@
 //! * [`checkpoint`] — durable snapshots of the committed frontier, so
 //!   recovery starts from the newest checkpoint and replays only the tail
 //!   instead of the whole history;
-//! * [`policy`] — the [`CompactMode`] state machine (Never / EveryN /
-//!   GrowthFactor / GrowthSize, AND-composed with a record-count floor)
-//!   deciding when to checkpoint and delete dead segments;
+//! * [`policy`] — the [`CompactionPolicy`] (never, every N commits, or
+//!   the default: the log doubled since the last checkpoint, above a
+//!   record-count floor) deciding when to checkpoint and delete dead
+//!   segments;
 //! * [`snapshot`] — the [`Snapshot`] trait every ADT implements, and
 //!   [`DurableObject`], the named/replayable view the recovery registry
 //!   dispatches through;
@@ -30,10 +31,9 @@
 //!   raw ([`SegmentedWal::append_frames`]), so promotion is a
 //!   [`wal::truncate_above`] plus plain recovery.
 //!
-//! The durability knob ([`Durability`]: None / Buffered / Fsync) is defined
-//! in `hcc-core`'s `RuntimeOptions` and re-exported here; see
-//! `docs/DURABILITY.md` at the workspace root for the format and protocol
-//! descriptions.
+//! The durability knob ([`Durability`]: Buffered / Fsync) is defined in
+//! [`wal`], the one place that acts on it; see `docs/DURABILITY.md` at the
+//! workspace root for the format and protocol descriptions.
 
 pub mod checkpoint;
 pub mod policy;
@@ -44,8 +44,7 @@ pub mod tail;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
-pub use hcc_core::runtime::Durability;
-pub use policy::{CompactMode, CompactionPolicy, LogStats};
+pub use policy::{CompactionPolicy, LogStats};
 pub use record::LogRecord;
 pub use snapshot::{DurableObject, Snapshot, SnapshotError};
 pub use store::{
@@ -53,7 +52,7 @@ pub use store::{
     Recovered, StorageOptions,
 };
 pub use tail::WalTailer;
-pub use wal::{SegmentedWal, WalOptions};
+pub use wal::{Durability, SegmentedWal, WalOptions};
 
 /// Anything that can go wrong in the storage layer.
 #[derive(Debug)]

@@ -1,12 +1,16 @@
 //! When to checkpoint and compact: a policy state machine in the style of
-//! ATE's chain-compaction `CompactMode`, composed with a record-count
-//! trigger.
+//! ATE's chain-compaction `CompactMode`.
 //!
 //! The policy is consulted after every committed transaction with the log's
 //! current [`LogStats`]; when it fires, the owner takes a checkpoint and
-//! deletes dead segments. All modes are AND-composed with `min_records`
-//! so that tiny logs are never compacted no matter how fast they grow
-//! proportionally.
+//! deletes dead segments. There are three policies: never, every N commits,
+//! and the default — every doubling of the log, but only once 1 024
+//! records have accumulated, so that tiny logs are never compacted no
+//! matter how fast they grow proportionally.
+
+/// Records that must have accumulated since the last checkpoint before the
+/// default doubling policy may fire (suppresses churn on near-empty logs).
+const DOUBLING_FLOOR: u64 = 1024;
 
 /// Aggregate statistics about the log, fed to the policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -15,8 +19,6 @@ pub struct LogStats {
     pub commits_since_checkpoint: u64,
     /// Records of any kind appended since the last checkpoint.
     pub records_since_checkpoint: u64,
-    /// Bytes appended since the last checkpoint.
-    pub bytes_since_checkpoint: u64,
     /// Total log size (bytes) at the moment of the last checkpoint.
     pub bytes_at_last_checkpoint: u64,
     /// Total log size now (live segments only).
@@ -27,80 +29,53 @@ pub struct LogStats {
 
 /// When a compaction (checkpoint + dead-segment deletion) should occur.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CompactMode {
+enum CompactMode {
     /// Never compact: the log is append-only forever (replay is O(history)).
     Never,
     /// Compact after every `n` committed transactions.
     EveryN(u64),
-    /// Compact when the log has grown past `factor` × its size at the last
-    /// checkpoint (e.g. `2.0` = every doubling).
-    GrowthFactor(f64),
-    /// Compact when the log has grown by this many bytes since the last
-    /// checkpoint.
-    GrowthSize(u64),
+    /// Compact when the log has doubled since the last checkpoint, once
+    /// `DOUBLING_FLOOR` records have accumulated.
+    Doubling,
 }
 
-/// The full policy: a [`CompactMode`] AND a record-count floor.
+/// The compaction policy: [`CompactionPolicy::never`],
+/// [`CompactionPolicy::every_n`], or the default doubling policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompactionPolicy {
-    /// The growth condition.
-    pub mode: CompactMode,
-    /// Records that must have accumulated since the last checkpoint before
-    /// any mode may fire (suppresses churn on near-empty logs).
-    pub min_records: u64,
+    mode: CompactMode,
 }
 
 impl Default for CompactionPolicy {
     fn default() -> Self {
         // Doubling-triggered compaction with a modest floor: bounded replay
         // without checkpoint storms.
-        CompactionPolicy { mode: CompactMode::GrowthFactor(2.0), min_records: 1024 }
+        CompactionPolicy { mode: CompactMode::Doubling }
     }
 }
 
 impl CompactionPolicy {
     /// A policy that never compacts.
     pub fn never() -> CompactionPolicy {
-        CompactionPolicy { mode: CompactMode::Never, min_records: 0 }
+        CompactionPolicy { mode: CompactMode::Never }
     }
 
-    /// Compact every `n` commits (floor still applies if set).
+    /// Compact every `n` commits.
     pub fn every_n(n: u64) -> CompactionPolicy {
-        CompactionPolicy { mode: CompactMode::EveryN(n), min_records: 0 }
-    }
-
-    /// Compact on `factor`× growth over the last checkpoint.
-    pub fn growth_factor(factor: f64) -> CompactionPolicy {
-        CompactionPolicy { mode: CompactMode::GrowthFactor(factor), min_records: 0 }
-    }
-
-    /// Compact after `bytes` of new log data.
-    pub fn growth_size(bytes: u64) -> CompactionPolicy {
-        CompactionPolicy { mode: CompactMode::GrowthSize(bytes), min_records: 0 }
-    }
-
-    /// The same policy with a record-count floor.
-    pub fn with_min_records(mut self, min_records: u64) -> CompactionPolicy {
-        self.min_records = min_records;
-        self
+        CompactionPolicy { mode: CompactMode::EveryN(n) }
     }
 
     /// Should the owner checkpoint now?
     pub fn should_compact(&self, stats: &LogStats) -> bool {
-        if stats.records_since_checkpoint < self.min_records {
-            return false;
-        }
         match self.mode {
             CompactMode::Never => false,
             CompactMode::EveryN(n) => n > 0 && stats.commits_since_checkpoint >= n,
-            CompactMode::GrowthFactor(factor) => {
+            CompactMode::Doubling => {
                 // Before any checkpoint exists, treat the baseline as one
-                // segment's worth of data so the first checkpoint still
-                // happens.
-                let base = stats.bytes_at_last_checkpoint.max(1) as f64;
-                stats.total_bytes as f64 >= base * factor
+                // byte so the first checkpoint still happens.
+                stats.records_since_checkpoint >= DOUBLING_FLOOR
+                    && stats.total_bytes / 2 >= stats.bytes_at_last_checkpoint.max(1)
             }
-            CompactMode::GrowthSize(bytes) => stats.bytes_since_checkpoint >= bytes,
         }
     }
 }
@@ -109,11 +84,10 @@ impl CompactionPolicy {
 mod tests {
     use super::*;
 
-    fn stats(commits: u64, records: u64, bytes_since: u64, at_last: u64, total: u64) -> LogStats {
+    fn stats(commits: u64, records: u64, at_last: u64, total: u64) -> LogStats {
         LogStats {
             commits_since_checkpoint: commits,
             records_since_checkpoint: records,
-            bytes_since_checkpoint: bytes_since,
             bytes_at_last_checkpoint: at_last,
             total_bytes: total,
             segments: 1,
@@ -123,44 +97,34 @@ mod tests {
     #[test]
     fn never_never_fires() {
         let p = CompactionPolicy::never();
-        assert!(!p.should_compact(&stats(u64::MAX, u64::MAX, u64::MAX, 0, u64::MAX)));
+        assert!(!p.should_compact(&stats(u64::MAX, u64::MAX, 0, u64::MAX)));
     }
 
     #[test]
     fn every_n_counts_commits() {
         let p = CompactionPolicy::every_n(10);
-        assert!(!p.should_compact(&stats(9, 100, 0, 0, 0)));
-        assert!(p.should_compact(&stats(10, 100, 0, 0, 0)));
+        assert!(!p.should_compact(&stats(9, 100, 0, 0)));
+        assert!(p.should_compact(&stats(10, 100, 0, 0)));
     }
 
     #[test]
     fn growth_factor_compares_to_last_checkpoint() {
-        let p = CompactionPolicy::growth_factor(2.0);
-        assert!(!p.should_compact(&stats(5, 5, 999, 1000, 1999)));
-        assert!(p.should_compact(&stats(5, 5, 1000, 1000, 2000)));
+        let p = CompactionPolicy::default();
+        assert!(!p.should_compact(&stats(5, DOUBLING_FLOOR, 1000, 1999)));
+        assert!(p.should_compact(&stats(5, DOUBLING_FLOOR, 1000, 2000)));
+        assert!(p.should_compact(&stats(5, DOUBLING_FLOOR, 0, 2)), "first checkpoint");
     }
 
     #[test]
-    fn growth_size_counts_new_bytes() {
-        let p = CompactionPolicy::growth_size(4096);
-        assert!(!p.should_compact(&stats(5, 5, 4095, 0, 4095)));
-        assert!(p.should_compact(&stats(5, 5, 4096, 0, 4096)));
-    }
-
-    #[test]
-    fn min_records_floor_gates_every_mode() {
-        for mode in
-            [CompactMode::EveryN(1), CompactMode::GrowthFactor(1.01), CompactMode::GrowthSize(1)]
-        {
-            let p = CompactionPolicy { mode, min_records: 100 };
-            assert!(
-                !p.should_compact(&stats(50, 99, 1 << 20, 1, 1 << 21)),
-                "{mode:?} fired below the record floor"
-            );
-            assert!(
-                p.should_compact(&stats(50, 100, 1 << 20, 1, 1 << 21)),
-                "{mode:?} failed to fire above the record floor"
-            );
-        }
+    fn record_floor_gates_the_default_policy() {
+        let p = CompactionPolicy::default();
+        assert!(
+            !p.should_compact(&stats(50, DOUBLING_FLOOR - 1, 1, 1 << 21)),
+            "fired below the record floor"
+        );
+        assert!(
+            p.should_compact(&stats(50, DOUBLING_FLOOR, 1, 1 << 21)),
+            "failed to fire above the record floor"
+        );
     }
 }

@@ -52,9 +52,9 @@ use crate::policy::{CompactionPolicy, LogStats};
 use crate::record::LogRecord;
 use crate::snapshot::Snapshot;
 use crate::tail::WalTailer;
-use crate::wal::{read_records, SegmentedWal, WalOptions};
+use crate::wal::{read_records, Durability, SegmentedWal, WalOptions};
 use crate::StorageError;
-use hcc_core::runtime::{Durability, RedoSink, RedoTicket, TxnId};
+use hcc_core::runtime::{RedoSink, RedoTicket, TxnId};
 use hcc_obs::Registry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -82,13 +82,12 @@ impl Default for StorageOptions {
     }
 }
 
-/// The `HCC_DURABILITY` environment override (`none` / `buffered` /
-/// `fsync`, case-insensitive) — the CI durability axis, shared by every
-/// options type that carries a durability level. `None` when unset or
+/// The `HCC_DURABILITY` environment override (`buffered` / `fsync`,
+/// case-insensitive) — the CI durability axis, shared by every options
+/// type that carries a durability level. `None` when unset or
 /// unrecognized.
 pub fn durability_env_override() -> Option<Durability> {
     match std::env::var("HCC_DURABILITY").ok()?.trim().to_ascii_lowercase().as_str() {
-        "none" => Some(Durability::None),
         "buffered" => Some(Durability::Buffered),
         "fsync" => Some(Durability::Fsync),
         _ => None,
@@ -412,11 +411,6 @@ impl DurableStore {
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured durability level.
-    pub fn durability(&self) -> Durability {
-        self.opts.durability
     }
 
     /// The last global order ticket issued so far (0 = none) — the second

@@ -30,10 +30,10 @@
 //! the log's next write, settle or void. Records ride the log's buffer to
 //! the next completion record's write, except one whose ticket a higher
 //! one on file overtook, which is written at once — so an idle
-//! transaction never holds the stream. `Durability::None` may hold
-//! records back indefinitely, which is why replication is specified for
-//! the buffered/fsync modes. A segment compaction deletes under the
-//! tailer is an error: replication sources run with compaction off.
+//! transaction never holds the stream, and every commit reaches the file
+//! before it is acknowledged, at both durability levels. A segment
+//! compaction deletes under the tailer is an error: replication sources
+//! run with compaction off.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -182,8 +182,7 @@ impl WalTailer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WalOptions;
-    use hcc_core::runtime::Durability;
+    use crate::wal::{Durability, WalOptions};
     use hcc_obs::Registry;
     use std::fs;
     use std::path::PathBuf;

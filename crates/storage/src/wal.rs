@@ -77,7 +77,7 @@
 
 use crate::record::{self, FrameError, LogRecord};
 use crate::StorageError;
-use hcc_core::runtime::{Durability, WakeToken};
+use hcc_core::runtime::WakeToken;
 use hcc_obs::{Counter, Histogram, Registry};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -94,6 +94,21 @@ const FLUSH_BYTES: usize = 64 * 1024;
 /// on-disk format constant: it is where every existing log keeps its
 /// one stream.
 pub const STREAM_DIR: &str = "stripe-00";
+
+/// How far a completion record must travel before a commit is
+/// acknowledged. Both levels survive a process crash: an acknowledged
+/// commit is never lost to one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Durability {
+    /// Every commit pushes the log to the OS page cache — one `write`
+    /// carrying the records buffered ahead of it — but no fsync: survives
+    /// a process crash, not a power failure.
+    Buffered,
+    /// Every commit is fsynced (`sync_data`) before it is acknowledged —
+    /// batched across concurrent committers by group commit.
+    #[default]
+    Fsync,
+}
 
 /// Construction options for [`SegmentedWal`].
 #[derive(Clone, Copy, Debug)]
@@ -134,7 +149,6 @@ struct Inner {
     // ---- statistics for the compaction policy -------------------------
     commits_since_ckpt: u64,
     records_since_ckpt: u64,
-    bytes_since_ckpt: u64,
     bytes_at_last_ckpt: u64,
     total_bytes: u64,
     segments: u64,
@@ -395,7 +409,6 @@ impl SegmentedWal {
                 live_low: HashMap::new(),
                 commits_since_ckpt: 0,
                 records_since_ckpt: 0,
-                bytes_since_ckpt: 0,
                 bytes_at_last_ckpt: total_bytes,
                 total_bytes: total_bytes.max(seg_bytes),
                 segments: segments.len().max(1) as u64,
@@ -618,7 +631,6 @@ impl SegmentedWal {
         let encoded = (inner.buf.len() - before) as u64;
         inner.seg_bytes += encoded;
         inner.total_bytes += encoded;
-        inner.bytes_since_ckpt += encoded;
         inner.records_since_ckpt += 1;
         match rec {
             LogRecord::Begin { txn } | LogRecord::Op { txn, .. } => {
@@ -677,7 +689,6 @@ impl SegmentedWal {
         let mut inner = lock(&self.inner);
         let pos = self.append_locked(&mut inner, rec, seq)?;
         match self.opts.durability {
-            Durability::None => Ok(()),
             Durability::Buffered => {
                 self.flush_locked(&mut inner)?;
                 Ok(())
@@ -978,7 +989,6 @@ impl SegmentedWal {
         crate::policy::LogStats {
             commits_since_checkpoint: inner.commits_since_ckpt,
             records_since_checkpoint: inner.records_since_ckpt,
-            bytes_since_checkpoint: inner.bytes_since_ckpt,
             bytes_at_last_checkpoint: inner.bytes_at_last_ckpt,
             total_bytes: inner.total_bytes,
             segments: inner.segments,
@@ -990,7 +1000,6 @@ impl SegmentedWal {
         let mut inner = lock(&self.inner);
         inner.commits_since_ckpt = 0;
         inner.records_since_ckpt = 0;
-        inner.bytes_since_ckpt = 0;
         inner.bytes_at_last_ckpt = inner.total_bytes;
     }
 
@@ -1019,8 +1028,8 @@ impl SegmentedWal {
 }
 
 impl Drop for SegmentedWal {
-    /// Orderly close: push the buffer to the OS so only a real crash —
-    /// not a clean shutdown — can lose `Durability::None` records.
+    /// Orderly close: push to the OS what the buffer still holds — records
+    /// no completion record has carried out yet.
     fn drop(&mut self) {
         let _ = self.flush_locked(&mut lock(&self.inner));
     }
@@ -1413,7 +1422,7 @@ mod tests {
         let s = wal.stats();
         assert_eq!(s.records_since_checkpoint, 2);
         assert_eq!(s.commits_since_checkpoint, 1);
-        assert!(s.bytes_since_checkpoint > 0);
+        assert!(s.total_bytes > s.bytes_at_last_checkpoint);
         wal.mark_checkpoint();
         let s = wal.stats();
         assert_eq!(s.records_since_checkpoint, 0);
@@ -1421,14 +1430,11 @@ mod tests {
     }
 
     /// `wal.writes` counts every `write(2)` the log issues. A two-op
-    /// transaction's begin and op records ride the buffer at every level;
-    /// `Buffered` and `Fsync` then pay one write per commit, `None` none
-    /// until a rotation or close.
+    /// transaction's begin and op records ride the buffer at both levels,
+    /// and each commit pays one write.
     #[test]
     fn a_two_op_transaction_costs_one_write() {
-        for (durability, per_commit) in
-            [(Durability::Buffered, 1), (Durability::Fsync, 1), (Durability::None, 0)]
-        {
+        for durability in [Durability::Buffered, Durability::Fsync] {
             let dir = tmp("writes");
             let metrics = Registry::new();
             let opts = WalOptions { segment_max_bytes: 1 << 20, durability };
@@ -1438,20 +1444,18 @@ mod tests {
                 wal.append_begin(txn).unwrap();
                 wal.append_op(wal.reserve(), txn, 1, b"debit").unwrap();
                 wal.append_op(wal.reserve(), txn, 2, b"credit").unwrap();
-                assert_eq!(writes.get(), (txn - 1) * per_commit, "{durability:?}: before commit");
+                assert_eq!(writes.get(), txn - 1, "{durability:?}: before commit");
                 wal.commit_txn(txn, txn).unwrap();
-                assert_eq!(writes.get(), txn * per_commit, "{durability:?}: after commit");
+                assert_eq!(writes.get(), txn, "{durability:?}: after commit");
             }
             drop(wal);
-            // Closing writes out whatever `None` still buffers, at once.
-            let after_close = if per_commit == 0 { 1 } else { 3 * per_commit };
-            assert_eq!(writes.get(), after_close, "{durability:?}: after close");
+            assert_eq!(writes.get(), 3, "{durability:?}: close finds nothing left to write");
             assert_eq!(read_records(&dir).unwrap().0.len(), 12, "{durability:?}: all on disk");
         }
 
-        // Under `None` a rotation flushes what the buffer holds.
+        // A rotation flushes what the buffer holds, with no commit to carry it.
         let metrics = Registry::new();
-        let opts = WalOptions { segment_max_bytes: 1, durability: Durability::None };
+        let opts = WalOptions { segment_max_bytes: 1, durability: Durability::Buffered };
         let wal = SegmentedWal::open_with_metrics(tmp("writes-rotate"), opts, &metrics).unwrap();
         wal.append_begin(1).unwrap();
         assert_eq!(metrics.counter("wal.writes").get(), 0);

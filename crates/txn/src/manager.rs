@@ -188,18 +188,13 @@ impl TxnManager {
 
     /// A manager whose completion records are persisted through a
     /// [`DurableStore`] rooted at `dir` — the commit path group-commits
-    /// under `opts.durability`, and [`TxnManager::checkpoint`] bounds
+    /// at the store's durability level, and [`TxnManager::checkpoint`] bounds
     /// recovery time.
     pub fn with_storage(
         dir: impl AsRef<Path>,
         opts: StorageOptions,
     ) -> Result<Arc<TxnManager>, StorageError> {
         Ok(Self::build(Some(DurableStore::open(dir, opts)?)))
-    }
-
-    /// A manager over an existing store (shared with other components).
-    pub fn with_durable_store(store: Arc<DurableStore>) -> Arc<TxnManager> {
-        Self::build(Some(store))
     }
 
     fn build(store: Option<Arc<DurableStore>>) -> Arc<TxnManager> {
@@ -273,15 +268,12 @@ impl TxnManager {
     }
 
     /// Runtime options *binding* objects to this manager: the deadlock
-    /// detector as wait observer, the durability level the manager
-    /// actually runs at, and — when the manager has a durable store — the
-    /// store as the redo sink, so every mutating operation on an object
-    /// built with these options serializes and logs itself. There is no
-    /// separate logging call for callers to forget.
+    /// detector as wait observer and — when the manager has a durable
+    /// store — the store as the redo sink, so every mutating operation on
+    /// an object built with these options serializes and logs itself.
+    /// There is no separate logging call for callers to forget.
     pub fn object_options(&self) -> RuntimeOptions {
-        let durability = self.store.as_ref().map(|s| s.durability()).unwrap_or_default();
         let opts = RuntimeOptions::with_observer(self.detector.clone())
-            .with_durability(durability)
             .with_metrics(self.metrics.clone())
             .with_trace(self.trace.clone())
             .with_horizon(self.horizon.clone());
@@ -790,8 +782,8 @@ mod tests {
     /// transaction commits as usual.
     #[test]
     fn a_lost_op_record_dooms_exactly_its_transaction() {
-        use hcc_core::runtime::{Durability, ExecError};
-        use hcc_storage::CompactionPolicy;
+        use hcc_core::runtime::ExecError;
+        use hcc_storage::{CompactionPolicy, Durability};
 
         let dir = std::env::temp_dir().join(format!("hcc-txn-lost-op-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -523,8 +523,8 @@ mod tests {
     #[test]
     fn a_lost_op_record_votes_down_only_its_transaction() {
         use hcc_adts::account::AccountHybrid;
-        use hcc_core::runtime::{Durability, RuntimeOptions};
-        use hcc_storage::{CompactionPolicy, StorageOptions};
+        use hcc_core::runtime::RuntimeOptions;
+        use hcc_storage::{CompactionPolicy, Durability, StorageOptions};
 
         let dir = std::env::temp_dir().join(format!("hcc-sim-lost-op-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

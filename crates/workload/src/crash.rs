@@ -21,12 +21,12 @@
 use hcc_adts::account::{self, AccountAdt, AccountInv, AccountObject, AccountRes};
 use hcc_adts::fifo_queue::{self, QueueAdt, QueueInv, QueueObject, QueueRes};
 use hcc_adts::ObjectAdt;
-use hcc_core::runtime::{Durability, RuntimeAdt, RuntimeOptions};
+use hcc_core::runtime::{RuntimeAdt, RuntimeOptions};
 use hcc_db::{Db, HccError};
 use hcc_spec::history::HistoryBuilder;
 use hcc_spec::specs::{AccountSpec, QueueSpec};
 use hcc_spec::{ObjectId, Operation, Rational, Value};
-use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
+use hcc_storage::{CompactionPolicy, Durability, DurableStore, StorageOptions};
 use hcc_verify::{hybrid_atomic, SystemSpecs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,7 +83,7 @@ impl Default for CrashScenarioOptions {
 
 impl CrashScenarioOptions {
     /// Override the durability level from the `HCC_DURABILITY` environment
-    /// variable (`none` / `buffered` / `fsync`, case-insensitive) — how
+    /// variable (`buffered` / `fsync`, case-insensitive) — how
     /// CI runs the recovery suite as a durability matrix. Unset or
     /// unrecognized values keep the current level.
     pub fn env_overrides(mut self) -> Self {

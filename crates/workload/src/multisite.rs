@@ -24,10 +24,10 @@
 //! recovery path for the simulation to exercise.
 
 use hcc_adts::account::{AccountHybrid, AccountObject};
-use hcc_core::runtime::{Durability, RuntimeOptions, TxnHandle};
+use hcc_core::runtime::{RuntimeOptions, TxnHandle};
 use hcc_db::{Db, HccError};
 use hcc_spec::{Rational, TxnId};
-use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
+use hcc_storage::{CompactionPolicy, Durability, DurableStore, StorageOptions};
 use hcc_txn::registry::Decisions;
 use hcc_txn::sim::{coordinator_decisions, CommitOutcome, Coordinator, CoordinatorKill, Site};
 use hcc_txn::LogicalClock;

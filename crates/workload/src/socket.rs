@@ -10,8 +10,10 @@
 //!    (delegated to [`crash::recover_and_verify`]);
 //! 2. **the clients' ack records** — every commit a client was told
 //!    about must appear in the recovered log with *exactly* the acked
-//!    effects (no divergence, no double application), and under
-//!    `Fsync` durability none of them may be missing at all.
+//!    effects (no divergence, no double application), and none of them
+//!    may be missing: at every durability level a commit reached the OS
+//!    before its ack, and the harness crashes the process, not the
+//!    machine.
 //!
 //! ## Outcome-unknown accounting
 //!
@@ -315,13 +317,9 @@ pub fn read_report(path: &Path) -> std::io::Result<Vec<(u64, Vec<Effect>)>> {
 pub struct SocketVerdict {
     /// Commits recovered from the log.
     pub recovered: usize,
-    /// Acked commits across every report.
+    /// Acked commits across every report, each found in the recovered
+    /// log with exactly the acked effects.
     pub acked: usize,
-    /// Acked commits found in the recovered log (with matching effects).
-    pub survived: usize,
-    /// Acked commits missing from the log — tolerated only under
-    /// buffered durability (the crash outran the ack's flush).
-    pub lost: usize,
 }
 
 /// Verify a recovered store against the clients' ack records.
@@ -331,12 +329,10 @@ pub struct SocketVerdict {
 /// the log's own fold matches the recovered objects, every acked
 /// commit present in the log carries exactly the acked effects (one
 /// timestamp, one client, one application — the exactly-once
-/// evidence), and with `require_all_acked` (fsync durability) no acked
-/// commit may be missing at all.
+/// evidence), and no acked commit may be missing at all.
 pub fn verify_socket_recovery(
     dir: &Path,
     reports: &[Vec<(u64, Vec<Effect>)>],
-    require_all_acked: bool,
 ) -> Result<SocketVerdict, HccError> {
     // Independent scan first: the log-derived oracle.
     let oracle = crash::oracle_from_log(dir)?;
@@ -354,38 +350,17 @@ pub fn verify_socket_recovery(
 
     // The clients' acks against the log.
     let mut seen = std::collections::BTreeMap::new();
-    let mut verdict = SocketVerdict { recovered: oracle.len(), acked: 0, survived: 0, lost: 0 };
+    let mut verdict = SocketVerdict { recovered: oracle.len(), acked: 0 };
     for (who, report) in reports.iter().enumerate() {
         for (ts, effects) in report {
             verdict.acked += 1;
             if let Some(other) = seen.insert(*ts, who) {
                 panic!("commit ts {ts} acked to two clients ({other} and {who})");
             }
-            match oracle.get(ts) {
-                Some(logged) => {
-                    assert_eq!(logged, effects, "commit {ts}: log and ack disagree on the effects");
-                    verdict.survived += 1;
-                }
-                None => {
-                    assert!(
-                        !require_all_acked,
-                        "fsync durability: acked commit {ts} missing from the recovered log"
-                    );
-                    verdict.lost += 1;
-                }
-            }
-        }
-    }
-    // The log is one stream and can only lose a suffix: every acked
-    // commit at or below the highest survivor must itself have survived.
-    if let Some(&max_ts) = oracle.keys().next_back() {
-        for report in reports {
-            for (ts, _) in report {
-                assert!(
-                    *ts > max_ts || oracle.contains_key(ts),
-                    "acked commit {ts} below the surviving horizon {max_ts} was lost"
-                );
-            }
+            let Some(logged) = oracle.get(ts) else {
+                panic!("acked commit {ts} missing from the recovered log");
+            };
+            assert_eq!(logged, effects, "commit {ts}: log and ack disagree on the effects");
         }
     }
     Ok(verdict)
@@ -424,8 +399,7 @@ mod tests {
     }
 
     /// Three concurrent socket clients against one in-process server,
-    /// clean drain, then full verification — nothing acked may be lost
-    /// on an orderly close regardless of durability level.
+    /// clean drain, then full verification — nothing acked is lost.
     #[test]
     fn clean_run_verifies_and_loses_nothing() {
         let dir = tmp("clean");
@@ -451,9 +425,7 @@ mod tests {
         drop(db);
 
         let acks: Vec<_> = reports.iter().map(|r| r.acked.clone()).collect();
-        let verdict = verify_socket_recovery(&dir, &acks, true).expect("verify");
-        assert_eq!(verdict.lost, 0, "clean drain loses nothing");
-        assert_eq!(verdict.survived, verdict.acked);
+        let verdict = verify_socket_recovery(&dir, &acks).expect("verify");
         assert!(verdict.acked > 0, "drivers committed something");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&addr_file);
@@ -507,12 +479,10 @@ mod tests {
 
         let acks: Vec<_> = reports.iter().map(|r| r.acked.clone()).collect();
         // In-process kill flushes nothing extra, but every *acked*
-        // commit was answered by a worker after its manager commit; the
-        // orderly reopen then recovers whatever reached the OS. Only
-        // fsync promises the full acked set, so tolerate losses here.
-        let verdict = verify_socket_recovery(&dir, &acks, false).expect("verify");
+        // commit was answered by a worker after its commit record
+        // reached the OS, so the reopen recovers every one.
+        let verdict = verify_socket_recovery(&dir, &acks).expect("verify");
         assert!(verdict.acked > 0);
-        assert!(verdict.survived > 0, "the surviving prefix covers acked work");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&addr_file);
     }

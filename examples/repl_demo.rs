@@ -56,7 +56,7 @@ fn await_convergence(db: &Db, follower: &Follower) {
         {
             return;
         }
-        assert!(!follower.poisoned(), "follower poisoned while converging");
+        assert!(!follower.poisoned(), "follower poisoned while converging: {:?}", follower.fault());
         assert!(Instant::now() < deadline, "follower never converged");
         std::thread::sleep(Duration::from_millis(5));
     }

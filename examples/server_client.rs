@@ -15,8 +15,8 @@
 //!     <addr_file> as needed) and write its ack record to <report>
 //! cargo run --release --example server_client -- verify <dir> <report>...
 //!     recover <dir>, check the history hybrid atomic, and hold the
-//!     log against every client's ack record (HCC_DURABILITY=fsync
-//!     forbids losing any acked commit)
+//!     log against every client's ack record (no acked commit may be
+//!     missing)
 //! cargo run --release --example server_client -- demo <dir>
 //!     one-process tour: in-process server, three client threads,
 //!     graceful drain, then full verification
@@ -28,10 +28,11 @@
 //! ```
 //!
 //! What the verifier proves is the network rendition of the paper's
-//! recovery claim: every commit a client was *acked* either survives
-//! in the recovered log with exactly the acked effects, or (under
-//! buffered durability only) was lost wholesale with the crashed tail
-//! — never applied twice, never applied differently.
+//! recovery claim: every commit a client was *acked* survives the
+//! process crash in the recovered log with exactly the acked effects —
+//! never lost, never applied twice, never applied differently. Both
+//! durability levels promise that much: a commit reaches the OS before
+//! its ack.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -104,23 +105,13 @@ fn drive(addr_file: &str, txns: usize, seed: u64, report_path: &str) {
     );
 }
 
-fn require_all_acked() -> bool {
-    std::env::var("HCC_DURABILITY").map(|d| d.eq_ignore_ascii_case("fsync")).unwrap_or(false)
-}
-
 fn verify(dir: &str, report_paths: &[String]) {
     let reports: Vec<_> =
         report_paths.iter().map(|p| read_report(Path::new(p)).expect("read report")).collect();
-    let strict = require_all_acked();
-    let verdict =
-        verify_socket_recovery(Path::new(dir), &reports, strict).expect("verify recovery");
+    let verdict = verify_socket_recovery(Path::new(dir), &reports).expect("verify recovery");
     println!(
-        "verified: {} recovered commits, {} acked ({} survived, {} lost{})",
-        verdict.recovered,
-        verdict.acked,
-        verdict.survived,
-        verdict.lost,
-        if strict { "; fsync: losses forbidden" } else { "" }
+        "verified: {} recovered commits, all {} acked commits present",
+        verdict.recovered, verdict.acked
     );
 }
 
@@ -150,9 +141,8 @@ fn demo(dir: &str) {
 
     let acks: Vec<_> = reports.iter().map(|r| r.acked.clone()).collect();
     // A graceful drain answers everything it admitted and closes the
-    // store in order: nothing acked may be missing, at any durability.
-    let verdict = verify_socket_recovery(Path::new(dir), &acks, true).expect("verify recovery");
-    assert_eq!(verdict.lost, 0, "clean drain loses nothing");
+    // store in order: nothing acked may be missing.
+    let verdict = verify_socket_recovery(Path::new(dir), &acks).expect("verify recovery");
     println!(
         "demo verified: {} commits recovered, all {} acked commits present",
         verdict.recovered, verdict.acked
@@ -216,18 +206,11 @@ fn crash(dir: &str) {
     // Phase 4: hold the recovered log against every driver's acks.
     let reports: Vec<_> =
         report_paths.iter().map(|p| read_report(p).expect("read report")).collect();
-    let strict = require_all_acked();
-    let verdict =
-        verify_socket_recovery(Path::new(dir), &reports, strict).expect("verify recovery");
+    let verdict = verify_socket_recovery(Path::new(dir), &reports).expect("verify recovery");
     assert!(verdict.acked > 0, "drivers acked something");
-    assert!(verdict.survived > 0, "a surviving prefix exists");
     println!(
-        "crash cycle verified: {} commits recovered, {} acked, {} survived, {} lost{}",
-        verdict.recovered,
-        verdict.acked,
-        verdict.survived,
-        verdict.lost,
-        if strict { " (fsync: zero tolerated)" } else { "" }
+        "crash cycle verified: {} commits recovered, all {} acked commits present",
+        verdict.recovered, verdict.acked
     );
     let _ = std::fs::remove_file(&addr_file);
 }

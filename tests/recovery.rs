@@ -8,9 +8,10 @@
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
-use hybrid_cc::core::runtime::Durability;
 use hybrid_cc::spec::Rational;
-use hybrid_cc::storage::{CompactionPolicy, DurableStore, Snapshot, StorageError, StorageOptions};
+use hybrid_cc::storage::{
+    CompactionPolicy, Durability, DurableStore, Snapshot, StorageError, StorageOptions,
+};
 use hybrid_cc::txn::manager::TxnManager;
 use hybrid_cc::workload::crash::{
     crash_point_holds, recover_and_verify, run_crash_workload, CrashScenarioOptions,
@@ -269,7 +270,7 @@ fn randomized_crash_points_recover_exactly_the_committed_state() {
                 .env_overrides();
                 let (committed, survived) = crash_point_holds(&dir, opts, cut).unwrap();
                 assert!(survived <= committed);
-                if cut == 0 && opts.durability != hybrid_cc::core::runtime::Durability::None {
+                if cut == 0 {
                     assert_eq!(survived, committed, "no cut, no loss (seed {seed})");
                 }
             }
@@ -306,7 +307,7 @@ fn fuzzy_checkpoints_survive_random_crash_points() {
         .env_overrides();
         let (committed, survived) = crash_point_holds(&dir, opts, cut).unwrap();
         assert!(survived <= committed);
-        if cut == 0 && opts.durability != hybrid_cc::core::runtime::Durability::None {
+        if cut == 0 {
             assert_eq!(survived, committed, "no cut, no loss");
         }
     }

@@ -9,8 +9,8 @@
 //!   caller-built objects on the manual `TxnManager` escape hatch
 //!   (including the checkpoint-absorption guard clearing).
 //!
-//! `HCC_DURABILITY` (none / buffered / fsync) overrides the durability
-//! level — CI runs this suite as a matrix over all three.
+//! `HCC_DURABILITY` (buffered / fsync) overrides the durability level —
+//! CI runs this suite as a matrix over both.
 
 use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
 use hybrid_cc::adts::fifo_queue::{QueueObject, QueueTableII};
@@ -66,7 +66,7 @@ fn self_logged_records_are_exactly_the_oracles_effects() {
                 None,
                 "log diverged from the oracle (seed {seed}, cut {cut})"
             );
-            if cut == 0 && opts.durability != hybrid_cc::core::runtime::Durability::None {
+            if cut == 0 {
                 assert_eq!(recovered.committed.len(), w.committed, "no cut, no loss (seed {seed})");
             }
         }
