@@ -116,6 +116,14 @@
 //!     once, under `crates/storage/` (the one crate that acts on it); and
 //!     the CI recovery matrix lists no `none` cell and gates no step on
 //!     the level.
+//! 16. **No-wait stays at the front door**: a transaction that gives up
+//!     instead of waiting is the server's inline fast path, which has the
+//!     worker pool to fall back on; anywhere else it would turn a lock
+//!     wait into a failure. Outside tests each step of that path has
+//!     exactly one call site: the no-wait handle constructor in
+//!     `TxnManager::begin_no_wait` (`crates/txn/src/manager.rs`), that in
+//!     `Db::try_transact_ts` (`crates/db/src/db.rs`), and that in
+//!     `crates/server/src`.
 //!
 //! Exit status 1 on any finding, listing file and line.
 
@@ -250,6 +258,14 @@ fn main() {
     let durability_home = "crates/storage/";
     let mut durability_enums = Vec::new();
     let ci = ".github/workflows/ci.yml";
+
+    // Ratchet 16's census: each step of the no-wait path, where its one
+    // call site must be, and the sites found.
+    let mut no_wait_calls = [
+        (["TxnHandle::no", "_wait("].concat(), "crates/txn/src/manager.rs", Vec::new()),
+        ([".begin_no", "_wait("].concat(), "crates/db/src/db.rs", Vec::new()),
+        ([".try_transact", "_ts("].concat(), "crates/server/src/", Vec::new()),
+    ];
 
     // Ratchet 2's census: trait → production impl sites, per directory.
     let mut object_layer = [
@@ -426,6 +442,11 @@ fn main() {
                 if line.trim_start().starts_with("impl") && line.contains(&sink_impl) {
                     sink_impls.push(format!("{rel_s}:{}", i + 1));
                 }
+                for (needle, _, sites) in &mut no_wait_calls {
+                    if line.contains(needle.as_str()) {
+                        sites.push(format!("{rel_s}:{}", i + 1));
+                    }
+                }
             }
         }
         for (dir, layer) in &mut object_layer {
@@ -483,6 +504,18 @@ fn main() {
             sink_impls.len(),
             sink_impls.join(", ")
         ));
+    }
+
+    for (needle, caller, sites) in &no_wait_calls {
+        if sites.len() != 1 || !sites[0].starts_with(caller) {
+            findings.push(format!(
+                "`{needle}` called from {} production sites (want exactly one, in {caller}: a \
+                 no-wait attempt is the server's inline fast path, and only the server falls back \
+                 from it): {}",
+                sites.len(),
+                sites.join(", ")
+            ));
+        }
     }
 
     for (needle, sites) in &inventory_sites {

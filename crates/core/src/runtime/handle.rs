@@ -114,12 +114,15 @@ pub struct TxnHandle {
     /// already-durable history, so self-logging objects must not record
     /// them again.
     replay: bool,
+    /// True for no-wait transactions: an execution that would wait
+    /// returns [`super::ExecError::WouldBlock`] instead.
+    no_wait: bool,
 }
 
 impl TxnHandle {
     /// A fresh active handle.
     pub fn new(id: TxnId) -> Arc<TxnHandle> {
-        Self::build(id, false)
+        Self::build(id, false, false)
     }
 
     /// A handle for *replaying* already-durable history (recovery and
@@ -127,10 +130,21 @@ impl TxnHandle {
     /// self-logging objects skip the redo sink for its executions —
     /// re-logging records that are already in the log would duplicate them.
     pub fn replay(id: TxnId) -> Arc<TxnHandle> {
-        Self::build(id, true)
+        Self::build(id, true, false)
     }
 
-    fn build(id: TxnId, replay: bool) -> Arc<TxnHandle> {
+    /// A handle that never waits: an execution refused by a held
+    /// operation, or undefined in the current view, returns
+    /// [`super::ExecError::WouldBlock`] at once — no waiter is recorded,
+    /// the wait observer never hears of it, and nothing parks. The
+    /// refusal is still counted. For a caller that must not block and
+    /// has a blocking path to fall back on (the server's session
+    /// reader).
+    pub fn no_wait(id: TxnId) -> Arc<TxnHandle> {
+        Self::build(id, false, true)
+    }
+
+    fn build(id: TxnId, replay: bool, no_wait: bool) -> Arc<TxnHandle> {
         Arc::new(TxnHandle {
             id,
             phase: Mutex::new(TxnPhase::Active),
@@ -139,12 +153,18 @@ impl TxnHandle {
             bound: AtomicU64::new(0),
             touched: Mutex::new(Vec::new()),
             replay,
+            no_wait,
         })
     }
 
     /// Is this a replay handle (its executions bypass the redo sink)?
     pub fn is_replay(&self) -> bool {
         self.replay
+    }
+
+    /// Is this a no-wait handle ([`TxnHandle::no_wait`])?
+    pub(crate) fn is_no_wait(&self) -> bool {
+        self.no_wait
     }
 
     /// The transaction's identifier.

@@ -35,6 +35,11 @@ pub enum ExecError {
     Timeout,
     /// The transaction is not active (already committed or aborted).
     NotActive,
+    /// A no-wait transaction ([`TxnHandle::no_wait`]) would have had to
+    /// wait: a held operation conflicts, or the operation is undefined
+    /// in the current view. Nothing was executed; the caller must abort
+    /// the transaction.
+    WouldBlock,
 }
 
 impl std::fmt::Display for ExecError {
@@ -53,6 +58,9 @@ impl std::fmt::Display for ExecError {
                     f,
                     "execution refused: transaction is not active (already committed or aborted)"
                 )
+            }
+            ExecError::WouldBlock => {
+                write!(f, "execution refused: a no-wait transaction would have had to wait")
             }
         }
     }
@@ -575,7 +583,9 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// token. Both are sticky, so the bookkeeping between releasing the
     /// latch and parking (counters, the deadlock observer) cannot lose
     /// one. Returns when the lock is granted, the policy's timeout
-    /// passes, or the transaction is doomed.
+    /// passes, or the transaction is doomed — or, for a no-wait handle,
+    /// at the first refusal with [`ExecError::WouldBlock`], before any
+    /// of the waiting above (the refusal itself is still counted).
     pub fn execute(
         self: &Arc<Self>,
         txn: &Arc<TxnHandle>,
@@ -593,6 +603,13 @@ impl<A: RuntimeAdt> TxObject<A> {
                 Attempt::Granted(res) => break Ok(self.granted(st, txn, &inv, res)),
                 refusal => refusal,
             };
+            if txn.is_no_wait() {
+                drop(st);
+                if let Attempt::Conflict { pair, .. } = &refusal {
+                    self.refused(txn, pair);
+                }
+                break Err(ExecError::WouldBlock);
+            }
             // A wake-up still pending from an earlier wait would make the
             // park below return for nothing; one owed to *this*
             // registration cannot have been sent yet (see `reset_wake`,
@@ -1190,6 +1207,35 @@ mod tests {
             // this lands, nothing but the doom can end its wait.
             t2.doom();
             assert_eq!(reader.join().unwrap(), Err(ExecError::Doomed));
+        });
+    }
+
+    /// A no-wait handle refused by a held write gives up at once: no
+    /// waiter is recorded, and the observer — which would hold it here
+    /// for good, since nothing is sent on `resume` — never hears of it.
+    /// The refusal is still counted, and an ordinary handle on the same
+    /// object still blocks and is woken.
+    #[test]
+    fn no_wait_handle_is_refused_without_waiting() {
+        within_watchdog(|| {
+            let (o, blocked, resume) = paused_obj();
+            let (t1, quick, t3) = (h(1), TxnHandle::no_wait(TxnId(2)), h(3));
+            o.execute(&t1, RegInv::Write(10)).unwrap();
+            assert_eq!(o.execute(&quick, RegInv::Read), Err(ExecError::WouldBlock));
+            assert!(o.inner.lock().waiters.is_empty(), "no registration left behind");
+            assert_eq!(Arc::strong_count(&quick), 1, "the object kept no reference to it");
+            assert!(blocked.try_recv().is_err(), "the observer never heard of it");
+            let s = o.stats();
+            assert_eq!((s.conflicts, s.waits), (1, 0), "refused once, waited never");
+            assert_eq!(o.active_txns(), 1, "the refused read holds nothing here");
+
+            let (o2, t3c) = (o.clone(), t3.clone());
+            let reader = std::thread::spawn(move || o2.execute(&t3c, RegInv::Read));
+            blocked.recv().unwrap();
+            resume.send(()).unwrap();
+            o.commit_at(t1.id(), 1);
+            assert_eq!(reader.join().unwrap(), Ok(10));
+            assert_eq!(o.stats().waits, 1);
         });
     }
 

@@ -14,7 +14,7 @@ use crate::error::HccError;
 use crate::handle::DbObject;
 use crate::read::ReadInstruments;
 use crate::tx::{RetryPolicy, Tx};
-use hcc_core::runtime::{ExecError, RuntimeOptions};
+use hcc_core::runtime::{ExecError, RuntimeOptions, TxnHandle};
 use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
@@ -223,7 +223,7 @@ type TailTxn = (u64, u64, Vec<Vec<u8>>);
 /// transaction committed or was already aborted.
 struct AbortOnDrop<'a> {
     mgr: &'a Arc<TxnManager>,
-    txn: Arc<hcc_core::runtime::TxnHandle>,
+    txn: Arc<TxnHandle>,
 }
 
 impl Drop for AbortOnDrop<'_> {
@@ -449,25 +449,12 @@ impl Db {
         let mut attempt: u32 = 0;
         let mut pauses: u32 = 0;
         loop {
-            let err = {
-                let tx = Tx::new(self.mgr.begin());
-                // The guard is the abort path for this attempt: it fires
-                // when the scope ends — on an `Err` return, and on a
-                // panic unwinding out of the closure, which must not
-                // leak the attempt's held locks. Once the transaction
-                // committed (or `commit` aborted it), the abort is a
-                // no-op.
-                let _guard = AbortOnDrop { mgr: &self.mgr, txn: tx.handle().clone() };
-                match f(&tx) {
-                    Ok(v) => match self.mgr.commit(tx.handle().clone()) {
-                        Ok(ts) => {
-                            self.transact_attempts.observe(u64::from(attempt) + 1);
-                            return Ok((v, ts));
-                        }
-                        Err(e) => HccError::from(e), // already aborted everywhere
-                    },
-                    Err(e) => e, // the guard aborts on scope exit
+            let err = match self.run_once(self.mgr.begin(), &mut f) {
+                Ok(done) => {
+                    self.transact_attempts.observe(u64::from(attempt) + 1);
+                    return Ok(done);
                 }
+                Err(e) => e, // already aborted everywhere
             };
             if !err.is_transient() {
                 self.transact_attempts.observe(u64::from(attempt) + 1);
@@ -497,6 +484,53 @@ impl Db {
             }
             attempt += 1;
         }
+    }
+
+    /// One attempt of `f` that never waits on a lock: the transaction
+    /// runs under a no-wait handle, so an operation that a held one
+    /// conflicts with, or one undefined in the current view, fails the
+    /// attempt at once (`ExecError::WouldBlock`) instead of parking.
+    ///
+    /// `Ok(None)`: the attempt would have waited, or failed in some other
+    /// transient way ([`HccError::is_transient`]). It is already aborted
+    /// at every object, so running the same closure under
+    /// [`Db::transact_ts`] applies its effects exactly once. There is no
+    /// retry and no backoff here. Fatal errors surface as they do from
+    /// `transact_ts`.
+    ///
+    /// This is the server's inline fast path: a session reader runs a
+    /// request itself only if it cannot block, and hands it to the
+    /// worker pool otherwise.
+    pub fn try_transact_ts<T>(
+        &self,
+        f: impl FnOnce(&Tx) -> Result<T, HccError>,
+    ) -> Result<Option<(T, Timestamp)>, HccError> {
+        match self.run_once(self.mgr.begin_no_wait(), f) {
+            Err(e) if e.is_transient() => Ok(None),
+            outcome => {
+                self.transact_attempts.observe(1);
+                outcome.map(Some)
+            }
+        }
+    }
+
+    /// Run `f` once as the transaction `txn`: commit on `Ok`, abort on
+    /// `Err`. Every `Err` leaves the transaction aborted everywhere.
+    fn run_once<T>(
+        &self,
+        txn: Arc<TxnHandle>,
+        f: impl FnOnce(&Tx) -> Result<T, HccError>,
+    ) -> Result<(T, Timestamp), HccError> {
+        let tx = Tx::new(txn);
+        // The guard is the abort path: it fires when the scope ends — on
+        // an `Err` return, and on a panic unwinding out of the closure,
+        // which must not leak the attempt's held locks. Once the
+        // transaction committed (or `commit` aborted it), the abort is a
+        // no-op.
+        let _guard = AbortOnDrop { mgr: &self.mgr, txn: tx.handle().clone() };
+        let v = f(&tx)?;
+        let ts = self.mgr.commit(tx.handle().clone())?;
+        Ok((v, ts))
     }
 
     /// Take a fuzzy checkpoint of every object this `Db` has handed out.

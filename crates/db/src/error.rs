@@ -126,7 +126,8 @@ impl HccError {
     /// Transient: a doom — a deadlock victim's, or one of a lost log
     /// record ([`ExecError::Doomed`], [`CommitError::Doomed`]), a
     /// lock-wait timeout
-    /// ([`ExecError::Timeout`]), a refused prepare vote
+    /// ([`ExecError::Timeout`]), a no-wait attempt that would have waited
+    /// ([`ExecError::WouldBlock`]), a refused prepare vote
     /// ([`CommitError::PrepareFailed`]), and a request shed by admission
     /// control ([`HccError::Overloaded`] — refused *before* execution).
     /// In every transient case the transaction has already been aborted
@@ -140,7 +141,7 @@ impl HccError {
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
-            HccError::Exec(ExecError::Doomed | ExecError::Timeout)
+            HccError::Exec(ExecError::Doomed | ExecError::Timeout | ExecError::WouldBlock)
                 | HccError::Commit(CommitError::Doomed | CommitError::PrepareFailed { .. })
                 | HccError::SnapshotContended { .. }
                 | HccError::Overloaded { .. }
@@ -274,6 +275,7 @@ mod tests {
     fn classification_matches_the_taxonomy() {
         assert!(HccError::from(ExecError::Doomed).is_transient());
         assert!(HccError::from(ExecError::Timeout).is_transient());
+        assert!(HccError::from(ExecError::WouldBlock).is_transient());
         assert!(!HccError::from(ExecError::NotActive).is_transient());
         assert!(HccError::from(CommitError::Doomed).is_transient());
         assert!(HccError::from(CommitError::PrepareFailed { object: "a".into() }).is_transient());

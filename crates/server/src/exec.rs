@@ -5,8 +5,10 @@
 //! (`db.object::<AccountObject>(name)` + `credit`/`debit`/…), the whole
 //! batch runs inside one `db.transact_ts` (so the facade's transient
 //! retry, abort-on-drop, and exactly-once discipline all apply
-//! unchanged), and reads go through `begin_read`/`read_at` — the same
-//! wait-free snapshot path in-process readers use.
+//! unchanged; a session reader running it inline tries one no-wait
+//! `db.try_transact_ts` attempt first), and reads go through
+//! `begin_read`/`read_at` — the same wait-free snapshot path in-process
+//! readers use.
 //!
 //! Failures come back as typed [`WireFault`]s, classified with the same
 //! transient/fatal line `HccError::is_transient` draws, so a remote
@@ -16,7 +18,7 @@ use std::sync::Arc;
 
 use hcc_adts::{AccountObject, CounterObject, QueueObject};
 use hcc_db::{Db, HccError, ReadTx, Tx};
-use hcc_spec::Rational;
+use hcc_spec::{Rational, Timestamp};
 use hcc_wire::msg::{OpResult, Request, Response, TypeTag, View, WireFault, WireOp};
 
 /// Map an `HccError` the facade surfaced onto the fault a remote caller
@@ -103,6 +105,32 @@ fn view_one(db: &Db, rtx: &ReadTx<'_>, tag: TypeTag, name: &str) -> Result<View,
     }
 }
 
+fn transact_ops(db: &Db, tx: &Tx, ops: &[WireOp]) -> Result<Vec<OpResult>, HccError> {
+    ops.iter().map(|op| run_op(db, tx, op)).collect()
+}
+
+fn committed(outcome: Result<(Vec<OpResult>, Timestamp), HccError>) -> Response {
+    match outcome {
+        Ok((results, ts)) => Response::Committed { ts: ts.0, results },
+        Err(e) => Response::Fault(fault_from(e)),
+    }
+}
+
+/// Execute `req` on the calling thread if it can finish without waiting
+/// on a lock; `None` if it cannot. A `Transact` makes one no-wait attempt
+/// ([`Db::try_transact_ts`]); `None` means that attempt would have
+/// waited (or failed some other transient way) and is already aborted
+/// everywhere, so [`execute`] may run the request from the start. `Open`
+/// and `Read` take no transactional lock and always finish here.
+pub(crate) fn execute_no_wait(db: &Db, req: &Request) -> Option<Response> {
+    match req {
+        Request::Transact { ops } => {
+            db.try_transact_ts(|tx| transact_ops(db, tx, ops)).transpose().map(committed)
+        }
+        _ => Some(execute(db, req)),
+    }
+}
+
 /// Execute one admitted request to its response. Only `Open`,
 /// `Transact`, and `Read` reach here — the session layer answers
 /// handshake and connection-control messages itself.
@@ -112,15 +140,7 @@ pub fn execute(db: &Db, req: &Request) -> Response {
             Ok(()) => Response::OpenOk,
             Err(e) => Response::Fault(fault_from(e)),
         },
-        Request::Transact { ops } => {
-            let outcome = db.transact_ts(|tx| {
-                ops.iter().map(|op| run_op(db, tx, op)).collect::<Result<Vec<_>, _>>()
-            });
-            match outcome {
-                Ok((results, ts)) => Response::Committed { ts: ts.0, results },
-                Err(e) => Response::Fault(fault_from(e)),
-            }
-        }
+        Request::Transact { ops } => committed(db.transact_ts(|tx| transact_ops(db, tx, ops))),
         Request::Read { at, queries } => {
             let run = || -> Result<Response, HccError> {
                 let rtx = match at {

@@ -1,11 +1,25 @@
 //! # hcc-server — the TCP front door
 //!
 //! Serves a [`Db`] over the `hcc-wire` protocol: an accept loop hands
-//! each connection to a session reader thread, readers admit requests
+//! each connection to a session reader thread, and readers admit
+//! requests. A request that cannot block runs on its reader; the rest go
 //! into one global [bounded queue](queue::BoundedQueue), and a fixed
 //! worker pool executes them against the facade and answers on the
 //! session's socket (responses echo the request id, so sessions may
 //! pipeline).
+//!
+//! ## Where a request runs
+//!
+//! The reader runs an admitted request itself when it is its session's
+//! only one — nothing else of the session is in flight, and no further
+//! frame is buffered behind it — and it can finish without waiting on a
+//! lock: `Open` and `Read` take none, and a `Transact` gets one no-wait
+//! attempt ([`Db::try_transact_ts`]). An attempt that would have waited
+//! is aborted and its request queued as if it had never been tried
+//! (`net.requests.fallback`); every other request is queued at once. So
+//! the reader never stalls behind a held lock, a pipelined session
+//! keeps its parallelism on the pool, and an answer costs no thread
+//! hand-off in the common case (`net.requests.inline`).
 //!
 //! ## Admission control
 //!
@@ -19,7 +33,8 @@
 //!   sessions. A full queue sheds at the door, keeping memory bounded no
 //!   matter how many sessions conspire.
 //!
-//! Every decision is observable: `net.requests.shed`, the
+//! Every decision is observable: `net.requests.shed`,
+//! `net.requests.inline`, `net.requests.fallback`, the
 //! `net.queue.depth` gauge, and per-kind request counters land in the
 //! same metrics registry the rest of the stack dumps via `HCC_METRICS`.
 //!
@@ -97,6 +112,8 @@ struct NetMetrics {
     bytes_in: Arc<hcc_obs::Counter>,
     bytes_out: Arc<hcc_obs::Counter>,
     shed: Arc<hcc_obs::Counter>,
+    inline: Arc<hcc_obs::Counter>,
+    fallback: Arc<hcc_obs::Counter>,
     frames_refused: Arc<hcc_obs::Counter>,
     request_nanos: Arc<hcc_obs::Histogram>,
 }
@@ -114,6 +131,8 @@ impl NetMetrics {
             bytes_in: registry.counter("net.bytes.in"),
             bytes_out: registry.counter("net.bytes.out"),
             shed: registry.counter("net.requests.shed"),
+            inline: registry.counter("net.requests.inline"),
+            fallback: registry.counter("net.requests.fallback"),
             frames_refused: registry.counter("net.frames.refused"),
             request_nanos: registry.histogram("net.request.nanos"),
         }
@@ -339,7 +358,17 @@ fn accept_loop(
         }
         let shared = shared.clone();
         let handle = std::thread::spawn(move || session_loop(conn, &shared));
-        readers.lock().push(handle);
+        let mut readers = readers.lock();
+        // Reap the readers whose sessions have ended, so a long-lived
+        // server with short connections keeps one handle per live
+        // session, not one per connection it ever accepted.
+        let (done, live) = std::mem::take(&mut *readers).into_iter().partition(|r| r.is_finished());
+        *readers = live;
+        readers.push(handle);
+        drop(readers);
+        for r in done {
+            r.join().ok();
+        }
     }
 }
 
@@ -401,7 +430,7 @@ fn session_loop(conn: hcc_wire::conn::Conn, shared: &Arc<Shared>) {
         match rx.recv::<Request>() {
             Ok(Some((seq, req, n))) => {
                 shared.metrics.bytes_in.add(n);
-                if !admit(&session, shared, seq, req) {
+                if !admit(&session, shared, seq, req, rx.has_buffered()) {
                     break;
                 }
             }
@@ -424,9 +453,17 @@ fn session_loop(conn: hcc_wire::conn::Conn, shared: &Arc<Shared>) {
     shared.metrics.sessions_closed.inc();
 }
 
-/// Route one decoded request: answer session-control inline, shed past
-/// the caps, enqueue the rest. `false` ends the session.
-fn admit(session: &Arc<Session>, shared: &Arc<Shared>, seq: u64, req: Request) -> bool {
+/// Route one decoded request: answer session control here, shed past
+/// the caps, run a lone request that cannot block here, enqueue the
+/// rest. `more_behind`: another frame of the session is already
+/// buffered. `false` ends the session.
+fn admit(
+    session: &Arc<Session>,
+    shared: &Arc<Shared>,
+    seq: u64,
+    req: Request,
+    more_behind: bool,
+) -> bool {
     match &req {
         Request::Goodbye => {
             session.respond(shared, seq, &Response::Bye);
@@ -486,6 +523,19 @@ fn admit(session: &Arc<Session>, shared: &Arc<Shared>, seq: u64, req: Request) -
     }
     session.in_flight.fetch_add(1, Ordering::AcqRel);
     shared.outstanding.fetch_add(1, Ordering::AcqRel);
+    // The session's only request runs here if it cannot block (see
+    // "Where a request runs"); counted as admitted above, it is drained
+    // like a queued one.
+    if in_flight == 0 && !more_behind {
+        let start = std::time::Instant::now();
+        if let Some(resp) = exec::execute_no_wait(&shared.db, &req) {
+            shared.metrics.request_nanos.observe(start.elapsed().as_nanos() as u64);
+            shared.metrics.inline.inc();
+            session.answer_admitted(shared, seq, &resp);
+            return true;
+        }
+        shared.metrics.fallback.inc();
+    }
     match shared.queue.try_push(Job { session: session.clone(), seq, req }) {
         Ok(()) => true,
         Err((job, depth)) => {
@@ -512,3 +562,41 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 pub use exec::execute;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// Each accept reaps the readers of sessions that have ended: after
+    /// many short connections the server holds a handle per live
+    /// session, not one per connection it ever accepted.
+    #[test]
+    fn finished_session_readers_are_reaped() {
+        const CYCLES: u64 = 200;
+        let db = Arc::new(Db::in_memory());
+        let server = serve(db.clone(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let cycle = || hcc_client::Client::connect(&addr).unwrap().goodbye().unwrap();
+        for _ in 0..CYCLES {
+            cycle();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while db.stats().counter("net.sessions.closed") < CYCLES {
+            assert!(Instant::now() < deadline, "sessions did not close");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // A reader is finished a moment after its session counts as
+        // closed; the next accept reaps it.
+        loop {
+            cycle();
+            let held = server.readers.lock().len();
+            if held <= 2 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{held} reader handles held after {CYCLES} cycles");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server.drain();
+    }
+}

@@ -398,12 +398,23 @@ impl TxnManager {
     /// record is its first operation's, and its commit record certifies
     /// itself.
     pub fn begin(&self) -> Arc<TxnHandle> {
+        TxnHandle::new(self.next_txn_id())
+    }
+
+    /// Begin a transaction whose executions never wait
+    /// ([`TxnHandle::no_wait`]): one that would is refused with
+    /// `ExecError::WouldBlock`, and the caller aborts it.
+    pub fn begin_no_wait(&self) -> Arc<TxnHandle> {
+        TxnHandle::no_wait(self.next_txn_id())
+    }
+
+    fn next_txn_id(&self) -> TxnId {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
         self.instruments.begun.inc();
         if let Some(tr) = &self.trace {
             tr.record(id.0, "", "begin", String::new());
         }
-        TxnHandle::new(id)
+        id
     }
 
     /// Commit: two-phase atomic commitment across every touched object,

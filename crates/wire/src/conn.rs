@@ -274,6 +274,13 @@ impl RecvHalf {
         self.frames.recv(&mut self.stream)
     }
 
+    /// Are bytes of a further frame already received and not yet
+    /// returned by `recv`? `false` means the next `recv` goes to the
+    /// kernel: the peer had sent nothing more when this half last read.
+    pub fn has_buffered(&self) -> bool {
+        self.frames.head < self.frames.tail
+    }
+
     /// Bound how long one `recv` may block (`None` = forever). Timeouts
     /// surface as `WireError::Io` with kind `WouldBlock`/`TimedOut`.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
@@ -344,6 +351,30 @@ mod tests {
         assert_eq!(seq, 2);
         let (seq, _, _) = crx.recv::<Response>().unwrap().unwrap();
         assert_eq!(seq, 1);
+    }
+
+    /// A burst sent in one write arrives in one read: every frame but the
+    /// last leaves the rest of the burst buffered behind it.
+    #[test]
+    fn has_buffered_reports_frames_behind_the_one_returned() {
+        let (client, server) = pair();
+        let (mut ctx, _crx) = client.split().unwrap();
+        let (_stx, mut srx) = server.split().unwrap();
+        assert!(!srx.has_buffered());
+        let mut burst = Vec::new();
+        for seq in 1..=3 {
+            let mut payload = Vec::new();
+            Request::Goodbye.encode_payload(&mut payload);
+            frame::encode_frame_into(seq, &payload, &mut burst);
+        }
+        ctx.send_raw(&burst).unwrap();
+        let behind: Vec<bool> = (0..3)
+            .map(|_| {
+                srx.recv::<Request>().unwrap().unwrap();
+                srx.has_buffered()
+            })
+            .collect();
+        assert_eq!(behind, [true, true, false]);
     }
 
     #[test]

@@ -95,6 +95,46 @@ fn transient_error_past_the_budget_reports_exhaustion() {
     assert_eq!(attempts, 4);
 }
 
+/// `try_transact_ts` makes one attempt that never waits: a conflicting
+/// held operation, or an operation undefined in the current view (a
+/// `deq` of an empty queue), ends it at once with `Ok(None)`, aborted
+/// everywhere with nothing applied; a fatal error surfaces as it is; an
+/// attempt that needs no wait commits.
+#[test]
+fn try_transact_gives_up_instead_of_waiting() {
+    use hybrid_cc::adts::fifo_queue::QueueObject;
+    let db = Db::builder().lock_timeout(Duration::from_secs(30)).in_memory();
+    let acct = db.object::<AccountObject>("a").unwrap();
+    let queue = db.object::<QueueObject<i64>>("q").unwrap();
+    db.transact(|tx| Ok(acct.credit(tx, money(10))?)).unwrap();
+    let holder = db.manager().begin();
+    assert!(acct.debit(&holder, money(1)).unwrap());
+
+    // Debit-Ok conflicts with the held Debit-Ok; the credit before it
+    // was granted and must be undone with the attempt.
+    let refused = db.try_transact_ts(|tx| {
+        acct.credit(tx, money(5))?;
+        Ok(acct.debit(tx, money(1))?)
+    });
+    assert!(matches!(refused, Ok(None)), "{refused:?}");
+    let undefined = db.try_transact_ts(|tx| Ok(queue.deq(tx)?));
+    assert!(matches!(undefined, Ok(None)), "{undefined:?}");
+    let fatal: Result<Option<((), _)>, HccError> =
+        db.try_transact_ts(|_| Err(HccError::rollback("no")));
+    assert!(matches!(fatal, Err(HccError::Rollback { .. })), "{fatal:?}");
+    assert_eq!(db.aborted_count(), 3);
+    let stats = db.stats();
+    assert_eq!(stats.counter("lock.refusals.Account.Debit-Ok|Debit-Ok"), 1);
+    assert_eq!(stats.counter("deadlock.victims"), 0);
+
+    let (_, ts) = db.try_transact_ts(|tx| Ok(queue.enq(tx, 7)?)).unwrap().unwrap();
+    assert!(ts.0 > 0);
+    db.manager().abort(holder);
+    assert_eq!(acct.committed_balance(), money(10), "the refused attempt left no credit");
+    assert_eq!(queue.committed_len(), 1);
+    assert_eq!(db.committed_count(), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
