@@ -92,22 +92,14 @@ impl<T: Item> RuntimeAdt for QueueAdt<T> {
                 next.push(QueueOp::Enq(x.clone()));
                 vec![(QueueRes::Ok, next)]
             }
-            QueueInv::Deq => {
-                // Materialize the view and peek its head.
-                let mut view = version.clone();
-                for intent in committed {
-                    replay(&mut view, intent);
+            QueueInv::Deq => match view_head(version, committed, own) {
+                None => vec![],
+                Some(head) => {
+                    let mut next = own.clone();
+                    next.push(QueueOp::Deq);
+                    vec![(QueueRes::Item(head.clone()), next)]
                 }
-                replay(&mut view, own);
-                match view.front() {
-                    None => vec![],
-                    Some(head) => {
-                        let mut next = own.clone();
-                        next.push(QueueOp::Deq);
-                        vec![(QueueRes::Item(head.clone()), next)]
-                    }
-                }
-            }
+            },
         }
     }
 
@@ -139,6 +131,36 @@ impl<T: Item> RuntimeAdt for QueueAdt<T> {
     fn type_name(&self) -> &'static str {
         "FIFO-Queue"
     }
+}
+
+/// The head of the view — `version` with `committed` and then `own`
+/// replayed onto it — found without building that queue. A replayed
+/// dequeue pops only a non-empty queue, so counting pops against the items
+/// enqueued so far says how many of the view's items are gone; the head
+/// is the next one, in the version or, past its end, among the enqueues
+/// in replay order.
+fn view_head<'a, T>(
+    version: &'a VecDeque<T>,
+    committed: &[&'a Vec<QueueOp<T>>],
+    own: &'a [QueueOp<T>],
+) -> Option<&'a T> {
+    let ops = || committed.iter().flat_map(|intent| intent.iter()).chain(own);
+    let (mut popped, mut len) = (0, version.len());
+    for op in ops() {
+        match op {
+            QueueOp::Enq(_) => len += 1,
+            QueueOp::Deq if popped < len => popped += 1,
+            QueueOp::Deq => {}
+        }
+    }
+    if popped < version.len() {
+        return version.get(popped);
+    }
+    let mut enqueued = ops().filter_map(|op| match op {
+        QueueOp::Enq(x) => Some(x),
+        QueueOp::Deq => None,
+    });
+    enqueued.nth(popped - version.len())
 }
 
 fn replay<T: Clone>(q: &mut VecDeque<T>, ops: &[QueueOp<T>]) {
@@ -365,6 +387,111 @@ mod tests {
         q.inner().commit_at(t1.id(), 1);
         let t2 = h(2);
         assert_eq!(q.deq(&t2).unwrap(), "hello");
+    }
+
+    /// `Deq` by materialising: the view built in full and its head read
+    /// off — the oracle [`view_head`] is held to.
+    fn materialised_deq(
+        version: &VecDeque<i64>,
+        committed: &[&Vec<QueueOp<i64>>],
+        own: &[QueueOp<i64>],
+    ) -> Vec<(QueueRes<i64>, Vec<QueueOp<i64>>)> {
+        let mut view = version.clone();
+        for intent in committed {
+            replay(&mut view, intent);
+        }
+        replay(&mut view, own);
+        match view.front() {
+            None => vec![],
+            Some(head) => {
+                let mut next = own.to_vec();
+                next.push(QueueOp::Deq);
+                vec![(QueueRes::Item(*head), next)]
+            }
+        }
+    }
+
+    fn assert_deq_matches_oracle(
+        version: &VecDeque<i64>,
+        committed: &[Vec<QueueOp<i64>>],
+        own: &Vec<QueueOp<i64>>,
+    ) -> Vec<(QueueRes<i64>, Vec<QueueOp<i64>>)> {
+        let committed: Vec<&Vec<QueueOp<i64>>> = committed.iter().collect();
+        let peeked =
+            QueueAdt::<i64>::default().candidates(version, &committed, own, &QueueInv::Deq);
+        assert_eq!(
+            peeked,
+            materialised_deq(version, &committed, own),
+            "{version:?} {committed:?} {own:?}"
+        );
+        peeked
+    }
+
+    #[test]
+    fn deq_peeks_past_the_version_into_enqueues() {
+        use QueueOp::{Deq, Enq};
+        let version = VecDeque::from(vec![1, 2]);
+        let committed = vec![vec![Enq(3)], vec![Deq, Enq(4)]];
+        // The committed dequeue took 1; the own ones take 2, then 3.
+        let head = |own: Vec<QueueOp<i64>>| {
+            let c = assert_deq_matches_oracle(&version, &committed, &own);
+            c.first().map(|(res, _)| res.clone())
+        };
+        assert_eq!(head(vec![]), Some(QueueRes::Item(2)));
+        assert_eq!(head(vec![Deq]), Some(QueueRes::Item(3)), "into the committed enqueues");
+        assert_eq!(head(vec![Deq, Deq, Enq(5)]), Some(QueueRes::Item(4)));
+        assert_eq!(head(vec![Deq, Deq, Enq(5), Deq]), Some(QueueRes::Item(5)), "into own enqueues");
+        assert_eq!(head(vec![Deq, Deq, Enq(5), Deq, Deq]), None, "an empty view has no head");
+        let empty = assert_deq_matches_oracle(&VecDeque::new(), &[vec![Enq(1), Deq]], &vec![]);
+        assert!(empty.is_empty(), "an empty view gives no candidate");
+        assert!(assert_deq_matches_oracle(&VecDeque::new(), &[], &vec![]).is_empty());
+    }
+
+    use proptest::prelude::*;
+
+    /// A raw op script: `kind < 3` is a dequeue when the view so far is
+    /// non-empty (legalised below), anything else an enqueue of `x`.
+    fn script() -> impl Strategy<Value = Vec<(u8, i64)>> {
+        prop::collection::vec((0u8..5, 0i64..1000), 0..8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn deq_peek_matches_the_materialising_fold(
+            version in prop::collection::vec(0i64..1000, 0..6),
+            committed in prop::collection::vec(script(), 0..4),
+            own in script(),
+        ) {
+            // Legal triples only: every dequeue, replayed in view order,
+            // finds an item — as every executed one did.
+            let mut len = version.len();
+            let mut legalise = |ops: Vec<(u8, i64)>| -> Vec<QueueOp<i64>> {
+                ops.into_iter()
+                    .map(|(kind, x)| {
+                        if kind < 3 && len > 0 {
+                            len -= 1;
+                            QueueOp::Deq
+                        } else {
+                            len += 1;
+                            QueueOp::Enq(x)
+                        }
+                    })
+                    .collect()
+            };
+            let raw = |ops: &Vec<(u8, i64)>| -> Vec<QueueOp<i64>> {
+                ops.iter().map(|&(kind, x)| if kind < 3 { QueueOp::Deq } else { QueueOp::Enq(x) }).collect()
+            };
+            let version = VecDeque::from(version);
+            // Unlegalised, a dequeue may meet an empty queue, which the
+            // replay skips; the peek must skip it too.
+            let raw_committed: Vec<Vec<QueueOp<i64>>> = committed.iter().map(raw).collect();
+            assert_deq_matches_oracle(&version, &raw_committed, &raw(&own));
+            let committed: Vec<Vec<QueueOp<i64>>> = committed.into_iter().map(&mut legalise).collect();
+            let own = legalise(own);
+            assert_deq_matches_oracle(&version, &committed, &own);
+        }
     }
 
     #[test]

@@ -9,13 +9,15 @@ use hcc_spec::TxnId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::mem::{discriminant, Discriminant};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How many times a refused execution re-reads the object's completion
-/// count before it parks: under a microsecond of spinning, which is what
-/// an uncontended lock holder still has to live, where parking a thread
+/// count before it parks: about 1.5 µs of spinning (one `spin_loop`
+/// hint measured ≈24 ns on a 2-vCPU x86-64 guest), which is what an
+/// uncontended lock holder still has to live, where parking a thread
 /// and waking it again costs ten to twenty. Deliberately no longer. On
 /// two cores sharing three hot objects a commit made while the other
 /// thread is also running costs 2.5 times one made alone (every cache
@@ -23,6 +25,13 @@ use std::time::Instant;
 /// until a *contended* holder finishes (2–3 µs) holds both threads in
 /// that regime: measured at 256 iterations, the median commit took
 /// 2.4 µs against 1.1 µs here, at the same rate of commits.
+///
+/// Re-swept once the latch's hold was shortened (`hot_adts`, three 8 s
+/// runs per bound on that guest, medians): 0, 64, 512 and 4096
+/// iterations gave 423, 484, 459 and 479 k commits/s — within the
+/// runs' spread — and a median commit of 2.0, 2.2, 3.5 and 3.5 µs;
+/// waits per 1 000 commits rose with the bound (≈60, 80, 115, 125).
+/// No bound beat 64.
 const SPIN_BOUND: u32 = 64;
 
 /// Why a blocking execution gave up.
@@ -232,6 +241,8 @@ struct ObjState<A: RuntimeAdt> {
     waiters: Vec<Arc<TxnHandle>>,
     /// Operations executed (locks granted), replays included.
     executed: u64,
+    /// Committed transactions folded into `version` by `forget()`.
+    forgotten: u64,
     /// Pre-resolved grant counters by executed-operation variant — a
     /// handful per type, so a scan — kept under the latch so that a
     /// grant writes no shared memory besides the latch and this state:
@@ -242,8 +253,36 @@ struct ObjState<A: RuntimeAdt> {
     grant_counters: Vec<(OpVariant<A>, Arc<Counter>)>,
 }
 
-fn active_rec<A: RuntimeAdt>(active: &[(TxnId, TxnRec<A>)], txn: TxnId) -> Option<&TxnRec<A>> {
-    active.iter().find(|(t, _)| *t == txn).map(|(_, rec)| rec)
+/// How many committed intents a view lends the type from the stack; a
+/// longer backlog is collected into a `Vec`. Views hold about one.
+const VIEW_INLINE: usize = 8;
+
+impl<A: RuntimeAdt> ObjState<A> {
+    /// The type's candidates for `inv` in `txn`'s view — the version,
+    /// the committed intents in timestamp order, then its own intent —
+    /// lent to the type in place: nothing is cloned, and the intents are
+    /// gathered on the stack unless there are more than [`VIEW_INLINE`].
+    fn candidates(&self, adt: &A, txn: TxnId, inv: &A::Inv) -> Vec<(A::Res, A::Intent)> {
+        let none;
+        let own = match self.active.iter().find(|(t, _)| *t == txn) {
+            Some((_, rec)) => &rec.intent,
+            None => {
+                none = A::Intent::default();
+                &none
+            }
+        };
+        let intents = self.committed.values().map(|rec| &rec.intent);
+        let n = self.committed.len();
+        if n > VIEW_INLINE {
+            let spilled: Vec<&A::Intent> = intents.collect();
+            return adt.candidates(&self.version, &spilled, own, inv);
+        }
+        let mut inline = [own; VIEW_INLINE];
+        for (slot, intent) in inline.iter_mut().zip(intents) {
+            *slot = intent;
+        }
+        adt.candidates(&self.version, &inline[..n], own, inv)
+    }
 }
 
 fn active_rec_or_default<A: RuntimeAdt>(
@@ -275,14 +314,23 @@ struct PairCounters {
     waits: Arc<Counter>,
 }
 
-/// A thread-safe transactional object running one data type under one
-/// concurrency-control scheme.
-pub struct TxObject<A: RuntimeAdt> {
-    name: String,
-    adt: A,
-    locks: Arc<dyn LockSpec<A>>,
-    opts: RuntimeOptions,
-    inner: Mutex<ObjState<A>>,
+/// A value on 128-byte-aligned lines of its own: nothing else shares a
+/// cache line with it (64-byte lines; 128 covers adjacent-line
+/// prefetchers).
+#[repr(align(128))]
+struct CacheAligned<T>(T);
+
+impl<T> Deref for CacheAligned<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The counters only the contended path touches: the completion count a
+/// refused execution spins on, and the refusal and wait tallies.
+#[derive(Default)]
+struct Tallies {
     /// Completions (commit, abort, unpin) that found waiters here.
     /// Written under the latch; a refused execution spins on it before
     /// parking. It publishes nothing — a spinner that sees it move only
@@ -291,7 +339,24 @@ pub struct TxObject<A: RuntimeAdt> {
     completions: AtomicU64,
     conflicts: AtomicU64,
     waits: AtomicU64,
-    forgotten: AtomicU64,
+}
+
+/// A thread-safe transactional object running one data type under one
+/// concurrency-control scheme.
+///
+/// The latch with the state it guards and the contended-path tallies
+/// each sit on cache lines of their own, away from the read-mostly
+/// header (`name`, `adt`, `locks`, `opts`) and the `Arc` counts: a
+/// thread writing them does not take from the other thread the lines
+/// it reads on every operation (`layout_keeps_the_latch_on_its_own_lines`
+/// holds this).
+pub struct TxObject<A: RuntimeAdt> {
+    inner: CacheAligned<Mutex<ObjState<A>>>,
+    tallies: CacheAligned<Tallies>,
+    name: String,
+    adt: A,
+    locks: Arc<dyn LockSpec<A>>,
+    opts: RuntimeOptions,
     /// Refusal and wait counters by `(requested, held)` variant pair,
     /// under the same caching contract as the grant counters: a refusal
     /// costs a map read, not two label allocations and two registry
@@ -302,6 +367,8 @@ pub struct TxObject<A: RuntimeAdt> {
     undefined_waits: OnceLock<Arc<Counter>>,
     /// `lock.wait_nanos.{TYPE}`, resolved at the first wait.
     wait_nanos: OnceLock<Arc<Histogram>>,
+    /// `lock.view.intents`, resolved at the first attempt.
+    view_intents: OnceLock<Arc<Counter>>,
 }
 
 /// An executed operation's variant pair — the grant-counter cache key.
@@ -326,11 +393,7 @@ impl<A: RuntimeAdt> TxObject<A> {
     ) -> Arc<TxObject<A>> {
         let version = adt.initial();
         Arc::new(TxObject {
-            name: name.into(),
-            adt,
-            locks,
-            opts,
-            inner: Mutex::new(ObjState {
+            inner: CacheAligned(Mutex::new(ObjState {
                 version,
                 committed: BTreeMap::new(),
                 active: Vec::new(),
@@ -339,15 +402,18 @@ impl<A: RuntimeAdt> TxObject<A> {
                 folded: 0,
                 waiters: Vec::new(),
                 executed: 0,
+                forgotten: 0,
                 grant_counters: Vec::new(),
-            }),
-            completions: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            forgotten: AtomicU64::new(0),
+            })),
+            tallies: CacheAligned(Tallies::default()),
+            name: name.into(),
+            adt,
+            locks,
+            opts,
             pair_cache: RwLock::new(HashMap::new()),
             undefined_waits: OnceLock::new(),
             wait_nanos: OnceLock::new(),
+            view_intents: OnceLock::new(),
         })
     }
 
@@ -459,7 +525,7 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// the paper's conflict tables — and hand back the pair's wait
     /// counter.
     fn refused(&self, txn: &TxnHandle, pair: &ConflictPair<A>) -> Arc<Counter> {
-        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        self.tallies.conflicts.fetch_add(1, Ordering::Relaxed);
         let counters = self.pair_counters(pair);
         counters.refusals.inc();
         if let Some(tr) = &self.opts.trace {
@@ -536,10 +602,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             return Err(ReplayError::Exec(ExecError::NotActive));
         }
         let mut st = self.inner.lock();
-        let committed_refs: Vec<&A::Intent> = st.committed.values().map(|r| &r.intent).collect();
-        let own = active_rec(&st.active, txn.id()).map(|r| r.intent.clone()).unwrap_or_default();
-        let candidates = self.adt.candidates(&st.version, &committed_refs, &own, &inv);
-        drop(committed_refs);
+        let candidates = st.candidates(&self.adt, txn.id(), &inv);
         let Some((res, intent)) = candidates.into_iter().find(|(res, _)| *res == expected) else {
             return Err(ReplayError::Diverged { expected: format!("{expected:?}") });
         };
@@ -619,7 +682,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             if !st.waiters.iter().any(|w| Arc::ptr_eq(w, txn)) {
                 st.waiters.push(txn.clone());
             }
-            let seen = self.completions.load(Ordering::Relaxed);
+            let seen = self.tallies.completions.load(Ordering::Relaxed);
             drop(st);
 
             let (holders, wait_counter) = match refusal {
@@ -630,7 +693,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             };
             let now = Instant::now();
             let (_, deadline) = *blocked.get_or_insert_with(|| {
-                self.waits.fetch_add(1, Ordering::Relaxed);
+                self.tallies.waits.fetch_add(1, Ordering::Relaxed);
                 wait_counter.inc();
                 (now, self.opts.block.timeout.map(|t| now + t))
             });
@@ -660,7 +723,8 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// Has something completed here since `seen` was read, or was `txn`
     /// doomed? Re-checked up to [`SPIN_BOUND`] times.
     fn spin_for_completion(&self, seen: u64, txn: &TxnHandle) -> bool {
-        let resumed = || self.completions.load(Ordering::Relaxed) != seen || txn.is_doomed();
+        let resumed =
+            || self.tallies.completions.load(Ordering::Relaxed) != seen || txn.is_doomed();
         for _ in 0..SPIN_BOUND {
             if resumed() {
                 return true;
@@ -695,7 +759,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             return;
         }
         let waiters = std::mem::take(&mut st.waiters);
-        self.completions.fetch_add(1, Ordering::Relaxed);
+        self.tallies.completions.fetch_add(1, Ordering::Relaxed);
         drop(st);
         for waiter in waiters {
             waiter.wake();
@@ -703,11 +767,10 @@ impl<A: RuntimeAdt> TxObject<A> {
     }
 
     fn attempt(&self, st: &mut ObjState<A>, txn: TxnId, inv: &A::Inv) -> Attempt<A> {
-        // Assemble the view: version + committed intents (ts order) + own.
-        let committed_refs: Vec<&A::Intent> = st.committed.values().map(|r| &r.intent).collect();
-        let own = active_rec(&st.active, txn).map(|r| r.intent.clone()).unwrap_or_default();
-        let candidates = self.adt.candidates(&st.version, &committed_refs, &own, inv);
-        drop(committed_refs);
+        let view_intents =
+            self.view_intents.get_or_init(|| self.opts.metrics.counter("lock.view.intents"));
+        view_intents.add(st.committed.len() as u64);
+        let candidates = st.candidates(&self.adt, txn, inv);
         if candidates.is_empty() {
             return Attempt::Undefined;
         }
@@ -776,7 +839,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             let (ts, rec) = oldest.remove_entry();
             self.adt.apply(&mut st.version, &rec.intent);
             st.folded = st.folded.max(ts);
-            self.forgotten.fetch_add(1, Ordering::Relaxed);
+            st.forgotten += 1;
         }
     }
 
@@ -889,11 +952,12 @@ impl<A: RuntimeAdt> TxObject<A> {
 
     /// Contention statistics.
     pub fn stats(&self) -> ObjectStats {
+        let st = self.inner.lock();
         ObjectStats {
-            executed: self.inner.lock().executed,
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            forgotten: self.forgotten.load(Ordering::Relaxed),
+            executed: st.executed,
+            conflicts: self.tallies.conflicts.load(Ordering::Relaxed),
+            waits: self.tallies.waits.load(Ordering::Relaxed),
+            forgotten: st.forgotten,
         }
     }
 }
@@ -1537,6 +1601,72 @@ mod tests {
         o.install_version(42, 10).unwrap();
         assert_eq!(o.snapshot_read(9), Err(SnapshotStale { folded: 10, watermark: 9 }));
         assert_eq!(o.snapshot_read(10), Ok(42));
+    }
+
+    /// The latch and the tallies each sit on 128-byte lines of their own:
+    /// none of the read-mostly header's bytes, and neither of the `Arc`'s
+    /// counts, falls on one of their lines.
+    #[test]
+    fn layout_keeps_the_latch_on_its_own_lines() {
+        const LINE: usize = 128;
+        fn lines<T: ?Sized>(field: &T) -> Option<(usize, usize)> {
+            let (at, len) = (field as *const T as *const u8 as usize, std::mem::size_of_val(field));
+            // A zero-sized field has no bytes to share a line with.
+            (len > 0).then(|| (at / LINE, (at + len - 1) / LINE))
+        }
+        let overlap = |a: (usize, usize), b: (usize, usize)| a.0 <= b.1 && b.0 <= a.1;
+
+        let o = obj();
+        let latch: &Mutex<ObjState<Register>> = &o.inner;
+        let tallies: &Tallies = &o.tallies;
+        for (what, at) in
+            [("latch", latch as *const _ as usize), ("tallies", tallies as *const _ as usize)]
+        {
+            assert_eq!(at % LINE, 0, "the {what} starts a line");
+        }
+        // `Arc` keeps its strong and weak counts, two words, right before
+        // the value at the value's alignment.
+        let counts_at = Arc::as_ptr(&o) as usize
+            - (2 * std::mem::size_of::<usize>())
+                .next_multiple_of(std::mem::align_of::<TxObject<Register>>());
+        let counts = (counts_at / LINE, (counts_at + 2 * std::mem::size_of::<usize>() - 1) / LINE);
+        let header = [
+            ("name", lines(&o.name)),
+            ("adt", lines(&o.adt)),
+            ("locks", lines(&o.locks)),
+            ("opts", lines(&o.opts)),
+            ("arc counts", Some(counts)),
+        ];
+        let latch_lines = lines(latch).expect("the latch has bytes");
+        let tally_lines = lines(tallies).expect("the tallies have bytes");
+        assert!(!overlap(latch_lines, tally_lines), "the latch and the tallies share a line");
+        for (what, field) in header {
+            let Some(field) = field else { continue };
+            assert!(!overlap(latch_lines, field), "the latch shares a line with {what}");
+            assert!(!overlap(tally_lines, field), "the tallies share a line with {what}");
+        }
+    }
+
+    /// A view lends the type every committed intent, in timestamp
+    /// order, whether they fit the stack buffer or spill past it, and
+    /// `lock.view.intents` counts them once per attempt.
+    #[test]
+    fn views_hold_every_committed_intent_past_the_inline_buffer() {
+        let o = obj();
+        o.pin_horizon(0);
+        let mut counted = 0;
+        for k in 1..=VIEW_INLINE as u64 + 3 {
+            let writer = h(2 * k);
+            counted += o.retained_committed() as u64;
+            o.execute(&writer, RegInv::Write(k as i64)).unwrap();
+            o.commit_at(writer.id(), k);
+            let reader = h(2 * k + 1);
+            counted += o.retained_committed() as u64;
+            assert_eq!(o.execute(&reader, RegInv::Read), Ok(k as i64), "{k} committed intents");
+            o.abort_txn(reader.id());
+        }
+        assert_eq!(o.retained_committed(), VIEW_INLINE + 3, "the pin folded nothing");
+        assert_eq!(o.opts.metrics.snapshot().counter("lock.view.intents"), counted);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// successive `post(3)`s are enough, after which the balance is garbage
 /// (and a wrapped zero denominator panics later). The bounded workloads in
 /// this repository stay clear of it (balances far below 2^64, few interest
-/// postings); making the arithmetic checked is ROADMAP item 7(a).
+/// postings); making the arithmetic checked is ROADMAP item 1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Rational {
     num: i128,
@@ -110,9 +110,17 @@ impl From<i64> for Rational {
     }
 }
 
+// `+`, `-`, `*` and `cmp` take an integer fast path when both
+// denominators are 1 (integer money, the common case): the general form
+// would reach `Rational::new(n, 1)`, whose gcd is 1, so the numerator
+// alone is the exact result and the gcd and both divisions are skipped.
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, o: Rational) -> Rational {
+        if self.den == 1 && o.den == 1 {
+            return Rational { num: self.num + o.num, den: 1 };
+        }
         Rational::new(self.num * o.den + o.num * self.den, self.den * o.den)
     }
 }
@@ -120,6 +128,9 @@ impl Add for Rational {
 impl Sub for Rational {
     type Output = Rational;
     fn sub(self, o: Rational) -> Rational {
+        if self.den == 1 && o.den == 1 {
+            return Rational { num: self.num - o.num, den: 1 };
+        }
         Rational::new(self.num * o.den - o.num * self.den, self.den * o.den)
     }
 }
@@ -127,6 +138,9 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, o: Rational) -> Rational {
+        if self.den == 1 && o.den == 1 {
+            return Rational { num: self.num * o.num, den: 1 };
+        }
         Rational::new(self.num * o.num, self.den * o.den)
     }
 }
@@ -172,6 +186,9 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
         // Denominators are positive, so cross-multiplication preserves order.
         (self.num * other.den).cmp(&(other.num * self.den))
     }
@@ -257,6 +274,73 @@ mod tests {
         assert_eq!(x, r(3, 4));
         x *= r(4, 3);
         assert_eq!(x, Rational::ONE);
+    }
+
+    /// The general path, spelled out: the cross-multiplied form fed
+    /// through `Rational::new`. The integer fast path must agree with it.
+    fn general_add(a: Rational, b: Rational) -> Rational {
+        Rational::new(a.num * b.den + b.num * a.den, a.den * b.den)
+    }
+    fn general_sub(a: Rational, b: Rational) -> Rational {
+        Rational::new(a.num * b.den - b.num * a.den, a.den * b.den)
+    }
+    fn general_mul(a: Rational, b: Rational) -> Rational {
+        Rational::new(a.num * b.num, a.den * b.den)
+    }
+    fn general_cmp(a: Rational, b: Rational) -> Ordering {
+        (a.num * b.den).cmp(&(b.num * a.den))
+    }
+
+    fn assert_matches_general_path(a: Rational, b: Rational) {
+        assert_eq!(a + b, general_add(a, b), "{a} + {b}");
+        assert_eq!(a - b, general_sub(a, b), "{a} - {b}");
+        assert_eq!(a * b, general_mul(a, b), "{a} * {b}");
+        assert_eq!(a.cmp(&b), general_cmp(a, b), "{a} cmp {b}");
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_general_path_at_the_edges() {
+        let max = i64::MAX as i128;
+        let edges = [0, 1, -1, max, -max];
+        for &a in &edges {
+            for &b in &edges {
+                assert_matches_general_path(r(a, 1), r(b, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn non_integer_operands_take_the_general_path() {
+        assert_eq!(r(1, 3) + r(1, 6), r(1, 2));
+        assert_eq!(r(3, 1) - r(1, 2), r(5, 2));
+        assert_eq!(r(4, 1) * r(3, 4), r(3, 1));
+        assert!(r(7, 2) > r(3, 1) && r(3, 1) < r(7, 2));
+        for (a, b) in [(r(1, 3), r(2, 1)), (r(5, 1), r(-7, 4)), (r(-9, 10), r(21, 20))] {
+            assert_matches_general_path(a, b);
+            assert_matches_general_path(b, a);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Integers in ±2^62, so every general-path product fits an `i128`.
+    fn int_operand() -> impl Strategy<Value = Rational> {
+        let bound = 1i128 << 62;
+        prop_oneof![
+            8 => (-bound..bound + 1).prop_map(|n| Rational::new(n, 1)),
+            1 => (-2i128..3).prop_map(|n| Rational::new(n, 1)),
+            1 => (0i128..2).prop_map(|s| Rational::from_int(if s == 0 { i64::MAX } else { -i64::MAX })),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn integer_fast_path_matches_the_general_path(a in int_operand(), b in int_operand()) {
+            prop_assert!(a.is_integer() && b.is_integer());
+            assert_matches_general_path(a, b);
+        }
     }
 
     #[test]
