@@ -173,10 +173,17 @@ impl Session {
     /// session holding exactly its negotiated cap is shed without ever
     /// exceeding it. The server-wide count falls only *after* the
     /// write, because the drain tears sessions down once it reads zero.
+    /// Only a drain waits for zero, so the wake is paid only once
+    /// `draining` is set. Both sides are SeqCst: the drain stores
+    /// `draining` and then loads `outstanding`, this decrements
+    /// `outstanding` and then loads `draining`, so at least one of them
+    /// sees the other's write — the drain reads zero, or this wakes it.
     fn answer_admitted(&self, shared: &Shared, seq: u64, resp: &Response) {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
         self.respond(shared, seq, resp);
-        if shared.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if shared.outstanding.fetch_sub(1, Ordering::SeqCst) == 1
+            && shared.draining.load(Ordering::SeqCst)
+        {
             let _lock = shared.idle.0.lock();
             shared.idle.1.notify_all();
         }
@@ -321,7 +328,7 @@ impl ServerHandle {
         {
             let (lock, cv) = &self.shared.idle;
             let mut guard = lock.lock();
-            while self.shared.outstanding.load(Ordering::Acquire) > 0 {
+            while self.shared.outstanding.load(Ordering::SeqCst) > 0 {
                 cv.wait_for(&mut guard, Duration::from_millis(50));
             }
         }

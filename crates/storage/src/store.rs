@@ -1266,4 +1266,132 @@ mod tests {
             );
         }
     }
+
+    fn buffered() -> StorageOptions {
+        StorageOptions { durability: Durability::Buffered, ..small_opts() }
+    }
+
+    /// Poll until nothing more is released; the frames shipped, as
+    /// `(ticket, record)`.
+    fn shipped(tailer: &mut WalTailer) -> Vec<(u64, LogRecord)> {
+        let mut got = Vec::new();
+        loop {
+            let more = tailer.poll().unwrap();
+            if more.is_empty() {
+                return got;
+            }
+            for (seq, bytes) in more {
+                let (dseq, rec, _) = crate::record::decode_at(&bytes, 0).unwrap();
+                assert_eq!(dseq, seq);
+                got.push((seq, rec));
+            }
+        }
+    }
+
+    fn committed_txns(recovered: &Recovered) -> Vec<u64> {
+        recovered.committed.iter().map(|t| t.txn).collect()
+    }
+
+    /// Under `Buffered`, a commit whose write fails writes its repair
+    /// abort at the same ticket before it releases the append lock. The
+    /// next commit links through it; recovery keeps that one and drops
+    /// the failed one (abort wins), and a tailer ships both tickets
+    /// without holding either.
+    #[test]
+    fn a_buffered_commit_whose_write_failed_is_repaired_before_the_next_commit() {
+        let dir = tmp("write-fault");
+        let cell = Cell::default();
+        {
+            let store = DurableStore::open(&dir, buffered()).unwrap();
+            run_txn(&store, &cell, 1, 1, 1);
+            store.log_op(2, "cell", &10i64.to_le_bytes()).unwrap();
+            store.wal.write_faults.store(1, Ordering::SeqCst);
+            assert!(store.log_commit(2, 2).is_err(), "the commit's write failed");
+            let a = store.wal.current_ticket() - 1;
+            run_txn(&store, &cell, 3, 3, 100);
+            let b = store.wal.current_ticket() - 1;
+            assert!(store.wal.tail_facts().held.is_empty(), "the repair landed: nothing held");
+            let got = shipped(&mut store.tail(0));
+            assert_eq!(
+                got.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+                (1..=b).collect::<Vec<_>>()
+            );
+            let at = |t: u64| got.iter().find(|(s, _)| *s == t).map(|(_, r)| r.clone()).unwrap();
+            assert_eq!(at(a), LogRecord::Abort { txn: 2 }, "Abort@{a}, never Commit@{a}");
+            assert!(matches!(at(b), LogRecord::Commit { txn: 3, prev, .. } if prev == a));
+        }
+        let recovered = DurableStore::recover(&dir).unwrap();
+        assert_eq!(committed_txns(&recovered), vec![1, 3]);
+        assert!(recovered.incomplete.is_empty(), "{:?}", recovered.incomplete);
+    }
+
+    /// With the repair's write failed as well, the ticket is held in
+    /// `failed_commits` — the stream stops before it, though the next
+    /// commit is acknowledged — until the compensating durable abort
+    /// fills it.
+    #[test]
+    fn a_buffered_commit_whose_repair_failed_is_held_until_its_abort_lands() {
+        let dir = tmp("write-fault-held");
+        let cell = Cell::default();
+        {
+            let store = DurableStore::open(&dir, buffered()).unwrap();
+            run_txn(&store, &cell, 1, 1, 1);
+            store.log_op(2, "cell", &10i64.to_le_bytes()).unwrap();
+            store.wal.write_faults.store(2, Ordering::SeqCst);
+            assert!(store.log_commit(2, 2).is_err(), "the commit's write failed");
+            let a = store.wal.current_ticket() - 1;
+            assert_eq!(store.wal.tail_facts().held, vec![a], "the repair failed: {a} is held");
+            run_txn(&store, &cell, 3, 3, 100);
+            let b = store.wal.current_ticket() - 1;
+            let mut tailer = store.tail(0);
+            let got = shipped(&mut tailer);
+            assert_eq!(got.iter().map(|(s, _)| *s).collect::<Vec<_>>(), (1..a).collect::<Vec<_>>());
+            assert_eq!(store.wal.tail_facts().held, vec![a], "still held");
+            store.log_abort_durable(2).unwrap();
+            assert!(store.wal.tail_facts().held.is_empty(), "the abort filled the slot");
+            let got = shipped(&mut tailer);
+            assert_eq!(
+                got.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+                (a..=b).collect::<Vec<_>>()
+            );
+            assert_eq!(got[0].1, LogRecord::Abort { txn: 2 });
+        }
+        let recovered = DurableStore::recover(&dir).unwrap();
+        assert_eq!(committed_txns(&recovered), vec![1, 3]);
+        assert!(recovered.incomplete.is_empty(), "{:?}", recovered.incomplete);
+    }
+
+    /// Under `Buffered` the ack barrier never sleeps: commit records are
+    /// written in chain order, so `wal.settle_waits` stays 0 across eight
+    /// threads committing at once, and every commit recovers with its
+    /// chain intact.
+    #[test]
+    fn buffered_commits_from_many_threads_never_wait_at_the_ack_barrier() {
+        let dir = tmp("no-settle-wait");
+        let (threads, per) = (8u64, 500u64);
+        {
+            let opts = StorageOptions { segment_max_bytes: 1 << 20, ..buffered() };
+            let store = Arc::new(DurableStore::open(&dir, opts).unwrap());
+            let writers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let store = store.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..per {
+                            let txn = t * per + i + 1;
+                            store.log_op(txn, "cell", &1i64.to_le_bytes()).unwrap();
+                            store.log_commit(txn, txn).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().unwrap();
+            }
+            assert_eq!(store.metrics().counter("wal.settle_waits").get(), 0);
+        }
+        let recovered = DurableStore::recover(&dir).unwrap();
+        assert_eq!(recovered.committed.len() as u64, threads * per);
+        assert!(recovered.incomplete.is_empty(), "a chain hole: {:?}", recovered.incomplete);
+        assert!(!recovered.torn_tail);
+    }
 }

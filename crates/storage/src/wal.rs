@@ -28,20 +28,30 @@
 //! Because physical order and ticket order differ, "a crash removes a
 //! suffix of the file" is *not* "a crash removes a suffix of the history":
 //!
-//! * **The commit chain.** A commit reserves its ticket and links to its
-//!   predecessor (`prev`) in one step, then appends in a second one; a
-//!   later-chained commit can land physically ahead of its predecessor,
-//!   and a tail cut between them keeps the later and loses the earlier.
-//!   Recovery walks the chain ([`crate::CommitChain`]) and drops
-//!   everything past a hole.
-//! * **The ack barrier** (`settle_chain`). A commit is
-//!   acknowledged only once every chained predecessor is settled —
-//!   otherwise the group sync that covered the later commit's position
-//!   could return while the predecessor was still unappended, and the
-//!   chain walk would discard an *acknowledged* commit after a crash.
-//! * **Chain repair** (`failed_commits`). A commit append that fails
-//!   after its ticket was chained leaves a slot every later commit links
-//!   through; a durable abort record reusing the ticket fills it.
+//! * **The commit chain.** A commit reserves its ticket, links to its
+//!   predecessor (`prev`) and appends its record in one hold of the
+//!   append lock — and under `Buffered` writes it in that hold too — so
+//!   commit records reach the buffer and the file in chain order. Other
+//!   records still land out of ticket order, and a log written before
+//!   commits were appended in chain order, or a failed repair, can leave
+//!   a later-chained commit on file without its predecessor. Recovery
+//!   walks the chain ([`crate::CommitChain`]) and drops everything past a
+//!   hole: the defence for those logs.
+//! * **The ack barrier** (`settle_chain`). A commit is acknowledged only
+//!   once every chained predecessor is settled. Under `Buffered` that
+//!   holds by construction — the write that carried a commit carried its
+//!   predecessors ahead of it — and settling is a `max`. Under `Fsync` it
+//!   is a wait: the group sync that covered a later commit can return
+//!   while a predecessor's own sync failed and its repair is not yet
+//!   durable, and the chain walk would then discard an *acknowledged*
+//!   commit after a crash.
+//! * **Chain repair.** A commit whose append, write or sync fails after
+//!   its ticket was chained leaves a slot every later commit links
+//!   through; an abort record reusing the ticket fills it, written before
+//!   the commit settles (under `Buffered`, before the append lock is
+//!   released, so any successor's write carries it). If the repair fails
+//!   too, the ticket is held in `failed_commits` until the caller's
+//!   durable abort fills it.
 //! * **The op count.** Commit records carry the number of op records
 //!   their transaction logged. A transaction's ops precede its commit in
 //!   the file, so a tail cut cannot separate them — but a lost or wrongly
@@ -146,6 +156,16 @@ struct Inner {
     next_pos: u64,
     /// Lowest segment holding records of each incomplete transaction.
     live_low: HashMap<u64, u64>,
+    /// Op records appended so far by each live transaction, counted by
+    /// the op's own append and stamped into its commit record, so
+    /// recovery can detect a partially lost transaction.
+    txn_ops: HashMap<u64, u32>,
+    /// The commit chain: ticket of the most recently appended commit
+    /// record. Each commit record carries its predecessor's ticket so
+    /// recovery can reject chain holes (see the module docs). Linked in
+    /// the hold that appends the record, so commit records reach the
+    /// buffer in chain order.
+    chain: u64,
     // ---- statistics for the compaction policy -------------------------
     commits_since_ckpt: u64,
     records_since_ckpt: u64,
@@ -165,6 +185,21 @@ struct SyncState {
     max_requested: u64,
 }
 
+/// The ack barrier's state (`settle_chain`).
+struct Settled {
+    /// Highest chain ticket whose durability is *settled* (at the
+    /// configured level, or declared dead by a failed append). Every
+    /// chained predecessor of a settled commit is settled too, and
+    /// commits are acknowledged only once settled, so acknowledgement
+    /// order equals chain order. That is what entitles recovery to read
+    /// a chain hole as "this commit and everything chained after it was
+    /// never acknowledged".
+    high: u64,
+    /// Committers asleep on `chain_settled_cv`: a settle notifies only
+    /// when there is one.
+    waiters: u32,
+}
+
 /// The metric handles the log bumps on its hot paths, resolved once at
 /// open so appends never touch the registry's name map.
 struct Instruments {
@@ -173,6 +208,7 @@ struct Instruments {
     rotations: Arc<Counter>,
     fsync_nanos: Arc<Histogram>,
     batch: Arc<Histogram>,
+    settle_waits: Arc<Counter>,
 }
 
 /// The decoded record image of an open-time scan: the surviving records
@@ -190,10 +226,6 @@ pub struct SegmentedWal {
     ins: Instruments,
     /// The global ticket counter: the *next* ticket to hand out.
     ticket: AtomicU64,
-    /// Op records appended so far by each live transaction (stamped into
-    /// its commit record so recovery can detect a partially lost
-    /// transaction).
-    txn_ops: Mutex<HashMap<u64, u32>>,
     /// What the open-time scan learned (watermarks + registry bindings)
     /// — the store reads this instead of re-scanning the segments it
     /// just opened.
@@ -204,22 +236,12 @@ pub struct SegmentedWal {
     /// materialization. Taken (once) by the store's recovery path;
     /// dropped when the caller attests absorption.
     open_image: Mutex<Option<OpenRecords>>,
-    /// The commit chain: ticket of the most recently reserved commit
-    /// record. Each commit record carries its predecessor's ticket so
-    /// recovery can reject chain holes (see the module docs).
-    chain: Mutex<u64>,
     /// Commit records whose append failed after their chain ticket was
-    /// reserved: the compensating durable abort reuses the ticket, so the
-    /// chain stays linkable for every later commit.
+    /// reserved, and whose repair abort failed too: the compensating
+    /// durable abort reuses the ticket, so the chain stays linkable for
+    /// every later commit.
     failed_commits: Mutex<HashMap<u64, u64>>,
-    /// Highest chain ticket whose durability is *settled* (synced to the
-    /// configured level, or declared dead by a failed append). Advances
-    /// strictly in chain order — each commit settles only after its
-    /// predecessor has — and commits are acknowledged only once settled,
-    /// so acknowledgement order equals chain order. That is what entitles
-    /// recovery to read a chain hole as "this commit and everything
-    /// chained after it was never acknowledged".
-    chain_settled: Mutex<u64>,
+    chain_settled: Mutex<Settled>,
     chain_settled_cv: Condvar,
     /// Void tickets ([`SegmentedWal::void`]) as `start → end` ranges.
     voids: Mutex<BTreeMap<u64, u64>>,
@@ -232,6 +254,9 @@ pub struct SegmentedWal {
     /// Test hook: how many upcoming group-commit fsyncs fail.
     #[cfg(test)]
     pub(crate) sync_faults: std::sync::atomic::AtomicI64,
+    /// Test hook: how many upcoming `write(2)`s of the buffer fail.
+    #[cfg(test)]
+    pub(crate) write_faults: std::sync::atomic::AtomicI64,
     /// Test hook: how many upcoming stream-directory fsyncs fail.
     #[cfg(test)]
     pub(crate) dir_sync_faults: std::sync::atomic::AtomicI64,
@@ -407,6 +432,8 @@ impl SegmentedWal {
                 written_high: 0,
                 next_pos: 1,
                 live_low: HashMap::new(),
+                txn_ops: HashMap::new(),
+                chain: scan.max_commit_seq,
                 commits_since_ckpt: 0,
                 records_since_ckpt: 0,
                 bytes_at_last_ckpt: total_bytes,
@@ -425,18 +452,19 @@ impl SegmentedWal {
                 rotations: metrics.counter("wal.rotations"),
                 fsync_nanos: metrics.histogram("wal.fsync_nanos"),
                 batch: metrics.histogram("wal.group_commit.batch"),
+                settle_waits: metrics.counter("wal.settle_waits"),
             },
             ticket: AtomicU64::new(scan.max_seq + 1),
-            txn_ops: Mutex::new(HashMap::new()),
-            chain: Mutex::new(scan.max_commit_seq),
             failed_commits: Mutex::new(HashMap::new()),
-            chain_settled: Mutex::new(scan.max_commit_seq),
+            chain_settled: Mutex::new(Settled { high: scan.max_commit_seq, waiters: 0 }),
             chain_settled_cv: Condvar::new(),
             voids: Mutex::new(voids),
             tailers: Mutex::new(Vec::new()),
             tailed: AtomicBool::new(false),
             #[cfg(test)]
             sync_faults: Default::default(),
+            #[cfg(test)]
+            write_faults: Default::default(),
             #[cfg(test)]
             dir_sync_faults: Default::default(),
             open_scan: scan,
@@ -474,18 +502,18 @@ impl SegmentedWal {
     /// checkpoint's recorded chain watermark — the chain link below it
     /// may have been pruned).
     pub fn witness_chain(&self, floor: u64) {
-        let mut chain = lock(&self.chain);
-        *chain = (*chain).max(floor);
-        drop(chain);
+        let mut inner = lock(&self.inner);
+        inner.chain = inner.chain.max(floor);
+        drop(inner);
         let mut settled = lock(&self.chain_settled);
-        *settled = (*settled).max(floor);
+        settled.high = settled.high.max(floor);
     }
 
     /// The ticket of the most recently chained commit record — the
     /// commit-chain watermark a fuzzy checkpoint records. Taken under
     /// the caller's exclusive commit gate, so no commit is mid-chain.
     pub fn commit_chain(&self) -> u64 {
-        *lock(&self.chain)
+        lock(&self.inner).chain
     }
 
     /// Reserve the next global ticket. Callers that need a ticket order
@@ -520,7 +548,7 @@ impl SegmentedWal {
     /// the repair abort of a commit settled by then is already on file,
     /// or its ticket is listed as held.
     pub(crate) fn tail_facts(&self) -> TailFacts {
-        let settled = *lock(&self.chain_settled);
+        let settled = lock(&self.chain_settled).high;
         let held = lock(&self.failed_commits).values().copied().collect();
         let segment = lock(&self.inner).seg_index;
         TailFacts { settled, held, segment }
@@ -557,6 +585,10 @@ impl SegmentedWal {
         let outcome = loop {
             if done == inner.buf.len() {
                 break Ok(());
+            }
+            #[cfg(test)]
+            if self.write_faults.fetch_sub(1, Ordering::SeqCst) > 0 {
+                break Err(std::io::Error::other("injected write failure"));
             }
             self.ins.writes.inc();
             match (&*inner.file).write(&inner.buf[done..]) {
@@ -632,10 +664,18 @@ impl SegmentedWal {
         inner.seg_bytes += encoded;
         inner.total_bytes += encoded;
         inner.records_since_ckpt += 1;
+        let seg = inner.seg_index;
         match rec {
-            LogRecord::Begin { txn } | LogRecord::Op { txn, .. } => {
-                let seg = inner.seg_index;
+            LogRecord::Begin { txn } => {
                 inner.live_low.entry(*txn).or_insert(seg);
+            }
+            LogRecord::Op { txn, .. } => {
+                inner.live_low.entry(*txn).or_insert(seg);
+                // Counted only once in the buffer: the commit record's op
+                // count must equal what is actually in the log (a failed
+                // append retried by the caller counts exactly once, on
+                // the retry).
+                *inner.txn_ops.entry(*txn).or_default() += 1;
             }
             LogRecord::Commit { txn, .. } => {
                 inner.commits_since_ckpt += 1;
@@ -643,6 +683,7 @@ impl SegmentedWal {
             }
             LogRecord::Abort { txn } => {
                 inner.live_low.remove(txn);
+                inner.txn_ops.remove(txn);
             }
             LogRecord::Register { .. } => {}
         }
@@ -681,23 +722,34 @@ impl SegmentedWal {
         self.append(rec, seq).inspect_err(|_| self.void(seq))
     }
 
+    /// Append a completion record and write it to the OS with everything
+    /// buffered ahead of it: the whole of a `Buffered` commit, done in
+    /// the caller's hold of the append lock.
+    fn write_locked(
+        &self,
+        inner: &mut Inner,
+        rec: &LogRecord,
+        seq: u64,
+    ) -> Result<(), StorageError> {
+        self.append_locked(inner, rec, seq)?;
+        self.flush_locked(inner)?;
+        Ok(())
+    }
+
     /// Append a completion record with the configured durability: under
     /// `Fsync` this blocks until the record is on disk — one fsync per
     /// concurrent batch (leader-based group commit).
     fn commit(&self, rec: &LogRecord, seq: u64) -> Result<(), StorageError> {
         debug_assert!(rec.is_completion());
         let mut inner = lock(&self.inner);
-        let pos = self.append_locked(&mut inner, rec, seq)?;
         match self.opts.durability {
-            Durability::Buffered => {
-                self.flush_locked(&mut inner)?;
-                Ok(())
-            }
+            Durability::Buffered => self.write_locked(&mut inner, rec, seq),
             Durability::Fsync => {
                 // No flush here: the sync leader flushes the shared
                 // buffer under the append lock before it snapshots the
                 // high-water mark, so this record is covered by
                 // whichever fsync it waits for.
+                let pos = self.append_locked(&mut inner, rec, seq)?;
                 drop(inner);
                 self.group_sync(pos)
             }
@@ -782,18 +834,14 @@ impl SegmentedWal {
         self.append_fresh(&LogRecord::Register { id, name: name.to_string() })
     }
 
-    /// Append one op record under a pre-reserved ticket (buffered). The
-    /// write-ahead discipline only requires op records to reach disk
+    /// Append one op record under a pre-reserved ticket (buffered), and
+    /// count it toward its transaction's commit record in the same hold.
+    /// The write-ahead discipline only requires op records to reach disk
     /// before the *commit* record does, and they precede it in the file.
     /// On an error the record is not in the log: retry it under the same
     /// ticket, or give the ticket up ([`SegmentedWal::void`]).
     pub fn append_op(&self, seq: u64, txn: u64, obj: u64, op: &[u8]) -> Result<(), StorageError> {
-        self.append(&LogRecord::Op { txn, obj, op: op.to_vec() }, seq)?;
-        // Count only after a successful append: the commit record's op
-        // count must equal what is actually in the log (a failed append
-        // retried by the caller increments exactly once, on the retry).
-        *lock(&self.txn_ops).entry(txn).or_default() += 1;
-        Ok(())
+        self.append(&LogRecord::Op { txn, obj, op: op.to_vec() }, seq)
     }
 
     /// Append an ordinary Abort record (buffered — recovery never replays
@@ -802,7 +850,6 @@ impl SegmentedWal {
     /// be at least as durable as the commits chained past it, which only
     /// the durable [`SegmentedWal::commit_abort`] path guarantees.
     pub fn append_abort(&self, txn: u64) -> Result<(), StorageError> {
-        lock(&self.txn_ops).remove(&txn);
         self.append_fresh(&LogRecord::Abort { txn })
     }
 
@@ -814,7 +861,7 @@ impl SegmentedWal {
     /// to do: [`SegmentedWal::commit_txn`]'s own repair already wrote the
     /// abort, or no commit was ever chained.
     pub fn commit_abort(&self, txn: u64) -> Result<(), StorageError> {
-        lock(&self.txn_ops).remove(&txn);
+        lock(&self.inner).txn_ops.remove(&txn);
         let Some(seq) = lock(&self.failed_commits).get(&txn).copied() else { return Ok(()) };
         self.commit(&LogRecord::Abort { txn }, seq)?;
         lock(&self.failed_commits).remove(&txn);
@@ -822,23 +869,38 @@ impl SegmentedWal {
         Ok(())
     }
 
-    /// The ack barrier: block until every chain predecessor of the commit
-    /// reserved as `(prev → seq)` is settled, then settle `seq` itself.
-    /// Called after the commit record reached its configured durability
-    /// (or after its append failed — a dead ticket settles too, so
-    /// successors never hang). This is what aligns *acknowledgement*
-    /// order with chain order: the group sync that covered this record's
-    /// position may have run before a chained predecessor was even
-    /// appended, and a crash after an early return would make recovery's
+    /// The ack barrier: settle `seq`, the commit chained after `prev`,
+    /// once its record has reached the configured durability (or its
+    /// append failed — a dead ticket settles too, so successors never
+    /// hang). A commit is acknowledged only once settled.
+    ///
+    /// Under `Buffered` this is a `max`: commit records are linked,
+    /// appended and written in chain order under the append lock, so the
+    /// write that carried this record carried every chained
+    /// predecessor's record, or the abort that repaired it, ahead of it;
+    /// a predecessor whose repair failed is already held in
+    /// `failed_commits`. Under `Fsync` the group sync that covered this
+    /// record may have returned while a predecessor's own sync failed and
+    /// its repair is not yet durable, so the commit waits until every
+    /// predecessor is settled — otherwise a crash could make recovery's
     /// chain walk discard an acknowledged commit.
     fn settle_chain(&self, prev: u64, seq: u64) {
         let mut settled = lock(&self.chain_settled);
-        while *settled < prev {
-            settled = self.chain_settled_cv.wait(settled).unwrap_or_else(PoisonError::into_inner);
+        if self.opts.durability == Durability::Fsync {
+            while settled.high < prev {
+                settled.waiters += 1;
+                self.ins.settle_waits.inc();
+                settled =
+                    self.chain_settled_cv.wait(settled).unwrap_or_else(PoisonError::into_inner);
+                settled.waiters -= 1;
+            }
         }
-        *settled = (*settled).max(seq);
+        settled.high = settled.high.max(seq);
+        let waiters = settled.waiters > 0;
         drop(settled);
-        self.chain_settled_cv.notify_all();
+        if waiters {
+            self.chain_settled_cv.notify_all();
+        }
         self.wake_tailers();
     }
 
@@ -848,40 +910,67 @@ impl SegmentedWal {
     /// (group-committed under `Fsync`). Returns only once the record is
     /// as durable as the level requires and every chained predecessor is
     /// settled.
+    ///
+    /// Counting, reserving the ticket, linking the chain and appending
+    /// are one hold of the append lock, and under `Buffered` so is the
+    /// `write(2)`: commit records reach the buffer and the file in chain
+    /// order. The chain order is the ack-dependency order (a commit
+    /// acknowledged before another executed is chained before it), which
+    /// is what lets recovery treat a chain hole as "discard this and
+    /// every later commit".
+    ///
+    /// A commit that fails leaves a chain slot every later commit links
+    /// through. Before it settles, the slot is repaired *durably* with an
+    /// abort at the same ticket — under `Buffered` in the same hold, so
+    /// any successor's write carries the repair ahead of its own bytes.
+    /// A dead link must be at least as durable as the commits that chain
+    /// past it, or a crash could open a hole under acknowledged
+    /// successors. If even the repair fails, the ticket is held in
+    /// `failed_commits` for the caller's compensating durable abort, and
+    /// the commit settles anyway: blocking every later commit on a sick
+    /// log helps nobody, and the caller reports the outcome as
+    /// indeterminate.
     pub fn commit_txn(&self, txn: u64, ts: u64) -> Result<(), StorageError> {
-        let ops = lock(&self.txn_ops).remove(&txn).unwrap_or(0);
-        // Reserve the ticket and link the chain in one atomic step: the
-        // chain order is the ack-dependency order (a commit acknowledged
-        // before another executed is chained before it), which is what
-        // lets recovery treat a chain hole as "discard this and every
-        // later commit".
-        let (seq, prev) = {
-            let mut chain = lock(&self.chain);
-            let seq = self.reserve();
-            let prev = *chain;
-            *chain = seq;
-            (seq, prev)
-        };
-        let outcome = self.commit(&LogRecord::Commit { txn, ts, ops, prev }, seq);
-        if outcome.is_err() {
-            // The chain now names a ticket that may never reach disk.
-            // Before settling it (successors ack once their predecessors
-            // are settled), repair the slot *durably*: a dead link must be
-            // at least as durable as the commits that will chain past it,
-            // or a crash could open a hole under acknowledged successors.
-            // If even the repair fails, remember the ticket for the
-            // caller's compensating durable abort and settle anyway —
-            // blocking every later commit on a sick log helps nobody,
-            // and the caller reports the outcome as indeterminate.
-            if self.commit(&LogRecord::Abort { txn }, seq).is_err() {
-                lock(&self.failed_commits).insert(txn, seq);
+        let mut inner = lock(&self.inner);
+        let ops = inner.txn_ops.remove(&txn).unwrap_or(0);
+        let seq = self.reserve();
+        let prev = std::mem::replace(&mut inner.chain, seq);
+        let rec = LogRecord::Commit { txn, ts, ops, prev };
+        let repair = LogRecord::Abort { txn };
+        let outcome = match self.opts.durability {
+            Durability::Buffered => {
+                let outcome = self.write_locked(&mut inner, &rec, seq);
+                if outcome.is_err() {
+                    let repaired = self.write_locked(&mut inner, &repair, seq).is_ok();
+                    self.commit_failed(&mut inner, txn, seq, ops, repaired);
+                }
+                drop(inner);
+                outcome
             }
-            // A commit delivered again must stamp the true op count.
-            lock(&self.txn_ops).insert(txn, ops);
-        }
-        // Acknowledge only in chain order (see `settle_chain`).
+            Durability::Fsync => {
+                let appended = self.append_locked(&mut inner, &rec, seq);
+                drop(inner);
+                let outcome =
+                    appended.map_err(StorageError::from).and_then(|pos| self.group_sync(pos));
+                if outcome.is_err() {
+                    let repaired = self.commit(&repair, seq).is_ok();
+                    self.commit_failed(&mut lock(&self.inner), txn, seq, ops, repaired);
+                }
+                outcome
+            }
+        };
         self.settle_chain(prev, seq);
         outcome
+    }
+
+    /// What a failed commit of `txn` at `seq` leaves behind: its ticket
+    /// held when the repair abort failed too, and the op count, which a
+    /// commit delivered again must stamp.
+    fn commit_failed(&self, inner: &mut Inner, txn: u64, seq: u64, ops: u32, repaired: bool) {
+        if !repaired {
+            lock(&self.failed_commits).insert(txn, seq);
+        }
+        inner.txn_ops.insert(txn, ops);
     }
 
     /// Feed the log a batch of concatenated raw frames that already
