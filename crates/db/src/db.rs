@@ -112,15 +112,11 @@ impl DbBuilder {
         let replayed = resolved.len();
         let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
         for c in resolved {
-            // `c.ops` is in execution (ticket) order and the resolved
-            // list in timestamp order, so each per-name slice stays in
-            // replay order.
-            for (name, bytes) in c.ops {
-                let slot = tail.entry(name).or_default();
-                match slot.last_mut() {
-                    Some((txn, _, ops)) if *txn == c.txn => ops.push(bytes),
-                    _ => slot.push((c.txn, c.ts, vec![bytes])),
-                }
+            // The resolved list is in timestamp order, so each per-name
+            // slice stays in replay order.
+            let (txn, ts) = (c.txn, c.ts);
+            for (name, ops) in c.by_object() {
+                tail.entry(name).or_default().push((txn, ts, ops));
             }
         }
         let report = RecoveryReport { checkpoint_ts, replayed, torn_tail: recovered.torn_tail };

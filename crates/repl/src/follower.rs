@@ -23,7 +23,6 @@
 //! prefix of the primary's commit order — never a later transaction
 //! without an earlier one, and never a partially applied one.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -33,7 +32,7 @@ use std::time::Duration;
 use hcc_db::{Db, DbBuilder};
 use hcc_obs::{Counter, Gauge};
 use hcc_storage::{
-    wal, CommitChain, Durability, DurableObject, LogRecord, SegmentedWal, WalOptions,
+    wal, Durability, DurableObject, LogRecord, SegmentedWal, TxnAssembler, Verdict, WalOptions,
 };
 use hcc_wire::conn;
 use hcc_wire::repl::{ReplMsg, REPL_PROTOCOL_VERSION};
@@ -105,17 +104,11 @@ impl Instruments {
 /// stream thread and `promote` never see each other's partial work.
 struct Core {
     log: SegmentedWal,
-    /// In-progress transactions: ops in arrival (= ticket = execution)
-    /// order, keyed by transaction id.
-    pending: HashMap<u64, Vec<(u64, Vec<u8>)>>,
-    /// Registry id → object name bindings seen so far.
-    names: HashMap<u64, String>,
+    /// Every shipped record goes through it: the same reader recovery
+    /// uses, so replica and recovered site agree on which commits count.
+    txns: TxnAssembler,
     /// Last ticket fed through the apply path.
     applied: u64,
-    /// The commit-chain rule, fed every shipped commit and abort: the
-    /// same one recovery walks, so replica and recovered site agree on
-    /// which commits count.
-    chain: CommitChain,
     /// Latest `(watermark, ticket)` sample from the primary, applied or
     /// not yet.
     sample: Option<(u64, u64)>,
@@ -159,14 +152,7 @@ impl Follower {
         let (records, _torn) = log.take_open_image().expect("a fresh open retains its scan");
         let db = Arc::new(Db::in_memory());
         let ins = Instruments::resolve(db.metrics());
-        let mut core = Core {
-            log,
-            pending: HashMap::new(),
-            names: HashMap::new(),
-            applied: 0,
-            chain: CommitChain::new(0),
-            sample: None,
-        };
+        let mut core = Core { log, txns: TxnAssembler::new(None), applied: 0, sample: None };
         // Everything already durable replays through the same apply path
         // the live stream uses. The watermark stays 0 until the first
         // applicable sample arrives — locally there is no way to know
@@ -254,13 +240,14 @@ impl Follower {
     /// survived. Returns the promoted, writable `Db`.
     ///
     /// Every commit this replica applied survives (each was linked when
-    /// it was applied, after a restart too); a commit whose chain
-    /// predecessor never arrived poisoned the stream instead of being
-    /// applied, and is cut with everything after it (it could depend on
-    /// state this replica never saw).
+    /// it was applied, after a restart too); a commit the assembler
+    /// dropped poisoned the stream instead of being applied. One whose
+    /// chain predecessor never arrived is cut with everything after it
+    /// (it could depend on state this replica never saw); one short of
+    /// its ops is linked, so it stays, and recovery drops it again.
     pub fn promote_with(mut self, builder: DbBuilder) -> Result<Db, ReplError> {
         self.stop();
-        let cut = self.inner.core.lock().chain.last_linked();
+        let cut = self.inner.core.lock().txns.last_linked();
         self.inner.ins.promotions.inc();
         let dir = self.inner.dir.clone();
         drop(self); // close the log's handles before it is cut and reopened
@@ -287,8 +274,9 @@ fn durable_ticket(log: &SegmentedWal) -> u64 {
     log.current_ticket().saturating_sub(1)
 }
 
-/// Apply one shipped record to the in-memory replica. Commits go through
-/// the recovery replay path; everything else is bookkeeping.
+/// Apply one shipped record to the in-memory replica: a committed
+/// transaction goes through the recovery replay path, a dropped commit
+/// poisons the replica with the assembler's reason.
 fn apply_record(
     db: &Db,
     resolver: &ObjectResolver,
@@ -296,57 +284,20 @@ fn apply_record(
     seq: u64,
     rec: LogRecord,
 ) -> Result<(), String> {
-    match rec {
-        LogRecord::Register { id, name } => {
-            core.names.insert(id, name);
-        }
-        LogRecord::Begin { txn } => {
-            core.pending.entry(txn).or_default();
-        }
-        LogRecord::Op { txn, obj, op } => {
-            core.pending.entry(txn).or_default().push((obj, op));
-        }
-        LogRecord::Abort { txn } => {
-            core.pending.remove(&txn);
-            core.chain.abort_at(seq);
-        }
-        LogRecord::Commit { txn, ts, ops, prev } => {
-            let end = core.chain.last_linked();
-            if !core.chain.link(seq, prev) {
-                return Err(format!(
-                    "commit {txn} links to predecessor ticket {prev}, but the chain here ends \
-                     at {end} — the stream skipped a commit"
-                ));
-            }
-            let logged = core.pending.remove(&txn).unwrap_or_default();
-            if logged.len() != ops as usize {
-                return Err(format!(
-                    "commit {txn} expects {ops} ops, {} arrived — the stream skipped an op",
-                    logged.len()
-                ));
-            }
-            // Group ops per object, preserving arrival (= execution)
-            // order within each object.
-            let mut groups: Vec<(u64, Vec<Vec<u8>>)> = Vec::new();
-            for (obj, op) in logged {
-                match groups.iter_mut().find(|(id, _)| *id == obj) {
-                    Some((_, ops)) => ops.push(op),
-                    None => groups.push((obj, vec![op])),
-                }
-            }
-            let mut resolved: Vec<hcc_txn::ReplicatedOps> = Vec::new();
-            for (id, ops) in groups {
-                let name = core
-                    .names
-                    .get(&id)
-                    .ok_or_else(|| format!("op of txn {txn} references unregistered id {id}"))?;
-                let obj = resolver(db, name)?;
-                resolved.push((obj, ops));
-            }
+    match core.txns.feed(seq, rec).map_err(|e| e.to_string())? {
+        Some(Verdict::Committed(c)) => {
+            let (txn, ts) = (c.txn, c.ts);
+            let resolved = c
+                .by_object()
+                .into_iter()
+                .map(|(name, ops)| Ok((resolver(db, &name)?, ops)))
+                .collect::<Result<Vec<hcc_txn::ReplicatedOps>, String>>()?;
             db.manager()
                 .apply_replicated(txn, ts, &resolved)
                 .map_err(|e| format!("replay of txn {txn} failed: {e}"))?;
         }
+        Some(Verdict::Dropped { reason, .. }) => return Err(reason),
+        Some(Verdict::Aborted(_)) | None => {}
     }
     core.applied = core.applied.max(seq);
     Ok(())

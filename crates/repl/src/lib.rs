@@ -40,11 +40,17 @@
 //! [`Follower::promote`] turns the replica directory into a primary:
 //! stop the stream, cut the log above the last chain-linked commit
 //! (`Commit.prev` links every commit to the previous commit ticket
-//! store-wide; [`hcc_storage::CommitChain`] is the one rule that reads
-//! it, for recovery and for the follower's streaming apply alike), and
-//! reopen the directory with ordinary recovery — which re-anchors the
-//! transaction-id space and the logical clock above everything durable.
-//! Every fsync-acked commit the follower had durably acked survives.
+//! store-wide), and reopen the directory with ordinary recovery — which
+//! re-anchors the transaction-id space and the logical clock above
+//! everything durable. Every fsync-acked commit the follower had durably
+//! acked survives.
+//!
+//! Which records make up a committed transaction is decided in one
+//! place, [`hcc_storage::TxnAssembler`]: the follower feeds it every
+//! shipped record, as recovery feeds it a whole log, and keeps only its
+//! own policy — a committed verdict is applied, a dropped one poisons
+//! the replica with the assembler's reason, and promotion cuts at the
+//! assembler's last linked commit.
 //!
 //! Metrics land in the `repl.*` family (primary side in the primary
 //! `Db`'s registry, follower side in the follower's); `obscheck`

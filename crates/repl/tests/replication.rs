@@ -373,3 +373,60 @@ fn standin_abort_links_the_chain_for_recovery_follower_and_promotion_alike() {
     let _ = std::fs::remove_dir_all(&pdir);
     let _ = std::fs::remove_dir_all(&rdir);
 }
+
+/// A commit short of its stamped op count, seen by all three consumers
+/// of the one assembler: txn 1 stamps two ops but only one precedes it,
+/// and txn 2 links after it. Recovery drops txn 1 and keeps txn 2; a live
+/// follower stops at txn 1 and says why; promotion cuts above txn 1's
+/// commit (it is linked), and the promoted replica's recovery drops it
+/// again.
+#[test]
+fn a_commit_short_of_its_ops_is_dropped_by_recovery_follower_and_promotion_alike() {
+    let pdir = tmp("short-primary");
+    let rdir = tmp("short-replica");
+    let inc = CounterAdt.redo(&CounterInv::Inc(1), &CounterRes::Ok).unwrap();
+    let op = |txn| LogRecord::Op { txn, obj: 1, op: inc.clone() };
+    let log: Vec<u8> = [
+        LogRecord::Register { id: 1, name: "c1".into() },
+        op(1),
+        LogRecord::Commit { txn: 1, ts: 1, ops: 2, prev: 0 },
+        op(2),
+        LogRecord::Commit { txn: 2, ts: 2, ops: 1, prev: 3 },
+    ]
+    .iter()
+    .zip(1u64..)
+    .flat_map(|(rec, seq)| record::encode(rec, seq))
+    .collect();
+    let sdir = pdir.join(hcc_storage::wal::STREAM_DIR);
+    std::fs::create_dir_all(&sdir).unwrap();
+    std::fs::write(sdir.join("seg-00000001.wal"), log).unwrap();
+
+    // (i) Recovery lists txn 1 as incomplete and keeps txn 2.
+    let recovered = DurableStore::recover(&pdir).unwrap();
+    assert_eq!(recovered.incomplete, vec![1]);
+    assert_eq!(recovered.committed.iter().map(|c| c.txn).collect::<Vec<_>>(), vec![2]);
+
+    // (ii) A live follower poisons, naming the transaction and both counts.
+    let mut primary =
+        Primary::start("127.0.0.1:0", Arc::new(Db::open(&pdir).unwrap()), None).unwrap();
+    let follower =
+        Follower::start(&rdir, &primary.local_addr().to_string(), resolver(), follower_opts())
+            .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !follower.poisoned() {
+        assert!(Instant::now() < deadline, "the follower applied a commit short of its ops");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let fault = follower.fault().unwrap();
+    assert!(fault.contains("commit 1 expects 2 ops, 1 arrived"), "fault: {fault}");
+    assert_eq!(follower.watermark(), 0);
+    primary.stop();
+
+    // (iii) The promoted replica omits txn 1 and counts it dropped.
+    let promoted = follower.promote_with(Db::builder()).unwrap();
+    assert_eq!(promoted.object::<CounterObject>("c1").unwrap().committed_value(), 0);
+    assert_eq!(promoted.stats().counter("recovery.commits_dropped"), 1);
+    drop(promoted);
+    let _ = std::fs::remove_dir_all(&pdir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}

@@ -74,8 +74,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct ServerOptions {
     /// Worker threads executing requests against the `Db`.
     pub workers: usize,
-    /// Global cap on queued-but-unclaimed jobs; excess is shed.
-    pub queue_cap: usize,
     /// Ceiling on the per-session in-flight cap a handshake may
     /// negotiate.
     pub session_in_flight_cap: u32,
@@ -91,13 +89,7 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
-        ServerOptions {
-            workers: 4,
-            queue_cap: 64,
-            session_in_flight_cap: 16,
-            token: None,
-            repl_listen: None,
-        }
+        ServerOptions { workers: 4, session_in_flight_cap: 16, token: None, repl_listen: None }
     }
 }
 
@@ -238,7 +230,7 @@ pub fn serve_with(db: Arc<Db>, addr: &str, opts: ServerOptions) -> std::io::Resu
     };
 
     let metrics = NetMetrics::new(db.metrics());
-    let queue = BoundedQueue::new(opts.queue_cap, db.metrics().gauge("net.queue.depth"));
+    let queue = BoundedQueue::new(db.metrics().gauge("net.queue.depth"));
     let shared = Arc::new(Shared {
         db,
         opts,
@@ -551,7 +543,7 @@ fn admit(
             let fault = if shared.draining.load(Ordering::SeqCst) {
                 WireFault::ShuttingDown
             } else {
-                WireFault::Overloaded { in_flight: depth as u32, cap: shared.opts.queue_cap as u32 }
+                WireFault::Overloaded { in_flight: depth as u32, cap: queue::CAP as u32 }
             };
             job.session.answer_admitted(shared, seq, &Response::Fault(fault));
             true

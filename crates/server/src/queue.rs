@@ -12,6 +12,9 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+/// The global cap on queued-but-unclaimed jobs across all sessions.
+pub const CAP: usize = 64;
+
 struct Inner<J> {
     jobs: VecDeque<J>,
     closed: bool,
@@ -22,30 +25,22 @@ struct Inner<J> {
 pub struct BoundedQueue<J> {
     inner: Mutex<Inner<J>>,
     nonempty: Condvar,
-    cap: usize,
     depth: Arc<hcc_obs::Gauge>,
 }
 
 impl<J> BoundedQueue<J> {
-    /// A queue admitting at most `cap` queued jobs, mirroring its depth
+    /// A queue admitting at most [`CAP`] queued jobs, mirroring its depth
     /// into `depth` (the `net.queue.depth` gauge).
-    pub fn new(cap: usize, depth: Arc<hcc_obs::Gauge>) -> BoundedQueue<J> {
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                jobs: VecDeque::with_capacity(cap.min(1024)),
-                closed: false,
-            }),
-            nonempty: Condvar::new(),
-            cap,
-            depth,
-        }
+    pub fn new(depth: Arc<hcc_obs::Gauge>) -> BoundedQueue<J> {
+        let inner = Mutex::new(Inner { jobs: VecDeque::with_capacity(CAP), closed: false });
+        BoundedQueue { inner, nonempty: Condvar::new(), depth }
     }
 
     /// Admit `job`, or hand it straight back: `Err((job, depth))` when
     /// the queue is at capacity (shed it) or closed (drain refusal).
     pub fn try_push(&self, job: J) -> Result<(), (J, usize)> {
         let mut inner = self.inner.lock();
-        if inner.closed || inner.jobs.len() >= self.cap {
+        if inner.closed || inner.jobs.len() >= CAP {
             let depth = inner.jobs.len();
             drop(inner);
             return Err((job, depth));

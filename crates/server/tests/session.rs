@@ -96,12 +96,7 @@ fn handshake_refuses_version_mismatch_and_bad_token() {
 #[test]
 fn in_flight_cap_sheds_flood_without_queue_growth() {
     let db = Arc::new(Db::builder().lock_timeout(Duration::from_secs(30)).in_memory());
-    let opts = ServerOptions {
-        workers: 2,
-        queue_cap: 64,
-        session_in_flight_cap: 3,
-        ..ServerOptions::default()
-    };
+    let opts = ServerOptions { workers: 2, session_in_flight_cap: 3, ..ServerOptions::default() };
     let server = serve_with(db.clone(), "127.0.0.1:0", opts).unwrap();
     let addr = server.local_addr().to_string();
 

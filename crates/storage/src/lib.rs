@@ -23,7 +23,9 @@
 //!   [`DurableObject`], the named/replayable view the recovery registry
 //!   dispatches through;
 //! * [`store`] — [`DurableStore`], the façade `hcc-txn`'s manager logs
-//!   through, plus [`DurableStore::recover`];
+//!   through, plus [`DurableStore::recover`] and [`TxnAssembler`], the
+//!   one reader that decides which logged records make up a committed
+//!   transaction (recovery and the replication follower both feed it);
 //! * [`tail`] — [`WalTailer`], an incremental ticket-ordered reader over
 //!   the live WAL ([`DurableStore::tail`], the replication shipper's
 //!   source), released only on what the log states exactly. The
@@ -48,8 +50,8 @@ pub use policy::{CompactionPolicy, LogStats};
 pub use record::LogRecord;
 pub use snapshot::{DurableObject, Snapshot, SnapshotError};
 pub use store::{
-    durability_env_override, CheckpointCursor, CommitChain, CommittedTxn, DurableStore, InDoubtTxn,
-    Recovered, StorageOptions,
+    durability_env_override, CheckpointCursor, CommittedTxn, DurableStore, InDoubtTxn, Recovered,
+    StorageOptions, TxnAssembler, Verdict,
 };
 pub use tail::WalTailer;
 pub use wal::{Durability, SegmentedWal, WalOptions};

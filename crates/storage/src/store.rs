@@ -34,18 +34,22 @@
 //! chain link, so recovery needs no Begin record to trust them. The log
 //! is one file stream, but records are appended outside the locks that
 //! reserved their tickets, so a crash tail is a suffix of the *file*,
-//! not of the history — two checks turn it back into one:
+//! not of the history. One streaming reader, [`TxnAssembler`], turns it
+//! back into one — recovery walks a whole log image through it, a
+//! replication follower one shipped record at a time — with two checks:
 //!
-//! * the **commit chain** ([`CommitChain`]): a commit whose chained
-//!   predecessor did not survive (it was appended later, past the cut)
-//!   is dropped with everything chained after it; acknowledgement order
-//!   equals chain order, so nothing dropped this way was acknowledged
-//!   while its predecessor was not;
+//! * the **commit chain**: a commit whose chained predecessor did not
+//!   survive (it was appended later, past the cut) is dropped with
+//!   everything chained after it; acknowledgement order equals chain
+//!   order, so nothing dropped this way was acknowledged while its
+//!   predecessor was not;
 //! * the **op count**: a commit with fewer surviving op records than it
 //!   stamped lost part of itself — a vanished or wrongly pruned segment,
 //!   a replica whose feed skipped a frame — and is *dropped* as
-//!   incompletely durable (`Recovered::incomplete`) rather than
-//!   half-replayed.
+//!   incompletely durable rather than half-replayed.
+//!
+//! What a dropped commit means is the consumer's policy: recovery lists
+//! it in `Recovered::incomplete` and goes on, a live follower stops.
 
 use crate::checkpoint::Checkpoint;
 use crate::policy::{CompactionPolicy, LogStats};
@@ -165,6 +169,143 @@ pub struct CheckpointCursor {
     pub segment_cut: u64,
 }
 
+impl CommittedTxn {
+    /// The ops grouped per object, objects in order of first use, each
+    /// object's ops in execution order.
+    pub fn by_object(self) -> Vec<(String, Vec<Vec<u8>>)> {
+        let mut groups: Vec<(String, Vec<Vec<u8>>)> = Vec::new();
+        for (name, op) in self.ops {
+            match groups.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, ops)) => ops.push(op),
+                None => groups.push((name, vec![op])),
+            }
+        }
+        groups
+    }
+}
+
+/// What one record settled, as [`TxnAssembler::feed`] reports it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Verdict {
+    /// A linked commit whose op records all arrived.
+    Committed(CommittedTxn),
+    /// A commit record that does not count: its chain predecessor never
+    /// arrived, or fewer op records than it stamped did.
+    Dropped {
+        /// The transaction.
+        txn: u64,
+        /// Its commit timestamp.
+        ts: u64,
+        /// Which check failed, naming the transaction and both sides.
+        reason: String,
+    },
+    /// An abort record for this transaction.
+    Aborted(u64),
+}
+
+/// The one reading of the log: which records make up a committed
+/// transaction. Fed `(ticket, record)` in ticket order, it holds the
+/// id→name bindings, each open transaction's ops, the commit chain and
+/// the op-count check, and gives each record its [`Verdict`]. It keeps
+/// nothing of a transaction once its commit or abort record went by.
+///
+/// Op records name objects by registry id, and a `Register` may carry a
+/// later ticket than the first op naming its id (the op's ticket is
+/// reserved under the object's latch, the binding is appended at
+/// publish), so ids are resolved when the commit arrives — or, for a
+/// transaction still open, by [`TxnAssembler::finish`].
+pub struct TxnAssembler {
+    names: HashMap<u64, String>,
+    open: HashMap<u64, Vec<(u64, Vec<u8>)>>,
+    chain: CommitChain,
+}
+
+impl TxnAssembler {
+    /// An assembler over the log above `checkpoint` (`None`: a whole
+    /// log): its registry seeds the bindings, its chain watermark the
+    /// chain.
+    pub fn new(checkpoint: Option<&Checkpoint>) -> TxnAssembler {
+        let (floor, names) = checkpoint.map_or((0, HashMap::new()), |c| {
+            (c.commit_chain, c.registry.iter().cloned().collect())
+        });
+        TxnAssembler { names, open: HashMap::new(), chain: CommitChain::new(floor) }
+    }
+
+    /// Take the record at ticket `seq`. A commit at or below the
+    /// checkpoint's chain watermark is already in its snapshots: its ops
+    /// are dropped and it gets no verdict.
+    pub fn feed(&mut self, seq: u64, rec: LogRecord) -> Result<Option<Verdict>, StorageError> {
+        Ok(match rec {
+            LogRecord::Begin { .. } => None,
+            LogRecord::Register { id, name } => {
+                self.names.insert(id, name);
+                None
+            }
+            LogRecord::Op { txn, obj, op } => {
+                self.open.entry(txn).or_default().push((obj, op));
+                None
+            }
+            LogRecord::Abort { txn } => {
+                self.open.remove(&txn);
+                self.chain.abort_at(seq);
+                Some(Verdict::Aborted(txn))
+            }
+            LogRecord::Commit { txn, ts, ops: stamped, prev } => {
+                let logged = self.open.remove(&txn).unwrap_or_default();
+                if seq <= self.chain.floor {
+                    return Ok(None);
+                }
+                let ops = resolve(&self.names, txn, logged)?;
+                let (end, n) = (self.chain.last_linked(), ops.len());
+                let reason = if !self.chain.link(seq, prev) {
+                    format!(
+                        "commit {txn} links to predecessor ticket {prev}, but the chain here \
+                         ends at {end} — the stream skipped a commit"
+                    )
+                } else if n < stamped as usize {
+                    format!(
+                        "commit {txn} expects {stamped} ops, {n} arrived — the stream \
+                         skipped an op"
+                    )
+                } else {
+                    return Ok(Some(Verdict::Committed(CommittedTxn { ts, txn, ops })));
+                };
+                Some(Verdict::Dropped { txn, ts, reason })
+            }
+        })
+    }
+
+    /// The ticket of the last linked commit (0 = none yet) — where a
+    /// promotion cuts the log.
+    pub fn last_linked(&self) -> u64 {
+        self.chain.last_linked()
+    }
+
+    /// The transactions still open — ops, but no commit or abort record
+    /// — by id.
+    pub fn finish(self) -> Result<Vec<InDoubtTxn>, StorageError> {
+        let open = self.open.into_iter();
+        let mut in_doubt = open
+            .map(|(txn, ops)| Ok(InDoubtTxn { txn, ops: resolve(&self.names, txn, ops)? }))
+            .collect::<Result<Vec<_>, StorageError>>()?;
+        in_doubt.sort_by_key(|t| t.txn);
+        Ok(in_doubt)
+    }
+}
+
+/// `txn`'s ops with their registry ids resolved to object names.
+fn resolve(
+    names: &HashMap<u64, String>,
+    txn: u64,
+    ops: Vec<(u64, Vec<u8>)>,
+) -> Result<Vec<(String, Vec<u8>)>, StorageError> {
+    ops.into_iter()
+        .map(|(id, op)| {
+            Ok((names.get(&id).ok_or(StorageError::UnknownObjectId { id, txn })?.clone(), op))
+        })
+        .collect()
+}
+
 /// The commit-chain rule: which logged commit records count.
 ///
 /// Every commit record carries `prev`, the ticket of the commit chained
@@ -175,10 +316,9 @@ pub struct CheckpointCursor {
 /// commit record is missing, so this commit — and, transitively,
 /// everything chained past it — was never acknowledged-and-depended-on
 /// consistently and must not replay. Records are offered in ticket
-/// order; recovery walks a whole log image through it, a replication
-/// follower one shipped record at a time, and both get the same answer.
+/// order, by [`TxnAssembler`] alone.
 #[derive(Clone, Debug, Default)]
-pub struct CommitChain {
+struct CommitChain {
     floor: u64,
     last: u64,
     /// Tickets of abort records seen since the last linked commit — the
@@ -189,24 +329,23 @@ pub struct CommitChain {
 impl CommitChain {
     /// A chain whose links at or below `floor` are taken on trust (the
     /// checkpoint's recorded chain watermark; `0` for a whole log).
-    pub fn new(floor: u64) -> CommitChain {
+    fn new(floor: u64) -> CommitChain {
         CommitChain { floor, ..CommitChain::default() }
     }
 
-    /// The ticket of the last linked commit (0 = none yet) — where a
-    /// promotion cuts the log.
-    pub fn last_linked(&self) -> u64 {
+    /// The ticket of the last linked commit (0 = none yet).
+    fn last_linked(&self) -> u64 {
         self.last
     }
 
     /// An abort record sits at ticket `seq`.
-    pub fn abort_at(&mut self, seq: u64) {
+    fn abort_at(&mut self, seq: u64) {
         self.aborts.insert(seq);
     }
 
     /// Offer the commit record at ticket `seq` chained after `prev`;
     /// `true` when it is linked (and becomes the chain's new end).
-    pub fn link(&mut self, seq: u64, prev: u64) -> bool {
+    fn link(&mut self, seq: u64, prev: u64) -> bool {
         let linked = prev <= self.floor || prev == self.last || self.aborts.contains(&prev);
         if linked {
             self.last = seq;
@@ -356,9 +495,14 @@ impl DurableStore {
     /// atomic load on the hot path; the image (if any) is taken once.
     fn release_image_on_append(&self) {
         if self.open_image_present.load(Ordering::Relaxed) {
-            self.open_image_present.store(false, Ordering::Relaxed);
-            self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+            self.take_image();
         }
+    }
+
+    /// Claim the retained open image, if it is still held.
+    fn take_image(&self) -> Option<OpenImage> {
+        self.open_image_present.store(false, Ordering::Relaxed);
+        self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
     }
 
     /// The durable state this store's open-time pass read: newest
@@ -369,17 +513,10 @@ impl DurableStore {
     /// after it was claimed, or after [`DurableStore::mark_state_absorbed`]
     /// or the first append dropped it.
     pub fn take_recovered(&self) -> Result<Option<Recovered>, StorageError> {
-        self.open_image_present.store(false, Ordering::Relaxed);
-        let image =
-            self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-        match image {
-            Some(img) => {
-                self.metrics.counter("recovery.segments_scanned").add(self.wal.stats().segments);
-                assemble_recovered(img.checkpoint, img.records, img.torn_tail, Some(&self.metrics))
-                    .map(Some)
-            }
-            None => Ok(None),
-        }
+        let Some(img) = self.take_image() else { return Ok(None) };
+        self.metrics.counter("recovery.segments_scanned").add(self.wal.stats().segments);
+        assemble_recovered(img.checkpoint, img.records, img.torn_tail, Some(&self.metrics))
+            .map(Some)
     }
 
     /// Attest that the caller's live objects reflect every commit at or
@@ -391,8 +528,7 @@ impl DurableStore {
         self.unabsorbed_history.store(false, Ordering::Release);
         // Absorption means nobody will materialize from the open image
         // anymore; release its memory.
-        self.open_image_present.store(false, Ordering::Relaxed);
-        self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        self.take_image();
     }
 
     /// The highest commit timestamp known durable (checkpoint + WAL tail
@@ -612,18 +748,6 @@ impl DurableStore {
         self.checkpoint_finish(&cursor, snaps)
     }
 
-    /// Convenience: checkpoint iff the policy fires.
-    pub fn maybe_checkpoint(
-        &self,
-        objects: &[(&str, &dyn Snapshot)],
-    ) -> Result<Option<Checkpoint>, StorageError> {
-        if self.should_checkpoint() {
-            self.checkpoint(objects).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Read the durable state under `dir`: newest checkpoint plus the
     /// committed tail, in timestamp order. Static — recovery happens before
     /// any appender is opened. (A store opened over the same directory
@@ -655,11 +779,12 @@ impl RedoSink for DurableStore {
 }
 
 /// Turn a raw log image — checkpoint + ticket-ordered surviving records —
-/// into the replayable [`Recovered`] state: registry resolution, the
-/// commit-chain walk, op-count certification, abort-wins, and in-doubt
-/// collection. Shared by the static [`DurableStore::recover`] (re-reads
-/// the disk) and [`DurableStore::take_recovered`] (consumes the open-time
-/// pass's image).
+/// into the replayable [`Recovered`] state. The [`TxnAssembler`] decides
+/// which commits count; on top of it recovery keeps what needs the whole
+/// log: the checkpoint's timestamp filter and the timestamp-collision
+/// refusal, abort-wins, and the in-doubt list. Shared by the static
+/// [`DurableStore::recover`] (re-reads the disk) and
+/// [`DurableStore::take_recovered`] (consumes the open-time pass's image).
 fn assemble_recovered(
     checkpoint: Option<Checkpoint>,
     records: Vec<(u64, LogRecord)>,
@@ -667,120 +792,49 @@ fn assemble_recovered(
     metrics: Option<&Registry>,
 ) -> Result<Recovered, StorageError> {
     let ckpt_ts = checkpoint.as_ref().map(|c| c.last_ts).unwrap_or(0);
-    // The id→name registry: seeded from the checkpoint (which carries
-    // the bindings of every id pruned segments may still reference),
-    // then extended by the surviving Register records — built in a
-    // first pass so record order never matters.
-    let mut names: HashMap<u64, String> = HashMap::new();
-    if let Some(ckpt) = &checkpoint {
-        for (id, name) in &ckpt.registry {
-            names.insert(*id, name.clone());
-        }
-    }
-    for (_, rec) in &records {
-        if let LogRecord::Register { id, name } = rec {
-            names.insert(*id, name.clone());
-        }
-    }
-
-    let mut ops: HashMap<u64, Vec<(String, Vec<u8>)>> = HashMap::new();
+    let mut txns = TxnAssembler::new(checkpoint.as_ref());
+    // The tail's commits by ts, and every transaction committed at any
+    // ts: a retried 2PC phase-2 delivery logs a second commit record,
+    // whose verdict carries no news.
+    let mut commits: BTreeMap<u64, CommittedTxn> = BTreeMap::new();
+    let mut done: HashSet<u64> = HashSet::new();
     let mut aborted: HashSet<u64> = HashSet::new();
-    let mut completed: HashSet<u64> = HashSet::new();
-    let mut op_counts: HashMap<u64, u32> = HashMap::new();
-    // The commit-chain walk ([`CommitChain`]), in ticket order as the
-    // records go by: a hole means the crash tail took a commit record
-    // that was chained earlier but appended later than one that
-    // survived, and the unlinked commit is dropped with everything
-    // chained past it — "a tail cut removes a suffix", restored from the
-    // file's order to the history's.
-    let chain_floor = checkpoint.as_ref().map_or(0, |c| c.commit_chain);
-    let mut chain = CommitChain::new(chain_floor);
-    let mut commits: BTreeMap<u64, u64> = BTreeMap::new(); // ts -> txn
     let mut incomplete = Vec::new();
     for (seq, rec) in records {
-        match rec {
-            LogRecord::Begin { .. } => {}
-            LogRecord::Op { txn, obj, op } => {
-                let object = names
-                    .get(&obj)
-                    .cloned()
-                    .ok_or(StorageError::UnknownObjectId { id: obj, txn })?;
-                ops.entry(txn).or_default().push((object, op));
-            }
-            LogRecord::Commit { txn, ts, ops: n, prev } => {
-                completed.insert(txn);
-                // Duplicate commit records of one txn (a retried 2PC
-                // phase-2 delivery) may disagree on the count — the
-                // retry is logged after the tracking entry was
-                // cleared. The max is the true count; any duplicate
-                // below it carries no new obligation.
-                let c = op_counts.entry(txn).or_insert(0);
-                *c = (*c).max(n);
-                if seq <= chain_floor {
-                    // Pinned pre-checkpoint record: absorbed in the
-                    // snapshots, never replayed; not part of the walk.
-                    continue;
-                }
-                if !chain.link(seq, prev) {
-                    incomplete.push(txn);
-                    continue;
-                }
-                if ts > ckpt_ts {
-                    if let Some(first) = commits.insert(ts, txn) {
-                        if first != txn {
-                            // Silently keeping either transaction would
-                            // drop the other's acknowledged effects.
-                            return Err(StorageError::TimestampCollision {
-                                ts,
-                                first,
-                                second: txn,
-                            });
-                        }
-                    }
-                }
-            }
-            LogRecord::Abort { txn } => {
-                ops.remove(&txn);
+        match txns.feed(seq, rec)? {
+            Some(Verdict::Aborted(txn)) => {
                 aborted.insert(txn);
-                completed.insert(txn);
-                chain.abort_at(seq);
             }
-            LogRecord::Register { .. } => {}
+            Some(Verdict::Committed(c)) if done.insert(c.txn) && c.ts > ckpt_ts => {
+                if let Some(first) = commits.get(&c.ts) {
+                    // Silently keeping either transaction would drop the
+                    // other's acknowledged effects.
+                    return Err(StorageError::TimestampCollision {
+                        ts: c.ts,
+                        first: first.txn,
+                        second: c.txn,
+                    });
+                }
+                commits.insert(c.ts, c);
+            }
+            Some(Verdict::Dropped { txn, ts, .. }) if ts > ckpt_ts && !done.contains(&txn) => {
+                incomplete.push(txn);
+            }
+            _ => {}
         }
     }
-
-    let mut committed = Vec::with_capacity(commits.len());
-    for (ts, txn) in commits {
-        if aborted.contains(&txn) {
-            // Both a Commit and an Abort record survived. The manager
-            // writes an abort only when the commit was never
-            // acknowledged (its fsync failed), so the abort wins —
-            // reporting the transaction as committed-with-no-ops would
-            // resurrect effects the live system told its client were
-            // rolled back.
-            continue;
-        }
-        let survivors = ops.remove(&txn).unwrap_or_default();
-        let want = op_counts.get(&txn).copied().unwrap_or(0) as usize;
-        if survivors.len() < want {
-            // The commit record survived but part of the transaction
-            // did not: ops precede their commit in the file, so this is
-            // not a tail cut but a lost segment or a feed that skipped a
-            // frame. Replaying the rest would apply half a transaction.
-            incomplete.push(txn);
-            continue;
-        }
-        committed.push(CommittedTxn { ts, txn, ops: survivors });
-    }
+    // Both a Commit and an Abort record survived. The manager writes an
+    // abort only when the commit was never acknowledged (its write or
+    // fsync failed), so the abort wins — reporting the transaction as
+    // committed would resurrect effects the live system told its client
+    // were rolled back, and it is not a lost commit either.
+    let committed: Vec<CommittedTxn> =
+        commits.into_values().filter(|c| !aborted.contains(&c.txn)).collect();
+    incomplete.retain(|txn| !aborted.contains(txn));
     // Ops with no completion record at all: in-doubt. A 2PC site log
     // resolves these against the coordinator's decision log; a
     // single-site recovery just ignores them.
-    let mut in_doubt: Vec<InDoubtTxn> = ops
-        .into_iter()
-        .filter(|(txn, _)| !completed.contains(txn))
-        .map(|(txn, ops)| InDoubtTxn { txn, ops })
-        .collect();
-    in_doubt.sort_by_key(|t| t.txn);
+    let in_doubt = txns.finish()?;
     // Recovery totals, when an owning store's registry is at hand (the
     // static path has none to write into).
     if let Some(m) = metrics {
@@ -965,7 +1019,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_drives_maybe_checkpoint() {
+    fn policy_drives_should_checkpoint() {
         let dir = tmp("policy");
         let cell = Cell::default();
         let store = DurableStore::open(
@@ -980,7 +1034,8 @@ mod tests {
         let mut taken = 0;
         for i in 1..=35 {
             run_txn(&store, &cell, i, i, 1);
-            if store.maybe_checkpoint(&[("cell", &cell)]).unwrap().is_some() {
+            if store.should_checkpoint() {
+                store.checkpoint(&[("cell", &cell)]).unwrap();
                 taken += 1;
             }
         }

@@ -34,9 +34,9 @@
 //!   commit records reach the buffer and the file in chain order. Other
 //!   records still land out of ticket order, and a log written before
 //!   commits were appended in chain order, or a failed repair, can leave
-//!   a later-chained commit on file without its predecessor. Recovery
-//!   walks the chain ([`crate::CommitChain`]) and drops everything past a
-//!   hole: the defence for those logs.
+//!   a later-chained commit on file without its predecessor. The log's
+//!   one reader ([`crate::TxnAssembler`]) walks the chain and drops
+//!   everything past a hole: the defence for those logs.
 //! * **The ack barrier** (`settle_chain`). A commit is acknowledged only
 //!   once every chained predecessor is settled. Under `Buffered` that
 //!   holds by construction — the write that carried a commit carried its
@@ -55,9 +55,9 @@
 //! * **The op count.** Commit records carry the number of op records
 //!   their transaction logged. A transaction's ops precede its commit in
 //!   the file, so a tail cut cannot separate them — but a lost or wrongly
-//!   pruned segment can, and so can a feed that skipped a frame; recovery
-//!   drops a commit with fewer surviving ops as incompletely durable
-//!   instead of half-replaying it.
+//!   pruned segment can, and so can a feed that skipped a frame; the
+//!   same reader drops a commit with fewer surviving ops as incompletely
+//!   durable instead of half-replaying it.
 //!
 //! ## What a tailer is told
 //!
