@@ -22,10 +22,10 @@
 //! one of the orders consistent with `precedes`.
 
 use hcc_adts::account::{AccountAdt, AccountInv, AccountRes};
-use hcc_adts::counter::{CounterAdt, CounterInv, CounterRes};
-use hcc_adts::fifo_queue::{Item, QueueAdt, QueueInv, QueueRes};
+use hcc_adts::counter::{CounterAdt, CounterInv};
+use hcc_adts::fifo_queue::{Item, QueueAdt};
 use hcc_adts::file::{Content, FileAdt, FileInv, FileRes};
-use hcc_adts::semiqueue::{SemiqueueAdt, SqInv, SqRes};
+use hcc_adts::semiqueue::SemiqueueAdt;
 use hcc_core::runtime::{LockSpec, RuntimeAdt};
 
 /// Re-export: the counter's commutativity relation coincides with the
@@ -128,11 +128,6 @@ pub fn rw_file<T: Content>() -> Rw2pl<FileAdt<T>> {
 pub fn rw_counter() -> Rw2pl<CounterAdt> {
     Rw2pl::new(|inv| matches!(inv, CounterInv::Read))
 }
-
-// Silence "unused import" for types only used in signatures above.
-const _: fn(&(QueueInv<i64>, QueueRes<i64>)) = |_| {};
-const _: fn(&(SqInv<i64>, SqRes<i64>)) = |_| {};
-const _: fn(&(CounterInv, CounterRes)) = |_| {};
 
 #[cfg(test)]
 mod tests {

@@ -34,7 +34,7 @@ mod tx;
 pub use db::{Db, DbBuilder};
 pub use error::HccError;
 pub use handle::DbObject;
-pub use read::{ReadObject, ReadTx};
+pub use read::ReadTx;
 pub use tx::{RetryPolicy, Tx};
 
 #[cfg(test)]

@@ -27,35 +27,10 @@
 use crate::db::Db;
 use crate::error::HccError;
 use crate::handle::DbObject;
-use hcc_adts::{Object, ObjectAdt};
-use hcc_core::runtime::{PinGuard, SnapshotStale};
+use hcc_core::runtime::PinGuard;
 use hcc_obs::{Counter, Histogram};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A type readable through a [`ReadTx`]: it can produce a typed view of
-/// its committed state as of a watermark, without any lock acquisition.
-///
-/// Implemented once, for [`Object<A>`] — the view is the type's committed
-/// version (balance, deque, map, a defined type's state) — so
-/// `rtx.view::<AccountObject>("checking")` is as type-safe as the write
-/// path — asking for a name under the wrong type is refused with
-/// [`HccError::TypeMismatch`], never answered with another type's bytes.
-pub trait ReadObject: DbObject {
-    /// The typed snapshot this object yields (balance, deque, map, …).
-    type View;
-
-    /// The view as of commit timestamp `watermark`. Errs when compaction
-    /// has already folded a later commit into the base version.
-    fn view_at(&self, watermark: u64) -> Result<Self::View, SnapshotStale>;
-}
-
-impl<A: ObjectAdt> ReadObject for Object<A> {
-    type View = A::Version;
-    fn view_at(&self, watermark: u64) -> Result<A::Version, SnapshotStale> {
-        self.state_at(watermark)
-    }
-}
 
 /// How this read transaction's watermark was chosen — governs what a
 /// stale view means.
@@ -128,13 +103,13 @@ impl<'db> ReadTx<'db> {
     /// watermark. Opens (and recovers) the handle if this `Db` hasn't
     /// yet; [`HccError::TypeMismatch`] if the name is already open as a
     /// different type.
-    pub fn view<T: ReadObject>(&self, name: &str) -> Result<T::View, HccError> {
+    pub fn view<T: DbObject>(&self, name: &str) -> Result<T::View, HccError> {
         self.view_of(&*self.db.object::<T>(name)?)
     }
 
     /// [`ReadTx::view`] over a handle the caller already holds (skips
     /// the name lookup).
-    pub fn view_of<T: ReadObject>(&self, obj: &T) -> Result<T::View, HccError> {
+    pub fn view_of<T: DbObject>(&self, obj: &T) -> Result<T::View, HccError> {
         obj.view_at(self.pin.watermark()).map_err(|stale| match self.anchor {
             Anchor::Fresh => HccError::SnapshotContended { requested: self.pin.watermark() },
             Anchor::At => {

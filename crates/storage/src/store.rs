@@ -918,7 +918,7 @@ mod tests {
             starts.push(bytes.len());
             crate::record::encode_into(rec, *seq, &mut bytes);
         }
-        let path = crate::wal::segment_path(&stream, 1);
+        let path = crate::wal::tests::segment_path(&stream, 1);
         std::fs::write(&path, bytes).unwrap();
         (path, starts)
     }

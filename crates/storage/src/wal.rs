@@ -277,8 +277,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `seg-00000042.wal`
-pub(crate) fn segment_path(stream: &Path, index: u64) -> PathBuf {
+/// `seg-00000042.wal`. Private: this file is the one segment writer.
+fn segment_path(stream: &Path, index: u64) -> PathBuf {
     stream.join(format!("seg-{index:08}.wal"))
 }
 
@@ -1265,8 +1265,13 @@ fn bad_batch(offset: usize, err: FrameError) -> StorageError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Names a segment file for tests that hand-write a log.
+    pub(crate) fn segment_path(stream: &Path, index: u64) -> PathBuf {
+        super::segment_path(stream, index)
+    }
 
     fn tmp(name: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);

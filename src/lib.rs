@@ -101,4 +101,4 @@ pub use hcc_verify as verify;
 pub use hcc_wire as wire;
 pub use hcc_workload as workload;
 
-pub use hcc_db::{Db, DbBuilder, DbObject, HccError, ReadObject, ReadTx, RetryPolicy, Tx};
+pub use hcc_db::{Db, DbBuilder, DbObject, HccError, ReadTx, RetryPolicy, Tx};
