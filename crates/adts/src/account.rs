@@ -201,7 +201,7 @@ impl LockSpec<AccountAdt> for AccountHybrid {
                 (AccountInv::Credit(_), _) => "Credit",
                 (AccountInv::Post(_), _) => "Post",
                 (AccountInv::Debit(_), AccountRes::Debited) => "Debit-Ok",
-                (AccountInv::Debit(_), _) => "Debit-Over",
+                (AccountInv::Debit(_), _) => "Debit-Overdraft",
             }
             .to_string(),
         )

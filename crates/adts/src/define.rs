@@ -102,7 +102,7 @@ pub type SpecObject<D> = Object<SpecAdt<D>>;
 /// the relation its [`ConflictSpec`] names and its state codec.
 impl<D: AdtDef> ObjectAdt for SpecAdt<D> {
     fn canonical_locks() -> Arc<dyn LockSpec<SpecAdt<D>>> {
-        SpecLock::<D>::from_def()
+        SpecLock::<SpecAdt<D>>::from_def()
     }
 
     fn encode_version(&self, state: &D::State) -> Vec<u8> {

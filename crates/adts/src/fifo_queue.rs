@@ -5,14 +5,14 @@
 //! concurrently — the dequeue order of concurrently-enqueued items is
 //! decided by their commit timestamps.
 //!
-//! Both minimal conflict relations are provided:
-//!
-//! * [`QueueTableII`] — `Deq` conflicts with `Enq` of a different item and
-//!   with `Deq` of the same item; enqueues never conflict.
-//! * [`QueueTableIII`] — `Enq` conflicts with `Enq` of a different item;
-//!   `Deq` conflicts with `Deq` of the same item; `Enq` and `Deq` never
-//!   conflict (a dequeuer may run concurrently with enqueuers as long as it
-//!   consumes committed items).
+//! The queue has two minimal conflict relations. The canonical one is
+//! written here by hand: [`QueueTableII`] — `Deq` conflicts with `Enq` of
+//! a different item and with `Deq` of the same item; enqueues never
+//! conflict. The other, Table III (`Enq` conflicts with `Enq` of a
+//! different item, `Deq` with `Deq` of the same item), is also the
+//! queue's failure-to-commute relation: `hcc-workload`'s commutativity
+//! scheme derives it from the serial specification, and `hcc-relations`
+//! pins it as `paper_table_iii`.
 
 use crate::define::{decode_json_state, encode_json_state};
 use crate::object::{Object, ObjectAdt};
@@ -191,37 +191,13 @@ impl<T: Item> LockSpec<QueueAdt<T>> for QueueTableII {
         "hybrid-table-ii"
     }
     fn class_of(&self, op: &(QueueInv<T>, QueueRes<T>)) -> Option<String> {
-        Some(queue_class(op))
-    }
-}
-
-/// Table II/III's class names for queue operations.
-fn queue_class<T: Item>(op: &(QueueInv<T>, QueueRes<T>)) -> String {
-    match op.0 {
-        QueueInv::Enq(_) => "Enq",
-        QueueInv::Deq => "Deq-Ok",
-    }
-    .to_string()
-}
-
-/// Table III conflicts: `Enq(v)` ↔ `Enq(v′)` when `v ≠ v′`; `Deq→v` ↔
-/// `Deq→v` — enqueues and dequeues never conflict with each other. This is
-/// the relation commutativity-based locking also induces.
-pub struct QueueTableIII;
-
-impl<T: Item> LockSpec<QueueAdt<T>> for QueueTableIII {
-    fn conflicts(&self, a: &(QueueInv<T>, QueueRes<T>), b: &(QueueInv<T>, QueueRes<T>)) -> bool {
-        match (a, b) {
-            ((QueueInv::Enq(v), _), (QueueInv::Enq(w), _)) => v != w,
-            ((QueueInv::Deq, QueueRes::Item(v)), (QueueInv::Deq, QueueRes::Item(w))) => v == w,
-            _ => false,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "hybrid-table-iii"
-    }
-    fn class_of(&self, op: &(QueueInv<T>, QueueRes<T>)) -> Option<String> {
-        Some(queue_class(op))
+        Some(
+            match op.0 {
+                QueueInv::Enq(_) => "Enq",
+                QueueInv::Deq => "Deq",
+            }
+            .to_string(),
+        )
     }
 }
 
@@ -313,20 +289,6 @@ mod tests {
         let (t1, t2) = (h(2), h(3));
         q.enq(&t1, 2).unwrap();
         assert_eq!(q.deq(&t2), Err(ExecError::Timeout));
-    }
-
-    #[test]
-    fn table_iii_deq_runs_concurrently_with_enq() {
-        let q: QueueObject<i64> = QueueObject::with("q", Arc::new(QueueTableIII), short());
-        let t0 = h(1);
-        q.enq(&t0, 1).unwrap();
-        q.inner().commit_at(t0.id(), 1);
-        let (t1, t2) = (h(2), h(3));
-        q.enq(&t1, 2).unwrap(); // uncommitted enqueue
-        assert_eq!(q.deq(&t2).unwrap(), 1, "committed head is consumable");
-        // But concurrent enqueues of different items now conflict.
-        let t3 = h(4);
-        assert_eq!(q.enq(&t3, 3), Err(ExecError::Timeout));
     }
 
     #[test]

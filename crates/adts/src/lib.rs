@@ -21,8 +21,9 @@
 //! snapshot-read view. `AccountObject`, `QueueObject<T>`, `SpecObject<D>`
 //! … are type aliases of it.
 //!
-//! The types: [`account`] (Table V), [`fifo_queue`] (Tables II and III —
-//! both conflict relations are provided), [`semiqueue`] (Table IV),
+//! The types: [`account`] (Table V), [`fifo_queue`] (Table II; its other
+//! minimal relation, Table III, is derived where the commutativity scheme
+//! needs it), [`semiqueue`] (Table IV),
 //! [`file`] (Table I / generalized Thomas Write Rule), and the extension
 //! types [`counter`], [`set`], [`directory`]; [`define`] runs any
 //! declaratively defined type behind the same object.

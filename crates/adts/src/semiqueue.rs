@@ -183,7 +183,7 @@ impl<T: Item> LockSpec<SemiqueueAdt<T>> for SemiqueueHybrid {
         Some(
             match op.0 {
                 SqInv::Ins(_) => "Ins",
-                SqInv::Rem => "Rem-Ok",
+                SqInv::Rem => "Rem",
             }
             .to_string(),
         )

@@ -18,7 +18,9 @@
 //! one deterministic maximally-asymmetric table, then random atom sets.
 
 use hcc_check::CheckInput;
-use hcc_core::runtime::{AdtDef, ConflictSpec, ConflictTable, LockSpec, RedoDecodeError, SpecLock};
+use hcc_core::runtime::{
+    AdtDef, ConflictSpec, ConflictTable, LockSpec, RedoDecodeError, SpecAdt, SpecLock,
+};
 use hcc_relations::relation::{Atom, Cond, OpClass};
 use hcc_spec::adt::{Adt, SharedAdt, SpecState};
 use hcc_spec::{Inv, Operation, Value};
@@ -113,7 +115,7 @@ fn executed_alphabet() -> Vec<ProbeOp> {
 /// closure is symmetric, matches the stated one-directional lookups,
 /// and agrees with the analyzer's independent closure of `table`.
 fn assert_closure_consistent(table: &ConflictTable) {
-    let lock = SpecLock::<Probe>::from_def();
+    let lock = SpecLock::<SpecAdt<Probe>>::from_def();
     let input = CheckInput::from_table(
         Arc::new(ProbeSpec) as SharedAdt,
         executed_alphabet().iter().map(|op| Probe.spec_op(op, &())).collect(),
@@ -156,7 +158,7 @@ fn asymmetric_entries_close_symmetrically() {
     assert_closure_consistent(&table);
 
     // Spot-check the deliberate asymmetries through the closed lookup.
-    let lock = SpecLock::<Probe>::from_def();
+    let lock = SpecLock::<SpecAdt<Probe>>::from_def();
     let e = |c, k| (ProbeOp(c, k), ());
     assert!(lock.conflicts(&e("a", 0), &e("b", 0)), "stated direction");
     assert!(lock.conflicts(&e("b", 0), &e("a", 0)), "closed direction");

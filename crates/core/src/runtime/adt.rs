@@ -152,7 +152,7 @@ pub trait LockSpec<A: RuntimeAdt + ?Sized>: Send + Sync {
 
     /// The conflict class the executed operation `op` belongs to, when
     /// this scheme names its classes — the row/column labels of the
-    /// paper's conflict tables (`"Debit-Ok"`, `"Deq-Ok"`, …). Lock
+    /// paper's conflict tables (`"Debit-Ok"`, `"Deq"`, …). Lock
     /// metrics key grant/refusal counters by these names so a live
     /// system's counters line up with the tables in the paper. `None`
     /// (the default) makes the runtime fall back to a label derived from

@@ -19,7 +19,8 @@
 //!   classifying both executed operations through the spec mapping and
 //!   looking the pair up under its key condition (symmetric closure
 //!   applied at lookup, as the paper constructs conflict relations from
-//!   dependency relations);
+//!   dependency relations) — for a defined type and, given a spec
+//!   mapping, for any hand-written [`RuntimeAdt`];
 //! * `hcc-adts`'s `Object<SpecAdt<D>>` (`SpecObject<D>`) is the same
 //!   generic object the built-ins run behind — snapshots, recovery
 //!   replay, typed `hcc-db` handles — so a user-defined type is durable,
@@ -241,34 +242,32 @@ impl<D: AdtDef> RuntimeAdt for SpecAdt<D> {
     }
 }
 
-/// The generic [`LockSpec`] over an [`AdtDef`]: map both executed
-/// operations onto the formal layer, classify, bucket their key
-/// condition, and look the atom up — symmetric closure applied here, so
-/// atom sets state each dependency once.
-pub struct SpecLock<D: AdtDef> {
-    def: D,
+/// The one derived [`LockSpec`]: map both executed operations onto the
+/// formal layer through the type's spec mapping, classify, bucket their
+/// key condition, and look the atom up — symmetric closure applied here,
+/// so atom sets state each dependency once. It runs any [`RuntimeAdt`]
+/// under any atom set: a defined type's own relation ([`SpecLock::from_def`])
+/// or a hand type under a relation derived from its serial specification
+/// (the hybrid scheme or one of its Section-7 rivals, as
+/// `hcc-workload`'s `Scheme` builds them).
+pub struct SpecLock<A: RuntimeAdt> {
     name: &'static str,
+    to_spec: fn(&A::Inv, &A::Res) -> Operation,
     classify: fn(&Operation) -> OpClass,
     atoms: Arc<BTreeSet<Atom>>,
 }
 
-impl<D: AdtDef> SpecLock<D> {
-    /// The lock relation an [`AdtDef`]'s [`ConflictSpec`] asks for —
-    /// deriving (memoized per type name) or adopting the stated table.
-    pub fn from_def() -> Arc<SpecLock<D>> {
-        let def = D::default();
-        match def.conflict_spec() {
-            ConflictSpec::Derived(spec) => {
-                let atoms = cached_conflict_atoms(def.type_name(), &spec);
-                Arc::new(SpecLock { def, name: "hybrid-derived", classify: spec.classify, atoms })
-            }
-            ConflictSpec::Table(table) => Arc::new(SpecLock {
-                def,
-                name: table.name,
-                classify: table.classify,
-                atoms: Arc::new(table.atoms),
-            }),
-        }
+impl<A: RuntimeAdt> SpecLock<A> {
+    /// A lock named `name` that maps executed operations through
+    /// `to_spec`, files them under `classify` and tests them against
+    /// `atoms`.
+    pub fn new(
+        name: &'static str,
+        to_spec: fn(&A::Inv, &A::Res) -> Operation,
+        classify: fn(&Operation) -> OpClass,
+        atoms: Arc<BTreeSet<Atom>>,
+    ) -> SpecLock<A> {
+        SpecLock { name, to_spec, classify, atoms }
     }
 
     /// The class-level atoms this lock tests against.
@@ -296,27 +295,47 @@ impl<D: AdtDef> SpecLock<D> {
     }
 }
 
-impl<D: AdtDef> LockSpec<SpecAdt<D>> for SpecLock<D> {
-    fn conflicts(&self, a: &(D::Op, D::Res), b: &(D::Op, D::Res)) -> bool {
-        let qa = self.def.spec_op(&a.0, &a.1);
-        let qb = self.def.spec_op(&b.0, &b.1);
+impl<D: AdtDef> SpecLock<SpecAdt<D>> {
+    /// The lock relation an [`AdtDef`]'s [`ConflictSpec`] asks for —
+    /// deriving (memoized per type name) or adopting the stated table.
+    /// Operations map through the definition's [`AdtDef::spec_op`] on
+    /// `D::default()`.
+    pub fn from_def() -> Arc<SpecLock<SpecAdt<D>>> {
+        let def = D::default();
+        let to_spec = |op: &D::Op, res: &D::Res| D::default().spec_op(op, res);
+        Arc::new(match def.conflict_spec() {
+            ConflictSpec::Derived(spec) => {
+                let atoms = cached_conflict_atoms(def.type_name(), &spec);
+                SpecLock::new("hybrid-derived", to_spec, spec.classify, atoms)
+            }
+            ConflictSpec::Table(table) => {
+                SpecLock::new(table.name, to_spec, table.classify, Arc::new(table.atoms))
+            }
+        })
+    }
+}
+
+impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
+    fn conflicts(&self, a: &(A::Inv, A::Res), b: &(A::Inv, A::Res)) -> bool {
+        let qa = (self.to_spec)(&a.0, &a.1);
+        let qb = (self.to_spec)(&b.0, &b.1);
         self.related(&qa, &qb) || self.related(&qb, &qa)
     }
 
     /// Classify once at execution time: the runtime stores this token
-    /// beside the executed op, so the per-op `spec_op` mapping and class
+    /// beside the executed op, so the per-op spec mapping and class
     /// lookup never re-run inside the conflict-test hot loop.
-    fn prepare(&self, op: &(D::Op, D::Res)) -> Option<super::ClassifiedOp> {
-        let q = self.def.spec_op(&op.0, &op.1);
+    fn prepare(&self, op: &(A::Inv, A::Res)) -> Option<super::ClassifiedOp> {
+        let q = (self.to_spec)(&op.0, &op.1);
         let class = (self.classify)(&q);
         Some(super::ClassifiedOp { op: q, class })
     }
 
     fn conflicts_prepared(
         &self,
-        a: &(D::Op, D::Res),
+        a: &(A::Inv, A::Res),
         ap: Option<&super::ClassifiedOp>,
-        b: &(D::Op, D::Res),
+        b: &(A::Inv, A::Res),
         bp: Option<&super::ClassifiedOp>,
     ) -> bool {
         match (ap, bp) {
@@ -345,11 +364,11 @@ impl<D: AdtDef> LockSpec<SpecAdt<D>> for SpecLock<D> {
         self.name
     }
 
-    fn class_of(&self, op: &(D::Op, D::Res)) -> Option<String> {
+    fn class_of(&self, op: &(A::Inv, A::Res)) -> Option<String> {
         // The same classification the conflict lookup uses, so the lock
         // metrics' grant/refusal keys are exactly the atoms' row/column
         // names (derived or stated).
-        Some((self.classify)(&self.def.spec_op(&op.0, &op.1)).0.clone())
+        Some((self.classify)(&(self.to_spec)(&op.0, &op.1)).0)
     }
 }
 
@@ -468,7 +487,7 @@ mod tests {
         TxObject::new(
             "m",
             SpecAdt::default(),
-            SpecLock::<MaxReg>::from_def(),
+            SpecLock::<SpecAdt<MaxReg>>::from_def(),
             RuntimeOptions::with_timeout(timeout),
         )
     }
@@ -523,7 +542,7 @@ mod tests {
     /// one side carries a token.
     #[test]
     fn prepared_conflicts_agree_with_unprepared() {
-        let lock = SpecLock::<MaxReg>::from_def();
+        let lock = SpecLock::<SpecAdt<MaxReg>>::from_def();
         let ops: Vec<(MaxOp, MaxRes)> = vec![
             (MaxOp::Raise(5), MaxRes::Raised(true)),
             (MaxOp::Raise(5), MaxRes::Raised(false)),
@@ -622,7 +641,7 @@ mod tests {
         let o: Arc<TxObject<SpecAdt<Chooser>>> = TxObject::new(
             "c",
             SpecAdt::default(),
-            SpecLock::<Chooser>::from_def(),
+            SpecLock::<SpecAdt<Chooser>>::from_def(),
             RuntimeOptions::default(),
         );
         let t0 = h(1);

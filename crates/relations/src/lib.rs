@@ -25,6 +25,9 @@
 //!   its [`DeriveSpec`] and memoize them per type name, so constructing a
 //!   live object under a *derived* lock relation pays the bounded search
 //!   once per process (`hcc-core::runtime::SpecLock` does the lifting).
+//!   The rival schemes' atoms come from the same spec: failure to commute
+//!   ([`derive::commutativity_atoms`]) and untyped read/write locking
+//!   ([`derive::read_write_atoms`]).
 //!
 //! ## Boundedness
 //!

@@ -418,7 +418,7 @@ pub fn custom_crash_point_holds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::{LockSpec, SpecLock};
+    use hcc_core::runtime::{LockSpec, SpecAdt, SpecLock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -439,7 +439,7 @@ mod tests {
     /// same player; losing submits and cross-player operations do not.
     #[test]
     fn derived_relation_is_per_player() {
-        let lock = SpecLock::<LeaderboardDef>::from_def();
+        let lock = SpecLock::<SpecAdt<LeaderboardDef>>::from_def();
         let win = |p: &str, s: i64| (LbOp::Submit(p.into(), s), LbRes::Improved(true));
         let lose = |p: &str, s: i64| (LbOp::Submit(p.into(), s), LbRes::Improved(false));
         let best = |p: &str, v: i64| (LbOp::Best(p.into()), LbRes::Best(v));
@@ -465,7 +465,7 @@ mod tests {
     /// Constructing many leaderboards derives the relation once.
     #[test]
     fn derivation_is_cached_per_type() {
-        let _warm = SpecLock::<LeaderboardDef>::from_def();
+        let _warm = SpecLock::<SpecAdt<LeaderboardDef>>::from_def();
         let before = hcc_adts::define::derivations_performed();
         for i in 0..4 {
             let _ = Leaderboard::hybrid(format!("lb-{i}"));

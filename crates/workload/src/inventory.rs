@@ -204,12 +204,12 @@ pub type Inventory = SpecObject<InventoryDef>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::{LockSpec, SpecLock};
+    use hcc_core::runtime::{LockSpec, SpecAdt, SpecLock};
 
     /// The derived relation, pinned: per-item and response-sensitive.
     #[test]
     fn derived_relation_is_per_item() {
-        let lock = SpecLock::<InventoryDef>::from_def();
+        let lock = SpecLock::<SpecAdt<InventoryDef>>::from_def();
         let restock = |i: &str, n: i64| (InvOp::Restock(i.into(), n), InvRes::Ok);
         let take = |i: &str, n: i64, ok: bool| (InvOp::Take(i.into(), n), InvRes::Taken(ok));
         let check = |i: &str, v: i64| (InvOp::Check(i.into()), InvRes::Level(v));

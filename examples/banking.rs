@@ -1,5 +1,6 @@
 //! Scheme comparison on a shared bank account: hybrid vs commutativity
-//! vs read/write 2PL — plus a deadlock-prone transfer pattern written
+//! vs read/write 2PL, all three relations derived from the account's
+//! serial specification — plus a deadlock-prone transfer pattern written
 //! against the `Db` facade, where `transact` absorbs the deadlock
 //! victims.
 //!

@@ -28,7 +28,7 @@
 //! with same-item stock changes. Nobody wrote that table — the bounded
 //! invalidated-by search found it in the specification.
 
-use hybrid_cc::adts::define::SpecLock;
+use hybrid_cc::adts::define::{SpecAdt, SpecLock};
 use hybrid_cc::storage::CompactionPolicy;
 use hybrid_cc::workload::inventory::{InvOp, InvRes, Inventory, InventoryDef};
 use hybrid_cc::Db;
@@ -85,7 +85,7 @@ fn recover(dir: &str) {
 }
 
 fn tables() {
-    let lock = SpecLock::<InventoryDef>::from_def();
+    let lock = SpecLock::<SpecAdt<InventoryDef>>::from_def();
     println!("Inventory conflict relation, derived from its serial specification");
     println!("(symmetric closure applied at lock time; conditions compare the item):\n");
     for atom in lock.atoms() {

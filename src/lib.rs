@@ -26,7 +26,6 @@
 //! * [`txn`] — logical clocks, the transaction manager, two-phase commit,
 //!   deadlock detection and the write-ahead log (the low-level escape
 //!   hatch under [`Db`]).
-//! * [`baselines`] — commutativity-based 2PL and read/write strict 2PL.
 //! * [`obs`] — dependency-free metric primitives behind `db.stats()`:
 //!   sharded counters/gauges, log-scale histograms, snapshots and deltas,
 //!   the `HCC_METRICS` dump hook and the `HCC_TRACE` flight recorder
@@ -85,7 +84,6 @@
 //! ```
 
 pub use hcc_adts as adts;
-pub use hcc_baselines as baselines;
 pub use hcc_check as check;
 pub use hcc_client as client;
 pub use hcc_core as core;

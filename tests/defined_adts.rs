@@ -222,7 +222,7 @@ fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
 
 #[test]
 fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
-    let derived = SpecLock::<CounterDef>::from_def();
+    let derived = SpecLock::<SpecAdt<CounterDef>>::from_def();
     let hand = CounterHybrid;
     let mut domain: Vec<(CounterInv, CounterRes)> = Vec::new();
     for n in [-7i64, -1, 0, 1, 2, 9] {
@@ -246,7 +246,7 @@ fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
 
 #[test]
 fn ported_set_lock_decisions_match_hand_written_exhaustively() {
-    let derived = SpecLock::<SetDef<i64>>::from_def();
+    let derived = SpecLock::<SpecAdt<SetDef<i64>>>::from_def();
     let hand = SetHybrid;
     let mut domain: Vec<(SetInv<i64>, bool)> = Vec::new();
     for x in 0..4i64 {

@@ -11,21 +11,23 @@
 //! scheduling cannot move: everything commits, money is conserved, or
 //! hybrid locking refuses nothing at all.
 
-use hybrid_cc::adts::account::{AccountInv, AccountObject};
+use hybrid_cc::adts::account::AccountInv;
 use hybrid_cc::adts::fifo_queue::{QueueInv, QueueObject};
 use hybrid_cc::adts::file::FileInv;
 use hybrid_cc::adts::{Object, ObjectAdt};
-use hybrid_cc::baselines::AccountCommutativity;
 use hybrid_cc::core::runtime::{RuntimeOptions, TryExecOutcome};
+use hybrid_cc::relations::derive::{commutativity_atoms, conflict_atoms, DeriveSpec};
+use hybrid_cc::relations::{AdtConfig, Atom};
 use hybrid_cc::spec::specs::{AccountSpec, QueueSpec};
-use hybrid_cc::spec::{ObjectId, Operation, Rational, Timestamp, TxnId, Value};
+use hybrid_cc::spec::{ObjectId, Rational, Timestamp, TxnId};
 use hybrid_cc::txn::TxnManager;
-use hybrid_cc::verify::{hybrid_atomic, FnConflict, LockMachine, RespondOutcome, SystemSpecs};
+use hybrid_cc::verify::{hybrid_atomic, DerivedConflict, LockMachine, RespondOutcome, SystemSpecs};
 use hybrid_cc::workload::scheme::{
     bench_options, make_account, make_file, make_queue, make_semiqueue, run, Run, Scheme,
 };
 use hybrid_cc::Db;
 use rand::Rng;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn money(n: i64) -> Rational {
@@ -34,11 +36,12 @@ fn money(n: i64) -> Rational {
 
 /// For each `(first, second, want)`: on a fresh object built by `make`
 /// under hybrid, commutativity and r/w 2PL (in [`Scheme::ALL`] order),
-/// one transaction executes `first`, and a non-blocking lock test of
-/// `second` by another transaction must be granted exactly when `want`
-/// says so.
+/// with `setup` committed, one transaction executes `first`, and a
+/// non-blocking lock test of `second` by another transaction must be
+/// granted exactly when `want` says so.
 fn assert_grants<A: ObjectAdt>(
     make: fn(Scheme, &str, RuntimeOptions) -> Object<A>,
+    setup: &[A::Inv],
     pairs: Vec<(A::Inv, A::Inv, [bool; 3])>,
 ) where
     A::Inv: std::fmt::Debug,
@@ -47,6 +50,11 @@ fn assert_grants<A: ObjectAdt>(
         for (scheme, want) in Scheme::ALL.into_iter().zip(want) {
             let mgr = TxnManager::new();
             let obj = make(scheme, "x", mgr.object_options());
+            let t0 = mgr.begin();
+            for inv in setup {
+                obj.execute(&t0, inv.clone()).unwrap();
+            }
+            mgr.commit(t0).unwrap();
             let (t1, t2) = (mgr.begin(), mgr.begin());
             obj.execute(&t1, first.clone()).unwrap();
             let outcome = obj.inner().try_execute(&t2, &second).unwrap();
@@ -59,19 +67,35 @@ fn assert_grants<A: ObjectAdt>(
 }
 
 /// E7: concurrent producers never conflict under Table II; distinct
-/// enqueues conflict under commutativity (Table III) and r/w 2PL.
+/// enqueues conflict under commutativity (Table III) and r/w 2PL, and
+/// r/w 2PL refuses even equal ones. Table III buys the dequeuer instead:
+/// it takes a committed head past an uncommitted enqueue, which Table II
+/// refuses.
 #[test]
 fn hybrid_admits_more_concurrency_than_baselines_on_enqueues() {
     let mgr = TxnManager::new();
     let q = make_queue(Scheme::Hybrid, "q", bench_options(&mgr));
     let r = run(&mgr, 4, 50, |t, w, _| (0..6).try_for_each(|k| q.enq(t, (w * 10 + k) as i64)));
     assert_eq!(r, Run { committed: 200, aborted: 0, refusals: 0, waits: 0 }, "hybrid enqueues");
-    assert_grants(make_queue, vec![(QueueInv::Enq(1), QueueInv::Enq(2), [true, false, false])]);
+    assert_grants(
+        make_queue,
+        &[],
+        vec![
+            (QueueInv::Enq(1), QueueInv::Enq(2), [true, false, false]),
+            (QueueInv::Enq(1), QueueInv::Enq(1), [true, true, false]),
+        ],
+    );
+    assert_grants(
+        make_queue,
+        &[QueueInv::Enq(1)],
+        vec![(QueueInv::Enq(2), QueueInv::Deq, [false, true, false])],
+    );
 }
 
 /// E8: with no debits, Table V refuses nothing on a shared account; on
-/// the pairs themselves, hybrid grants Credit∥Post (which commutativity
-/// refuses) and Credit∥Credit (which r/w 2PL refuses).
+/// the pairs themselves, hybrid grants Credit∥Post and Post∥Debit-Ok
+/// (which commutativity refuses, in either order) and Credit∥Credit
+/// (which r/w 2PL refuses).
 #[test]
 fn account_mix_has_no_overdraft_no_conflict_dominance() {
     let mgr = TxnManager::new();
@@ -91,23 +115,39 @@ fn account_mix_has_no_overdraft_no_conflict_dominance() {
     let (credit, post) = (AccountInv::Credit(money(5)), AccountInv::Post(money(5)));
     assert_grants(
         make_account,
+        &[],
         vec![
             (credit.clone(), credit.clone(), [true, true, false]),
-            (credit, post, [true, false, false]),
+            (credit.clone(), post.clone(), [true, false, false]),
+            (post.clone(), credit, [true, false, false]),
         ],
     );
+    let debit = AccountInv::Debit(money(10));
+    let funds = AccountInv::Credit(money(100));
+    assert_grants(make_account, &[funds], vec![(debit, post, [true, false, false])]);
 }
 
 /// E9, the generalized Thomas Write Rule: blind writes never conflict
-/// under hybrid locking and conflict under both baselines; a read/write
-/// mix completes under every scheme.
+/// under hybrid locking and conflict under both baselines (commutativity
+/// only when the values differ); readers share under every scheme and
+/// exclude a writer of another value; a read/write mix completes under
+/// every scheme.
 #[test]
 fn register_writes_never_conflict_under_hybrid() {
     let mgr = TxnManager::new();
     let reg = make_file(Scheme::Hybrid, "reg", bench_options(&mgr));
     let r = run(&mgr, 4, 150, |t, _, rng| reg.write(t, rng.gen_range(0..1_000_000)));
     assert_eq!((r.committed, r.refusals), (600, 0), "Thomas Write Rule");
-    assert_grants(make_file, vec![(FileInv::Write(1), FileInv::Write(2), [true, false, false])]);
+    assert_grants(
+        make_file,
+        &[],
+        vec![
+            (FileInv::Write(1), FileInv::Write(2), [true, false, false]),
+            (FileInv::Write(5), FileInv::Write(5), [true, true, false]),
+            (FileInv::Read, FileInv::Read, [true, true, true]),
+            (FileInv::Read, FileInv::Write(1), [false, false, false]),
+        ],
+    );
     for scheme in Scheme::ALL {
         let mgr = TxnManager::new();
         let reg = make_file(scheme, "reg", bench_options(&mgr));
@@ -191,28 +231,17 @@ fn deadlock_prone_transfers_make_progress() {
 /// account — through the LOCK machine and verify the combined history.
 #[test]
 fn mixed_scheme_system_is_atomic() {
+    let derived = |cfg: AdtConfig, atoms: fn(&DeriveSpec) -> BTreeSet<Atom>| {
+        let spec = DeriveSpec::from(cfg);
+        Arc::new(DerivedConflict::new("derived", spec.classify, atoms(&spec)))
+    };
     // Hybrid queue machine (Table II conflicts).
-    let queue_conflict = FnConflict::new("queue-hybrid", |q, p| match (q.inv.op, p.inv.op) {
-        ("deq", "enq") => q.res != p.inv.args[0],
-        ("deq", "deq") => q.res == p.res,
-        _ => false,
-    });
-    let mut queue_m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), Arc::new(queue_conflict));
+    let queue_conflict = derived(AdtConfig::queue(), conflict_atoms);
+    let mut queue_m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), queue_conflict);
     // Commutativity account machine (Table VI conflicts — a superset of
     // Table V, hence still a dependency relation).
-    let acct_conflict = FnConflict::new("account-comm", |q, p| {
-        let class = |o: &Operation| match (o.inv.op, &o.res) {
-            ("credit", _) => 0u8,
-            ("post", _) => 1,
-            ("debit", Value::Bool(true)) => 2,
-            _ => 3,
-        };
-        matches!(
-            (class(q), class(p)),
-            (0, 1) | (1, 0) | (0, 3) | (3, 0) | (1, 2) | (2, 1) | (1, 3) | (3, 1) | (2, 2)
-        )
-    });
-    let mut acct_m = LockMachine::new(ObjectId(1), Arc::new(AccountSpec), Arc::new(acct_conflict));
+    let acct_conflict = derived(AdtConfig::account(), commutativity_atoms);
+    let mut acct_m = LockMachine::new(ObjectId(1), Arc::new(AccountSpec), acct_conflict);
 
     let (p, q, r) = (TxnId(1), TxnId(2), TxnId(3));
     // Interleave the two machines, mirroring every event into a single
@@ -295,11 +324,7 @@ fn mixed_scheme_runtime_transactions() {
     let db = Db::in_memory();
     let q = db.object::<QueueObject<i64>>("audit").unwrap();
     let acct = db
-        .attach(Arc::new(AccountObject::with(
-            "acct",
-            Arc::new(AccountCommutativity),
-            db.object_options(),
-        )))
+        .attach(Arc::new(make_account(Scheme::Commutativity, "acct", db.object_options())))
         .unwrap();
     // Fund.
     db.transact(|tx| acct.credit(tx, money(100)).map_err(Into::into)).unwrap();

@@ -8,7 +8,7 @@
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::counter::{CounterDef, CounterInv};
 use hybrid_cc::adts::SpecObject;
-use hybrid_cc::core::runtime::{BlockPolicy, SpecLock};
+use hybrid_cc::core::runtime::{BlockPolicy, SpecAdt, SpecLock};
 use hybrid_cc::obs::MetricValue;
 use hybrid_cc::spec::Rational;
 use hybrid_cc::txn::TxnManager;
@@ -164,7 +164,7 @@ fn concurrent_hammer_counts_exactly() {
 /// a live view of the paper's conflict tables, not a parallel taxonomy.
 #[test]
 fn refusal_labels_are_lock_atom_class_pairs() {
-    let lock = SpecLock::<CounterDef>::from_def();
+    let lock = SpecLock::<SpecAdt<CounterDef>>::from_def();
     let allowed: Vec<(String, String)> =
         lock.atoms().iter().map(|a| (a.row.to_string(), a.col.to_string())).collect();
     assert!(!allowed.is_empty(), "derived Counter table has atoms");
@@ -240,6 +240,84 @@ fn refusal_labels_are_lock_atom_class_pairs() {
             "grant class {class} unknown to the atom set"
         );
     }
+}
+
+/// The conflict-matrix contract under every scheme: one contended
+/// Account mix (credits, posts, debits, some of them overdrawn) refuses
+/// only pairs of the running scheme's own atoms, in one direction or the
+/// other — the per-pair counts the scheme comparison reports.
+#[test]
+fn every_scheme_refuses_only_its_own_atom_pairs() {
+    use hybrid_cc::adts::account::{self, AccountAdt};
+    use hybrid_cc::relations::tables::AdtConfig;
+    use hybrid_cc::workload::scheme::{bench_options, make_account, run, Scheme};
+    use rand::Rng;
+
+    for scheme in Scheme::ALL {
+        let lock = scheme.lock::<AccountAdt>(AdtConfig::account(), account::to_spec_op);
+        let mgr = TxnManager::new();
+        let acct = make_account(scheme, "acct", bench_options(&mgr));
+        let t = mgr.begin();
+        acct.credit(&t, Rational::from_int(1_000)).unwrap();
+        mgr.commit(t).unwrap();
+        let r = run(&mgr, 4, 50, |t, _, rng| {
+            for _ in 0..4 {
+                match rng.gen_range(0..10u32) {
+                    0..=3 => acct.credit(t, Rational::from_int(rng.gen_range(1..50)))?,
+                    4 => acct.post(t, Rational::ZERO)?,
+                    5 => drop(acct.debit(t, Rational::from_int(1_000_000))?),
+                    _ => drop(acct.debit(t, Rational::from_int(rng.gen_range(1..50)))?),
+                }
+            }
+            Ok(())
+        });
+        assert!(r.refusals > 0, "{scheme}: the mix must contend");
+        let snap = mgr.metrics().snapshot();
+        for name in snap.values.keys() {
+            let Some(pair) = name.strip_prefix("lock.refusals.Account.") else { continue };
+            let (req, held) = pair.split_once('|').expect("refusal pair is req|held");
+            let hit = lock.atoms().iter().any(|a| {
+                let (row, col) = (a.row.0.as_str(), a.col.0.as_str());
+                (row == req && col == held) || (row == held && col == req)
+            });
+            assert!(hit, "{scheme}: refusal pair {req}|{held} is not a pair of its atoms");
+        }
+    }
+}
+
+/// Lock-metric keys name the class the scheme filed each operation
+/// under, even where the operation's variants do not determine it: a
+/// Set's response is a `bool`, so `Add-New` and `Add-Dup` (and
+/// `Remove-Hit` and `Remove-Miss`) share their variants.
+#[test]
+fn lock_metric_keys_follow_classes_the_variants_do_not_determine() {
+    use hybrid_cc::adts::set::{SetDef, SetInv};
+    use hybrid_cc::core::runtime::TryExecOutcome;
+
+    let mgr = TxnManager::new();
+    let set = SpecObject::<SetDef<i64>>::with_options("s", mgr.object_options());
+    let t0 = mgr.begin();
+    assert_eq!(set.execute(&t0, SetInv::Add(1)), Ok(true));
+    mgr.commit(t0).unwrap();
+    let refused = |held: SetInv<i64>, requested: SetInv<i64>| {
+        let (t1, t2) = (mgr.begin(), mgr.begin());
+        set.execute(&t1, held).unwrap();
+        let outcome = set.inner().try_execute(&t2, &requested).unwrap();
+        assert!(matches!(outcome, TryExecOutcome::Conflict(_)), "{requested:?} was granted");
+        mgr.abort(t1);
+        mgr.abort(t2);
+    };
+    // Add(1) → false is an Add-Dup; Remove(1) → true, a Remove-Hit.
+    refused(SetInv::Add(1), SetInv::Remove(1));
+    // Add(2) → true is an Add-New; Remove(2) → false, a Remove-Miss.
+    refused(SetInv::Add(2), SetInv::Remove(2));
+    let snap = mgr.metrics().snapshot();
+    assert_eq!(snap.counter("lock.refusals.Set.Remove-Hit|Add-Dup"), 1);
+    assert_eq!(snap.counter("lock.refusals.Set.Remove-Miss|Add-New"), 1);
+    assert_eq!(snap.sum_prefix("lock.refusals.Set."), 2);
+    assert_eq!(snap.counter("lock.grants.Set.Add-New"), 2);
+    assert_eq!(snap.counter("lock.grants.Set.Add-Dup"), 1);
+    assert_eq!(snap.sum_prefix("lock.grants.Set."), 3);
 }
 
 /// A production recovery refusal is readable where it happens: with the
