@@ -18,6 +18,30 @@ pub enum TxnPhase {
     Aborted,
 }
 
+impl TxnPhase {
+    /// The phase as one word: `0` is active, `u64::MAX` aborted, and
+    /// anything else the commit timestamp (real timestamps are positive,
+    /// and a clock never reaches `u64::MAX`).
+    fn to_word(self) -> u64 {
+        match self {
+            TxnPhase::Active => 0,
+            TxnPhase::Committed(ts) => {
+                assert!(ts != 0 && ts != u64::MAX, "commit timestamp {ts} is out of range");
+                ts
+            }
+            TxnPhase::Aborted => u64::MAX,
+        }
+    }
+
+    fn from_word(word: u64) -> TxnPhase {
+        match word {
+            0 => TxnPhase::Active,
+            u64::MAX => TxnPhase::Aborted,
+            ts => TxnPhase::Committed(ts),
+        }
+    }
+}
+
 /// The sticky wake token a blocked thread parks on: a wake-up delivered
 /// before the park makes the park return at once, so nothing that
 /// happens between "the condition was false" and "the thread sleeps" can
@@ -103,7 +127,8 @@ impl WakeToken {
 /// and the set of objects touched (for commit/abort fan-out).
 pub struct TxnHandle {
     id: TxnId,
-    phase: Mutex<TxnPhase>,
+    /// The [`TxnPhase`] as one word ([`TxnPhase::to_word`]).
+    phase: AtomicU64,
     doomed: AtomicBool,
     wake: WakeToken,
     /// Maximum object clock observed by any of this transaction's
@@ -147,7 +172,7 @@ impl TxnHandle {
     fn build(id: TxnId, replay: bool, no_wait: bool) -> Arc<TxnHandle> {
         Arc::new(TxnHandle {
             id,
-            phase: Mutex::new(TxnPhase::Active),
+            phase: AtomicU64::new(0),
             doomed: AtomicBool::new(false),
             wake: WakeToken::new(),
             bound: AtomicU64::new(0),
@@ -174,12 +199,15 @@ impl TxnHandle {
 
     /// Current phase.
     pub fn phase(&self) -> TxnPhase {
-        *self.phase.lock()
+        // Acquire: pairs with `set_phase`'s release, so a thread that
+        // sees a phase sees what its setter did before setting it.
+        TxnPhase::from_word(self.phase.load(Ordering::Acquire))
     }
 
     /// Transition to a new phase (manager use).
     pub fn set_phase(&self, p: TxnPhase) {
-        *self.phase.lock() = p;
+        // Release: see `phase`.
+        self.phase.store(p.to_word(), Ordering::Release);
     }
 
     /// True once the transaction was doomed ([`TxnHandle::doom`]); its
@@ -286,6 +314,8 @@ mod tests {
         assert_eq!(h.bound(), 5, "bound is monotone");
         h.set_phase(TxnPhase::Committed(9));
         assert_eq!(h.phase(), TxnPhase::Committed(9));
+        h.set_phase(TxnPhase::Aborted);
+        assert_eq!(h.phase(), TxnPhase::Aborted);
     }
 
     #[test]

@@ -80,13 +80,21 @@ impl HorizonPins {
     /// every object sharing this registry keeps commits with timestamps
     /// `> watermark` un-folded, so snapshots at `watermark` stay exact.
     pub fn pin(self: &Arc<Self>, watermark: u64) -> PinGuard {
-        let id = {
+        self.pin_with(|| watermark)
+    }
+
+    /// Pin the horizon at the watermark `choose` returns, calling it
+    /// inside the registry's one hold: no other pin or unpin can land
+    /// between choosing the watermark and pinning it.
+    pub fn pin_with(self: &Arc<Self>, choose: impl FnOnce() -> u64) -> PinGuard {
+        let (id, watermark) = {
             let mut t = self.inner.lock().unwrap();
+            let watermark = choose();
             let id = t.next_id;
             t.next_id += 1;
             t.pins.insert(id, watermark);
             self.floor.store(t.min_watermark(), Ordering::Release);
-            id
+            (id, watermark)
         };
         if let Some(g) = &self.gauge {
             g.adjust(1);

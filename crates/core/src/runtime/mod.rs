@@ -34,8 +34,8 @@ pub use handle::{TxnHandle, TxnPhase, WakeToken};
 pub use hcc_spec::TxnId;
 pub use horizon::{HorizonPins, PinGuard};
 pub use object::{
-    ExecError, NotFresh, ObjectStats, ReplayError, SnapshotStale, TryExecOutcome, TxObject,
-    TxParticipant,
+    CacheAligned, ExecError, NotFresh, ObjectStats, ReplayError, SnapshotStale, TryExecOutcome,
+    TxObject, TxParticipant,
 };
 pub use options::{BlockPolicy, NullObserver, RedoSink, RedoTicket, RuntimeOptions, WaitObserver};
 pub use spec_adt::{AdtDef, ConflictSpec, ConflictTable, SpecAdt, SpecLock};

@@ -316,7 +316,7 @@ struct PairCounters {
 /// cache line with it (64-byte lines; 128 covers adjacent-line
 /// prefetchers).
 #[repr(align(128))]
-struct CacheAligned<T>(T);
+pub struct CacheAligned<T>(pub T);
 
 impl<T> Deref for CacheAligned<T> {
     type Target = T;

@@ -5,7 +5,13 @@
 //! picks the manager's *stable watermark* `W` — the highest commit
 //! timestamp below which every commit is fully applied at every object —
 //! and pins the fold horizon there ([`hcc_core::runtime::HorizonPins`]),
-//! all under one short mutex, with no I/O and no transactional lock.
+//! in one short hold of the pin registry's mutex, with no I/O and no
+//! transactional lock. Computing `W` itself takes no lock: every
+//! committer claims a slot of its own in the manager's read marks before
+//! it draws its timestamp and clears it after phase 2, and the reader
+//! loads the clock, then scans the slots — `W` is the clock, lowered to
+//! one below the smallest held slot (`hcc-txn`'s `marks` module has the
+//! rule and its happens-before argument).
 //! Every view the transaction then takes is
 //! `committed_snapshot_at(W)`: the object's base version plus its
 //! committed-but-unfolded intents up to `W`, cloned under the object's

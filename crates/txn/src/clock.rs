@@ -12,7 +12,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A monotone, unique timestamp source shared by all transactions of one
 /// system (in the distributed simulation, piggybacked through the commit
 /// protocol).
+///
+/// Every commit writes it, so it sits on 128-byte lines of its own: it
+/// is the only line two unrelated in-memory commits both write (see
+/// `docs/API.md`, "What unrelated transactions still share").
+///
+/// Every write is a read-modify-write, so every issued value heads or
+/// continues a release sequence: a [`LogicalClock::now`] that reads a
+/// value synchronizes with the draw that wrote it and every draw before
+/// it. The stable watermark's read marks rely on that (`marks.rs`).
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct LogicalClock {
     last: AtomicU64,
 }
@@ -30,6 +40,10 @@ impl LogicalClock {
         let mut cur = self.last.load(Ordering::Relaxed);
         loop {
             let next = cur.max(bound) + 1;
+            // Release: the caller's read-mark claim, po-before this draw,
+            // hb any reader whose `now` reads this value or a later one.
+            // The acquire half orders this draw after every earlier one;
+            // the read marks do not rely on it.
             match self.last.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Relaxed) {
                 Ok(_) => return next,
                 Err(seen) => cur = seen,
@@ -39,12 +53,16 @@ impl LogicalClock {
 
     /// The last issued timestamp (0 if none).
     pub fn now(&self) -> u64 {
+        // Acquire: pairs with the draws' release (see the type docs).
         self.last.load(Ordering::Acquire)
     }
 
     /// Advance the clock to at least `ts` (merging knowledge from another
     /// site, Lamport's receive rule).
     pub fn witness(&self, ts: u64) {
+        // Release: what the caller did before witnessing (a follower
+        // sets its manager's replicated flag) hb any reader whose `now`
+        // reads this value or a later one.
         self.last.fetch_max(ts, Ordering::AcqRel);
     }
 }

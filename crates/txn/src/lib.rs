@@ -30,6 +30,7 @@
 pub mod clock;
 pub mod deadlock;
 pub mod manager;
+mod marks;
 pub mod registry;
 pub mod sim;
 

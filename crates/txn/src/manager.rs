@@ -11,16 +11,17 @@
 
 use crate::clock::LogicalClock;
 use crate::deadlock::DeadlockDetector;
+use crate::marks::{ReadMarks, SLOTS};
 use crate::registry::RecoveryError;
 use hcc_core::runtime::{
-    HorizonPins, PinGuard, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
+    CacheAligned, HorizonPins, PinGuard, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
 use hcc_storage::{Checkpoint, DurableStore, Snapshot, StorageError, StorageOptions};
 use parking_lot::RwLock;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -73,7 +74,9 @@ impl std::error::Error for CommitError {}
 pub struct TxnManager {
     clock: Arc<LogicalClock>,
     detector: Arc<DeadlockDetector>,
-    next_id: AtomicU64,
+    /// Every `begin` writes it, so it sits on lines of its own rather
+    /// than beside the fields every commit only reads.
+    next_id: CacheAligned<AtomicU64>,
     /// The durable log, when this manager persists completion records.
     store: Option<Arc<DurableStore>>,
     /// Commits hold this shared around log-write + phase-2 apply.
@@ -94,46 +97,22 @@ pub struct TxnManager {
     instruments: Instruments,
     /// The per-txn flight recorder (`HCC_TRACE=N`), when tracing is on.
     trace: Option<Arc<FlightRecorder>>,
-    /// Commit-timestamp bookkeeping for snapshot-read watermark
-    /// selection: which allocated timestamps are still between
-    /// allocation and phase-2 application. See
+    /// Which drawn commit timestamps may still be short of phase 2: one
+    /// slot per committer, no lock ([`crate::marks`]). See
     /// [`TxnManager::stable_watermark`].
-    read_marks: parking_lot::Mutex<ReadMarks>,
+    marks: ReadMarks,
+    /// Set once this manager applies replicated history: from then on its
+    /// stable watermark is only what the primary proved (`witnessed`).
+    replicated: AtomicBool,
+    /// The highest watermark the replication protocol proved applied here
+    /// ([`TxnManager::witness_replicated_watermark`]); at build, the
+    /// store's recovery watermark.
+    witnessed: AtomicU64,
     /// The shared horizon-pin registry every object built from
     /// [`TxnManager::object_options`] consults before folding — the
     /// mechanism that keeps a pinned watermark's snapshot exact across
     /// all objects at once.
     horizon: Arc<HorizonPins>,
-}
-
-/// Which commit timestamps have been allocated but not yet fully applied
-/// (phase-2 fan-out not finished). The *stable watermark* — the highest
-/// timestamp `W` such that every commit with `ts ≤ W` is fully applied
-/// at every object it touched — is `min(inflight) - 1` while anything is
-/// in flight, else the highest applied timestamp. Commits apply under a
-/// *shared* gate, so a later timestamp can finish applying before an
-/// earlier one; reading at the live frontier would see non-prefix
-/// states. Reading at `W` never does.
-#[derive(Default)]
-struct ReadMarks {
-    /// Timestamps allocated but not yet retired: at most one per
-    /// committing thread, so a scan, and no node to allocate and free
-    /// under the lock for every commit.
-    inflight: Vec<u64>,
-    /// Highest timestamp whose phase-2 fan-out completed (or, at build
-    /// time, the store's recovery watermark — everything durable is
-    /// "applied" once materialized).
-    max_applied: u64,
-}
-
-impl ReadMarks {
-    /// The stable watermark these marks imply.
-    fn stable(&self) -> u64 {
-        match self.inflight.iter().min() {
-            Some(&min) => min.saturating_sub(1),
-            None => self.max_applied,
-        }
-    }
 }
 
 /// The manager's pre-resolved metric handles.
@@ -223,20 +202,19 @@ impl TxnManager {
         Arc::new(TxnManager {
             clock,
             detector,
-            next_id: AtomicU64::new(first_id),
+            next_id: CacheAligned(AtomicU64::new(first_id)),
             store,
             commit_gate: RwLock::new(()),
             checkpoint_serial: parking_lot::Mutex::new(()),
             metrics,
             instruments,
             trace: FlightRecorder::from_env().map(Arc::new),
-            read_marks: parking_lot::Mutex::new(ReadMarks {
-                inflight: Default::default(),
-                // Everything durable is fully applied once recovery
-                // materializes it, so the recovered watermark is readable
-                // immediately.
-                max_applied: recovered_ts,
-            }),
+            marks: ReadMarks::new(SLOTS),
+            replicated: AtomicBool::new(false),
+            // Everything durable is fully applied once recovery
+            // materializes it, so the recovered watermark is readable
+            // immediately — on a follower too, before its first witness.
+            witnessed: AtomicU64::new(recovered_ts),
             horizon,
         })
     }
@@ -283,28 +261,35 @@ impl TxnManager {
         }
     }
 
-    /// A commit timestamp is done with phase 2 (`applied`) or will never
-    /// reach it (`!applied`: the commit was refused and aborted with no
-    /// records at any object). Either way it stops holding the stable
-    /// watermark down.
-    fn retire_inflight(&self, ts: u64, applied: bool) {
-        let mut marks = self.read_marks.lock();
-        if let Some(at) = marks.inflight.iter().position(|&t| t == ts) {
-            marks.inflight.swap_remove(at);
-        }
-        if applied {
-            marks.max_applied = marks.max_applied.max(ts);
-        }
-    }
-
     /// The current **stable watermark** `W`: every commit with timestamp
     /// `≤ W` is fully applied at every object it touched, and every
     /// commit still in flight (or future) has a timestamp `> W`. A read
     /// of `committed_snapshot_at(W)` across any set of this manager's
     /// objects therefore observes a *consistent prefix* of the commit
     /// order — never a later transaction without an earlier one.
+    ///
+    /// It is the clock, lowered below every commit still between drawing
+    /// its timestamp and finishing phase 2 — a lock-free scan of the
+    /// read marks (`crates/txn/src/marks.rs` has the rule and its
+    /// proof). A follower (once it has applied or witnessed replicated
+    /// history) answers only the watermark the primary proved:
+    /// [`TxnManager::apply_replicated`] explains why its own clock says
+    /// nothing.
     pub fn stable_watermark(&self) -> u64 {
-        self.read_marks.lock().stable()
+        // The clock first, then the scan (an acquire load: a commit whose
+        // draw this reads has its claim visible to the scan).
+        let now = self.clock.now();
+        // Relaxed: `apply_replicated` sets the flag po-before its clock
+        // witness (a release RMW), so a `now` read from that witness or
+        // co-later makes the flag visible here; a `now` older than every
+        // witness is the recovered clock, where the scan is exact.
+        if self.replicated.load(Ordering::Relaxed) {
+            // Acquire: pairs with the release in
+            // `witness_replicated_watermark`, so the applies it proved hb
+            // this reader.
+            return self.witnessed.load(Ordering::Acquire);
+        }
+        self.marks.stable(now)
     }
 
     /// Apply one *replicated* committed transaction at its objects — the
@@ -331,6 +316,7 @@ impl TxnManager {
         ts: u64,
         ops: &[ReplicatedOps],
     ) -> Result<(), RecoveryError> {
+        self.mark_replicated();
         self.horizon.raise_held_floor(ts.saturating_sub(REPLICA_FOLD_SPAN));
         for (obj, payloads) in ops {
             crate::registry::replay_object_ops(obj.as_ref(), txn, ts, payloads)?;
@@ -361,24 +347,40 @@ impl TxnManager {
     /// nothing is readable yet, and folding as it goes keeps that
     /// catch-up linear.
     pub fn witness_replicated_watermark(&self, wm: u64) {
-        let mut marks = self.read_marks.lock();
-        if wm > marks.max_applied {
-            marks.max_applied = wm;
+        if wm > self.witnessed.load(Ordering::Relaxed) {
+            // The floor stands before the watermark is published, so no
+            // reader can choose `wm` while commits above it may still fold.
             self.horizon.hold_floor(wm);
+            self.mark_replicated();
+            // Release: the applies the sample proved hb this call (the
+            // follower applies and witnesses under one lock), so they hb
+            // any reader that acquires `wm`.
+            self.witnessed.fetch_max(wm, Ordering::Release);
+        }
+    }
+
+    /// From now on this manager's stable watermark is the witnessed one.
+    /// Relaxed: a reader that misses the flag falls back to the clock,
+    /// which on a follower only `apply_replicated` moves, and only after
+    /// this call. Stored once, not per apply: every read on a follower
+    /// loads this line, and a store would take it from every reader's
+    /// cache.
+    fn mark_replicated(&self) {
+        if !self.replicated.load(Ordering::Relaxed) {
+            self.replicated.store(true, Ordering::Relaxed);
         }
     }
 
     /// Pin the fold horizon at the current stable watermark and return
-    /// the guard plus the pinned watermark. Watermark selection and
-    /// pinning happen under one read-marks acquisition, so no commit can
-    /// be allocated-and-retired between choosing `W` and protecting it.
+    /// the guard plus the pinned watermark. The watermark is chosen
+    /// inside the pin registry's one hold ([`HorizonPins::pin_with`]), so
+    /// choosing and pinning are one step against other pins and unpins.
     /// (A `forget` that *already* raced past — loaded the old floor just
     /// before this pin landed — is caught at read time by the object's
     /// folded-watermark check and surfaces as a transient refusal, not a
     /// stale answer.)
     pub fn pin_read_watermark(&self) -> PinGuard {
-        let marks = self.read_marks.lock();
-        self.horizon.pin(marks.stable())
+        self.horizon.pin_with(|| self.stable_watermark())
     }
 
     /// Pin the fold horizon at a caller-chosen timestamp (time-travel
@@ -450,20 +452,13 @@ impl TxnManager {
         // agreement. Without a log there is no checkpoint to agree with,
         // and the gate would only be a line every committer writes.
         let gate = self.store.as_ref().map(|_| self.commit_gate.read());
+        // Claim a read mark *before* drawing, so any reader whose clock
+        // load covers this timestamp also sees the mark, and holds its
+        // watermark below it until phase 2 is done ([`crate::marks`]).
+        let mark = self.marks.claim(&self.clock);
         // Generate the commit timestamp above the transaction's bound (the
-        // max object clock it observed), guaranteeing precedes ⊆ TS. The
-        // allocation is published into the read-marks table *atomically*
-        // with drawing it from the clock: a snapshot reader computing the
-        // stable watermark under the same lock either sees this timestamp
-        // in flight, or runs before it exists (and every timestamp
-        // allocated later is strictly larger) — either way the reader's
-        // watermark excludes it.
-        let ts = {
-            let mut marks = self.read_marks.lock();
-            let ts = self.clock.timestamp_after(txn.bound());
-            marks.inflight.push(ts);
-            ts
-        };
+        // max object clock it observed), guaranteeing precedes ⊆ TS.
+        let ts = self.clock.timestamp_after(txn.bound());
         if let Some(store) = &self.store {
             if let Err(e) = store.log_commit(txn.id().0, ts) {
                 drop(gate);
@@ -479,8 +474,10 @@ impl TxnManager {
                          this transaction's outcome after a crash is indeterminate"
                     ),
                 };
-                self.retire_inflight(ts, false);
                 self.abort_at(&txn, &participants);
+                // Refused and aborted everywhere: nothing committed at
+                // `ts`, so it stops holding the watermark down.
+                self.marks.release(mark);
                 self.fatal_commit_trace(txn.id(), &err);
                 return Err(CommitError::Storage(err));
             }
@@ -492,7 +489,7 @@ impl TxnManager {
         }
         // Fully applied at every participant: the timestamp becomes
         // readable (it may raise the stable watermark).
-        self.retire_inflight(ts, true);
+        self.marks.release(mark);
         drop(gate);
         self.instruments.committed.inc();
         self.instruments.commit_nanos.observe_duration(started.elapsed());
@@ -735,9 +732,24 @@ mod tests {
         assert_eq!(total, r(20 - 2 * committed_debits));
     }
 
+    /// A durable manager that rotates on every append, so renaming its
+    /// stream directory away makes the next append fail.
+    fn rotating_store(name: &str) -> (std::path::PathBuf, Arc<TxnManager>) {
+        use hcc_storage::{CompactionPolicy, Durability};
+        let dir = std::env::temp_dir().join(format!("hcc-txn-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StorageOptions {
+            segment_max_bytes: 1, // every append rotates
+            durability: Durability::Buffered,
+            policy: CompactionPolicy::never(),
+        };
+        let mgr = TxnManager::with_storage(&dir, opts).unwrap();
+        (dir, mgr)
+    }
+
     #[test]
     fn stable_watermark_is_the_last_fully_applied_commit_when_idle() {
-        let mgr = TxnManager::new();
+        let (dir, mgr) = rotating_store("refused-commit");
         assert_eq!(mgr.stable_watermark(), 0, "nothing committed yet");
         let a = Arc::new(AccountObject::with(
             "a",
@@ -752,12 +764,84 @@ mod tests {
         a.credit(&t, r(5)).unwrap();
         let ts2 = mgr.commit(t).unwrap();
         assert_eq!(mgr.stable_watermark(), ts2.0);
-        // A refused commit retires its allocated timestamp too: the
-        // watermark keeps advancing instead of wedging below it.
+
+        // A commit whose commit record the log refuses: it drew a
+        // timestamp and claimed a read mark, then failed.
         let t = mgr.begin();
         a.credit(&t, r(1)).unwrap();
-        mgr.abort(t);
-        assert_eq!(mgr.stable_watermark(), ts2.0);
+        let stream = dir.join(hcc_storage::wal::STREAM_DIR);
+        let away = dir.join("moved-away");
+        std::fs::rename(&stream, &away).unwrap();
+        let refused = mgr.commit(t);
+        std::fs::rename(&away, &stream).unwrap();
+        assert!(matches!(refused, Err(CommitError::Storage(_))), "{refused:?}");
+        let refused_ts = mgr.clock().now();
+        assert!(refused_ts > ts2.0, "the refused commit drew a timestamp");
+        assert_eq!(a.committed_balance(), r(10), "and applied nowhere");
+
+        // The next commit carries the watermark past the refused one: the
+        // failure path cleared its mark instead of wedging the watermark
+        // at `refused_ts - 1`.
+        let t = mgr.begin();
+        a.credit(&t, r(5)).unwrap();
+        let ts3 = mgr.commit(t).unwrap();
+        assert!(ts3.0 > refused_ts);
+        assert_eq!(mgr.stable_watermark(), ts3.0);
+        drop((a, mgr));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A participant that reports its phase 2 and then holds it until
+    /// told to go on.
+    struct PausedCommit {
+        entered: std::sync::Mutex<std::sync::mpsc::Sender<u64>>,
+        resume: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl TxParticipant for PausedCommit {
+        fn object_name(&self) -> &str {
+            "paused"
+        }
+        fn prepare(&self, _: &TxnHandle) -> bool {
+            true
+        }
+        fn commit_at(&self, _: TxnId, ts: u64) {
+            self.entered.lock().unwrap().send(ts).unwrap();
+            self.resume.lock().unwrap().recv().unwrap();
+        }
+        fn abort_txn(&self, _: TxnId) {}
+    }
+
+    #[test]
+    fn a_paused_commit_holds_the_watermark_below_itself() {
+        let mgr = TxnManager::new();
+        let a = AccountObject::hybrid("a");
+        let (entered, entered_rx) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel();
+        let paused = Arc::new(PausedCommit {
+            entered: std::sync::Mutex::new(entered),
+            resume: std::sync::Mutex::new(resume_rx),
+        });
+        let t = mgr.begin();
+        t.register(&paused);
+        let committer = {
+            let mgr = mgr.clone();
+            std::thread::spawn(move || mgr.commit(t).unwrap())
+        };
+        let paused_ts = entered_rx.recv().unwrap();
+
+        // A later commit on another object completes meanwhile, but the
+        // watermark stays below the paused commit's timestamp.
+        let t = mgr.begin();
+        a.credit(&t, r(5)).unwrap();
+        let later = mgr.commit(t).unwrap();
+        assert!(later.0 > paused_ts);
+        assert_eq!(mgr.stable_watermark(), paused_ts - 1);
+        assert_eq!(mgr.pin_read_watermark().watermark(), paused_ts - 1);
+
+        resume.send(()).unwrap();
+        assert_eq!(committer.join().unwrap().0, paused_ts);
+        assert_eq!(mgr.stable_watermark(), later.0, "released: the later commit is readable");
     }
 
     #[test]
@@ -794,16 +878,8 @@ mod tests {
     #[test]
     fn a_lost_op_record_dooms_exactly_its_transaction() {
         use hcc_core::runtime::ExecError;
-        use hcc_storage::{CompactionPolicy, Durability};
 
-        let dir = std::env::temp_dir().join(format!("hcc-txn-lost-op-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = StorageOptions {
-            segment_max_bytes: 1, // every append rotates
-            durability: Durability::Buffered,
-            policy: CompactionPolicy::never(),
-        };
-        let mgr = TxnManager::with_storage(&dir, opts).unwrap();
+        let (dir, mgr) = rotating_store("lost-op");
         let store = mgr.storage().unwrap().clone();
         let a = AccountObject::with(
             "a",
