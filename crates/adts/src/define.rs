@@ -82,14 +82,12 @@ use hcc_core::runtime::LockSpec;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-pub use hcc_core::runtime::{
-    AdtDef, ConflictSpec, ConflictTable, RedoDecodeError, SpecAdt, SpecLock,
-};
+pub use hcc_core::runtime::{AdtDef, ConflictSpec, RedoDecodeError, SpecAdt, SpecLock};
 pub use hcc_relations::derive::{
     check_bounds_invariance, derivations_performed, BoundsDrift, DeriveSpec,
 };
 pub use hcc_relations::invalidated_by::Bounds;
-pub use hcc_relations::relation::{Cond, OpClass};
+pub use hcc_relations::relation::{Cond, OpClass, Relation};
 pub use hcc_relations::tables::AdtConfig;
 pub use hcc_spec::Operation;
 

@@ -14,11 +14,11 @@ use hcc_relations::tables::AdtConfig;
 fn main() {
     let input = CheckInput::from_adt_config(AdtConfig::queue());
     println!("FIFO-Queue stated atoms:");
-    for atom in &input.atoms {
+    for atom in input.relation.atoms() {
         println!("    {atom:?}");
     }
 
-    for atom in input.atoms.clone() {
+    for atom in input.relation.atoms().clone() {
         let weakened = input.without_atom(&atom);
         let report = check_soundness(&weakened, Depth::new(3));
         println!("\nwithout {atom:?} — {} schedules searched:", report.schedules);

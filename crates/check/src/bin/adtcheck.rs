@@ -145,7 +145,7 @@ fn main() {
         });
         verdicts.push(TypeVerdict {
             name: entry.input.name.clone(),
-            atoms: entry.input.atoms.len(),
+            atoms: entry.input.relation.atoms().len(),
             depth,
             soundness,
             necessity,

@@ -112,6 +112,12 @@ const RULES: &[Rule] = &[
         scope: SOURCES,
         why: "retired with the settings nothing chose; every durability level survives a crash",
     },
+    Rule {
+        needles: "DerivedConflict|FnConflict|ReadWriteConflict|NoConflict|ConflictRelation|\
+                  ConflictTable|RelationTable|CellCond|atoms_to_instance_relation",
+        scope: SOURCES,
+        why: "retired with the copies of the conflict relation; every consumer holds a Relation",
+    },
 ];
 
 const CENSUSES: &[Census] = &[
@@ -134,6 +140,12 @@ const CENSUSES: &[Census] = &[
     Census { needles: "TxnHandle::no_wait(", scope: PRODUCTION, home: "crates/txn/src/manager.rs" },
     Census { needles: ".begin_no_wait(", scope: PRODUCTION, home: "crates/db/src/db.rs" },
     Census { needles: ".try_transact_ts(", scope: PRODUCTION, home: "crates/server/src/" },
+    // A conflict relation is looked up in one place, whoever holds it.
+    Census {
+        needles: "atoms.contains(",
+        scope: PRODUCTION,
+        home: "crates/relations/src/relation.rs",
+    },
 ];
 
 /// This linter's own source, which spells every needle.
@@ -265,6 +277,7 @@ mod tests {
             "self.mgr.begin_no_wait();\nreplay_object_ops(o);\nobj.restore(data);",
         ),
         ("crates/db/src/read.rs", "pub struct ReadTx;"),
+        ("crates/relations/src/relation.rs", "self.atoms.contains(&atom)"),
         ("crates/repl/src/follower.rs", "pub struct Follower;"),
         ("crates/server/src/exec.rs", "db.try_transact_ts(f);"),
         ("crates/storage/src/store.rs", "impl RedoSink for DurableStore {}"),
@@ -331,6 +344,16 @@ mod tests {
         ("crates/db/src/db.rs", "TxnHandle::no_wait(id);"),
         ("crates/server/src/exec.rs", "self.mgr.begin_no_wait();"),
         ("crates/db/src/db.rs", "db.try_transact_ts(f);"),
+        ("crates/verify/src/conflict.rs", "pub struct DerivedConflict;"),
+        ("tests/oracle.rs", "let c = FnConflict::new(\"none\", f);"),
+        ("crates/verify/src/conflict.rs", "pub struct ReadWriteConflict;"),
+        ("tests/oracle.rs", "Arc::new(NoConflict)"),
+        ("crates/verify/src/lib.rs", "pub trait ConflictRelation {}"),
+        ("examples/demo.rs", "let t = ConflictTable::new(\"t\", classify);"),
+        ("crates/relations/src/tables.rs", "pub struct RelationTable;"),
+        ("crates/relations/src/tables.rs", "pub enum CellCond {}"),
+        ("src/lib.rs", "let rel = atoms_to_instance_relation(&alpha, f, &atoms);"),
+        ("crates/core/src/runtime/spec_adt.rs", "self.atoms.contains(&atom)"),
         (CI, "      durability: [none, buffered, fsync]"),
         (CI, "        if: matrix.durability == 'fsync'"),
         // A production line after an indented test hook still counts.

@@ -198,7 +198,7 @@ pub fn deadlock_potential(input: &CheckInput, setup_depth: usize) -> Vec<WaitCyc
 mod tests {
     use super::*;
     use crate::input::CheckInput;
-    use hcc_relations::relation::OpClass;
+    use hcc_relations::relation::{OpClass, Relation};
     use hcc_relations::tables::AdtConfig;
 
     /// The queue's signature prediction: two enqueuers (compatible) who
@@ -225,12 +225,13 @@ mod tests {
             let input = CheckInput::from_adt_config(cfg);
             let edges = possible_waits(&input, 3);
             assert!(!edges.is_empty());
+            let classify = |op| input.relation.classify(op);
             for e in &edges {
                 let (h, r, hp) = &e.example;
-                assert!(!input.conflicts(h, hp), "{e:?}: held ops must be co-holdable");
-                assert!(input.conflicts(r, hp), "{e:?}: the request must block");
+                assert!(!input.relation.conflicts(h, hp), "{e:?}: held ops must be co-holdable");
+                assert!(input.relation.conflicts(r, hp), "{e:?}: the request must block");
                 assert_eq!(
-                    ((input.classify)(h), (input.classify)(r), (input.classify)(hp)),
+                    (classify(h), classify(r), classify(hp)),
                     (e.holds.clone(), e.requests.clone(), e.blocked_on.clone())
                 );
             }
@@ -241,7 +242,7 @@ mod tests {
     #[test]
     fn a_conflict_free_table_cannot_deadlock() {
         let mut input = CheckInput::from_adt_config(AdtConfig::queue());
-        input.atoms.clear();
+        input.relation = Relation::empty(AdtConfig::queue().classify);
         assert!(possible_waits(&input, 3).is_empty());
         assert!(deadlock_potential(&input, 3).is_empty());
     }

@@ -1,22 +1,20 @@
 //! The unit of analysis: one type's specification, alphabet, and
-//! conflict table, normalized from whichever form it arrived in —
+//! conflict [`Relation`], normalized from whichever form it arrived in —
 //! an [`AdtConfig`] from `hcc-relations`, a raw [`DeriveSpec`], or an
-//! `AdtDef`'s [`ConflictSpec`] — plus the precomputed per-instance
-//! class and conflict views every analysis in this crate consumes.
+//! `AdtDef`'s [`ConflictSpec`] — plus the per-instance conflict view
+//! every analysis in this crate consumes.
 
-use hcc_core::runtime::{AdtDef, ConflictSpec, ConflictTable};
+use hcc_core::runtime::{AdtDef, ConflictSpec};
 use hcc_relations::derive::{cached_conflict_atoms, DeriveSpec};
-use hcc_relations::relation::{pair_cond, Atom, OpClass};
+use hcc_relations::relation::{Atom, OpClass, Relation};
 use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::Operation;
-use std::collections::BTreeSet;
 
 /// Everything the static analyses need to know about one type. The
-/// `atoms` are the *stated* (pre-closure) dependency relation; all
-/// lookups here apply the symmetric closure, mirroring the runtime's
-/// `SpecLock`, so the analyses exercise exactly the relation the lock
-/// manager would enforce.
+/// `relation` is the value the runtime's `SpecLock` holds, so the
+/// analyses exercise exactly the relation the lock manager would
+/// enforce.
 #[derive(Clone)]
 pub struct CheckInput {
     /// Display name (the type name, by convention).
@@ -25,10 +23,8 @@ pub struct CheckInput {
     pub adt: SharedAdt,
     /// The finite operation alphabet the bounded search ranges over.
     pub alphabet: Vec<Operation>,
-    /// Operation → class, as the runtime lock would classify it.
-    pub classify: fn(&Operation) -> OpClass,
-    /// The class-level conflict atoms under audit.
-    pub atoms: BTreeSet<Atom>,
+    /// The conflict relation under audit.
+    pub relation: Relation,
 }
 
 impl CheckInput {
@@ -41,32 +37,16 @@ impl CheckInput {
 
     /// Audit the derived table of an arbitrary [`DeriveSpec`].
     pub fn from_derive_spec(name: String, spec: &DeriveSpec) -> CheckInput {
-        let atoms = cached_conflict_atoms(&name, spec).as_ref().clone();
-        CheckInput {
-            name,
-            adt: spec.adt.clone(),
-            alphabet: spec.alphabet.clone(),
-            classify: spec.classify,
-            atoms,
-        }
+        let relation = Relation::new(spec.classify, cached_conflict_atoms(&name, spec));
+        CheckInput { name, adt: spec.adt.clone(), alphabet: spec.alphabet.clone(), relation }
     }
 
-    /// Audit a hand-stated [`ConflictTable`] over the given spec and
-    /// alphabet. (A table carries no alphabet of its own — the caller
-    /// chooses the derivation domain to search over, exactly as a
-    /// `DeriveSpec` would.)
-    pub fn from_table(
-        adt: SharedAdt,
-        alphabet: Vec<Operation>,
-        table: &ConflictTable,
-    ) -> CheckInput {
-        CheckInput {
-            name: adt.type_name().to_string(),
-            adt,
-            alphabet,
-            classify: table.classify,
-            atoms: table.atoms.clone(),
-        }
+    /// Audit a hand-stated relation over the given spec and alphabet. (A
+    /// relation carries no alphabet of its own — the caller chooses the
+    /// derivation domain to search over, exactly as a `DeriveSpec`
+    /// would.)
+    pub fn from_table(adt: SharedAdt, alphabet: Vec<Operation>, relation: Relation) -> CheckInput {
+        CheckInput { name: adt.type_name().to_string(), adt, alphabet, relation }
     }
 
     /// Audit whatever conflict spec an [`AdtDef`] declares. Derived defs
@@ -88,21 +68,7 @@ impl CheckInput {
 
     /// The class of alphabet instance `i`.
     pub fn class_of(&self, i: usize) -> OpClass {
-        (self.classify)(&self.alphabet[i])
-    }
-
-    /// Would the runtime's lock manager treat instances `a` and `b` as
-    /// conflicting? Symmetric-closure lookup over the stated atoms,
-    /// mirroring `SpecLock::conflicts` = `related(a,b) || related(b,a)`.
-    pub fn conflicts(&self, a: &Operation, b: &Operation) -> bool {
-        self.related(a, b) || self.related(b, a)
-    }
-
-    /// One-directional atom lookup: is `class(q) ⊦ class(p)` stated
-    /// under the pair's key condition?
-    pub fn related(&self, q: &Operation, p: &Operation) -> bool {
-        let atom = Atom { row: (self.classify)(q), col: (self.classify)(p), cond: pair_cond(q, p) };
-        self.atoms.contains(&atom)
+        self.relation.classify(&self.alphabet[i])
     }
 
     /// Per-instance conflict bitmasks: bit `j` of `masks[i]` is set iff
@@ -122,7 +88,7 @@ impl CheckInput {
         let mut masks = vec![0u64; self.alphabet.len()];
         for (i, mask) in masks.iter_mut().enumerate() {
             for (j, b) in self.alphabet.iter().enumerate() {
-                if self.conflicts(&self.alphabet[i], b) {
+                if self.relation.conflicts(&self.alphabet[i], b) {
                     *mask |= 1 << j;
                 }
             }
@@ -134,23 +100,7 @@ impl CheckInput {
     /// conservatism reporting and mutation testing: is the table still
     /// sound without this entry?
     pub fn without_atom(&self, atom: &Atom) -> CheckInput {
-        let mut weakened = self.clone();
-        weakened.atoms.remove(atom);
-        weakened
-    }
-
-    /// The canonical form of the conflict between two concrete ops: the
-    /// class pair ordered, with the pair's key condition. Both lock
-    /// directions collapse onto one atom, so counterexample "offending
-    /// pair" reports are stable regardless of which side ran first.
-    pub fn canonical_pair(&self, a: &Operation, b: &Operation) -> Atom {
-        let (ca, cb) = ((self.classify)(a), (self.classify)(b));
-        let cond = pair_cond(a, b);
-        if ca <= cb {
-            Atom { row: ca, col: cb, cond }
-        } else {
-            Atom { row: cb, col: ca, cond }
-        }
+        CheckInput { relation: self.relation.without(atom), ..self.clone() }
     }
 }
 
@@ -164,7 +114,7 @@ mod tests {
         let masks = input.conflict_masks();
         for (i, a) in input.alphabet.iter().enumerate() {
             for (j, b) in input.alphabet.iter().enumerate() {
-                assert_eq!(masks[i] & (1 << j) != 0, input.conflicts(a, b));
+                assert_eq!(masks[i] & (1 << j) != 0, input.relation.conflicts(a, b));
                 // Symmetric closure: the mask view is symmetric even
                 // though the stated atoms are one-directional.
                 assert_eq!(masks[i] & (1 << j) != 0, masks[j] & (1 << i) != 0);
@@ -175,19 +125,9 @@ mod tests {
     #[test]
     fn without_atom_removes_exactly_one_entry() {
         let input = CheckInput::from_adt_config(AdtConfig::queue());
-        let atom = input.atoms.iter().next().unwrap().clone();
+        let atom = input.relation.atoms().iter().next().unwrap().clone();
         let weakened = input.without_atom(&atom);
-        assert_eq!(weakened.atoms.len(), input.atoms.len() - 1);
-        assert!(!weakened.atoms.contains(&atom));
-    }
-
-    #[test]
-    fn canonical_pair_is_order_insensitive() {
-        let input = CheckInput::from_adt_config(AdtConfig::queue());
-        for a in &input.alphabet {
-            for b in &input.alphabet {
-                assert_eq!(input.canonical_pair(a, b), input.canonical_pair(b, a));
-            }
-        }
+        assert_eq!(weakened.relation.atoms().len(), input.relation.atoms().len() - 1);
+        assert!(!weakened.relation.atoms().contains(&atom));
     }
 }

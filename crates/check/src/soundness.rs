@@ -287,7 +287,8 @@ pub fn check_soundness(input: &CheckInput, depth: Depth) -> SoundnessReport {
 /// compatible must surface a counterexample.
 pub fn atom_necessity(input: &CheckInput, depth: Depth) -> Vec<AtomNecessity> {
     input
-        .atoms
+        .relation
+        .atoms()
         .iter()
         .map(|atom| AtomNecessity {
             atom: atom.clone(),
@@ -316,7 +317,7 @@ fn admitted_violation(
     }
     for &a in alpha {
         for &b in beta {
-            if input.conflicts(&input.alphabet[a], &input.alphabet[b]) {
+            if input.relation.conflicts(&input.alphabet[a], &input.alphabet[b]) {
                 return false;
             }
         }
@@ -354,7 +355,7 @@ fn minimize(
     let mut offending = BTreeSet::new();
     for &a in &alpha {
         for &b in &beta {
-            offending.insert(input.canonical_pair(&input.alphabet[a], &input.alphabet[b]));
+            offending.insert(input.relation.canonical_pair(&input.alphabet[a], &input.alphabet[b]));
         }
     }
 
@@ -403,7 +404,7 @@ mod tests {
     use super::*;
     use crate::builtin::registry;
     use crate::input::CheckInput;
-    use hcc_relations::relation::{Cond, OpClass};
+    use hcc_relations::relation::{Cond, OpClass, Relation};
     use hcc_relations::tables::AdtConfig;
     use hcc_verify::hybrid_atomic;
 
@@ -437,7 +438,7 @@ mod tests {
     fn dropping_the_deq_deq_atom_is_caught_with_a_minimal_witness() {
         let input = CheckInput::from_adt_config(AdtConfig::queue());
         let flipped = atom("Deq", "Deq", Cond::KeyEq);
-        assert!(input.atoms.contains(&flipped), "the entry under mutation is stated");
+        assert!(input.relation.atoms().contains(&flipped), "the entry under mutation is stated");
         let report = check_soundness(&input.without_atom(&flipped), Depth::new(3));
         let cex = report.counterexample.expect("the mutation must be caught");
         assert_eq!(
@@ -505,7 +506,7 @@ mod tests {
     #[test]
     fn the_empty_table_on_a_queue_is_unsound() {
         let mut input = CheckInput::from_adt_config(AdtConfig::queue());
-        input.atoms.clear();
+        input.relation = Relation::empty(AdtConfig::queue().classify);
         assert!(!check_soundness(&input, Depth::new(2)).sound());
     }
 

@@ -38,4 +38,4 @@ pub use object::{
     TxObject, TxParticipant,
 };
 pub use options::{BlockPolicy, NullObserver, RedoSink, RedoTicket, RuntimeOptions, WaitObserver};
-pub use spec_adt::{AdtDef, ConflictSpec, ConflictTable, SpecAdt, SpecLock};
+pub use spec_adt::{AdtDef, ConflictSpec, SpecAdt, SpecLock};

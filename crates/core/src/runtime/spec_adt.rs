@@ -15,12 +15,12 @@
 //!   state, intent = the transaction's executed-operation list, candidate
 //!   evaluation against the folded view, and self-logging `redo` /
 //!   `decode_redo` through the codec;
-//! * [`SpecLock`] adapts the type's conflict atoms to [`LockSpec`] by
-//!   classifying both executed operations through the spec mapping and
-//!   looking the pair up under its key condition (symmetric closure
-//!   applied at lookup, as the paper constructs conflict relations from
-//!   dependency relations) — for a defined type and, given a spec
-//!   mapping, for any hand-written [`RuntimeAdt`];
+//! * [`SpecLock`] adapts the type's [`Relation`] to [`LockSpec`]: it maps
+//!   both executed operations through the spec mapping and asks the
+//!   relation, which classifies them, looks the pair up under its key
+//!   condition and applies the symmetric closure (as the paper constructs
+//!   conflict relations from dependency relations) — for a defined type
+//!   and, given a spec mapping, for any hand-written [`RuntimeAdt`];
 //! * `hcc-adts`'s `Object<SpecAdt<D>>` (`SpecObject<D>`) is the same
 //!   generic object the built-ins run behind — snapshots, recovery
 //!   replay, typed `hcc-db` handles — so a user-defined type is durable,
@@ -34,9 +34,8 @@
 
 use super::adt::{LockSpec, RedoDecodeError, RuntimeAdt};
 use hcc_relations::derive::{cached_conflict_atoms, DeriveSpec};
-use hcc_relations::relation::{pair_cond, Atom, OpClass};
+use hcc_relations::relation::Relation;
 use hcc_spec::Operation;
-use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -119,40 +118,12 @@ pub enum ConflictSpec {
     /// per [`AdtDef::type_name`]. The scheme the paper proves hybrid
     /// atomic (Theorem 10 + Theorem 16).
     Derived(DeriveSpec),
-    /// An explicit class-level conflict table — for types whose table is
+    /// An explicit class-level relation in the paper's own language
+    /// (operation classes related under key conditions, each dependency
+    /// stated once, in either direction) — for types whose table is
     /// known (or audited) but whose specification is impractical to
     /// search, and for running a type under a non-canonical relation.
-    Table(ConflictTable),
-}
-
-/// An explicit conflict table in the paper's own language: operation
-/// classes related under key conditions. The symmetric closure is
-/// applied at lookup — state each dependency once, in either direction.
-pub struct ConflictTable {
-    /// Scheme name for experiment output.
-    pub name: &'static str,
-    /// Classify a (spec-mapped) operation into its class.
-    pub classify: fn(&Operation) -> OpClass,
-    /// The related class pairs.
-    pub atoms: BTreeSet<Atom>,
-}
-
-impl ConflictTable {
-    /// An empty table under `name` classifying with `classify`.
-    pub fn new(name: &'static str, classify: fn(&Operation) -> OpClass) -> ConflictTable {
-        ConflictTable { name, classify, atoms: BTreeSet::new() }
-    }
-
-    /// Relate `row` to `col` under `cond` (builder-style).
-    pub fn rule(
-        mut self,
-        row: &str,
-        col: &str,
-        cond: hcc_relations::relation::Cond,
-    ) -> ConflictTable {
-        self.atoms.insert(Atom { row: OpClass::new(row), col: OpClass::new(col), cond });
-        self
-    }
+    Table(Relation),
 }
 
 /// The generic [`RuntimeAdt`] over an [`AdtDef`]: version = state,
@@ -243,55 +214,31 @@ impl<D: AdtDef> RuntimeAdt for SpecAdt<D> {
 }
 
 /// The one derived [`LockSpec`]: map both executed operations onto the
-/// formal layer through the type's spec mapping, classify, bucket their
-/// key condition, and look the atom up — symmetric closure applied here,
-/// so atom sets state each dependency once. It runs any [`RuntimeAdt`]
-/// under any atom set: a defined type's own relation ([`SpecLock::from_def`])
-/// or a hand type under a relation derived from its serial specification
-/// (the hybrid scheme or one of its Section-7 rivals, as
-/// `hcc-workload`'s `Scheme` builds them).
+/// formal layer through the type's spec mapping and ask the type's
+/// [`Relation`]. It runs any [`RuntimeAdt`] under any relation: a defined
+/// type's own ([`SpecLock::from_def`]) or a hand type under a relation
+/// derived from its serial specification (the hybrid scheme or one of
+/// its Section-7 rivals, as `hcc-workload`'s `Scheme` builds them).
 pub struct SpecLock<A: RuntimeAdt> {
     name: &'static str,
     to_spec: fn(&A::Inv, &A::Res) -> Operation,
-    classify: fn(&Operation) -> OpClass,
-    atoms: Arc<BTreeSet<Atom>>,
+    relation: Arc<Relation>,
 }
 
 impl<A: RuntimeAdt> SpecLock<A> {
     /// A lock named `name` that maps executed operations through
-    /// `to_spec`, files them under `classify` and tests them against
-    /// `atoms`.
+    /// `to_spec` and tests them against `relation`.
     pub fn new(
         name: &'static str,
         to_spec: fn(&A::Inv, &A::Res) -> Operation,
-        classify: fn(&Operation) -> OpClass,
-        atoms: Arc<BTreeSet<Atom>>,
+        relation: Arc<Relation>,
     ) -> SpecLock<A> {
-        SpecLock { name, to_spec, classify, atoms }
+        SpecLock { name, to_spec, relation }
     }
 
-    /// The class-level atoms this lock tests against.
-    pub fn atoms(&self) -> &BTreeSet<Atom> {
-        &self.atoms
-    }
-
-    /// The class the conflict lookup files a spec-level operation under —
-    /// exposed so static analysis (`hcc-check`) classifies exactly as the
-    /// live lock does.
-    pub fn classify_op(&self, q: &Operation) -> OpClass {
-        (self.classify)(q)
-    }
-
-    /// The one-directional dependency lookup: is `(class(q), class(p))`
-    /// under their key condition an atom of the table? [`LockSpec::conflicts`]
-    /// is the symmetric closure of this — public so tests can pin that
-    /// the closure leaves no lookup-order disagreement behind.
-    pub fn related(&self, q: &Operation, p: &Operation) -> bool {
-        self.atoms.contains(&Atom {
-            row: (self.classify)(q),
-            col: (self.classify)(p),
-            cond: pair_cond(q, p),
-        })
+    /// The relation this lock tests against.
+    pub fn relation(&self) -> &Relation {
+        &self.relation
     }
 }
 
@@ -303,23 +250,20 @@ impl<D: AdtDef> SpecLock<SpecAdt<D>> {
     pub fn from_def() -> Arc<SpecLock<SpecAdt<D>>> {
         let def = D::default();
         let to_spec = |op: &D::Op, res: &D::Res| D::default().spec_op(op, res);
-        Arc::new(match def.conflict_spec() {
+        let (name, relation) = match def.conflict_spec() {
             ConflictSpec::Derived(spec) => {
                 let atoms = cached_conflict_atoms(def.type_name(), &spec);
-                SpecLock::new("hybrid-derived", to_spec, spec.classify, atoms)
+                ("hybrid-derived", Relation::new(spec.classify, atoms))
             }
-            ConflictSpec::Table(table) => {
-                SpecLock::new(table.name, to_spec, table.classify, Arc::new(table.atoms))
-            }
-        })
+            ConflictSpec::Table(relation) => ("stated-table", relation),
+        };
+        Arc::new(SpecLock::new(name, to_spec, Arc::new(relation)))
     }
 }
 
 impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
     fn conflicts(&self, a: &(A::Inv, A::Res), b: &(A::Inv, A::Res)) -> bool {
-        let qa = (self.to_spec)(&a.0, &a.1);
-        let qb = (self.to_spec)(&b.0, &b.1);
-        self.related(&qa, &qb) || self.related(&qb, &qa)
+        self.relation.conflicts(&(self.to_spec)(&a.0, &a.1), &(self.to_spec)(&b.0, &b.1))
     }
 
     /// Classify once at execution time: the runtime stores this token
@@ -327,7 +271,7 @@ impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
     /// lookup never re-run inside the conflict-test hot loop.
     fn prepare(&self, op: &(A::Inv, A::Res)) -> Option<super::ClassifiedOp> {
         let q = (self.to_spec)(&op.0, &op.1);
-        let class = (self.classify)(&q);
+        let class = self.relation.classify(&q);
         Some(super::ClassifiedOp { op: q, class })
     }
 
@@ -339,19 +283,9 @@ impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
         bp: Option<&super::ClassifiedOp>,
     ) -> bool {
         match (ap, bp) {
+            // Both spec mappings and classes are in hand.
             (Some(ta), Some(tb)) => {
-                // Memoized path: both spec mappings and classes are in
-                // hand; only the key-condition bucketing and the two
-                // symmetric atom lookups remain.
-                self.atoms.contains(&Atom {
-                    row: ta.class.clone(),
-                    col: tb.class.clone(),
-                    cond: pair_cond(&ta.op, &tb.op),
-                }) || self.atoms.contains(&Atom {
-                    row: tb.class.clone(),
-                    col: ta.class.clone(),
-                    cond: pair_cond(&tb.op, &ta.op),
-                })
+                self.relation.conflicts_classified(&ta.class, &ta.op, &tb.class, &tb.op)
             }
             // A token is missing (an op recorded before this scheme was
             // swapped in, or a caller on the raw path): fall back to the
@@ -368,7 +302,7 @@ impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
         // The same classification the conflict lookup uses, so the lock
         // metrics' grant/refusal keys are exactly the atoms' row/column
         // names (derived or stated).
-        Some((self.classify)(&(self.to_spec)(&op.0, &op.1)).0)
+        Some(self.relation.classify(&(self.to_spec)(&op.0, &op.1)).0)
     }
 }
 
@@ -376,7 +310,7 @@ impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
 mod tests {
     use super::*;
     use crate::runtime::{RuntimeOptions, TxObject, TxParticipant, TxnHandle};
-    use hcc_relations::relation::Cond;
+    use hcc_relations::relation::{Cond, OpClass};
     use hcc_spec::{Inv, TxnId, Value};
     use std::time::Duration;
 
@@ -449,7 +383,7 @@ mod tests {
             // A winning raise invalidates differently-valued reads,
             // losing raises, and other winning raises.
             ConflictSpec::Table(
-                ConflictTable::new("maxreg-table", classify)
+                Relation::empty(classify)
                     .rule("Raise-Hi", "Raise-Hi", Cond::KeyNeq)
                     .rule("Raise-Lo", "Raise-Hi", Cond::KeyNeq)
                     .rule("Peak", "Raise-Hi", Cond::KeyNeq),
@@ -618,7 +552,7 @@ mod tests {
             }
             fn conflict_spec(&self) -> ConflictSpec {
                 ConflictSpec::Table(
-                    ConflictTable::new("chooser", |op| {
+                    Relation::empty(|op| {
                         OpClass::new(if op.inv.op == "offer" { "Offer" } else { "Pick" })
                     })
                     .rule("Pick", "Pick", Cond::KeyEq),

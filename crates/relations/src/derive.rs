@@ -7,12 +7,13 @@
 //! small value domain, a classifier, and the search bounds.
 //! [`conflict_atoms`] runs the search and lifts the instance-level
 //! relation to class-level [`Atom`]s (class pairs under a key condition),
-//! which generalize beyond the derivation domain: the runtime lock test
-//! is "classify both executed operations, bucket their key condition,
-//! look the atom up" — `hcc-core`'s `SpecLock` (and the reference
-//! automaton's `DerivedConflict` in `hcc-verify`) apply the symmetric
-//! closure at lookup time, exactly as the paper constructs
-//! conflict relations from dependency relations.
+//! which generalize beyond the derivation domain. A classifier plus
+//! those atoms is a [`Relation`](crate::relation::Relation): the lock
+//! test is "classify both executed operations, bucket their key
+//! condition, look the atom up", with the symmetric closure applied at
+//! lookup time, exactly as the paper constructs conflict relations from
+//! dependency relations. `hcc-core`'s `SpecLock`, the reference
+//! automaton in `hcc-verify` and `hcc-check` all hold that one value.
 //!
 //! Derivation is *bounded model checking* and costs milliseconds, not
 //! nanoseconds, so [`cached_atoms`] memoizes the result per (type name,
@@ -328,7 +329,7 @@ pub fn derivations_performed() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::Cond;
+    use crate::relation::{Cond, Relation};
 
     fn atom(row: &str, col: &str, cond: Cond) -> Atom {
         Atom { row: OpClass::new(row), col: OpClass::new(col), cond }
@@ -372,6 +373,21 @@ mod tests {
         assert_eq!(file, expected);
         let account = read_write_atoms(&AdtConfig::account().into());
         assert_eq!(account.len(), 4 * 4 * 2, "every account class pair, both conditions");
+    }
+
+    /// Read/write locking serializes writers and lets readers share:
+    /// two file writes conflict, two reads do not, whatever the values.
+    #[test]
+    fn rw_conflict_serializes_writers() {
+        let cfg = AdtConfig::file();
+        let rw = Relation::new(cfg.classify, read_write_atoms(&cfg.into()));
+        let write =
+            |v: i64| Operation::new(hcc_spec::specs::FileSpec::write(v), hcc_spec::Value::Unit);
+        let read = |v: i64| Operation::new(hcc_spec::specs::FileSpec::read(), v);
+        assert!(rw.conflicts(&write(1), &write(2)));
+        assert!(rw.conflicts(&write(7), &write(7)));
+        assert!(rw.conflicts(&read(1), &write(1)));
+        assert!(!rw.conflicts(&read(1), &read(2)));
     }
 
     #[test]

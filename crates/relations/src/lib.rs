@@ -4,9 +4,11 @@
 //! lock conflicts directly from a data type specification". This crate
 //! mechanizes that derivation:
 //!
-//! * [`relation`] — operation classes, instance-level relations, and the
+//! * [`relation`] — operation classes, instance-level relations, the
 //!   argument/response conditions (`v = v′`, `v ≠ v′`) the paper's tables
-//!   are phrased in.
+//!   are phrased in, and [`Relation`]: a classifier plus a set of atoms,
+//!   the one value the runtime lock, the reference automaton, the static
+//!   checker and the rendered tables all hold.
 //! * [`enumerate`] — bounded enumeration of legal operation sequences over
 //!   a finite alphabet of operation instances.
 //! * [`invalidated_by`] — the constructive *invalidated-by* dependency
@@ -18,13 +20,13 @@
 //!   (rediscovering that the FIFO queue has exactly two: Tables II and III).
 //! * [`commutativity`] — forward commutativity (Definitions 25–26) and the
 //!   *failure-to-commute* relation of Section 7 (Theorem 28).
-//! * [`tables`] — rendering of derived relations in the paper's tabular
-//!   format, the ground-truth Tables I–VI, and per-type derivation
-//!   configurations.
+//! * [`tables`] — the ground-truth Tables I–VI as atom sets, and
+//!   per-type derivation configurations.
 //! * [`derive`] — the runtime bridge: derive a type's conflict atoms from
 //!   its [`DeriveSpec`] and memoize them per type name, so constructing a
 //!   live object under a *derived* lock relation pays the bounded search
-//!   once per process (`hcc-core::runtime::SpecLock` does the lifting).
+//!   once per process (`hcc-core::runtime::SpecLock` holds the result
+//!   as a [`Relation`]).
 //!   The rival schemes' atoms come from the same spec: failure to commute
 //!   ([`derive::commutativity_atoms`]) and untyped read/write locking
 //!   ([`derive::read_write_atoms`]).
@@ -51,6 +53,6 @@ pub use commutativity::failure_to_commute;
 pub use derive::{cached_conflict_atoms, conflict_atoms, DeriveSpec};
 pub use invalidated_by::invalidated_by;
 pub use minimal::minimal_dependency_relations;
-pub use relation::{Atom, Cond, InstanceRelation, OpClass};
-pub use tables::{AdtConfig, RelationTable};
+pub use relation::{Atom, Cond, InstanceRelation, OpClass, Relation};
+pub use tables::AdtConfig;
 pub use violations::{is_dependency_relation, violations, Violation};

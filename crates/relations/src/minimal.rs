@@ -14,30 +14,10 @@
 //!    the **minimal hitting sets** of the violation structure.
 
 use crate::invalidated_by::Bounds;
-use crate::relation::{pair_cond, Atom, InstanceRelation, OpClass};
+use crate::relation::{pair_cond, Atom, OpClass};
 use crate::violations::violations;
 use hcc_spec::{Adt, Operation};
 use std::collections::BTreeSet;
-
-/// Convert a set of atoms into the instance relation it denotes over
-/// `alphabet`.
-pub fn atoms_to_instance_relation(
-    alphabet: &[Operation],
-    classify: &dyn Fn(&Operation) -> OpClass,
-    atoms: &BTreeSet<Atom>,
-) -> InstanceRelation {
-    let mut rel = InstanceRelation::new();
-    for (q, q_op) in alphabet.iter().enumerate() {
-        for (p, p_op) in alphabet.iter().enumerate() {
-            let atom =
-                Atom { row: classify(q_op), col: classify(p_op), cond: pair_cond(q_op, p_op) };
-            if atoms.contains(&atom) {
-                rel.insert(q, p);
-            }
-        }
-    }
-    rel
-}
 
 /// Enumerate all minimal dependency relations (as atom sets) of a
 /// specification, within the given bounds.
@@ -106,92 +86,42 @@ fn hit(sets: &[BTreeSet<Atom>], chosen: &mut BTreeSet<Atom>, found: &mut Vec<BTr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::Cond;
+    use crate::relation::Relation;
+    use crate::tables::{paper_table_i, paper_table_iv, AdtConfig};
     use crate::violations::is_dependency_relation;
-    use hcc_spec::specs::{FileSpec, QueueSpec, SemiqueueSpec};
-    use hcc_spec::Value;
 
-    fn dom() -> Vec<Value> {
-        vec![Value::Int(1), Value::Int(2)]
-    }
-
-    fn classify_queue(op: &Operation) -> OpClass {
-        OpClass::new(if op.inv.op == "enq" { "Enq" } else { "Deq" })
-    }
-
-    fn classify_file(op: &Operation) -> OpClass {
-        OpClass::new(if op.inv.op == "read" { "Read" } else { "Write" })
-    }
-
-    fn classify_semiqueue(op: &Operation) -> OpClass {
-        OpClass::new(if op.inv.op == "ins" { "Ins" } else { "Rem" })
-    }
-
-    fn atom(row: &str, col: &str, cond: Cond) -> Atom {
-        Atom { row: OpClass::new(row), col: OpClass::new(col), cond }
-    }
-
-    #[test]
-    fn queue_has_exactly_two_minimal_relations() {
-        let alpha = QueueSpec::alphabet(&dom());
-        let rels =
-            minimal_dependency_relations(&QueueSpec, &alpha, &classify_queue, Bounds::default());
-        // Table II: Deq depends on Enq (v≠v') and on Deq (v=v').
-        let table2: BTreeSet<Atom> =
-            [atom("Deq", "Enq", Cond::KeyNeq), atom("Deq", "Deq", Cond::KeyEq)].into();
-        // Table III: Enq depends on Enq (v≠v'), Deq depends on Deq (v=v').
-        let table3: BTreeSet<Atom> =
-            [atom("Enq", "Enq", Cond::KeyNeq), atom("Deq", "Deq", Cond::KeyEq)].into();
-        assert!(rels.contains(&table2), "Table II missing from {rels:#?}");
-        assert!(rels.contains(&table3), "Table III missing from {rels:#?}");
-        assert_eq!(rels.len(), 2, "queue has exactly two minimal relations: {rels:#?}");
+    fn minimal(cfg: &AdtConfig) -> Vec<BTreeSet<Atom>> {
+        minimal_dependency_relations(cfg.adt.as_ref(), &cfg.alphabet, &cfg.classify, cfg.bounds)
     }
 
     #[test]
     fn file_has_a_unique_minimal_relation() {
-        let alpha = FileSpec::alphabet(&dom());
-        let f = FileSpec::default();
-        let rels = minimal_dependency_relations(&f, &alpha, &classify_file, Bounds::default());
-        let table1: BTreeSet<Atom> = [atom("Read", "Write", Cond::KeyNeq)].into();
-        assert_eq!(rels, vec![table1]);
+        assert_eq!(minimal(&AdtConfig::file()), vec![paper_table_i()]);
     }
 
     #[test]
     fn semiqueue_has_a_unique_minimal_relation() {
-        let alpha = SemiqueueSpec::alphabet(&dom());
-        let rels = minimal_dependency_relations(
-            &SemiqueueSpec,
-            &alpha,
-            &classify_semiqueue,
-            Bounds::default(),
-        );
-        let table4: BTreeSet<Atom> = [atom("Rem", "Rem", Cond::KeyEq)].into();
-        assert_eq!(rels, vec![table4]);
+        assert_eq!(minimal(&AdtConfig::semiqueue()), vec![paper_table_iv()]);
     }
 
     #[test]
     fn minimal_relations_pass_the_independent_def3_check() {
-        let alpha = QueueSpec::alphabet(&dom());
-        for atoms in
-            minimal_dependency_relations(&QueueSpec, &alpha, &classify_queue, Bounds::default())
-        {
-            let rel = atoms_to_instance_relation(&alpha, &classify_queue, &atoms);
-            assert!(is_dependency_relation(&QueueSpec, &alpha, &rel, Bounds::default()));
+        let cfg = AdtConfig::queue();
+        for atoms in minimal(&cfg) {
+            let rel = Relation::new(cfg.classify, atoms).instance_relation(&cfg.alphabet);
+            assert!(is_dependency_relation(cfg.adt.as_ref(), &cfg.alphabet, &rel, cfg.bounds));
         }
     }
 
     #[test]
     fn removing_any_atom_breaks_minimality() {
-        let alpha = QueueSpec::alphabet(&dom());
-        for atoms in
-            minimal_dependency_relations(&QueueSpec, &alpha, &classify_queue, Bounds::default())
-        {
+        let cfg = AdtConfig::queue();
+        for atoms in minimal(&cfg) {
             for a in &atoms {
-                let mut smaller = atoms.clone();
-                smaller.remove(a);
-                let rel = atoms_to_instance_relation(&alpha, &classify_queue, &smaller);
+                let smaller = Relation::new(cfg.classify, atoms.clone()).without(a);
+                let rel = smaller.instance_relation(&cfg.alphabet);
                 assert!(
-                    !is_dependency_relation(&QueueSpec, &alpha, &rel, Bounds::default()),
+                    !is_dependency_relation(cfg.adt.as_ref(), &cfg.alphabet, &rel, cfg.bounds),
                     "removing {a:?} should break Definition 3"
                 );
             }

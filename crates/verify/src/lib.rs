@@ -23,15 +23,15 @@
 //! order, response events gated on view-legality and conflict-freedom,
 //! plus the Section-6 bookkeeping (`clock`, `bound`, `horizon`) and
 //! common-prefix compaction. It is slow, obviously correct and records
-//! its own history. Its conflict relations are values implementing
-//! [`conflict::ConflictRelation`]; [`conflict::DerivedConflict`] lifts a
-//! relation derived by `hcc-relations` (a set of class-level atoms) into
-//! a conflict test that generalizes beyond the derivation domain.
+//! its own history. Its conflict relation is the same value the runtime
+//! lock holds, an `hcc_relations::Relation` (a classifier plus
+//! class-level atoms, closed symmetrically at lookup), so it generalizes
+//! beyond the derivation domain and can be the derived hybrid relation, a
+//! rival scheme's, or a deliberately wrong one such as the empty relation
+//! of the Theorem-17 counterexample.
 
-pub mod conflict;
 pub mod machine;
 
-pub use conflict::{ConflictRelation, DerivedConflict, FnConflict};
 pub use machine::{LockMachine, MachineError, RespondOutcome};
 
 use hcc_spec::adt::SharedAdt;

@@ -18,10 +18,11 @@
 //! with no operation of another active transaction; this is the whole
 //! algorithm.
 
-use crate::conflict::SharedConflict;
+use hcc_relations::relation::Relation;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::{Event, Frontier, History, Inv, ObjectId, Operation, Timestamp, TxnId, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Outcome of attempting a response event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,7 +111,7 @@ impl std::error::Error for MachineError {}
 pub struct LockMachine {
     obj: ObjectId,
     adt: SharedAdt,
-    conflict: SharedConflict,
+    conflict: Arc<Relation>,
     pending: HashMap<TxnId, Inv>,
     intentions: HashMap<TxnId, Vec<Operation>>,
     committed: HashMap<TxnId, Timestamp>,
@@ -128,8 +129,8 @@ pub struct LockMachine {
 
 impl LockMachine {
     /// A machine for object `obj` with serial specification `adt` and the
-    /// given symmetric conflict relation.
-    pub fn new(obj: ObjectId, adt: SharedAdt, conflict: SharedConflict) -> LockMachine {
+    /// conflict relation (the symmetric closure of `conflict`'s atoms).
+    pub fn new(obj: ObjectId, adt: SharedAdt, conflict: Arc<Relation>) -> LockMachine {
         let base = Frontier::initial(adt.as_ref());
         LockMachine {
             obj,
@@ -395,18 +396,18 @@ impl LockMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conflict::{FnConflict, NoConflict};
+    use hcc_relations::tables::{paper_table_ii, AdtConfig};
     use hcc_spec::specs::QueueSpec;
-    use std::sync::Arc;
 
     fn queue_machine() -> LockMachine {
         // Table II conflicts: deq↔enq of different items, deq↔deq of same.
-        let conflict = FnConflict::new("queue-hybrid", |q, p| match (q.inv.op, p.inv.op) {
-            ("deq", "enq") => q.res != p.inv.args[0],
-            ("deq", "deq") => q.res == p.res,
-            _ => false,
-        });
+        let conflict = Relation::new(AdtConfig::queue().classify, paper_table_ii());
         LockMachine::new(ObjectId(0), Arc::new(QueueSpec), Arc::new(conflict))
+    }
+
+    /// The empty relation: not a dependency relation for the queue.
+    fn no_conflict() -> Arc<Relation> {
+        Arc::new(Relation::empty(AdtConfig::queue().classify))
     }
 
     fn ts(n: u64) -> Timestamp {
@@ -621,7 +622,7 @@ mod tests {
     /// serializable in timestamp order.
     #[test]
     fn non_dependency_conflict_breaks_hybrid_atomicity() {
-        let mut m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), Arc::new(NoConflict));
+        let mut m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), no_conflict());
         // P enqueues 1 and commits.
         m.execute(t(1), QueueSpec::enq(1)).unwrap();
         m.commit(t(1), ts(1)).unwrap();
@@ -650,7 +651,7 @@ mod tests {
         // enqueued item while Q's enqueue runs concurrently without
         // conflicting; Q then commits with the smaller timestamp, so the
         // timestamp serialization enq(2)·enq(1)·deq→1 is illegal.
-        let mut m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), Arc::new(NoConflict));
+        let mut m = LockMachine::new(ObjectId(0), Arc::new(QueueSpec), no_conflict());
         m.execute(t(2), QueueSpec::enq(2)).unwrap(); // Q: p
         m.execute(t(3), QueueSpec::enq(1)).unwrap(); // R: k begins
         m.execute(t(3), QueueSpec::deq()).unwrap(); // R: deq → its own 1

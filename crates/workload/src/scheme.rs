@@ -10,6 +10,7 @@ use hcc_core::runtime::{BlockPolicy, ExecError, RuntimeAdt, RuntimeOptions, Spec
 use hcc_relations::derive::{
     cached_atoms, commutativity_atoms, conflict_atoms, read_write_atoms, DeriveSpec,
 };
+use hcc_relations::relation::Relation;
 use hcc_relations::tables::AdtConfig;
 use hcc_spec::Operation;
 use hcc_txn::TxnManager;
@@ -65,7 +66,7 @@ impl Scheme {
             Scheme::Rw2pl => read_write_atoms,
         };
         let atoms = cached_atoms(spec.adt.type_name(), &spec, derive);
-        Arc::new(SpecLock::new(self.name(), to_spec, spec.classify, atoms))
+        Arc::new(SpecLock::new(self.name(), to_spec, Arc::new(Relation::new(spec.classify, atoms))))
     }
 }
 

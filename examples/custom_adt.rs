@@ -88,7 +88,7 @@ fn tables() {
     let lock = SpecLock::<SpecAdt<InventoryDef>>::from_def();
     println!("Inventory conflict relation, derived from its serial specification");
     println!("(symmetric closure applied at lock time; conditions compare the item):\n");
-    for atom in lock.atoms() {
+    for atom in lock.relation().atoms() {
         println!("  {atom:?}");
     }
     println!(

@@ -20,14 +20,14 @@ fn main() {
         (AdtConfig::set(), "Set (extension)"),
         (AdtConfig::directory(), "Directory (extension)"),
     ] {
-        println!("{}", cfg.derive_invalidated_by(format!("invalidated-by: {title}")).render());
+        let title = format!("invalidated-by: {title}");
+        println!("{}", cfg.derive_invalidated_by().render(&title, &cfg.classes));
     }
 
     println!("failure-to-commute for Account (paper Table VI):");
-    println!(
-        "{}",
-        AdtConfig::account().derive_failure_to_commute("failure-to-commute: Account").render()
-    );
+    let cfg = AdtConfig::account();
+    let title = "failure-to-commute: Account";
+    println!("{}", cfg.derive_failure_to_commute().render(title, &cfg.classes));
 
     println!("All minimal dependency relations of the FIFO queue:");
     let cfg = AdtConfig::queue();

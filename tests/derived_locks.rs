@@ -8,7 +8,7 @@
 //! nothing the specification does not already determine. Each test draws
 //! thousands of random executed-operation pairs, maps them onto the
 //! formal layer with the type's `to_spec_op`, and checks the lifted
-//! derived relation (`DerivedConflict` over the atoms `hcc-relations`
+//! derived relation (a `Relation` over the atoms `hcc-relations`
 //! derives) against the hand-written `LockSpec` verdict — and that both
 //! verdicts actually fire both ways across the run, so agreement is
 //! never vacuous.
@@ -17,8 +17,8 @@ use hybrid_cc::adts::{account, counter, directory, fifo_queue, file, semiqueue, 
 use hybrid_cc::core::runtime::LockSpec;
 use hybrid_cc::relations::derive::conflict_atoms;
 use hybrid_cc::relations::tables::AdtConfig;
+use hybrid_cc::relations::Relation;
 use hybrid_cc::spec::{Operation, Rational};
-use hybrid_cc::verify::{ConflictRelation, DerivedConflict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,8 +40,7 @@ where
     A: hybrid_cc::core::RuntimeAdt,
     F: Fn(&A::Inv, &A::Res) -> Operation,
 {
-    let classify = cfg.classify;
-    let rel = DerivedConflict::new("derived", classify, conflict_atoms(&cfg.into()));
+    let rel = Relation::new(cfg.classify, conflict_atoms(&cfg.into()));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut conflicts = 0;
     for _ in 0..pairs {
@@ -49,7 +48,7 @@ where
         let b = gen(&mut rng);
         for op in [&a, &b] {
             if let Some(class) = hand.class_of(op) {
-                assert_eq!(class, classify(&to_spec(&op.0, &op.1)).0, "class name of {op:?}");
+                assert_eq!(class, rel.classify(&to_spec(&op.0, &op.1)).0, "class name of {op:?}");
             }
         }
         let want = hand.conflicts(&a, &b);

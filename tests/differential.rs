@@ -6,8 +6,10 @@
 use hybrid_cc::adts::account::{self, AccountAdt, AccountHybrid, AccountInv};
 use hybrid_cc::adts::fifo_queue::{self, QueueAdt, QueueInv, QueueTableII};
 use hybrid_cc::core::runtime::{TryExecOutcome, TxObject, TxParticipant, TxnHandle};
-use hybrid_cc::spec::{legal, ObjectId, Operation, Rational, Timestamp, TxnId, Value};
-use hybrid_cc::verify::{FnConflict, LockMachine, RespondOutcome};
+use hybrid_cc::relations::tables::{paper_table_ii, paper_table_v, AdtConfig};
+use hybrid_cc::relations::Relation;
+use hybrid_cc::spec::{legal, ObjectId, Rational, Timestamp, TxnId, Value};
+use hybrid_cc::verify::{LockMachine, RespondOutcome};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,12 +24,8 @@ enum Step<I> {
 
 /// Account-specific driver (invocation mapping is response-independent).
 fn drive_account(steps: Vec<Step<AccountInv>>) {
-    let conflict = FnConflict::new("account-hybrid", |q, p| {
-        let od = |o: &Operation| o.inv.op == "debit" && o.res == Value::Bool(false);
-        let ok = |o: &Operation| o.inv.op == "debit" && o.res == Value::Bool(true);
-        let growth = |o: &Operation| o.inv.op == "credit" || o.inv.op == "post";
-        (od(q) && growth(p)) || (ok(q) && ok(p))
-    });
+    // The paper's Table V, against the hand-written `AccountHybrid`.
+    let conflict = Relation::new(AdtConfig::account().classify, paper_table_v());
     let mut machine = LockMachine::new(
         ObjectId(0),
         Arc::new(hybrid_cc::spec::specs::AccountSpec),
@@ -113,11 +111,8 @@ fn drive_account(steps: Vec<Step<AccountInv>>) {
 
 /// Queue-specific driver.
 fn drive_queue(steps: Vec<Step<QueueInv<i64>>>) {
-    let conflict = FnConflict::new("queue-hybrid", |q, p| match (q.inv.op, p.inv.op) {
-        ("deq", "enq") => q.res != p.inv.args[0],
-        ("deq", "deq") => q.res == p.res,
-        _ => false,
-    });
+    // The paper's Table II, against the hand-written `QueueTableII`.
+    let conflict = Relation::new(AdtConfig::queue().classify, paper_table_ii());
     let mut machine = LockMachine::new(
         ObjectId(0),
         Arc::new(hybrid_cc::spec::specs::QueueSpec),

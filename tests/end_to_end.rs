@@ -17,11 +17,11 @@ use hybrid_cc::adts::file::FileInv;
 use hybrid_cc::adts::{Object, ObjectAdt};
 use hybrid_cc::core::runtime::{RuntimeOptions, TryExecOutcome};
 use hybrid_cc::relations::derive::{commutativity_atoms, conflict_atoms, DeriveSpec};
-use hybrid_cc::relations::{AdtConfig, Atom};
+use hybrid_cc::relations::{AdtConfig, Atom, Relation};
 use hybrid_cc::spec::specs::{AccountSpec, QueueSpec};
 use hybrid_cc::spec::{ObjectId, Rational, Timestamp, TxnId};
 use hybrid_cc::txn::TxnManager;
-use hybrid_cc::verify::{hybrid_atomic, DerivedConflict, LockMachine, RespondOutcome, SystemSpecs};
+use hybrid_cc::verify::{hybrid_atomic, LockMachine, RespondOutcome, SystemSpecs};
 use hybrid_cc::workload::scheme::{
     bench_options, make_account, make_file, make_queue, make_semiqueue, run, Run, Scheme,
 };
@@ -233,7 +233,7 @@ fn deadlock_prone_transfers_make_progress() {
 fn mixed_scheme_system_is_atomic() {
     let derived = |cfg: AdtConfig, atoms: fn(&DeriveSpec) -> BTreeSet<Atom>| {
         let spec = DeriveSpec::from(cfg);
-        Arc::new(DerivedConflict::new("derived", spec.classify, atoms(&spec)))
+        Arc::new(Relation::new(spec.classify, atoms(&spec)))
     };
     // Hybrid queue machine (Table II conflicts).
     let queue_conflict = derived(AdtConfig::queue(), conflict_atoms);

@@ -166,7 +166,7 @@ fn concurrent_hammer_counts_exactly() {
 fn refusal_labels_are_lock_atom_class_pairs() {
     let lock = SpecLock::<SpecAdt<CounterDef>>::from_def();
     let allowed: Vec<(String, String)> =
-        lock.atoms().iter().map(|a| (a.row.to_string(), a.col.to_string())).collect();
+        lock.relation().atoms().iter().map(|a| (a.row.to_string(), a.col.to_string())).collect();
     assert!(!allowed.is_empty(), "derived Counter table has atoms");
 
     let mgr = TxnManager::new();
@@ -276,7 +276,7 @@ fn every_scheme_refuses_only_its_own_atom_pairs() {
         for name in snap.values.keys() {
             let Some(pair) = name.strip_prefix("lock.refusals.Account.") else { continue };
             let (req, held) = pair.split_once('|').expect("refusal pair is req|held");
-            let hit = lock.atoms().iter().any(|a| {
+            let hit = lock.relation().atoms().iter().any(|a| {
                 let (row, col) = (a.row.0.as_str(), a.col.0.as_str());
                 (row == req && col == held) || (row == held && col == req)
             });
