@@ -99,10 +99,11 @@ impl RuntimeAdt for AccountAdt {
         committed: &[&Affine],
         own: &Affine,
         inv: &AccountInv,
-    ) -> Vec<(AccountRes, Affine)> {
-        match inv {
-            AccountInv::Credit(a) => vec![(AccountRes::Ok, own.then_credit(*a))],
-            AccountInv::Post(p) => vec![(AccountRes::Ok, own.then_post(*p))],
+        out: &mut Vec<(AccountRes, Affine)>,
+    ) {
+        out.push(match inv {
+            AccountInv::Credit(a) => (AccountRes::Ok, own.then_credit(*a)),
+            AccountInv::Post(p) => (AccountRes::Ok, own.then_post(*p)),
             AccountInv::Debit(a) => {
                 // The appendix's `sufficient()`: fold the view to a balance.
                 let mut bal = *version;
@@ -111,12 +112,12 @@ impl RuntimeAdt for AccountAdt {
                 }
                 bal = own.apply(bal);
                 if bal >= *a {
-                    vec![(AccountRes::Debited, own.then_debit(*a))]
+                    (AccountRes::Debited, own.then_debit(*a))
                 } else {
-                    vec![(AccountRes::Overdraft, own.clone())]
+                    (AccountRes::Overdraft, own.clone())
                 }
             }
-        }
+        });
     }
 
     fn apply(&self, version: &mut Rational, intent: &Affine) {

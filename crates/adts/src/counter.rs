@@ -50,15 +50,16 @@ impl RuntimeAdt for CounterAdt {
         committed: &[&i64],
         own: &i64,
         inv: &CounterInv,
-    ) -> Vec<(CounterRes, i64)> {
-        match inv {
-            CounterInv::Inc(n) => vec![(CounterRes::Ok, own + n)],
-            CounterInv::Dec(n) => vec![(CounterRes::Ok, own - n)],
+        out: &mut Vec<(CounterRes, i64)>,
+    ) {
+        out.push(match inv {
+            CounterInv::Inc(n) => (CounterRes::Ok, own + n),
+            CounterInv::Dec(n) => (CounterRes::Ok, own - n),
             CounterInv::Read => {
                 let total: i64 = version + committed.iter().copied().sum::<i64>() + own;
-                vec![(CounterRes::Val(total), *own)]
+                (CounterRes::Val(total), *own)
             }
-        }
+        });
     }
 
     fn apply(&self, version: &mut i64, intent: &i64) {

@@ -83,7 +83,8 @@ impl<K: Key, V: Val> RuntimeAdt for DirectoryAdt<K, V> {
         committed: &[&Vec<DirOp<K, V>>],
         own: &Vec<DirOp<K, V>>,
         inv: &DirInv<K, V>,
-    ) -> Vec<(DirRes<V>, Vec<DirOp<K, V>>)> {
+        out: &mut Vec<(DirRes<V>, Vec<DirOp<K, V>>)>,
+    ) {
         let key = match inv {
             DirInv::Insert(k, _) | DirInv::Remove(k) | DirInv::Lookup(k) => k,
         };
@@ -98,28 +99,28 @@ impl<K: Key, V: Val> RuntimeAdt for DirectoryAdt<K, V> {
                 }
             }
         }
-        match inv {
+        out.push(match inv {
             DirInv::Insert(k, v) => match binding {
-                Some(_) => vec![(DirRes::Duplicate, own.clone())],
+                Some(_) => (DirRes::Duplicate, own.clone()),
                 None => {
                     let mut next = own.clone();
                     next.push(DirOp::Insert(k.clone(), v.clone()));
-                    vec![(DirRes::Inserted, next)]
+                    (DirRes::Inserted, next)
                 }
             },
             DirInv::Remove(k) => match binding {
                 Some(v) => {
                     let mut next = own.clone();
                     next.push(DirOp::Remove(k.clone()));
-                    vec![(DirRes::Val(v), next)]
+                    (DirRes::Val(v), next)
                 }
-                None => vec![(DirRes::Missing, own.clone())],
+                None => (DirRes::Missing, own.clone()),
             },
             DirInv::Lookup(_) => match binding {
-                Some(v) => vec![(DirRes::Val(v), own.clone())],
-                None => vec![(DirRes::Missing, own.clone())],
+                Some(v) => (DirRes::Val(v), own.clone()),
+                None => (DirRes::Missing, own.clone()),
             },
-        }
+        });
     }
 
     fn apply(&self, version: &mut BTreeMap<K, V>, intent: &Vec<DirOp<K, V>>) {

@@ -85,21 +85,18 @@ impl<T: Item> RuntimeAdt for QueueAdt<T> {
         committed: &[&Vec<QueueOp<T>>],
         own: &Vec<QueueOp<T>>,
         inv: &QueueInv<T>,
-    ) -> Vec<(QueueRes<T>, Vec<QueueOp<T>>)> {
+        out: &mut Vec<(QueueRes<T>, Vec<QueueOp<T>>)>,
+    ) {
+        // The own intent with `op` appended, allocated once at its final
+        // length.
+        let then = |op| own.iter().cloned().chain([op]).collect();
         match inv {
-            QueueInv::Enq(x) => {
-                let mut next = own.clone();
-                next.push(QueueOp::Enq(x.clone()));
-                vec![(QueueRes::Ok, next)]
-            }
-            QueueInv::Deq => match view_head(version, committed, own) {
-                None => vec![],
-                Some(head) => {
-                    let mut next = own.clone();
-                    next.push(QueueOp::Deq);
-                    vec![(QueueRes::Item(head.clone()), next)]
+            QueueInv::Enq(x) => out.push((QueueRes::Ok, then(QueueOp::Enq(x.clone())))),
+            QueueInv::Deq => {
+                if let Some(head) = view_head(version, committed, own) {
+                    out.push((QueueRes::Item(head.clone()), then(QueueOp::Deq)));
                 }
-            },
+            }
         }
     }
 
@@ -379,8 +376,8 @@ mod tests {
         own: &Vec<QueueOp<i64>>,
     ) -> Vec<(QueueRes<i64>, Vec<QueueOp<i64>>)> {
         let committed: Vec<&Vec<QueueOp<i64>>> = committed.iter().collect();
-        let peeked =
-            QueueAdt::<i64>::default().candidates(version, &committed, own, &QueueInv::Deq);
+        let (queue, mut peeked) = (QueueAdt::<i64>::default(), Vec::new());
+        queue.candidates(version, &committed, own, &QueueInv::Deq, &mut peeked);
         assert_eq!(
             peeked,
             materialised_deq(version, &committed, own),

@@ -71,9 +71,10 @@ impl<T: Content> RuntimeAdt for FileAdt<T> {
         committed: &[&Option<T>],
         own: &Option<T>,
         inv: &FileInv<T>,
-    ) -> Vec<(FileRes<T>, Option<T>)> {
-        match inv {
-            FileInv::Write(v) => vec![(FileRes::Ok, Some(v.clone()))],
+        out: &mut Vec<(FileRes<T>, Option<T>)>,
+    ) {
+        out.push(match inv {
+            FileInv::Write(v) => (FileRes::Ok, Some(v.clone())),
             FileInv::Read => {
                 let mut cur = version.clone();
                 for v in committed.iter().copied().flatten() {
@@ -82,9 +83,9 @@ impl<T: Content> RuntimeAdt for FileAdt<T> {
                 if let Some(v) = own {
                     cur = v.clone();
                 }
-                vec![(FileRes::Val(cur), own.clone())]
+                (FileRes::Val(cur), own.clone())
             }
-        }
+        });
     }
 
     fn apply(&self, version: &mut T, intent: &Option<T>) {

@@ -99,12 +99,13 @@ impl<T: Item> RuntimeAdt for SemiqueueAdt<T> {
         committed: &[&Vec<SqOp<T>>],
         own: &Vec<SqOp<T>>,
         inv: &SqInv<T>,
-    ) -> Vec<(SqRes<T>, Vec<SqOp<T>>)> {
+        out: &mut Vec<(SqRes<T>, Vec<SqOp<T>>)>,
+    ) {
         match inv {
             SqInv::Ins(x) => {
                 let mut next = own.clone();
                 next.push(SqOp::Ins(x.clone()));
-                vec![(SqRes::Ok, next)]
+                out.push((SqRes::Ok, next));
             }
             SqInv::Rem => {
                 let mut view = version.clone();
@@ -112,14 +113,11 @@ impl<T: Item> RuntimeAdt for SemiqueueAdt<T> {
                     replay(&mut view, intent);
                 }
                 replay(&mut view, own);
-                view.keys()
-                    .cloned()
-                    .map(|x| {
-                        let mut next = own.clone();
-                        next.push(SqOp::Rem(x.clone()));
-                        (SqRes::Item(x), next)
-                    })
-                    .collect()
+                out.extend(view.keys().cloned().map(|x| {
+                    let mut next = own.clone();
+                    next.push(SqOp::Rem(x.clone()));
+                    (SqRes::Item(x), next)
+                }));
             }
         }
     }

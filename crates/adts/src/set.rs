@@ -69,7 +69,8 @@ impl<T: Elem> RuntimeAdt for SetAdt<T> {
         committed: &[&Vec<SetOp<T>>],
         own: &Vec<SetOp<T>>,
         inv: &SetInv<T>,
-    ) -> Vec<(bool, Vec<SetOp<T>>)> {
+        out: &mut Vec<(bool, Vec<SetOp<T>>)>,
+    ) {
         // Membership of the single element in question, folded over the
         // view (cheaper than materializing the whole set).
         let elem = match inv {
@@ -85,27 +86,27 @@ impl<T: Elem> RuntimeAdt for SetAdt<T> {
                 }
             }
         }
-        match inv {
+        out.push(match inv {
             SetInv::Add(x) => {
                 if present {
-                    vec![(false, own.clone())]
+                    (false, own.clone())
                 } else {
                     let mut next = own.clone();
                     next.push(SetOp::Add(x.clone()));
-                    vec![(true, next)]
+                    (true, next)
                 }
             }
             SetInv::Remove(x) => {
                 if present {
                     let mut next = own.clone();
                     next.push(SetOp::Remove(x.clone()));
-                    vec![(true, next)]
+                    (true, next)
                 } else {
-                    vec![(false, own.clone())]
+                    (false, own.clone())
                 }
             }
-            SetInv::Contains(_) => vec![(present, own.clone())],
-        }
+            SetInv::Contains(_) => (present, own.clone()),
+        });
     }
 
     fn apply(&self, version: &mut BTreeSet<T>, intent: &Vec<SetOp<T>>) {

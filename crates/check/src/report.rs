@@ -50,7 +50,10 @@ fn fmt_ops(ops: &[Operation]) -> String {
     ops.iter().map(|o| format!("{o:?}")).collect::<Vec<_>>().join(" ")
 }
 
-/// Render the summary table, one row per type.
+/// Render the summary table, one row per type. Every column but the
+/// trailing `ms` is as wide as its widest cell and covered by the rule;
+/// the timings are printed as they come, so no line's layout depends
+/// on how long a run took.
 pub fn render_verdict_table(verdicts: &[TypeVerdict]) -> String {
     let mut rows: Vec<[String; 7]> = vec![[
         "type".into(),
@@ -77,11 +80,11 @@ pub fn render_verdict_table(verdicts: &[TypeVerdict]) -> String {
         ]);
     }
     let widths: Vec<usize> =
-        (0..7).map(|c| rows.iter().map(|r| r[c].chars().count()).max().unwrap_or(0)).collect();
+        (0..6).map(|c| rows.iter().map(|r| r[c].chars().count()).max().unwrap_or(0)).collect();
     let mut out = String::new();
     for (i, row) in rows.iter().enumerate() {
         for (c, cell) in row.iter().enumerate() {
-            let pad = widths[c] - cell.chars().count();
+            let pad = widths.get(c).map_or(0, |w| w - cell.chars().count());
             if c > 0 {
                 out.push_str("  ");
             }
@@ -143,4 +146,40 @@ pub fn render_detail(v: &TypeVerdict) -> String {
         out.push_str(&format!("{}: BOUNDS DRIFT — {drift}\n", v.name));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn verdict(name: &str, millis: u128) -> TypeVerdict {
+        TypeVerdict {
+            name: name.into(),
+            atoms: 4,
+            depth: Depth::new(3),
+            soundness: SoundnessReport { setups: 12, schedules: 345, counterexample: None },
+            necessity: Vec::new(),
+            necessity_checked: true,
+            cycles: Vec::new(),
+            cycles_checked: false,
+            invariance: None,
+            millis,
+        }
+    }
+
+    /// Each line without its trailing `ms` cell.
+    fn masked(table: &str) -> Vec<String> {
+        table.lines().map(|l| l.rsplit_once("  ").map_or(l, |(head, _)| head).to_string()).collect()
+    }
+
+    #[test]
+    fn the_layout_does_not_depend_on_timings() {
+        let [quick, slow] = [9, 12_345]
+            .map(|ms| render_verdict_table(&[verdict("Account", ms), verdict("FIFO Queue", ms)]));
+        let (quick_lines, slow_lines): (Vec<&str>, Vec<&str>) =
+            (quick.lines().collect(), slow.lines().collect());
+        assert_eq!(quick_lines[..2], slow_lines[..2], "header and rule:\n{quick}\n{slow}");
+        assert_eq!(masked(&quick), masked(&slow));
+        assert!(quick_lines[2].ends_with("  9") && slow_lines[2].ends_with("  12345"));
+    }
 }

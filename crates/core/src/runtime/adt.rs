@@ -45,18 +45,21 @@ pub trait RuntimeAdt: Send + Sync + 'static {
     /// version, the committed-but-unforgotten intents in timestamp order,
     /// and the transaction's own intent.
     ///
-    /// Returns the specification's candidate `(response, updated-intent)`
-    /// pairs in preference order — several for nondeterministic operations
-    /// (the runtime grants the first whose lock is available), empty when
-    /// the operation is not defined in this view (partial operations
-    /// block).
+    /// Pushes the specification's candidate `(response, updated-intent)`
+    /// pairs onto `out` in preference order — several for
+    /// nondeterministic operations (the runtime grants the first whose
+    /// lock is available), none when the operation is not defined in
+    /// this view (partial operations block). `out` arrives empty: it is
+    /// the object's one candidate buffer, cleared and reused under its
+    /// latch, so evaluating an operation allocates no list of its own.
     fn candidates(
         &self,
         version: &Self::Version,
         committed: &[&Self::Intent],
         own: &Self::Intent,
         inv: &Self::Inv,
-    ) -> Vec<(Self::Res, Self::Intent)>;
+        out: &mut Vec<(Self::Res, Self::Intent)>,
+    );
 
     /// Fold a committed intent into the version (the appendix's
     /// `bal = i.mul * bal + i.add` inside `forget()`).

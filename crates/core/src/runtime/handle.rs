@@ -121,6 +121,77 @@ impl WakeToken {
     }
 }
 
+/// How many participants a handle holds without a heap list. A
+/// transaction touches one to three objects in every workload and
+/// example here.
+const PARTICIPANTS_INLINE: usize = 3;
+
+/// A transaction's commit/abort fan-out set, in the order the
+/// transaction first executed at each object: the first three in the
+/// value itself, any beyond in a list that is allocated only when there
+/// are more.
+#[derive(Clone, Default)]
+pub struct Participants {
+    inline: [Option<Arc<dyn TxParticipant>>; PARTICIPANTS_INLINE],
+    spill: Vec<Arc<dyn TxParticipant>>,
+}
+
+impl Participants {
+    /// The participants in the order they joined.
+    pub fn iter(&self) -> <&Participants as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// How many participants there are.
+    pub fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.spill.len()
+    }
+
+    /// True when the transaction executed nowhere.
+    pub fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+
+    /// Add the object at `obj` unless it is already here. Its reference
+    /// count is touched only when it is added.
+    fn insert<P: TxParticipant + 'static>(&mut self, obj: &Arc<P>) {
+        let addr = Arc::as_ptr(obj).cast::<()>();
+        if self.iter().any(|o| Arc::as_ptr(o).cast::<()>() == addr) {
+            return;
+        }
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(obj.clone()),
+            None => self.spill.push(obj.clone()),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Participants {
+    type Item = &'a Arc<dyn TxParticipant>;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<std::slice::Iter<'a, Option<Arc<dyn TxParticipant>>>>,
+        std::slice::Iter<'a, Arc<dyn TxParticipant>>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.iter().flatten().chain(self.spill.iter())
+    }
+}
+
+impl IntoIterator for Participants {
+    type Item = Arc<dyn TxParticipant>;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<
+            std::array::IntoIter<Option<Arc<dyn TxParticipant>>, PARTICIPANTS_INLINE>,
+        >,
+        std::vec::IntoIter<Arc<dyn TxParticipant>>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().flatten().chain(self.spill)
+    }
+}
+
 /// Shared per-transaction state: identity, phase, the Avalon `trans-id`
 /// style lower bound on the eventual commit timestamp, the doom flag set by
 /// the deadlock detector, the wake token its blocked execution parks on,
@@ -134,7 +205,7 @@ pub struct TxnHandle {
     /// Maximum object clock observed by any of this transaction's
     /// operations; the commit timestamp must exceed it (`precedes ⊆ TS`).
     bound: AtomicU64,
-    touched: Mutex<Vec<Arc<dyn TxParticipant>>>,
+    touched: Mutex<Participants>,
     /// True for replay transactions: their executions re-install
     /// already-durable history, so self-logging objects must not record
     /// them again.
@@ -176,7 +247,7 @@ impl TxnHandle {
             doomed: AtomicBool::new(false),
             wake: WakeToken::new(),
             bound: AtomicU64::new(0),
-            touched: Mutex::new(Vec::new()),
+            touched: Mutex::new(Participants::default()),
             replay,
             no_wait,
         })
@@ -269,22 +340,19 @@ impl TxnHandle {
     /// Record that the transaction executed at `obj` (idempotent). The
     /// object's reference count is touched only the first time.
     pub fn register<P: TxParticipant + 'static>(&self, obj: &Arc<P>) {
-        let mut t = self.touched.lock();
-        let addr = Arc::as_ptr(obj).cast::<()>();
-        if !t.iter().any(|o| Arc::as_ptr(o).cast::<()>() == addr) {
-            t.push(obj.clone());
-        }
+        self.touched.lock().insert(obj);
     }
 
     /// Objects touched so far (commit/abort fan-out set).
-    pub fn participants(&self) -> Vec<Arc<dyn TxParticipant>> {
+    pub fn participants(&self) -> Participants {
         self.touched.lock().clone()
     }
 
     /// Hand the fan-out set to whoever completes the transaction,
     /// leaving the handle with none: unlike [`TxnHandle::participants`]
-    /// this touches no object's reference count.
-    pub fn take_participants(&self) -> Vec<Arc<dyn TxParticipant>> {
+    /// this touches no object's reference count, and up to three
+    /// participants it allocates nothing.
+    pub fn take_participants(&self) -> Participants {
         std::mem::take(&mut *self.touched.lock())
     }
 }

@@ -28,7 +28,7 @@ mod options;
 mod spec_adt;
 
 pub use adt::{ClassifiedOp, LockSpec, RedoDecodeError, RuntimeAdt};
-pub use handle::{TxnHandle, TxnPhase, WakeToken};
+pub use handle::{Participants, TxnHandle, TxnPhase, WakeToken};
 /// Re-exported so a [`RedoSink`] implementor (the durable store) can name
 /// it without depending on `hcc-spec`.
 pub use hcc_spec::TxnId;

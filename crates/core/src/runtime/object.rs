@@ -8,7 +8,7 @@ use hcc_obs::{Counter, Histogram};
 use hcc_relations::relation::OpClass;
 use hcc_spec::TxnId;
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::mem::{discriminant, Discriminant};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,32 +199,46 @@ struct ExecOp<A: RuntimeAdt> {
     token: Option<ClassifiedOp>,
 }
 
+/// An active transaction's entry: its intent, its executed operations
+/// (its locks) and its lower bound.
 struct TxnRec<A: RuntimeAdt> {
     intent: A::Intent,
     ops: Vec<ExecOp<A>>,
-    /// While active: the object clock at the transaction's latest
-    /// execution here — its entry in the appendix's bound table, a lower
-    /// bound on its eventual commit timestamp.
+    /// The object clock at the transaction's latest execution here — its
+    /// entry in the appendix's bound table, a lower bound on its eventual
+    /// commit timestamp.
     bound: u64,
 }
 
-impl<A: RuntimeAdt> Default for TxnRec<A> {
-    fn default() -> Self {
-        TxnRec { intent: A::Intent::default(), ops: Vec::new(), bound: 0 }
-    }
-}
+/// How many cleared op lists an object keeps for the next transactions
+/// to execute here. About as many transactions run at one object at
+/// once; a completion past this bound frees its list.
+const SPARE_OPS: usize = 4;
 
 struct ObjState<A: RuntimeAdt> {
     /// Compacted committed state (`s.version` / the appendix's `bal`).
     version: A::Version,
-    /// Committed but unforgotten transactions, in timestamp order (the
-    /// appendix's `committed` id-heap plus `intentions`).
-    committed: BTreeMap<u64, TxnRec<A>>,
+    /// Committed but unforgotten intents with their commit timestamps,
+    /// in timestamp order (the appendix's `committed` id-heap plus
+    /// `intentions`). A ring: a commit appends at the back (or, arriving
+    /// out of timestamp order, is inserted in place) and `forget()` pops
+    /// from the front, so once it has grown to its usual length of one
+    /// or two nothing here allocates. A committed transaction's locks
+    /// are gone; only its intent is kept.
+    committed: VecDeque<(u64, A::Intent)>,
     /// Active transactions' intents, executed operations and lower
     /// bounds (the intent and bound tables; the lock table is implicit
     /// in `ops`). Unordered, found by scan: every lock test walks all of
     /// them anyway, and there are as many as transactions active *here*.
     active: Vec<(TxnId, TxnRec<A>)>,
+    /// Op lists of completed transactions, cleared, at most
+    /// [`SPARE_OPS`]: the next transaction to execute here takes one
+    /// instead of allocating its own.
+    spare_ops: Vec<Vec<ExecOp<A>>>,
+    /// The one candidate buffer every attempt here fills
+    /// ([`RuntimeAdt::candidates`]), drains and hands back empty with
+    /// its capacity, all under the latch.
+    candidates: Vec<(A::Res, A::Intent)>,
     /// Latest observed commit timestamp (0 = none; real timestamps are
     /// positive).
     clock: u64,
@@ -256,11 +270,18 @@ struct ObjState<A: RuntimeAdt> {
 const VIEW_INLINE: usize = 8;
 
 impl<A: RuntimeAdt> ObjState<A> {
-    /// The type's candidates for `inv` in `txn`'s view — the version,
-    /// the committed intents in timestamp order, then its own intent —
-    /// lent to the type in place: nothing is cloned, and the intents are
-    /// gathered on the stack unless there are more than [`VIEW_INLINE`].
-    fn candidates(&self, adt: &A, txn: TxnId, inv: &A::Inv) -> Vec<(A::Res, A::Intent)> {
+    /// Fill `out` with the type's candidates for `inv` in `txn`'s view —
+    /// the version, the committed intents in timestamp order, then its
+    /// own intent — lent to the type in place: nothing is cloned, and the
+    /// intents are gathered on the stack unless there are more than
+    /// [`VIEW_INLINE`].
+    fn fill_candidates(
+        &self,
+        adt: &A,
+        txn: TxnId,
+        inv: &A::Inv,
+        out: &mut Vec<(A::Res, A::Intent)>,
+    ) {
         let none;
         let own = match self.active.iter().find(|(t, _)| *t == txn) {
             Some((_, rec)) => &rec.intent,
@@ -269,29 +290,65 @@ impl<A: RuntimeAdt> ObjState<A> {
                 &none
             }
         };
-        let intents = self.committed.values().map(|rec| &rec.intent);
+        let intents = self.committed.iter().map(|(_, intent)| intent);
         let n = self.committed.len();
         if n > VIEW_INLINE {
             let spilled: Vec<&A::Intent> = intents.collect();
-            return adt.candidates(&self.version, &spilled, own, inv);
+            return adt.candidates(&self.version, &spilled, own, inv, out);
         }
         let mut inline = [own; VIEW_INLINE];
         for (slot, intent) in inline.iter_mut().zip(intents) {
             *slot = intent;
         }
-        adt.candidates(&self.version, &inline[..n], own, inv)
+        adt.candidates(&self.version, &inline[..n], own, inv, out)
     }
-}
 
-fn active_rec_or_default<A: RuntimeAdt>(
-    active: &mut Vec<(TxnId, TxnRec<A>)>,
-    txn: TxnId,
-) -> &mut TxnRec<A> {
-    let at = active.iter().position(|(t, _)| *t == txn).unwrap_or_else(|| {
-        active.push((txn, TxnRec::default()));
-        active.len() - 1
-    });
-    &mut active[at].1
+    /// `txn`'s active entry, made on its first execution here with a
+    /// spare op list when there is one.
+    fn active_rec(&mut self, txn: TxnId) -> &mut TxnRec<A> {
+        let at = match self.active.iter().position(|(t, _)| *t == txn) {
+            Some(at) => at,
+            None => {
+                let ops = self.spare_ops.pop().unwrap_or_default();
+                self.active.push((txn, TxnRec { intent: A::Intent::default(), ops, bound: 0 }));
+                self.active.len() - 1
+            }
+        };
+        &mut self.active[at].1
+    }
+
+    /// Remove `txn`'s active entry, keeping its cleared op list as a
+    /// spare; its intent, if it executed here.
+    fn retire(&mut self, txn: TxnId) -> Option<A::Intent> {
+        let at = self.active.iter().position(|(t, _)| *t == txn)?;
+        let (_, TxnRec { intent, mut ops, .. }) = self.active.swap_remove(at);
+        if self.spare_ops.len() < SPARE_OPS {
+            ops.clear();
+            self.spare_ops.push(ops);
+        }
+        Some(intent)
+    }
+
+    /// File a committed intent under its timestamp: at the back, where
+    /// commits almost always land, else in its place.
+    fn push_committed(&mut self, ts: u64, intent: A::Intent) {
+        if self.committed.back().is_none_or(|(last, _)| *last < ts) {
+            self.committed.push_back((ts, intent));
+        } else {
+            let at = self.committed.partition_point(|(t, _)| *t < ts);
+            self.committed.insert(at, (ts, intent));
+        }
+    }
+
+    /// The committed state as of `watermark`: the version with every
+    /// unforgotten intent at or below it applied.
+    fn image_at(&self, adt: &A, watermark: u64) -> A::Version {
+        let mut v = self.version.clone();
+        for (_, intent) in self.committed.iter().take_while(|(ts, _)| *ts <= watermark) {
+            adt.apply(&mut v, intent);
+        }
+        v
+    }
 }
 
 /// What one evaluation of the `when` condition found.
@@ -416,8 +473,10 @@ impl<A: RuntimeAdt> TxObject<A> {
         Arc::new(TxObject {
             inner: CacheAligned(Mutex::new(ObjState {
                 version,
-                committed: BTreeMap::new(),
+                committed: VecDeque::new(),
                 active: Vec::new(),
+                spare_ops: Vec::new(),
+                candidates: Vec::new(),
                 clock: 0,
                 pin: None,
                 folded: 0,
@@ -626,8 +685,11 @@ impl<A: RuntimeAdt> TxObject<A> {
             return Err(ReplayError::Exec(ExecError::NotActive));
         }
         let mut st = self.inner.lock();
-        let candidates = st.candidates(&self.adt, txn.id(), &inv);
-        let Some((res, intent)) = candidates.into_iter().find(|(res, _)| *res == expected) else {
+        let mut candidates = std::mem::take(&mut st.candidates);
+        st.fill_candidates(&self.adt, txn.id(), &inv, &mut candidates);
+        let found = candidates.drain(..).find(|(res, _)| *res == expected);
+        st.candidates = candidates;
+        let Some((res, intent)) = found else {
             return Err(ReplayError::Diverged { expected: format!("{expected:?}") });
         };
         // Recovery replays into quiesced objects: lock conflicts cannot
@@ -635,7 +697,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         // which committed without conflicting in the original history), so
         // the operation is installed directly.
         let clock = st.clock;
-        let rec = active_rec_or_default(&mut st.active, txn.id());
+        let rec = st.active_rec(txn.id());
         rec.intent = intent;
         let op = (inv, res);
         let token = self.locks.prepare(&op);
@@ -794,8 +856,25 @@ impl<A: RuntimeAdt> TxObject<A> {
         let view_intents =
             self.view_intents.get_or_init(|| self.opts.metrics.counter("lock.view.intents"));
         view_intents.add(st.committed.len() as u64);
-        let candidates = st.candidates(&self.adt, txn.id(), inv);
-        if candidates.is_empty() {
+        // The buffer leaves the state while the candidates are tested
+        // against it, and comes back empty with its capacity.
+        let mut candidates = std::mem::take(&mut st.candidates);
+        st.fill_candidates(&self.adt, txn.id(), inv, &mut candidates);
+        let attempt = self.first_grantable(st, txn, inv, candidates.drain(..));
+        st.candidates = candidates;
+        attempt
+    }
+
+    /// Grant the first of `candidates` that no other active
+    /// transaction's held operation conflicts with.
+    fn first_grantable(
+        &self,
+        st: &mut ObjState<A>,
+        txn: &TxnHandle,
+        inv: &A::Inv,
+        candidates: impl ExactSizeIterator<Item = (A::Res, A::Intent)>,
+    ) -> Attempt<A> {
+        if candidates.len() == 0 {
             return Attempt::Undefined;
         }
         let mut blockers: Vec<TxnId> = Vec::new();
@@ -839,7 +918,7 @@ impl<A: RuntimeAdt> TxObject<A> {
                     self.count_grant(st, &op, token.as_ref());
                 }
                 let clock = st.clock;
-                let rec = active_rec_or_default(&mut st.active, txn.id());
+                let rec = st.active_rec(txn.id());
                 rec.intent = intent;
                 rec.bound = clock;
                 let res = op.1.clone();
@@ -867,15 +946,12 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// pin's lifetime. (`floor() = u64::MAX` when nothing is pinned, so
     /// the read path costs one relaxed atomic load here.)
     fn forget(&self, st: &mut ObjState<A>) {
-        let Some(&max_committed) = st.committed.keys().next_back() else { return };
+        let Some(&(max_committed, _)) = st.committed.back() else { return };
         let bounds = st.active.iter().map(|(_, rec)| rec.bound).chain(st.pin);
         let horizon = bounds.fold(self.opts.horizon.floor().min(max_committed), u64::min);
-        while let Some(oldest) = st.committed.first_entry() {
-            if *oldest.key() >= horizon {
-                break;
-            }
-            let (ts, rec) = oldest.remove_entry();
-            self.adt.apply(&mut st.version, &rec.intent);
+        while st.committed.front().is_some_and(|(ts, _)| *ts < horizon) {
+            let (ts, intent) = st.committed.pop_front().expect("the front was just seen");
+            self.adt.apply(&mut st.version, &intent);
             st.folded = st.folded.max(ts);
             st.forgotten += 1;
         }
@@ -911,12 +987,7 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// [`TxObject::pin_horizon`] at the watermark (the fuzzy-checkpoint
     /// protocol).
     pub fn committed_snapshot_at(&self, watermark: u64) -> A::Version {
-        let st = self.inner.lock();
-        let mut v = st.version.clone();
-        for (_, rec) in st.committed.range(..=watermark) {
-            self.adt.apply(&mut v, &rec.intent);
-        }
-        v
+        self.inner.lock().image_at(&self.adt, watermark)
     }
 
     /// The committed state as of `watermark`, **checked**: refused with
@@ -938,11 +1009,7 @@ impl<A: RuntimeAdt> TxObject<A> {
         if st.folded > watermark {
             return Err(SnapshotStale { folded: st.folded, watermark });
         }
-        let mut v = st.version.clone();
-        for (_, rec) in st.committed.range(..=watermark) {
-            self.adt.apply(&mut v, &rec.intent);
-        }
-        Ok(v)
+        Ok(st.image_at(&self.adt, watermark))
     }
 
     /// Forbid `forget()` from folding commits with `ts > watermark` into
@@ -1012,16 +1079,15 @@ impl<A: RuntimeAdt> TxParticipant for TxObject<A> {
     fn commit_at(&self, txn: TxnId, ts: u64) {
         let mut st = self.inner.lock();
         st.clock = st.clock.max(ts);
-        if let Some(at) = st.active.iter().position(|(t, _)| *t == txn) {
-            let (_, rec) = st.active.swap_remove(at);
-            st.committed.insert(ts, rec);
+        if let Some(intent) = st.retire(txn) {
+            st.push_committed(ts, intent);
         }
         self.complete(st);
     }
 
     fn abort_txn(&self, txn: TxnId) {
         let mut st = self.inner.lock();
-        st.active.retain(|(t, _)| *t != txn);
+        st.retire(txn);
         self.complete(st);
     }
 }
@@ -1057,9 +1123,10 @@ mod tests {
             committed: &[&Option<i64>],
             own: &Option<i64>,
             inv: &RegInv,
-        ) -> Vec<(i64, Option<i64>)> {
-            match inv {
-                RegInv::Write(v) => vec![(0, Some(*v))],
+            out: &mut Vec<(i64, Option<i64>)>,
+        ) {
+            out.push(match inv {
+                RegInv::Write(v) => (0, Some(*v)),
                 RegInv::Read => {
                     let mut cur = *version;
                     for v in committed.iter().copied().flatten() {
@@ -1068,9 +1135,9 @@ mod tests {
                     if let Some(v) = own {
                         cur = *v;
                     }
-                    vec![(cur, *own)]
+                    (cur, *own)
                 }
-            }
+            });
         }
 
         fn apply(&self, version: &mut i64, intent: &Option<i64>) {
@@ -1705,6 +1772,142 @@ mod tests {
         }
         assert_eq!(o.retained_committed(), VIEW_INLINE + 3, "the pin folded nothing");
         assert_eq!(o.opts.metrics.snapshot().counter("lock.view.intents"), counted);
+    }
+
+    /// Two commits reach the object in reverse timestamp order, as two
+    /// sites' phase-2 messages may: the ring files the later arrival in
+    /// front, every watermark's image is exact, and `forget` folds the
+    /// earlier timestamp first.
+    #[test]
+    fn commits_arriving_out_of_timestamp_order_are_filed_in_it() {
+        let o = obj();
+        o.pin_horizon(0);
+        let (early, late) = (h(1), h(2));
+        o.execute(&early, RegInv::Write(10)).unwrap();
+        o.execute(&late, RegInv::Write(20)).unwrap();
+        o.commit_at(late.id(), 5);
+        o.commit_at(early.id(), 3);
+        for w in 0..=7 {
+            let image = match w {
+                0..=2 => 0,
+                3..=4 => 10,
+                _ => 20,
+            };
+            assert_eq!(o.committed_snapshot_at(w), image, "watermark {w}");
+            assert_eq!(o.snapshot_read(w), Ok(image), "watermark {w}");
+        }
+        // The horizon is the latest commit, 5: only ts 3 folds.
+        o.unpin_horizon();
+        assert_eq!((o.retained_committed(), o.version_snapshot()), (1, 10));
+        assert_eq!(o.snapshot_read(2), Err(SnapshotStale { folded: 3, watermark: 2 }));
+        assert_eq!(o.snapshot_read(4), Ok(10));
+        let next = h(3);
+        o.execute(&next, RegInv::Write(30)).unwrap();
+        o.commit_at(next.id(), 7);
+        assert_eq!((o.retained_committed(), o.version_snapshot()), (1, 20), "ts 5 folded last");
+        assert_eq!(o.stats().forgotten, 2);
+    }
+
+    /// The committed ring against a timestamp-keyed reference model.
+    mod ring_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// What the object should hold: the folded version, the
+        /// unforgotten commits by timestamp, the fold watermark.
+        #[derive(Default)]
+        struct Model {
+            version: i64,
+            committed: BTreeMap<u64, i64>,
+            folded: u64,
+        }
+
+        impl Model {
+            fn image_at(&self, w: u64) -> i64 {
+                self.committed.range(..=w).next_back().map_or(self.version, |(_, v)| *v)
+            }
+
+            /// Definition 20's horizon over the model, then the fold.
+            fn forget(&mut self, bounds: impl Iterator<Item = u64>, pin: Option<u64>) {
+                let Some(&max) = self.committed.keys().next_back() else { return };
+                let horizon = bounds.chain(pin).fold(max, u64::min);
+                while let Some(oldest) = self.committed.first_entry() {
+                    if *oldest.key() >= horizon {
+                        break;
+                    }
+                    let (ts, v) = oldest.remove_entry();
+                    self.version = v;
+                    self.folded = self.folded.max(ts);
+                }
+            }
+        }
+
+        fn agree(o: &TxObject<Register>, m: &Model, top: u64) {
+            assert_eq!(o.retained_committed(), m.committed.len());
+            assert_eq!(o.version_snapshot(), m.version);
+            for w in 0..=top {
+                assert_eq!(o.committed_snapshot_at(w), m.image_at(w), "committed_snapshot_at({w})");
+                let read = if w < m.folded {
+                    Err(SnapshotStale { folded: m.folded, watermark: w })
+                } else {
+                    Ok(m.image_at(w))
+                };
+                assert_eq!(o.snapshot_read(w), read, "snapshot_read({w})");
+            }
+        }
+
+        proptest! {
+            /// Writers commit one per step in the plan's order. Writer
+            /// `k` executes `start % (k + 1)` steps in (so earlier
+            /// arrivals can carry later timestamps than it) and draws its
+            /// timestamp above the clock it saw there, `gap` further on,
+            /// as the manager does. An optional checkpoint pin holds the
+            /// horizon throughout and is released at the end.
+            #[test]
+            fn the_ring_agrees_with_a_timestamp_keyed_model(
+                plan in prop::collection::vec((0usize..8, 0u64..12), 1..9),
+                pin in (0u64..3, 0u64..60),
+            ) {
+                let pin = (pin.0 > 0).then_some(pin.1);
+                let o = obj();
+                if let Some(p) = pin {
+                    o.pin_horizon(p);
+                }
+                let writers: Vec<_> = (0..plan.len() as u64).map(|k| h(k + 1)).collect();
+                let mut m = Model::default();
+                let (mut clock, mut top) = (0u64, 0u64);
+                let mut ts = vec![0u64; plan.len()];
+                let mut active: BTreeMap<usize, u64> = BTreeMap::new();
+                for step in 0..plan.len() {
+                    for (k, &(start, gap)) in plan.iter().enumerate().skip(step) {
+                        if start % (k + 1) != step {
+                            continue;
+                        }
+                        o.execute(&writers[k], RegInv::Write(100 + k as i64)).unwrap();
+                        let mut t = clock + 1 + gap;
+                        while ts.contains(&t) {
+                            t += 1;
+                        }
+                        ts[k] = t;
+                        top = top.max(t + 1);
+                        active.insert(k, clock);
+                    }
+                    // Writer `step` executed at this step or before it.
+                    active.remove(&step);
+                    o.commit_at(writers[step].id(), ts[step]);
+                    clock = clock.max(ts[step]);
+                    m.committed.insert(ts[step], 100 + step as i64);
+                    m.forget(active.values().copied(), pin);
+                    agree(&o, &m, top);
+                }
+                if pin.is_some() {
+                    o.unpin_horizon();
+                    m.forget(std::iter::empty(), None);
+                    agree(&o, &m, top);
+                }
+            }
+        }
     }
 
     #[test]

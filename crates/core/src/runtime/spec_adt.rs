@@ -162,7 +162,8 @@ impl<D: AdtDef> RuntimeAdt for SpecAdt<D> {
         committed: &[&Self::Intent],
         own: &Self::Intent,
         inv: &D::Op,
-    ) -> Vec<(D::Res, Self::Intent)> {
+        out: &mut Vec<(D::Res, Self::Intent)>,
+    ) {
         // Materialize the view: compacted state + committed intents in
         // timestamp order + the transaction's own effects. (Hand-written
         // RuntimeAdts often fold more cleverly — a balance, one
@@ -177,17 +178,13 @@ impl<D: AdtDef> RuntimeAdt for SpecAdt<D> {
         for (op, res) in own {
             self.def.apply(&mut view, op, res);
         }
-        self.def
-            .respond(&view, inv)
-            .into_iter()
-            .map(|res| {
-                let mut next = own.clone();
-                if !self.def.is_read(inv, &res) {
-                    next.push((inv.clone(), res.clone()));
-                }
-                (res, next)
-            })
-            .collect()
+        out.extend(self.def.respond(&view, inv).into_iter().map(|res| {
+            let mut next = own.clone();
+            if !self.def.is_read(inv, &res) {
+                next.push((inv.clone(), res.clone()));
+            }
+            (res, next)
+        }));
     }
 
     fn apply(&self, version: &mut D::State, intent: &Self::Intent) {

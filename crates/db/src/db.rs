@@ -421,8 +421,7 @@ impl Db {
     /// backoff) when the failure is transient per
     /// [`HccError::is_transient`] — a deadlock doom, a lock timeout, a
     /// refused prepare vote. The first retry after a deadlock doom
-    /// starts at once (the retried transaction is younger and blocks
-    /// behind the survivor); every other retry backs off first. Fatal
+    /// starts at once; every other retry backs off first. Fatal
     /// errors surface immediately; a transient failure that outlives the
     /// retry budget surfaces as [`HccError::RetriesExhausted`].
     ///
@@ -463,11 +462,15 @@ impl Db {
                     last: Box::new(err),
                 });
             }
-            // A deadlock victim's first retry needs no pause: it runs under
-            // a younger id and blocks behind the survivor wherever their
-            // operations conflict. Every other transient failure, and a
-            // second doom in a row, backs off — on the exponential
-            // schedule, which starts with the first pause.
+            // A deadlock victim's first retry starts at once, under a
+            // younger id. It does not necessarily queue behind the
+            // survivor: it waits only where its operations conflict with
+            // held ones, and the operation that opened the cycle may not.
+            // A queue's enq+deq takes its Enq again beside the survivor's
+            // (Enq does not conflict with Enq) and can deadlock again at
+            // Deq. Every other transient failure, and a second doom in a
+            // row, backs off — on the exponential schedule, which starts
+            // with the first pause.
             let doomed = matches!(
                 err,
                 HccError::Exec(ExecError::Doomed) | HccError::Commit(CommitError::Doomed)

@@ -14,7 +14,7 @@ use crate::deadlock::DeadlockDetector;
 use crate::marks::{ReadMarks, SLOTS};
 use crate::registry::RecoveryError;
 use hcc_core::runtime::{
-    CacheAligned, HorizonPins, PinGuard, RuntimeOptions, TxParticipant, TxnHandle, TxnPhase,
+    CacheAligned, HorizonPins, Participants, PinGuard, RuntimeOptions, TxnHandle, TxnPhase,
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
@@ -566,7 +566,7 @@ impl TxnManager {
 
     /// Abort a still-active transaction at `participants`, its fan-out
     /// set (already taken from the handle by the caller).
-    fn abort_at(&self, txn: &Arc<TxnHandle>, participants: &[Arc<dyn TxParticipant>]) {
+    fn abort_at(&self, txn: &Arc<TxnHandle>, participants: &Participants) {
         let started = Instant::now();
         txn.set_phase(TxnPhase::Aborted);
         for p in participants {
@@ -600,6 +600,7 @@ mod tests {
     use super::*;
     use hcc_adts::account::AccountObject;
     use hcc_adts::fifo_queue::QueueObject;
+    use hcc_core::runtime::TxParticipant;
     use hcc_spec::Rational;
     use std::time::Duration;
 
