@@ -3,8 +3,8 @@
 //! A transaction's intent is the affine transformation `b ↦ mul·b + add`
 //! summarizing its credits, interest postings and debits — exactly the
 //! appendix's `struct intent { float mul; float add; }`, but over exact
-//! rationals. The hybrid conflict relation is the symmetric closure of
-//! Table V:
+//! rationals. The hybrid conflict relation, derived from [`AccountSpec`],
+//! is the symmetric closure of Table V:
 //!
 //! ```text
 //! locks.define(CREDIT_LOCK,    OVERDRAFT_LOCK);
@@ -13,13 +13,15 @@
 //! ```
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::AccountSpec;
 use hcc_spec::{Operation, Rational, Value};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Account invocations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -174,44 +176,26 @@ impl RuntimeAdt for AccountAdt {
     fn type_name(&self) -> &'static str {
         "Account"
     }
-}
 
-/// The hybrid (Table V) conflict relation for accounts.
-pub struct AccountHybrid;
+    type Key = Rational;
+    const CLASSES: &'static [&'static str] = &["Credit", "Post", "Debit-Ok", "Debit-Overdraft"];
 
-impl LockSpec<AccountAdt> for AccountHybrid {
-    fn conflicts(&self, a: &(AccountInv, AccountRes), b: &(AccountInv, AccountRes)) -> bool {
-        use AccountRes::{Debited, Overdraft};
-        let is_overdraft = |o: &(AccountInv, AccountRes)| o.1 == Overdraft;
-        let is_debit_ok = |o: &(AccountInv, AccountRes)| o.1 == Debited;
-        let is_growth = |o: &(AccountInv, AccountRes)| {
-            matches!(o.0, AccountInv::Credit(_) | AccountInv::Post(_))
+    /// Table V's rows; every operation's key is its amount.
+    fn classify(_: &Relation, inv: &AccountInv, res: &AccountRes) -> Classified<Rational> {
+        let (class, amount) = match (inv, res) {
+            (AccountInv::Credit(a), _) => (0, a),
+            (AccountInv::Post(p), _) => (1, p),
+            (AccountInv::Debit(a), AccountRes::Debited) => (2, a),
+            (AccountInv::Debit(a), _) => (3, a),
         };
-        (is_overdraft(a) && is_growth(b))
-            || (is_overdraft(b) && is_growth(a))
-            || (is_debit_ok(a) && is_debit_ok(b))
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-    fn class_of(&self, op: &(AccountInv, AccountRes)) -> Option<String> {
-        // Table V's own row/column names, so the live lock metrics read
-        // like the paper.
-        Some(
-            match (&op.0, &op.1) {
-                (AccountInv::Credit(_), _) => "Credit",
-                (AccountInv::Post(_), _) => "Post",
-                (AccountInv::Debit(_), AccountRes::Debited) => "Debit-Ok",
-                (AccountInv::Debit(_), _) => "Debit-Overdraft",
-            }
-            .to_string(),
-        )
+        Classified { class: ClassId(class), key: Some(*amount) }
     }
 }
 
 impl ObjectAdt for AccountAdt {
-    fn canonical_locks() -> Arc<dyn LockSpec<AccountAdt>> {
-        Arc::new(AccountHybrid)
+    fn canonical_locks() -> SpecLock<AccountAdt> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::account))
     }
 
     fn encode_version(&self, balance: &Rational) -> Vec<u8> {
@@ -331,7 +315,7 @@ mod tests {
     fn credit_blocks_on_overdraft() {
         // Table V: Credit conflicts with Debit-Overdraft — a credit could
         // invalidate the overdraft response.
-        let a = AccountObject::with("acct", Arc::new(AccountHybrid), short_timeout());
+        let a = AccountObject::with_options("acct", short_timeout());
         let (t1, t2) = (h(1), h(2));
         assert!(!a.debit(&t1, r(5)).unwrap(), "overdraft on empty account");
         assert_eq!(a.credit(&t2, r(10)), Err(ExecError::Timeout));
@@ -339,7 +323,7 @@ mod tests {
 
     #[test]
     fn concurrent_debits_conflict() {
-        let a = AccountObject::with("acct", Arc::new(AccountHybrid), short_timeout());
+        let a = AccountObject::with_options("acct", short_timeout());
         let t0 = h(1);
         a.credit(&t0, r(10)).unwrap();
         a.inner().commit_at(t0.id(), 1);

@@ -2,13 +2,15 @@
 //! while `read` takes a value-sensitive lock (extension type).
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::CounterSpec;
 use hcc_spec::{Operation, Value};
 use serde_json::json;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Counter invocations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,29 +90,28 @@ impl RuntimeAdt for CounterAdt {
     fn type_name(&self) -> &'static str {
         "Counter"
     }
-}
 
-/// Hybrid conflicts: a read is invalidated by any non-zero update; updates
-/// never conflict with each other.
-pub struct CounterHybrid;
+    type Key = i64;
+    const CLASSES: &'static [&'static str] = &["Inc", "Dec", "Touch", "Read"];
 
-impl LockSpec<CounterAdt> for CounterHybrid {
-    fn conflicts(&self, a: &(CounterInv, CounterRes), b: &(CounterInv, CounterRes)) -> bool {
-        let nonzero_update = |o: &(CounterInv, CounterRes)| match o.0 {
-            CounterInv::Inc(n) | CounterInv::Dec(n) => n != 0,
-            CounterInv::Read => false,
+    /// A zero-delta update is its own class, `Touch`; the key is the delta
+    /// or the value read.
+    fn classify(_: &Relation, inv: &CounterInv, res: &CounterRes) -> Classified<i64> {
+        let (class, key) = match (inv, res) {
+            (CounterInv::Inc(0) | CounterInv::Dec(0), _) => (2, 0),
+            (CounterInv::Inc(n), _) => (0, *n),
+            (CounterInv::Dec(n), _) => (1, *n),
+            (CounterInv::Read, CounterRes::Val(v)) => (3, *v),
+            (CounterInv::Read, CounterRes::Ok) => unreachable!("read returns a value"),
         };
-        let is_read = |o: &(CounterInv, CounterRes)| matches!(o.0, CounterInv::Read);
-        (is_read(a) && nonzero_update(b)) || (is_read(b) && nonzero_update(a))
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
+        Classified { class: ClassId(class), key: Some(key) }
     }
 }
 
 impl ObjectAdt for CounterAdt {
-    fn canonical_locks() -> Arc<dyn LockSpec<CounterAdt>> {
-        Arc::new(CounterHybrid)
+    fn canonical_locks() -> SpecLock<CounterAdt> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::counter))
     }
 
     fn encode_version(&self, value: &i64) -> Vec<u8> {
@@ -151,7 +152,7 @@ impl Object<CounterAdt> {
 }
 
 /// The Counter restated through the declarative [`AdtDef`] surface — the
-/// **ported twin** of [`CounterAdt`] + [`CounterHybrid`]: one definition
+/// **ported twin** of [`CounterAdt`]: one definition
 /// from which the runtime adapter, the lock relation (derived from
 /// [`CounterSpec`] at first construction, cached per type), the snapshot
 /// codec, and the `Db` handle are all generic. The wire format reuses
@@ -264,9 +265,8 @@ mod tests {
 
     #[test]
     fn read_blocks_on_uncommitted_update() {
-        let c = CounterObject::with(
+        let c = CounterObject::with_options(
             "c",
-            Arc::new(CounterHybrid),
             RuntimeOptions::with_timeout(Some(Duration::from_millis(30))),
         );
         let (t1, t2) = (h(1), h(2));

@@ -78,9 +78,7 @@
 //! recovering, self-logging handle with no further impls.
 
 use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::LockSpec;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 pub use hcc_core::runtime::{AdtDef, ConflictSpec, RedoDecodeError, SpecAdt, SpecLock};
 pub use hcc_relations::derive::{
@@ -99,8 +97,8 @@ pub type SpecObject<D> = Object<SpecAdt<D>>;
 /// The two things [`Object`] asks of a type, read off the definition:
 /// the relation its [`ConflictSpec`] names and its state codec.
 impl<D: AdtDef> ObjectAdt for SpecAdt<D> {
-    fn canonical_locks() -> Arc<dyn LockSpec<SpecAdt<D>>> {
-        SpecLock::<SpecAdt<D>>::from_def()
+    fn canonical_locks() -> SpecLock<SpecAdt<D>> {
+        SpecLock::from_def()
     }
 
     fn encode_version(&self, state: &D::State) -> Vec<u8> {

@@ -3,8 +3,10 @@
 //! directories as typed objects).
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::DirectorySpec;
 use hcc_spec::{Operation, Value};
@@ -13,7 +15,7 @@ use serde_json::json;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bound alias for keys. Serde bounds make the type self-logging (redo
 /// payloads) and checkpointable (snapshots).
@@ -181,47 +183,30 @@ impl<K: Key, V: Val> RuntimeAdt for DirectoryAdt<K, V> {
     fn type_name(&self) -> &'static str {
         "Directory"
     }
-}
 
-/// Hybrid conflicts: per key, mutating inserts conflict with operations
-/// they could invalidate (inserts→Inserted, remove/lookup misses) and
-/// mutating removes with the operations *they* could invalidate (duplicate
-/// inserts, remove/lookup hits).
-pub struct DirectoryHybrid;
+    type Key = K;
+    const CLASSES: &'static [&'static str] =
+        &["Insert-New", "Insert-Dup", "Remove-Hit", "Remove-Miss", "Lookup-Hit", "Lookup-Miss"];
 
-impl<K: Key, V: Val> LockSpec<DirectoryAdt<K, V>> for DirectoryHybrid {
-    fn conflicts(&self, a: &(DirInv<K, V>, DirRes<V>), b: &(DirInv<K, V>, DirRes<V>)) -> bool {
-        let key = |o: &(DirInv<K, V>, DirRes<V>)| match &o.0 {
-            DirInv::Insert(k, _) | DirInv::Remove(k) | DirInv::Lookup(k) => k.clone(),
+    /// Each invocation splits by whether it found the key bound; the key
+    /// is the directory key.
+    fn classify(_: &Relation, inv: &DirInv<K, V>, res: &DirRes<V>) -> Classified<K> {
+        let (class, key) = match (inv, res) {
+            (DirInv::Insert(k, _), DirRes::Inserted) => (0, k),
+            (DirInv::Insert(k, _), _) => (1, k),
+            (DirInv::Remove(k), DirRes::Missing) => (3, k),
+            (DirInv::Remove(k), _) => (2, k),
+            (DirInv::Lookup(k), DirRes::Missing) => (5, k),
+            (DirInv::Lookup(k), _) => (4, k),
         };
-        if key(a) != key(b) {
-            return false;
-        }
-        let dep = |q: &(DirInv<K, V>, DirRes<V>), p: &(DirInv<K, V>, DirRes<V>)| -> bool {
-            let p_binds = matches!((&p.0, &p.1), (DirInv::Insert(..), DirRes::Inserted));
-            let p_unbinds = matches!((&p.0, &p.1), (DirInv::Remove(_), DirRes::Val(_)));
-            match (&q.0, &q.1) {
-                // Invalidated by a binding insert:
-                (DirInv::Insert(..), DirRes::Inserted) => p_binds,
-                (DirInv::Remove(_), DirRes::Missing) => p_binds,
-                (DirInv::Lookup(_), DirRes::Missing) => p_binds,
-                // Invalidated by an unbinding remove:
-                (DirInv::Insert(..), DirRes::Duplicate) => p_unbinds,
-                (DirInv::Remove(_), DirRes::Val(_)) => p_unbinds,
-                (DirInv::Lookup(_), DirRes::Val(_)) => p_unbinds,
-                _ => false,
-            }
-        };
-        dep(a, b) || dep(b, a)
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
+        Classified { class: ClassId(class), key: Some(key.clone()) }
     }
 }
 
 impl<K: Key, V: Val> ObjectAdt for DirectoryAdt<K, V> {
-    fn canonical_locks() -> Arc<dyn LockSpec<DirectoryAdt<K, V>>> {
-        Arc::new(DirectoryHybrid)
+    fn canonical_locks() -> SpecLock<DirectoryAdt<K, V>> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::directory))
     }
 
     /// `[key, value]` pairs in key order.
@@ -312,9 +297,8 @@ mod tests {
         TxnHandle::new(TxnId(n))
     }
     fn short() -> DirectoryObject<String, i64> {
-        DirectoryObject::with(
+        DirectoryObject::with_options(
             "d",
-            Arc::new(DirectoryHybrid),
             RuntimeOptions::with_timeout(Some(Duration::from_millis(30))),
         )
     }

@@ -5,18 +5,20 @@
 //! concurrently — the dequeue order of concurrently-enqueued items is
 //! decided by their commit timestamps.
 //!
-//! The queue has two minimal conflict relations. The canonical one is
-//! written here by hand: [`QueueTableII`] — `Deq` conflicts with `Enq` of
-//! a different item and with `Deq` of the same item; enqueues never
-//! conflict. The other, Table III (`Enq` conflicts with `Enq` of a
+//! The queue has two minimal conflict relations. The canonical one is the
+//! invalidated-by relation derived from [`QueueSpec`], Table II — `Deq`
+//! conflicts with `Enq` of a different item and with `Deq` of the same
+//! item; enqueues never conflict. The other, Table III (`Enq` conflicts with `Enq` of a
 //! different item, `Deq` with `Deq` of the same item), is also the
 //! queue's failure-to-commute relation: `hcc-workload`'s commutativity
 //! scheme derives it from the serial specification, and `hcc-relations`
 //! pins it as `paper_table_iii`.
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::QueueSpec;
 use hcc_spec::{Operation, Value};
@@ -25,7 +27,7 @@ use serde_json::json;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bound alias for queue items. Serde bounds make the type self-logging
 /// (redo payloads) and checkpointable (snapshots).
@@ -128,6 +130,19 @@ impl<T: Item> RuntimeAdt for QueueAdt<T> {
     fn type_name(&self) -> &'static str {
         "FIFO-Queue"
     }
+
+    type Key = T;
+    const CLASSES: &'static [&'static str] = &["Enq", "Deq"];
+
+    /// Table II's rows; the key is the item enqueued or dequeued.
+    fn classify(_: &Relation, inv: &QueueInv<T>, res: &QueueRes<T>) -> Classified<T> {
+        let (class, item) = match (inv, res) {
+            (QueueInv::Enq(x), _) => (0, x),
+            (QueueInv::Deq, QueueRes::Item(x)) => (1, x),
+            (QueueInv::Deq, QueueRes::Ok) => unreachable!("deq returns an item"),
+        };
+        Classified { class: ClassId(class), key: Some(item.clone()) }
+    }
 }
 
 /// The head of the view — `version` with `committed` and then `own`
@@ -171,36 +186,10 @@ fn replay<T: Clone>(q: &mut VecDeque<T>, ops: &[QueueOp<T>]) {
     }
 }
 
-/// Table II conflicts: `Deq→v` ↔ `Enq(v′)` when `v ≠ v′`; `Deq→v` ↔
-/// `Deq→v` — enqueues never conflict.
-pub struct QueueTableII;
-
-impl<T: Item> LockSpec<QueueAdt<T>> for QueueTableII {
-    fn conflicts(&self, a: &(QueueInv<T>, QueueRes<T>), b: &(QueueInv<T>, QueueRes<T>)) -> bool {
-        match (a, b) {
-            ((QueueInv::Deq, QueueRes::Item(v)), (QueueInv::Enq(w), _))
-            | ((QueueInv::Enq(w), _), (QueueInv::Deq, QueueRes::Item(v))) => v != w,
-            ((QueueInv::Deq, QueueRes::Item(v)), (QueueInv::Deq, QueueRes::Item(w))) => v == w,
-            _ => false,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "hybrid-table-ii"
-    }
-    fn class_of(&self, op: &(QueueInv<T>, QueueRes<T>)) -> Option<String> {
-        Some(
-            match op.0 {
-                QueueInv::Enq(_) => "Enq",
-                QueueInv::Deq => "Deq",
-            }
-            .to_string(),
-        )
-    }
-}
-
 impl<T: Item> ObjectAdt for QueueAdt<T> {
-    fn canonical_locks() -> Arc<dyn LockSpec<QueueAdt<T>>> {
-        Arc::new(QueueTableII)
+    fn canonical_locks() -> SpecLock<QueueAdt<T>> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::queue))
     }
 
     fn encode_version(&self, items: &VecDeque<T>) -> Vec<u8> {
@@ -279,7 +268,7 @@ mod tests {
 
     #[test]
     fn table_ii_deq_blocks_on_uncommitted_enq_of_other_item() {
-        let q: QueueObject<i64> = QueueObject::with("q", Arc::new(QueueTableII), short());
+        let q: QueueObject<i64> = QueueObject::with_options("q", short());
         let t0 = h(1);
         q.enq(&t0, 1).unwrap();
         q.inner().commit_at(t0.id(), 1);
@@ -315,7 +304,7 @@ mod tests {
 
     #[test]
     fn aborted_enqueue_leaves_no_item() {
-        let q: QueueObject<i64> = QueueObject::with("q", Arc::new(QueueTableII), short());
+        let q: QueueObject<i64> = QueueObject::with_options("q", short());
         let t1 = h(1);
         q.enq(&t1, 7).unwrap();
         q.inner().abort_txn(t1.id());

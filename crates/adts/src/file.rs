@@ -6,8 +6,10 @@
 //! the written value differs from the value read.
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::FileSpec;
 use hcc_spec::{Operation, Value};
@@ -15,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::json;
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bound alias for file contents. Serde bounds make the type self-logging
 /// (redo payloads) and checkpointable (snapshots).
@@ -115,27 +117,25 @@ impl<T: Content> RuntimeAdt for FileAdt<T> {
     fn type_name(&self) -> &'static str {
         "File"
     }
-}
 
-/// Table I conflicts: `Read→v` ↔ `Write(v′)` when `v ≠ v′`; nothing else.
-pub struct FileHybrid;
+    type Key = T;
+    const CLASSES: &'static [&'static str] = &["Read", "Write"];
 
-impl<T: Content> LockSpec<FileAdt<T>> for FileHybrid {
-    fn conflicts(&self, a: &(FileInv<T>, FileRes<T>), b: &(FileInv<T>, FileRes<T>)) -> bool {
-        match (a, b) {
-            ((FileInv::Read, FileRes::Val(v)), (FileInv::Write(w), _))
-            | ((FileInv::Write(w), _), (FileInv::Read, FileRes::Val(v))) => v != w,
-            _ => false,
-        }
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
+    /// Table I's rows; the key is the value written or read.
+    fn classify(_: &Relation, inv: &FileInv<T>, res: &FileRes<T>) -> Classified<T> {
+        let (class, value) = match (inv, res) {
+            (FileInv::Read, FileRes::Val(v)) => (0, v),
+            (FileInv::Write(v), _) => (1, v),
+            (FileInv::Read, FileRes::Ok) => unreachable!("read returns a value"),
+        };
+        Classified { class: ClassId(class), key: Some(value.clone()) }
     }
 }
 
 impl<T: Content> ObjectAdt for FileAdt<T> {
-    fn canonical_locks() -> Arc<dyn LockSpec<FileAdt<T>>> {
-        Arc::new(FileHybrid)
+    fn canonical_locks() -> SpecLock<FileAdt<T>> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::file))
     }
 
     fn encode_version(&self, value: &T) -> Vec<u8> {
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn read_conflicts_with_differing_write() {
-        let f: FileObject<i64> = FileObject::with("f", Arc::new(FileHybrid), short());
+        let f: FileObject<i64> = FileObject::with_options("f", short());
         let (t1, t2) = (h(1), h(2));
         f.write(&t1, 7).unwrap();
         assert_eq!(f.read(&t2), Err(ExecError::Timeout));
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn writer_blocks_on_reader_of_other_value() {
-        let f: FileObject<i64> = FileObject::with("f", Arc::new(FileHybrid), short());
+        let f: FileObject<i64> = FileObject::with_options("f", short());
         let (t1, t2) = (h(1), h(2));
         assert_eq!(f.read(&t1).unwrap(), 0);
         assert_eq!(f.write(&t2, 5), Err(ExecError::Timeout));

@@ -4,12 +4,14 @@
 //!
 //! 1. a [`hcc_core::runtime::RuntimeAdt`] — compact version + intent
 //!    summaries (the appendix pattern), with its self-logging redo codec;
-//! 2. a hybrid [`hcc_core::runtime::LockSpec`] encoding the paper's derived
-//!    conflict relation (the symmetric closure of the type's minimal
-//!    dependency relation), response-aware where the paper's is
-//!    (Account, Set, Directory);
-//! 3. an [`ObjectAdt`] impl naming that relation as canonical and giving
-//!    the version's checkpoint codec;
+//! 2. a typed classifier (`RuntimeAdt::classify`) filing each executed
+//!    operation under its conflict class — the row of the type's paper
+//!    table, response-aware where the paper's is (Account, Set,
+//!    Directory) — and its key, with no formal operation built;
+//! 3. an [`ObjectAdt`] impl whose canonical lock is the hybrid relation
+//!    derived from the type's serial specification (once per process, then
+//!    held per type), compiled to a class matrix, and the version's
+//!    checkpoint codec;
 //! 4. the typed methods (`credit`, `enq`, …) of its object alias, plus a
 //!    mapping onto the dynamic `hcc-spec` operations, so integration tests
 //!    can check runtime histories against the formal specification.

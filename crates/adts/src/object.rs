@@ -14,22 +14,26 @@
 //! inherent impl beside the type.
 
 use hcc_core::runtime::{
-    ExecError, LockSpec, RedoDecodeError, RuntimeAdt, RuntimeOptions, SnapshotStale, TxObject,
+    ExecError, RedoDecodeError, RuntimeAdt, RuntimeOptions, SnapshotStale, SpecLock, TxObject,
     TxnHandle,
 };
-use std::sync::Arc;
+use hcc_relations::derive::conflict_atoms;
+use hcc_relations::relation::Relation;
+use hcc_relations::tables::AdtConfig;
+use std::sync::{Arc, OnceLock};
 
 /// A [`RuntimeAdt`] that can stand behind an [`Object`]: it names its
 /// canonical conflict relation and serializes its committed version.
 /// Both are required — every durable type must say what its checkpoint
 /// image is, and which relation `Db::object` runs it under.
 pub trait ObjectAdt: RuntimeAdt + Default {
-    /// The type's canonical conflict relation: the paper's table for the
-    /// built-ins, the definition's [`ConflictSpec`] for declaratively
-    /// defined types.
+    /// The type's canonical conflict relation: for a built-in, the hybrid
+    /// relation derived from its serial specification, once per process;
+    /// for a declaratively defined type, the definition's
+    /// [`ConflictSpec`].
     ///
     /// [`ConflictSpec`]: hcc_core::runtime::ConflictSpec
-    fn canonical_locks() -> Arc<dyn LockSpec<Self>>;
+    fn canonical_locks() -> SpecLock<Self>;
 
     /// Serialize a committed version — the checkpoint image. The bytes
     /// are an on-disk format: changing them strands old checkpoints.
@@ -37,6 +41,17 @@ pub trait ObjectAdt: RuntimeAdt + Default {
 
     /// Decode a payload produced by [`ObjectAdt::encode_version`].
     fn decode_version(&self, bytes: &[u8]) -> Result<Self::Version, RedoDecodeError>;
+}
+
+/// The hybrid relation `config` derives from a built-in's serial
+/// specification (the invalidated-by relation, §4), over the config's
+/// classes in table order. The derivation runs once per process and
+/// `cell`, the type's own, holds the result: a repeat open clones it.
+pub(crate) fn derived_hybrid(
+    cell: &'static OnceLock<Relation>,
+    config: fn() -> AdtConfig,
+) -> Relation {
+    cell.get_or_init(|| config().cached(conflict_atoms)).clone()
 }
 
 /// A named transactional object of type `A`.
@@ -57,13 +72,9 @@ impl<A: ObjectAdt> Object<A> {
         Self::with(name, A::canonical_locks(), opts)
     }
 
-    /// An arbitrary lock relation over the same type — a baseline scheme,
-    /// a hand-tuned `LockSpec`.
-    pub fn with(
-        name: impl Into<String>,
-        locks: Arc<dyn LockSpec<A>>,
-        opts: RuntimeOptions,
-    ) -> Object<A> {
+    /// Another lock relation over the same type — a rival scheme, a
+    /// stated table.
+    pub fn with(name: impl Into<String>, locks: SpecLock<A>, opts: RuntimeOptions) -> Object<A> {
         Object { obj: TxObject::new(name, A::default(), locks, opts) }
     }
 

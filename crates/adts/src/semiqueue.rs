@@ -8,8 +8,10 @@
 //! point about nondeterminism.
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::SemiqueueSpec;
 use hcc_spec::{Operation, Value};
@@ -18,7 +20,7 @@ use serde_json::json;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bound alias for semiqueue items (ordered so candidate enumeration is
 /// deterministic). Serde bounds make the type self-logging (redo
@@ -150,6 +152,19 @@ impl<T: Item> RuntimeAdt for SemiqueueAdt<T> {
     fn type_name(&self) -> &'static str {
         "Semiqueue"
     }
+
+    type Key = T;
+    const CLASSES: &'static [&'static str] = &["Ins", "Rem"];
+
+    /// Table IV's rows; the key is the item inserted or removed.
+    fn classify(_: &Relation, inv: &SqInv<T>, res: &SqRes<T>) -> Classified<T> {
+        let (class, item) = match (inv, res) {
+            (SqInv::Ins(x), _) => (0, x),
+            (SqInv::Rem, SqRes::Item(x)) => (1, x),
+            (SqInv::Rem, SqRes::Ok) => unreachable!("rem returns an item"),
+        };
+        Classified { class: ClassId(class), key: Some(item.clone()) }
+    }
 }
 
 fn replay<T: Ord + Clone>(ms: &mut Multiset<T>, ops: &[SqOp<T>]) {
@@ -164,33 +179,10 @@ fn replay<T: Ord + Clone>(ms: &mut Multiset<T>, ops: &[SqOp<T>]) {
     }
 }
 
-/// Table IV conflicts: `Rem→v` ↔ `Rem→v`; nothing else.
-pub struct SemiqueueHybrid;
-
-impl<T: Item> LockSpec<SemiqueueAdt<T>> for SemiqueueHybrid {
-    fn conflicts(&self, a: &(SqInv<T>, SqRes<T>), b: &(SqInv<T>, SqRes<T>)) -> bool {
-        matches!(
-            (a, b),
-            ((SqInv::Rem, SqRes::Item(v)), (SqInv::Rem, SqRes::Item(w))) if v == w
-        )
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-    fn class_of(&self, op: &(SqInv<T>, SqRes<T>)) -> Option<String> {
-        Some(
-            match op.0 {
-                SqInv::Ins(_) => "Ins",
-                SqInv::Rem => "Rem",
-            }
-            .to_string(),
-        )
-    }
-}
-
 impl<T: Item> ObjectAdt for SemiqueueAdt<T> {
-    fn canonical_locks() -> Arc<dyn LockSpec<SemiqueueAdt<T>>> {
-        Arc::new(SemiqueueHybrid)
+    fn canonical_locks() -> SpecLock<SemiqueueAdt<T>> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::semiqueue))
     }
 
     /// `[item, multiplicity]` pairs in item order.
@@ -277,8 +269,7 @@ mod tests {
 
     #[test]
     fn removers_conflict_only_on_the_last_item() {
-        let s: SemiqueueObject<i64> =
-            SemiqueueObject::with("s", Arc::new(SemiqueueHybrid), short());
+        let s: SemiqueueObject<i64> = SemiqueueObject::with_options("s", short());
         let t0 = h(1);
         s.ins(&t0, 1).unwrap();
         s.inner().commit_at(t0.id(), 1);
@@ -302,8 +293,7 @@ mod tests {
     fn duplicate_items_allow_concurrent_removes_of_same_value() {
         // Two copies of 5: removers both get 5... but that is the same
         // item value, so they conflict under Table IV (v = v').
-        let s: SemiqueueObject<i64> =
-            SemiqueueObject::with("s", Arc::new(SemiqueueHybrid), short());
+        let s: SemiqueueObject<i64> = SemiqueueObject::with_options("s", short());
         let t0 = h(1);
         s.ins(&t0, 5).unwrap();
         s.ins(&t0, 5).unwrap();

@@ -7,8 +7,10 @@
 //! conflict only with the operations that could invalidate them.
 
 use crate::define::{decode_json_state, encode_json_state};
-use crate::object::{Object, ObjectAdt};
-use hcc_core::runtime::{ExecError, LockSpec, RedoDecodeError, RuntimeAdt, TxnHandle};
+use crate::object::{derived_hybrid, Object, ObjectAdt};
+use hcc_core::runtime::{Classified, ExecError, RedoDecodeError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_relations::relation::{ClassId, Relation};
+use hcc_relations::tables::AdtConfig;
 use hcc_spec::adt::SharedAdt;
 use hcc_spec::specs::SetSpec;
 use hcc_spec::{Operation, Value};
@@ -17,7 +19,7 @@ use serde_json::json;
 use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bound alias for set elements. Serde bounds make the type self-logging
 /// (redo payloads) and checkpointable (snapshots).
@@ -148,48 +150,26 @@ impl<T: Elem> RuntimeAdt for SetAdt<T> {
     fn type_name(&self) -> &'static str {
         "Set"
     }
-}
 
-/// Hybrid conflicts (symmetric closure of the derived invalidated-by
-/// relation): per element `x`,
-///
-/// * `Add(x)→true` ↔ `Add(x)→true`, `Remove(x)→false`, `Contains(x)→false`
-/// * `Remove(x)→true` ↔ `Remove(x)→true`, `Add(x)→false`, `Contains(x)→true`
-pub struct SetHybrid;
+    type Key = T;
+    const CLASSES: &'static [&'static str] =
+        &["Add-New", "Add-Dup", "Remove-Hit", "Remove-Miss", "Contains-T", "Contains-F"];
 
-impl<T: Elem> LockSpec<SetAdt<T>> for SetHybrid {
-    fn conflicts(&self, a: &(SetInv<T>, bool), b: &(SetInv<T>, bool)) -> bool {
-        let elem = |o: &(SetInv<T>, bool)| match &o.0 {
-            SetInv::Add(x) | SetInv::Remove(x) | SetInv::Contains(x) => x.clone(),
+    /// Each invocation splits by its answer; the key is the element.
+    fn classify(_: &Relation, inv: &SetInv<T>, res: &bool) -> Classified<T> {
+        let (class, elem) = match inv {
+            SetInv::Add(x) => (0, x),
+            SetInv::Remove(x) => (2, x),
+            SetInv::Contains(x) => (4, x),
         };
-        if elem(a) != elem(b) {
-            return false;
-        }
-        let dep = |q: &(SetInv<T>, bool), p: &(SetInv<T>, bool)| -> bool {
-            match (&q.0, q.1, &p.0, p.1) {
-                // Mutating add invalidates: add→true, remove→false,
-                // contains→false.
-                (SetInv::Add(_), true, SetInv::Add(_), true) => true,
-                (SetInv::Remove(_), false, SetInv::Add(_), true) => true,
-                (SetInv::Contains(_), false, SetInv::Add(_), true) => true,
-                // Mutating remove invalidates: add→false, remove→true,
-                // contains→true.
-                (SetInv::Add(_), false, SetInv::Remove(_), true) => true,
-                (SetInv::Remove(_), true, SetInv::Remove(_), true) => true,
-                (SetInv::Contains(_), true, SetInv::Remove(_), true) => true,
-                _ => false,
-            }
-        };
-        dep(a, b) || dep(b, a)
-    }
-    fn name(&self) -> &'static str {
-        "hybrid"
+        Classified { class: ClassId(class + u8::from(!*res)), key: Some(elem.clone()) }
     }
 }
 
 impl<T: Elem> ObjectAdt for SetAdt<T> {
-    fn canonical_locks() -> Arc<dyn LockSpec<SetAdt<T>>> {
-        Arc::new(SetHybrid)
+    fn canonical_locks() -> SpecLock<SetAdt<T>> {
+        static HYBRID: OnceLock<Relation> = OnceLock::new();
+        SpecLock::new("hybrid", derived_hybrid(&HYBRID, AdtConfig::set))
     }
 
     fn encode_version(&self, members: &BTreeSet<T>) -> Vec<u8> {
@@ -227,7 +207,7 @@ impl<T: Elem> Object<SetAdt<T>> {
 }
 
 /// The Set restated through the declarative [`AdtDef`] surface — the
-/// **ported twin** of [`SetAdt`] + [`SetHybrid`]: the per-element,
+/// **ported twin** of [`SetAdt`]: the per-element,
 /// response-dependent conflict relation is *derived* from
 /// [`SetSpec`](hcc_spec::specs::SetSpec) at first construction (cached
 /// per type) instead of hand-encoded, and snapshots/replay/`Db` handles
@@ -336,11 +316,7 @@ mod tests {
         TxnHandle::new(TxnId(n))
     }
     fn short<T: Elem>() -> SetObject<T> {
-        SetObject::with(
-            "s",
-            Arc::new(SetHybrid),
-            RuntimeOptions::with_timeout(Some(Duration::from_millis(30))),
-        )
+        SetObject::with_options("s", RuntimeOptions::with_timeout(Some(Duration::from_millis(30))))
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `DeadlockDetector`, visible both through `detector().victims()` and
 //! the `deadlock.victims` metric the manager mirrors it into.
 
-use hcc_adts::fifo_queue::{QueueObject, QueueTableII};
+use hcc_adts::fifo_queue::QueueObject;
 use hcc_check::{deadlock_potential, CheckInput};
 use hcc_core::runtime::{BlockPolicy, ExecError, RuntimeOptions, TxnHandle, WaitObserver};
 use hcc_relations::relation::OpClass;
@@ -54,8 +54,7 @@ fn predicted_queue_cycle_is_real() {
     // view is empty) and conflicts with the other's Enq (v ≠ v′), so
     // both block — the predicted cycle, for the detector to break.
     let mgr = TxnManager::new();
-    let q: Arc<QueueObject<i64>> =
-        Arc::new(QueueObject::with("q", Arc::new(QueueTableII), mgr.object_options()));
+    let q: Arc<QueueObject<i64>> = Arc::new(QueueObject::with_options("q", mgr.object_options()));
 
     let t1 = mgr.begin();
     let t2 = mgr.begin();
@@ -102,8 +101,7 @@ fn predicted_queue_cycle_is_real() {
 fn cycle_resolves_by_events_alone() {
     within_watchdog(|| {
         let mgr = TxnManager::new();
-        let q: Arc<QueueObject<i64>> =
-            Arc::new(QueueObject::with("q", Arc::new(QueueTableII), untimed(&mgr)));
+        let q: Arc<QueueObject<i64>> = Arc::new(QueueObject::with_options("q", untimed(&mgr)));
         let both_hold_enq = Arc::new(Barrier::new(2));
         let (older, younger) = (mgr.begin(), mgr.begin());
         let run = |txn: Arc<TxnHandle>, item: i64| {
@@ -149,8 +147,7 @@ fn deq_on_an_empty_queue_is_woken_by_a_committing_enq() {
         let (blocked_tx, blocked) = mpsc::channel();
         let opts =
             RuntimeOptions { observer: Arc::new(Blocked(Mutex::new(blocked_tx))), ..untimed(&mgr) };
-        let q: Arc<QueueObject<i64>> =
-            Arc::new(QueueObject::with("q", Arc::new(QueueTableII), opts));
+        let q: Arc<QueueObject<i64>> = Arc::new(QueueObject::with_options("q", opts));
         let consumer = {
             let (mgr, q) = (mgr.clone(), q.clone());
             std::thread::spawn(move || {

@@ -4,9 +4,9 @@
 //! compact version, per-transaction intent summaries, a lock table keyed
 //! by executed operations, `when`-style blocking on conflicts, and
 //! horizon-based forgetting of committed transactions. Typed data types
-//! plug in through [`runtime::RuntimeAdt`]; concurrency-control schemes
-//! (hybrid, commutativity, read/write) plug in through
-//! [`runtime::LockSpec`].
+//! plug in through [`runtime::RuntimeAdt`]; a concurrency-control scheme
+//! (hybrid, commutativity, read/write) is a [`runtime::SpecLock`] over a
+//! relation derived from the type's serial specification.
 //!
 //! The literal Section-5.1 LOCK state machine it is tested against —
 //! slow, obviously correct, recording its own history — is a test oracle
@@ -15,6 +15,6 @@
 pub mod runtime;
 
 pub use runtime::{
-    AdtDef, BlockPolicy, ConflictSpec, ExecError, LockSpec, RuntimeAdt, RuntimeOptions, SpecAdt,
-    SpecLock, TxObject, TxParticipant, TxnHandle, TxnPhase, WaitObserver,
+    AdtDef, BlockPolicy, ConflictSpec, ExecError, RuntimeAdt, RuntimeOptions, SpecAdt, SpecLock,
+    TxObject, TxParticipant, TxnHandle, TxnPhase, WaitObserver,
 };

@@ -1,5 +1,7 @@
-//! Traits connecting typed data types and concurrency-control schemes to
-//! the generic object runtime.
+//! The trait connecting typed data types to the generic object runtime,
+//! and the classified form of an executed operation its lock test reads.
+
+use hcc_relations::relation::{ClassId, Relation};
 
 /// A redo payload could not be decoded back into an executed operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,82 +88,46 @@ pub trait RuntimeAdt: Send + Sync + 'static {
 
     /// The type's name for diagnostics.
     fn type_name(&self) -> &'static str;
+
+    /// What a relation's key conditions (`v = v′`, `v ≠ v′`) compare: an
+    /// operation's first argument, else its response.
+    type Key: PartialEq + Send + Sync;
+
+    /// The class names [`RuntimeAdt::classify`] numbers, in its order: the
+    /// rows of the type's paper table. Empty for a type that files its
+    /// operations by name through the relation ([`super::SpecAdt`]).
+    const CLASSES: &'static [&'static str] = &[];
+
+    /// File the executed operation `(inv, res)` for `relation`'s lock
+    /// test, exactly as mapping it onto the formal layer, classifying the
+    /// result and taking its key (`hcc_relations::relation::key_value`)
+    /// would. A type with [`RuntimeAdt::CLASSES`] numbers its classes in
+    /// that order, and the lock compiles the relation over them.
+    fn classify(relation: &Relation, inv: &Self::Inv, res: &Self::Res) -> Classified<Self::Key>;
 }
 
-/// An executed operation pre-classified for conflict testing: its
-/// mapping onto the formal layer (`hcc-spec`'s dynamic [`Operation`])
-/// and the conflict class that mapping lands in.
-///
-/// Schemes that classify through a spec mapping ([`super::SpecLock`])
-/// compute this **once per executed operation** via
-/// [`LockSpec::prepare`]; the runtime stores it beside the op and feeds
-/// it back into every later [`LockSpec::conflicts_prepared`] test, so
-/// the per-op `spec_op` + classification work leaves the lock-test hot
-/// path. Hand-written schemes that pattern-match invocations directly
-/// return `None` from `prepare` and never see this type.
-///
-/// [`Operation`]: hcc_spec::Operation
-#[derive(Clone, Debug)]
-pub struct ClassifiedOp {
-    /// The executed operation lifted into the dynamic spec layer.
-    pub op: hcc_spec::Operation,
-    /// The conflict class the lifted operation belongs to.
-    pub class: hcc_relations::relation::OpClass,
+/// An executed operation filed for the lock test: its class in the
+/// relation's vocabulary and its key, the value the relation's key
+/// conditions compare (`None` for an operation with neither argument nor
+/// response).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Classified<K> {
+    /// The operation's conflict class.
+    pub class: ClassId,
+    /// Its first argument, else its response.
+    pub key: Option<K>,
 }
 
-/// A lock-conflict test over executed operations `(invocation, response)`.
-///
-/// The same [`RuntimeAdt`] can run under different schemes: the hybrid
-/// dependency-based relation (this paper), Weihl's commutativity-based
-/// relation, or classical read/write locking — only this trait changes.
-pub trait LockSpec<A: RuntimeAdt + ?Sized>: Send + Sync {
-    /// Do two executed operations of *different* active transactions
-    /// conflict? Must be symmetric.
-    fn conflicts(&self, a: &(A::Inv, A::Res), b: &(A::Inv, A::Res)) -> bool;
-
-    /// Pre-classify `op` for memoized conflict testing. The runtime
-    /// calls this once when an operation is executed (and once per
-    /// *candidate* during a grant attempt), stores the result beside the
-    /// op, and passes both operations' tokens to
-    /// [`LockSpec::conflicts_prepared`]. The default (`None`) keeps
-    /// schemes that don't classify through a spec mapping on the plain
-    /// [`LockSpec::conflicts`] path.
-    fn prepare(&self, op: &(A::Inv, A::Res)) -> Option<ClassifiedOp> {
-        let _ = op;
-        None
-    }
-
-    /// [`LockSpec::conflicts`] with the memoized classifications in
-    /// hand. Implementations that override [`LockSpec::prepare`] should
-    /// use the tokens instead of re-deriving them; the default ignores
-    /// the tokens and defers to `conflicts`. Must agree with
-    /// `conflicts` whenever both tokens came from `prepare` on the same
-    /// operations — the derived-vs-hand differential tests exercise the
-    /// un-memoized entry point directly.
-    fn conflicts_prepared(
-        &self,
-        a: &(A::Inv, A::Res),
-        ap: Option<&ClassifiedOp>,
-        b: &(A::Inv, A::Res),
-        bp: Option<&ClassifiedOp>,
-    ) -> bool {
-        let _ = (ap, bp);
-        self.conflicts(a, b)
-    }
-
-    /// Scheme name (`"hybrid"`, `"commutativity"`, `"rw-2pl"`) for
-    /// experiment output.
-    fn name(&self) -> &'static str;
-
-    /// The conflict class the executed operation `op` belongs to, when
-    /// this scheme names its classes — the row/column labels of the
-    /// paper's conflict tables (`"Debit-Ok"`, `"Deq"`, …). Lock
-    /// metrics key grant/refusal counters by these names so a live
-    /// system's counters line up with the tables in the paper. `None`
-    /// (the default) makes the runtime fall back to a label derived from
-    /// the invocation's `Debug` form.
-    fn class_of(&self, op: &(A::Inv, A::Res)) -> Option<String> {
-        let _ = op;
-        None
+impl<K: PartialEq> Classified<K> {
+    /// Do the two keys fall in the [`Cond::KeyEq`] bucket: equal, or
+    /// either one absent ([`pair_cond`])?
+    ///
+    /// [`Cond::KeyEq`]: hcc_relations::relation::Cond::KeyEq
+    /// [`pair_cond`]: hcc_relations::relation::pair_cond
+    pub fn same_key(&self, other: &Classified<K>) -> bool {
+        match (&self.key, &other.key) {
+            (Some(a), Some(b)) => a == b,
+            _ => true,
+        }
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! * a typed data type plugs in through [`RuntimeAdt`] (compact version +
 //!   per-transaction intent summaries + candidate evaluation);
-//! * a concurrency-control scheme plugs in through [`LockSpec`] (hybrid,
-//!   commutativity-based, or read/write conflict tests over executed
-//!   operations);
+//! * a concurrency-control scheme is a [`SpecLock`]: a relation derived
+//!   from the type's serial specification (hybrid, commutativity-based,
+//!   or read/write), compiled to a class matrix and tested on each
+//!   executed operation's class and key;
 //! * transactions are driven through shared [`TxnHandle`]s, which track the
 //!   commit-timestamp lower bound (`s.bound`), the set of touched objects,
 //!   a doom flag set by deadlock victims, and the wake token a blocked
@@ -27,7 +28,7 @@ mod object;
 mod options;
 mod spec_adt;
 
-pub use adt::{ClassifiedOp, LockSpec, RedoDecodeError, RuntimeAdt};
+pub use adt::{Classified, RedoDecodeError, RuntimeAdt};
 pub use handle::{Participants, TxnHandle, TxnPhase, WakeToken};
 /// Re-exported so a [`RedoSink`] implementor (the durable store) can name
 /// it without depending on `hcc-spec`.

@@ -1,15 +1,15 @@
 //! The generic hybrid-atomic object: versions, intents, implicit locks,
 //! `when`-style blocking, and horizon-based forgetting.
 
-use super::adt::{ClassifiedOp, LockSpec, RedoDecodeError, RuntimeAdt};
+use super::adt::{Classified, RedoDecodeError, RuntimeAdt};
 use super::handle::{TxnHandle, TxnPhase};
 use super::options::RuntimeOptions;
+use super::spec_adt::SpecLock;
 use hcc_obs::{Counter, Histogram};
-use hcc_relations::relation::OpClass;
+use hcc_relations::relation::ClassId;
 use hcc_spec::TxnId;
-use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::mem::{discriminant, Discriminant};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -189,21 +189,12 @@ pub struct ObjectStats {
     pub forgotten: u64,
 }
 
-/// One executed operation held by an active transaction, with the lock
-/// scheme's memoized classification (when the scheme classifies through
-/// a spec mapping — see [`LockSpec::prepare`]). Computing the token once
-/// at execution time keeps `spec_op` + class lookup off the conflict-test
-/// hot path, where it used to run per held op per candidate per attempt.
-struct ExecOp<A: RuntimeAdt> {
-    op: (A::Inv, A::Res),
-    token: Option<ClassifiedOp>,
-}
-
 /// An active transaction's entry: its intent, its executed operations
-/// (its locks) and its lower bound.
+/// (its locks) and its lower bound. An operation is held as its class and
+/// key, filed once when it executed: all a lock test reads of it.
 struct TxnRec<A: RuntimeAdt> {
     intent: A::Intent,
-    ops: Vec<ExecOp<A>>,
+    ops: Vec<Classified<A::Key>>,
     /// The object clock at the transaction's latest execution here — its
     /// entry in the appendix's bound table, a lower bound on its eventual
     /// commit timestamp.
@@ -234,7 +225,7 @@ struct ObjState<A: RuntimeAdt> {
     /// Op lists of completed transactions, cleared, at most
     /// [`SPARE_OPS`]: the next transaction to execute here takes one
     /// instead of allocating its own.
-    spare_ops: Vec<Vec<ExecOp<A>>>,
+    spare_ops: Vec<Vec<Classified<A::Key>>>,
     /// The one candidate buffer every attempt here fills
     /// ([`RuntimeAdt::candidates`]), drains and hands back empty with
     /// its capacity, all under the latch.
@@ -258,11 +249,11 @@ struct ObjState<A: RuntimeAdt> {
     executed: u64,
     /// Committed transactions folded into `version` by `forget()`.
     forgotten: u64,
-    /// Pre-resolved grant counters by [`OpKey`] — a handful per type, so
-    /// a scan — kept under the latch so that a grant writes no shared
+    /// Grant counters by [`ClassId`], each resolved at its class's first
+    /// grant — kept under the latch so that a grant writes no shared
     /// memory besides the latch and this state: the counters themselves
     /// are sharded per thread.
-    grant_counters: Vec<(OpKey<OpVariant<A>>, Arc<Counter>)>,
+    grants: Vec<Option<Arc<Counter>>>,
 }
 
 /// How many committed intents a view lends the type from the stack; a
@@ -356,8 +347,8 @@ enum Attempt<A: RuntimeAdt> {
     /// No held operation conflicts: the operation is executed.
     Granted(A::Res),
     /// Every candidate conflicts with an operation of one of `holders`;
-    /// `pair` is the first `(requested, held)` pair found.
-    Conflict { holders: Vec<TxnId>, pair: ConflictPair<A> },
+    /// `pair` is the first `(requested, held)` class pair found.
+    Conflict { holders: Vec<TxnId>, pair: (ClassId, ClassId) },
     /// The operation is not defined in the current view (partial op).
     Undefined,
 }
@@ -410,13 +401,14 @@ pub struct TxObject<A: RuntimeAdt> {
     tallies: CacheAligned<Tallies>,
     name: String,
     adt: A,
-    locks: Arc<dyn LockSpec<A>>,
+    locks: SpecLock<A>,
     opts: RuntimeOptions,
-    /// Refusal and wait counters by `(requested, held)` [`OpKey`] pair,
-    /// under the same caching contract as the grant counters: a refusal
-    /// costs a map read, not two label allocations and two registry
-    /// lookups.
-    pair_cache: RwLock<HashMap<PairKey<A>, PairCounters>>,
+    /// Refusal and wait counters by `(requested, held)` class pair, one
+    /// cell per pair of the relation's vocabulary (`requested * n +
+    /// held`), made at the object's first refusal and each resolved at
+    /// its pair's first: a refusal costs an index, not two label
+    /// allocations and two registry lookups.
+    pairs: OnceLock<Box<[OnceLock<PairCounters>]>>,
     /// `lock.waits.{TYPE}.undefined`: waits on a partial operation, which
     /// have no conflict pair. Resolved at the first such wait.
     undefined_waits: OnceLock<Arc<Counter>>,
@@ -426,47 +418,12 @@ pub struct TxObject<A: RuntimeAdt> {
     view_intents: OnceLock<Arc<Counter>>,
 }
 
-/// What an executed operation's lock-metric counters are cached under:
-/// the class its scheme's [`LockSpec::prepare`] token filed it under or,
-/// when the scheme prepares nothing, its variants `V`. Variants alone
-/// cannot tell apart classes that differ by a value — a Set's `Add-New`
-/// and `Add-Dup`, a Counter's `Inc` and `Touch`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum OpKey<V> {
-    Class(OpClass),
-    Variants(V),
-}
-
-/// An executed operation's variant pair.
-type OpVariant<A> = (Discriminant<<A as RuntimeAdt>::Inv>, Discriminant<<A as RuntimeAdt>::Res>);
-
-fn op_key<A: RuntimeAdt>(
-    op: &(A::Inv, A::Res),
-    token: Option<&ClassifiedOp>,
-) -> OpKey<OpVariant<A>> {
-    match token {
-        Some(t) => OpKey::Class(t.class.clone()),
-        None => OpKey::Variants((discriminant(&op.0), discriminant(&op.1))),
-    }
-}
-
-/// A refusal's `(requested, held)` keys — the pair-counter cache key.
-type PairKey<A> = (OpKey<OpVariant<A>>, OpKey<OpVariant<A>>);
-
-/// The first `(requested, held)` executed-operation pair behind a
-/// refusal, and the keys its counters are cached under.
-struct ConflictPair<A: RuntimeAdt> {
-    requested: (A::Inv, A::Res),
-    held: (A::Inv, A::Res),
-    keys: PairKey<A>,
-}
-
 impl<A: RuntimeAdt> TxObject<A> {
     /// Create an object with the given data type, lock scheme and options.
     pub fn new(
         name: impl Into<String>,
         adt: A,
-        locks: Arc<dyn LockSpec<A>>,
+        locks: SpecLock<A>,
         opts: RuntimeOptions,
     ) -> Arc<TxObject<A>> {
         let version = adt.initial();
@@ -483,14 +440,14 @@ impl<A: RuntimeAdt> TxObject<A> {
                 waiters: Vec::new(),
                 executed: 0,
                 forgotten: 0,
-                grant_counters: Vec::new(),
+                grants: Vec::new(),
             })),
             tallies: CacheAligned(Tallies::default()),
             name: name.into(),
             adt,
             locks,
             opts,
-            pair_cache: RwLock::new(HashMap::new()),
+            pairs: OnceLock::new(),
             undefined_waits: OnceLock::new(),
             wait_nanos: OnceLock::new(),
             view_intents: OnceLock::new(),
@@ -525,7 +482,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             Attempt::Granted(res) => TryExecOutcome::Executed(self.granted(st, txn, inv, res)),
             Attempt::Conflict { holders, pair } => {
                 drop(st);
-                self.refused(txn, &pair);
+                self.refused(txn, pair);
                 TryExecOutcome::Conflict(holders)
             }
             Attempt::Undefined => TryExecOutcome::Undefined,
@@ -590,7 +547,8 @@ impl<A: RuntimeAdt> TxObject<A> {
         }
         txn.register(self);
         if let (Some(tr), false) = (&self.opts.trace, txn.is_replay()) {
-            tr.record(txn.id().0, &self.name, "grant", self.class_label(inv, &res));
+            let class = A::classify(self.locks.relation(), inv, &res).class;
+            tr.record(txn.id().0, &self.name, "grant", self.locks.class_name(class).0);
         }
         res
     }
@@ -598,74 +556,51 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// Count a refusal under its conflict-class pair — the live view of
     /// the paper's conflict tables — and hand back the pair's wait
     /// counter.
-    fn refused(&self, txn: &TxnHandle, pair: &ConflictPair<A>) -> Arc<Counter> {
+    fn refused(&self, txn: &TxnHandle, pair: (ClassId, ClassId)) -> &Counter {
         self.tallies.conflicts.fetch_add(1, Ordering::Relaxed);
         let counters = self.pair_counters(pair);
         counters.refusals.inc();
         if let Some(tr) = &self.opts.trace {
             tr.record(txn.id().0, &self.name, "refuse", self.pair_label(pair));
         }
-        counters.waits
+        &counters.waits
     }
 
-    fn pair_label(&self, ConflictPair { requested, held, .. }: &ConflictPair<A>) -> String {
-        format!(
-            "{}|{}",
-            self.class_label(&requested.0, &requested.1),
-            self.class_label(&held.0, &held.1)
-        )
+    fn pair_label(&self, (requested, held): (ClassId, ClassId)) -> String {
+        format!("{}|{}", self.locks.class_name(requested), self.locks.class_name(held))
     }
 
-    /// The refusal and wait counters for this pair's keys (see the
-    /// `pair_cache` field for the caching contract).
-    fn pair_counters(&self, pair: &ConflictPair<A>) -> PairCounters {
-        if let Some(c) = self.pair_cache.read().get(&pair.keys) {
-            return c.clone();
-        }
-        let (ty, label) = (self.adt.type_name(), self.pair_label(pair));
-        let counters = PairCounters {
-            refusals: self.opts.metrics.counter(&format!("lock.refusals.{ty}.{label}")),
-            waits: self.opts.metrics.counter(&format!("lock.waits.{ty}.{label}")),
-        };
-        self.pair_cache.write().entry(pair.keys.clone()).or_insert(counters).clone()
-    }
-
-    /// The executed operation's conflict-class label: the scheme's own
-    /// class name when it has one (the paper tables' row/column names),
-    /// else the invocation's `Debug` head.
-    fn class_label(&self, inv: &A::Inv, res: &A::Res) -> String {
-        let op = (inv.clone(), res.clone());
-        self.locks.class_of(&op).unwrap_or_else(|| {
-            let dbg = format!("{:?}", op.0);
-            let end = dbg
-                .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
-                .unwrap_or(dbg.len());
-            dbg[..end].to_string()
+    /// The refusal and wait counters for this class pair (see the `pairs`
+    /// field). Only a pair the matrix relates is ever refused, and both
+    /// its classes are in the vocabulary.
+    fn pair_counters(&self, pair: (ClassId, ClassId)) -> &PairCounters {
+        let n = self.locks.relation().classes().len();
+        let pairs = self.pairs.get_or_init(|| (0..n * n).map(|_| OnceLock::new()).collect());
+        pairs[usize::from(pair.0 .0) * n + usize::from(pair.1 .0)].get_or_init(|| {
+            let (ty, label) = (self.adt.type_name(), self.pair_label(pair));
+            PairCounters {
+                refusals: self.opts.metrics.counter(&format!("lock.refusals.{ty}.{label}")),
+                waits: self.opts.metrics.counter(&format!("lock.waits.{ty}.{label}")),
+            }
         })
     }
 
-    /// Count a grant under this executed operation's [`OpKey`] (see the
-    /// `grant_counters` field for the caching contract).
-    fn count_grant(
-        &self,
-        st: &mut ObjState<A>,
-        op: &(A::Inv, A::Res),
-        token: Option<&ClassifiedOp>,
-    ) {
-        // `op_key(op, token)`, compared without cloning the class.
-        let hit = |key: &OpKey<_>| match (key, token) {
-            (OpKey::Class(class), Some(t)) => *class == t.class,
-            (OpKey::Variants(v), None) => *v == (discriminant(&op.0), discriminant(&op.1)),
-            _ => false,
-        };
-        if let Some((_, counter)) = st.grant_counters.iter().find(|(k, _)| hit(k)) {
-            return counter.inc();
+    /// Count a grant under its class (see the `grants` field).
+    fn count_grant(&self, st: &mut ObjState<A>, class: ClassId) {
+        let at = usize::from(class.0);
+        if st.grants.len() <= at {
+            st.grants.resize(at + 1, None);
         }
-        let name =
-            format!("lock.grants.{}.{}", self.adt.type_name(), self.class_label(&op.0, &op.1));
-        let counter = self.opts.metrics.counter(&name);
-        counter.inc();
-        st.grant_counters.push((op_key::<A>(op, token), counter));
+        st.grants[at]
+            .get_or_insert_with(|| {
+                let name = format!(
+                    "lock.grants.{}.{}",
+                    self.adt.type_name(),
+                    self.locks.class_name(class)
+                );
+                self.opts.metrics.counter(&name)
+            })
+            .inc();
     }
 
     /// Replay one executed operation with its logged response: like a
@@ -699,9 +634,8 @@ impl<A: RuntimeAdt> TxObject<A> {
         let clock = st.clock;
         let rec = st.active_rec(txn.id());
         rec.intent = intent;
-        let op = (inv, res);
-        let token = self.locks.prepare(&op);
-        rec.ops.push(ExecOp { op, token });
+        let class = A::classify(self.locks.relation(), &inv, &res);
+        rec.ops.push(class);
         rec.bound = clock;
         st.executed += 1;
         txn.observe_clock(clock);
@@ -754,7 +688,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             };
             if txn.is_no_wait() {
                 drop(st);
-                if let Attempt::Conflict { pair, .. } = &refusal {
+                if let Attempt::Conflict { pair, .. } = refusal {
                     self.refused(txn, pair);
                 }
                 break Err(ExecError::WouldBlock);
@@ -772,7 +706,7 @@ impl<A: RuntimeAdt> TxObject<A> {
             drop(st);
 
             let (holders, wait_counter) = match refusal {
-                Attempt::Conflict { holders, pair } => (holders, self.refused(txn, &pair)),
+                Attempt::Conflict { holders, pair } => (holders, self.refused(txn, pair)),
                 // Partial operation: wait for the state to change. There
                 // is no conflict pair; label the wait so.
                 _ => (Vec::new(), self.undefined_wait_counter()),
@@ -820,13 +754,11 @@ impl<A: RuntimeAdt> TxObject<A> {
         resumed()
     }
 
-    fn undefined_wait_counter(&self) -> Arc<Counter> {
-        self.undefined_waits
-            .get_or_init(|| {
-                let name = format!("lock.waits.{}.undefined", self.adt.type_name());
-                self.opts.metrics.counter(&name)
-            })
-            .clone()
+    fn undefined_wait_counter(&self) -> &Counter {
+        self.undefined_waits.get_or_init(|| {
+            let name = format!("lock.waits.{}.undefined", self.adt.type_name());
+            self.opts.metrics.counter(&name)
+        })
     }
 
     fn wait_nanos_histogram(&self) -> &Histogram {
@@ -878,34 +810,23 @@ impl<A: RuntimeAdt> TxObject<A> {
             return Attempt::Undefined;
         }
         let mut blockers: Vec<TxnId> = Vec::new();
-        let mut first_pair: Option<ConflictPair<A>> = None;
+        let mut first_pair: Option<(ClassId, ClassId)> = None;
         for (res, intent) in candidates {
-            let op = (inv.clone(), res);
             // Classify the requested op once per candidate; every held
-            // op already carries its token from its own execution.
-            let token = self.locks.prepare(&op);
+            // op was classified at its own execution.
+            let class = A::classify(self.locks.relation(), inv, &res);
             let mut holders: Vec<TxnId> = Vec::new();
             for (p, rec) in st.active.iter() {
                 let p = *p;
                 if p == txn.id() {
                     continue;
                 }
-                if let Some(q) = rec.ops.iter().find(|q| {
-                    self.locks.conflicts_prepared(&q.op, q.token.as_ref(), &op, token.as_ref())
-                }) {
+                if let Some(q) = rec.ops.iter().find(|q| self.locks.conflicts_classified(q, &class))
+                {
                     // Remember the first refusing pair: it labels the
                     // refusal/wait counters with the class pair that
                     // actually blocked the caller.
-                    if first_pair.is_none() {
-                        first_pair = Some(ConflictPair {
-                            requested: op.clone(),
-                            held: q.op.clone(),
-                            keys: (
-                                op_key::<A>(&op, token.as_ref()),
-                                op_key::<A>(&q.op, q.token.as_ref()),
-                            ),
-                        });
-                    }
+                    first_pair.get_or_insert((class.class, q.class));
                     holders.push(p);
                 }
             }
@@ -915,14 +836,13 @@ impl<A: RuntimeAdt> TxObject<A> {
                 // them again would make a restored store's grant totals
                 // drift from the live run's.
                 if !txn.is_replay() {
-                    self.count_grant(st, &op, token.as_ref());
+                    self.count_grant(st, class.class);
                 }
                 let clock = st.clock;
                 let rec = st.active_rec(txn.id());
                 rec.intent = intent;
                 rec.bound = clock;
-                let res = op.1.clone();
-                rec.ops.push(ExecOp { op, token });
+                rec.ops.push(class);
                 return Attempt::Granted(res);
             }
             blockers.append(&mut holders);
@@ -1095,6 +1015,7 @@ impl<A: RuntimeAdt> TxParticipant for TxObject<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcc_relations::relation::Relation;
     use std::time::Duration;
 
     /// A register (File) runtime type for in-crate tests: version = value,
@@ -1163,27 +1084,27 @@ mod tests {
         fn type_name(&self) -> &'static str {
             "Register"
         }
+
+        type Key = i64;
+        const CLASSES: &'static [&'static str] = &["Read", "Write"];
+
+        fn classify(_: &Relation, inv: &RegInv, res: &i64) -> Classified<i64> {
+            match inv {
+                RegInv::Read => Classified { class: ClassId(0), key: Some(*res) },
+                RegInv::Write(v) => Classified { class: ClassId(1), key: Some(*v) },
+            }
+        }
     }
 
     /// Table-I conflicts: a read conflicts with a write of a different
     /// value (generalized Thomas Write Rule: writes never conflict).
-    struct RegisterHybrid;
-
-    impl LockSpec<Register> for RegisterHybrid {
-        fn conflicts(&self, a: &(RegInv, i64), b: &(RegInv, i64)) -> bool {
-            match (&a.0, &b.0) {
-                (RegInv::Read, RegInv::Write(w)) => a.1 != *w,
-                (RegInv::Write(w), RegInv::Read) => b.1 != *w,
-                _ => false,
-            }
-        }
-        fn name(&self) -> &'static str {
-            "hybrid"
-        }
+    fn hybrid() -> SpecLock<Register> {
+        use hcc_relations::tables::{paper_table_i, AdtConfig};
+        SpecLock::new("hybrid", AdtConfig::file().relation(paper_table_i()))
     }
 
     fn obj() -> Arc<TxObject<Register>> {
-        TxObject::new("reg", Register, Arc::new(RegisterHybrid), RuntimeOptions::default())
+        TxObject::new("reg", Register, hybrid(), RuntimeOptions::default())
     }
 
     fn h(n: u64) -> Arc<TxnHandle> {
@@ -1208,7 +1129,7 @@ mod tests {
         let o = TxObject::new(
             "reg",
             Register,
-            Arc::new(RegisterHybrid),
+            hybrid(),
             RuntimeOptions::with_timeout(Some(Duration::from_millis(30))),
         );
         let (t1, t2) = (h(1), h(2));
@@ -1324,7 +1245,7 @@ mod tests {
             block: super::super::BlockPolicy { timeout: None },
             ..RuntimeOptions::with_observer(observer)
         };
-        (TxObject::new("reg", Register, Arc::new(RegisterHybrid), opts), blocked, resume)
+        (TxObject::new("reg", Register, hybrid(), opts), blocked, resume)
     }
 
     #[test]
@@ -1435,7 +1356,7 @@ mod tests {
         let o = TxObject::new(
             "reg",
             Register,
-            Arc::new(RegisterHybrid),
+            hybrid(),
             RuntimeOptions::with_timeout(Some(Duration::from_millis(50))),
         );
         let (t1, t2) = (h(1), h(2));
@@ -1453,12 +1374,7 @@ mod tests {
     fn conflicting_single_op_transactions_never_lose_a_wake_up() {
         const PER_THREAD: u64 = 50_000;
         within_watchdog(|| {
-            let o = TxObject::new(
-                "reg",
-                Register,
-                Arc::new(RegisterHybrid),
-                RuntimeOptions::with_timeout(None),
-            );
+            let o = TxObject::new("reg", Register, hybrid(), RuntimeOptions::with_timeout(None));
             let ts = Arc::new(AtomicU64::new(0));
             std::thread::scope(|s| {
                 for worker in 0..2u64 {
@@ -1538,7 +1454,7 @@ mod tests {
         let o = TxObject::new(
             "reg",
             Register,
-            Arc::new(RegisterHybrid),
+            hybrid(),
             RuntimeOptions::with_timeout(Some(Duration::from_millis(20))),
         );
         let (t1, t2) = (h(1), h(2));
@@ -1624,7 +1540,7 @@ mod tests {
         let o = TxObject::new(
             "reg",
             Register,
-            Arc::new(RegisterHybrid),
+            hybrid(),
             RuntimeOptions::default().with_redo(sink.clone()),
         );
         for i in 1..=5u64 {
@@ -1670,7 +1586,7 @@ mod tests {
         let o = TxObject::new(
             "reg",
             Register,
-            Arc::new(RegisterHybrid),
+            hybrid(),
             RuntimeOptions::default().with_horizon(pins.clone()),
         );
         for i in 1..=3u64 {

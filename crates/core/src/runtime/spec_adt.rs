@@ -15,29 +15,28 @@
 //!   state, intent = the transaction's executed-operation list, candidate
 //!   evaluation against the folded view, and self-logging `redo` /
 //!   `decode_redo` through the codec;
-//! * [`SpecLock`] adapts the type's [`Relation`] to [`LockSpec`]: it maps
-//!   both executed operations through the spec mapping and asks the
-//!   relation, which classifies them, looks the pair up under its key
-//!   condition and applies the symmetric closure (as the paper constructs
-//!   conflict relations from dependency relations) — for a defined type
-//!   and, given a spec mapping, for any hand-written [`RuntimeAdt`];
+//! * [`SpecLock`] is the one lock every object runs: the type's
+//!   [`Relation`], compiled over its class vocabulary, tested on each
+//!   executed operation's class and key; a defined type is classified
+//!   through its spec mapping, a built-in by its own typed classifier
+//!   ([`RuntimeAdt::classify`]);
 //! * `hcc-adts`'s `Object<SpecAdt<D>>` (`SpecObject<D>`) is the same
 //!   generic object the built-ins run behind — snapshots, recovery
 //!   replay, typed `hcc-db` handles — so a user-defined type is durable,
 //!   recoverable, and 2PC-committable with **no** `RuntimeAdt`,
-//!   `LockSpec`, `Snapshot`, or `DbObject` impl written by hand.
+//!   `Snapshot`, or `DbObject` impl written by hand.
 //!
-//! The escape hatch stays open: a type that outgrows the generic
-//! machinery implements [`RuntimeAdt`]/[`LockSpec`] directly (every
-//! built-in ADT in `hcc-adts` still does, as the tuned twin the
-//! differential tests compare against).
+//! A type that outgrows the generic machinery implements [`RuntimeAdt`]
+//! directly, as every built-in in `hcc-adts` does for its compact
+//! version and intents; its lock is still [`SpecLock`] over the relation
+//! derived from its serial specification.
 
-use super::adt::{LockSpec, RedoDecodeError, RuntimeAdt};
+use super::adt::{Classified, RedoDecodeError, RuntimeAdt};
 use hcc_relations::derive::{cached_conflict_atoms, DeriveSpec};
-use hcc_relations::relation::Relation;
-use hcc_spec::Operation;
+use hcc_relations::relation::{key_value, ClassId, OpClass, Relation};
+use hcc_spec::{Operation, Value};
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::marker::PhantomData;
 
 /// A declaratively defined transactional data type.
 ///
@@ -208,98 +207,96 @@ impl<D: AdtDef> RuntimeAdt for SpecAdt<D> {
     fn type_name(&self) -> &'static str {
         self.def.type_name()
     }
+
+    type Key = Value;
+
+    /// Through the spec mapping: the relation files the formal operation
+    /// by name.
+    fn classify(relation: &Relation, inv: &D::Op, res: &D::Res) -> Classified<Value> {
+        let op = D::default().spec_op(inv, res);
+        Classified { class: relation.class_id(&relation.classify(&op)), key: key_value(&op) }
+    }
 }
 
-/// The one derived [`LockSpec`]: map both executed operations onto the
-/// formal layer through the type's spec mapping and ask the type's
-/// [`Relation`]. It runs any [`RuntimeAdt`] under any relation: a defined
-/// type's own ([`SpecLock::from_def`]) or a hand type under a relation
-/// derived from its serial specification (the hybrid scheme or one of
-/// its Section-7 rivals, as `hcc-workload`'s `Scheme` builds them).
+/// The one lock: a relation derived from (or stated for) a type's serial
+/// specification, compiled over the type's class vocabulary, and tested
+/// on executed operations the type classifies once each
+/// ([`RuntimeAdt::classify`]). It runs any [`RuntimeAdt`] under any
+/// relation: a defined type's own ([`SpecLock::from_def`]), a built-in's
+/// hybrid relation, or one of its Section-7 rivals (as `hcc-workload`'s
+/// `Scheme` builds them).
 pub struct SpecLock<A: RuntimeAdt> {
     name: &'static str,
-    to_spec: fn(&A::Inv, &A::Res) -> Operation,
-    relation: Arc<Relation>,
+    relation: Relation,
+    adt: PhantomData<fn() -> A>,
+}
+
+impl<A: RuntimeAdt> Clone for SpecLock<A> {
+    fn clone(&self) -> Self {
+        SpecLock { name: self.name, relation: self.relation.clone(), adt: PhantomData }
+    }
 }
 
 impl<A: RuntimeAdt> SpecLock<A> {
-    /// A lock named `name` that maps executed operations through
-    /// `to_spec` and tests them against `relation`.
-    pub fn new(
-        name: &'static str,
-        to_spec: fn(&A::Inv, &A::Res) -> Operation,
-        relation: Arc<Relation>,
-    ) -> SpecLock<A> {
-        SpecLock { name, to_spec, relation }
+    /// A lock named `name` testing executed operations against
+    /// `relation`, its vocabulary ordered as `A` numbers its classes.
+    pub fn new(name: &'static str, relation: Relation) -> SpecLock<A> {
+        SpecLock { name, relation: relation.ordered(A::CLASSES), adt: PhantomData }
     }
 
     /// The relation this lock tests against.
     pub fn relation(&self) -> &Relation {
         &self.relation
     }
+
+    /// The scheme's name (`"hybrid"`, `"commutativity"`, `"rw-2pl"`, …).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// File an executed operation for [`SpecLock::conflicts_classified`].
+    pub fn classify(&self, op: &(A::Inv, A::Res)) -> Classified<A::Key> {
+        A::classify(&self.relation, &op.0, &op.1)
+    }
+
+    /// Do two classified operations of *different* active transactions
+    /// conflict? Two index loads, and a key compare for a conditional
+    /// cell only.
+    #[inline]
+    pub fn conflicts_classified(&self, a: &Classified<A::Key>, b: &Classified<A::Key>) -> bool {
+        self.relation.conflicts_classified(a.class, b.class, || a.same_key(b))
+    }
+
+    /// [`SpecLock::conflicts_classified`] on two executed operations.
+    pub fn conflicts(&self, a: &(A::Inv, A::Res), b: &(A::Inv, A::Res)) -> bool {
+        self.conflicts_classified(&self.classify(a), &self.classify(b))
+    }
+
+    /// The name of class `id`: the row/column label of the paper's table,
+    /// which the lock metrics key their counters by.
+    pub fn class_name(&self, id: ClassId) -> OpClass {
+        self.relation.class_name(id)
+    }
 }
 
 impl<D: AdtDef> SpecLock<SpecAdt<D>> {
     /// The lock relation an [`AdtDef`]'s [`ConflictSpec`] asks for —
     /// deriving (memoized per type name) or adopting the stated table.
-    /// Operations map through the definition's [`AdtDef::spec_op`] on
-    /// `D::default()`.
-    pub fn from_def() -> Arc<SpecLock<SpecAdt<D>>> {
+    /// A derived relation's vocabulary is every class of the derivation's
+    /// alphabet, so none of them is looked up outside it.
+    pub fn from_def() -> SpecLock<SpecAdt<D>> {
         let def = D::default();
-        let to_spec = |op: &D::Op, res: &D::Res| D::default().spec_op(op, res);
         let (name, relation) = match def.conflict_spec() {
             ConflictSpec::Derived(spec) => {
                 let atoms = cached_conflict_atoms(def.type_name(), &spec);
-                ("hybrid-derived", Relation::new(spec.classify, atoms))
+                let mut classes: Vec<OpClass> = spec.alphabet.iter().map(spec.classify).collect();
+                classes.sort();
+                classes.dedup();
+                ("hybrid-derived", Relation::over(&classes, spec.classify, atoms))
             }
             ConflictSpec::Table(relation) => ("stated-table", relation),
         };
-        Arc::new(SpecLock::new(name, to_spec, Arc::new(relation)))
-    }
-}
-
-impl<A: RuntimeAdt> LockSpec<A> for SpecLock<A> {
-    fn conflicts(&self, a: &(A::Inv, A::Res), b: &(A::Inv, A::Res)) -> bool {
-        self.relation.conflicts(&(self.to_spec)(&a.0, &a.1), &(self.to_spec)(&b.0, &b.1))
-    }
-
-    /// Classify once at execution time: the runtime stores this token
-    /// beside the executed op, so the per-op spec mapping and class
-    /// lookup never re-run inside the conflict-test hot loop.
-    fn prepare(&self, op: &(A::Inv, A::Res)) -> Option<super::ClassifiedOp> {
-        let q = (self.to_spec)(&op.0, &op.1);
-        let class = self.relation.classify(&q);
-        Some(super::ClassifiedOp { op: q, class })
-    }
-
-    fn conflicts_prepared(
-        &self,
-        a: &(A::Inv, A::Res),
-        ap: Option<&super::ClassifiedOp>,
-        b: &(A::Inv, A::Res),
-        bp: Option<&super::ClassifiedOp>,
-    ) -> bool {
-        match (ap, bp) {
-            // Both spec mappings and classes are in hand.
-            (Some(ta), Some(tb)) => {
-                self.relation.conflicts_classified(&ta.class, &ta.op, &tb.class, &tb.op)
-            }
-            // A token is missing (an op recorded before this scheme was
-            // swapped in, or a caller on the raw path): fall back to the
-            // unmemoized test.
-            _ => self.conflicts(a, b),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn class_of(&self, op: &(A::Inv, A::Res)) -> Option<String> {
-        // The same classification the conflict lookup uses, so the lock
-        // metrics' grant/refusal keys are exactly the atoms' row/column
-        // names (derived or stated).
-        Some(self.relation.classify(&(self.to_spec)(&op.0, &op.1)).0)
+        SpecLock::new(name, relation)
     }
 }
 
@@ -309,6 +306,7 @@ mod tests {
     use crate::runtime::{RuntimeOptions, TxObject, TxParticipant, TxnHandle};
     use hcc_relations::relation::{Cond, OpClass};
     use hcc_spec::{Inv, TxnId, Value};
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// A tiny max-register defined declaratively: `raise(n)` → did it
@@ -418,7 +416,7 @@ mod tests {
         TxObject::new(
             "m",
             SpecAdt::default(),
-            SpecLock::<SpecAdt<MaxReg>>::from_def(),
+            SpecLock::from_def(),
             RuntimeOptions::with_timeout(timeout),
         )
     }
@@ -467,12 +465,10 @@ mod tests {
         assert_eq!(adt.decode_redo(&bytes).unwrap(), (MaxOp::Raise(9), MaxRes::Raised(true)));
     }
 
-    /// The memoized conflict path (`prepare` tokens +
-    /// `conflicts_prepared`) must decide exactly as the unmemoized
-    /// `conflicts` on every op pair — including mixed calls where only
-    /// one side carries a token.
+    /// The compiled test on classified operations decides exactly as the
+    /// relation's atoms do on the spec-mapped operations, on every pair.
     #[test]
-    fn prepared_conflicts_agree_with_unprepared() {
+    fn compiled_conflicts_agree_with_the_atoms() {
         let lock = SpecLock::<SpecAdt<MaxReg>>::from_def();
         let ops: Vec<(MaxOp, MaxRes)> = vec![
             (MaxOp::Raise(5), MaxRes::Raised(true)),
@@ -481,23 +477,32 @@ mod tests {
             (MaxOp::Peak, MaxRes::Val(5)),
             (MaxOp::Peak, MaxRes::Val(7)),
         ];
+        let spec = |(op, res): &(MaxOp, MaxRes)| MaxReg.spec_op(op, res);
+        let mut conflicting = 0;
         for a in &ops {
-            let ta = lock.prepare(a);
-            assert!(ta.is_some(), "SpecLock always classifies");
             for b in &ops {
-                let tb = lock.prepare(b);
-                let plain = lock.conflicts(a, b);
-                assert_eq!(
-                    lock.conflicts_prepared(a, ta.as_ref(), b, tb.as_ref()),
-                    plain,
-                    "memoized path diverged on {a:?} vs {b:?}"
-                );
-                assert_eq!(
-                    lock.conflicts_prepared(a, None, b, tb.as_ref()),
-                    plain,
-                    "mixed-token fallback diverged on {a:?} vs {b:?}"
-                );
+                let reference = lock.relation().conflicts(&spec(a), &spec(b));
+                assert_eq!(lock.conflicts(a, b), reference, "{a:?} vs {b:?}");
+                conflicting += usize::from(reference);
             }
+        }
+        assert!(conflicting > 0, "some pair conflicts");
+    }
+
+    /// A stated table's class that no atom names is outside the
+    /// vocabulary: it conflicts with nothing, keeps one id, and keeps its
+    /// name for the metrics.
+    #[test]
+    fn a_class_no_atom_names_keeps_its_name() {
+        let lock = SpecLock::<SpecAdt<MaxReg>>::from_def();
+        let relation = lock.relation();
+        let n = relation.classes().len();
+        let outside = relation.class_id(&OpClass::new("Elsewhere"));
+        assert_eq!(outside, ClassId(n as u8));
+        assert_eq!(relation.class_id(&OpClass::new("Elsewhere")), outside);
+        assert_eq!(lock.class_name(outside), OpClass::new("Elsewhere"));
+        for id in 0..=n as u8 {
+            assert!(!relation.conflicts_classified(outside, ClassId(id), || true));
         }
     }
 
@@ -569,12 +574,8 @@ mod tests {
             }
         }
 
-        let o: Arc<TxObject<SpecAdt<Chooser>>> = TxObject::new(
-            "c",
-            SpecAdt::default(),
-            SpecLock::<SpecAdt<Chooser>>::from_def(),
-            RuntimeOptions::default(),
-        );
+        let o: Arc<TxObject<SpecAdt<Chooser>>> =
+            TxObject::new("c", SpecAdt::default(), SpecLock::from_def(), RuntimeOptions::default());
         let t0 = h(1);
         o.execute(&t0, COp::Offer(1)).unwrap();
         o.execute(&t0, COp::Offer(2)).unwrap();

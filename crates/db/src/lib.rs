@@ -345,11 +345,9 @@ mod tests {
 
     #[test]
     fn attach_adopts_custom_objects_and_rejects_duplicates() {
-        use hcc_adts::account::AccountHybrid;
         use std::sync::Arc;
         let db = Db::in_memory();
-        let custom =
-            Arc::new(AccountObject::with("vault", Arc::new(AccountHybrid), db.object_options()));
+        let custom = Arc::new(AccountObject::with_options("vault", db.object_options()));
         let vault = db.attach(custom).unwrap();
         db.transact(|tx| vault.credit(tx, r(9)).map_err(Into::into)).unwrap();
         assert_eq!(vault.committed_balance(), r(9));

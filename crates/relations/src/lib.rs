@@ -53,6 +53,6 @@ pub use commutativity::failure_to_commute;
 pub use derive::{cached_conflict_atoms, conflict_atoms, DeriveSpec};
 pub use invalidated_by::invalidated_by;
 pub use minimal::minimal_dependency_relations;
-pub use relation::{Atom, Cond, InstanceRelation, OpClass, Relation};
+pub use relation::{Atom, ClassId, Cond, InstanceRelation, OpClass, Relation};
 pub use tables::AdtConfig;
 pub use violations::{is_dependency_relation, violations, Violation};

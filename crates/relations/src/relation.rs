@@ -10,7 +10,7 @@
 use hcc_spec::{Operation, Value};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A named class of operations, e.g. `Enq` or `Debit-Ok`.
 ///
@@ -71,6 +71,11 @@ impl fmt::Debug for Atom {
     }
 }
 
+/// A class's dense index in a [`Relation`]'s vocabulary: the row and
+/// column of its compiled conflict matrix.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct ClassId(pub u8);
+
 /// A class-level relation, the one value every consumer holds: a
 /// classifier and the atoms it states. The runtime's `SpecLock`, the
 /// reference automaton, `hcc-check` and the rendered paper tables all
@@ -83,19 +88,79 @@ impl fmt::Debug for Atom {
 /// concrete instances, the relation applies to the full value domain,
 /// not just the small domain it was derived over. The atoms sit behind
 /// an [`Arc`], so every object of a type shares one derivation.
+///
+/// At construction the atoms are also compiled into a matrix over the
+/// relation's class vocabulary ([`Relation::classes`]), which is what the
+/// runtime's lock test reads ([`Relation::conflicts_classified`]); the
+/// atom set stays the reference the other lookups answer from. Cloning a
+/// relation bumps one count.
 #[derive(Clone)]
 pub struct Relation {
     classify: fn(&Operation) -> OpClass,
+    matrix: Arc<Matrix>,
+}
+
+/// A cell of the compiled matrix: the key conditions under which its
+/// class pair conflicts, in either direction, one bit each.
+const EQ: u8 = 1 << Cond::KeyEq as u8;
+const NEQ: u8 = 1 << Cond::KeyNeq as u8;
+
+/// The atoms compiled over a class vocabulary: `cells[row * n + col]`
+/// holds the conditions of `row ⊦ col` and `col ⊦ row` together, the
+/// symmetric closure.
+struct Matrix {
     atoms: Arc<BTreeSet<Atom>>,
+    classes: Vec<OpClass>,
+    cells: Vec<u8>,
+    /// Classes met outside `classes` (a stated table that names no atom
+    /// of them), numbered on from `classes.len()`: empty rows and
+    /// columns, kept only for their names.
+    outside: Mutex<Vec<OpClass>>,
+}
+
+impl Matrix {
+    /// The vocabulary is `order`, then every other class the atoms name,
+    /// in class order.
+    fn compile(order: &[OpClass], atoms: Arc<BTreeSet<Atom>>) -> Matrix {
+        let mut classes = order.to_vec();
+        let named: BTreeSet<&OpClass> = atoms.iter().flat_map(|a| [&a.row, &a.col]).collect();
+        for class in named {
+            if !classes.contains(class) {
+                classes.push(class.clone());
+            }
+        }
+        assert!(classes.len() < usize::from(u8::MAX), "a relation names at most 254 classes");
+        let n = classes.len();
+        let at = |c: &OpClass| classes.iter().position(|x| x == c).expect("named above");
+        let mut cells = vec![0; n * n];
+        for atom in atoms.iter() {
+            let (row, col) = (at(&atom.row), at(&atom.col));
+            cells[row * n + col] |= 1 << atom.cond as u8;
+            cells[col * n + row] |= 1 << atom.cond as u8;
+        }
+        Matrix { atoms, classes, cells, outside: Mutex::default() }
+    }
 }
 
 impl Relation {
-    /// The relation stating `atoms` over operations filed by `classify`.
+    /// The relation stating `atoms` over operations filed by `classify`;
+    /// its vocabulary is the classes the atoms name, in class order.
     pub fn new(
         classify: fn(&Operation) -> OpClass,
         atoms: impl Into<Arc<BTreeSet<Atom>>>,
     ) -> Relation {
-        Relation { classify, atoms: atoms.into() }
+        Relation::over(&[], classify, atoms)
+    }
+
+    /// [`Relation::new`] with the vocabulary starting `classes`, in that
+    /// order (a paper table's rows), so a class no atom names still has
+    /// its place.
+    pub fn over(
+        classes: &[OpClass],
+        classify: fn(&Operation) -> OpClass,
+        atoms: impl Into<Arc<BTreeSet<Atom>>>,
+    ) -> Relation {
+        Relation { classify, matrix: Arc::new(Matrix::compile(classes, atoms.into())) }
     }
 
     /// The relation that relates nothing, the start of a stated table.
@@ -104,25 +169,37 @@ impl Relation {
     }
 
     /// Also relate `row` to `col` under `cond` (builder-style).
-    pub fn rule(mut self, row: &str, col: &str, cond: Cond) -> Relation {
-        Arc::make_mut(&mut self.atoms).insert(Atom {
+    pub fn rule(self, row: &str, col: &str, cond: Cond) -> Relation {
+        let mut atoms = self.matrix.atoms.clone();
+        Arc::make_mut(&mut atoms).insert(Atom {
             row: OpClass::new(row),
             col: OpClass::new(col),
             cond,
         });
-        self
+        Relation::over(&self.matrix.classes, self.classify, atoms)
     }
 
     /// `self` without `atom`.
     pub fn without(&self, atom: &Atom) -> Relation {
-        let mut weakened = self.clone();
-        Arc::make_mut(&mut weakened.atoms).remove(atom);
-        weakened
+        let mut atoms = self.matrix.atoms.clone();
+        Arc::make_mut(&mut atoms).remove(atom);
+        Relation::over(&self.matrix.classes, self.classify, atoms)
+    }
+
+    /// This relation with its vocabulary starting `names`, in that order:
+    /// itself when it already does.
+    pub fn ordered(self, names: &[&str]) -> Relation {
+        let classes = &self.matrix.classes;
+        if classes.len() >= names.len() && names.iter().zip(classes).all(|(n, c)| *n == c.0) {
+            return self;
+        }
+        let order: Vec<OpClass> = names.iter().map(|n| OpClass::new(*n)).collect();
+        Relation::over(&order, self.classify, self.matrix.atoms.clone())
     }
 
     /// The stated atoms (before the symmetric closure).
     pub fn atoms(&self) -> &BTreeSet<Atom> {
-        &self.atoms
+        &self.matrix.atoms
     }
 
     /// The class `op` is filed under.
@@ -130,9 +207,65 @@ impl Relation {
         (self.classify)(op)
     }
 
+    /// The class vocabulary, in [`ClassId`] order.
+    pub fn classes(&self) -> &[OpClass] {
+        &self.matrix.classes
+    }
+
+    /// `class`'s id: its place in the vocabulary or, for a class outside
+    /// it, a further id with an empty row and column, the same one each
+    /// time.
+    pub fn class_id(&self, class: &OpClass) -> ClassId {
+        let id = |at: usize| ClassId(u8::try_from(at).expect("at most 254 classes"));
+        let classes = &self.matrix.classes;
+        if let Some(at) = classes.iter().position(|c| c == class) {
+            return id(at);
+        }
+        let mut outside = self.matrix.outside.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = outside.iter().position(|c| c == class).unwrap_or_else(|| {
+            outside.push(class.clone());
+            outside.len() - 1
+        });
+        id(classes.len() + at)
+    }
+
+    /// The name of the class `id` numbers.
+    pub fn class_name(&self, id: ClassId) -> OpClass {
+        let (at, classes) = (usize::from(id.0), &self.matrix.classes);
+        if let Some(class) = classes.get(at) {
+            return class.clone();
+        }
+        let outside = self.matrix.outside.lock().unwrap_or_else(PoisonError::into_inner);
+        outside[at - classes.len()].clone()
+    }
+
+    /// The compiled conflict test: may operations of classes `a` and `b`
+    /// not be held concurrently? `same_key` answers whether their keys
+    /// compare as [`Cond::KeyEq`] (see [`pair_cond`]); it is asked only
+    /// when the pair's cell is conditional.
+    #[inline]
+    pub fn conflicts_classified(
+        &self,
+        a: ClassId,
+        b: ClassId,
+        same_key: impl FnOnce() -> bool,
+    ) -> bool {
+        let n = self.matrix.classes.len();
+        let (a, b) = (usize::from(a.0), usize::from(b.0));
+        if a >= n || b >= n {
+            return false;
+        }
+        match self.matrix.cells[a * n + b] {
+            0 => false,
+            EQ => same_key(),
+            NEQ => !same_key(),
+            _ => true,
+        }
+    }
+
     /// The one atom lookup: is `row ⊦ col` stated under `cond`?
     fn states(&self, row: OpClass, col: OpClass, cond: Cond) -> bool {
-        self.atoms.contains(&Atom { row, col, cond })
+        self.matrix.atoms.contains(&Atom { row, col, cond })
     }
 
     /// The one-directional dependency: does `q` depend on `p`, i.e. is
@@ -142,25 +275,13 @@ impl Relation {
     }
 
     /// The symmetric closure of [`Relation::related`]: may `a` and `b`
-    /// not be held concurrently by distinct active transactions?
+    /// not be held concurrently by distinct active transactions? Answered
+    /// from the atoms, the reference the compiled test is held to.
     pub fn conflicts(&self, a: &Operation, b: &Operation) -> bool {
-        self.conflicts_classified(&self.classify(a), a, &self.classify(b), b)
-    }
-
-    /// [`Relation::conflicts`] with both classes already in hand (the
-    /// runtime classifies each executed operation once).
-    pub fn conflicts_classified(
-        &self,
-        class_a: &OpClass,
-        a: &Operation,
-        class_b: &OpClass,
-        b: &Operation,
-    ) -> bool {
         // The key condition compares two values for (in)equality, so one
         // bucket serves both directions.
-        let cond = pair_cond(a, b);
-        self.states(class_a.clone(), class_b.clone(), cond)
-            || self.states(class_b.clone(), class_a.clone(), cond)
+        let (class_a, class_b, cond) = (self.classify(a), self.classify(b), pair_cond(a, b));
+        self.states(class_a.clone(), class_b.clone(), cond) || self.states(class_b, class_a, cond)
     }
 
     /// The canonical form of the conflict between two concrete ops: the

@@ -1,7 +1,7 @@
 //! Ground-truth atom sets for Tables I–VI and per-type derivation
 //! configurations. A table is printed by [`Relation::render`].
 
-use crate::derive::lift_to_atoms;
+use crate::derive::{cached_atoms, Derive, DeriveSpec};
 use crate::invalidated_by::Bounds;
 use crate::relation::{Atom, Cond, OpClass, Relation};
 use hcc_spec::adt::SharedAdt;
@@ -195,30 +195,38 @@ impl AdtConfig {
         }
     }
 
-    /// Derive this type's invalidated-by relation, lifted to atoms.
-    pub fn derive_invalidated_by(&self) -> Relation {
-        let rel =
-            crate::invalidated_by::invalidated_by(self.adt.as_ref(), &self.alphabet, self.bounds);
-        Relation::new(self.classify, lift_to_atoms(&self.alphabet, self.classify, &rel))
+    /// `atoms` as a relation over this type's classes, in table order.
+    pub fn relation(&self, atoms: impl Into<Arc<BTreeSet<Atom>>>) -> Relation {
+        Relation::over(&self.classes, self.classify, atoms)
     }
 
-    /// Derive this type's failure-to-commute relation, lifted to atoms.
-    pub fn derive_failure_to_commute(&self) -> Relation {
-        let rel = crate::commutativity::failure_to_commute(
-            self.adt.as_ref(),
-            &self.alphabet,
-            self.bounds,
-        );
-        Relation::new(self.classify, lift_to_atoms(&self.alphabet, self.classify, &rel))
+    /// The derivation half of this config.
+    pub fn spec(&self) -> DeriveSpec {
+        let (adt, alphabet) = (self.adt.clone(), self.alphabet.clone());
+        DeriveSpec { adt, alphabet, classify: self.classify, bounds: self.bounds }
+    }
+
+    /// The relation `derive` finds for this type, over its classes.
+    pub fn derived(&self, derive: Derive) -> Relation {
+        self.relation(derive(&self.spec()))
+    }
+
+    /// [`AdtConfig::derived`], through the process's derivation cache.
+    pub fn cached(&self, derive: Derive) -> Relation {
+        self.relation(cached_atoms(self.adt.type_name(), &self.spec(), derive))
     }
 }
 
 /// A table cell's condition: `v=v'`, `v≠v'`, or `true` (both).
-const EQ: &[Cond] = &[Cond::KeyEq];
-const NEQ: &[Cond] = &[Cond::KeyNeq];
-const TRUE: &[Cond] = &[Cond::KeyEq, Cond::KeyNeq];
+pub const EQ: &[Cond] = &[Cond::KeyEq];
+/// `v≠v'`.
+pub const NEQ: &[Cond] = &[Cond::KeyNeq];
+/// `true`: either condition.
+pub const TRUE: &[Cond] = &[Cond::KeyEq, Cond::KeyNeq];
 
-fn table(cells: &[(&str, &str, &[Cond])]) -> BTreeSet<Atom> {
+/// A table in the paper's language: each `(row, col)` related under every
+/// condition of its cell.
+pub fn table(cells: &[(&str, &str, &[Cond])]) -> BTreeSet<Atom> {
     cells
         .iter()
         .flat_map(|&(row, col, conds)| {
@@ -280,7 +288,11 @@ pub fn paper_table_vi() -> BTreeSet<Atom> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derive::{commutativity_atoms, conflict_atoms};
 
+    /// `derived` states `expected`, and its compiled matrix answers as
+    /// its atoms on every pair of the alphabet, in table order and in the
+    /// reverse order.
     fn assert_atoms_eq(derived: &Relation, expected: &BTreeSet<Atom>, cfg: &AdtConfig) {
         assert_eq!(
             derived.atoms(),
@@ -289,36 +301,47 @@ mod tests {
             derived.render("derived", &cfg.classes),
             Relation::new(cfg.classify, expected.clone()).render("expected", &cfg.classes)
         );
+        assert_eq!(derived.classes(), cfg.classes);
+        let reversed: Vec<&str> = cfg.classes.iter().rev().map(|c| c.0.as_str()).collect();
+        for rel in [derived.clone(), derived.clone().ordered(&reversed)] {
+            for (a, b) in cfg.alphabet.iter().flat_map(|a| cfg.alphabet.iter().map(move |b| (a, b)))
+            {
+                let id = |op| rel.class_id(&rel.classify(op));
+                let same_key = || crate::relation::pair_cond(a, b) == Cond::KeyEq;
+                let compiled = rel.conflicts_classified(id(a), id(b), same_key);
+                assert_eq!(compiled, rel.conflicts(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
     fn file_matches_paper_table_i() {
         let cfg = AdtConfig::file();
-        assert_atoms_eq(&cfg.derive_invalidated_by(), &paper_table_i(), &cfg);
+        assert_atoms_eq(&cfg.derived(conflict_atoms), &paper_table_i(), &cfg);
     }
 
     #[test]
     fn queue_invalidated_by_matches_paper_table_ii() {
         let cfg = AdtConfig::queue();
-        assert_atoms_eq(&cfg.derive_invalidated_by(), &paper_table_ii(), &cfg);
+        assert_atoms_eq(&cfg.derived(conflict_atoms), &paper_table_ii(), &cfg);
     }
 
     #[test]
     fn semiqueue_matches_paper_table_iv() {
         let cfg = AdtConfig::semiqueue();
-        assert_atoms_eq(&cfg.derive_invalidated_by(), &paper_table_iv(), &cfg);
+        assert_atoms_eq(&cfg.derived(conflict_atoms), &paper_table_iv(), &cfg);
     }
 
     #[test]
     fn account_matches_paper_table_v() {
         let cfg = AdtConfig::account();
-        assert_atoms_eq(&cfg.derive_invalidated_by(), &paper_table_v(), &cfg);
+        assert_atoms_eq(&cfg.derived(conflict_atoms), &paper_table_v(), &cfg);
     }
 
     #[test]
     fn account_commutativity_matches_paper_table_vi() {
         let cfg = AdtConfig::account();
-        assert_atoms_eq(&cfg.derive_failure_to_commute(), &paper_table_vi(), &cfg);
+        assert_atoms_eq(&cfg.derived(commutativity_atoms), &paper_table_vi(), &cfg);
     }
 
     #[test]
@@ -370,8 +393,10 @@ mod tests {
                     crate::commutativity::failure_to_commute(adt, alphabet, cfg.bounds),
                 ),
             ] {
-                let lifted =
-                    Relation::new(cfg.classify, lift_to_atoms(alphabet, cfg.classify, &derived));
+                let lifted = Relation::new(
+                    cfg.classify,
+                    crate::derive::lift_to_atoms(alphabet, cfg.classify, &derived),
+                );
                 assert_eq!(
                     lifted.instance_relation(alphabet),
                     derived,
@@ -385,7 +410,7 @@ mod tests {
 
     #[test]
     fn counter_updates_never_depend_on_each_other() {
-        let rel = AdtConfig::counter().derive_invalidated_by();
+        let rel = AdtConfig::counter().derived(conflict_atoms);
         let related = |row: &str, col: &str| {
             rel.atoms().iter().any(|a| a.row == OpClass::new(row) && a.col == OpClass::new(col))
         };

@@ -676,16 +676,8 @@ mod tests {
     #[test]
     fn deadlock_is_detected_and_a_victim_aborted() {
         let mgr = TxnManager::new();
-        let a = Arc::new(AccountObject::with(
-            "a",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        ));
-        let b = Arc::new(AccountObject::with(
-            "b",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        ));
+        let a = Arc::new(AccountObject::with_options("a", mgr.object_options()));
+        let b = Arc::new(AccountObject::with_options("b", mgr.object_options()));
         // Fund both accounts.
         let t0 = mgr.begin();
         a.credit(&t0, r(10)).unwrap();
@@ -752,11 +744,7 @@ mod tests {
     fn stable_watermark_is_the_last_fully_applied_commit_when_idle() {
         let (dir, mgr) = rotating_store("refused-commit");
         assert_eq!(mgr.stable_watermark(), 0, "nothing committed yet");
-        let a = Arc::new(AccountObject::with(
-            "a",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        ));
+        let a = Arc::new(AccountObject::with_options("a", mgr.object_options()));
         let t = mgr.begin();
         a.credit(&t, r(5)).unwrap();
         let ts1 = mgr.commit(t).unwrap();
@@ -848,11 +836,7 @@ mod tests {
     #[test]
     fn pinned_watermark_keeps_snapshots_exact_while_commits_flow() {
         let mgr = TxnManager::new();
-        let a = Arc::new(AccountObject::with(
-            "a",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        ));
+        let a = Arc::new(AccountObject::with_options("a", mgr.object_options()));
         let t = mgr.begin();
         a.credit(&t, r(10)).unwrap();
         mgr.commit(t).unwrap();
@@ -882,11 +866,7 @@ mod tests {
 
         let (dir, mgr) = rotating_store("lost-op");
         let store = mgr.storage().unwrap().clone();
-        let a = AccountObject::with(
-            "a",
-            Arc::new(hcc_adts::account::AccountHybrid),
-            mgr.object_options(),
-        );
+        let a = AccountObject::with_options("a", mgr.object_options());
         let t = mgr.begin();
         a.credit(&t, r(5)).unwrap();
         mgr.commit(t).unwrap();

@@ -522,7 +522,6 @@ mod tests {
     /// votes no for that transaction and yes for the next one.
     #[test]
     fn a_lost_op_record_votes_down_only_its_transaction() {
-        use hcc_adts::account::AccountHybrid;
         use hcc_core::runtime::RuntimeOptions;
         use hcc_storage::{CompactionPolicy, Durability, StorageOptions};
 
@@ -534,9 +533,8 @@ mod tests {
             policy: CompactionPolicy::never(),
         };
         let store = DurableStore::open(&dir, opts).unwrap();
-        let a = Arc::new(AccountObject::with(
+        let a = Arc::new(AccountObject::with_options(
             "a",
-            Arc::new(AccountHybrid),
             RuntimeOptions::default().with_redo(store.clone()),
         ));
         let site = Site::spawn_durable("s", vec![a.inner().clone()], store.clone());

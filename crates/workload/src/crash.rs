@@ -156,16 +156,8 @@ pub fn run_crash_workload(
     let timeout = Some(std::time::Duration::from_millis(20));
     let store = db.storage().expect("a durable db has a store").clone();
     let obj_opts = RuntimeOptions::with_timeout(timeout).with_redo(store);
-    let acct = db.attach(Arc::new(AccountObject::with(
-        "acct",
-        Arc::new(hcc_adts::account::AccountHybrid),
-        obj_opts.clone(),
-    )))?;
-    let queue = db.attach(Arc::new(QueueObject::<i64>::with(
-        "q",
-        Arc::new(hcc_adts::fifo_queue::QueueTableII),
-        obj_opts,
-    )))?;
+    let acct = db.attach(Arc::new(AccountObject::with_options("acct", obj_opts.clone())))?;
+    let queue = db.attach(Arc::new(QueueObject::<i64>::with_options("q", obj_opts)))?;
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut oracle = Oracle::new();

@@ -1,6 +1,6 @@
 //! The acceptance workload for the declarative ADT surface: a
 //! **user-defined type written only against the public `define_adt!` /
-//! `AdtDef` API** — no `RuntimeAdt`, `LockSpec`, `Snapshot`, or
+//! `AdtDef` API** — no `RuntimeAdt`, `Snapshot`, or
 //! `DbObject` impl anywhere in this module — driven through the [`Db`]
 //! facade under the randomized kill-point crash scenario, with the
 //! recovered history verified **hybrid atomic** against the same serial
@@ -418,7 +418,7 @@ pub fn custom_crash_point_holds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::{LockSpec, SpecAdt, SpecLock};
+    use hcc_core::runtime::{SpecAdt, SpecLock};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -204,7 +204,7 @@ pub type Inventory = SpecObject<InventoryDef>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcc_core::runtime::{LockSpec, SpecAdt, SpecLock};
+    use hcc_core::runtime::{SpecAdt, SpecLock};
 
     /// The derived relation, pinned: per-item and response-sensitive.
     #[test]

@@ -23,7 +23,7 @@
 //! exactly as `examples/distributed_commit.rs` does — there is no second
 //! recovery path for the simulation to exercise.
 
-use hcc_adts::account::{AccountHybrid, AccountObject};
+use hcc_adts::account::AccountObject;
 use hcc_core::runtime::{RuntimeOptions, TxnHandle};
 use hcc_db::{Db, HccError};
 use hcc_spec::{Rational, TxnId};
@@ -124,9 +124,8 @@ fn spawn_site(
         .decisions(decisions.clone())
         .open(dir)?;
     let store = db.storage().expect("a durable db has a store").clone();
-    let acct = db.attach(Arc::new(AccountObject::with(
+    let acct = db.attach(Arc::new(AccountObject::with_options(
         name,
-        Arc::new(AccountHybrid),
         RuntimeOptions::default().with_redo(store.clone()),
     )))?;
     let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], store);

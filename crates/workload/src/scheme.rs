@@ -2,17 +2,13 @@
 //! one multithreaded driver the scheme comparisons (E7–E13,
 //! `tests/end_to_end.rs`) run their transaction bodies through.
 
-use hcc_adts::account::{self, AccountObject};
-use hcc_adts::fifo_queue::{self, QueueObject};
-use hcc_adts::file::{self, FileObject};
-use hcc_adts::semiqueue::{self, SemiqueueObject};
+use hcc_adts::account::AccountObject;
+use hcc_adts::fifo_queue::QueueObject;
+use hcc_adts::file::FileObject;
+use hcc_adts::semiqueue::SemiqueueObject;
 use hcc_core::runtime::{BlockPolicy, ExecError, RuntimeAdt, RuntimeOptions, SpecLock, TxnHandle};
-use hcc_relations::derive::{
-    cached_atoms, commutativity_atoms, conflict_atoms, read_write_atoms, DeriveSpec,
-};
-use hcc_relations::relation::Relation;
+use hcc_relations::derive::{commutativity_atoms, conflict_atoms, read_write_atoms};
 use hcc_relations::tables::AdtConfig;
-use hcc_spec::Operation;
 use hcc_txn::TxnManager;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,21 +48,16 @@ impl Scheme {
     }
 
     /// This scheme's lock for a type whose serial specification `cfg`
-    /// describes, mapping executed operations onto it with `to_spec`. Each
-    /// type's relation is derived once per scheme and process.
-    pub fn lock<A: RuntimeAdt>(
-        self,
-        cfg: AdtConfig,
-        to_spec: fn(&A::Inv, &A::Res) -> Operation,
-    ) -> Arc<SpecLock<A>> {
-        let spec = DeriveSpec::from(cfg);
+    /// describes; the type's own classifier files its executed
+    /// operations. Each type's relation is derived once per scheme and
+    /// process.
+    pub fn lock<A: RuntimeAdt>(self, cfg: AdtConfig) -> SpecLock<A> {
         let derive = match self {
             Scheme::Hybrid => conflict_atoms,
             Scheme::Commutativity => commutativity_atoms,
             Scheme::Rw2pl => read_write_atoms,
         };
-        let atoms = cached_atoms(spec.adt.type_name(), &spec, derive);
-        Arc::new(SpecLock::new(self.name(), to_spec, Arc::new(Relation::new(spec.classify, atoms))))
+        SpecLock::new(self.name(), cfg.cached(derive))
     }
 }
 
@@ -78,22 +69,22 @@ impl std::fmt::Display for Scheme {
 
 /// An account under `scheme`.
 pub fn make_account(scheme: Scheme, name: &str, opts: RuntimeOptions) -> AccountObject {
-    AccountObject::with(name, scheme.lock(AdtConfig::account(), account::to_spec_op), opts)
+    AccountObject::with(name, scheme.lock(AdtConfig::account()), opts)
 }
 
 /// An `i64` FIFO queue under `scheme`.
 pub fn make_queue(scheme: Scheme, name: &str, opts: RuntimeOptions) -> QueueObject<i64> {
-    QueueObject::with(name, scheme.lock(AdtConfig::queue(), fifo_queue::to_spec_op), opts)
+    QueueObject::with(name, scheme.lock(AdtConfig::queue()), opts)
 }
 
 /// An `i64` semiqueue under `scheme`.
 pub fn make_semiqueue(scheme: Scheme, name: &str, opts: RuntimeOptions) -> SemiqueueObject<i64> {
-    SemiqueueObject::with(name, scheme.lock(AdtConfig::semiqueue(), semiqueue::to_spec_op), opts)
+    SemiqueueObject::with(name, scheme.lock(AdtConfig::semiqueue()), opts)
 }
 
 /// An `i64` register under `scheme`.
 pub fn make_file(scheme: Scheme, name: &str, opts: RuntimeOptions) -> FileObject<i64> {
-    FileObject::with(name, scheme.lock(AdtConfig::file(), file::to_spec_op), opts)
+    FileObject::with(name, scheme.lock(AdtConfig::file()), opts)
 }
 
 /// Object options for driven runs: the manager's options (deadlock

@@ -1,7 +1,7 @@
 //! Define your own transactional ADT — an **inventory** (a type the
 //! paper never analyzed) stated once through `define_adt!`, and run
 //! durably under crash recovery with zero hand-written runtime code: no
-//! `RuntimeAdt`, no `LockSpec`, no `Snapshot`, no `DbObject`.
+//! `RuntimeAdt`, no `Snapshot`, no `DbObject`.
 //!
 //! The definition — serial specification, typed operations, executable
 //! semantics, derivation alphabet — is `crates/workload/src/inventory.rs`

@@ -6,6 +6,7 @@
 //! cargo run --release --example derive_tables
 //! ```
 
+use hybrid_cc::relations::derive::{commutativity_atoms, conflict_atoms};
 use hybrid_cc::relations::minimal::minimal_dependency_relations;
 use hybrid_cc::relations::tables::AdtConfig;
 
@@ -21,13 +22,13 @@ fn main() {
         (AdtConfig::directory(), "Directory (extension)"),
     ] {
         let title = format!("invalidated-by: {title}");
-        println!("{}", cfg.derive_invalidated_by().render(&title, &cfg.classes));
+        println!("{}", cfg.derived(conflict_atoms).render(&title, &cfg.classes));
     }
 
     println!("failure-to-commute for Account (paper Table VI):");
     let cfg = AdtConfig::account();
     let title = "failure-to-commute: Account";
-    println!("{}", cfg.derive_failure_to_commute().render(title, &cfg.classes));
+    println!("{}", cfg.derived(commutativity_atoms).render(title, &cfg.classes));
 
     println!("All minimal dependency relations of the FIFO queue:");
     let cfg = AdtConfig::queue();

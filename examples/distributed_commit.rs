@@ -81,9 +81,8 @@ fn main() {
     let decided_ts;
     {
         let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-        let ledger = Arc::new(AccountObject::with(
+        let ledger = Arc::new(AccountObject::with_options(
             "ledger",
-            Arc::new(hybrid_cc::adts::account::AccountHybrid),
             RuntimeOptions::default().with_redo(store.clone()),
         ));
         let site = Site::spawn_durable("ledger-site", vec![ledger.inner().clone()], store);

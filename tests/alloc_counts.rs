@@ -3,8 +3,9 @@
 //! A counting `#[global_allocator]` over `System` tallies only on a
 //! thread that has switched counting on, so the test harness's other
 //! threads — and other tests running beside these — add nothing. Each
-//! test warms its objects up on `Db::in_memory()`, then counts a run of
-//! one kind of transaction through `Db::transact`.
+//! test warms its objects up, then counts a run of one kind of
+//! transaction: through `Db::transact` on `Db::in_memory()`, or through a
+//! bare `TxnManager` for the scheme comparison's objects.
 //!
 //! A single-operation or two-account transaction allocates its
 //! `TxnHandle` and nothing else: the committed ring, the recycled op
@@ -139,4 +140,54 @@ fn an_enq_deq_allocates_its_handle_and_its_intents() {
         })
     });
     assert!(n <= PER_TXN * COUNTED, "{n} allocations in {COUNTED} enq+deqs");
+}
+
+/// An Account under each of the three schemes (`hcc-workload`'s
+/// `Scheme`, a derived relation each), driven through the manager: the
+/// lock test classifies with the type's own classifier and allocates
+/// nothing, so a credit, and a credit with a debit, allocate the handle.
+#[test]
+fn a_scheme_account_allocates_its_handle_only() {
+    use hybrid_cc::txn::TxnManager;
+    use hybrid_cc::workload::scheme::{make_account, Scheme};
+
+    for scheme in Scheme::ALL {
+        let mgr = TxnManager::new();
+        let a = make_account(scheme, "a", mgr.object_options());
+        let credit = allocations(|| {
+            let t = mgr.begin();
+            a.credit(&t, money(2)).unwrap();
+            mgr.commit(t).unwrap();
+        });
+        let credit_debit = allocations(|| {
+            let t = mgr.begin();
+            a.credit(&t, money(2)).unwrap();
+            a.debit(&t, money(1)).unwrap();
+            mgr.commit(t).unwrap();
+        });
+        assert_eq!(credit, COUNTED, "{scheme}: allocations in {COUNTED} credits");
+        assert_eq!(credit_debit, COUNTED, "{scheme}: allocations in {COUNTED} credit+debits");
+    }
+}
+
+/// A declaratively defined Counter, eight: the handle; for the `inc`,
+/// `respond`'s answer list, the intent's op list one longer, and the
+/// formal operation's argument list and class name it is classified
+/// through; for the `read`, the answer list, the intent's copy and the
+/// class name.
+#[test]
+fn a_defined_counter_inc_read_allocates_its_spec_operations_and_intents() {
+    use hybrid_cc::adts::counter::{CounterDef, CounterInv};
+    use hybrid_cc::adts::SpecObject;
+
+    let db = Db::in_memory();
+    let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
+    let n = allocations(|| {
+        commit(&db, |tx| {
+            c.execute(tx, CounterInv::Inc(1))?;
+            Ok(c.execute(tx, CounterInv::Read)?)
+        })
+    });
+    const PER_TXN: u64 = 8;
+    assert_eq!(n, PER_TXN * COUNTED, "allocations in {COUNTED} inc+reads");
 }

@@ -8,18 +8,20 @@
 //!    deterministic workload driven through both flavors produces
 //!    bit-for-bit identical store directories — segments, checkpoint
 //!    files, everything;
-//! 2. **identical lock-grant decisions**: the derived `SpecLock` answers
-//!    exactly as the hand-written hybrid relation on an exhaustive
-//!    operation domain;
+//! 2. **identical lock-grant decisions**: the ported type's lock (its
+//!    definition's derived relation, classified through `spec_op`)
+//!    answers exactly as the built-in's (the same derivation, classified
+//!    by the built-in's typed classifier) and as the relation's atoms on
+//!    the spec operations, on an exhaustive operation domain;
 //! 3. **interchangeable recovery**: a log written by one flavor recovers
 //!    through the other, because the bytes *are* the same format.
 
 use hybrid_cc::adts::counter::{
-    CounterAdt, CounterDef, CounterHybrid, CounterInv, CounterObject, CounterRes,
+    self, CounterAdt, CounterDef, CounterInv, CounterObject, CounterRes,
 };
-use hybrid_cc::adts::set::{SetAdt, SetDef, SetHybrid, SetInv, SetObject};
+use hybrid_cc::adts::set::{self, SetAdt, SetDef, SetInv, SetObject};
 use hybrid_cc::adts::{Object, ObjectAdt, SpecObject};
-use hybrid_cc::core::runtime::{LockSpec, SpecAdt, SpecLock};
+use hybrid_cc::core::runtime::{SpecAdt, SpecLock};
 use hybrid_cc::storage::CompactionPolicy;
 use hybrid_cc::Db;
 use std::collections::BTreeMap;
@@ -223,7 +225,8 @@ fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
 #[test]
 fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
     let derived = SpecLock::<SpecAdt<CounterDef>>::from_def();
-    let hand = CounterHybrid;
+    let hand = CounterAdt::canonical_locks();
+    let spec = |(inv, res): &(CounterInv, CounterRes)| counter::to_spec_op(inv, res);
     let mut domain: Vec<(CounterInv, CounterRes)> = Vec::new();
     for n in [-7i64, -1, 0, 1, 2, 9] {
         domain.push((CounterInv::Inc(n), CounterRes::Ok));
@@ -235,8 +238,9 @@ fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
     let mut conflicts = 0;
     for a in &domain {
         for b in &domain {
-            let (got, want) = (derived.conflicts(a, b), hand.conflicts(a, b));
-            assert_eq!(got, want, "lock-grant decision differs on {a:?} vs {b:?}");
+            let want = derived.relation().conflicts(&spec(a), &spec(b));
+            let (got, typed) = (derived.conflicts(a, b), hand.conflicts(a, b));
+            assert_eq!((got, typed), (want, want), "lock-grant decision differs on {a:?} vs {b:?}");
             conflicts += want as usize;
         }
     }
@@ -247,7 +251,8 @@ fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
 #[test]
 fn ported_set_lock_decisions_match_hand_written_exhaustively() {
     let derived = SpecLock::<SpecAdt<SetDef<i64>>>::from_def();
-    let hand = SetHybrid;
+    let hand = SetAdt::<i64>::canonical_locks();
+    let spec = |(inv, res): &(SetInv<i64>, bool)| set::to_spec_op(inv, res);
     let mut domain: Vec<(SetInv<i64>, bool)> = Vec::new();
     for x in 0..4i64 {
         for ok in [true, false] {
@@ -259,8 +264,9 @@ fn ported_set_lock_decisions_match_hand_written_exhaustively() {
     let mut conflicts = 0;
     for a in &domain {
         for b in &domain {
-            let (got, want) = (derived.conflicts(a, b), hand.conflicts(a, b));
-            assert_eq!(got, want, "lock-grant decision differs on {a:?} vs {b:?}");
+            let want = derived.relation().conflicts(&spec(a), &spec(b));
+            let (got, typed) = (derived.conflicts(a, b), hand.conflicts(a, b));
+            assert_eq!((got, typed), (want, want), "lock-grant decision differs on {a:?} vs {b:?}");
             conflicts += want as usize;
         }
     }

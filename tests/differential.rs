@@ -1,10 +1,13 @@
 //! Differential testing: the appendix-style production runtime
 //! (`TxObject`) must agree, response for response and state for state,
 //! with the literal Section-5.1 state machine (`LockMachine`) under
-//! identical schedules.
+//! identical schedules. The object runs the lock `Db::object` gives it
+//! (the derived relation, compiled, fed by the type's typed classifier);
+//! the machine runs the paper's table on spec operations.
 
-use hybrid_cc::adts::account::{self, AccountAdt, AccountHybrid, AccountInv};
-use hybrid_cc::adts::fifo_queue::{self, QueueAdt, QueueInv, QueueTableII};
+use hybrid_cc::adts::account::{self, AccountAdt, AccountInv};
+use hybrid_cc::adts::fifo_queue::{self, QueueAdt, QueueInv};
+use hybrid_cc::adts::ObjectAdt;
 use hybrid_cc::core::runtime::{TryExecOutcome, TxObject, TxParticipant, TxnHandle};
 use hybrid_cc::relations::tables::{paper_table_ii, paper_table_v, AdtConfig};
 use hybrid_cc::relations::Relation;
@@ -24,7 +27,7 @@ enum Step<I> {
 
 /// Account-specific driver (invocation mapping is response-independent).
 fn drive_account(steps: Vec<Step<AccountInv>>) {
-    // The paper's Table V, against the hand-written `AccountHybrid`.
+    // The paper's Table V, against the compiled derived relation.
     let conflict = Relation::new(AdtConfig::account().classify, paper_table_v());
     let mut machine = LockMachine::new(
         ObjectId(0),
@@ -34,7 +37,7 @@ fn drive_account(steps: Vec<Step<AccountInv>>) {
     let object = TxObject::new(
         "acct",
         AccountAdt,
-        Arc::new(AccountHybrid),
+        AccountAdt::canonical_locks(),
         hybrid_cc::core::runtime::RuntimeOptions::default(),
     );
     let mut handles: HashMap<u64, Arc<TxnHandle>> = HashMap::new();
@@ -111,7 +114,7 @@ fn drive_account(steps: Vec<Step<AccountInv>>) {
 
 /// Queue-specific driver.
 fn drive_queue(steps: Vec<Step<QueueInv<i64>>>) {
-    // The paper's Table II, against the hand-written `QueueTableII`.
+    // The paper's Table II, against the compiled derived relation.
     let conflict = Relation::new(AdtConfig::queue().classify, paper_table_ii());
     let mut machine = LockMachine::new(
         ObjectId(0),
@@ -121,7 +124,7 @@ fn drive_queue(steps: Vec<Step<QueueInv<i64>>>) {
     let object = TxObject::new(
         "q",
         QueueAdt::<i64>::default(),
-        Arc::new(QueueTableII),
+        QueueAdt::<i64>::canonical_locks(),
         hybrid_cc::core::runtime::RuntimeOptions::default(),
     );
     let mut handles: HashMap<u64, Arc<TxnHandle>> = HashMap::new();

@@ -8,7 +8,7 @@
 //! story one case at a time: a durable site is a `Db` whose objects log
 //! through its store and join it with `Db::attach`.
 
-use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
+use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::core::runtime::{RuntimeOptions, TxnHandle};
 use hybrid_cc::spec::{Rational, TxnId};
 use hybrid_cc::storage::{DurableStore, StorageOptions};
@@ -64,9 +64,8 @@ fn site_b(dir: &Path, decisions: Decisions) -> (Db, Arc<AccountObject>, Site) {
     let db = Db::builder().decisions(decisions).open(dir).unwrap();
     let store = db.storage().unwrap().clone();
     let b = db
-        .attach(Arc::new(AccountObject::with(
+        .attach(Arc::new(AccountObject::with_options(
             "b",
-            Arc::new(AccountHybrid),
             RuntimeOptions::default().with_redo(store.clone()),
         )))
         .unwrap();

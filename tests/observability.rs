@@ -248,13 +248,13 @@ fn refusal_labels_are_lock_atom_class_pairs() {
 /// other — the per-pair counts the scheme comparison reports.
 #[test]
 fn every_scheme_refuses_only_its_own_atom_pairs() {
-    use hybrid_cc::adts::account::{self, AccountAdt};
+    use hybrid_cc::adts::account::AccountAdt;
     use hybrid_cc::relations::tables::AdtConfig;
     use hybrid_cc::workload::scheme::{bench_options, make_account, run, Scheme};
     use rand::Rng;
 
     for scheme in Scheme::ALL {
-        let lock = scheme.lock::<AccountAdt>(AdtConfig::account(), account::to_spec_op);
+        let lock = scheme.lock::<AccountAdt>(AdtConfig::account());
         let mgr = TxnManager::new();
         let acct = make_account(scheme, "acct", bench_options(&mgr));
         let t = mgr.begin();
@@ -288,36 +288,45 @@ fn every_scheme_refuses_only_its_own_atom_pairs() {
 /// Lock-metric keys name the class the scheme filed each operation
 /// under, even where the operation's variants do not determine it: a
 /// Set's response is a `bool`, so `Add-New` and `Add-Dup` (and
-/// `Remove-Hit` and `Remove-Miss`) share their variants.
+/// `Remove-Hit` and `Remove-Miss`) share their variants. The built-in Set
+/// and its declaratively defined twin key the same script identically.
 #[test]
 fn lock_metric_keys_follow_classes_the_variants_do_not_determine() {
-    use hybrid_cc::adts::set::{SetDef, SetInv};
+    use hybrid_cc::adts::set::{SetAdt, SetDef, SetInv};
+    use hybrid_cc::adts::{Object, ObjectAdt};
     use hybrid_cc::core::runtime::TryExecOutcome;
 
-    let mgr = TxnManager::new();
-    let set = SpecObject::<SetDef<i64>>::with_options("s", mgr.object_options());
-    let t0 = mgr.begin();
-    assert_eq!(set.execute(&t0, SetInv::Add(1)), Ok(true));
-    mgr.commit(t0).unwrap();
-    let refused = |held: SetInv<i64>, requested: SetInv<i64>| {
-        let (t1, t2) = (mgr.begin(), mgr.begin());
-        set.execute(&t1, held).unwrap();
-        let outcome = set.inner().try_execute(&t2, &requested).unwrap();
-        assert!(matches!(outcome, TryExecOutcome::Conflict(_)), "{requested:?} was granted");
-        mgr.abort(t1);
-        mgr.abort(t2);
-    };
-    // Add(1) → false is an Add-Dup; Remove(1) → true, a Remove-Hit.
-    refused(SetInv::Add(1), SetInv::Remove(1));
-    // Add(2) → true is an Add-New; Remove(2) → false, a Remove-Miss.
-    refused(SetInv::Add(2), SetInv::Remove(2));
-    let snap = mgr.metrics().snapshot();
-    assert_eq!(snap.counter("lock.refusals.Set.Remove-Hit|Add-Dup"), 1);
-    assert_eq!(snap.counter("lock.refusals.Set.Remove-Miss|Add-New"), 1);
-    assert_eq!(snap.sum_prefix("lock.refusals.Set."), 2);
-    assert_eq!(snap.counter("lock.grants.Set.Add-New"), 2);
-    assert_eq!(snap.counter("lock.grants.Set.Add-Dup"), 1);
-    assert_eq!(snap.sum_prefix("lock.grants.Set."), 3);
+    fn script<A: ObjectAdt<Inv = SetInv<i64>, Res = bool>>() -> Vec<(String, u64)> {
+        let mgr = TxnManager::new();
+        let set = Object::<A>::with_options("s", mgr.object_options());
+        let t0 = mgr.begin();
+        assert_eq!(set.execute(&t0, SetInv::Add(1)), Ok(true));
+        mgr.commit(t0).unwrap();
+        let refused = |held: SetInv<i64>, requested: SetInv<i64>| {
+            let (t1, t2) = (mgr.begin(), mgr.begin());
+            set.execute(&t1, held).unwrap();
+            let outcome = set.inner().try_execute(&t2, &requested).unwrap();
+            assert!(matches!(outcome, TryExecOutcome::Conflict(_)), "{requested:?} was granted");
+            mgr.abort(t1);
+            mgr.abort(t2);
+        };
+        // Add(1) → false is an Add-Dup; Remove(1) → true, a Remove-Hit.
+        refused(SetInv::Add(1), SetInv::Remove(1));
+        // Add(2) → true is an Add-New; Remove(2) → false, a Remove-Miss.
+        refused(SetInv::Add(2), SetInv::Remove(2));
+        let snap = mgr.metrics().snapshot();
+        assert_eq!(snap.counter("lock.refusals.Set.Remove-Hit|Add-Dup"), 1);
+        assert_eq!(snap.counter("lock.refusals.Set.Remove-Miss|Add-New"), 1);
+        assert_eq!(snap.sum_prefix("lock.refusals.Set."), 2);
+        assert_eq!(snap.counter("lock.grants.Set.Add-New"), 2);
+        assert_eq!(snap.counter("lock.grants.Set.Add-Dup"), 1);
+        assert_eq!(snap.sum_prefix("lock.grants.Set."), 3);
+        let lock_keys =
+            snap.values.keys().filter(|k| k.starts_with("lock.") && k.contains(".Set."));
+        lock_keys.map(|k| (k.clone(), snap.counter(k))).collect()
+    }
+
+    assert_eq!(script::<SpecAdt<SetDef<i64>>>(), script::<SetAdt<i64>>());
 }
 
 /// A production recovery refusal is readable where it happens: with the

@@ -4,6 +4,7 @@
 //! histories) online hybrid atomic. Theorem 17's converse lives in
 //! `hcc-verify`'s unit tests and is re-checked here at the system level.
 
+use hybrid_cc::relations::derive::conflict_atoms;
 use hybrid_cc::relations::tables::AdtConfig;
 use hybrid_cc::relations::Relation;
 use hybrid_cc::spec::adt::SharedAdt;
@@ -73,7 +74,7 @@ fn run(spec: SharedAdt, conflict: Arc<Relation>, menu: &[Inv], steps: &[Step]) -
 /// Drive a schedule through a LOCK machine running the type's derived
 /// hybrid relation and check the history it records.
 fn check_machine_history(cfg: AdtConfig, steps: &[Step]) {
-    let conflict = Arc::new(cfg.derive_invalidated_by());
+    let conflict = Arc::new(cfg.derived(conflict_atoms));
     let menu: Vec<Inv> = {
         // Use the alphabet's distinct invocations as the operation menu.
         let mut seen = BTreeSet::new();
@@ -171,16 +172,18 @@ fn theorem_17_counterexample_detected_by_verifier() {
     assert!(!online_hybrid_atomic(m.history(), &specs));
 }
 
-/// The derived class-level conflict relations agree with the hand-written
-/// lock specs in `hcc-adts` over the derivation alphabet.
+/// The derived class-level conflict relations, read from their atoms on
+/// spec operations, agree with the locks `Db::object` runs — the same
+/// relations compiled to class matrices and fed by each type's typed
+/// classifier — over the derivation alphabet.
 #[test]
 fn derived_conflicts_match_handwritten_lock_specs() {
-    use hybrid_cc::core::runtime::LockSpec;
+    use hybrid_cc::adts::ObjectAdt;
 
     // Queue Table II.
     let cfg = AdtConfig::queue();
-    let derived = cfg.derive_invalidated_by();
-    let hand = hybrid_cc::adts::fifo_queue::QueueTableII;
+    let derived = cfg.derived(conflict_atoms);
+    let hand = hybrid_cc::adts::fifo_queue::QueueAdt::<i64>::canonical_locks();
     for a in &cfg.alphabet {
         for b in &cfg.alphabet {
             let typed = |op: &hybrid_cc::spec::Operation| {
@@ -201,8 +204,8 @@ fn derived_conflicts_match_handwritten_lock_specs() {
 
     // Account Table V.
     let cfg = AdtConfig::account();
-    let derived = cfg.derive_invalidated_by();
-    let hand = hybrid_cc::adts::account::AccountHybrid;
+    let derived = cfg.derived(conflict_atoms);
+    let hand = hybrid_cc::adts::account::AccountAdt::canonical_locks();
     for a in &cfg.alphabet {
         for b in &cfg.alphabet {
             let typed = |op: &hybrid_cc::spec::Operation| {
@@ -225,10 +228,10 @@ fn derived_conflicts_match_handwritten_lock_specs() {
         }
     }
 
-    // Set: the hand-written per-element relation equals the derived one.
+    // Set: the per-element relation, compiled, equals the derived one.
     let cfg = AdtConfig::set();
-    let derived = cfg.derive_invalidated_by();
-    let hand = hybrid_cc::adts::set::SetHybrid;
+    let derived = cfg.derived(conflict_atoms);
+    let hand = hybrid_cc::adts::set::SetAdt::<i64>::canonical_locks();
     for a in &cfg.alphabet {
         for b in &cfg.alphabet {
             let typed = |op: &hybrid_cc::spec::Operation| {

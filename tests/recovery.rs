@@ -39,16 +39,8 @@ fn money(n: i64) -> Rational {
 /// own redo record into the WAL.
 fn run_durable_session(dir: &PathBuf, opts: StorageOptions) -> (Rational, usize) {
     let mgr = TxnManager::with_storage(dir, opts).unwrap();
-    let acct = AccountObject::with(
-        "acct",
-        Arc::new(hybrid_cc::adts::account::AccountHybrid),
-        mgr.object_options(),
-    );
-    let queue: QueueObject<i64> = QueueObject::with(
-        "q",
-        Arc::new(hybrid_cc::adts::fifo_queue::QueueTableII),
-        mgr.object_options(),
-    );
+    let acct = AccountObject::with_options("acct", mgr.object_options());
+    let queue: QueueObject<i64> = QueueObject::with_options("q", mgr.object_options());
 
     let run = |ops: Vec<(&str, i64)>, commit: bool| {
         let t = mgr.begin();
@@ -197,11 +189,7 @@ fn replay_orders_interleaved_transactions_by_timestamp() {
     let dir = tmp("store-interleaved");
     {
         let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct = AccountObject::with(
-            "acct",
-            Arc::new(hybrid_cc::adts::account::AccountHybrid),
-            mgr.object_options(),
-        );
+        let acct = AccountObject::with_options("acct", mgr.object_options());
         // Two transactions with interleaved (self-logged) op records;
         // t_late begins first but commits second. Replay must apply
         // credit(10) then debit(60): debiting first would overdraft and
@@ -377,11 +365,7 @@ fn snapshot_restore_is_what_checkpoint_recovery_uses() {
     // A checkpoint taken mid-run restores into fresh objects bit-for-bit.
     let dir = tmp("store-snapshot");
     let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-    let acct = AccountObject::with(
-        "acct",
-        Arc::new(hybrid_cc::adts::account::AccountHybrid),
-        mgr.object_options(),
-    );
+    let acct = AccountObject::with_options("acct", mgr.object_options());
     let t = mgr.begin();
     acct.credit(&t, money(123)).unwrap();
     mgr.commit(t).unwrap();

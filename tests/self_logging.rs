@@ -12,8 +12,8 @@
 //! `HCC_DURABILITY` (buffered / fsync) overrides the durability level —
 //! CI runs this suite as a matrix over both.
 
-use hybrid_cc::adts::account::{AccountHybrid, AccountObject};
-use hybrid_cc::adts::fifo_queue::{QueueObject, QueueTableII};
+use hybrid_cc::adts::account::AccountObject;
+use hybrid_cc::adts::fifo_queue::QueueObject;
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{CommittedTxn, DurableStore, Recovered, StorageOptions};
 use hybrid_cc::workload::crash::{
@@ -137,16 +137,10 @@ fn manager_recovers_registry_and_resumes() {
     let dir = tmp("resume");
     let open = || {
         let db = Db::open(&dir).unwrap();
-        let acct = db
-            .attach(Arc::new(AccountObject::with(
-                "acct",
-                Arc::new(AccountHybrid),
-                db.object_options(),
-            )))
-            .unwrap();
-        let queue: Arc<QueueObject<i64>> = db
-            .attach(Arc::new(QueueObject::with("q", Arc::new(QueueTableII), db.object_options())))
-            .unwrap();
+        let acct =
+            db.attach(Arc::new(AccountObject::with_options("acct", db.object_options()))).unwrap();
+        let queue: Arc<QueueObject<i64>> =
+            db.attach(Arc::new(QueueObject::with_options("q", db.object_options()))).unwrap();
         (db, acct, queue)
     };
     let pre_crash_balance;
