@@ -151,11 +151,11 @@ impl Object<CounterAdt> {
     }
 }
 
-/// The Counter restated through the declarative [`AdtDef`] surface — the
-/// **ported twin** of [`CounterAdt`]: one definition
-/// from which the runtime adapter, the lock relation (derived from
-/// [`CounterSpec`] at first construction, cached per type), the snapshot
-/// codec, and the `Db` handle are all generic. The wire format reuses
+/// The Counter restated through the declarative
+/// [`AdtDef`](hcc_core::runtime::AdtDef) surface — the **ported twin** of
+/// [`CounterAdt`]: one definition from which the runtime adapter, the
+/// lock relation (derived from [`CounterSpec`] at first construction,
+/// cached per type), the snapshot codec, and the `Db` handle are all generic. The wire format reuses
 /// [`CounterAdt`]'s encoders, so `SpecObject<CounterDef>` writes
 /// byte-identical WAL traces and checkpoint images — proven by the
 /// differential test in `tests/defined_adts.rs`.

@@ -26,7 +26,7 @@
 //! The types: [`account`] (Table V), [`fifo_queue`] (Table II; its other
 //! minimal relation, Table III, is derived where the commutativity scheme
 //! needs it), [`semiqueue`] (Table IV),
-//! [`file`] (Table I / generalized Thomas Write Rule), and the extension
+//! [`file`](mod@file) (Table I / generalized Thomas Write Rule), and the extension
 //! types [`counter`], [`set`], [`directory`]; [`define`] runs any
 //! declaratively defined type behind the same object.
 //!

@@ -206,12 +206,12 @@ impl<T: Elem> Object<SetAdt<T>> {
     }
 }
 
-/// The Set restated through the declarative [`AdtDef`] surface — the
-/// **ported twin** of [`SetAdt`]: the per-element,
-/// response-dependent conflict relation is *derived* from
-/// [`SetSpec`](hcc_spec::specs::SetSpec) at first construction (cached
-/// per type) instead of hand-encoded, and snapshots/replay/`Db` handles
-/// are generic. The wire format reuses [`SetAdt`]'s encoders, so
+/// The Set restated through the declarative
+/// [`AdtDef`](hcc_core::runtime::AdtDef) surface — the **ported twin** of
+/// [`SetAdt`]: the per-element, response-dependent conflict relation is
+/// *derived* from [`SetSpec`] at first construction (cached per type)
+/// instead of hand-encoded, and snapshots/replay/`Db` handles are
+/// generic. The wire format reuses [`SetAdt`]'s encoders, so
 /// `SpecObject<SetDef<T>>` writes byte-identical WAL traces and
 /// checkpoint images — proven by the differential test in
 /// `tests/defined_adts.rs`.

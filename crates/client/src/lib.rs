@@ -2,7 +2,7 @@
 //!
 //! A synchronous client for the `hcc-wire` protocol with the same error
 //! contract local callers get: every failure is an
-//! [`HccError`](hcc_db::HccError) whose `is_transient()` answer is the
+//! [`HccError`] whose `is_transient()` answer is the
 //! retry decision. A shed request (`Overloaded`) or a server-side
 //! transient abort is retried here with the facade's own
 //! [`RetryPolicy`] backoff; fatal faults surface immediately.

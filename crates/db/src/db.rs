@@ -19,14 +19,14 @@ use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
     Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject, DurableStore, Recovered,
-    StorageOptions,
+    Snapshot, StorageOptions,
 };
 use hcc_txn::manager::CommitError;
-use hcc_txn::registry::{self, Decisions, RecoveryReport, Registry};
+use hcc_txn::registry::{self, Decisions, RecoveryReport};
 use hcc_txn::TxnManager;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,77 +109,40 @@ impl DbBuilder {
         // resolve *moved* every payload into its name's slice; nothing
         // is copied.
         let checkpoint_ts = recovered.checkpoint.as_ref().map_or(0, |c| c.last_ts);
-        let replayed = resolved.len();
-        let mut tail: HashMap<String, Vec<TailTxn>> = HashMap::new();
+        let report = RecoveryReport {
+            checkpoint_ts,
+            replayed: resolved.len(),
+            torn_tail: recovered.torn_tail,
+        };
+        let mut shares: HashMap<String, Share> = HashMap::new();
+        if let Some(ckpt) = recovered.checkpoint {
+            for (name, image) in ckpt.objects {
+                shares.entry(name).or_default().image = Some(image);
+            }
+        }
         for c in resolved {
             // The resolved list is in timestamp order, so each per-name
             // slice stays in replay order.
             let (txn, ts) = (c.txn, c.ts);
             for (name, ops) in c.by_object() {
-                tail.entry(name).or_default().push((txn, ts, ops));
+                shares.entry(name).or_default().tail.push((txn, ts, ops));
             }
         }
-        let report = RecoveryReport { checkpoint_ts, replayed, torn_tail: recovered.torn_tail };
-
-        let mut snapshots: HashMap<String, Vec<u8>> = HashMap::new();
-        if let Some(ckpt) = recovered.checkpoint {
-            snapshots.extend(ckpt.objects);
-        }
-        let unmaterialized: HashSet<String> =
-            snapshots.keys().chain(tail.keys()).cloned().collect();
-        if unmaterialized.is_empty() {
+        if shares.is_empty() {
             store.mark_state_absorbed();
         }
-
-        let transact_attempts = mgr.metrics().histogram("db.transact.attempts");
-        let transact_backoff_nanos = mgr.metrics().counter("db.transact.backoff_nanos");
-        let read_instruments = ReadInstruments::resolve(mgr.metrics());
-        Ok(Db {
-            mgr,
-            retry: self.retry,
-            lock_timeout: self.lock_timeout,
-            registry: RwLock::new(Registry::new()),
-            handles: Mutex::new(HashMap::new()),
-            pending: Mutex::new(PendingRecovery {
-                checkpoint_ts,
-                snapshots,
-                tail,
-                unmaterialized,
-                poisoned: HashSet::new(),
-            }),
-            report,
-            transact_attempts,
-            transact_backoff_nanos,
-            read_instruments,
-        })
+        let objects = Objects {
+            unopened: shares.len(),
+            slots: shares.into_iter().map(|(name, share)| (name, Slot::Logged(share))).collect(),
+        };
+        Ok(Db::assemble(mgr, &self, objects, report))
     }
 
     /// A purely in-memory database (no durable store, as in the paper's
     /// model): same typed handles and scoped transactions, nothing
     /// written to disk.
     pub fn in_memory(self) -> Db {
-        let mgr = TxnManager::new();
-        let transact_attempts = mgr.metrics().histogram("db.transact.attempts");
-        let transact_backoff_nanos = mgr.metrics().counter("db.transact.backoff_nanos");
-        let read_instruments = ReadInstruments::resolve(mgr.metrics());
-        Db {
-            mgr,
-            retry: self.retry,
-            lock_timeout: self.lock_timeout,
-            registry: RwLock::new(Registry::new()),
-            handles: Mutex::new(HashMap::new()),
-            pending: Mutex::new(PendingRecovery {
-                checkpoint_ts: 0,
-                snapshots: HashMap::new(),
-                tail: HashMap::new(),
-                unmaterialized: HashSet::new(),
-                poisoned: HashSet::new(),
-            }),
-            report: RecoveryReport::default(),
-            transact_attempts,
-            transact_backoff_nanos,
-            read_instruments,
-        }
+        Db::assemble(TxnManager::new(), &self, Objects::default(), RecoveryReport::default())
     }
 }
 
@@ -228,43 +191,69 @@ impl Drop for AbortOnDrop<'_> {
     }
 }
 
-/// Durable state recovered from the log but not yet installed into a
-/// live object — already sliced per object name, consumed (and freed)
-/// name by name as [`Db::object`] / [`Db::attach`] materialize handles.
-struct PendingRecovery {
-    /// The restored checkpoint's watermark (0 = none).
-    checkpoint_ts: u64,
-    /// Per-name checkpoint snapshot bytes.
-    snapshots: HashMap<String, Vec<u8>>,
-    /// Per-name slices of the committed tail in replay order:
-    /// `name → [(txn, ts, op payloads)]`.
-    tail: HashMap<String, Vec<TailTxn>>,
-    /// Names the log knows that no live handle has absorbed yet. The
-    /// store refuses checkpoints until this drains — a checkpoint taken
-    /// earlier would claim coverage of history its snapshots lack, then
-    /// prune it.
-    unmaterialized: HashSet<String>,
-    /// Names whose materialization failed *into an attached instance*:
-    /// the caller still holds that partially-recovered object, so
-    /// re-applying the pending state through another `attach` could
-    /// double its effects. Further attaches are refused; `Db::object`
-    /// (always a fresh instance) and a database reopen stay safe.
-    poisoned: HashSet<String>,
+/// Every name this `Db` knows, logged or open — the one table behind
+/// [`Db::object`], [`Db::attach`], [`Db::checkpoint`] and
+/// [`Db::unopened_objects`].
+#[derive(Default)]
+struct Objects {
+    slots: HashMap<String, Slot>,
+    /// How many slots are still [`Slot::Logged`]. The store refuses
+    /// checkpoints until the last one opens: a checkpoint taken earlier
+    /// would claim coverage of history its snapshots lack, then prune
+    /// it.
+    unopened: usize,
 }
 
-impl PendingRecovery {
-    /// Install `obj`'s share of the image into it: checkpoint snapshot
-    /// first, then its slice of the committed tail in replay order.
-    fn install(&self, obj: &dyn DurableObject) -> Result<(), HccError> {
-        let name = obj.object_name();
-        if let Some(data) = self.snapshots.get(name) {
-            obj.restore(data, self.checkpoint_ts)?;
+/// One name's place in the table.
+enum Slot {
+    /// The log holds state under the name and no live object has
+    /// absorbed it yet.
+    Logged(Share),
+    /// The live object: the typed handle callers get back, and the same
+    /// object as the checkpoint walks it.
+    Open { typed: Arc<dyn Any + Send + Sync>, durable: Arc<dyn DurableObject> },
+}
+
+/// One name's share of the recovered image, consumed (and freed) when
+/// the name opens.
+#[derive(Default)]
+struct Share {
+    /// The name's checkpoint image.
+    image: Option<Vec<u8>>,
+    /// The name's slice of the committed tail, in replay order.
+    tail: Vec<TailTxn>,
+    /// Materialization failed *into an attached instance*: the caller
+    /// still holds that partially-recovered object, so re-applying this
+    /// share through another `attach` could double its effects. Further
+    /// attaches are refused; `Db::object` (always a fresh instance) and a
+    /// database reopen stay safe.
+    poisoned: bool,
+}
+
+impl Share {
+    /// Install this share into `obj`: checkpoint image first (taken at
+    /// `checkpoint_ts`), then the tail slice in replay order, each
+    /// replayed operation pinned to its logged response.
+    fn install(&self, obj: &dyn DurableObject, checkpoint_ts: u64) -> Result<(), HccError> {
+        if let Some(image) = &self.image {
+            obj.restore(image, checkpoint_ts)?;
         }
-        for (txn, ts, ops) in self.tail.get(name).into_iter().flatten() {
+        for (txn, ts, ops) in &self.tail {
             registry::replay_object_ops(obj, *txn, *ts, ops)?;
         }
         Ok(())
     }
+}
+
+/// An open slot's handle as `T`, or [`HccError::TypeMismatch`].
+fn downcast<T: DbObject>(
+    name: &str,
+    typed: &Arc<dyn Any + Send + Sync>,
+) -> Result<Arc<T>, HccError> {
+    typed.clone().downcast::<T>().map_err(|_| HccError::TypeMismatch {
+        object: name.to_string(),
+        requested: std::any::type_name::<T>(),
+    })
 }
 
 /// The session facade: typed durable handles and scoped, retrying
@@ -287,9 +276,10 @@ pub struct Db {
     mgr: Arc<TxnManager>,
     retry: RetryPolicy,
     lock_timeout: Option<Duration>,
-    registry: RwLock<Registry>,
-    handles: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
-    pending: Mutex<PendingRecovery>,
+    /// Every logged or open name. Looking up an open name takes the read
+    /// side; opening one takes the write side; a checkpoint holds the
+    /// read side throughout, so no object opens under its feet.
+    objects: RwLock<Objects>,
     report: RecoveryReport,
     /// `db.transact.attempts` — attempts each `transact` call took (1 =
     /// first try committed). Resolved once at construction.
@@ -303,6 +293,25 @@ pub struct Db {
 }
 
 impl Db {
+    /// The one constructor behind both builder paths.
+    fn assemble(
+        mgr: Arc<TxnManager>,
+        opts: &DbBuilder,
+        objects: Objects,
+        report: RecoveryReport,
+    ) -> Db {
+        Db {
+            transact_attempts: mgr.metrics().histogram("db.transact.attempts"),
+            transact_backoff_nanos: mgr.metrics().counter("db.transact.backoff_nanos"),
+            read_instruments: ReadInstruments::resolve(mgr.metrics()),
+            mgr,
+            retry: opts.retry,
+            lock_timeout: opts.lock_timeout,
+            objects: RwLock::new(objects),
+            report,
+        }
+    }
+
     /// Configure a database.
     pub fn builder() -> DbBuilder {
         DbBuilder::default()
@@ -324,25 +333,16 @@ impl Db {
     /// First call constructs the object (hybrid conflict relation, the
     /// database's runtime options), installs whatever state the log
     /// holds under that name (checkpoint snapshot + committed tail, in
-    /// timestamp order), and registers it with the recovery registry and
-    /// redo sink. Later calls return the *same* instance — never a blank
-    /// twin — or [`HccError::TypeMismatch`] if asked for it as a
-    /// different type.
+    /// timestamp order), and enters it in this database's object table,
+    /// which checkpoints walk; it self-logs through the redo sink. Later
+    /// calls return the *same* instance — never a blank twin — or
+    /// [`HccError::TypeMismatch`] if asked for it as a different type.
+    /// Looking up an already-open name takes only the table's read side.
     pub fn object<T: DbObject>(&self, name: &str) -> Result<Arc<T>, HccError> {
-        let mut handles = self.handles.lock();
-        if let Some(existing) = handles.get(name) {
-            return existing.clone().downcast::<T>().map_err(|_| HccError::TypeMismatch {
-                object: name.to_string(),
-                requested: std::any::type_name::<T>(),
-            });
+        if let Some(Slot::Open { typed, .. }) = self.objects.read().slots.get(name) {
+            return downcast(name, typed);
         }
-        let obj = T::fresh(name, self.object_options());
-        debug_assert_eq!(obj.object_name(), name, "DbObject::fresh must honor the name");
-        self.materialize(obj.as_ref())?;
-        self.registry.write().register(obj.clone());
-        handles.insert(name.to_string(), obj.clone());
-        self.mark_absorbed_if_drained();
-        Ok(obj)
+        self.open_slot(name, None)
     }
 
     /// Adopt a caller-built durable object (e.g. one constructed with a
@@ -359,61 +359,66 @@ impl Db {
     /// always builds fresh) to retry the recovery.
     pub fn attach<T: DbObject>(&self, obj: Arc<T>) -> Result<Arc<T>, HccError> {
         let name = obj.object_name().to_string();
-        let mut handles = self.handles.lock();
-        if handles.contains_key(&name) {
-            return Err(HccError::DuplicateObject { object: name });
-        }
-        if self.pending.lock().poisoned.contains(&name) {
-            return Err(HccError::PoisonedRecovery { object: name });
-        }
-        if let Err(e) = self.materialize(obj.as_ref()) {
-            self.pending.lock().poisoned.insert(name);
+        self.open_slot(&name, Some(obj))
+    }
+
+    /// Open `name` in one write hold of the table: build the object (or
+    /// adopt the caller's), install the name's logged share, flip the
+    /// slot to open, and — if that was the last logged slot — attest
+    /// absorption to the store, so checkpointing becomes legal only once
+    /// every logged name is in the table as an open object.
+    ///
+    /// The share is consumed only on success: a failed materialization
+    /// (wrong type asked for the name, replay divergence) leaves it
+    /// logged, so a later open retries the recovery instead of minting a
+    /// blank twin. The retry is sound because `object` discards the
+    /// partially-mutated instance and builds a fresh one; `attach`
+    /// cannot, and poisons the name instead.
+    fn open_slot<T: DbObject>(
+        &self,
+        name: &str,
+        adopt: Option<Arc<T>>,
+    ) -> Result<Arc<T>, HccError> {
+        let adopted = adopt.is_some();
+        let build = || {
+            adopt.unwrap_or_else(|| {
+                let obj = T::fresh(name, self.object_options());
+                debug_assert_eq!(obj.object_name(), name, "DbObject::fresh must honor the name");
+                obj
+            })
+        };
+        let mut objects = self.objects.write();
+        let objects = &mut *objects;
+        let Some(slot) = objects.slots.get_mut(name) else {
+            let obj = build();
+            let open = Slot::Open { typed: obj.clone(), durable: obj.clone() };
+            objects.slots.insert(name.to_string(), open);
+            return Ok(obj);
+        };
+        let share = match slot {
+            Slot::Open { typed, .. } if !adopted => return downcast(name, typed),
+            Slot::Open { .. } => {
+                return Err(HccError::DuplicateObject { object: name.to_string() });
+            }
+            Slot::Logged(share) if share.poisoned && adopted => {
+                return Err(HccError::PoisonedRecovery { object: name.to_string() });
+            }
+            Slot::Logged(share) => share,
+        };
+        let obj = build();
+        if let Err(e) = share.install(obj.as_ref(), self.report.checkpoint_ts) {
+            dump_refused_recovery(self.mgr.flight_recorder(), &e);
+            share.poisoned |= adopted;
             return Err(e);
         }
-        self.registry.write().register(obj.clone());
-        handles.insert(name, obj.clone());
-        self.mark_absorbed_if_drained();
-        Ok(obj)
-    }
-
-    /// Install the log's state for one object: checkpoint snapshot
-    /// first, then its slice of the committed tail in replay order, each
-    /// replayed operation pinned to its logged response
-    /// ([`registry::replay_object_ops`]). The name's share of the
-    /// pending image is consumed — freed — only on success: a failed
-    /// materialization (wrong type asked for the name, replay
-    /// divergence) leaves it pending, so a later open retries the
-    /// recovery instead of minting a blank twin. (The retry is sound
-    /// because [`Db::object`] discards the partially-mutated instance
-    /// and builds a fresh one; [`Db::attach`] cannot, and poisons the
-    /// name instead.)
-    fn materialize(&self, obj: &dyn DurableObject) -> Result<(), HccError> {
-        let name = obj.object_name();
-        let mut pending = self.pending.lock();
-        if !pending.unmaterialized.contains(name) {
-            return Ok(()); // nothing durable under this name
-        }
-        pending
-            .install(obj)
-            .inspect_err(|e| dump_refused_recovery(self.mgr.flight_recorder(), e))?;
-        pending.snapshots.remove(name);
-        pending.tail.remove(name);
-        pending.unmaterialized.remove(name);
-        Ok(())
-    }
-
-    /// Once every logged name has a **registered** live handle, attest
-    /// absorption to the store (checkpointing becomes legal again).
-    /// Called only after `registry.register` — marking earlier would let
-    /// a concurrent checkpoint pass the `UnabsorbedHistory` guard while
-    /// the registry still misses the just-recovered object, and then
-    /// prune the only copy of its history.
-    fn mark_absorbed_if_drained(&self) {
-        if self.pending.lock().unmaterialized.is_empty() {
+        *slot = Slot::Open { typed: obj.clone(), durable: obj.clone() };
+        objects.unopened -= 1;
+        if objects.unopened == 0 {
             if let Some(store) = self.mgr.storage() {
                 store.mark_state_absorbed();
             }
         }
+        Ok(obj)
     }
 
     /// Run `f` as one transaction: commit on `Ok`, abort on `Err`, and
@@ -538,7 +543,17 @@ impl Db {
     /// unopened — a checkpoint then would claim coverage of state no
     /// live object holds.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
-        self.mgr.checkpoint(&self.registry.read().snapshot_refs()).map_err(Into::into)
+        let objects = self.objects.read();
+        let mut open: Vec<(&str, &dyn Snapshot)> = objects
+            .slots
+            .iter()
+            .filter_map(|(name, slot)| match slot {
+                Slot::Open { durable, .. } => Some((name.as_str(), durable.as_ref() as _)),
+                Slot::Logged(_) => None,
+            })
+            .collect();
+        open.sort_unstable_by_key(|&(name, _)| name);
+        self.mgr.checkpoint(&open).map_err(Into::into)
     }
 
     /// [`Db::checkpoint`] iff the store's compaction policy asks for it.
@@ -559,8 +574,14 @@ impl Db {
     /// [`Db::attach`] call has opened yet. Until this is empty,
     /// checkpoints are refused.
     pub fn unopened_objects(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.pending.lock().unmaterialized.iter().cloned().collect();
-        names.sort();
+        let objects = self.objects.read();
+        let mut names: Vec<String> = objects
+            .slots
+            .iter()
+            .filter(|(_, slot)| matches!(slot, Slot::Logged(_)))
+            .map(|(name, _)| name.clone())
+            .collect();
+        names.sort_unstable();
         names
     }
 
@@ -591,10 +612,10 @@ impl Db {
 
     /// The current stable watermark: the highest timestamp `W` such that
     /// every commit with `ts ≤ W` is fully applied at every object it
-    /// touched. [`Db::read`] and [`Db::begin_read`] serve snapshots at
-    /// this mark; on a replication follower it is the replicated
-    /// watermark the primary proved safe. Served over the wire by the
-    /// `Stats` request, so clients can watch a replica's lag.
+    /// touched. [`Db::begin_read`] and [`Db::transact_read`] serve
+    /// snapshots at this mark; on a replication follower it is the
+    /// replicated watermark the primary proved safe. Served over the wire
+    /// by the `Stats` request, so clients can watch a replica's lag.
     pub fn stable_watermark(&self) -> u64 {
         self.mgr.stable_watermark()
     }

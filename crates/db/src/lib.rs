@@ -1,13 +1,16 @@
 //! # hcc-db — the `Db` session facade
 //!
 //! One front door to the hybrid concurrency control stack. Underneath,
-//! a transactional system is four cooperating pieces — `TxnManager`
-//! (timestamps, two-phase commitment, deadlock doom), `DurableStore`
-//! (WAL + checkpoints), the recovery `Registry`, and per-object
-//! `RuntimeOptions` — and wiring them by hand leaves holes: objects
-//! nobody registered silently recover blank, and no correct retry loop
-//! can be written against four unrelated error types. This crate closes
-//! the API the way self-logging closed the write path:
+//! a transactional system is `TxnManager` (timestamps, two-phase
+//! commitment, deadlock doom), `DurableStore` (WAL + checkpoints) and
+//! per-object `RuntimeOptions`, plus a directory of which named object
+//! holds which share of the log — and wiring them by hand leaves holes:
+//! objects nobody registered silently recover blank, and no correct
+//! retry loop can be written against four unrelated error types. `Db`
+//! keeps that directory as one name-keyed table, each name either
+//! logged (its checkpoint image and tail slice, not yet opened) or open
+//! (the live object a checkpoint walks). This crate closes the API the
+//! way self-logging closed the write path:
 //!
 //! * [`Db::builder`] → [`DbBuilder::open`] constructs the store, scans
 //!   the log and readies recovery in one call;

@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything needed to derive one type's conflict relation from its
-/// serial specification. The runtime-facing sibling of
-/// [`AdtConfig`](crate::tables::AdtConfig) (which adds table-rendering
-/// presentation); [`From<AdtConfig>`] drops the presentation fields.
+/// serial specification. The runtime-facing sibling of [`AdtConfig`]
+/// (which adds table-rendering presentation); [`From<AdtConfig>`] drops
+/// the presentation fields.
 #[derive(Clone)]
 pub struct DeriveSpec {
     /// The serial specification (the paper's Section-3.1 object).

@@ -11,9 +11,9 @@
 //!   checker and the rendered tables all hold.
 //! * [`enumerate`] — bounded enumeration of legal operation sequences over
 //!   a finite alphabet of operation instances.
-//! * [`invalidated_by`] — the constructive *invalidated-by* dependency
+//! * [`invalidated_by`](mod@invalidated_by) — the constructive *invalidated-by* dependency
 //!   relation of Definitions 8–9 (Theorem 10), computed by bounded search.
-//! * [`violations`] — the Definition-3 *violation structure*: a relation is
+//! * [`violations`](mod@violations) — the Definition-3 *violation structure*: a relation is
 //!   a dependency relation iff it "hits" every violation; this yields both a
 //!   bounded dependency-relation checker and, via minimal hitting sets
 //!   ([`minimal`]), the enumeration of **all minimal dependency relations**
@@ -22,7 +22,7 @@
 //!   *failure-to-commute* relation of Section 7 (Theorem 28).
 //! * [`tables`] — the ground-truth Tables I–VI as atom sets, and
 //!   per-type derivation configurations.
-//! * [`derive`] — the runtime bridge: derive a type's conflict atoms from
+//! * [`derive`](mod@derive) — the runtime bridge: derive a type's conflict atoms from
 //!   its [`DeriveSpec`] and memoize them per type name, so constructing a
 //!   live object under a *derived* lock relation pays the bounded search
 //!   once per process (`hcc-core::runtime::SpecLock` holds the result

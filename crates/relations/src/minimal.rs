@@ -5,7 +5,7 @@
 //! (Tables II and III). We make that observation algorithmic:
 //!
 //! 1. Compute the bounded Definition-3 violation structure
-//!    ([`crate::violations`]): each violation lists the instance pairs that
+//!    ([`crate::violations`](fn@crate::violations)): each violation lists the instance pairs that
 //!    could license refusing the offending interleaving.
 //! 2. Lift instance pairs to *atoms* — class pairs under a key condition —
 //!    because the paper's relations are uniform in the value domain.

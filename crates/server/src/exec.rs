@@ -83,26 +83,37 @@ fn run_op(db: &Db, tx: &Tx, op: &WireOp) -> Result<OpResult, HccError> {
     }
 }
 
-fn view_one(db: &Db, rtx: &ReadTx<'_>, tag: TypeTag, name: &str) -> Result<View, HccError> {
-    // Views come off the pinned snapshot; opening the handle first is
-    // what recovers a not-yet-opened object into the fold horizon.
+/// One query's view off the pinned snapshot. `ReadTx::view` opens (and
+/// recovers) a not-yet-opened object, so each query is one table lookup.
+fn view_one(rtx: &ReadTx<'_>, tag: TypeTag, name: &str) -> Result<View, WireFault> {
     match tag {
         TypeTag::Account => {
-            open_object(db, tag, name)?;
-            let balance = rtx.view::<AccountObject>(name)?;
-            // i64 wire range; the workspace's integer-money workloads
-            // stay well inside it.
-            Ok(View::Balance { num: balance.numerator() as i64, den: balance.denominator() as i64 })
+            let balance = rtx.view::<AccountObject>(name).map_err(fault_from)?;
+            // The wire carries an i64 fraction; a balance outside it is
+            // refused, not truncated into a wrong answer.
+            match (i64::try_from(balance.numerator()), i64::try_from(balance.denominator())) {
+                (Ok(num), Ok(den)) => Ok(View::Balance { num, den }),
+                _ => Err(WireFault::Fatal {
+                    detail: format!("balance of {name:?} ({balance}) does not fit the wire's i64"),
+                }),
+            }
         }
-        TypeTag::Counter => {
-            open_object(db, tag, name)?;
-            Ok(View::Count(rtx.view::<CounterObject>(name)?))
-        }
-        TypeTag::QueueI64 => {
-            open_object(db, tag, name)?;
-            Ok(View::Items(rtx.view::<QueueObject<i64>>(name)?.into_iter().collect()))
-        }
+        TypeTag::Counter => Ok(View::Count(rtx.view::<CounterObject>(name).map_err(fault_from)?)),
+        TypeTag::QueueI64 => Ok(View::Items(
+            rtx.view::<QueueObject<i64>>(name).map_err(fault_from)?.into_iter().collect(),
+        )),
     }
+}
+
+/// A batch the server refuses before any of it runs: `Inc { delta:
+/// i64::MIN }` has no negation to `dec` by.
+fn refused(ops: &[WireOp]) -> Option<WireFault> {
+    ops.iter().find_map(|op| match op {
+        WireOp::Inc { name, delta: i64::MIN } => Some(WireFault::Fatal {
+            detail: format!("inc of {name:?} by {} has no negation in i64", i64::MIN),
+        }),
+        _ => None,
+    })
 }
 
 fn transact_ops(db: &Db, tx: &Tx, ops: &[WireOp]) -> Result<Vec<OpResult>, HccError> {
@@ -124,7 +135,7 @@ fn committed(outcome: Result<(Vec<OpResult>, Timestamp), HccError>) -> Response 
 /// and `Read` take no transactional lock and always finish here.
 pub(crate) fn execute_no_wait(db: &Db, req: &Request) -> Option<Response> {
     match req {
-        Request::Transact { ops } => {
+        Request::Transact { ops } if refused(ops).is_none() => {
             db.try_transact_ts(|tx| transact_ops(db, tx, ops)).transpose().map(committed)
         }
         _ => Some(execute(db, req)),
@@ -140,20 +151,23 @@ pub fn execute(db: &Db, req: &Request) -> Response {
             Ok(()) => Response::OpenOk,
             Err(e) => Response::Fault(fault_from(e)),
         },
-        Request::Transact { ops } => committed(db.transact_ts(|tx| transact_ops(db, tx, ops))),
+        Request::Transact { ops } => match refused(ops) {
+            Some(fault) => Response::Fault(fault),
+            None => committed(db.transact_ts(|tx| transact_ops(db, tx, ops))),
+        },
         Request::Read { at, queries } => {
-            let run = || -> Result<Response, HccError> {
+            let run = || -> Result<Response, WireFault> {
                 let rtx = match at {
                     None => db.begin_read(),
-                    Some(ts) => db.read_at(*ts)?,
+                    Some(ts) => db.read_at(*ts).map_err(fault_from)?,
                 };
                 let views = queries
                     .iter()
-                    .map(|(tag, name)| view_one(db, &rtx, *tag, name))
+                    .map(|(tag, name)| view_one(&rtx, *tag, name))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Response::Views { watermark: rtx.watermark(), views })
             };
-            run().unwrap_or_else(|e| Response::Fault(fault_from(e)))
+            run().unwrap_or_else(Response::Fault)
         }
         // Session-layer messages (including `Stats`, answered inline so
         // it can never queue behind a slow transact) never reach the

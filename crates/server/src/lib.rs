@@ -3,7 +3,7 @@
 //! Serves a [`Db`] over the `hcc-wire` protocol: an accept loop hands
 //! each connection to a session reader thread, and readers admit
 //! requests. A request that cannot block runs on its reader; the rest go
-//! into one global [bounded queue](queue::BoundedQueue), and a fixed
+//! into one global bounded queue (`queue::BoundedQueue`), and a fixed
 //! worker pool executes them against the facade and answers on the
 //! session's socket (responses echo the request id, so sessions may
 //! pipeline).

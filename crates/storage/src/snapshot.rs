@@ -53,14 +53,14 @@ pub trait Snapshot {
     fn restore(&self, bytes: &[u8], ts: u64) -> Result<(), SnapshotError>;
 }
 
-/// A self-logging object as the recovery registry sees it: named,
-/// checkpointable, and able to replay its own redo payloads.
+/// A self-logging object as recovery sees it: named, checkpointable, and
+/// able to replay its own redo payloads.
 ///
-/// Implemented once in `hcc-adts`, for `Object<A>`. `hcc-txn`'s `Registry`
-/// collects these so recovery can restore checkpoints and replay the WAL
-/// tail *by object name*, with each object decoding its own payloads —
-/// the inverse of the self-logging write path, with no caller-side
-/// dispatch to get wrong.
+/// Implemented once in `hcc-adts`, for `Object<A>`. `hcc-db`'s `Db` keeps
+/// these in its one object table so recovery can restore checkpoints and
+/// replay the WAL tail *by object name*, with each object decoding its
+/// own payloads — the inverse of the self-logging write path, with no
+/// caller-side dispatch to get wrong.
 pub trait DurableObject: Snapshot + Send + Sync {
     /// The object's name (the WAL registry key).
     fn object_name(&self) -> &str;

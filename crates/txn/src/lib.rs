@@ -13,9 +13,9 @@
 //!   transaction never commits at some objects and aborts at others. The
 //!   manager binds its objects to its durable store, the one **redo
 //!   sink** they self-log through (`object_options`); [`registry`]
-//!   holds what recovery is made of — the name → object directory
-//!   checkpoints walk, the 2PC resolution rule and the one replay step —
-//!   while the recovery front end itself is `hcc-db`'s `Db::open`. A
+//!   holds what recovery is made of — the 2PC resolution rule and the
+//!   one replay step — while the recovery front end itself, and the one
+//!   name → object table checkpoints walk, is `hcc-db`'s `Db`. A
 //!   message-passing simulation of the distributed version — with
 //!   per-site WALs and a coordinator decision log — lives in [`sim`].
 //! * **Deadlock handling** ([`deadlock`]): the paper names "the usual
@@ -37,4 +37,4 @@ pub mod sim;
 pub use clock::LogicalClock;
 pub use deadlock::DeadlockDetector;
 pub use manager::{CommitError, ReplicatedOps, TxnManager};
-pub use registry::{RecoveryError, RecoveryReport, Registry};
+pub use registry::{RecoveryError, RecoveryReport};

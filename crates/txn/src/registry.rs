@@ -1,19 +1,18 @@
-//! The recovery vocabulary `hcc-db` materializes with: the name → object
-//! directory a checkpoint walks ([`Registry`]), the 2PC resolution rule
-//! ([`resolve_committed`]), the one replay step ([`replay_object_ops`]),
-//! and the error/report types.
+//! The recovery vocabulary `hcc-db` materializes with: the 2PC
+//! resolution rule ([`resolve_committed`]), the one replay step
+//! ([`replay_object_ops`]), and the error/report types.
 //!
-//! Nothing here restores a checkpoint image or drives a replay loop:
-//! `hcc_db::Db` is the only recovery front end (it recovers each object
-//! as its handle is opened), and a replication follower applies shipped
-//! commits through the same [`replay_object_ops`] via
-//! `TxnManager::apply_replicated`.
+//! Nothing here names objects, restores a checkpoint image or drives a
+//! replay loop: `hcc_db::Db` is the only recovery front end, and its one
+//! object table holds each name from logged to open (it recovers each
+//! object as its handle is opened, and hands its checkpoint the open
+//! objects). A replication follower applies shipped commits through the
+//! same [`replay_object_ops`] via `TxnManager::apply_replicated`.
 
 use hcc_core::runtime::{ReplayError, TxnHandle, TxnPhase};
 use hcc_spec::TxnId;
 use hcc_storage::{CommittedTxn, DurableObject, Recovered, SnapshotError, StorageError};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Commit decisions recovered from a coordinator's log: `txn → ts`.
 pub type Decisions = BTreeMap<u64, u64>;
@@ -100,36 +99,6 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// Was a torn tail dropped from the final log segment?
     pub torn_tail: bool,
-}
-
-/// A set of named durable objects — everything a checkpoint snapshots.
-#[derive(Default)]
-pub struct Registry {
-    objects: BTreeMap<String, Arc<dyn DurableObject>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Register a durable object under the name it logs as.
-    ///
-    /// # Panics
-    /// Panics if the name is already registered — two objects logging
-    /// under one name would merge their histories at recovery.
-    pub fn register(&mut self, obj: Arc<dyn DurableObject>) -> &mut Registry {
-        let name = obj.object_name().to_string();
-        let prev = self.objects.insert(name.clone(), obj);
-        assert!(prev.is_none(), "object {name:?} registered twice");
-        self
-    }
-
-    /// The registered objects as checkpointable `(name, snapshot)` pairs.
-    pub fn snapshot_refs(&self) -> Vec<(&str, &dyn hcc_storage::Snapshot)> {
-        self.objects.iter().map(|(n, o)| (n.as_str(), o.as_ref() as _)).collect()
-    }
 }
 
 /// Merge a [`Recovered`] image's committed tail with its *decided*

@@ -5,7 +5,7 @@
 //! [`RecvHalf`] (independent OS handles onto the same socket), so a
 //! client may pipeline requests from one thread while another drains
 //! responses, and a server session may be torn down from outside its
-//! blocked reader via [`RecvHalf::shutdown`].
+//! blocked reader via [`RecvHalf::shutdown_both`].
 //!
 //! Every message travels inside the shared [`crate::frame`] envelope
 //! with the **request id** in the `seq` field. The receive path enforces

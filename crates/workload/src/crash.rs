@@ -331,8 +331,9 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
     // The raw image feeds the verifier; reading it first keeps this scan
     // independent of anything the facade's open does.
     let recovered = DurableStore::recover(dir)?;
-    // The whole recovery path under test is these three calls: no
-    // Registry, no replay loop, no checkpoint dispatch.
+    // The whole recovery path under test is these three calls: the
+    // caller builds no object directory, runs no replay loop and
+    // dispatches no checkpoint.
     let db = Db::open(dir)?;
     let acct = db.object::<AccountObject>("acct")?;
     let queue = db.object::<QueueObject<i64>>("q")?;

@@ -1,4 +1,4 @@
-//! The crash workload of [`crash`](crate::crash), driven **over a real
+//! The crash workload of [`crash`], driven **over a real
 //! socket**: client processes speak the `hcc-wire` protocol to an
 //! `hcc-server` front door, the server is killed mid-load (SIGABRT in
 //! the process harness, `ServerHandle::kill` in tests), clients

@@ -191,3 +191,44 @@ fn a_defined_counter_inc_read_allocates_its_spec_operations_and_intents() {
     const PER_TXN: u64 = 8;
     assert_eq!(n, PER_TXN * COUNTED, "allocations in {COUNTED} inc+reads");
 }
+
+/// Looking up a name that is already open reads the object table and
+/// clones the handle's `Arc`: nothing is allocated.
+#[test]
+fn opening_an_open_name_allocates_nothing() {
+    let db = Db::in_memory();
+    db.object::<AccountObject>("a").unwrap();
+    let n = allocations(|| drop(db.object::<AccountObject>("a").unwrap()));
+    assert_eq!(n, 0, "allocations in {COUNTED} lookups of an open name");
+}
+
+/// A snapshot read by name: the watermark pin and one table lookup,
+/// neither of which allocates.
+#[test]
+fn a_read_view_by_name_allocates_nothing() {
+    let db = Db::in_memory();
+    let a = db.object::<AccountObject>("a").unwrap();
+    commit(&db, |tx| Ok(a.credit(tx, money(5))?));
+    let n = allocations(|| {
+        let rtx = db.begin_read();
+        assert_eq!(rtx.view::<AccountObject>("a").unwrap(), money(5));
+    });
+    assert_eq!(n, 0, "allocations in {COUNTED} begin_read + view by name");
+}
+
+/// A credit on a durable `Db` under `Durability::Buffered`: the handle,
+/// and two more on the way to the log — three per transaction.
+#[test]
+fn a_buffered_durable_credit_allocates_three() {
+    use hybrid_cc::storage::Durability;
+
+    const PER_TXN: u64 = 3;
+    let dir = std::env::temp_dir().join(format!("hcc-alloc-counts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Db::builder().durability(Durability::Buffered).open(&dir).unwrap();
+    let a = db.object::<AccountObject>("a").unwrap();
+    let n = allocations(|| commit(&db, |tx| Ok(a.credit(tx, money(1))?)));
+    drop((a, db));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(n, PER_TXN * COUNTED, "allocations in {COUNTED} buffered durable credits");
+}

@@ -1,8 +1,8 @@
 //! The `Db` facade, end to end: scoped transactions retry *transient*
 //! failures (deadlock dooms, refused votes, lock timeouts) and apply
 //! their effects exactly once; fatal failures surface immediately; and
-//! `Db::open` alone — no Registry, no replay wiring — fully recovers a
-//! killed session's durable state.
+//! `Db::open` alone — no object directory, no replay wiring — fully
+//! recovers a killed session's durable state.
 //!
 //! `HCC_DURABILITY` overrides the durability level — CI
 //! runs this suite once per level.
@@ -16,7 +16,8 @@ use hybrid_cc::workload::crash::truncate_tail;
 use hybrid_cc::{Db, HccError, RetryPolicy};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -254,6 +255,71 @@ fn db_open_alone_recovers_durable_bank_state_after_a_kill_point() {
             "cut {cut} lost checkpoint-covered commits: balance {got} < prefix through ts {ckpt_ts}"
         );
     }
+}
+
+/// A checkpoint racing the opens of the last logged names sees the
+/// object table whole: it is refused while any logged name is unopened,
+/// or it snapshots every name, in sorted order — never a checkpoint
+/// that covers one name's history and prunes the other's. Each round
+/// reopens the directory, so both names come back logged (from the
+/// previous round's checkpoint and tail) and race again.
+#[test]
+fn a_checkpoint_racing_the_last_open_sees_every_name_or_none() {
+    const ROUNDS: i64 = 6;
+    let dir = tmp("ckpt-race");
+    {
+        let db = Db::builder().env_overrides().open(&dir).unwrap();
+        let (a, b) =
+            (db.object::<AccountObject>("a").unwrap(), db.object::<AccountObject>("b").unwrap());
+        db.transact(|tx| {
+            a.credit(tx, money(3))?;
+            b.credit(tx, money(4))?;
+            Ok(())
+        })
+        .unwrap();
+    }
+    for _ in 0..ROUNDS {
+        let db = Db::builder().env_overrides().open(&dir).unwrap();
+        assert_eq!(db.unopened_objects(), ["a", "b"]);
+        let opened = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                while !opened.load(Ordering::Acquire) {
+                    match db.checkpoint() {
+                        Ok(Some(ckpt)) => {
+                            let names: Vec<&str> =
+                                ckpt.objects.iter().map(|(n, _)| n.as_str()).collect();
+                            assert_eq!(names, ["a", "b"], "a checkpoint saw part of the table");
+                        }
+                        Err(HccError::Storage(StorageError::UnabsorbedHistory { .. })) => {}
+                        other => panic!("unexpected checkpoint outcome: {other:?}"),
+                    }
+                }
+            });
+            start.wait();
+            db.object::<AccountObject>("b").unwrap();
+            db.object::<AccountObject>("a").unwrap();
+            opened.store(true, Ordering::Release);
+        });
+        let ckpt = db.checkpoint().unwrap().expect("a durable Db checkpoints");
+        let names: Vec<&str> = ckpt.objects.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        let (a, b) =
+            (db.object::<AccountObject>("a").unwrap(), db.object::<AccountObject>("b").unwrap());
+        db.transact(|tx| {
+            a.credit(tx, money(1))?;
+            b.credit(tx, money(1))?;
+            Ok(())
+        })
+        .unwrap();
+    }
+    let db = Db::builder().env_overrides().open(&dir).unwrap();
+    assert_eq!(db.object::<AccountObject>("a").unwrap().committed_balance(), money(3 + ROUNDS));
+    assert_eq!(db.object::<AccountObject>("b").unwrap().committed_balance(), money(4 + ROUNDS));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The escape hatch and the facade interoperate: transactions begun
