@@ -2,14 +2,17 @@
 //! once for [`Object`]: how a committed frontier is serialized into a
 //! checkpoint, installed back during recovery, and replayed from the log.
 //!
-//! `snapshot_at(w)` encodes `TxObject::committed_snapshot_at(w)` — the
-//! version with the committed intents up to `w` applied, which by
-//! construction excludes active transactions — through the type's
-//! [`ObjectAdt`] codec. `restore` decodes the image and *installs* it
-//! into a fresh object as the base version at the checkpoint's timestamp
-//! (`TxObject::install_version`): no operation is re-executed, no lock is
-//! taken, no transaction is retained, and the object's state depends on
-//! the image alone. The object's clock advances to the checkpoint
+//! `snapshot_at(w)` encodes `TxObject::snapshot_read(w)` — the version
+//! with the committed intents up to `w` applied, which by construction
+//! excludes active transactions — through the type's [`ObjectAdt`]
+//! codec. The read is checked: an object that has already folded a
+//! commit above `w` into its base version (one whose registry the
+//! checkpoint's pin does not hold) refuses with [`SnapshotError`] rather
+//! than write that commit into the image. `restore` decodes the image
+//! and *installs* it into a fresh object as the base version at the
+//! checkpoint's timestamp (`TxObject::install_version`): no operation is
+//! re-executed, no lock is taken, no transaction is retained, and the
+//! object's state depends on the image alone. The object's clock advances to the checkpoint
 //! frontier, so tail replay (at strictly greater timestamps) observes a
 //! well-formed history, and snapshot reads below the restore point are
 //! refused rather than answered from the image.
@@ -19,7 +22,7 @@
 
 use crate::object::{Object, ObjectAdt};
 use hcc_core::runtime::{ReplayError, TxnHandle};
-use hcc_storage::{DurableObject, Snapshot, SnapshotError};
+use hcc_storage::{DurableObject, SnapshotError};
 use std::sync::Arc;
 
 /// The reserved transaction id the *oracles* model a checkpoint image
@@ -29,17 +32,18 @@ use std::sync::Arc;
 /// installs the image; nothing commits under this id.)
 pub const BOOTSTRAP_TXN: u64 = u64::MAX - 1;
 
-impl<A: ObjectAdt> Snapshot for Object<A> {
-    fn snapshot_at(&self, watermark: u64) -> Vec<u8> {
-        self.inner().adt().encode_version(&self.inner().committed_snapshot_at(watermark))
+/// Written once for every type: an object exposes its name, its checked
+/// watermark image, and replays its own redo payloads (the inverse of the
+/// self-logging write path), so recovery needs no caller-side dispatch.
+impl<A: ObjectAdt> DurableObject for Object<A> {
+    fn object_name(&self) -> &str {
+        self.inner().name()
     }
 
-    fn pin_horizon(&self, watermark: u64) {
-        self.inner().pin_horizon(watermark)
-    }
-
-    fn unpin_horizon(&self) {
-        self.inner().unpin_horizon()
+    fn snapshot_at(&self, watermark: u64) -> Result<Vec<u8>, SnapshotError> {
+        let version =
+            self.inner().snapshot_read(watermark).map_err(|e| SnapshotError::new(e.to_string()))?;
+        Ok(self.inner().adt().encode_version(&version))
     }
 
     fn restore(&self, bytes: &[u8], ts: u64) -> Result<(), SnapshotError> {
@@ -52,15 +56,6 @@ impl<A: ObjectAdt> Snapshot for Object<A> {
         // refuses as a failed materialization — the name gets poisoned
         // upstream — instead of crashing.
         self.inner().install_version(version, ts).map_err(|e| SnapshotError::new(e.to_string()))
-    }
-}
-
-/// The recovery registry's view: an object exposes its name and replays
-/// its own redo payloads (the inverse of the self-logging write path), so
-/// recovery needs no caller-side dispatch.
-impl<A: ObjectAdt> DurableObject for Object<A> {
-    fn object_name(&self) -> &str {
-        self.inner().name()
     }
 
     fn replay_op(&self, txn: &Arc<TxnHandle>, op: &[u8]) -> Result<(), ReplayError> {
@@ -103,7 +98,7 @@ mod tests {
         // Active transactions are excluded: the same effects again, never
         // committed, must not reach the image.
         build(&src, &t(2));
-        assert_eq!(String::from_utf8(src.snapshot_at(TS)).unwrap(), golden, "image bytes");
+        assert_eq!(String::from_utf8(src.snapshot_at(TS).unwrap()).unwrap(), golden, "image bytes");
 
         // Garbage is refused and leaves the object fresh...
         let dst = Object::<A>::hybrid("dst");
@@ -131,6 +126,24 @@ mod tests {
         assert!(used.restore(golden.as_bytes(), TS).is_err(), "active transaction");
         assert_eq!(used.committed_state(), initial);
         assert_eq!(used.inner().active_txns(), 1);
+    }
+
+    /// An object on a registry no pin holds folds freely: asked for an
+    /// image below its fold watermark it refuses, rather than write the
+    /// folded commits into the image.
+    #[test]
+    fn an_object_folded_past_the_watermark_refuses_its_image() {
+        let a = AccountObject::hybrid("a");
+        for ts in 1..=3 {
+            let tx = t(ts);
+            a.credit(&tx, r(1)).unwrap();
+            a.inner().commit_at(tx.id(), ts);
+        }
+        assert_eq!(a.inner().stats().forgotten, 2, "nothing pinned: ts 1 and 2 folded");
+        let err = a.snapshot_at(1).unwrap_err();
+        assert!(err.0.contains("stale"), "{err}");
+        assert_eq!(a.snapshot_at(2).unwrap(), br#"{"num":2,"den":1}"#);
+        assert_eq!(a.snapshot_at(3).unwrap(), br#"{"num":3,"den":1}"#);
     }
 
     #[test]

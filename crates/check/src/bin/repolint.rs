@@ -123,12 +123,17 @@ const RULES: &[Rule] = &[
         scope: SOURCES,
         why: "retired with the second and third name maps; `Db` keeps one object table",
     },
+    Rule {
+        needles: "pin_horizon|committed_snapshot_at|Snapshot for",
+        scope: SOURCES,
+        why: "retired with the per-object checkpoint pin; a checkpoint holds one shared pin guard",
+    },
 ];
 
 const CENSUSES: &[Census] = &[
     // The object layer is written once, for `Object<A>`.
     Census {
-        needles: "Snapshot for|DurableObject for",
+        needles: "DurableObject for",
         scope: only(&["crates/adts/src/"], true),
         home: "crates/adts/src/snapshot.rs",
     },
@@ -272,10 +277,7 @@ mod tests {
     const CLEAN: &[(&str, &str)] = &[
         ("Cargo.toml", ""),
         (CI, "    matrix:\n      durability: [buffered, fsync]"),
-        (
-            "crates/adts/src/snapshot.rs",
-            "impl Snapshot for Object<A> {}\nimpl DurableObject for Object<A> {}",
-        ),
+        ("crates/adts/src/snapshot.rs", "impl DurableObject for Object<A> {}"),
         ("crates/core/src/runtime/horizon.rs", "pub struct HorizonPins;"),
         (
             "crates/db/src/db.rs",
@@ -363,6 +365,10 @@ mod tests {
         ("crates/db/src/db.rs", "let objects = registry.snapshot_refs();"),
         ("crates/db/src/db.rs", "self.mark_absorbed_if_drained();"),
         ("tests/recovery.rs", "use hcc_txn::registry::Registry;"),
+        ("crates/txn/src/manager.rs", "obj.pin_horizon(cursor.last_ts);"),
+        ("crates/core/src/runtime/object.rs", "pub fn unpin_horizon(&self) {}"),
+        ("tests/recovery.rs", "let image = o.committed_snapshot_at(w);"),
+        ("crates/storage/src/store.rs", "impl Snapshot for Cell {}"),
         (CI, "      durability: [none, buffered, fsync]"),
         (CI, "        if: matrix.durability == 'fsync'"),
         // A production line after an indented test hook still counts.

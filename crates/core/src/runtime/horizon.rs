@@ -1,18 +1,16 @@
-//! The multi-object horizon-pin registry behind wait-free snapshot
-//! reads.
+//! The one horizon-pin registry: what holds Definition 20's horizon
+//! down for every reader that is not a transaction.
 //!
-//! PR 3's fuzzy checkpoints pin compaction *per object*
-//! ([`super::TxObject::pin_horizon`]): one slot, one watermark, released
-//! by an explicit `unpin_horizon`. Read-only transactions need the same
-//! guarantee — no commit at or below my watermark may be folded into a
-//! base version while I am reading — but across **every** object the
-//! read might touch, with a lifetime tied to the reader rather than to a
-//! checkpoint protocol. [`HorizonPins`] generalizes the slot into a
-//! registry: any number of concurrent pins, each an RAII [`PinGuard`]
-//! that unpins on drop (including panic unwind, so a crashed reader can
-//! never wedge compaction), and a single cached *floor* — the minimum
-//! pinned watermark — that [`super::TxObject::forget`] consults before
-//! folding committed intents.
+//! A snapshot read, a fuzzy checkpoint and a replication follower all
+//! need the same guarantee — no commit above my watermark may be folded
+//! into a base version while I am reading — across **every** object the
+//! read might touch, with a lifetime tied to the reader. [`HorizonPins`]
+//! is that registry: any number of concurrent pins, each an RAII
+//! [`PinGuard`] that unpins on drop (including panic unwind, so a
+//! crashed reader can never wedge compaction), one standing floor for a
+//! follower, and a single cached *floor* — the minimum pinned watermark
+//! — that [`super::TxObject::forget`] consults before folding committed
+//! intents.
 //!
 //! The registry is deliberately cheap on the read side: taking a pin is
 //! one short mutex acquisition (the pin table), and the hot query
@@ -48,7 +46,7 @@ impl PinTable {
 ///
 /// Invariant: while a pin at watermark `w` is alive, no object whose
 /// options carry this registry folds a committed intent with timestamp
-/// `> w` into its base version — so `committed_snapshot_at(w)` stays
+/// `> w` into its base version — so `TxObject::snapshot_read(w)` stays
 /// exact for the pin's whole lifetime.
 #[derive(Default)]
 pub struct HorizonPins {

@@ -233,9 +233,6 @@ struct ObjState<A: RuntimeAdt> {
     /// Latest observed commit timestamp (0 = none; real timestamps are
     /// positive).
     clock: u64,
-    /// The checkpoint's fold bound ([`TxObject::pin_horizon`]): one more
-    /// lower bound beside the active transactions'.
-    pin: Option<u64>,
     /// Highest commit timestamp ever folded into `version` (0 = none):
     /// the compaction watermark below which per-timestamp images are
     /// gone. [`TxObject::snapshot_read`] refuses watermarks below this
@@ -435,7 +432,6 @@ impl<A: RuntimeAdt> TxObject<A> {
                 spare_ops: Vec::new(),
                 candidates: Vec::new(),
                 clock: 0,
-                pin: None,
                 folded: 0,
                 waiters: Vec::new(),
                 executed: 0,
@@ -856,18 +852,17 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// The horizon time (Definition 20) and folding of committed intents
     /// (the appendix's `forget()`).
     ///
-    /// The horizon is bounded by three forces: the oldest active
-    /// transaction's lower bound (the bound table), the per-object
-    /// checkpoint pin ([`TxObject::pin_horizon`]), and the shared
-    /// snapshot-read floor
-    /// (`RuntimeOptions::horizon`): a live read pin at watermark `w`
-    /// keeps every commit with `ts > w` unfolded at every object sharing
-    /// the registry, so `committed_snapshot_at(w)` stays exact for the
-    /// pin's lifetime. (`floor() = u64::MAX` when nothing is pinned, so
-    /// the read path costs one relaxed atomic load here.)
+    /// The horizon is bounded by two forces: the oldest active
+    /// transaction's lower bound (the bound table) and the shared pin
+    /// floor (`RuntimeOptions::horizon`): a live pin at watermark `w` —
+    /// a snapshot read's or a fuzzy checkpoint's — keeps every commit
+    /// with `ts > w` unfolded at every object sharing the registry, so
+    /// [`TxObject::snapshot_read`]`(w)` stays exact for the pin's
+    /// lifetime. (`floor() = u64::MAX` when nothing is pinned, so the
+    /// pin costs one relaxed atomic load here.)
     fn forget(&self, st: &mut ObjState<A>) {
         let Some(&(max_committed, _)) = st.committed.back() else { return };
-        let bounds = st.active.iter().map(|(_, rec)| rec.bound).chain(st.pin);
+        let bounds = st.active.iter().map(|(_, rec)| rec.bound);
         let horizon = bounds.fold(self.opts.horizon.floor().min(max_committed), u64::min);
         while st.committed.front().is_some_and(|(ts, _)| *ts < horizon) {
             let (ts, intent) = st.committed.pop_front().expect("the front was just seen");
@@ -896,27 +891,19 @@ impl<A: RuntimeAdt> TxObject<A> {
     /// A snapshot of the state a brand-new read-only observer would see:
     /// version with all committed intents applied.
     pub fn committed_snapshot(&self) -> A::Version {
-        self.committed_snapshot_at(u64::MAX)
+        self.inner.lock().image_at(&self.adt, u64::MAX)
     }
 
-    /// The committed state **as of commit timestamp `watermark`**: the
-    /// compacted version plus every committed-but-unforgotten intent with
-    /// `ts ≤ watermark`. Exact only while commits above the watermark are
-    /// prevented from folding into the version — either because the
-    /// caller quiesced commits, or because it holds a
-    /// [`TxObject::pin_horizon`] at the watermark (the fuzzy-checkpoint
-    /// protocol).
-    pub fn committed_snapshot_at(&self, watermark: u64) -> A::Version {
-        self.inner.lock().image_at(&self.adt, watermark)
-    }
-
-    /// The committed state as of `watermark`, **checked**: refused with
-    /// [`SnapshotStale`] when a commit above the watermark has already
-    /// been folded into the base version (so the watermark image is
-    /// unrecoverable here), instead of silently returning the folded
-    /// state as [`TxObject::committed_snapshot_at`] would.
+    /// The committed state as of `watermark`: the compacted version plus
+    /// every committed-but-unforgotten intent with `ts ≤ watermark`,
+    /// **checked** — refused with [`SnapshotStale`] when a commit above
+    /// the watermark has already been folded into the base version (so
+    /// the watermark image is unrecoverable here). A pin at the
+    /// watermark on the object's registry ([`super::HorizonPins`]) keeps
+    /// that from happening for the pin's lifetime.
     ///
-    /// This is the read-only transaction path's accessor. It takes the
+    /// This is the one accessor for a watermark image: read-only
+    /// transactions and the fuzzy checkpoint both read here. It takes the
     /// object's internal mutex — a short latch over in-memory state, the
     /// same one every accessor uses — but no *transactional* lock: no
     /// conflict test runs, no lock-table entry is written, no writer is
@@ -930,22 +917,6 @@ impl<A: RuntimeAdt> TxObject<A> {
             return Err(SnapshotStale { folded: st.folded, watermark });
         }
         Ok(st.image_at(&self.adt, watermark))
-    }
-
-    /// Forbid `forget()` from folding commits with `ts > watermark` into
-    /// the compacted version until [`TxObject::unpin_horizon`] — the
-    /// object-side half of a fuzzy checkpoint. To the horizon computation
-    /// (Definition 20) the pin is just one more active lower bound.
-    pub fn pin_horizon(&self, watermark: u64) {
-        self.inner.lock().pin = Some(watermark);
-    }
-
-    /// Release the pin installed by [`TxObject::pin_horizon`] and fold
-    /// whatever it was holding back.
-    pub fn unpin_horizon(&self) {
-        let mut st = self.inner.lock();
-        st.pin = None;
-        self.complete(st);
     }
 
     /// Install a recovered base version into this **fresh** object as
@@ -1109,6 +1080,25 @@ mod tests {
 
     fn h(n: u64) -> Arc<TxnHandle> {
         TxnHandle::new(TxnId(n))
+    }
+
+    /// An object on a pin registry of its own, and the registry.
+    fn pinned_obj() -> (Arc<TxObject<Register>>, Arc<super::super::HorizonPins>) {
+        let pins = Arc::new(super::super::HorizonPins::new());
+        let opts = RuntimeOptions::default().with_horizon(pins.clone());
+        (TxObject::new("reg", Register, hybrid(), opts), pins)
+    }
+
+    /// The image at `w` read straight off the state, unchecked: what a
+    /// test compares whether or not `w` is still readable.
+    fn image_at(o: &TxObject<Register>, w: u64) -> i64 {
+        o.inner.lock().image_at(&o.adt, w)
+    }
+
+    /// One completion that changes nothing but runs `forget`: the abort
+    /// of a transaction that never executed here.
+    fn complete_once(o: &TxObject<Register>) {
+        o.abort_txn(TxnId(u64::MAX));
     }
 
     #[test]
@@ -1330,28 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn unpin_horizon_wakes_waiters() {
-        within_watchdog(|| {
-            let (o, blocked, resume) = paused_obj();
-            let (t1, t2) = (h(1), h(2));
-            o.execute(&t1, RegInv::Write(10)).unwrap();
-            o.pin_horizon(0);
-            let (o2, t2c) = (o.clone(), t2.clone());
-            let reader = std::thread::spawn(move || o2.execute(&t2c, RegInv::Read));
-            blocked.recv().unwrap();
-            resume.send(()).unwrap();
-            // The unpin wakes the reader; the write is still held, so it
-            // is refused a second time — which is how we see it woke.
-            o.unpin_horizon();
-            blocked.recv().unwrap();
-            resume.send(()).unwrap();
-            o.commit_at(t1.id(), 1);
-            assert_eq!(reader.join().unwrap(), Ok(10));
-            assert_eq!(o.stats().waits, 1, "one blocked execution, however often refused");
-        });
-    }
-
-    #[test]
     fn timeout_is_one_deadline_no_earlier_than_asked() {
         let o = TxObject::new(
             "reg",
@@ -1477,33 +1445,35 @@ mod tests {
         }
     }
 
-    /// The fuzzy-checkpoint contract: with a horizon pin at `w`, commits
-    /// above `w` keep flowing but can neither fold into the version nor
-    /// leak into `committed_snapshot_at(w)`.
+    /// The fuzzy-checkpoint contract: while a `PinGuard` at `w` lives on
+    /// the object's registry, commits above `w` keep flowing but can
+    /// neither fold into the version nor leak into the image at `w`; once
+    /// it drops, the next completion folds them.
     #[test]
     fn horizon_pin_keeps_snapshot_at_watermark_exact() {
-        let o = obj();
+        let (o, pins) = pinned_obj();
         for i in 1..=3u64 {
             let t = h(i);
             o.execute(&t, RegInv::Write(i as i64)).unwrap();
             o.commit_at(t.id(), i);
         }
-        o.pin_horizon(3);
+        let guard = pins.pin(3);
         // Commits above the watermark land while the pin is held.
         for i in 4..=6u64 {
             let t = h(i);
             o.execute(&t, RegInv::Write(i as i64 * 10)).unwrap();
             o.commit_at(t.id(), i);
         }
-        assert_eq!(o.committed_snapshot_at(3), 3, "watermark image excludes later commits");
+        assert_eq!(o.snapshot_read(3), Ok(3), "watermark image excludes later commits");
         assert_eq!(o.committed_snapshot(), 60, "live frontier sees everything");
         assert!(
             o.retained_committed() >= 3,
             "pinned commits stay unfolded: {}",
             o.retained_committed()
         );
-        o.unpin_horizon();
-        // The pin released: folding catches up.
+        drop(guard);
+        // The pin released: folding catches up at the next completion.
+        complete_once(&o);
         assert_eq!(o.retained_committed(), 1);
         assert_eq!(o.committed_snapshot(), 60);
     }
@@ -1673,8 +1643,8 @@ mod tests {
     /// `lock.view.intents` counts them once per attempt.
     #[test]
     fn views_hold_every_committed_intent_past_the_inline_buffer() {
-        let o = obj();
-        o.pin_horizon(0);
+        let (o, pins) = pinned_obj();
+        let _pin = pins.pin(0);
         let mut counted = 0;
         for k in 1..=VIEW_INLINE as u64 + 3 {
             let writer = h(2 * k);
@@ -1696,8 +1666,8 @@ mod tests {
     /// earlier timestamp first.
     #[test]
     fn commits_arriving_out_of_timestamp_order_are_filed_in_it() {
-        let o = obj();
-        o.pin_horizon(0);
+        let (o, pins) = pinned_obj();
+        let pin = pins.pin(0);
         let (early, late) = (h(1), h(2));
         o.execute(&early, RegInv::Write(10)).unwrap();
         o.execute(&late, RegInv::Write(20)).unwrap();
@@ -1709,11 +1679,12 @@ mod tests {
                 3..=4 => 10,
                 _ => 20,
             };
-            assert_eq!(o.committed_snapshot_at(w), image, "watermark {w}");
+            assert_eq!(image_at(&o, w), image, "watermark {w}");
             assert_eq!(o.snapshot_read(w), Ok(image), "watermark {w}");
         }
         // The horizon is the latest commit, 5: only ts 3 folds.
-        o.unpin_horizon();
+        drop(pin);
+        complete_once(&o);
         assert_eq!((o.retained_committed(), o.version_snapshot()), (1, 10));
         assert_eq!(o.snapshot_read(2), Err(SnapshotStale { folded: 3, watermark: 2 }));
         assert_eq!(o.snapshot_read(4), Ok(10));
@@ -1763,7 +1734,7 @@ mod tests {
             assert_eq!(o.retained_committed(), m.committed.len());
             assert_eq!(o.version_snapshot(), m.version);
             for w in 0..=top {
-                assert_eq!(o.committed_snapshot_at(w), m.image_at(w), "committed_snapshot_at({w})");
+                assert_eq!(image_at(o, w), m.image_at(w), "image_at({w})");
                 let read = if w < m.folded {
                     Err(SnapshotStale { folded: m.folded, watermark: w })
                 } else {
@@ -1778,18 +1749,17 @@ mod tests {
             /// `k` executes `start % (k + 1)` steps in (so earlier
             /// arrivals can carry later timestamps than it) and draws its
             /// timestamp above the clock it saw there, `gap` further on,
-            /// as the manager does. An optional checkpoint pin holds the
-            /// horizon throughout and is released at the end.
+            /// as the manager does. An optional pin on the object's
+            /// registry holds the horizon throughout and is dropped at the
+            /// end; the next completion folds what it held.
             #[test]
             fn the_ring_agrees_with_a_timestamp_keyed_model(
                 plan in prop::collection::vec((0usize..8, 0u64..12), 1..9),
                 pin in (0u64..3, 0u64..60),
             ) {
                 let pin = (pin.0 > 0).then_some(pin.1);
-                let o = obj();
-                if let Some(p) = pin {
-                    o.pin_horizon(p);
-                }
+                let (o, pins) = pinned_obj();
+                let guard = pin.map(|p| pins.pin(p));
                 let writers: Vec<_> = (0..plan.len() as u64).map(|k| h(k + 1)).collect();
                 let mut m = Model::default();
                 let (mut clock, mut top) = (0u64, 0u64);
@@ -1817,8 +1787,9 @@ mod tests {
                     m.forget(active.values().copied(), pin);
                     agree(&o, &m, top);
                 }
-                if pin.is_some() {
-                    o.unpin_horizon();
+                if let Some(guard) = guard {
+                    drop(guard);
+                    complete_once(&o);
                     m.forget(std::iter::empty(), None);
                     agree(&o, &m, top);
                 }

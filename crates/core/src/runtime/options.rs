@@ -11,9 +11,8 @@ use std::time::Duration;
 /// Blocking itself is the appendix's atomic `when (condition) { … }` and
 /// has no knob: the condition is tested and the caller recorded as a
 /// waiter under one hold of the object's latch, and only events wake it
-/// — a commit or abort at that object (or [`super::TxObject::unpin_horizon`])
-/// wakes every recorded waiter, and [`TxnHandle::doom`] wakes the victim
-/// itself. Because a lock holder's remaining life is usually far shorter
+/// — a commit or abort at that object wakes every recorded waiter, and
+/// [`TxnHandle::doom`] wakes the victim itself. Because a lock holder's remaining life is usually far shorter
 /// than putting a thread to sleep and waking it again, a waiter first
 /// spins a small fixed number of times on the object's completion count
 /// and parks only if nothing completed meanwhile.
@@ -112,11 +111,11 @@ pub struct RuntimeOptions {
     /// The per-txn flight recorder (`HCC_TRACE=N`), when tracing is on.
     pub trace: Option<Arc<FlightRecorder>>,
     /// The shared horizon-pin registry bounding what `forget` may fold:
-    /// while a snapshot read holds a pin at watermark `w`, no commit
-    /// with timestamp `> w` is folded into any object's base version.
-    /// Standalone objects default to a private (never-pinned) registry;
-    /// `TxnManager::object_options` shares the manager's so read-only
-    /// transactions pin every object at once.
+    /// while a snapshot read or a fuzzy checkpoint holds a pin at
+    /// watermark `w`, no commit with timestamp `> w` is folded into any
+    /// object's base version. Standalone objects default to a private
+    /// (never-pinned) registry; `TxnManager::object_options` shares the
+    /// manager's so one pin holds every object at once.
     pub horizon: Arc<super::HorizonPins>,
 }
 

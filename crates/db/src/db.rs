@@ -19,7 +19,7 @@ use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
     Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject, DurableStore, Recovered,
-    Snapshot, StorageOptions,
+    StorageOptions,
 };
 use hcc_txn::manager::CommitError;
 use hcc_txn::registry::{self, Decisions, RecoveryReport};
@@ -350,6 +350,14 @@ impl Db {
     /// recovered state is installed and the object registered, exactly
     /// as [`Db::object`] does for canonical handles.
     ///
+    /// Build the object over [`Db::object_options`] (a copy may change
+    /// its `block` policy): those options carry the redo sink and the
+    /// manager's horizon registry, which both a checkpoint's pin and a
+    /// [`crate::ReadTx`]'s hold. An object on a registry of its own may fold
+    /// past a running checkpoint's watermark, and that checkpoint then
+    /// fails with `StorageError::Snapshot` instead of writing a wrong
+    /// image.
+    ///
     /// If materialization fails, the caller's instance is left partially
     /// recovered (restore/replay mutate as they go); because a re-attach
     /// cannot prove it was handed a *fresh* instance, further `attach`
@@ -362,11 +370,15 @@ impl Db {
         self.open_slot(&name, Some(obj))
     }
 
-    /// Open `name` in one write hold of the table: build the object (or
-    /// adopt the caller's), install the name's logged share, flip the
-    /// slot to open, and — if that was the last logged slot — attest
-    /// absorption to the store, so checkpointing becomes legal only once
-    /// every logged name is in the table as an open object.
+    /// Open `name`: build the object (or adopt the caller's) *before*
+    /// taking the table — a first open derives the type's relation or
+    /// runs a defined type's `conflict_spec`, which must not stall every
+    /// lookup of every open name — then, in one write hold, install the
+    /// name's logged share, flip the slot to open, and — if that was the
+    /// last logged slot — attest absorption to the store, so
+    /// checkpointing becomes legal only once every logged name is in the
+    /// table as an open object. A slot another thread opened meanwhile
+    /// wins, and the spare is dropped.
     ///
     /// The share is consumed only on success: a failed materialization
     /// (wrong type asked for the name, replay divergence) leaves it
@@ -380,17 +392,14 @@ impl Db {
         adopt: Option<Arc<T>>,
     ) -> Result<Arc<T>, HccError> {
         let adopted = adopt.is_some();
-        let build = || {
-            adopt.unwrap_or_else(|| {
-                let obj = T::fresh(name, self.object_options());
-                debug_assert_eq!(obj.object_name(), name, "DbObject::fresh must honor the name");
-                obj
-            })
-        };
+        let obj = adopt.unwrap_or_else(|| {
+            let obj = T::fresh(name, self.object_options());
+            debug_assert_eq!(obj.object_name(), name, "DbObject::fresh must honor the name");
+            obj
+        });
         let mut objects = self.objects.write();
         let objects = &mut *objects;
         let Some(slot) = objects.slots.get_mut(name) else {
-            let obj = build();
             let open = Slot::Open { typed: obj.clone(), durable: obj.clone() };
             objects.slots.insert(name.to_string(), open);
             return Ok(obj);
@@ -405,7 +414,6 @@ impl Db {
             }
             Slot::Logged(share) => share,
         };
-        let obj = build();
         if let Err(e) = share.install(obj.as_ref(), self.report.checkpoint_ts) {
             dump_refused_recovery(self.mgr.flight_recorder(), &e);
             share.poisoned |= adopted;
@@ -544,15 +552,15 @@ impl Db {
     /// live object holds.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, HccError> {
         let objects = self.objects.read();
-        let mut open: Vec<(&str, &dyn Snapshot)> = objects
+        let mut open: Vec<&dyn DurableObject> = objects
             .slots
-            .iter()
-            .filter_map(|(name, slot)| match slot {
-                Slot::Open { durable, .. } => Some((name.as_str(), durable.as_ref() as _)),
+            .values()
+            .filter_map(|slot| match slot {
+                Slot::Open { durable, .. } => Some(durable.as_ref()),
                 Slot::Logged(_) => None,
             })
             .collect();
-        open.sort_unstable_by_key(|&(name, _)| name);
+        open.sort_unstable_by(|a, b| a.object_name().cmp(b.object_name()));
         self.mgr.checkpoint(&open).map_err(Into::into)
     }
 

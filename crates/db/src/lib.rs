@@ -44,10 +44,13 @@ pub use tx::{RetryPolicy, Tx};
 mod tests {
     use super::*;
     use hcc_adts::account::AccountObject;
-    use hcc_adts::counter::CounterObject;
+    use hcc_adts::counter::{CounterDef, CounterObject};
+    use hcc_adts::define::Operation;
     use hcc_adts::fifo_queue::QueueObject;
+    use hcc_adts::SpecObject;
     use hcc_core::runtime::ExecError;
-    use hcc_spec::Rational;
+    use hcc_spec::specs::CounterSpec;
+    use hcc_spec::{Rational, Value};
     use hcc_txn::manager::CommitError;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -397,5 +400,84 @@ mod tests {
         let (_, ts2) = db.transact_ts(|tx| c.inc(tx, 1).map_err(Into::into)).unwrap();
         assert!(ts2 > ts1, "timestamps advance");
         assert_eq!(c.committed_value(), 2);
+    }
+
+    /// Armed by a test: the next `ParkedCounter::conflict_spec` call
+    /// announces itself on the sender, then waits on the receiver.
+    #[allow(clippy::type_complexity)]
+    static PARK: std::sync::Mutex<
+        Option<(std::sync::mpsc::Sender<()>, std::sync::mpsc::Receiver<()>)>,
+    > = std::sync::Mutex::new(None);
+
+    hcc_adts::define_adt! {
+        /// An increment-only counter whose first open, while [`PARK`] is
+        /// armed, is held inside the type's own code.
+        struct ParkedCounter {
+            name: "Counter",
+            state: i64,
+            op: i64,
+            res: bool,
+            initial: || 0,
+            respond: |_: &i64, _: &i64| vec![true],
+            apply: |s: &mut i64, n: &i64, _: &bool| *s += n,
+            read: |_: &i64, _: &bool| false,
+            spec_op: |n: &i64, _: &bool| Operation::new(CounterSpec::inc(*n), Value::Unit),
+            conflicts: || {
+                let parked = PARK.lock().unwrap().take();
+                if let Some((entered, release)) = parked {
+                    entered.send(()).unwrap();
+                    let _ = release.recv();
+                }
+                CounterDef.conflict_spec()
+            },
+        }
+    }
+
+    /// A first open builds its object before it takes the table: a type
+    /// whose relation takes long to make stalls its own open, not the
+    /// lookup of a name that is already open.
+    #[test]
+    fn a_first_open_does_not_stall_lookups_of_open_names() {
+        use std::sync::{mpsc, Arc};
+        let db = &Db::in_memory();
+        let acct = db.object::<AccountObject>("acct").unwrap();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *PARK.lock().unwrap() = Some((entered_tx, release_rx));
+        std::thread::scope(|s| {
+            let opener = s.spawn(|| db.object::<SpecObject<ParkedCounter>>("parked").unwrap());
+            entered.recv().unwrap();
+            let (found_tx, found) = mpsc::channel();
+            s.spawn(move || found_tx.send(db.object::<AccountObject>("acct").unwrap()));
+            let looked_up = found.recv_timeout(std::time::Duration::from_secs(10));
+            release.send(()).unwrap();
+            let looked_up = looked_up.expect("the lookup waited on another name's first open");
+            assert!(Arc::ptr_eq(looked_up.inner(), acct.inner()), "the open instance");
+            assert_eq!(opener.join().unwrap().committed_state(), 0, "the parked open completes");
+        });
+    }
+
+    /// Two threads racing the first open of one name get one instance:
+    /// the slot the first to take the table fills wins, and the other's
+    /// spare is dropped.
+    #[test]
+    fn racing_first_opens_of_one_name_get_one_instance() {
+        use std::sync::{Arc, Barrier};
+        let db = Db::in_memory();
+        for i in 0..32 {
+            let name = format!("race-{i}");
+            let barrier = Barrier::new(2);
+            let [first, second] = std::thread::scope(|s| {
+                [(); 2]
+                    .map(|()| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            db.object::<AccountObject>(&name).unwrap()
+                        })
+                    })
+                    .map(|h| h.join().unwrap())
+            });
+            assert!(Arc::ptr_eq(first.inner(), second.inner()), "{name}: one instance");
+        }
     }
 }

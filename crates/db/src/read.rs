@@ -12,10 +12,9 @@
 //! loads the clock, then scans the slots — `W` is the clock, lowered to
 //! one below the smallest held slot (`hcc-txn`'s `marks` module has the
 //! rule and its happens-before argument).
-//! Every view the transaction then takes is
-//! `committed_snapshot_at(W)`: the object's base version plus its
-//! committed-but-unfolded intents up to `W`, cloned under the object's
-//! internal latch. Writers are never blocked, never conflicted with, and
+//! Every view the transaction then takes is `snapshot_read(W)`: the
+//! object's base version plus its committed-but-unfolded intents up to
+//! `W`, cloned under the object's internal latch. Writers are never blocked, never conflicted with, and
 //! never observe the reader; the pin's only effect is to delay folding
 //! of commits *above* `W` until the reader drops.
 //!
@@ -27,8 +26,9 @@
 //!
 //! The pin is RAII: dropping the [`ReadTx`] (including a panic unwind)
 //! unpins the horizon, so an abandoned reader can never wedge compaction
-//! or checkpointing. Long-running readers only delay folding; fuzzy
-//! checkpoints proceed at their own watermark regardless.
+//! or checkpointing. Long-running readers only delay folding; a fuzzy
+//! checkpoint takes a pin of its own on the same registry at its own
+//! watermark, so the two never wait on each other.
 
 use crate::db::Db;
 use crate::error::HccError;

@@ -19,9 +19,9 @@
 //!   the default: the log doubled since the last checkpoint, above a
 //!   record-count floor) deciding when to checkpoint and delete dead
 //!   segments;
-//! * [`snapshot`] — the [`Snapshot`] trait every ADT implements, and
-//!   [`DurableObject`], the named/replayable view the recovery registry
-//!   dispatches through;
+//! * [`snapshot`] — [`DurableObject`], the one trait every ADT
+//!   implements: named, snapshotted at a watermark (checked: an object
+//!   folded past it refuses), restored and replayed by recovery;
 //! * [`store`] — [`DurableStore`], the façade `hcc-txn`'s manager logs
 //!   through, plus [`DurableStore::recover`] and [`TxnAssembler`], the
 //!   one reader that decides which logged records make up a committed
@@ -48,7 +48,7 @@ pub mod wal;
 pub use checkpoint::Checkpoint;
 pub use policy::{CompactionPolicy, LogStats};
 pub use record::LogRecord;
-pub use snapshot::{DurableObject, Snapshot, SnapshotError};
+pub use snapshot::{DurableObject, SnapshotError};
 pub use store::{
     durability_env_override, CheckpointCursor, CommittedTxn, DurableStore, InDoubtTxn, Recovered,
     StorageOptions, TxnAssembler, Verdict,

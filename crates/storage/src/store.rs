@@ -10,12 +10,14 @@
 //! 1. **Begin** (`checkpoint_begin`, gate held): record the watermark
 //!    `ts0 = last_commit_ts`, the global ticket watermark, and the
 //!    log's cut — its active segment index clamped below any segment
-//!    pinned by a live transaction. The caller pins every object's fold
-//!    horizon at `ts0` before releasing the gate.
+//!    pinned by a live transaction. The caller takes one pin at `ts0` on
+//!    the horizon registry its objects share before releasing the gate.
 //! 2. **Snapshot** (gate released): each object serializes its committed
-//!    frontier *at* `ts0` under its own lock (`Snapshot::snapshot_at`);
-//!    commits with `ts > ts0` proceed concurrently and are simply not in
-//!    the image.
+//!    frontier *at* `ts0` under its own lock
+//!    (`DurableObject::snapshot_at`); commits with `ts > ts0` proceed
+//!    concurrently and are simply not in the image. The read is checked:
+//!    an object already folded past `ts0` refuses, and the checkpoint
+//!    fails before anything is written or pruned.
 //! 3. **Finish** (`checkpoint_finish`): the `HCCKPT03` file
 //!    `{ts0, ticket, chain, segment_low, snapshots, registry}` is
 //!    written durably (temp + fsync + rename), segments below the cut are
@@ -54,7 +56,6 @@
 use crate::checkpoint::Checkpoint;
 use crate::policy::{CompactionPolicy, LogStats};
 use crate::record::LogRecord;
-use crate::snapshot::Snapshot;
 use crate::tail::WalTailer;
 use crate::wal::{read_records, Durability, SegmentedWal, WalOptions};
 use crate::StorageError;
@@ -521,9 +522,10 @@ impl DurableStore {
 
     /// Attest that the caller's live objects reflect every commit at or
     /// below [`DurableStore::last_commit_ts`] — i.e. recovery (checkpoint
-    /// restore + tail replay) has been applied to the objects that will be
-    /// registered with [`DurableStore::checkpoint`]. Until this is called
-    /// on a store opened over prior history, checkpointing is refused.
+    /// restore + tail replay) has been applied to the objects whose
+    /// snapshots will be checkpointed. Until this is called on a store
+    /// opened over prior history, [`DurableStore::checkpoint_begin`]
+    /// refuses.
     pub fn mark_state_absorbed(&self) {
         self.unabsorbed_history.store(false, Ordering::Release);
         // Absorption means nobody will materialize from the open image
@@ -674,7 +676,7 @@ impl DurableStore {
 
     /// Phase 1 of a fuzzy checkpoint. The caller must hold its commit
     /// gate exclusively across this call (and across pinning its objects'
-    /// horizons at the returned watermark) — microseconds of stall, no
+    /// horizon at the returned watermark) — microseconds of stall, no
     /// I/O — and must then release the gate before snapshotting.
     pub fn checkpoint_begin(&self) -> Result<CheckpointCursor, StorageError> {
         if self.unabsorbed_history.load(Ordering::Acquire) {
@@ -691,7 +693,8 @@ impl DurableStore {
     }
 
     /// Phase 2 of a fuzzy checkpoint: persist the snapshots (taken at
-    /// `cursor.last_ts` via [`Snapshot::snapshot_at`]) and compact.
+    /// `cursor.last_ts` via [`crate::DurableObject::snapshot_at`]) and
+    /// compact.
     /// Commits may be running concurrently.
     pub fn checkpoint_finish(
         &self,
@@ -729,23 +732,6 @@ impl DurableStore {
             .add(ckpt.objects.iter().map(|(_, b)| b.len() as u64).sum());
         self.metrics.counter("ckpt.segments_pruned").add(pruned);
         Ok(ckpt)
-    }
-
-    /// Take a checkpoint of `objects` and delete dead segments, assuming
-    /// a **quiesced** caller: no commit may be logged between the begin
-    /// and the snapshots (the transaction manager's fuzzy path pins
-    /// horizons and snapshots at the watermark instead — see
-    /// `hcc-txn::TxnManager::checkpoint`).
-    pub fn checkpoint(
-        &self,
-        objects: &[(&str, &dyn Snapshot)],
-    ) -> Result<Checkpoint, StorageError> {
-        let cursor = self.checkpoint_begin()?;
-        let snaps = objects
-            .iter()
-            .map(|(name, snap)| (name.to_string(), snap.snapshot_at(cursor.last_ts)))
-            .collect();
-        self.checkpoint_finish(&cursor, snaps)
     }
 
     /// Read the durable state under `dir`: newest checkpoint plus the
@@ -853,7 +839,6 @@ fn assemble_recovered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SnapshotError;
     use std::sync::Mutex;
 
     fn tmp(name: &str) -> PathBuf {
@@ -882,20 +867,18 @@ mod tests {
         }
     }
 
-    // Store-level tests checkpoint with commits quiesced, so the
-    // watermark is the whole frontier and there is nothing to pin.
-    impl Snapshot for Cell {
-        fn snapshot_at(&self, _watermark: u64) -> Vec<u8> {
-            self.get().to_le_bytes().to_vec()
+    impl Cell {
+        fn restore(&self, bytes: &[u8]) {
+            *self.0.lock().unwrap() = i64::from_le_bytes(bytes.try_into().unwrap());
         }
-        fn pin_horizon(&self, _watermark: u64) {}
-        fn unpin_horizon(&self) {}
-        fn restore(&self, bytes: &[u8], _ts: u64) -> Result<(), SnapshotError> {
-            let arr: [u8; 8] =
-                bytes.try_into().map_err(|_| SnapshotError::new("bad cell snapshot"))?;
-            *self.0.lock().unwrap() = i64::from_le_bytes(arr);
-            Ok(())
-        }
+    }
+
+    /// Checkpoint `cell` through both phases. Store-level tests run with
+    /// commits quiesced, so the watermark is the whole frontier and there
+    /// is no gate to hold and nothing to pin.
+    fn checkpoint(store: &DurableStore, cell: &Cell) -> Result<Checkpoint, StorageError> {
+        let cursor = store.checkpoint_begin()?;
+        store.checkpoint_finish(&cursor, vec![("cell".into(), cell.get().to_le_bytes().to_vec())])
     }
 
     fn small_opts() -> StorageOptions {
@@ -946,7 +929,7 @@ mod tests {
         if let Some(ckpt) = &recovered.checkpoint {
             for (name, data) in &ckpt.objects {
                 assert_eq!(name, "cell");
-                cell.restore(data, ckpt.last_ts).unwrap();
+                cell.restore(data);
             }
         }
         for txn in &recovered.committed {
@@ -988,7 +971,7 @@ mod tests {
             for i in 1..=20 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
-            store.checkpoint(&[("cell", &cell)]).unwrap();
+            checkpoint(&store, &cell).unwrap();
             for i in 21..=30 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
@@ -1012,7 +995,7 @@ mod tests {
             run_txn(&store, &cell, i, i, 1);
         }
         assert!(segment_count(&dir) > 2);
-        store.checkpoint(&[("cell", &cell)]).unwrap();
+        checkpoint(&store, &cell).unwrap();
         let after = segment_count(&dir);
         assert!(after <= 2, "dead segments survived: {after}");
         assert_eq!(store.checkpoints_taken(), 1);
@@ -1035,7 +1018,7 @@ mod tests {
         for i in 1..=35 {
             run_txn(&store, &cell, i, i, 1);
             if store.should_checkpoint() {
-                store.checkpoint(&[("cell", &cell)]).unwrap();
+                checkpoint(&store, &cell).unwrap();
                 taken += 1;
             }
         }
@@ -1056,7 +1039,7 @@ mod tests {
             }
             // Checkpoint prunes the segments holding the original Register
             // record; the binding survives in the checkpoint file's table.
-            store.checkpoint(&[("cell", &cell)]).unwrap();
+            checkpoint(&store, &cell).unwrap();
             for i in 31..=35 {
                 run_txn(&store, &cell, i, i, 1);
             }
@@ -1237,7 +1220,7 @@ mod tests {
             for i in 1..=12 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
-            store.checkpoint(&[("cell", &cell)]).unwrap();
+            checkpoint(&store, &cell).unwrap();
             for i in 13..=20 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
@@ -1277,7 +1260,7 @@ mod tests {
             for i in 1..=5 {
                 run_txn(&store, &cell, i, i, 1);
             }
-            store.checkpoint(&[("cell", &cell)]).unwrap();
+            checkpoint(&store, &cell).unwrap();
         }
         {
             // A reopened store learns the checkpoint's watermark, so a new
@@ -1286,12 +1269,12 @@ mod tests {
             // checkpointing is refused — the same `cell` carried the state
             // across the reopen here, so the attestation is truthful.
             let store = DurableStore::open(&dir, small_opts()).unwrap();
-            match store.checkpoint(&[("cell", &cell)]) {
+            match checkpoint(&store, &cell) {
                 Err(StorageError::UnabsorbedHistory { last_ts: 5 }) => {}
                 other => panic!("expected UnabsorbedHistory, got {other:?}"),
             }
             store.mark_state_absorbed();
-            let ckpt = store.checkpoint(&[("cell", &cell)]).unwrap();
+            let ckpt = checkpoint(&store, &cell).unwrap();
             assert_eq!(ckpt.last_ts, 5);
         }
     }
@@ -1306,7 +1289,7 @@ mod tests {
             for i in 1..=30 {
                 run_txn(&store, &cell, i, i, 1);
             }
-            let ckpt = store.checkpoint(&[("cell", &cell)]).unwrap();
+            let ckpt = checkpoint(&store, &cell).unwrap();
             ticket_at_ckpt = ckpt.last_ticket;
             assert!(ticket_at_ckpt > 60);
         }

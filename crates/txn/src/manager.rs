@@ -18,7 +18,7 @@ use hcc_core::runtime::{
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
-use hcc_storage::{Checkpoint, DurableStore, Snapshot, StorageError, StorageOptions};
+use hcc_storage::{Checkpoint, DurableObject, DurableStore, StorageError, StorageOptions};
 use parking_lot::RwLock;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,12 +81,12 @@ pub struct TxnManager {
     store: Option<Arc<DurableStore>>,
     /// Commits hold this shared around log-write + phase-2 apply.
     /// Checkpoints hold it exclusively only for the *begin* instant of
-    /// the fuzzy protocol — establishing the watermark and pinning
-    /// horizons, no I/O — so a watermark can never fall between a
+    /// the fuzzy protocol — establishing the watermark and pinning the
+    /// horizon, no I/O — so a watermark can never fall between a
     /// commit's log record and its application at the objects.
     commit_gate: RwLock<()>,
     /// Serializes whole checkpoints against each other (two concurrent
-    /// fuzzy checkpoints would fight over the horizon pins).
+    /// checkpoints would interleave their saves and prunes).
     checkpoint_serial: parking_lot::Mutex<()>,
     /// The system's metric registry — adopted from the durable store when
     /// there is one (so WAL/recovery counters and transaction counters
@@ -111,7 +111,7 @@ pub struct TxnManager {
     /// The shared horizon-pin registry every object built from
     /// [`TxnManager::object_options`] consults before folding — the
     /// mechanism that keeps a pinned watermark's snapshot exact across
-    /// all objects at once.
+    /// all objects at once, for snapshot reads and checkpoints alike.
     horizon: Arc<HorizonPins>,
 }
 
@@ -264,7 +264,7 @@ impl TxnManager {
     /// The current **stable watermark** `W`: every commit with timestamp
     /// `≤ W` is fully applied at every object it touched, and every
     /// commit still in flight (or future) has a timestamp `> W`. A read
-    /// of `committed_snapshot_at(W)` across any set of this manager's
+    /// of `snapshot_read(W)` across any set of this manager's
     /// objects therefore observes a *consistent prefix* of the commit
     /// order — never a later transaction without an earlier one.
     ///
@@ -513,41 +513,42 @@ impl TxnManager {
     /// store. Returns `Ok(None)` when the manager has no store.
     ///
     /// The commit gate is held exclusively only for the *begin* instant —
-    /// recording the watermark `ts0`, the log's prune cut, and pinning
-    /// every object's fold horizon at `ts0`; no I/O, microseconds — and
-    /// is then released. Snapshots are taken incrementally, each under
-    /// its own object's lock, *at* the watermark
-    /// ([`Snapshot::snapshot_at`]), while concurrent commits (all with
+    /// recording the watermark `ts0` and the log's prune cut, and taking
+    /// one pin at `ts0` on the shared horizon registry; no I/O,
+    /// microseconds — and is then released. Snapshots are taken
+    /// incrementally, each under its own object's lock, *at* the watermark
+    /// ([`DurableObject::snapshot_at`]), while concurrent commits (all with
     /// `ts > ts0`) keep flowing; recovery replays them over the fuzzy
-    /// image in timestamp order. The gate-hold duration is recorded in
-    /// the `ckpt.last_gate_nanos` gauge and the `ckpt.gate_nanos`
-    /// histogram ([`TxnManager::metrics`]).
+    /// image in timestamp order. The pin is a guard, dropped once the
+    /// snapshots are taken (or by a panic unwinding out of one). An object
+    /// it does not hold — one built over a private registry — may have
+    /// folded past `ts0`; its snapshot refuses, and the checkpoint fails
+    /// with [`StorageError::Snapshot`] before anything is written or
+    /// pruned. The gate-hold duration is recorded in the
+    /// `ckpt.last_gate_nanos` gauge and the `ckpt.gate_nanos` histogram
+    /// ([`TxnManager::metrics`]).
     pub fn checkpoint(
         &self,
-        objects: &[(&str, &dyn Snapshot)],
+        objects: &[&dyn DurableObject],
     ) -> Result<Option<Checkpoint>, StorageError> {
         let Some(store) = &self.store else { return Ok(None) };
         let started = Instant::now();
         let _serial = self.checkpoint_serial.lock();
-        let cursor = {
+        let (cursor, pin) = {
             let _gate = self.commit_gate.write();
             let held = Instant::now();
             let cursor = store.checkpoint_begin()?;
-            for (_, obj) in objects {
-                obj.pin_horizon(cursor.last_ts);
-            }
+            let pin = self.horizon.pin(cursor.last_ts);
             let gate_nanos = held.elapsed().as_nanos() as u64;
             self.instruments.ckpt_gate_nanos.observe(gate_nanos);
             self.instruments.ckpt_last_gate.set(gate_nanos as i64);
-            cursor
+            (cursor, pin)
         };
-        let snaps: Vec<(String, Vec<u8>)> = objects
+        let snaps = objects
             .iter()
-            .map(|(name, obj)| (name.to_string(), obj.snapshot_at(cursor.last_ts)))
-            .collect();
-        for (_, obj) in objects {
-            obj.unpin_horizon();
-        }
+            .map(|obj| Ok((obj.object_name().to_string(), obj.snapshot_at(cursor.last_ts)?)))
+            .collect::<Result<Vec<_>, StorageError>>()?;
+        drop(pin);
         let ckpt = store.checkpoint_finish(&cursor, snaps)?;
         self.instruments.ckpt_duration_nanos.observe_duration(started.elapsed());
         Ok(Some(ckpt))
@@ -723,6 +724,69 @@ mod tests {
         let total = a.committed_balance() + b.committed_balance();
         let committed_debits = mgr.committed_count() as i64 - 1; // minus funding txn
         assert_eq!(total, r(20 - 2 * committed_debits));
+    }
+
+    /// Commits that land while a checkpoint snapshots stay out of its
+    /// image and unfolded: its one pin on the shared registry holds
+    /// them, and is gone when it returns. An object on a private
+    /// registry, which the pin does not hold, folds past the watermark
+    /// and makes the checkpoint refuse before anything is saved.
+    #[test]
+    fn a_checkpoint_pin_holds_commits_landing_during_its_snapshots() {
+        use hcc_core::runtime::ReplayError;
+        use hcc_storage::{DurableObject, SnapshotError};
+
+        /// An account that commits two credits through the manager just
+        /// before it takes its snapshot.
+        struct Busy<'m> {
+            mgr: &'m TxnManager,
+            acct: AccountObject,
+        }
+        impl DurableObject for Busy<'_> {
+            fn object_name(&self) -> &str {
+                self.acct.object_name()
+            }
+            fn snapshot_at(&self, watermark: u64) -> Result<Vec<u8>, SnapshotError> {
+                for _ in 0..2 {
+                    let t = self.mgr.begin();
+                    self.acct.credit(&t, r(1)).unwrap();
+                    self.mgr.commit(t).unwrap();
+                }
+                self.acct.snapshot_at(watermark)
+            }
+            fn restore(&self, bytes: &[u8], ts: u64) -> Result<(), SnapshotError> {
+                self.acct.restore(bytes, ts)
+            }
+            fn replay_op(&self, txn: &Arc<TxnHandle>, op: &[u8]) -> Result<(), ReplayError> {
+                self.acct.replay_op(txn, op)
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("hcc-txn-ckpt-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
+        let shared =
+            Busy { mgr: &mgr, acct: AccountObject::with_options("s", mgr.object_options()) };
+        let t = mgr.begin();
+        shared.acct.credit(&t, r(10)).unwrap();
+        mgr.commit(t).unwrap();
+        let ckpt = mgr.checkpoint(&[&shared]).unwrap().expect("store attached");
+        assert_eq!(ckpt.objects[0].1, br#"{"num":10,"den":1}"#, "the fold at the watermark");
+        assert_eq!(mgr.horizon().active(), 0, "the guard dropped");
+        assert_eq!(shared.acct.inner().retained_committed(), 3, "the pin folded nothing");
+        assert_eq!(shared.acct.committed_balance(), r(12));
+
+        let own = mgr.object_options().with_horizon(Arc::new(HorizonPins::new()));
+        let private = Busy { mgr: &mgr, acct: AccountObject::with_options("p", own) };
+        match mgr.checkpoint(&[&shared, &private]) {
+            Err(StorageError::Snapshot(e)) => assert!(e.0.contains("stale"), "{e}"),
+            other => panic!("expected a refused snapshot, got {other:?}"),
+        }
+        assert_eq!(mgr.storage().unwrap().checkpoints_taken(), 1, "nothing saved");
+        assert_eq!(mgr.horizon().active(), 0, "the guard dropped on the refusal too");
+        drop((shared, private));
+        drop(mgr);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A durable manager that rotates on every append, so renaming its

@@ -24,11 +24,6 @@ pub type Decisions = BTreeMap<u64, u64>;
 pub enum RecoveryError {
     /// Reading the durable state failed.
     Storage(StorageError),
-    /// The log references an object nobody registered.
-    UnknownObject {
-        /// The name the log knows and the registry does not.
-        object: String,
-    },
     /// A checkpoint snapshot could not be installed.
     Snapshot(SnapshotError),
     /// A redo payload failed to replay at its object.
@@ -58,9 +53,6 @@ impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryError::Storage(e) => write!(f, "recovery: {e}"),
-            RecoveryError::UnknownObject { object } => {
-                write!(f, "recovery: log references unregistered object {object:?}")
-            }
             RecoveryError::Snapshot(e) => write!(f, "recovery: {e}"),
             RecoveryError::Replay { object, error } => {
                 write!(f, "recovery at object {object:?}: {error}")

@@ -21,7 +21,7 @@
 use hcc_adts::account::{self, AccountAdt, AccountInv, AccountObject, AccountRes};
 use hcc_adts::fifo_queue::{self, QueueAdt, QueueInv, QueueObject, QueueRes};
 use hcc_adts::ObjectAdt;
-use hcc_core::runtime::{RuntimeAdt, RuntimeOptions};
+use hcc_core::runtime::RuntimeAdt;
 use hcc_db::{Db, HccError};
 use hcc_spec::history::HistoryBuilder;
 use hcc_spec::specs::{AccountSpec, QueueSpec};
@@ -152,10 +152,9 @@ pub fn run_crash_workload(
     let mgr = db.manager().clone();
     // Short timeouts: a conflicting interleaving aborts quickly and the
     // abort path gets logged coverage — so the objects are attached with
-    // their own options rather than taken from `db.object`.
-    let timeout = Some(std::time::Duration::from_millis(20));
-    let store = db.storage().expect("a durable db has a store").clone();
-    let obj_opts = RuntimeOptions::with_timeout(timeout).with_redo(store);
+    // a copy of the database's options rather than taken from `db.object`.
+    let mut obj_opts = db.object_options();
+    obj_opts.block.timeout = Some(std::time::Duration::from_millis(20));
     let acct = db.attach(Arc::new(AccountObject::with_options("acct", obj_opts.clone())))?;
     let queue = db.attach(Arc::new(QueueObject::<i64>::with_options("q", obj_opts)))?;
 
@@ -326,7 +325,7 @@ pub fn truncate_tail(dir: &Path, bytes: u64) -> Result<u64, HccError> {
 /// rebuilding the formal history from the raw log image and checking it
 /// hybrid atomic with `hcc-verify`. Returns the reconstructed state.
 pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
-    use hcc_storage::Snapshot as _;
+    use hcc_storage::DurableObject as _;
 
     // The raw image feeds the verifier; reading it first keeps this scan
     // independent of anything the facade's open does.
@@ -422,7 +421,10 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredState, HccError> {
         queue: queue_items,
         checkpoint_ts: ckpt_ts,
         tail_ts,
-        snapshots: vec![("acct".to_string(), acct.snapshot()), ("q".to_string(), queue.snapshot())],
+        snapshots: vec![
+            ("acct".to_string(), acct.snapshot_at(u64::MAX)?),
+            ("q".to_string(), queue.snapshot_at(u64::MAX)?),
+        ],
     })
 }
 

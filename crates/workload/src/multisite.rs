@@ -17,14 +17,15 @@
 //! nothing undecided survives.
 //!
 //! A site is an ordinary [`Db`] whose one object was built over that
-//! database's store as its redo sink and joined it with `Db::attach`:
+//! database's `Db::object_options` (its store as the redo sink) and
+//! joined it with `Db::attach`:
 //! it logs through its own WAL and commits through the message-passing
 //! [`Coordinator`] instead of the local `TxnManager`, and it recovers
 //! exactly as `examples/distributed_commit.rs` does — there is no second
 //! recovery path for the simulation to exercise.
 
 use hcc_adts::account::AccountObject;
-use hcc_core::runtime::{RuntimeOptions, TxnHandle};
+use hcc_core::runtime::TxnHandle;
 use hcc_db::{Db, HccError};
 use hcc_spec::{Rational, TxnId};
 use hcc_storage::{CompactionPolicy, Durability, DurableStore, StorageOptions};
@@ -124,10 +125,7 @@ fn spawn_site(
         .decisions(decisions.clone())
         .open(dir)?;
     let store = db.storage().expect("a durable db has a store").clone();
-    let acct = db.attach(Arc::new(AccountObject::with_options(
-        name,
-        RuntimeOptions::default().with_redo(store.clone()),
-    )))?;
+    let acct = db.attach(Arc::new(AccountObject::with_options(name, db.object_options())))?;
     let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], store);
     Ok(Incarnation { site, acct, _db: db })
 }

@@ -9,7 +9,7 @@
 //! through its store and join it with `Db::attach`.
 
 use hybrid_cc::adts::account::AccountObject;
-use hybrid_cc::core::runtime::{RuntimeOptions, TxnHandle};
+use hybrid_cc::core::runtime::TxnHandle;
 use hybrid_cc::spec::{Rational, TxnId};
 use hybrid_cc::storage::{DurableStore, StorageOptions};
 use hybrid_cc::txn::clock::LogicalClock;
@@ -63,12 +63,7 @@ fn r(n: i64) -> Rational {
 fn site_b(dir: &Path, decisions: Decisions) -> (Db, Arc<AccountObject>, Site) {
     let db = Db::builder().decisions(decisions).open(dir).unwrap();
     let store = db.storage().unwrap().clone();
-    let b = db
-        .attach(Arc::new(AccountObject::with_options(
-            "b",
-            RuntimeOptions::default().with_redo(store.clone()),
-        )))
-        .unwrap();
+    let b = db.attach(Arc::new(AccountObject::with_options("b", db.object_options()))).unwrap();
     let site = Site::spawn_durable("s-b", vec![b.inner().clone()], store);
     (db, b, site)
 }

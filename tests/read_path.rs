@@ -259,6 +259,81 @@ fn snapshot_reads_survive_a_mid_run_fuzzy_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reader and a fuzzy checkpoint hold one shared registry down at two
+/// watermarks while commits keep landing: the checkpoint image is the
+/// fold at its watermark, the reader's views the fold at its own, both
+/// pins are gone once their guards drop, and the next commit at each
+/// object then folds the backlog they held.
+#[test]
+fn a_reader_and_a_checkpoint_pin_one_registry_at_two_watermarks() {
+    use hybrid_cc::storage::{DurableObject, DurableStore};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = tmp("two-pins");
+    let db = Db::open(&dir).unwrap();
+    let (a, b) =
+        (db.object::<AccountObject>("a").unwrap(), db.object::<AccountObject>("b").unwrap());
+    // Commit `k` credits `a` by k and `b` by 2k; the ledger keeps (ts, k).
+    let credit = |k: i64| {
+        let (_, ts) = db
+            .transact_ts(|tx| {
+                a.credit(tx, money(k))?;
+                b.credit(tx, money(2 * k)).map_err(Into::into)
+            })
+            .unwrap();
+        (ts.0, k)
+    };
+    let fold = |ledger: &[(u64, i64)], w: u64| {
+        money(ledger.iter().filter(|(ts, _)| *ts <= w).map(|(_, k)| k).sum())
+    };
+    let mut ledger: Vec<_> = (1..=5).map(&credit).collect();
+
+    let rtx = db.begin_read();
+    let stop = AtomicBool::new(false);
+    let ckpt = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            (6..).take_while(|_| !stop.load(Ordering::Relaxed)).map(&credit).collect::<Vec<_>>()
+        });
+        let landed = |n| db.committed_count() >= n || writer.is_finished();
+        while !landed(15) {
+            std::thread::yield_now();
+        }
+        let ckpt = db.checkpoint().unwrap().expect("durable db checkpoints");
+        let after = db.committed_count() + 10;
+        while !landed(after) {
+            std::thread::yield_now();
+        }
+        stop.store(true, Ordering::Relaxed);
+        ledger.extend(writer.join().unwrap());
+        ckpt
+    });
+    let (w_r, w_c) = (rtx.watermark(), ckpt.last_ts);
+    assert!(w_r < w_c && ledger.iter().any(|(ts, _)| *ts > w_c), "commits on both sides");
+    assert_eq!(rtx.view::<AccountObject>("a").unwrap(), fold(&ledger, w_r), "a at w_r");
+    assert_eq!(rtx.view::<AccountObject>("b").unwrap(), fold(&ledger, w_r) * money(2));
+    assert_eq!(db.stats().gauge("horizon.pins"), 1, "the checkpoint dropped its pin");
+    drop(rtx);
+    assert_eq!(db.stats().gauge("horizon.pins"), 0, "both guards dropped");
+    ledger.push(credit(1000));
+    for obj in [&a, &b] {
+        assert!(obj.inner().retained_committed() <= 1, "the next commit folded the backlog");
+    }
+    drop((a, b, db));
+
+    let image = DurableStore::recover(&dir).unwrap().checkpoint.expect("a checkpoint on disk");
+    for (name, bytes) in &image.objects {
+        let restored = AccountObject::hybrid(name);
+        restored.restore(bytes, w_c).unwrap();
+        let factor = money(if name == "a" { 1 } else { 2 });
+        assert_eq!(restored.committed_balance(), fold(&ledger, w_c) * factor, "image of {name}");
+    }
+    let db = Db::open(&dir).unwrap();
+    let full = fold(&ledger, u64::MAX);
+    assert_eq!(db.object::<AccountObject>("b").unwrap().committed_balance(), full * money(2));
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Pin lifecycle: dropping a `ReadTx` releases its pin, and a panic
 /// unwinding through a read closure releases it too — an abandoned
 /// reader can never wedge compaction.

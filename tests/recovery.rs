@@ -10,7 +10,7 @@ use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
 use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{
-    CompactionPolicy, Durability, DurableStore, Snapshot, StorageError, StorageOptions,
+    CompactionPolicy, Durability, DurableObject, DurableStore, StorageError, StorageOptions,
 };
 use hybrid_cc::txn::manager::TxnManager;
 use hybrid_cc::workload::crash::{
@@ -126,7 +126,9 @@ fn durable_store_reports_commit_with_missing_ops_as_incomplete() {
         store.log_begin(1).unwrap();
         store.log_op(1, "acct", br#"{"op":"credit","v":{"den":1,"num":7}}"#).unwrap();
         store.log_commit(1, 1).unwrap();
-        store.checkpoint(&[("acct", &acct)]).unwrap();
+        let cursor = store.checkpoint_begin().unwrap();
+        let image = acct.snapshot_at(cursor.last_ts).unwrap();
+        store.checkpoint_finish(&cursor, vec![("acct".into(), image)]).unwrap();
         // Txn 2's Begin/Op records land in the post-checkpoint segment...
         store.log_begin(2).unwrap();
         store.log_op(2, "acct", br#"{"op":"credit","v":{"den":1,"num":9}}"#).unwrap();
@@ -369,7 +371,7 @@ fn snapshot_restore_is_what_checkpoint_recovery_uses() {
     let t = mgr.begin();
     acct.credit(&t, money(123)).unwrap();
     mgr.commit(t).unwrap();
-    let ckpt = mgr.checkpoint(&[("acct", &acct)]).unwrap().expect("store attached");
+    let ckpt = mgr.checkpoint(&[&acct]).unwrap().expect("store attached");
     let fresh = AccountObject::hybrid("fresh");
     fresh.restore(&ckpt.objects[0].1, ckpt.last_ts).unwrap();
     assert_eq!(fresh.committed_balance(), money(123));
