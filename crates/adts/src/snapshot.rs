@@ -52,9 +52,8 @@ impl<A: ObjectAdt> DurableObject for Object<A> {
             .adt()
             .decode_version(bytes)
             .map_err(|e| SnapshotError::new(e.to_string()))?;
-        // A non-fresh instance (a used object handed to `Db::attach`)
-        // refuses as a failed materialization — the name gets poisoned
-        // upstream — instead of crashing.
+        // A non-fresh instance (one with history of its own) refuses as
+        // a failed materialization instead of crashing.
         self.inner().install_version(version, ts).map_err(|e| SnapshotError::new(e.to_string()))
     }
 

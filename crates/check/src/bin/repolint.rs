@@ -128,6 +128,11 @@ const RULES: &[Rule] = &[
         scope: SOURCES,
         why: "retired with the per-object checkpoint pin; a checkpoint holds one shared pin guard",
     },
+    Rule {
+        needles: ".attach(|PoisonedRecovery|storage_options(",
+        scope: SOURCES,
+        why: "retired with the caller-built object; the `Db` builds every object it holds",
+    },
 ];
 
 const CENSUSES: &[Census] = &[
@@ -294,7 +299,8 @@ mod tests {
         ("crates/txn/src/registry.rs", "pub fn replay_object_ops(o: &O) {}"),
         ("crates/wire/src/conn.rs", "pub struct RecvHalf;\nlet s: TcpStream = connect();"),
         ("crates/workload/src/inventory.rs", "struct InventorySpec;\nstruct InventoryDef;"),
-        ("examples/demo.rs", "fn main() {}"),
+        ("examples/demo.rs", "fn main() {}\nclient.attach_read_replica(addr, opts);"),
+        ("tests/replica.rs", "follower.attach_replica(addr);"),
         ("src/lib.rs", "pub use hcc_db::Db;"),
         ("tests/recovery.rs", "store.log_op(1, \"acct\", b\"op\");\nobj.restore(data);"),
     ];
@@ -369,6 +375,9 @@ mod tests {
         ("crates/core/src/runtime/object.rs", "pub fn unpin_horizon(&self) {}"),
         ("tests/recovery.rs", "let image = o.committed_snapshot_at(w);"),
         ("crates/storage/src/store.rs", "impl Snapshot for Cell {}"),
+        ("crates/workload/src/crash.rs", "let acct = db.attach(Arc::new(custom))?;"),
+        ("crates/db/src/error.rs", "PoisonedRecovery { object: String },"),
+        ("tests/recovery.rs", "let db = Db::builder().storage_options(opts).open(dir)?;"),
         (CI, "      durability: [none, buffered, fsync]"),
         (CI, "        if: matrix.durability == 'fsync'"),
         // A production line after an indented test hook still counts.

@@ -929,9 +929,8 @@ impl<A: RuntimeAdt> TxObject<A> {
     ///
     /// Refused with [`NotFresh`] when the object already has history or
     /// active transactions — installing over existing state would
-    /// silently drop or double effects. (An attach of a used object is
-    /// the reachable case; the error flows back as a failed
-    /// materialization, not a crash.)
+    /// silently drop or double effects. (The error flows back as a
+    /// failed materialization, not a crash.)
     pub fn install_version(&self, version: A::Version, ts: u64) -> Result<(), NotFresh> {
         let mut st = self.inner.lock();
         if st.clock != 0 || !st.committed.is_empty() || !st.active.is_empty() {

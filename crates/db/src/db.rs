@@ -4,8 +4,10 @@
 //! transaction into a live object.
 //!
 //! `Db::open` constructs the store, scans the log, and readies recovery
-//! in one call; [`Db::object`] hands out typed handles that register
-//! themselves and absorb their durable history; [`Db::transact`] scopes
+//! in one call; [`Db::object`] (the type's canonical relation) and
+//! [`Db::object_with`] (a stated one) are the one way in: the `Db`
+//! builds every object it holds over its own options, registers it and
+//! installs its durable history; [`Db::transact`] scopes
 //! transactions to a closure and retries transient failures under a
 //! bounded-backoff [`RetryPolicy`]. The low-level `TxnManager` stays
 //! reachable through [`Db::manager`] as the documented escape hatch.
@@ -14,12 +16,13 @@ use crate::error::HccError;
 use crate::handle::DbObject;
 use crate::read::ReadInstruments;
 use crate::tx::{RetryPolicy, Tx};
-use hcc_core::runtime::{ExecError, RuntimeOptions, TxnHandle};
+use hcc_adts::{Object, ObjectAdt};
+use hcc_core::runtime::{ExecError, RuntimeOptions, SpecLock, TxnHandle};
 use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
-    Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject, DurableStore, Recovered,
-    StorageOptions,
+    durability_env_override, Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject,
+    DurableStore, Recovered, StorageOptions,
 };
 use hcc_txn::manager::CommitError;
 use hcc_txn::registry::{self, Decisions, RecoveryReport};
@@ -59,12 +62,6 @@ impl DbBuilder {
         self
     }
 
-    /// Replace the whole storage configuration at once.
-    pub fn storage_options(mut self, storage: StorageOptions) -> Self {
-        self.storage = storage;
-        self
-    }
-
     /// Give up on a blocked lock request after `timeout` (the default
     /// keeps the runtime's own policy; the deadlock detector dooms
     /// victims regardless).
@@ -91,7 +88,9 @@ impl DbBuilder {
     /// Apply the CI environment override (`HCC_DURABILITY`) on top of
     /// the configured options.
     pub fn env_overrides(mut self) -> Self {
-        self.storage = self.storage.env_overrides();
+        if let Some(durability) = durability_env_override() {
+            self.storage.durability = durability;
+        }
         self
     }
 
@@ -192,7 +191,7 @@ impl Drop for AbortOnDrop<'_> {
 }
 
 /// Every name this `Db` knows, logged or open — the one table behind
-/// [`Db::object`], [`Db::attach`], [`Db::checkpoint`] and
+/// [`Db::object`], [`Db::object_with`], [`Db::checkpoint`] and
 /// [`Db::unopened_objects`].
 #[derive(Default)]
 struct Objects {
@@ -222,12 +221,6 @@ struct Share {
     image: Option<Vec<u8>>,
     /// The name's slice of the committed tail, in replay order.
     tail: Vec<TailTxn>,
-    /// Materialization failed *into an attached instance*: the caller
-    /// still holds that partially-recovered object, so re-applying this
-    /// share through another `attach` could double its effects. Further
-    /// attaches are refused; `Db::object` (always a fresh instance) and a
-    /// database reopen stay safe.
-    poisoned: bool,
 }
 
 impl Share {
@@ -339,64 +332,67 @@ impl Db {
     /// [`HccError::TypeMismatch`] if asked for it as a different type.
     /// Looking up an already-open name takes only the table's read side.
     pub fn object<T: DbObject>(&self, name: &str) -> Result<Arc<T>, HccError> {
-        if let Some(Slot::Open { typed, .. }) = self.objects.read().slots.get(name) {
-            return downcast(name, typed);
+        self.lookup(name).unwrap_or_else(|| self.open_slot(name, T::fresh))
+    }
+
+    /// The object named `name` under the stated conflict relation
+    /// `locks` — a Section-7 rival, a stated table — instead of the
+    /// type's canonical one. The `Db` builds it over its own runtime
+    /// options, exactly as [`Db::object`] does, so it self-logs through
+    /// the store and shares the manager's horizon registry with every
+    /// reader and checkpoint.
+    ///
+    /// A name already open as `Object<A>` under a relation of the same
+    /// name ([`SpecLock::name`]) comes back as that same instance; one
+    /// open as another type is refused with [`HccError::TypeMismatch`],
+    /// and one open under another relation with
+    /// [`HccError::DuplicateObject`].
+    pub fn object_with<A: ObjectAdt>(
+        &self,
+        name: &str,
+        locks: SpecLock<A>,
+    ) -> Result<Arc<Object<A>>, HccError> {
+        let scheme = locks.name();
+        let obj = self.lookup(name).unwrap_or_else(|| {
+            self.open_slot(name, |name, opts| Arc::new(Object::with(name, locks, opts)))
+        })?;
+        if obj.inner().scheme() != scheme {
+            return Err(HccError::DuplicateObject { object: name.to_string() });
         }
-        self.open_slot(name, None)
+        Ok(obj)
     }
 
-    /// Adopt a caller-built durable object (e.g. one constructed with a
-    /// non-default conflict relation over [`Db::object_options`]):
-    /// recovered state is installed and the object registered, exactly
-    /// as [`Db::object`] does for canonical handles.
-    ///
-    /// Build the object over [`Db::object_options`] (a copy may change
-    /// its `block` policy): those options carry the redo sink and the
-    /// manager's horizon registry, which both a checkpoint's pin and a
-    /// [`crate::ReadTx`]'s hold. An object on a registry of its own may fold
-    /// past a running checkpoint's watermark, and that checkpoint then
-    /// fails with `StorageError::Snapshot` instead of writing a wrong
-    /// image.
-    ///
-    /// If materialization fails, the caller's instance is left partially
-    /// recovered (restore/replay mutate as they go); because a re-attach
-    /// cannot prove it was handed a *fresh* instance, further `attach`
-    /// calls for that name are refused ([`HccError::PoisonedRecovery`])
-    /// — re-applying the pending state to a dirtied object would double
-    /// its effects. Reopen the database (or use [`Db::object`], which
-    /// always builds fresh) to retry the recovery.
-    pub fn attach<T: DbObject>(&self, obj: Arc<T>) -> Result<Arc<T>, HccError> {
-        let name = obj.object_name().to_string();
-        self.open_slot(&name, Some(obj))
+    /// An open name's handle as `T`, under the table's read side alone;
+    /// `None` while the name is not open.
+    fn lookup<T: DbObject>(&self, name: &str) -> Option<Result<Arc<T>, HccError>> {
+        match self.objects.read().slots.get(name)? {
+            Slot::Open { typed, .. } => Some(downcast(name, typed)),
+            Slot::Logged(_) => None,
+        }
     }
 
-    /// Open `name`: build the object (or adopt the caller's) *before*
-    /// taking the table — a first open derives the type's relation or
-    /// runs a defined type's `conflict_spec`, which must not stall every
-    /// lookup of every open name — then, in one write hold, install the
-    /// name's logged share, flip the slot to open, and — if that was the
-    /// last logged slot — attest absorption to the store, so
+    /// Open `name`: build the object over this database's options
+    /// *before* taking the table — a first open derives the type's
+    /// relation or runs a defined type's `conflict_spec`, which must not
+    /// stall every lookup of every open name — then, in one write hold,
+    /// install the name's logged share, flip the slot to open, and — if
+    /// that was the last logged slot — attest absorption to the store, so
     /// checkpointing becomes legal only once every logged name is in the
     /// table as an open object. A slot another thread opened meanwhile
     /// wins, and the spare is dropped.
     ///
     /// The share is consumed only on success: a failed materialization
-    /// (wrong type asked for the name, replay divergence) leaves it
-    /// logged, so a later open retries the recovery instead of minting a
-    /// blank twin. The retry is sound because `object` discards the
-    /// partially-mutated instance and builds a fresh one; `attach`
-    /// cannot, and poisons the name instead.
+    /// (wrong type asked for the name, replay divergence) discards the
+    /// partially-mutated instance and leaves the share logged, so a later
+    /// open retries the recovery into a fresh one instead of minting a
+    /// blank twin.
     fn open_slot<T: DbObject>(
         &self,
         name: &str,
-        adopt: Option<Arc<T>>,
+        build: impl FnOnce(&str, RuntimeOptions) -> Arc<T>,
     ) -> Result<Arc<T>, HccError> {
-        let adopted = adopt.is_some();
-        let obj = adopt.unwrap_or_else(|| {
-            let obj = T::fresh(name, self.object_options());
-            debug_assert_eq!(obj.object_name(), name, "DbObject::fresh must honor the name");
-            obj
-        });
+        let obj = build(name, self.object_options());
+        debug_assert_eq!(obj.object_name(), name, "an object is built under its own name");
         let mut objects = self.objects.write();
         let objects = &mut *objects;
         let Some(slot) = objects.slots.get_mut(name) else {
@@ -405,18 +401,11 @@ impl Db {
             return Ok(obj);
         };
         let share = match slot {
-            Slot::Open { typed, .. } if !adopted => return downcast(name, typed),
-            Slot::Open { .. } => {
-                return Err(HccError::DuplicateObject { object: name.to_string() });
-            }
-            Slot::Logged(share) if share.poisoned && adopted => {
-                return Err(HccError::PoisonedRecovery { object: name.to_string() });
-            }
+            Slot::Open { typed, .. } => return downcast(name, typed),
             Slot::Logged(share) => share,
         };
         if let Err(e) = share.install(obj.as_ref(), self.report.checkpoint_ts) {
             dump_refused_recovery(self.mgr.flight_recorder(), &e);
-            share.poisoned |= adopted;
             return Err(e);
         }
         *slot = Slot::Open { typed: obj.clone(), durable: obj.clone() };
@@ -579,7 +568,7 @@ impl Db {
     }
 
     /// Durable names recovered from the log that no [`Db::object`] /
-    /// [`Db::attach`] call has opened yet. Until this is empty,
+    /// [`Db::object_with`] call has opened yet. Until this is empty,
     /// checkpoints are refused.
     pub fn unopened_objects(&self) -> Vec<String> {
         let objects = self.objects.read();
@@ -593,10 +582,10 @@ impl Db {
         names
     }
 
-    /// The runtime options this database builds objects with: deadlock
-    /// observer, the redo sink, and the configured lock timeout. For
-    /// constructing custom objects to [`Db::attach`].
-    pub fn object_options(&self) -> RuntimeOptions {
+    /// The runtime options this database builds every object with:
+    /// deadlock observer, the redo sink, the manager's horizon registry,
+    /// and the configured lock timeout.
+    fn object_options(&self) -> RuntimeOptions {
         let mut opts = self.mgr.object_options();
         if let Some(timeout) = self.lock_timeout {
             opts.block.timeout = Some(timeout);

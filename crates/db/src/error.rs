@@ -41,20 +41,11 @@ pub enum HccError {
         /// The type the caller requested.
         requested: &'static str,
     },
-    /// [`crate::Db::attach`] was given an object whose name is already
-    /// open.
+    /// [`crate::Db::object_with`] was asked for a name that is already
+    /// open under a different conflict relation — one object runs one
+    /// relation.
     DuplicateObject {
-        /// The already-registered name.
-        object: String,
-    },
-    /// A previous [`crate::Db::attach`] for this name failed mid-
-    /// materialization, leaving that caller-held instance partially
-    /// recovered; re-applying the pending state through another attach
-    /// could double its effects, so further attaches for the name are
-    /// refused. Reopen the database (or use [`crate::Db::object`],
-    /// which always builds a fresh instance) to retry the recovery.
-    PoisonedRecovery {
-        /// The name whose recovery is poisoned for `attach`.
+        /// The contested object name.
         object: String,
     },
     /// The `transact` closure itself asked for the transaction to be
@@ -161,14 +152,7 @@ impl std::fmt::Display for HccError {
                 write!(f, "object {object:?} is already open as a different type than {requested}")
             }
             HccError::DuplicateObject { object } => {
-                write!(f, "an object named {object:?} is already attached to this Db")
-            }
-            HccError::PoisonedRecovery { object } => {
-                write!(
-                    f,
-                    "recovery of {object:?} previously failed into an attached instance; \
-                     reopen the database to retry"
-                )
+                write!(f, "object {object:?} is already open under a different conflict relation")
             }
             HccError::SnapshotCompacted { requested, floor } => {
                 write!(
@@ -215,7 +199,6 @@ impl std::error::Error for HccError {
             HccError::RetriesExhausted { last, .. } => Some(last),
             HccError::TypeMismatch { .. }
             | HccError::DuplicateObject { .. }
-            | HccError::PoisonedRecovery { .. }
             | HccError::SnapshotCompacted { .. }
             | HccError::SnapshotContended { .. }
             | HccError::Rollback { .. }

@@ -1,14 +1,15 @@
-//! [`DbObject`]: the typed-handle trait behind [`crate::Db::object`] and
-//! [`crate::ReadTx::view`].
+//! [`DbObject`]: the typed-handle trait behind [`crate::Db::object`],
+//! [`crate::Db::object_with`] and [`crate::ReadTx::view`].
 //!
 //! It is implemented once, for `hcc-adts`'s [`Object<A>`], so
 //! `db.object::<AccountObject>("checking")` constructs the object under
-//! the database's runtime options (deadlock observer, redo sink),
-//! registers it for checkpointing and recovery, and materializes
-//! any state the log already holds under that name — all in one call.
-//! Forgetting to register is unrepresentable; a custom type joins by
-//! implementing [`ObjectAdt`] (a codec and a canonical relation), not by
-//! writing handle impls.
+//! the database's runtime options (deadlock observer, redo sink, horizon
+//! registry), registers it for checkpointing and recovery, and
+//! materializes any state the log already holds under that name — all in
+//! one call. The `Db` builds every object it holds, so forgetting to
+//! register, or registering an object built over other options, is
+//! unrepresentable; a custom type joins by implementing [`ObjectAdt`] (a
+//! codec and a canonical relation), not by writing handle impls.
 
 use hcc_adts::{Object, ObjectAdt};
 use hcc_core::runtime::{RuntimeOptions, SnapshotStale};
@@ -34,9 +35,8 @@ mod sealed {
 /// The trait is sealed: its one impl is for [`Object<A>`], and a custom
 /// type joins by implementing [`ObjectAdt`].
 ///
-/// To use a non-default conflict relation (a baseline scheme, a custom
-/// lock table), build the object yourself with
-/// [`crate::Db::object_options`] and hand it to [`crate::Db::attach`].
+/// To run a non-default conflict relation (a baseline scheme, a stated
+/// lock table), open the name with [`crate::Db::object_with`].
 pub trait DbObject: DurableObject + sealed::Sealed + Sized + 'static {
     /// The typed snapshot a read yields (balance, deque, map, a defined
     /// type's state).

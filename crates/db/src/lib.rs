@@ -350,49 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn attach_adopts_custom_objects_and_rejects_duplicates() {
-        use std::sync::Arc;
-        let db = Db::in_memory();
-        let custom = Arc::new(AccountObject::with_options("vault", db.object_options()));
-        let vault = db.attach(custom).unwrap();
-        db.transact(|tx| vault.credit(tx, r(9)).map_err(Into::into)).unwrap();
-        assert_eq!(vault.committed_balance(), r(9));
-        let twin = Arc::new(AccountObject::hybrid("vault"));
-        assert!(matches!(db.attach(twin), Err(HccError::DuplicateObject { .. })));
-        // The attached object is visible to `object` under its type.
-        let again = db.object::<AccountObject>("vault").unwrap();
-        assert_eq!(again.committed_balance(), r(9));
-    }
-
-    /// A failed materialization into an *attached* instance poisons the
-    /// name for further attaches: the caller still holds the partially
-    /// recovered object, so re-applying the pending state could double
-    /// its effects. `Db::object` (always a fresh instance) stays safe.
-    #[test]
-    fn failed_attach_poisons_the_name_against_double_apply() {
-        use std::sync::Arc;
-        let dir = tmp("poison");
-        {
-            let db = Db::open(&dir).unwrap();
-            let vault = db.object::<AccountObject>("vault").unwrap();
-            db.transact(|tx| vault.credit(tx, r(100)).map_err(Into::into)).unwrap();
-        }
-        let db = Db::open(&dir).unwrap();
-        // Attaching the wrong type fails mid-materialization and leaves
-        // the caller's instance in an unknown state...
-        let wrong = Arc::new(CounterObject::hybrid("vault"));
-        assert!(db.attach(wrong).is_err());
-        // ...so another attach is refused rather than risking a double
-        // application of the pending state.
-        let retry = Arc::new(AccountObject::hybrid("vault"));
-        let err = db.attach(retry).err().expect("poisoned name refused");
-        assert!(matches!(err, HccError::PoisonedRecovery { .. }), "{err}");
-        // A fresh instance through `object` still recovers correctly.
-        let vault = db.object::<AccountObject>("vault").unwrap();
-        assert_eq!(vault.committed_balance(), r(100));
-    }
-
-    #[test]
     fn transact_ts_reports_the_commit_timestamp() {
         let db = Db::in_memory();
         let c = db.object::<CounterObject>("c").unwrap();

@@ -99,18 +99,6 @@ pub fn durability_env_override() -> Option<Durability> {
     }
 }
 
-impl StorageOptions {
-    /// Override the durability level from `HCC_DURABILITY` — how CI runs
-    /// the recovery suite as a durability matrix. Unset or unrecognized
-    /// values keep the current level.
-    pub fn env_overrides(mut self) -> Self {
-        if let Some(d) = durability_env_override() {
-            self.durability = d;
-        }
-        self
-    }
-}
-
 /// One recovered committed transaction.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CommittedTxn {

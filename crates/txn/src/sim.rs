@@ -29,8 +29,8 @@
 //!   *in-doubt* transactions (ops logged, no local decision — the site
 //!   crashed between its yes-vote and the phase-2 message) against the
 //!   coordinator's recovered decisions ([`coordinator_decisions`]); the
-//!   site's objects, built over that database's store, join it with
-//!   `Db::attach`.
+//!   site's objects open through `Db::object`, logging through that
+//!   database's store.
 //!
 //! A site crashed between Prepare and Commit no longer vanishes silently:
 //! phase 2 collects acknowledgements, and the coordinator reports

@@ -26,13 +26,12 @@ use hcc_db::{Db, HccError};
 use hcc_spec::history::HistoryBuilder;
 use hcc_spec::specs::{AccountSpec, QueueSpec};
 use hcc_spec::{ObjectId, Operation, Rational, Value};
-use hcc_storage::{CompactionPolicy, Durability, DurableStore, StorageOptions};
+use hcc_storage::{CompactionPolicy, Durability, DurableStore};
 use hcc_verify::{hybrid_atomic, SystemSpecs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// One committed effect, as the oracle tracks it.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,23 +139,20 @@ pub fn run_crash_workload(
     dir: &Path,
     opts: CrashScenarioOptions,
 ) -> Result<CrashWorkload, HccError> {
-    let storage = StorageOptions {
-        segment_max_bytes: 2048, // small segments: rotation + pruning exercised
-        durability: opts.durability,
-        policy: match opts.checkpoint_every {
+    let db = Db::builder()
+        .segment_max_bytes(2048) // small segments: rotation + pruning exercised
+        .durability(opts.durability)
+        .compaction(match opts.checkpoint_every {
             Some(n) => CompactionPolicy::every_n(n),
             None => CompactionPolicy::never(),
-        },
-    };
-    let db = Db::builder().storage_options(storage).open(dir)?;
+        })
+        // Short timeouts: a conflicting interleaving aborts quickly and
+        // the abort path gets logged coverage.
+        .lock_timeout(std::time::Duration::from_millis(20))
+        .open(dir)?;
     let mgr = db.manager().clone();
-    // Short timeouts: a conflicting interleaving aborts quickly and the
-    // abort path gets logged coverage — so the objects are attached with
-    // a copy of the database's options rather than taken from `db.object`.
-    let mut obj_opts = db.object_options();
-    obj_opts.block.timeout = Some(std::time::Duration::from_millis(20));
-    let acct = db.attach(Arc::new(AccountObject::with_options("acct", obj_opts.clone())))?;
-    let queue = db.attach(Arc::new(QueueObject::<i64>::with_options("q", obj_opts)))?;
+    let acct = db.object::<AccountObject>("acct")?;
+    let queue = db.object::<QueueObject<i64>>("q")?;
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut oracle = Oracle::new();

@@ -20,7 +20,7 @@ use hcc_db::{Db, HccError};
 use hcc_spec::adt::{Adt, SharedAdt, SpecState};
 use hcc_spec::history::HistoryBuilder;
 use hcc_spec::{Inv, ObjectId, Operation, Value};
-use hcc_storage::{CompactionPolicy, DurableStore, StorageOptions};
+use hcc_storage::{CompactionPolicy, DurableStore};
 use hcc_verify::{hybrid_atomic, SystemSpecs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -239,16 +239,14 @@ impl Default for CustomScenarioOptions {
 /// close it (combine with [`crate::crash::truncate_tail`] to crash).
 /// Returns the committed-effect oracle.
 pub fn run_custom_workload(dir: &Path, opts: CustomScenarioOptions) -> Result<Oracle, HccError> {
-    let storage = StorageOptions {
-        segment_max_bytes: 2048,
-        policy: match opts.checkpoint_every {
+    let db = Db::builder()
+        .segment_max_bytes(2048)
+        .compaction(match opts.checkpoint_every {
             Some(n) => CompactionPolicy::every_n(n),
             None => CompactionPolicy::never(),
-        },
-        ..StorageOptions::default()
-    }
-    .env_overrides();
-    let db = Db::builder().storage_options(storage).open(dir)?;
+        })
+        .env_overrides()
+        .open(dir)?;
     let boards: Vec<Arc<Leaderboard>> =
         BOARDS.iter().map(|name| db.object::<Leaderboard>(name)).collect::<Result<_, _>>()?;
 
@@ -329,7 +327,7 @@ pub fn recover_and_verify(dir: &Path) -> Result<RecoveredBoards, HccError> {
     let def = LeaderboardDef;
     // The raw image feeds the verifier, independent of the facade path.
     let recovered = DurableStore::recover(dir)?;
-    let db = Db::builder().storage_options(StorageOptions::default().env_overrides()).open(dir)?;
+    let db = Db::builder().env_overrides().open(dir)?;
     let boards: Vec<Arc<Leaderboard>> =
         BOARDS.iter().map(|name| db.object::<Leaderboard>(name)).collect::<Result<_, _>>()?;
     let ckpt_ts = db.recovery_report().checkpoint_ts;

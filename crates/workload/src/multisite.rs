@@ -16,9 +16,8 @@
 //! commits; nothing is double-applied (redelivery is idempotent) and
 //! nothing undecided survives.
 //!
-//! A site is an ordinary [`Db`] whose one object was built over that
-//! database's `Db::object_options` (its store as the redo sink) and
-//! joined it with `Db::attach`:
+//! A site is an ordinary [`Db`] with one object, opened through
+//! `Db::object` (its store as the redo sink):
 //! it logs through its own WAL and commits through the message-passing
 //! [`Coordinator`] instead of the local `TxnManager`, and it recovers
 //! exactly as `examples/distributed_commit.rs` does — there is no second
@@ -109,9 +108,9 @@ fn site_storage(durability: Durability) -> StorageOptions {
 }
 
 /// Spawn (or revive) one site: open its directory as a `Db` (log scanned,
-/// in-doubt transactions resolved against `decisions`), build a fresh
-/// account wired to the site's WAL, attach it — which installs its
-/// recovered state — and serve. The durable-site discipline
+/// in-doubt transactions resolved against `decisions`), open its
+/// account — wired to the site's WAL, holding its recovered state — and
+/// serve. The durable-site discipline
 /// (force-WAL-before-yes, log-before-apply) comes from
 /// `Site::spawn_durable`.
 fn spawn_site(
@@ -121,11 +120,12 @@ fn spawn_site(
     decisions: &Decisions,
 ) -> Result<Incarnation, HccError> {
     let db = Db::builder()
-        .storage_options(site_storage(durability))
+        .durability(durability)
+        .compaction(CompactionPolicy::never())
         .decisions(decisions.clone())
         .open(dir)?;
     let store = db.storage().expect("a durable db has a store").clone();
-    let acct = db.attach(Arc::new(AccountObject::with_options(name, db.object_options())))?;
+    let acct = db.object::<AccountObject>(name)?;
     let site = Site::spawn_durable(format!("site-{name}"), vec![acct.inner().clone()], store);
     Ok(Incarnation { site, acct, _db: db })
 }

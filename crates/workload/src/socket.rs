@@ -136,9 +136,25 @@ pub fn connect_via(
     }
 }
 
-fn open_objects(client: &mut Client) -> Result<(), HccError> {
-    client.open(TypeTag::Account, ACCOUNT)?;
-    client.open(TypeTag::QueueI64, QUEUE)
+/// Connect through the address file and open both objects. An open is
+/// idempotent, so a connection lost during one (a server killed between
+/// the handshake and the open) is retried on a fresh connection until
+/// the deadline.
+fn connect_and_open(
+    addr_file: &Path,
+    start: Instant,
+    deadline: Duration,
+) -> Result<Client, HccError> {
+    loop {
+        let mut client = connect_via(addr_file, start, deadline)?;
+        let opened = client
+            .open(TypeTag::Account, ACCOUNT)
+            .and_then(|()| client.open(TypeTag::QueueI64, QUEUE));
+        if !matches!(opened, Err(HccError::Protocol(_))) || start.elapsed() >= deadline {
+            return opened.map(|()| client);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 /// The effects a batch *would* have if it commits, derived from the
@@ -171,8 +187,7 @@ pub fn run_socket_client(
     // minus acked-or-unknown own dequeues (see the module docs).
     let mut surplus: i64 = 0;
 
-    let mut client = connect_via(addr_file, start, opts.deadline)?;
-    open_objects(&mut client)?;
+    let mut client = connect_and_open(addr_file, start, opts.deadline)?;
 
     let mut done = 0usize;
     while done < opts.txns {
@@ -225,8 +240,7 @@ pub fn run_socket_client(
                 }
                 done += 1;
                 report.reconnects += 1;
-                client = connect_via(addr_file, start, opts.deadline)?;
-                open_objects(&mut client)?;
+                client = connect_and_open(addr_file, start, opts.deadline)?;
             }
         }
         if start.elapsed() >= opts.deadline {
@@ -240,15 +254,24 @@ pub fn run_socket_client(
     // One consistent snapshot read over the wire before leaving: both
     // views pin the same watermark. (No ordering claim against this
     // client's acks — the stable watermark lags while *other* clients'
-    // lower-timestamped transactions are still in flight.)
-    let (_watermark, views) = client
-        .read(None, vec![(TypeTag::Account, ACCOUNT.into()), (TypeTag::QueueI64, QUEUE.into())])?;
+    // lower-timestamped transactions are still in flight.) A snapshot
+    // read changes nothing, so one lost with its connection is read again
+    // on a fresh one.
+    let queries = vec![(TypeTag::Account, ACCOUNT.into()), (TypeTag::QueueI64, QUEUE.into())];
+    let mut read = client.read(None, queries.clone());
+    while matches!(read, Err(HccError::Protocol(_))) && start.elapsed() < opts.deadline {
+        client = connect_and_open(addr_file, start, opts.deadline)?;
+        read = client.read(None, queries.clone());
+    }
+    let (_watermark, views) = read?;
     assert_eq!(views.len(), 2, "two queries, two views");
     assert!(
         matches!(views[0], View::Balance { .. }) && matches!(views[1], View::Items(_)),
         "views answer their queries in order: {views:?}"
     );
-    client.goodbye()?;
+    // Every goodbye failure is a lost connection, and a connection
+    // already gone has nothing left to close.
+    let _ = client.goodbye();
     Ok(report)
 }
 

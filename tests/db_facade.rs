@@ -7,17 +7,22 @@
 //! `HCC_DURABILITY` overrides the durability level — CI
 //! runs this suite once per level.
 
-use hybrid_cc::adts::account::AccountObject;
-use hybrid_cc::adts::counter::CounterObject;
-use hybrid_cc::spec::Rational;
+use hybrid_cc::adts::account::{AccountAdt, AccountObject};
+use hybrid_cc::adts::counter::{CounterAdt, CounterDef, CounterObject};
+use hybrid_cc::adts::define::Operation;
+use hybrid_cc::adts::SpecObject;
+use hybrid_cc::relations::AdtConfig;
+use hybrid_cc::spec::specs::CounterSpec;
+use hybrid_cc::spec::{Rational, Value};
 use hybrid_cc::storage::wal::read_records;
 use hybrid_cc::storage::{CompactionPolicy, LogRecord, StorageError};
 use hybrid_cc::workload::crash::truncate_tail;
+use hybrid_cc::workload::scheme::Scheme;
 use hybrid_cc::{Db, HccError, RetryPolicy};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
@@ -399,4 +404,101 @@ fn a_transaction_writes_no_begin_record() {
     assert_eq!(db.object::<AccountObject>("from").unwrap().committed_balance(), money(6));
     assert_eq!(db.object::<AccountObject>("to").unwrap().committed_balance(), money(5));
     assert_eq!(db.recovery_report().replayed, 3);
+}
+
+/// Armed by a test: the next checkpoint image of a [`Gate`] announces
+/// itself on the sender, then waits on the receiver.
+#[allow(clippy::type_complexity)]
+static GATE: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>> = Mutex::new(None);
+
+/// A [`Gate`]'s state: a count whose serialization, while [`GATE`] is
+/// armed, holds a checkpoint between its pin and its later snapshots.
+#[derive(Clone)]
+struct Gated(i64);
+
+impl serde::Serialize for Gated {
+    fn to_content(&self) -> serde::Content {
+        if let Some((entered, release)) = GATE.lock().unwrap().take() {
+            entered.send(()).unwrap();
+            let _ = release.recv();
+        }
+        self.0.to_content()
+    }
+}
+
+impl serde::Deserialize for Gated {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
+        i64::from_content(c).map(Gated)
+    }
+}
+
+hybrid_cc::adts::define_adt! {
+    /// An increment-only counter whose checkpoint image can be held.
+    struct Gate {
+        name: "Gate",
+        state: Gated,
+        op: i64,
+        res: bool,
+        initial: || Gated(0),
+        respond: |_: &Gated, _: &i64| vec![true],
+        apply: |s: &mut Gated, n: &i64, _: &bool| s.0 += n,
+        read: |_: &i64, _: &bool| false,
+        spec_op: |n: &i64, _: &bool| Operation::new(CounterSpec::inc(*n), Value::Unit),
+        conflicts: || CounterDef.conflict_spec(),
+    }
+}
+
+/// An object under a stated relation is one the `Db` built: it sits on
+/// the manager's horizon registry, so two commits landing on it while a
+/// fuzzy checkpoint is between its pin and its snapshot cannot fold it
+/// past the checkpoint's watermark. After a reopen the name comes back
+/// recovered under its relation, `object` returns that instance, and
+/// another relation (or type) for the name is refused.
+#[test]
+fn object_with_checkpoints_beside_commits_and_reopens_under_its_relation() {
+    let commutativity = || Scheme::Commutativity.lock::<AccountAdt>(AdtConfig::account());
+    let dir = tmp("object-with");
+    {
+        let db = Db::builder().env_overrides().open(&dir).unwrap();
+        // "gate" sorts before "vault", so the checkpoint is held inside
+        // the gate's image while the vault's is still to be read.
+        let gate = db.object::<SpecObject<Gate>>("gate").unwrap();
+        let vault = db.object_with("vault", commutativity()).unwrap();
+        assert_eq!(vault.inner().scheme(), "commutativity");
+        db.transact(|tx| {
+            gate.execute(tx, 1)?;
+            vault.credit(tx, money(100))?;
+            Ok(())
+        })
+        .unwrap();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *GATE.lock().unwrap() = Some((entered_tx, release_rx));
+        let checkpoint = std::thread::scope(|s| {
+            let checkpoint = s.spawn(|| db.checkpoint());
+            entered.recv().unwrap();
+            for _ in 0..2 {
+                db.transact(|tx| vault.credit(tx, money(1)).map_err(Into::into)).unwrap();
+            }
+            release.send(()).unwrap();
+            checkpoint.join().unwrap()
+        });
+        let ckpt = checkpoint.expect("a checkpoint beside commits").expect("a durable Db");
+        let names: Vec<&str> = ckpt.objects.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["gate", "vault"]);
+        assert_eq!(vault.committed_balance(), money(102));
+    }
+
+    let db = Db::builder().env_overrides().open(&dir).unwrap();
+    let vault = db.object_with("vault", commutativity()).unwrap();
+    assert_eq!(vault.committed_balance(), money(102));
+    assert_eq!(vault.inner().scheme(), "commutativity");
+    let same = db.object::<AccountObject>("vault").unwrap();
+    assert!(Arc::ptr_eq(same.inner(), vault.inner()), "one instance per name");
+    let hybrid = db.object_with("vault", Scheme::Hybrid.lock::<AccountAdt>(AdtConfig::account()));
+    assert!(matches!(hybrid, Err(HccError::DuplicateObject { .. })), "{:?}", hybrid.err());
+    let counter = db.object_with("vault", Scheme::Hybrid.lock::<CounterAdt>(AdtConfig::counter()));
+    assert!(matches!(counter, Err(HccError::TypeMismatch { .. })), "{:?}", counter.err());
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }

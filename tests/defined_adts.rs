@@ -185,43 +185,6 @@ fn ported_logs_recover_interchangeably_and_after_a_crash() {
     );
 }
 
-/// Attaching a *used* `SpecObject` to a database whose log holds state
-/// under that name must fail as a materialization error (and poison the
-/// name, like any failed attach) — not panic:
-/// installing a recovered version over existing history is refused by
-/// `TxObject::install_version`.
-#[test]
-fn attaching_a_used_spec_object_fails_cleanly_instead_of_panicking() {
-    use hybrid_cc::core::runtime::TxParticipant;
-    use hybrid_cc::core::TxnHandle;
-    use hybrid_cc::spec::TxnId;
-    use hybrid_cc::HccError;
-    use std::sync::Arc;
-
-    let dir = tmp("dirty-attach");
-    {
-        let db = open_db(&dir);
-        let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
-        db.transact(|tx| c.execute(tx, CounterInv::Inc(5)).map(|_| ()).map_err(Into::into))
-            .unwrap();
-        db.checkpoint().unwrap().expect("checkpoint so recovery restores a snapshot");
-    }
-    let db = open_db(&dir);
-    // A standalone instance with its own committed history: not fresh.
-    let dirty = Arc::new(SpecObject::<CounterDef>::hybrid("c"));
-    let t = TxnHandle::new(TxnId(1));
-    dirty.execute(&t, CounterInv::Inc(1)).unwrap();
-    dirty.inner().commit_at(t.id(), 1);
-    let err = db.attach(dirty).err().expect("used instance must be refused");
-    assert!(matches!(err, HccError::Recovery(_)), "failed materialization, not a panic: {err}");
-    // The name is poisoned for further attaches...
-    let fresh = Arc::new(SpecObject::<CounterDef>::hybrid("c"));
-    assert!(matches!(db.attach(fresh), Err(HccError::PoisonedRecovery { .. })));
-    // ...but `Db::object` (always a fresh instance) still recovers.
-    let c = db.object::<SpecObject<CounterDef>>("c").unwrap();
-    assert_eq!(c.committed_state(), 5, "recovered in full despite the failed attach");
-}
-
 #[test]
 fn ported_counter_lock_decisions_match_hand_written_exhaustively() {
     let derived = SpecLock::<SpecAdt<CounterDef>>::from_def();

@@ -317,15 +317,13 @@ fn mixed_scheme_system_is_atomic() {
 
 /// The production runtime version of the same claim: hybrid and
 /// commutativity objects in one transaction system — driven through the
-/// `Db` facade, with the non-default conflict relation joining via
-/// `attach`.
+/// `Db` facade, with the non-default conflict relation opened through
+/// `object_with`.
 #[test]
 fn mixed_scheme_runtime_transactions() {
     let db = Db::in_memory();
     let q = db.object::<QueueObject<i64>>("audit").unwrap();
-    let acct = db
-        .attach(Arc::new(make_account(Scheme::Commutativity, "acct", db.object_options())))
-        .unwrap();
+    let acct = db.object_with("acct", Scheme::Commutativity.lock(AdtConfig::account())).unwrap();
     // Fund.
     db.transact(|tx| acct.credit(tx, money(100)).map_err(Into::into)).unwrap();
     // Two transactions touch both objects.

@@ -5,8 +5,8 @@
 //! phase 2), healed by reopening the site through
 //! `Db::builder().decisions(..)` + bounded `retry_phase2` — every seed
 //! must converge, live and from-scratch. Below it, the 2PC durability
-//! story one case at a time: a durable site is a `Db` whose objects log
-//! through its store and join it with `Db::attach`.
+//! story one case at a time: a durable site is a `Db` whose objects,
+//! opened with `Db::object`, log through its store.
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::core::runtime::TxnHandle;
@@ -63,7 +63,7 @@ fn r(n: i64) -> Rational {
 fn site_b(dir: &Path, decisions: Decisions) -> (Db, Arc<AccountObject>, Site) {
     let db = Db::builder().decisions(decisions).open(dir).unwrap();
     let store = db.storage().unwrap().clone();
-    let b = db.attach(Arc::new(AccountObject::with_options("b", db.object_options()))).unwrap();
+    let b = db.object::<AccountObject>("b").unwrap();
     let site = Site::spawn_durable("s-b", vec![b.inner().clone()], store);
     (db, b, site)
 }

@@ -311,12 +311,11 @@ fn fuzzy_checkpoints_survive_random_crash_points() {
 fn mid_run_checkpoint_gate_is_brief_and_every_commit_recovers() {
     let dir = tmp("ckpt-gate");
     let (threads, txns) = (4, 60);
-    let opts = StorageOptions {
-        durability: Durability::Fsync,
-        policy: CompactionPolicy::never(),
-        ..StorageOptions::default()
-    };
-    let db = Db::builder().storage_options(opts).open(&dir).unwrap();
+    let db = Db::builder()
+        .durability(Durability::Fsync)
+        .compaction(CompactionPolicy::never())
+        .open(&dir)
+        .unwrap();
     let accts: Vec<Arc<AccountObject>> =
         (0..threads).map(|i| db.object(&format!("acct-{i}")).unwrap()).collect();
     let committed = AtomicUsize::new(0);

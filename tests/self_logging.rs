@@ -22,7 +22,6 @@ use hybrid_cc::workload::crash::{
 };
 use hybrid_cc::{Db, HccError};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -127,8 +126,8 @@ fn mutations_with_no_explicit_logging_survive_a_random_kill_point() {
 }
 
 /// The recover-then-continue lifecycle on the low-level path: a crashed
-/// session's successor opens the database, attaches fresh caller-built
-/// objects (which arrive recovered), and keeps going through the manual
+/// session's successor opens the database, opens its objects (which
+/// arrive recovered), and keeps going through the manual
 /// manager — new commits serialize above the recovered history and
 /// checkpointing works again (the absorption guard was cleared once
 /// every logged name had a live object).
@@ -137,10 +136,8 @@ fn manager_recovers_registry_and_resumes() {
     let dir = tmp("resume");
     let open = || {
         let db = Db::open(&dir).unwrap();
-        let acct =
-            db.attach(Arc::new(AccountObject::with_options("acct", db.object_options()))).unwrap();
-        let queue: Arc<QueueObject<i64>> =
-            db.attach(Arc::new(QueueObject::with_options("q", db.object_options()))).unwrap();
+        let acct = db.object::<AccountObject>("acct").unwrap();
+        let queue = db.object::<QueueObject<i64>>("q").unwrap();
         (db, acct, queue)
     };
     let pre_crash_balance;
