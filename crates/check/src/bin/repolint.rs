@@ -133,6 +133,24 @@ const RULES: &[Rule] = &[
         scope: SOURCES,
         why: "retired with the caller-built object; the `Db` builds every object it holds",
     },
+    Rule {
+        needles: "TxnManager::new(|TxnManager::with_storage(|.object_options()|::with_options(|\
+                  Object::with(|::hybrid(|.with_redo(|.checkpoint(&",
+        scope: Scope {
+            within: SOURCES.within,
+            except: &[
+                "crates/db/src/",
+                "crates/txn/src/",
+                "crates/adts/src/",
+                "crates/core/src/",
+                // A spy wait observer and no lock timeout: no `Db` option offers either.
+                "crates/check/tests/live_deadlock.rs",
+            ],
+            production: false,
+        },
+        why: "callers open objects through `Db`, which builds each over the shared runtime \
+              and checkpoints every one; a partial checkpoint prunes the others' history",
+    },
 ];
 
 const CENSUSES: &[Census] = &[
@@ -286,7 +304,8 @@ mod tests {
         ("crates/core/src/runtime/horizon.rs", "pub struct HorizonPins;"),
         (
             "crates/db/src/db.rs",
-            "self.mgr.begin_no_wait();\nreplay_object_ops(o);\nobj.restore(data);",
+            "self.mgr.begin_no_wait();\nreplay_object_ops(o);\nobj.restore(data);\n\
+             self.mgr.checkpoint(&open);",
         ),
         ("crates/db/src/read.rs", "pub struct ReadTx;"),
         ("crates/relations/src/relation.rs", "self.atoms.contains(&atom)"),
@@ -300,7 +319,8 @@ mod tests {
         ("crates/wire/src/conn.rs", "pub struct RecvHalf;\nlet s: TcpStream = connect();"),
         ("crates/workload/src/inventory.rs", "struct InventorySpec;\nstruct InventoryDef;"),
         ("examples/demo.rs", "fn main() {}\nclient.attach_read_replica(addr, opts);"),
-        ("tests/replica.rs", "follower.attach_replica(addr);"),
+        ("tests/replica.rs", "follower.attach_replica(addr);\nlet db = Db::in_memory();"),
+        ("crates/check/tests/live_deadlock.rs", "let mgr = TxnManager::new();"),
         ("src/lib.rs", "pub use hcc_db::Db;"),
         ("tests/recovery.rs", "store.log_op(1, \"acct\", b\"op\");\nobj.restore(data);"),
     ];
@@ -378,6 +398,14 @@ mod tests {
         ("crates/workload/src/crash.rs", "let acct = db.attach(Arc::new(custom))?;"),
         ("crates/db/src/error.rs", "PoisonedRecovery { object: String },"),
         ("tests/recovery.rs", "let db = Db::builder().storage_options(opts).open(dir)?;"),
+        ("examples/demo.rs", "let mgr = TxnManager::new();"),
+        ("tests/recovery.rs", "let mgr = TxnManager::with_storage(dir, opts)?;"),
+        ("crates/workload/src/scheme.rs", "let mut opts = mgr.object_options();"),
+        ("crates/check/tests/deadlock.rs", "let q = QueueObject::with_options(\"q\", opts);"),
+        ("crates/workload/src/scheme.rs", "AccountObject::with(name, locks, opts)"),
+        ("tests/read_path.rs", "let restored = AccountObject::hybrid(name);"),
+        ("examples/demo.rs", "let opts = RuntimeOptions::default().with_redo(store);"),
+        ("tests/recovery.rs", "let ckpt = mgr.checkpoint(&[&a])?;"),
         (CI, "      durability: [none, buffered, fsync]"),
         (CI, "        if: matrix.durability == 'fsync'"),
         // A production line after an indented test hook still counts.
@@ -447,11 +475,11 @@ mod tests {
     fn table_as_markdown() -> String {
         let quote = |items: Vec<&str>| items.iter().map(|i| format!("`{i}`")).collect::<Vec<_>>();
         let scope = |s: &Scope| {
-            let place = match (s.within, s.except) {
-                ([], []) => String::new(),
-                (within, []) => format!(" in {}", quote(within.to_vec()).join(", ")),
-                (_, except) => format!(" outside {}", quote(except.to_vec()).join(", ")),
-            };
+            let place: String = [(" in", s.within), (" outside", s.except)]
+                .into_iter()
+                .filter(|(_, prefixes)| !prefixes.is_empty())
+                .map(|(word, prefixes)| format!("{word} {}", quote(prefixes.to_vec()).join(", ")))
+                .collect();
             match s.production {
                 true if place.is_empty() => "all production code".to_string(),
                 true => format!("production code{place}"),

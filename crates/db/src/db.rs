@@ -593,11 +593,13 @@ impl Db {
         opts
     }
 
-    /// **Escape hatch**: the underlying transaction manager, for callers
-    /// that need manual `begin`/`commit` (interleaving several open
-    /// transactions in one thread, scheme-comparison harnesses, the 2PC
-    /// simulation). See `docs/API.md` — everything routed through it
-    /// still self-logs and recovers through this `Db`.
+    /// **Escape hatch**: the underlying transaction manager, for
+    /// hand-interleaved `begin`/`commit` (several transactions open in one
+    /// thread, a driver's own retry loop such as `hcc-workload`'s
+    /// `scheme::run`). Objects still come from [`Db::object`] and
+    /// [`Db::object_with`], and checkpoints from [`Db::checkpoint`]; see
+    /// `docs/API.md` — everything routed through it still self-logs and
+    /// recovers through this `Db`.
     pub fn manager(&self) -> &Arc<TxnManager> {
         &self.mgr
     }

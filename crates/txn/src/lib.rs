@@ -12,7 +12,12 @@
 //!   two-phase protocol over every object the transaction touched, so a
 //!   transaction never commits at some objects and aborts at others. The
 //!   manager binds its objects to its durable store, the one **redo
-//!   sink** they self-log through (`object_options`); [`registry`]
+//!   sink** they self-log through (`object_options`). Callers reach the
+//!   manager through `hcc-db`'s `Db`, which builds it, builds every
+//!   object over its options and checkpoints them all; a `repolint` rule
+//!   keeps `TxnManager::new`, `with_storage`, `object_options`,
+//!   `checkpoint` and the object constructors inside `hcc-db`, this
+//!   crate, `hcc-adts` and `hcc-core`. [`registry`]
 //!   holds what recovery is made of — the 2PC resolution rule and the
 //!   one replay step — while the recovery front end itself, and the one
 //!   name → object table checkpoints walk, is `hcc-db`'s `Db`. A

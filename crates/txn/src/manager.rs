@@ -249,7 +249,8 @@ impl TxnManager {
     /// detector as wait observer and — when the manager has a durable
     /// store — the store as the redo sink, so every mutating operation on
     /// an object built with these options serializes and logs itself.
-    /// There is no separate logging call for callers to forget.
+    /// There is no separate logging call for callers to forget. `hcc-db`'s
+    /// `Db` builds every object it holds over these options.
     pub fn object_options(&self) -> RuntimeOptions {
         let opts = RuntimeOptions::with_observer(self.detector.clone())
             .with_metrics(self.metrics.clone())
@@ -527,6 +528,15 @@ impl TxnManager {
     /// pruned. The gate-hold duration is recorded in the
     /// `ckpt.last_gate_nanos` gauge and the `ckpt.gate_nanos` histogram
     /// ([`TxnManager::metrics`]).
+    ///
+    /// **Precondition:** `objects` is every object with logged history.
+    /// The finish prunes every segment below the cut, so an object left
+    /// out silently loses what those segments held. Over 256-byte
+    /// segments, two accounts `a` and `b`, 20 commits crediting both and
+    /// then `checkpoint(&[&a])` reopen with `b` at 0, not 20, and no
+    /// error anywhere. `hcc-db`'s `Db::checkpoint` passes every open
+    /// object and refuses while a logged name is unopened; it is the one
+    /// caller outside this crate's tests.
     pub fn checkpoint(
         &self,
         objects: &[&dyn DurableObject],

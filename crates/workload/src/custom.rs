@@ -460,13 +460,14 @@ mod tests {
             .expect("leaderboard derivation bounds have converged");
     }
 
-    /// Constructing many leaderboards derives the relation once.
+    /// Opening many leaderboards derives the relation once.
     #[test]
     fn derivation_is_cached_per_type() {
         let _warm = SpecLock::<SpecAdt<LeaderboardDef>>::from_def();
         let before = hcc_adts::define::derivations_performed();
+        let db = Db::in_memory();
         for i in 0..4 {
-            let _ = Leaderboard::hybrid(format!("lb-{i}"));
+            db.object::<Leaderboard>(&format!("lb-{i}")).unwrap();
         }
         assert_eq!(
             hcc_adts::define::derivations_performed(),

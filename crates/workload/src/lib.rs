@@ -2,9 +2,10 @@
 //!
 //! Every module here is run by a test, a CI job or an example:
 //!
-//! * [`scheme`] — builds an object under a chosen [`Scheme`] (hybrid,
-//!   commutativity, read/write 2PL) and [`scheme::run`]s transaction
-//!   bodies on worker threads (abort-and-retry on timeouts and deadlock
+//! * [`scheme`] — the lock of a chosen [`Scheme`] (hybrid,
+//!   commutativity, read/write 2PL), for `Db::object_with`, and
+//!   [`scheme::run`], which runs transaction bodies on worker threads
+//!   over a `Db`'s manager (abort-and-retry on timeouts and deadlock
 //!   victims); `tests/end_to_end.rs` states the claim experiments E7–E13
 //!   as bodies for it;
 //! * [`crash`] / [`multisite`] / [`custom`] — randomized crash-recovery

@@ -1,20 +1,15 @@
-//! Concurrency-control scheme selection, object construction, and the
-//! one multithreaded driver the scheme comparisons (E7–E13,
-//! `tests/end_to_end.rs`) run their transaction bodies through.
+//! Concurrency-control scheme selection, and the one multithreaded
+//! driver the scheme comparisons (E7–E13, `tests/end_to_end.rs`) run
+//! their transaction bodies through.
 
-use hcc_adts::account::AccountObject;
-use hcc_adts::fifo_queue::QueueObject;
-use hcc_adts::file::FileObject;
-use hcc_adts::semiqueue::SemiqueueObject;
-use hcc_core::runtime::{BlockPolicy, ExecError, RuntimeAdt, RuntimeOptions, SpecLock, TxnHandle};
+use hcc_core::runtime::{ExecError, RuntimeAdt, SpecLock, TxnHandle};
+use hcc_db::Db;
 use hcc_relations::derive::{commutativity_atoms, conflict_atoms, read_write_atoms};
 use hcc_relations::tables::AdtConfig;
-use hcc_txn::TxnManager;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 /// The three concurrency-control schemes under comparison (Section 7),
 /// each a relation derived from the type's serial specification. All run
@@ -48,9 +43,9 @@ impl Scheme {
     }
 
     /// This scheme's lock for a type whose serial specification `cfg`
-    /// describes; the type's own classifier files its executed
-    /// operations. Each type's relation is derived once per scheme and
-    /// process.
+    /// describes, for [`Db::object_with`]; the type's own classifier
+    /// files its executed operations. Each type's relation is derived
+    /// once per scheme and process.
     pub fn lock<A: RuntimeAdt>(self, cfg: AdtConfig) -> SpecLock<A> {
         let derive = match self {
             Scheme::Hybrid => conflict_atoms,
@@ -65,36 +60,6 @@ impl std::fmt::Display for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.name())
     }
-}
-
-/// An account under `scheme`.
-pub fn make_account(scheme: Scheme, name: &str, opts: RuntimeOptions) -> AccountObject {
-    AccountObject::with(name, scheme.lock(AdtConfig::account()), opts)
-}
-
-/// An `i64` FIFO queue under `scheme`.
-pub fn make_queue(scheme: Scheme, name: &str, opts: RuntimeOptions) -> QueueObject<i64> {
-    QueueObject::with(name, scheme.lock(AdtConfig::queue()), opts)
-}
-
-/// An `i64` semiqueue under `scheme`.
-pub fn make_semiqueue(scheme: Scheme, name: &str, opts: RuntimeOptions) -> SemiqueueObject<i64> {
-    SemiqueueObject::with(name, scheme.lock(AdtConfig::semiqueue()), opts)
-}
-
-/// An `i64` register under `scheme`.
-pub fn make_file(scheme: Scheme, name: &str, opts: RuntimeOptions) -> FileObject<i64> {
-    FileObject::with(name, scheme.lock(AdtConfig::file()), opts)
-}
-
-/// Object options for driven runs: the manager's options (deadlock
-/// detection included) with a short lock timeout, so a transaction stuck
-/// behind a conflict — or a dequeue on an empty queue — aborts and is
-/// retried.
-pub fn bench_options(mgr: &Arc<TxnManager>) -> RuntimeOptions {
-    let mut opts = mgr.object_options();
-    opts.block = BlockPolicy { timeout: Some(Duration::from_millis(500)) };
-    opts
 }
 
 /// What one [`run`] did.
@@ -113,16 +78,21 @@ pub struct Run {
 }
 
 /// Run `threads` workers that start together at a barrier and each
-/// commit `txns_per_thread` transactions of `body(txn, worker, rng)`:
-/// begin → body → commit, and after an abort (a body error or a refused
-/// commit) begin again. Each worker's `rng` is seeded with its index, so
-/// the operations drawn are reproducible; the interleaving is not.
+/// commit `txns_per_thread` transactions of `body(txn, worker, rng)`
+/// through `db`'s manager: begin → body → commit, and after an abort (a
+/// body error or a refused commit) begin again. A `db` built with a
+/// short [`lock_timeout`](hcc_db::DbBuilder::lock_timeout) turns a
+/// transaction stuck behind a conflict — or a dequeue on an empty queue
+/// — into an abort that is retried. Each worker's `rng` is seeded with
+/// its index, so the operations drawn are reproducible; the
+/// interleaving is not.
 pub fn run(
-    mgr: &Arc<TxnManager>,
+    db: &Db,
     threads: usize,
     txns_per_thread: usize,
     body: impl Fn(&Arc<TxnHandle>, usize, &mut StdRng) -> Result<(), ExecError> + Sync,
 ) -> Run {
+    let mgr = db.manager();
     let committed_before = mgr.committed_count();
     let metrics_before = mgr.metrics().snapshot();
     let aborted = AtomicU64::new(0);
@@ -171,14 +141,23 @@ mod tests {
 
     #[test]
     fn constructors_apply_the_scheme() {
-        let opts = RuntimeOptions::default;
-        assert_eq!(make_account(Scheme::Hybrid, "a", opts()).inner().scheme(), "hybrid");
-        assert_eq!(
-            make_account(Scheme::Commutativity, "a", opts()).inner().scheme(),
-            "commutativity"
-        );
-        assert_eq!(make_queue(Scheme::Rw2pl, "q", opts()).inner().scheme(), "rw-2pl");
-        assert_eq!(make_file(Scheme::Hybrid, "f", opts()).inner().scheme(), "hybrid");
-        assert_eq!(make_semiqueue(Scheme::Hybrid, "s", opts()).inner().scheme(), "hybrid");
+        use hcc_adts::account::AccountAdt;
+        use hcc_adts::fifo_queue::QueueAdt;
+        use hcc_adts::file::FileAdt;
+        use hcc_adts::semiqueue::SemiqueueAdt;
+
+        let db = Db::in_memory();
+        let account = |name, scheme: Scheme| {
+            db.object_with(name, scheme.lock::<AccountAdt>(AdtConfig::account())).unwrap()
+        };
+        assert_eq!(account("a", Scheme::Hybrid).inner().scheme(), "hybrid");
+        assert_eq!(account("b", Scheme::Commutativity).inner().scheme(), "commutativity");
+        let q = db.object_with("q", Scheme::Rw2pl.lock::<QueueAdt<i64>>(AdtConfig::queue()));
+        assert_eq!(q.unwrap().inner().scheme(), "rw-2pl");
+        let f = db.object_with("f", Scheme::Hybrid.lock::<FileAdt<i64>>(AdtConfig::file()));
+        assert_eq!(f.unwrap().inner().scheme(), "hybrid");
+        let cfg = AdtConfig::semiqueue();
+        let s = db.object_with("s", Scheme::Hybrid.lock::<SemiqueueAdt<i64>>(cfg));
+        assert_eq!(s.unwrap().inner().scheme(), "hybrid");
     }
 }

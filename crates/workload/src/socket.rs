@@ -397,17 +397,32 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
+    /// A fresh scratch path. Dropping it removes what a test left there
+    /// (a store directory or a report file) and its `.addr` file, so a
+    /// panicking test cleans up too.
+    struct Tmp(std::path::PathBuf);
+
+    impl std::ops::Deref for Tmp {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Tmp {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+            let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_file(self.0.with_extension("addr"));
+        }
+    }
+
+    fn tmp(name: &str) -> Tmp {
         static N: AtomicU64 = AtomicU64::new(0);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "hcc-socket-{}-{}-{}",
-            std::process::id(),
-            name,
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let p = std::env::temp_dir().join(format!("hcc-socket-{}-{name}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&p);
-        p
+        Tmp(p)
     }
 
     fn open_db(dir: &std::path::Path) -> Arc<Db> {
@@ -450,8 +465,6 @@ mod tests {
         let acks: Vec<_> = reports.iter().map(|r| r.acked.clone()).collect();
         let verdict = verify_socket_recovery(&dir, &acks).expect("verify");
         assert!(verdict.acked > 0, "drivers committed something");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(&addr_file);
     }
 
     /// Kill the server mid-load, restart it on a fresh port behind the
@@ -506,8 +519,6 @@ mod tests {
         // reached the OS, so the reopen recovers every one.
         let verdict = verify_socket_recovery(&dir, &acks).expect("verify");
         assert!(verdict.acked > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(&addr_file);
     }
 
     #[test]
@@ -525,6 +536,5 @@ mod tests {
         let path = tmp("report");
         write_report(&path, &report).expect("write");
         assert_eq!(read_report(&path).expect("read"), report.acked);
-        let _ = std::fs::remove_file(&path);
     }
 }

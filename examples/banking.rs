@@ -9,13 +9,13 @@
 //! ```
 
 use hybrid_cc::adts::account::AccountObject;
+use hybrid_cc::relations::AdtConfig;
 use hybrid_cc::spec::Rational;
-use hybrid_cc::txn::TxnManager;
-use hybrid_cc::workload::scheme::{bench_options, make_account, run, Scheme};
+use hybrid_cc::workload::scheme::{run, Scheme};
 use hybrid_cc::Db;
 use rand::Rng;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn money(n: i64) -> Rational {
     Rational::from_int(n)
@@ -24,13 +24,13 @@ fn money(n: i64) -> Rational {
 fn main() {
     println!("single shared account, 4 workers x 200 txns x 4 ops, 5% overdraft attempts\n");
     for scheme in Scheme::ALL {
-        let mgr = TxnManager::new();
-        let acct = make_account(scheme, "acct", bench_options(&mgr));
-        let t = mgr.begin();
-        acct.credit(&t, money(1_000_000)).unwrap();
-        mgr.commit(t).unwrap();
+        // A short lock timeout: a worker stuck behind a conflict aborts
+        // and `run` retries it.
+        let db = Db::builder().lock_timeout(Duration::from_millis(500)).in_memory();
+        let acct = db.object_with("acct", scheme.lock(AdtConfig::account())).unwrap();
+        db.transact(|tx| acct.credit(tx, money(1_000_000)).map_err(Into::into)).unwrap();
         let start = Instant::now();
-        let r = run(&mgr, 4, 200, |t, _, rng| {
+        let r = run(&db, 4, 200, |t, _, rng| {
             for _ in 0..4 {
                 match rng.gen_range(0..100u32) {
                     0..=44 => acct.credit(t, money(rng.gen_range(1..50)))?,

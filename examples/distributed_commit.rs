@@ -6,15 +6,17 @@
 //! acts: a clean distributed commit, a site crash before voting (abort
 //! everywhere), and a site crash *between* its yes-vote and the phase-2
 //! message — detected as a partial commit and healed from the site's own
-//! WAL plus the coordinator's decision log.
+//! WAL plus the coordinator's decision log. Each site opens its objects
+//! from a `Db` of its own: in memory for the first two acts, durable for
+//! the third.
 //!
 //! ```text
-//! cargo run --example distributed_commit
+//! cargo run --release --example distributed_commit
 //! ```
 
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
-use hybrid_cc::core::runtime::{RuntimeOptions, TxnHandle};
+use hybrid_cc::core::runtime::TxnHandle;
 use hybrid_cc::spec::{Rational, TxnId};
 use hybrid_cc::storage::{DurableStore, StorageOptions};
 use hybrid_cc::txn::clock::LogicalClock;
@@ -24,11 +26,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let account = Arc::new(AccountObject::hybrid("savings"));
-    let queue: Arc<QueueObject<String>> = Arc::new(QueueObject::hybrid("audit-log"));
-
-    // Two sites, each hosting one object; a shared logical clock stands in
-    // for timestamp piggybacking on the commit protocol.
+    // Two sites, each hosting one object opened from its own database; a
+    // shared logical clock stands in for timestamp piggybacking on the
+    // commit protocol.
+    let (bank, audit) = (Db::in_memory(), Db::in_memory());
+    let account = bank.object::<AccountObject>("savings").unwrap();
+    let queue = audit.object::<QueueObject<String>>("audit-log").unwrap();
     let site_a = Site::spawn("bank-site", vec![account.inner().clone()]);
     let site_b = Site::spawn("audit-site", vec![queue.inner().clone()]);
     let clock = Arc::new(LogicalClock::new());
@@ -80,11 +83,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir_coord);
     let decided_ts;
     {
-        let store = DurableStore::open(&dir_site, StorageOptions::default()).unwrap();
-        let ledger = Arc::new(AccountObject::with_options(
-            "ledger",
-            RuntimeOptions::default().with_redo(store.clone()),
-        ));
+        let db = Db::open(&dir_site).unwrap();
+        let store = db.storage().expect("a durable db has a store").clone();
+        let ledger = db.object::<AccountObject>("ledger").unwrap();
         let site = Site::spawn_durable("ledger-site", vec![ledger.inner().clone()], store);
         let coordinator = Coordinator::new(clock)
             .with_vote_timeout(Duration::from_millis(100))
@@ -117,6 +118,9 @@ fn main() {
         ledger.committed_balance()
     );
     assert_eq!(ledger.committed_balance(), Rational::from_int(250));
+    drop((ledger, db));
+    let _ = std::fs::remove_dir_all(&dir_site);
+    let _ = std::fs::remove_dir_all(&dir_coord);
 }
 
 fn wait_settle() {

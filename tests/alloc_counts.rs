@@ -143,17 +143,19 @@ fn an_enq_deq_allocates_its_handle_and_its_intents() {
 }
 
 /// An Account under each of the three schemes (`hcc-workload`'s
-/// `Scheme`, a derived relation each), driven through the manager: the
-/// lock test classifies with the type's own classifier and allocates
-/// nothing, so a credit, and a credit with a debit, allocate the handle.
+/// `Scheme`, a derived relation each, opened with `db.object_with`),
+/// driven through `db.manager()`: the lock test classifies with the
+/// type's own classifier and allocates nothing, so a credit, and a
+/// credit with a debit, allocate the handle.
 #[test]
 fn a_scheme_account_allocates_its_handle_only() {
-    use hybrid_cc::txn::TxnManager;
-    use hybrid_cc::workload::scheme::{make_account, Scheme};
+    use hybrid_cc::relations::AdtConfig;
+    use hybrid_cc::workload::scheme::Scheme;
 
     for scheme in Scheme::ALL {
-        let mgr = TxnManager::new();
-        let a = make_account(scheme, "a", mgr.object_options());
+        let db = Db::in_memory();
+        let a = db.object_with("a", scheme.lock(AdtConfig::account())).unwrap();
+        let mgr = db.manager();
         let credit = allocations(|| {
             let t = mgr.begin();
             a.credit(&t, money(2)).unwrap();

@@ -1,6 +1,7 @@
 //! End-to-end system tests: the claim experiments E7–E13 as transaction
 //! bodies for the one multithreaded driver (`workload::scheme::run`:
-//! manager + deadlock detector + objects, abort-and-retry), mixed-scheme
+//! a `Db`'s manager + deadlock detector + objects opened under each
+//! scheme with `Db::object_with`, abort-and-retry), mixed-scheme
 //! systems (Section 7's upward compatibility), and the upward-
 //! compatibility claim verified on recorded histories.
 //!
@@ -11,36 +12,42 @@
 //! scheduling cannot move: everything commits, money is conserved, or
 //! hybrid locking refuses nothing at all.
 
-use hybrid_cc::adts::account::AccountInv;
-use hybrid_cc::adts::fifo_queue::{QueueInv, QueueObject};
-use hybrid_cc::adts::file::FileInv;
-use hybrid_cc::adts::{Object, ObjectAdt};
-use hybrid_cc::core::runtime::{RuntimeOptions, TryExecOutcome};
+use hybrid_cc::adts::account::{AccountAdt, AccountInv};
+use hybrid_cc::adts::fifo_queue::{QueueAdt, QueueInv, QueueObject};
+use hybrid_cc::adts::file::{FileAdt, FileInv};
+use hybrid_cc::adts::semiqueue::SemiqueueAdt;
+use hybrid_cc::adts::ObjectAdt;
+use hybrid_cc::core::runtime::TryExecOutcome;
 use hybrid_cc::relations::derive::{commutativity_atoms, conflict_atoms, DeriveSpec};
 use hybrid_cc::relations::{AdtConfig, Atom, Relation};
 use hybrid_cc::spec::specs::{AccountSpec, QueueSpec};
 use hybrid_cc::spec::{ObjectId, Rational, Timestamp, TxnId};
-use hybrid_cc::txn::TxnManager;
 use hybrid_cc::verify::{hybrid_atomic, LockMachine, RespondOutcome, SystemSpecs};
-use hybrid_cc::workload::scheme::{
-    bench_options, make_account, make_file, make_queue, make_semiqueue, run, Run, Scheme,
-};
+use hybrid_cc::workload::scheme::{run, Run, Scheme};
 use hybrid_cc::Db;
 use rand::Rng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn money(n: i64) -> Rational {
     Rational::from_int(n)
 }
 
-/// For each `(first, second, want)`: on a fresh object built by `make`
-/// under hybrid, commutativity and r/w 2PL (in [`Scheme::ALL`] order),
-/// with `setup` committed, one transaction executes `first`, and a
-/// non-blocking lock test of `second` by another transaction must be
-/// granted exactly when `want` says so.
+/// An in-memory database for driven runs: a lock request gives up after
+/// 500 ms, so a transaction stuck behind a conflict — or a dequeue on an
+/// empty queue — aborts and [`run`] retries it.
+fn driven_db() -> Db {
+    Db::builder().lock_timeout(Duration::from_millis(500)).in_memory()
+}
+
+/// For each `(first, second, want)`: on a fresh object of the type `cfg`
+/// describes, opened under hybrid, commutativity and r/w 2PL (in
+/// [`Scheme::ALL`] order), with `setup` committed, one transaction
+/// executes `first`, and a non-blocking lock test of `second` by another
+/// transaction must be granted exactly when `want` says so.
 fn assert_grants<A: ObjectAdt>(
-    make: fn(Scheme, &str, RuntimeOptions) -> Object<A>,
+    cfg: fn() -> AdtConfig,
     setup: &[A::Inv],
     pairs: Vec<(A::Inv, A::Inv, [bool; 3])>,
 ) where
@@ -48,8 +55,8 @@ fn assert_grants<A: ObjectAdt>(
 {
     for (first, second, want) in pairs {
         for (scheme, want) in Scheme::ALL.into_iter().zip(want) {
-            let mgr = TxnManager::new();
-            let obj = make(scheme, "x", mgr.object_options());
+            let db = Db::in_memory();
+            let (obj, mgr) = (db.object_with("x", scheme.lock::<A>(cfg())).unwrap(), db.manager());
             let t0 = mgr.begin();
             for inv in setup {
                 obj.execute(&t0, inv.clone()).unwrap();
@@ -73,20 +80,20 @@ fn assert_grants<A: ObjectAdt>(
 /// refuses.
 #[test]
 fn hybrid_admits_more_concurrency_than_baselines_on_enqueues() {
-    let mgr = TxnManager::new();
-    let q = make_queue(Scheme::Hybrid, "q", bench_options(&mgr));
-    let r = run(&mgr, 4, 50, |t, w, _| (0..6).try_for_each(|k| q.enq(t, (w * 10 + k) as i64)));
+    let db = driven_db();
+    let q = db.object_with("q", Scheme::Hybrid.lock::<QueueAdt<i64>>(AdtConfig::queue())).unwrap();
+    let r = run(&db, 4, 50, |t, w, _| (0..6).try_for_each(|k| q.enq(t, (w * 10 + k) as i64)));
     assert_eq!(r, Run { committed: 200, aborted: 0, refusals: 0, waits: 0 }, "hybrid enqueues");
-    assert_grants(
-        make_queue,
+    assert_grants::<QueueAdt<i64>>(
+        AdtConfig::queue,
         &[],
         vec![
             (QueueInv::Enq(1), QueueInv::Enq(2), [true, false, false]),
             (QueueInv::Enq(1), QueueInv::Enq(1), [true, true, false]),
         ],
     );
-    assert_grants(
-        make_queue,
+    assert_grants::<QueueAdt<i64>>(
+        AdtConfig::queue,
         &[QueueInv::Enq(1)],
         vec![(QueueInv::Enq(2), QueueInv::Deq, [false, true, false])],
     );
@@ -98,9 +105,9 @@ fn hybrid_admits_more_concurrency_than_baselines_on_enqueues() {
 /// (which r/w 2PL refuses).
 #[test]
 fn account_mix_has_no_overdraft_no_conflict_dominance() {
-    let mgr = TxnManager::new();
-    let acct = make_account(Scheme::Hybrid, "acct", bench_options(&mgr));
-    let r = run(&mgr, 4, 50, |t, _, rng| {
+    let db = driven_db();
+    let acct = db.object_with("acct", Scheme::Hybrid.lock(AdtConfig::account())).unwrap();
+    let r = run(&db, 4, 50, |t, _, rng| {
         for _ in 0..4 {
             if rng.gen_range(0..10u32) == 0 {
                 // 0% interest: Post's lock behaviour is value-independent.
@@ -113,8 +120,8 @@ fn account_mix_has_no_overdraft_no_conflict_dominance() {
     });
     assert_eq!((r.committed, r.refusals), (200, 0), "credits and posts never conflict");
     let (credit, post) = (AccountInv::Credit(money(5)), AccountInv::Post(money(5)));
-    assert_grants(
-        make_account,
+    assert_grants::<AccountAdt>(
+        AdtConfig::account,
         &[],
         vec![
             (credit.clone(), credit.clone(), [true, true, false]),
@@ -124,7 +131,8 @@ fn account_mix_has_no_overdraft_no_conflict_dominance() {
     );
     let debit = AccountInv::Debit(money(10));
     let funds = AccountInv::Credit(money(100));
-    assert_grants(make_account, &[funds], vec![(debit, post, [true, false, false])]);
+    let pairs = vec![(debit, post, [true, false, false])];
+    assert_grants::<AccountAdt>(AdtConfig::account, &[funds], pairs);
 }
 
 /// E9, the generalized Thomas Write Rule: blind writes never conflict
@@ -134,12 +142,13 @@ fn account_mix_has_no_overdraft_no_conflict_dominance() {
 /// every scheme.
 #[test]
 fn register_writes_never_conflict_under_hybrid() {
-    let mgr = TxnManager::new();
-    let reg = make_file(Scheme::Hybrid, "reg", bench_options(&mgr));
-    let r = run(&mgr, 4, 150, |t, _, rng| reg.write(t, rng.gen_range(0..1_000_000)));
+    let db = driven_db();
+    let reg =
+        db.object_with("reg", Scheme::Hybrid.lock::<FileAdt<i64>>(AdtConfig::file())).unwrap();
+    let r = run(&db, 4, 150, |t, _, rng| reg.write(t, rng.gen_range(0..1_000_000)));
     assert_eq!((r.committed, r.refusals), (600, 0), "Thomas Write Rule");
-    assert_grants(
-        make_file,
+    assert_grants::<FileAdt<i64>>(
+        AdtConfig::file,
         &[],
         vec![
             (FileInv::Write(1), FileInv::Write(2), [true, false, false]),
@@ -149,9 +158,9 @@ fn register_writes_never_conflict_under_hybrid() {
         ],
     );
     for scheme in Scheme::ALL {
-        let mgr = TxnManager::new();
-        let reg = make_file(scheme, "reg", bench_options(&mgr));
-        let r = run(&mgr, 2, 10, |t, _, rng| match rng.gen_range(0..2u32) {
+        let db = driven_db();
+        let reg = db.object_with("reg", scheme.lock::<FileAdt<i64>>(AdtConfig::file())).unwrap();
+        let r = run(&db, 2, 10, |t, _, rng| match rng.gen_range(0..2u32) {
             0 => reg.write(t, rng.gen_range(0..100)),
             _ => reg.read(t).map(drop),
         });
@@ -165,17 +174,18 @@ fn register_writes_never_conflict_under_hybrid() {
 #[test]
 fn pipelines_deliver_every_item_under_every_scheme() {
     for scheme in Scheme::ALL {
-        let mgr = TxnManager::new();
-        let q = make_queue(scheme, "q", bench_options(&mgr));
-        let r = run(&mgr, 4, 15, |t, w, rng| match w % 2 {
+        let db = driven_db();
+        let q = db.object_with("q", scheme.lock::<QueueAdt<i64>>(AdtConfig::queue())).unwrap();
+        let r = run(&db, 4, 15, |t, w, rng| match w % 2 {
             0 => q.enq(t, rng.gen_range(0..1_000_000)),
             _ => q.deq(t).map(drop),
         });
         assert_eq!(r.committed, 60, "{scheme}: 30 enq txns + 30 deq txns");
         assert_eq!(q.committed_len(), 0, "{scheme}");
 
-        let sq = make_semiqueue(scheme, "sq", bench_options(&mgr));
-        let r = run(&mgr, 4, 15, |t, w, rng| match w % 2 {
+        let cfg = AdtConfig::semiqueue();
+        let sq = db.object_with("sq", scheme.lock::<SemiqueueAdt<i64>>(cfg)).unwrap();
+        let r = run(&db, 4, 15, |t, w, rng| match w % 2 {
             0 => sq.ins(t, rng.gen_range(0..1_000_000)),
             _ => sq.rem(t).map(drop),
         });
@@ -188,15 +198,16 @@ fn pipelines_deliver_every_item_under_every_scheme() {
 /// deadlock; the detector picks victims and the driver retries them.
 /// Money is conserved whatever the interleaving.
 fn transfers(scheme: Scheme, n: usize, threads: usize, txns_per_thread: usize) -> Run {
-    let mgr = TxnManager::new();
-    let accounts: Vec<_> =
-        (0..n).map(|i| make_account(scheme, &format!("acct-{i}"), bench_options(&mgr))).collect();
+    let db = driven_db();
+    let open = |i| db.object_with(&format!("acct-{i}"), scheme.lock(AdtConfig::account()));
+    let accounts: Vec<_> = (0..n).map(|i| open(i).unwrap()).collect();
+    let mgr = db.manager();
     let t = mgr.begin();
     for a in &accounts {
         a.credit(&t, money(1000)).unwrap();
     }
     mgr.commit(t).unwrap();
-    let r = run(&mgr, threads, txns_per_thread, |t, _, rng| {
+    let r = run(&db, threads, txns_per_thread, |t, _, rng| {
         let from = rng.gen_range(0..n);
         let to = (from + rng.gen_range(1..n)) % n;
         let amt = money(rng.gen_range(1..20));

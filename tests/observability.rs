@@ -8,10 +8,9 @@
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::counter::{CounterDef, CounterInv};
 use hybrid_cc::adts::SpecObject;
-use hybrid_cc::core::runtime::{BlockPolicy, SpecAdt, SpecLock};
+use hybrid_cc::core::runtime::{SpecAdt, SpecLock};
 use hybrid_cc::obs::MetricValue;
 use hybrid_cc::spec::Rational;
-use hybrid_cc::txn::TxnManager;
 use hybrid_cc::Db;
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,10 +168,9 @@ fn refusal_labels_are_lock_atom_class_pairs() {
         lock.relation().atoms().iter().map(|a| (a.row.to_string(), a.col.to_string())).collect();
     assert!(!allowed.is_empty(), "derived Counter table has atoms");
 
-    let mgr = TxnManager::new();
-    let mut opts = mgr.object_options();
-    opts.block = BlockPolicy { timeout: Some(Duration::from_millis(400)) };
-    let obj = Arc::new(SpecObject::<CounterDef>::with_options("tally", opts));
+    let db = Db::builder().lock_timeout(Duration::from_millis(400)).in_memory();
+    let obj = db.object::<SpecObject<CounterDef>>("tally").unwrap();
+    let mgr = db.manager();
     // Deterministic conflict: the writer holds an uncommitted Inc across
     // a barrier while the reader's Read arrives — `Read ⊦ Inc` is in the
     // derived table, so the Read is refused (and waits) until commit.
@@ -250,17 +248,15 @@ fn refusal_labels_are_lock_atom_class_pairs() {
 fn every_scheme_refuses_only_its_own_atom_pairs() {
     use hybrid_cc::adts::account::AccountAdt;
     use hybrid_cc::relations::tables::AdtConfig;
-    use hybrid_cc::workload::scheme::{bench_options, make_account, run, Scheme};
+    use hybrid_cc::workload::scheme::{run, Scheme};
     use rand::Rng;
 
     for scheme in Scheme::ALL {
         let lock = scheme.lock::<AccountAdt>(AdtConfig::account());
-        let mgr = TxnManager::new();
-        let acct = make_account(scheme, "acct", bench_options(&mgr));
-        let t = mgr.begin();
-        acct.credit(&t, Rational::from_int(1_000)).unwrap();
-        mgr.commit(t).unwrap();
-        let r = run(&mgr, 4, 50, |t, _, rng| {
+        let db = Db::builder().lock_timeout(Duration::from_millis(500)).in_memory();
+        let acct = db.object_with("acct", lock.clone()).unwrap();
+        db.transact(|tx| acct.credit(tx, Rational::from_int(1_000)).map_err(Into::into)).unwrap();
+        let r = run(&db, 4, 50, |t, _, rng| {
             for _ in 0..4 {
                 match rng.gen_range(0..10u32) {
                     0..=3 => acct.credit(t, Rational::from_int(rng.gen_range(1..50)))?,
@@ -272,7 +268,7 @@ fn every_scheme_refuses_only_its_own_atom_pairs() {
             Ok(())
         });
         assert!(r.refusals > 0, "{scheme}: the mix must contend");
-        let snap = mgr.metrics().snapshot();
+        let snap = db.stats();
         for name in snap.values.keys() {
             let Some(pair) = name.strip_prefix("lock.refusals.Account.") else { continue };
             let (req, held) = pair.split_once('|').expect("refusal pair is req|held");
@@ -297,8 +293,9 @@ fn lock_metric_keys_follow_classes_the_variants_do_not_determine() {
     use hybrid_cc::core::runtime::TryExecOutcome;
 
     fn script<A: ObjectAdt<Inv = SetInv<i64>, Res = bool>>() -> Vec<(String, u64)> {
-        let mgr = TxnManager::new();
-        let set = Object::<A>::with_options("s", mgr.object_options());
+        let db = Db::in_memory();
+        let set = db.object::<Object<A>>("s").unwrap();
+        let mgr = db.manager();
         let t0 = mgr.begin();
         assert_eq!(set.execute(&t0, SetInv::Add(1)), Ok(true));
         mgr.commit(t0).unwrap();

@@ -322,7 +322,7 @@ fn a_reader_and_a_checkpoint_pin_one_registry_at_two_watermarks() {
 
     let image = DurableStore::recover(&dir).unwrap().checkpoint.expect("a checkpoint on disk");
     for (name, bytes) in &image.objects {
-        let restored = AccountObject::hybrid(name);
+        let restored = Db::in_memory().object::<AccountObject>(name).unwrap();
         restored.restore(bytes, w_c).unwrap();
         let factor = money(if name == "a" { 1 } else { 2 });
         assert_eq!(restored.committed_balance(), fold(&ledger, w_c) * factor, "image of {name}");

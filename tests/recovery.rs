@@ -12,7 +12,6 @@ use hybrid_cc::spec::Rational;
 use hybrid_cc::storage::{
     CompactionPolicy, Durability, DurableObject, DurableStore, StorageError, StorageOptions,
 };
-use hybrid_cc::txn::manager::TxnManager;
 use hybrid_cc::workload::crash::{
     crash_point_holds, recover_and_verify, run_crash_workload, CrashScenarioOptions,
 };
@@ -32,15 +31,17 @@ fn money(n: i64) -> Rational {
     Rational::from_int(n)
 }
 
-/// Drive a manager-with-storage banking session; returns the live state.
+/// Drive a durable banking session through `db.manager()`; returns the
+/// live state.
 ///
-/// Note what is *absent*: no logging call anywhere. The objects are built
-/// with the manager's options, so every mutating operation serializes its
+/// Note what is *absent*: no logging call anywhere. The `Db` builds the
+/// objects over its store, so every mutating operation serializes its
 /// own redo record into the WAL.
-fn run_durable_session(dir: &PathBuf, opts: StorageOptions) -> (Rational, usize) {
-    let mgr = TxnManager::with_storage(dir, opts).unwrap();
-    let acct = AccountObject::with_options("acct", mgr.object_options());
-    let queue: QueueObject<i64> = QueueObject::with_options("q", mgr.object_options());
+fn run_durable_session(dir: &PathBuf) -> (Rational, usize) {
+    let db = Db::open(dir).unwrap();
+    let acct = db.object::<AccountObject>("acct").unwrap();
+    let queue = db.object::<QueueObject<i64>>("q").unwrap();
+    let mgr = db.manager();
 
     let run = |ops: Vec<(&str, i64)>, commit: bool| {
         let t = mgr.begin();
@@ -75,7 +76,7 @@ fn run_durable_session(dir: &PathBuf, opts: StorageOptions) -> (Rational, usize)
 #[test]
 fn durable_store_recovery_rebuilds_committed_state() {
     let dir = tmp("store-basic");
-    let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
+    let (balance, qlen) = run_durable_session(&dir);
     assert_eq!(balance, money(75));
     assert_eq!(qlen, 2);
     let state = recover_and_verify(&dir).unwrap();
@@ -86,7 +87,7 @@ fn durable_store_recovery_rebuilds_committed_state() {
 #[test]
 fn durable_store_survives_torn_final_record() {
     let dir = tmp("store-torn");
-    let (balance, qlen) = run_durable_session(&dir, StorageOptions::default());
+    let (balance, qlen) = run_durable_session(&dir);
     // Crash mid-append: write half a frame at the tail of the last
     // segment.
     let segments = hybrid_cc::storage::wal::segments(&dir).unwrap();
@@ -104,7 +105,7 @@ fn durable_store_survives_torn_final_record() {
 #[test]
 fn recovery_is_idempotent() {
     let dir = tmp("store-idem");
-    let _ = run_durable_session(&dir, StorageOptions::default());
+    let _ = run_durable_session(&dir);
     let first = recover_and_verify(&dir).unwrap();
     let second = recover_and_verify(&dir).unwrap();
     assert_eq!(first, second, "a second recovery of the same log rebuilds the same state");
@@ -122,7 +123,7 @@ fn durable_store_reports_commit_with_missing_ops_as_incomplete() {
         // Establish history and a checkpoint, so the registry binding for
         // "acct" survives in the checkpoint file no matter which segments
         // disappear.
-        let acct = AccountObject::hybrid("acct");
+        let acct = Db::in_memory().object::<AccountObject>("acct").unwrap();
         store.log_begin(1).unwrap();
         store.log_op(1, "acct", br#"{"op":"credit","v":{"den":1,"num":7}}"#).unwrap();
         store.log_commit(1, 1).unwrap();
@@ -190,8 +191,8 @@ fn durable_store_refuses_ops_whose_registry_binding_is_lost() {
 fn replay_orders_interleaved_transactions_by_timestamp() {
     let dir = tmp("store-interleaved");
     {
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-        let acct = AccountObject::with_options("acct", mgr.object_options());
+        let db = Db::open(&dir).unwrap();
+        let (acct, mgr) = (db.object::<AccountObject>("acct").unwrap(), db.manager());
         // Two transactions with interleaved (self-logged) op records;
         // t_late begins first but commits second. Replay must apply
         // credit(10) then debit(60): debiting first would overdraft and
@@ -365,13 +366,11 @@ fn mid_run_checkpoint_gate_is_brief_and_every_commit_recovers() {
 fn snapshot_restore_is_what_checkpoint_recovery_uses() {
     // A checkpoint taken mid-run restores into fresh objects bit-for-bit.
     let dir = tmp("store-snapshot");
-    let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
-    let acct = AccountObject::with_options("acct", mgr.object_options());
-    let t = mgr.begin();
-    acct.credit(&t, money(123)).unwrap();
-    mgr.commit(t).unwrap();
-    let ckpt = mgr.checkpoint(&[&acct]).unwrap().expect("store attached");
-    let fresh = AccountObject::hybrid("fresh");
+    let db = Db::open(&dir).unwrap();
+    let acct = db.object::<AccountObject>("acct").unwrap();
+    db.transact(|tx| acct.credit(tx, money(123)).map_err(Into::into)).unwrap();
+    let ckpt = db.checkpoint().unwrap().expect("store attached");
+    let fresh = Db::in_memory().object::<AccountObject>("fresh").unwrap();
     fresh.restore(&ckpt.objects[0].1, ckpt.last_ts).unwrap();
     assert_eq!(fresh.committed_balance(), money(123));
 }
@@ -379,7 +378,7 @@ fn snapshot_restore_is_what_checkpoint_recovery_uses() {
 #[test]
 fn uncommitted_tail_transaction_is_dropped() {
     let dir = tmp("store-uncommitted");
-    let (balance, _) = run_durable_session(&dir, StorageOptions::default());
+    let (balance, _) = run_durable_session(&dir);
     // A transaction that logged ops but crashed before its commit record.
     {
         let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
