@@ -134,6 +134,11 @@ const RULES: &[Rule] = &[
         why: "retired with the caller-built object; the `Db` builds every object it holds",
     },
     Rule {
+        needles: "take_open_image|take_recovered|release_image_on_append|log_begin(",
+        scope: SOURCES,
+        why: "retired with the retained open image; opening hands what it read to the caller",
+    },
+    Rule {
         needles: "TxnManager::new(|TxnManager::with_storage(|.object_options()|::with_options(|\
                   Object::with(|::hybrid(|.with_redo(|.checkpoint(&",
         scope: Scope {
@@ -398,8 +403,12 @@ mod tests {
         ("crates/workload/src/crash.rs", "let acct = db.attach(Arc::new(custom))?;"),
         ("crates/db/src/error.rs", "PoisonedRecovery { object: String },"),
         ("tests/recovery.rs", "let db = Db::builder().storage_options(opts).open(dir)?;"),
+        ("crates/repl/src/follower.rs", "let (records, _) = log.take_open_image().unwrap();"),
+        ("crates/db/src/db.rs", "let recovered = store.take_recovered()?;"),
+        ("crates/storage/src/store.rs", "self.release_image_on_append();"),
+        ("tests/recovery.rs", "store.log_begin(1).unwrap();"),
         ("examples/demo.rs", "let mgr = TxnManager::new();"),
-        ("tests/recovery.rs", "let mgr = TxnManager::with_storage(dir, opts)?;"),
+        ("tests/recovery.rs", "let mgr = TxnManager::with_storage(store);"),
         ("crates/workload/src/scheme.rs", "let mut opts = mgr.object_options();"),
         ("crates/check/tests/deadlock.rs", "let q = QueueObject::with_options(\"q\", opts);"),
         ("crates/workload/src/scheme.rs", "AccountObject::with(name, locks, opts)"),

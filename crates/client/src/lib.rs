@@ -109,9 +109,7 @@ fn fault_to_error(fault: WireFault) -> HccError {
         WireFault::ShuttingDown => {
             HccError::Protocol("server is draining; reconnect after its restart".into())
         }
-        WireFault::Fatal { detail } => {
-            HccError::Protocol(format!("server reported a fatal failure: {detail}"))
-        }
+        WireFault::Fatal { detail } => HccError::Refused { detail },
     }
 }
 

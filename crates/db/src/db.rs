@@ -22,7 +22,7 @@ use hcc_obs::{Counter, FlightRecorder, Histogram};
 use hcc_spec::Timestamp;
 use hcc_storage::{
     durability_env_override, Checkpoint, CommittedTxn, CompactionPolicy, Durability, DurableObject,
-    DurableStore, Recovered, StorageOptions,
+    DurableStore, OpenImage, Recovered, StorageOptions,
 };
 use hcc_txn::manager::CommitError;
 use hcc_txn::registry::{self, Decisions, RecoveryReport};
@@ -95,12 +95,13 @@ impl DbBuilder {
     }
 
     /// Open (creating if absent) the durable database rooted at `dir`:
-    /// store constructed, log scanned, recovery readied — handles from
+    /// the store opened, the manager built over it, and the image the
+    /// store's one pass read assembled and sliced by name — handles from
     /// [`Db::object`] come back holding their recovered state.
     pub fn open(self, dir: impl AsRef<Path>) -> Result<Db, HccError> {
-        let mgr = TxnManager::with_storage(dir, self.storage)?;
-        let store = mgr.storage().expect("with_storage attaches a store").clone();
-        let (recovered, resolved) = read_log_image(&store, &self.decisions)
+        let (store, image) = DurableStore::open(dir, self.storage)?;
+        let mgr = TxnManager::with_storage(store.clone());
+        let (recovered, resolved) = read_log_image(image, &store, &self.decisions)
             .inspect_err(|e| dump_refused_recovery(mgr.flight_recorder(), e))?;
 
         // Slice the image by object name once, so each handle
@@ -146,16 +147,17 @@ impl DbBuilder {
 }
 
 /// What the log holds, for [`DbBuilder::open`] to slice: the image the
-/// store's open-time pass already decoded (one scan serves clock/id
-/// seeding and this materialization), with decided in-doubt transactions
-/// (2PC participant recovery) merged into the committed tail by the
+/// store's open already decoded (one scan serves clock/id seeding and
+/// this materialization), with decided in-doubt transactions (2PC
+/// participant recovery) merged into the committed tail by the
 /// `resolve_committed` rule, including its DecisionBelowCheckpoint
 /// refusal.
 fn read_log_image(
+    image: OpenImage,
     store: &DurableStore,
     decisions: &Decisions,
 ) -> Result<(Recovered, Vec<CommittedTxn>), HccError> {
-    let mut recovered = store.take_recovered()?.expect("a store just opened retains its image");
+    let mut recovered = image.recover(store)?;
     let resolved = registry::resolve_committed(&mut recovered, decisions)?;
     Ok((recovered, resolved))
 }

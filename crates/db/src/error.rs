@@ -93,6 +93,14 @@ pub enum HccError {
         /// The cap that was hit.
         cap: u32,
     },
+    /// The server refused a request fatally: a value the wire cannot
+    /// carry, or a failure behind the request that retrying cannot fix
+    /// (storage, recovery, the application's rollback). Nothing of the
+    /// request was applied and the session stays open for the next one.
+    Refused {
+        /// The server's reason.
+        detail: String,
+    },
     /// The wire protocol was violated: version/handshake refusal, a torn
     /// or corrupt frame, an unexpected or malformed message, or a
     /// connection lost with a request's outcome unknown. Fatal — the
@@ -181,6 +189,13 @@ impl std::fmt::Display for HccError {
                      cap {cap}; back off and retry"
                 )
             }
+            HccError::Refused { detail } => {
+                write!(
+                    f,
+                    "the server refused the request: {detail} (nothing was applied; the \
+                     session stays open)"
+                )
+            }
             HccError::Protocol(what) => {
                 write!(f, "wire protocol violation: {what}")
             }
@@ -203,6 +218,7 @@ impl std::error::Error for HccError {
             | HccError::SnapshotContended { .. }
             | HccError::Rollback { .. }
             | HccError::Overloaded { .. }
+            | HccError::Refused { .. }
             | HccError::Protocol(_) => None,
         }
     }
@@ -280,6 +296,10 @@ mod tests {
             "a shed request was never executed; backing off and retrying is safe"
         );
         assert!(
+            !HccError::Refused { detail: "no i64".into() }.is_transient(),
+            "a retry cannot fix what the server refused"
+        );
+        assert!(
             !HccError::Protocol("torn frame".into()).is_transient(),
             "resubmitting over a violated protocol could double-apply"
         );
@@ -303,6 +323,10 @@ mod tests {
         let msg = format!("{e}");
         assert!(!msg.contains("Overloaded"), "no bare Debug variant name: {msg}");
         assert!(msg.contains("shed") && msg.contains('9') && msg.contains('8'), "{msg}");
+        let e = HccError::Refused { detail: "value out of range".into() };
+        let msg = format!("{e}");
+        assert!(!msg.contains("Refused"), "no bare Debug variant name: {msg}");
+        assert!(msg.contains("nothing was applied") && msg.contains("out of range"), "{msg}");
         let e = HccError::Protocol("frame CRC mismatch".into());
         assert!(format!("{e}").contains("protocol violation"), "{e}");
     }

@@ -144,12 +144,12 @@ impl Follower {
         opts: FollowerOptions,
     ) -> Result<Follower, ReplError> {
         let dir = dir.as_ref().to_path_buf();
-        let log = SegmentedWal::open(
+        // Restart catch-up rides the scan the open just made.
+        let (log, _, (records, _torn)) = SegmentedWal::open_with_metrics(
             &dir,
             WalOptions { segment_max_bytes: opts.segment_max_bytes, durability: opts.durability },
+            &hcc_obs::Registry::new(),
         )?;
-        // Restart catch-up rides the scan the open just made.
-        let (records, _torn) = log.take_open_image().expect("a fresh open retains its scan");
         let db = Arc::new(Db::in_memory());
         let ins = Instruments::resolve(db.metrics());
         let mut core = Core { log, txns: TxnAssembler::new(None), applied: 0, sample: None };

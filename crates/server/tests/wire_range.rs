@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use hcc_adts::{AccountObject, CounterObject};
 use hcc_client::Client;
-use hcc_db::Db;
+use hcc_db::{Db, HccError};
 use hcc_server::serve;
 use hcc_spec::Rational;
 use hcc_wire::msg::{TypeTag, View, WireOp};
@@ -30,6 +30,7 @@ fn a_balance_beyond_i64_is_refused_not_truncated() {
     assert_eq!(expected.to_string(), "18446744073709551614");
 
     let err = client.read(None, vec![(TypeTag::Account, "big".into())]).unwrap_err();
+    assert!(matches!(err, HccError::Refused { .. }), "{err:?}");
     assert!(!err.is_transient(), "{err}");
     assert!(err.to_string().contains("does not fit the wire's i64"), "{err}");
 
@@ -51,6 +52,7 @@ fn an_inc_by_i64_min_is_refused_before_it_runs() {
 
     client.transact(vec![inc(5)]).unwrap();
     let err = client.transact(vec![inc(1), inc(i64::MIN)]).unwrap_err();
+    assert!(matches!(err, HccError::Refused { .. }), "{err:?}");
     assert!(!err.is_transient(), "{err}");
     assert!(err.to_string().contains("has no negation in i64"), "{err}");
     assert_eq!(db.object::<CounterObject>("c").unwrap().committed_value(), 5);

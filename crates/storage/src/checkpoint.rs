@@ -39,7 +39,7 @@
 
 use crate::record::crc32;
 use crate::StorageError;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -147,6 +147,10 @@ impl Checkpoint {
 
     /// Durably write this checkpoint into `dir` (temp file + fsync + rename
     /// + directory fsync).
+    ///
+    /// A failed directory fsync is an error: until one succeeds the
+    /// rename may not survive a crash, so nothing the checkpoint covers
+    /// may be pruned yet.
     pub fn save(&self, dir: &Path) -> Result<PathBuf, StorageError> {
         fs::create_dir_all(dir)?;
         let final_path = checkpoint_path(dir, self.last_ts);
@@ -158,9 +162,11 @@ impl Checkpoint {
             f.sync_data()?;
         }
         fs::rename(&tmp_path, &final_path)?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_data(); // directory fsync: best effort
+        #[cfg(test)]
+        if DIR_SYNC_FAULTS.with(|n| n.replace(n.get().saturating_sub(1))) > 0 {
+            return Err(std::io::Error::other("injected directory fsync failure").into());
         }
+        crate::wal::sync_dir(dir)?;
         Ok(final_path)
     }
 
@@ -206,6 +212,13 @@ impl Checkpoint {
         }
         Ok(deleted)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: how many of this thread's upcoming post-rename
+    /// directory fsyncs in [`Checkpoint::save`] fail.
+    pub(crate) static DIR_SYNC_FAULTS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -50,8 +50,8 @@ pub use policy::{CompactionPolicy, LogStats};
 pub use record::LogRecord;
 pub use snapshot::{DurableObject, SnapshotError};
 pub use store::{
-    durability_env_override, CheckpointCursor, CommittedTxn, DurableStore, InDoubtTxn, Recovered,
-    StorageOptions, TxnAssembler, Verdict,
+    durability_env_override, CheckpointCursor, CommittedTxn, DurableStore, InDoubtTxn, OpenImage,
+    Recovered, StorageOptions, TxnAssembler, Verdict,
 };
 pub use tail::WalTailer;
 pub use wal::{Durability, SegmentedWal, WalOptions};
@@ -81,9 +81,11 @@ pub enum StorageError {
         second: u64,
     },
     /// A checkpoint was requested over a store opened on a log with prior
-    /// commits that the registered objects have not absorbed (no
-    /// `mark_state_absorbed` after recovery): taking it would claim
-    /// coverage of history the snapshots do not contain, then prune it.
+    /// commits that the live objects have not absorbed (the image the
+    /// store's open returned was not installed into them and attested
+    /// with `mark_state_absorbed`; under `Db`, a logged name is still
+    /// unopened): taking it would claim coverage of history the
+    /// snapshots do not contain, then prune it.
     UnabsorbedHistory {
         /// The watermark the snapshots would wrongly claim to cover.
         last_ts: u64,
@@ -122,8 +124,7 @@ impl std::fmt::Display for StorageError {
                 write!(
                     f,
                     "checkpoint refused: the log holds commits through ts {last_ts} that the \
-                     registered objects have not absorbed (recover first, then \
-                     mark_state_absorbed)"
+                     live objects have not absorbed (open every logged object first)"
                 )
             }
             StorageError::UnknownObjectId { id, txn } => {

@@ -363,19 +363,6 @@ pub struct DurableStore {
     /// snapshots do not contain — and then prune it. Cleared by
     /// [`DurableStore::mark_state_absorbed`].
     unabsorbed_history: std::sync::atomic::AtomicBool,
-    /// The recovery image the single open-time disk pass produced: the
-    /// checkpoint loaded at open plus the WAL's fully decoded surviving
-    /// records. Claimed (once) by [`DurableStore::take_recovered`] so
-    /// recovery never re-reads what open just read; dropped on
-    /// absorption, and on the first append (recovery runs before
-    /// transactions, so an append signals no materialization is coming),
-    /// so the memory is never held for a recovery that will not run.
-    open_image: std::sync::Mutex<Option<OpenImage>>,
-    /// Cheap guard for [`DurableStore::release_image_on_append`]: true
-    /// while a non-empty open image is retained.
-    open_image_present: std::sync::atomic::AtomicBool,
-    /// Number of checkpoints taken by this instance.
-    checkpoints_taken: AtomicU64,
     /// The object registry: name → compact id used by `Op` records. Seeded
     /// from the surviving `Register` records on open; grows as new names
     /// are logged against. Reads (the per-op fast path) take the lock
@@ -394,31 +381,45 @@ struct ObjectRegistry {
     next_id: u64,
 }
 
-/// What the open-time pass read off disk, retained verbatim: assembly
-/// into a [`Recovered`] is deferred to [`DurableStore::take_recovered`]
-/// so that opening a store stays permissive (a log whose tail recovery
-/// would refuse — a timestamp collision, an unknown object id — still
-/// opens; the refusal surfaces where recovery is actually requested,
-/// exactly as it did when recovery re-read the disk).
-struct OpenImage {
+/// What a store's open read off disk — the newest checkpoint and the
+/// log's surviving records in ticket order, with the torn-tail flag —
+/// handed to the caller verbatim. Assembly into a [`Recovered`]
+/// ([`OpenImage::recover`]) happens only where recovery is asked for,
+/// so opening a store stays permissive: a log whose tail recovery would
+/// refuse (a timestamp collision, an unknown object id) still opens.
+/// A caller that recovers nothing drops it, and its memory with it.
+pub struct OpenImage {
     checkpoint: Option<Checkpoint>,
-    records: Vec<(u64, crate::record::LogRecord)>,
+    records: Vec<(u64, LogRecord)>,
     torn_tail: bool,
 }
 
+impl OpenImage {
+    /// The durable state this image holds: newest checkpoint plus the
+    /// committed tail, in timestamp order — identical to
+    /// [`DurableStore::recover`] on the same directory, but served from
+    /// what `store`'s open already decoded, so the log is scanned once,
+    /// not twice. The `recovery.*` counters land in `store`'s registry.
+    pub fn recover(self, store: &DurableStore) -> Result<Recovered, StorageError> {
+        store.metrics.counter("recovery.segments_scanned").add(store.wal.stats().segments);
+        assemble_recovered(self, Some(&store.metrics))
+    }
+}
+
 impl DurableStore {
-    /// Open (or create) the store rooted at `dir`.
+    /// Open (or create) the store rooted at `dir`, returning it with the
+    /// image its one pass over the log read.
     pub fn open(
         dir: impl AsRef<Path>,
         opts: StorageOptions,
-    ) -> Result<Arc<DurableStore>, StorageError> {
+    ) -> Result<(Arc<DurableStore>, OpenImage), StorageError> {
         let dir = dir.as_ref().to_path_buf();
         let metrics = Arc::new(Registry::new());
-        let wal = Arc::new(SegmentedWal::open_with_metrics(
+        let (wal, scan, (records, torn_tail)) = SegmentedWal::open_with_metrics(
             &dir,
             WalOptions { segment_max_bytes: opts.segment_max_bytes, durability: opts.durability },
             &metrics,
-        )?);
+        )?;
         let ckpt = Checkpoint::load_latest(&dir)?;
         let ckpt_ts = ckpt.as_ref().map(|c| c.last_ts).unwrap_or(0);
         // The WAL made one full pass over the surviving segments when it
@@ -428,7 +429,6 @@ impl DurableStore {
         // durable below the recovery watermarks. Registry bindings come
         // from the checkpoint (whose segments compaction deleted) plus the
         // surviving Register records.
-        let scan = wal.open_scan().clone();
         let last_ts = ckpt_ts.max(scan.last_ts);
         // Compaction may have deleted the segments holding the highest
         // tickets (and the chain link below the watermark); the
@@ -442,29 +442,17 @@ impl DurableStore {
             registry.next_id = registry.next_id.max(id);
             registry.by_name.insert(name, id);
         }
-        // Retain the pass's full product — checkpoint + decoded records
-        // — as the recovery image, so `take_recovered` serves the
-        // materialization from memory instead of re-reading every
-        // segment (the ROADMAP's "double log scan at open").
-        let open_image = wal.take_open_image().map(|(records, torn_tail)| OpenImage {
-            checkpoint: ckpt,
-            records,
-            torn_tail,
-        });
-        let has_image = open_image.as_ref().is_some_and(|img| !img.records.is_empty());
-        Ok(Arc::new(DurableStore {
+        let store = Arc::new(DurableStore {
             dir,
-            wal,
+            wal: Arc::new(wal),
             opts,
             last_commit_ts: AtomicU64::new(last_ts),
             max_txn_seen: scan.max_txn,
             unabsorbed_history: std::sync::atomic::AtomicBool::new(last_ts > 0),
-            checkpoints_taken: AtomicU64::new(0),
             registry: std::sync::RwLock::new(registry),
-            open_image: std::sync::Mutex::new(open_image),
-            open_image_present: std::sync::atomic::AtomicBool::new(has_image),
             metrics,
-        }))
+        });
+        Ok((store, OpenImage { checkpoint: ckpt, records, torn_tail }))
     }
 
     /// The system-wide metric registry rooted at this store. The
@@ -475,39 +463,6 @@ impl DurableStore {
         &self.metrics
     }
 
-    /// Release the retained open image on the first append: a caller
-    /// that starts logging without having taken it signaled that no
-    /// recovery materialization is coming (recovery always runs before
-    /// transactions), so an append-only store — a 2PC coordinator's
-    /// decision log, a pure workload driver — does not pin a decoded
-    /// copy of its whole history in memory for its lifetime. One relaxed
-    /// atomic load on the hot path; the image (if any) is taken once.
-    fn release_image_on_append(&self) {
-        if self.open_image_present.load(Ordering::Relaxed) {
-            self.take_image();
-        }
-    }
-
-    /// Claim the retained open image, if it is still held.
-    fn take_image(&self) -> Option<OpenImage> {
-        self.open_image_present.store(false, Ordering::Relaxed);
-        self.open_image.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take()
-    }
-
-    /// The durable state this store's open-time pass read: newest
-    /// checkpoint plus the committed tail, in timestamp order —
-    /// identical to [`DurableStore::recover`] on the same directory, but
-    /// served from the image the open already decoded, so the log is
-    /// scanned once, not twice. Returns `Some` exactly once; `None`
-    /// after it was claimed, or after [`DurableStore::mark_state_absorbed`]
-    /// or the first append dropped it.
-    pub fn take_recovered(&self) -> Result<Option<Recovered>, StorageError> {
-        let Some(img) = self.take_image() else { return Ok(None) };
-        self.metrics.counter("recovery.segments_scanned").add(self.wal.stats().segments);
-        assemble_recovered(img.checkpoint, img.records, img.torn_tail, Some(&self.metrics))
-            .map(Some)
-    }
-
     /// Attest that the caller's live objects reflect every commit at or
     /// below [`DurableStore::last_commit_ts`] — i.e. recovery (checkpoint
     /// restore + tail replay) has been applied to the objects whose
@@ -516,9 +471,6 @@ impl DurableStore {
     /// refuses.
     pub fn mark_state_absorbed(&self) {
         self.unabsorbed_history.store(false, Ordering::Release);
-        // Absorption means nobody will materialize from the open image
-        // anymore; release its memory.
-        self.take_image();
     }
 
     /// The highest commit timestamp known durable (checkpoint + WAL tail
@@ -545,14 +497,6 @@ impl DurableStore {
         self.wal.current_ticket().saturating_sub(1)
     }
 
-    /// Log that `txn` began. Transactions do not write Begin records —
-    /// commit records are self-certifying — but recovery still reads
-    /// logs that hold them.
-    pub fn log_begin(&self, txn: u64) -> Result<(), StorageError> {
-        self.release_image_on_append();
-        self.wal.append_begin(txn)
-    }
-
     /// Append one executed operation under a pre-reserved ticket, or give
     /// the ticket up ([`SegmentedWal::void`]) if it cannot be. The object
     /// name is translated to its compact registry id; a first-seen name
@@ -564,7 +508,6 @@ impl DurableStore {
         object: &str,
         op: &[u8],
     ) -> Result<(), StorageError> {
-        self.release_image_on_append();
         self.object_id(object)
             .and_then(|obj| self.wal.append_op(ticket, txn, obj, op))
             .inspect_err(|_| self.wal.void(ticket))
@@ -618,7 +561,6 @@ impl DurableStore {
     /// `Durability::Fsync`). Returns only once the record is as durable
     /// as the configured level requires.
     pub fn log_commit(&self, txn: u64, ts: u64) -> Result<(), StorageError> {
-        self.release_image_on_append();
         self.wal.commit_txn(txn, ts)?;
         self.last_commit_ts.fetch_max(ts, Ordering::Relaxed);
         Ok(())
@@ -628,14 +570,12 @@ impl DurableStore {
     /// replays uncommitted transactions, so ordinary aborts need no fsync;
     /// they only unpin segments for compaction).
     pub fn log_abort(&self, txn: u64) -> Result<(), StorageError> {
-        self.release_image_on_append();
         self.wal.append_abort(txn)
     }
 
     /// Durably log that `txn` aborted after its commit failed, filling
     /// the chain slot it left held ([`SegmentedWal::commit_abort`]).
     pub fn log_abort_durable(&self, txn: u64) -> Result<(), StorageError> {
-        self.release_image_on_append();
         self.wal.commit_abort(txn)
     }
 
@@ -655,11 +595,6 @@ impl DurableStore {
     /// Does the compaction policy want a checkpoint now?
     pub fn should_checkpoint(&self) -> bool {
         self.opts.policy.should_compact(&self.wal.stats())
-    }
-
-    /// Checkpoints taken by this store instance.
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpoints_taken.load(Ordering::Relaxed)
     }
 
     /// Phase 1 of a fuzzy checkpoint. The caller must hold its commit
@@ -713,7 +648,6 @@ impl DurableStore {
         self.wal.mark_checkpoint();
         let pruned = self.wal.prune_segments(cursor.segment_cut)?;
         Checkpoint::prune_older(&self.dir, ckpt.last_ts)?;
-        self.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
         self.metrics.counter("ckpt.count").inc();
         self.metrics
             .counter("ckpt.bytes")
@@ -726,12 +660,12 @@ impl DurableStore {
     /// committed tail, in timestamp order. Static — recovery happens before
     /// any appender is opened. (A store opened over the same directory
     /// serves the identical image from its open-time pass via
-    /// [`DurableStore::take_recovered`] without re-reading the disk.)
+    /// [`OpenImage::recover`] without re-reading the disk.)
     pub fn recover(dir: impl AsRef<Path>) -> Result<Recovered, StorageError> {
         let dir = dir.as_ref();
         let checkpoint = Checkpoint::load_latest(dir)?;
         let (records, torn_tail) = read_records(dir)?;
-        assemble_recovered(checkpoint, records, torn_tail, None)
+        assemble_recovered(OpenImage { checkpoint, records, torn_tail }, None)
     }
 }
 
@@ -758,13 +692,12 @@ impl RedoSink for DurableStore {
 /// log: the checkpoint's timestamp filter and the timestamp-collision
 /// refusal, abort-wins, and the in-doubt list. Shared by the static
 /// [`DurableStore::recover`] (re-reads the disk) and
-/// [`DurableStore::take_recovered`] (consumes the open-time pass's image).
+/// [`OpenImage::recover`] (consumes what a store's open read).
 fn assemble_recovered(
-    checkpoint: Option<Checkpoint>,
-    records: Vec<(u64, LogRecord)>,
-    torn_tail: bool,
+    image: OpenImage,
     metrics: Option<&Registry>,
 ) -> Result<Recovered, StorageError> {
+    let OpenImage { checkpoint, records, torn_tail } = image;
     let ckpt_ts = checkpoint.as_ref().map(|c| c.last_ts).unwrap_or(0);
     let mut txns = TxnAssembler::new(checkpoint.as_ref());
     // The tail's commits by ts, and every transaction committed at any
@@ -907,7 +840,6 @@ mod tests {
     }
 
     fn run_txn(store: &DurableStore, cell: &Cell, txn: u64, ts: u64, v: i64) {
-        store.log_begin(txn).unwrap();
         store.log_op(txn, "cell", &v.to_le_bytes()).unwrap();
         cell.add(v);
         store.log_commit(txn, ts).unwrap();
@@ -933,12 +865,11 @@ mod tests {
         let dir = tmp("plain");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             for i in 1..=10 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
             // An aborted transaction must not replay.
-            store.log_begin(99).unwrap();
             store.log_op(99, "cell", &1000i64.to_le_bytes()).unwrap();
             store.log_abort(99).unwrap();
         }
@@ -955,7 +886,7 @@ mod tests {
         let dir = tmp("ckpt");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             for i in 1..=20 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
@@ -978,7 +909,7 @@ mod tests {
     fn checkpoint_prunes_dead_segments() {
         let dir = tmp("prune");
         let cell = Cell::default();
-        let store = DurableStore::open(&dir, small_opts()).unwrap();
+        let store = DurableStore::open(&dir, small_opts()).unwrap().0;
         for i in 1..=50 {
             run_txn(&store, &cell, i, i, 1);
         }
@@ -986,7 +917,7 @@ mod tests {
         checkpoint(&store, &cell).unwrap();
         let after = segment_count(&dir);
         assert!(after <= 2, "dead segments survived: {after}");
-        assert_eq!(store.checkpoints_taken(), 1);
+        assert_eq!(store.metrics().counter("ckpt.count").get(), 1);
     }
 
     #[test]
@@ -1001,7 +932,8 @@ mod tests {
                 ..StorageOptions::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let mut taken = 0;
         for i in 1..=35 {
             run_txn(&store, &cell, i, i, 1);
@@ -1019,7 +951,7 @@ mod tests {
         let cell = Cell::default();
         let id_first;
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             id_first = store.object_id("cell").unwrap();
             assert_eq!(store.object_id("cell").unwrap(), id_first, "idempotent");
             for i in 1..=30 {
@@ -1033,7 +965,7 @@ mod tests {
             }
         }
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             assert_eq!(
                 store.object_id("cell").unwrap(),
                 id_first,
@@ -1051,13 +983,11 @@ mod tests {
     fn in_doubt_transactions_are_reported() {
         let dir = tmp("in-doubt");
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
-            store.log_begin(1).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             store.log_op(1, "cell", &5i64.to_le_bytes()).unwrap();
             store.log_commit(1, 1).unwrap();
             // Txn 2 voted yes somewhere and crashed before the decision
             // arrived: ops, no completion record.
-            store.log_begin(2).unwrap();
             store.log_op(2, "cell", &7i64.to_le_bytes()).unwrap();
         }
         let recovered = DurableStore::recover(&dir).unwrap();
@@ -1071,11 +1001,10 @@ mod tests {
     fn abort_record_overrides_unacknowledged_commit() {
         let dir = tmp("commit-then-abort");
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             // The ambiguous-failure shape: a commit frame reached disk but
             // its fsync failed, so the manager aborted and told the client
             // the commit did not happen.
-            store.log_begin(5).unwrap();
             store.log_op(5, "cell", &7i64.to_le_bytes()).unwrap();
             store.log_commit(5, 9).unwrap();
             store.log_abort(5).unwrap();
@@ -1094,7 +1023,7 @@ mod tests {
     fn commits_are_self_certifying_without_begin_records() {
         let dir = tmp("self-certify");
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             store.log_commit(7, 3).unwrap(); // no Begin, no ops: count = 0
         }
         let recovered = DurableStore::recover(&dir).unwrap();
@@ -1196,15 +1125,15 @@ mod tests {
         assert_eq!(chain.last_linked(), 25);
     }
 
-    /// The single-scan open: a reopened store hands its open-time image
-    /// back as the recovery state — byte-equal to what a fresh disk read
-    /// produces — exactly once; absorption drops an unclaimed image.
+    /// The single-scan open: a reopened store hands back the image its
+    /// one pass read, and that image, assembled, is what a fresh disk
+    /// read recovers.
     #[test]
-    fn open_retains_the_recovery_image_for_a_single_scan() {
+    fn open_returns_the_recovery_image_of_its_single_scan() {
         let dir = tmp("single-scan");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             for i in 1..=12 {
                 run_txn(&store, &cell, i, i, i as i64);
             }
@@ -1214,29 +1143,39 @@ mod tests {
             }
         }
         let from_disk = DurableStore::recover(&dir).unwrap();
+        let (store, image) = DurableStore::open(&dir, small_opts()).unwrap();
+        let opened = image.recover(&store).unwrap();
+        assert_eq!(opened.checkpoint, from_disk.checkpoint);
+        assert_eq!(opened.committed, from_disk.committed);
+        assert_eq!(opened.in_doubt, from_disk.in_doubt);
+        assert_eq!(opened.incomplete, from_disk.incomplete);
+        assert_eq!(opened.torn_tail, from_disk.torn_tail);
+        assert_eq!(opened.committed.len(), 8, "the tail above the checkpoint");
+    }
+
+    /// A checkpoint whose directory fsync fails after the rename is an
+    /// error and prunes nothing: the rename may not be durable, so the
+    /// segments it covers must stay, and a reopen recovers every commit.
+    #[test]
+    fn a_checkpoint_whose_directory_fsync_failed_prunes_nothing() {
+        let dir = tmp("ckpt-dir-sync");
+        let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
-            let retained = store.take_recovered().unwrap().expect("open retained the image");
-            assert_eq!(retained.checkpoint, from_disk.checkpoint);
-            assert_eq!(retained.committed, from_disk.committed);
-            assert_eq!(retained.incomplete, from_disk.incomplete);
-            assert!(store.take_recovered().unwrap().is_none(), "claimed exactly once");
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
+            for i in 1..=30 {
+                run_txn(&store, &cell, i, i, i as i64);
+            }
+            let before = crate::wal::segments(&dir).unwrap();
+            assert!(before.len() > 2, "scenario needs prunable segments");
+            crate::checkpoint::DIR_SYNC_FAULTS.with(|n| n.set(1));
+            assert!(checkpoint(&store, &cell).is_err(), "the directory fsync failed");
+            assert_eq!(crate::wal::segments(&dir).unwrap(), before, "no segment deleted");
+            assert_eq!(store.metrics().counter("ckpt.count").get(), 0);
         }
-        {
-            // Absorption without a take drops the retained image.
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
-            store.mark_state_absorbed();
-            assert!(store.take_recovered().unwrap().is_none(), "absorbed image is released");
-        }
-        {
-            // Appending without a take drops it too: recovery runs
-            // before transactions, so the first append means no
-            // materialization is coming — an append-only store (a 2PC
-            // decision log) must not pin its decoded history forever.
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
-            store.log_begin(999).unwrap();
-            assert!(store.take_recovered().unwrap().is_none(), "first append released the image");
-        }
+        let (store, image) = DurableStore::open(&dir, small_opts()).unwrap();
+        let fresh = Cell::default();
+        replay(&image.recover(&store).unwrap(), &fresh);
+        assert_eq!(fresh.get(), (1..=30).sum::<i64>());
     }
 
     #[test]
@@ -1244,7 +1183,7 @@ mod tests {
         let dir = tmp("reopen");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             for i in 1..=5 {
                 run_txn(&store, &cell, i, i, 1);
             }
@@ -1256,7 +1195,7 @@ mod tests {
             // caller attests its objects absorbed the prior history,
             // checkpointing is refused — the same `cell` carried the state
             // across the reopen here, so the attestation is truthful.
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             match checkpoint(&store, &cell) {
                 Err(StorageError::UnabsorbedHistory { last_ts: 5 }) => {}
                 other => panic!("expected UnabsorbedHistory, got {other:?}"),
@@ -1273,7 +1212,7 @@ mod tests {
         let cell = Cell::default();
         let ticket_at_ckpt;
         {
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             for i in 1..=30 {
                 run_txn(&store, &cell, i, i, 1);
             }
@@ -1285,7 +1224,7 @@ mod tests {
             // Compaction deleted the old segments; the surviving log may
             // hold no high tickets at all. The reopened store must still
             // allocate above the checkpoint watermark.
-            let store = DurableStore::open(&dir, small_opts()).unwrap();
+            let store = DurableStore::open(&dir, small_opts()).unwrap().0;
             assert!(
                 store.last_issued_ticket() >= ticket_at_ckpt,
                 "tickets must not restart below the checkpoint watermark"
@@ -1328,7 +1267,7 @@ mod tests {
         let dir = tmp("write-fault");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, buffered()).unwrap();
+            let store = DurableStore::open(&dir, buffered()).unwrap().0;
             run_txn(&store, &cell, 1, 1, 1);
             store.log_op(2, "cell", &10i64.to_le_bytes()).unwrap();
             store.wal.write_faults.store(1, Ordering::SeqCst);
@@ -1360,7 +1299,7 @@ mod tests {
         let dir = tmp("write-fault-held");
         let cell = Cell::default();
         {
-            let store = DurableStore::open(&dir, buffered()).unwrap();
+            let store = DurableStore::open(&dir, buffered()).unwrap().0;
             run_txn(&store, &cell, 1, 1, 1);
             store.log_op(2, "cell", &10i64.to_le_bytes()).unwrap();
             store.wal.write_faults.store(2, Ordering::SeqCst);
@@ -1397,7 +1336,7 @@ mod tests {
         let (threads, per) = (8u64, 500u64);
         {
             let opts = StorageOptions { segment_max_bytes: 1 << 20, ..buffered() };
-            let store = Arc::new(DurableStore::open(&dir, opts).unwrap());
+            let store = DurableStore::open(&dir, opts).unwrap().0;
             let writers: Vec<_> = (0..threads)
                 .map(|t| {
                     let store = store.clone();

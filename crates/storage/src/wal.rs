@@ -226,16 +226,6 @@ pub struct SegmentedWal {
     ins: Instruments,
     /// The global ticket counter: the *next* ticket to hand out.
     ticket: AtomicU64,
-    /// What the open-time scan learned (watermarks + registry bindings)
-    /// — the store reads this instead of re-scanning the segments it
-    /// just opened.
-    open_scan: OpenScan,
-    /// The fully decoded records of that same open-time scan, in ticket
-    /// order, plus the torn-tail flag — retained so the *one* pass over
-    /// the surviving segments serves both clock/id seeding and recovery
-    /// materialization. Taken (once) by the store's recovery path;
-    /// dropped when the caller attests absorption.
-    open_image: Mutex<Option<OpenRecords>>,
     /// Commit records whose append failed after their chain ticket was
     /// reserved, and whose repair abort failed too: the compensating
     /// durable abort reuses the ticket, so the chain stays linkable for
@@ -355,18 +345,21 @@ impl SegmentedWal {
     /// higher watermark — pruning may have deleted the segments that held
     /// the highest tickets).
     pub fn open(dir: impl AsRef<Path>, opts: WalOptions) -> Result<SegmentedWal, StorageError> {
-        Self::open_with_metrics(dir, opts, &Registry::new())
+        Ok(Self::open_with_metrics(dir, opts, &Registry::new())?.0)
     }
 
-    /// [`SegmentedWal::open`] with the owning system's metric registry:
-    /// the append and rotation counters and the group-commit batch/fsync
-    /// histograms are resolved from it once, at open (the plain `open`
-    /// uses a private throwaway registry).
+    /// [`SegmentedWal::open`] with the owning system's metric registry,
+    /// handing back what the open read: the append and rotation counters
+    /// and the group-commit batch/fsync histograms are resolved from
+    /// `metrics` once, at open (the plain `open` uses a private throwaway
+    /// registry), and the one pass over the surviving segments is
+    /// returned as its watermarks and bindings ([`OpenScan`]) and its
+    /// decoded records ([`OpenRecords`]), the caller's to keep or drop.
     pub fn open_with_metrics(
         dir: impl AsRef<Path>,
         opts: WalOptions,
         metrics: &Registry,
-    ) -> Result<SegmentedWal, StorageError> {
+    ) -> Result<(SegmentedWal, OpenScan, OpenRecords), StorageError> {
         let stream = stream_dir(dir.as_ref())?;
         fs::create_dir_all(&stream)?;
         let segments = list_segments(&stream)?;
@@ -402,10 +395,10 @@ impl SegmentedWal {
         // recovery order ambiguous, exactly like reusing a transaction
         // id) and the commit chain (the next commit links to the highest
         // surviving commit ticket), collects the watermarks + registry
-        // bindings the store needs, **and retains the decoded records**
-        // so the recovery path materializes from this same pass instead
-        // of re-reading every segment — opening a store reads each
-        // segment exactly once, recovery included.
+        // bindings the store needs, **and hands the decoded records to
+        // the caller** so recovery materializes from this same pass
+        // instead of re-reading every segment — opening a store reads
+        // each segment exactly once, recovery included.
         let (records, torn) = read_segments(&segments)?;
         let scan = OpenScan::from_records(&records);
         // A ticket below the highest survivor that did not survive is
@@ -418,7 +411,7 @@ impl SegmentedWal {
             }
             expect = expect.max(seq + 1);
         }
-        Ok(SegmentedWal {
+        let wal = SegmentedWal {
             stream,
             opts,
             inner: Mutex::new(Inner {
@@ -467,24 +460,8 @@ impl SegmentedWal {
             write_faults: Default::default(),
             #[cfg(test)]
             dir_sync_faults: Default::default(),
-            open_scan: scan,
-            open_image: Mutex::new(Some((records, torn))),
-        })
-    }
-
-    /// What the open-time metadata pass learned: recovery watermarks and
-    /// registry bindings of the surviving log.
-    pub fn open_scan(&self) -> &OpenScan {
-        &self.open_scan
-    }
-
-    /// Take the decoded record image of the open-time scan (ticket
-    /// order, plus the torn-tail flag). `Some` exactly once: the store
-    /// claims it right after opening so one disk pass serves both open
-    /// seeding and recovery materialization; later calls get `None` and
-    /// must re-read.
-    pub fn take_open_image(&self) -> Option<OpenRecords> {
-        lock(&self.open_image).take()
+        };
+        Ok((wal, scan, (records, torn)))
     }
 
     /// Raise the ticket counter so the next reserved ticket is at least
@@ -1144,7 +1121,7 @@ impl OpenScan {
     /// transaction id, and ticket) and the object registry bindings out
     /// of an already-decoded, ticket-sorted record image — the seeding
     /// half of the single open-time pass ([`read_records`] is the read
-    /// half; the image itself is retained for recovery).
+    /// half; the opener keeps the image itself for recovery).
     pub fn from_records(records: &[(u64, LogRecord)]) -> OpenScan {
         let mut scan = OpenScan::default();
         for (seq, rec) in records {
@@ -1532,7 +1509,7 @@ pub(crate) mod tests {
             let dir = tmp("writes");
             let metrics = Registry::new();
             let opts = WalOptions { segment_max_bytes: 1 << 20, durability };
-            let wal = SegmentedWal::open_with_metrics(&dir, opts, &metrics).unwrap();
+            let (wal, ..) = SegmentedWal::open_with_metrics(&dir, opts, &metrics).unwrap();
             let writes = metrics.counter("wal.writes");
             for txn in 1..=3 {
                 wal.append_begin(txn).unwrap();
@@ -1550,7 +1527,8 @@ pub(crate) mod tests {
         // A rotation flushes what the buffer holds, with no commit to carry it.
         let metrics = Registry::new();
         let opts = WalOptions { segment_max_bytes: 1, durability: Durability::Buffered };
-        let wal = SegmentedWal::open_with_metrics(tmp("writes-rotate"), opts, &metrics).unwrap();
+        let (wal, ..) =
+            SegmentedWal::open_with_metrics(tmp("writes-rotate"), opts, &metrics).unwrap();
         wal.append_begin(1).unwrap();
         assert_eq!(metrics.counter("wal.writes").get(), 0);
         wal.append_op(wal.reserve(), 1, 1, b"op").unwrap();
@@ -1590,9 +1568,10 @@ pub(crate) mod tests {
         let on_disk: Vec<u8> =
             segments(&dir).iter().flat_map(|(_, p)| fs::read(p).unwrap()).collect();
         assert_eq!(on_disk, batch(&all));
-        let wal = SegmentedWal::open(&dir, fed_opts()).unwrap();
+        let (wal, _, (records, _)) =
+            SegmentedWal::open_with_metrics(&dir, fed_opts(), &Registry::new()).unwrap();
         assert_eq!(wal.current_ticket(), 51);
-        assert_eq!(wal.take_open_image().unwrap().0.len(), 50, "one scan serves the restart");
+        assert_eq!(records.len(), 50, "one scan serves the restart");
     }
 
     #[test]

@@ -9,24 +9,37 @@
 //! every default-options directory in existence keeps reopening. It
 //! sits beside `framing_golden.rs`, which pins the frame envelope alone.
 
-use hcc_storage::{DurableStore, StorageOptions};
+use hcc_storage::{DurableStore, SegmentedWal, StorageOptions, WalOptions};
 use std::path::{Path, PathBuf};
 
+/// The script as the old build ran it. Transactions no longer write
+/// Begin records, so each one here comes from the log itself, opened
+/// between two store sessions: every open resumes the ticket counter
+/// where the last one stopped, so the file is the one a single session
+/// wrote.
 fn script(dir: &Path) {
-    let store = DurableStore::open(dir, StorageOptions::default()).unwrap();
-    store.object_id("cell").unwrap();
-    store.log_begin(1).unwrap();
-    store.log_op(1, "cell", b"one").unwrap();
-    store.log_commit(1, 1).unwrap();
-    store.log_begin(2).unwrap();
-    store.log_op(2, "cell", b"two").unwrap();
-    store.log_op(2, "other", b"three").unwrap();
-    store.log_commit(2, 2).unwrap();
-    let cursor = store.checkpoint_begin().unwrap();
-    store.checkpoint_finish(&cursor, vec![("cell".into(), b"image-at-2".to_vec())]).unwrap();
-    store.log_begin(3).unwrap();
-    store.log_op(3, "other", b"four").unwrap();
-    store.log_commit(3, 3).unwrap();
+    let store = || DurableStore::open(dir, StorageOptions::default()).unwrap().0;
+    let begin =
+        |txn| SegmentedWal::open(dir, WalOptions::default()).unwrap().append_begin(txn).unwrap();
+    store().object_id("cell").unwrap();
+    begin(1);
+    let s = store();
+    s.log_op(1, "cell", b"one").unwrap();
+    s.log_commit(1, 1).unwrap();
+    drop(s);
+    begin(2);
+    let s = store();
+    s.log_op(2, "cell", b"two").unwrap();
+    s.log_op(2, "other", b"three").unwrap();
+    s.log_commit(2, 2).unwrap();
+    s.mark_state_absorbed();
+    let cursor = s.checkpoint_begin().unwrap();
+    s.checkpoint_finish(&cursor, vec![("cell".into(), b"image-at-2".to_vec())]).unwrap();
+    drop(s);
+    begin(3);
+    let s = store();
+    s.log_op(3, "other", b"four").unwrap();
+    s.log_commit(3, 3).unwrap();
 }
 
 /// Every path under `root`, relative, directories included, sorted.

@@ -18,9 +18,8 @@ use hcc_core::runtime::{
 };
 use hcc_obs::{Counter, FlightRecorder, Gauge, Histogram};
 use hcc_spec::{Timestamp, TxnId};
-use hcc_storage::{Checkpoint, DurableObject, DurableStore, StorageError, StorageOptions};
+use hcc_storage::{Checkpoint, DurableObject, DurableStore, StorageError};
 use parking_lot::RwLock;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -165,15 +164,14 @@ impl TxnManager {
         Self::build(None)
     }
 
-    /// A manager whose completion records are persisted through a
-    /// [`DurableStore`] rooted at `dir` — the commit path group-commits
-    /// at the store's durability level, and [`TxnManager::checkpoint`] bounds
-    /// recovery time.
-    pub fn with_storage(
-        dir: impl AsRef<Path>,
-        opts: StorageOptions,
-    ) -> Result<Arc<TxnManager>, StorageError> {
-        Ok(Self::build(Some(DurableStore::open(dir, opts)?)))
+    /// A manager whose completion records are persisted through an
+    /// already-opened [`DurableStore`] — the commit path group-commits
+    /// at the store's durability level, and [`TxnManager::checkpoint`]
+    /// bounds recovery time. The clock, transaction ids and metric
+    /// registry resume from the store; recovering the image its open
+    /// returned is the caller's.
+    pub fn with_storage(store: Arc<DurableStore>) -> Arc<TxnManager> {
+        Self::build(Some(store))
     }
 
     fn build(store: Option<Arc<DurableStore>>) -> Arc<TxnManager> {
@@ -774,7 +772,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("hcc-txn-ckpt-pin-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mgr = TxnManager::with_storage(&dir, StorageOptions::default()).unwrap();
+        let mgr = TxnManager::with_storage(DurableStore::open(&dir, Default::default()).unwrap().0);
         let shared =
             Busy { mgr: &mgr, acct: AccountObject::with_options("s", mgr.object_options()) };
         let t = mgr.begin();
@@ -792,7 +790,7 @@ mod tests {
             Err(StorageError::Snapshot(e)) => assert!(e.0.contains("stale"), "{e}"),
             other => panic!("expected a refused snapshot, got {other:?}"),
         }
-        assert_eq!(mgr.storage().unwrap().checkpoints_taken(), 1, "nothing saved");
+        assert_eq!(mgr.metrics().counter("ckpt.count").get(), 1, "nothing saved");
         assert_eq!(mgr.horizon().active(), 0, "the guard dropped on the refusal too");
         drop((shared, private));
         drop(mgr);
@@ -802,7 +800,7 @@ mod tests {
     /// A durable manager that rotates on every append, so renaming its
     /// stream directory away makes the next append fail.
     fn rotating_store(name: &str) -> (std::path::PathBuf, Arc<TxnManager>) {
-        use hcc_storage::{CompactionPolicy, Durability};
+        use hcc_storage::{CompactionPolicy, Durability, StorageOptions};
         let dir = std::env::temp_dir().join(format!("hcc-txn-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let opts = StorageOptions {
@@ -810,7 +808,7 @@ mod tests {
             durability: Durability::Buffered,
             policy: CompactionPolicy::never(),
         };
-        let mgr = TxnManager::with_storage(&dir, opts).unwrap();
+        let mgr = TxnManager::with_storage(DurableStore::open(&dir, opts).unwrap().0);
         (dir, mgr)
     }
 

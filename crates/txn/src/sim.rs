@@ -532,7 +532,7 @@ mod tests {
             durability: Durability::Buffered,
             policy: CompactionPolicy::never(),
         };
-        let store = DurableStore::open(&dir, opts).unwrap();
+        let store = DurableStore::open(&dir, opts).unwrap().0;
         let a = Arc::new(AccountObject::with_options(
             "a",
             RuntimeOptions::default().with_redo(store.clone()),

@@ -217,7 +217,7 @@ pub fn run_crash_workload(
         }
     }
 
-    let checkpoints = db.storage().map(|s| s.checkpoints_taken()).unwrap_or(0);
+    let checkpoints = db.stats().counter("ckpt.count");
     Ok(CrashWorkload { committed: oracle.len(), oracle, aborted, checkpoints })
 }
 

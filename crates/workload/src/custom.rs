@@ -416,20 +416,11 @@ pub fn custom_crash_point_holds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmp::Tmp;
     use hcc_core::runtime::{SpecAdt, SpecLock};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "hcc-custom-{}-{}-{}",
-            std::process::id(),
-            name,
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        p
+    fn tmp(name: &str) -> Tmp {
+        Tmp::new("hcc-custom", name)
     }
 
     /// The derived relation, pinned: per-player, response-sensitive —

@@ -137,7 +137,7 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
     assert!(opts.sites >= 3, "need at least 3 sites for interesting kill sets");
     let coord_dir = base_dir.join("coordinator");
     let clock = Arc::new(LogicalClock::new());
-    let coord_store = DurableStore::open(&coord_dir, site_storage(opts.durability))
+    let (coord_store, _) = DurableStore::open(&coord_dir, site_storage(opts.durability))
         .expect("open coordinator decision log");
     let coord = Coordinator::new(clock)
         .with_vote_timeout(Duration::from_millis(100))
@@ -311,19 +311,10 @@ pub fn multisite_crash_converges(base_dir: &Path, opts: MultisiteOptions) -> Mul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::tmp::Tmp;
 
-    fn tmp(name: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "hcc-multisite-{}-{}-{}",
-            std::process::id(),
-            name,
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        p
+    fn tmp(name: &str) -> Tmp {
+        Tmp::new("hcc-multisite", name)
     }
 
     #[test]

@@ -230,6 +230,9 @@ pub fn run_socket_client(
                 report.aborted += 1;
                 done += 1;
             }
+            // Refused with nothing applied: a reconnect would only meet
+            // the same refusal until the deadline.
+            Err(e @ HccError::Refused { .. }) => return Err(e),
             Err(_) => {
                 // Connection lost (or the server is draining): the
                 // outcome is unknown and the request is NOT resent.
@@ -392,37 +395,13 @@ pub fn verify_socket_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tmp::Tmp;
     use hcc_db::Db;
     use hcc_storage::CompactionPolicy;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// A fresh scratch path. Dropping it removes what a test left there
-    /// (a store directory or a report file) and its `.addr` file, so a
-    /// panicking test cleans up too.
-    struct Tmp(std::path::PathBuf);
-
-    impl std::ops::Deref for Tmp {
-        type Target = Path;
-        fn deref(&self) -> &Path {
-            &self.0
-        }
-    }
-
-    impl Drop for Tmp {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-            let _ = std::fs::remove_file(&self.0);
-            let _ = std::fs::remove_file(self.0.with_extension("addr"));
-        }
-    }
-
     fn tmp(name: &str) -> Tmp {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let p = std::env::temp_dir().join(format!("hcc-socket-{}-{name}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        Tmp(p)
+        Tmp::new("hcc-socket", name)
     }
 
     fn open_db(dir: &std::path::Path) -> Arc<Db> {

@@ -67,7 +67,7 @@ fn run(dir: &str, txns: u64, abort_after: Option<u64>) {
             std::process::abort();
         }
     }
-    let ckpts = db.storage().map(|s| s.checkpoints_taken()).unwrap_or(0);
+    let ckpts = db.stats().counter("ckpt.count");
     println!("final stock {:?} after {txns} txns ({ckpts} checkpoints)", store.committed_state());
 }
 

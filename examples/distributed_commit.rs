@@ -89,7 +89,9 @@ fn main() {
         let site = Site::spawn_durable("ledger-site", vec![ledger.inner().clone()], store);
         let coordinator = Coordinator::new(clock)
             .with_vote_timeout(Duration::from_millis(100))
-            .with_decision_log(DurableStore::open(&dir_coord, StorageOptions::default()).unwrap());
+            .with_decision_log(
+                DurableStore::open(&dir_coord, StorageOptions::default()).unwrap().0,
+            );
 
         let t3 = TxnHandle::new(TxnId(3));
         ledger.credit(&t3, Rational::from_int(250)).unwrap(); // self-logs to the site WAL

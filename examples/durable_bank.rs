@@ -57,7 +57,7 @@ fn run(dir: &str, txns: u64, abort_after: Option<u64>) {
             std::process::abort();
         }
     }
-    let ckpts = db.storage().map(|s| s.checkpoints_taken()).unwrap_or(0);
+    let ckpts = db.stats().counter("ckpt.count");
     println!(
         "final balance {:?} after {txns} txns ({ckpts} checkpoints)",
         acct.committed_balance()

@@ -19,15 +19,15 @@ use hybrid_cc::txn::sim::{
 };
 use hybrid_cc::workload::multisite::{multisite_crash_converges, MultisiteOptions};
 use hybrid_cc::Db;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hcc-ms-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&p);
-    p
+mod common;
+use common::Tmp;
+
+fn tmp(name: &str) -> Tmp {
+    Tmp::new("hcc-ms", name)
 }
 
 #[test]
@@ -71,7 +71,7 @@ fn site_b(dir: &Path, decisions: Decisions) -> (Db, Arc<AccountObject>, Site) {
 fn coordinator(dir: &Path) -> Coordinator {
     Coordinator::new(Arc::new(LogicalClock::new()))
         .with_vote_timeout(Duration::from_millis(100))
-        .with_decision_log(DurableStore::open(dir, StorageOptions::default()).unwrap())
+        .with_decision_log(DurableStore::open(dir, StorageOptions::default()).unwrap().0)
 }
 
 /// Credit `amount` at a fresh site "b" under txn 1 and run 2PC with the

@@ -338,7 +338,7 @@ fn refused_recovery_dumps_the_flight_recorder() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         // A debit that "succeeded" against an account nobody ever funded.
-        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap().0;
         store.log_op(1, "acct", br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#).unwrap();
         store.log_commit(1, 1).unwrap();
     }

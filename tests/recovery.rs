@@ -9,22 +9,24 @@
 use hybrid_cc::adts::account::AccountObject;
 use hybrid_cc::adts::fifo_queue::QueueObject;
 use hybrid_cc::spec::Rational;
+use hybrid_cc::storage::record::decode_all;
 use hybrid_cc::storage::{
-    CompactionPolicy, Durability, DurableObject, DurableStore, StorageError, StorageOptions,
+    CompactionPolicy, Durability, DurableObject, DurableStore, LogRecord, StorageError,
+    StorageOptions,
 };
 use hybrid_cc::workload::crash::{
     crash_point_holds, recover_and_verify, run_crash_workload, CrashScenarioOptions,
 };
 use hybrid_cc::Db;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hcc-recovery-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&p);
-    p
+mod common;
+use common::Tmp;
+
+fn tmp(name: &str) -> Tmp {
+    Tmp::new("hcc-recovery", name)
 }
 
 fn money(n: i64) -> Rational {
@@ -37,7 +39,7 @@ fn money(n: i64) -> Rational {
 /// Note what is *absent*: no logging call anywhere. The `Db` builds the
 /// objects over its store, so every mutating operation serializes its
 /// own redo record into the WAL.
-fn run_durable_session(dir: &PathBuf) -> (Rational, usize) {
+fn run_durable_session(dir: &Path) -> (Rational, usize) {
     let db = Db::open(dir).unwrap();
     let acct = db.object::<AccountObject>("acct").unwrap();
     let queue = db.object::<QueueObject<i64>>("q").unwrap();
@@ -119,36 +121,41 @@ fn durable_store_reports_commit_with_missing_ops_as_incomplete() {
             &dir,
             StorageOptions { segment_max_bytes: 128, ..StorageOptions::default() },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Establish history and a checkpoint, so the registry binding for
         // "acct" survives in the checkpoint file no matter which segments
         // disappear.
         let acct = Db::in_memory().object::<AccountObject>("acct").unwrap();
-        store.log_begin(1).unwrap();
         store.log_op(1, "acct", br#"{"op":"credit","v":{"den":1,"num":7}}"#).unwrap();
         store.log_commit(1, 1).unwrap();
         let cursor = store.checkpoint_begin().unwrap();
         let image = acct.snapshot_at(cursor.last_ts).unwrap();
         store.checkpoint_finish(&cursor, vec![("acct".into(), image)]).unwrap();
-        // Txn 2's Begin/Op records land in the post-checkpoint segment...
-        store.log_begin(2).unwrap();
+        // Txn 2's op record lands in the post-checkpoint segment...
         store.log_op(2, "acct", br#"{"op":"credit","v":{"den":1,"num":9}}"#).unwrap();
         for filler in 3..20 {
-            store.log_begin(filler).unwrap();
             store.log_op(filler, "acct", &[0u8; 64]).unwrap();
             store.log_abort(filler).unwrap();
         }
         // ...and its commit record in a later one.
         store.log_commit(2, 10).unwrap();
     }
-    // Delete the segment holding txn 2's Begin/Op behind the store's back
+    // Delete the segment holding txn 2's op behind the store's back
     // (simulating a pruning bug or lost file): the commit record's
     // stamped op count (1) exceeds the surviving ops (0), so recovery
     // must drop txn 2 and *report* it — never replay half of it and
     // never refuse the rest of the log.
     let segments = hybrid_cc::storage::wal::segments(&dir).unwrap();
     assert!(segments.len() > 1, "scenario needs several segments");
-    std::fs::remove_file(&segments[0].1).unwrap();
+    let (_, holding_op) = segments
+        .iter()
+        .find(|(_, path)| {
+            let (records, _) = decode_all(&std::fs::read(path).unwrap());
+            records.iter().any(|(_, rec)| matches!(rec, LogRecord::Op { txn: 2, .. }))
+        })
+        .expect("txn 2's op record is on disk");
+    std::fs::remove_file(holding_op).unwrap();
     let recovered = DurableStore::recover(&dir).unwrap();
     assert_eq!(recovered.incomplete, vec![2], "txn 2's effects are reported lost");
     assert!(
@@ -166,11 +173,11 @@ fn durable_store_refuses_ops_whose_registry_binding_is_lost() {
             &dir,
             StorageOptions { segment_max_bytes: 128, ..StorageOptions::default() },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // The Register record for "acct" lands in the first segment with
         // the first op; later segments hold ops referencing its id.
         for txn in 1..20 {
-            store.log_begin(txn).unwrap();
             store.log_op(txn, "acct", &[0u8; 64]).unwrap();
             store.log_commit(txn, txn).unwrap();
         }
@@ -381,8 +388,7 @@ fn uncommitted_tail_transaction_is_dropped() {
     let (balance, _) = run_durable_session(&dir);
     // A transaction that logged ops but crashed before its commit record.
     {
-        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
-        store.log_begin(500).unwrap();
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap().0;
         store.log_op(500, "acct", br#"{"op":"credit","v":{"den":1,"num":1000}}"#).unwrap();
         // no completion record: the crash hit between phases.
     }

@@ -21,13 +21,12 @@ use hybrid_cc::workload::crash::{
     Effect, Oracle,
 };
 use hybrid_cc::{Db, HccError};
-use std::path::PathBuf;
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("hcc-selflog-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_dir_all(&p);
-    p
+mod common;
+use common::Tmp;
+
+fn tmp(name: &str) -> Tmp {
+    Tmp::new("hcc-selflog", name)
 }
 
 fn money(n: i64) -> Rational {
@@ -82,8 +81,7 @@ fn dropped_duplicated_or_reordered_records_are_caught() {
     let logged = |name: &str, order: &[usize]| {
         let dir = tmp(name);
         {
-            let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
-            store.log_begin(1).unwrap();
+            let store = DurableStore::open(&dir, StorageOptions::default()).unwrap().0;
             for &i in order {
                 let (object, bytes) = effect_redo(&effects[i]);
                 store.log_op(1, object, &bytes).unwrap();
@@ -192,10 +190,9 @@ fn manager_recovers_registry_and_resumes() {
 fn divergent_replay_is_refused() {
     let dir = tmp("diverge");
     {
-        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap();
+        let store = DurableStore::open(&dir, StorageOptions::default()).unwrap().0;
         // Hand-craft a log claiming a successful debit from an empty
         // account (no prior credit): replay must refuse to "succeed" it.
-        store.log_begin(1).unwrap();
         store.log_op(1, "acct", br#"{"op":"debit","v":{"den":1,"num":30},"ok":true}"#).unwrap();
         store.log_commit(1, 1).unwrap();
     }
